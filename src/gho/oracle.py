@@ -22,7 +22,7 @@ from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
 from .packets import (GridSpec, WavePacket, derivative, inner_product,
                       second_derivative)
-from .propagator import KernelQuery, kernel, kernel_coefficients
+from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
 
 __all__ = [
     "EvolverConfig",
@@ -110,8 +110,8 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     return WavePacket(grid, psi, t=t_end)
 
 
-def hamiltonian_apply(s: Scenario, t: float, grid: GridSpec, samples) -> np.ndarray:
-    """H(t) acting on grid samples with 4th-order stencils (for residuals)."""
+def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
+    """The summands of H(t) samples: kinetic, mixed a(xp + px), drift b p, potential."""
     x = grid.points
     dx = grid.dx
     hbar = s.hbar
@@ -123,28 +123,35 @@ def hamiltonian_apply(s: Scenario, t: float, grid: GridSpec, samples) -> np.ndar
     psi = np.asarray(samples, dtype=np.complex128)
     d1 = derivative(psi, dx)
     d2 = second_derivative(psi, dx)
-    return (-hbar ** 2 / (2.0 * m) * d2
-            + 1j * hbar * a_c * (2.0 * x * d1 + psi)
-            + 1j * hbar * (b_c / m) * d1
-            + (0.5 * m * hc.c * x * x + hc.d * x + b_c * b_c / (2.0 * m) - f_c) * psi)
+    return (-hbar ** 2 / (2.0 * m) * d2,
+            1j * hbar * a_c * (2.0 * x * d1 + psi),
+            1j * hbar * (b_c / m) * d1,
+            (0.5 * m * hc.c * x * x + hc.d * x + b_c * b_c / (2.0 * m) - f_c) * psi)
+
+
+def hamiltonian_apply(s: Scenario, t: float, grid: GridSpec, samples) -> np.ndarray:
+    """H(t) acting on grid samples with 4th-order stencils (for residuals)."""
+    return sum(_hamiltonian_terms(s, t, grid, samples))
 
 
 def schrodinger_residual_map(field, s: Scenario, t: float, grid: GridSpec,
                              dt: float = 1e-5):
     """Pointwise |(-i hbar d/dt + H) field| over interior nodes, normalized.
 
-    Returns (x_interior, residual) arrays, suitable for CSV export; the
+    The scale is the largest single term of (-i hbar d/dt + H) field on the
+    interior, which stays finite when H field itself vanishes (a zero-energy
+    mode). Returns (x_interior, residual) arrays, suitable for CSV export; the
     scalar check below takes the max of this map.
     """
     x = grid.points
     psi = np.asarray(field(t, x), dtype=np.complex128)
     dpsi_dt = (np.asarray(field(t + dt, x)) - np.asarray(field(t - dt, x))) / (2.0 * dt)
-    h_psi = hamiltonian_apply(s, t, grid, psi)
-    res = -1j * s.hbar * dpsi_dt + h_psi
+    terms = (-1j * s.hbar * dpsi_dt,) + _hamiltonian_terms(s, t, grid, psi)
+    res = sum(terms)
     interior = slice(4, -4)
-    scale = float(np.max(np.abs(h_psi[interior])))
+    scale = max(float(np.max(np.abs(term[interior]))) for term in terms)
     if scale == 0.0:
-        raise ValidationError("H.field vanishes on the interior; cannot normalize")
+        raise ValidationError("the field vanishes on the interior; cannot normalize")
     return x[interior], np.abs(res[interior]) / scale
 
 
@@ -154,7 +161,8 @@ def schrodinger_residual(field, s: Scenario, t: float, grid: GridSpec,
 
     `field(t, x_array)` must be evaluable in a neighborhood of t. The time
     derivative uses centered differences with step dt, space uses 4th-order
-    stencils, and the max-norm over interior nodes is divided by max |H field|.
+    stencils, and the max-norm over interior nodes is divided by the largest
+    single term of the operator applied to the field.
     """
     _, res = schrodinger_residual_map(field, s, t, grid, dt)
     return float(np.max(res))
@@ -230,21 +238,6 @@ def _classical_path(basis, part, t_a, x_a, t_b, x_b, t):
     return alpha * u_t + beta * v_t + xp_t
 
 
-def _slice_step(co, x, g, dx):
-    """One windowed slice integration: out_j = sum_m K(x_j, y_m) g_m dx.
-
-    Chunked direct evaluation of the trapezoid sum (the field is already zero
-    at the edges, so uniform weights are the trapezoid rule exactly).
-    """
-    g2 = np.exp(1j * (co.q_aa * x * x + co.l_a * x)) * g
-    out = np.empty(len(x), dtype=np.complex128)
-    chunk = max(1, int(4e6 // max(len(x), 1)))
-    for lo in range(0, len(x), chunk):
-        xs = x[lo:lo + chunk, None]
-        out[lo:lo + chunk] = np.exp(1j * co.q_ab * xs * x[None, :]) @ g2
-    return co.prefactor * np.exp(1j * (co.q_bb * x * x + co.l_b * x)) * out * dx
-
-
 def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
                          grid: GridSpec, basis: ClassicalBasis = None,
                          part=None) -> complex:
@@ -252,9 +245,10 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
 
     Composes n_slices exact short-time kernels by iterated quadrature on the
     given grid (the grid fixes the quadrature resolution, so refinement
-    studies are meaningful). Intermediate fields are smoothly windowed to tame
-    the non-decaying chirp tails; the window must stay flat around the
-    classical path, otherwise GridTooNarrow is raised.
+    studies are meaningful); each slice's trapezoid sum is one chirp-z.
+    Intermediate fields are smoothly windowed to tame the non-decaying chirp
+    tails; the window must stay flat around the classical path, otherwise
+    GridTooNarrow is raised.
     """
     if n_slices < 1:
         raise ValidationError("n_slices must be >= 1")
@@ -287,7 +281,7 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
     field = co.value_1d(x_a, x)
     for k in range(1, n_slices - 1):
         co = kernel_coefficients(s, basis, part, times[k], times[k + 1])
-        field = _slice_step(co, x, field * window, dx)
+        field = _lct_apply(co, x, field * window, dx, x)
     co = kernel_coefficients(s, basis, part, times[-2], times[-1])
     vals = co.value_1d(x, x_b) * field * window
     return complex(np.sum(vals) * dx)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
 from .errors import GridMismatch, GridTooNarrow, ValidationError
 
@@ -24,6 +25,7 @@ __all__ = [
     "var_x",
     "derivative",
     "second_derivative",
+    "czt",
     "evaluate_trig_interpolant",
     "upsample_periodic",
 ]
@@ -159,37 +161,53 @@ def second_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _fourier_modes(p: WavePacket):
-    n = p.grid.n_points
-    # implied period: one spacing beyond x_max
-    period = n * p.grid.dx
-    coeffs = np.fft.fft(p.samples) / n
-    freqs = np.fft.fftfreq(n, d=p.grid.dx)
-    return coeffs, freqs, period
+def czt(h, m: int, angle: float) -> np.ndarray:
+    """Chirp-z sum out_j = sum_n h_n exp(i angle n j) for j < m.
+
+    Bluestein's method: with n j = (n^2 + j^2 - (j - n)^2) / 2 the sum is a
+    linear convolution with a chirp, done by FFT in O((n + m) log(n + m)).
+    The chirp is built from the angle itself, so small angles lose no phase
+    accuracy to rounding in exp(i angle).
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    n = len(h)
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(0.5j * angle * k * k)
+    size = sfft.next_fast_len(n + m - 1)
+    filt = np.zeros(size, dtype=np.complex128)
+    filt[:m] = np.conj(chirp[:m])
+    filt[size - n + 1:] = np.conj(chirp[1:n][::-1])
+    spectrum = sfft.fft(h * chirp[:n], size) * sfft.fft(filt)
+    return sfft.ifft(spectrum)[:m] * chirp[:m]
 
 
 def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
-    """Evaluate the packet's trigonometric interpolant at arbitrary points.
+    """Evaluate the packet's trigonometric interpolant at evenly spaced points.
 
     Exact at grid nodes, spectrally accurate between them for edge-decayed
     packets. Points outside [x_min, x_max] return 0 (the interpolant itself is
-    periodic, which is meaningless for a dark-edged packet).
+    periodic, which is meaningless for a dark-edged packet). The sum over the
+    packet's Fourier modes is one chirp-z; points that are not evenly spaced
+    raise ValidationError.
     """
-    coeffs, freqs, _ = _fourier_modes(p)
     points = np.asarray(points, dtype=float)
-    flat = np.atleast_1d(points)
-    inside = (flat >= p.grid.x_min) & (flat <= p.grid.x_max)
-    out = np.zeros(flat.shape, dtype=np.complex128)
-    if np.any(inside):
-        rel = flat[inside] - p.grid.x_min
-        # chunk the (points x modes) phase matrix to bound memory
-        vals = np.empty(rel.shape, dtype=np.complex128)
-        step = max(1, int(4e6 // max(len(coeffs), 1)))
-        for lo in range(0, len(rel), step):
-            block = rel[lo:lo + step, None]
-            vals[lo:lo + step] = np.exp(2j * np.pi * block * freqs[None, :]) @ coeffs
-        out[inside] = vals
-    return out.reshape(points.shape) if points.shape else out[0]
+    if points.ndim != 1 or len(points) == 0:
+        raise ValidationError("interpolation points must be a non-empty 1-D array")
+    m = len(points)
+    step = (points[-1] - points[0]) / (m - 1) if m > 1 else 0.0
+    lattice = points[0] + step * np.arange(m)
+    if np.max(np.abs(points - lattice)) > 1e-9 * abs(step):
+        raise ValidationError("interpolation points must be evenly spaced")
+    n = p.grid.n_points
+    period = n * p.grid.dx
+    # modes ordered by frequency (k - n//2) / period, k = 0 .. n-1
+    coeffs = np.fft.fftshift(np.fft.fft(p.samples)) / n
+    start = points[0] - p.grid.x_min
+    h = coeffs * np.exp(2j * np.pi * start / period * np.arange(n))
+    vals = czt(h, m, 2.0 * np.pi * step / period)
+    vals *= np.exp(-2j * np.pi * (n // 2) * (lattice - p.grid.x_min) / period)
+    vals[(points < p.grid.x_min) | (points > p.grid.x_max)] = 0.0
+    return vals
 
 
 def upsample_periodic(p: WavePacket, m: int):

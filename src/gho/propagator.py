@@ -36,12 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.optimize import brentq
-from scipy.signal import czt
 
 from .classical import ClassicalBasis
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, GridTooNarrow, ValidationError
-from .packets import WavePacket, upsample_periodic
+from .packets import WavePacket, czt, upsample_periodic
 
 __all__ = [
     "KernelQuery",
@@ -289,8 +288,7 @@ def _lct_apply(co: KernelCoefficients, ys, g, dy, out_points):
     m_out = len(out_points)
     h = g * np.exp(1j * (co.q_aa * ys * ys + co.l_a * ys))
     h = h * np.exp(1j * beta * x0 * (ys - ys[0]))
-    w = np.exp(1j * beta * dxo * dy)
-    transform = czt(h, m_out, w=w, a=1.0 + 0j)
+    transform = czt(h, m_out, beta * dxo * dy)
     transform *= np.exp(1j * beta * ys[0] * out_points)
     out = co.prefactor * np.exp(
         1j * (co.q_bb * out_points ** 2 + co.l_b * out_points)) * transform * dy
@@ -332,7 +330,10 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     if co is None or needed > _MAX_QUAD_POINTS:
         # at (or numerically near) a focal time the kernel is singular or
         # oscillates beyond any quadrature budget; the evolved packet is
-        # still regular, so compose two hops when that genuinely helps
+        # still regular, so compose two hops when that genuinely helps,
+        # through the split point whose worse half needs the fewest points
+        # (a midpoint next to another focal time barely resolves its chirp)
+        best = None
         if _depth < 3:
             for fraction in (0.5, 0.45, 0.55, 0.40, 0.60):
                 t_mid = packet.t + fraction * (t_b - packet.t)
@@ -346,8 +347,11 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
                 if worst > _MAX_QUAD_POINTS or (needed is not None
                                                 and worst > needed // 2):
                     continue  # splitting does not reduce the chirp
-                halfway = propagate(packet, s, basis, part, t_mid, _depth + 1)
-                return propagate(halfway, s, basis, part, t_b, _depth + 1)
+                if best is None or worst < best[0]:
+                    best = (worst, t_mid)
+        if best is not None:
+            halfway = propagate(packet, s, basis, part, best[1], _depth + 1)
+            return propagate(halfway, s, basis, part, t_b, _depth + 1)
         if co is None:
             raise CausticEncountered(
                 f"focal point at t_b={t_b} and no caustic-free split found")

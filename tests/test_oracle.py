@@ -98,6 +98,19 @@ def test_path_integral_converges_with_grid(free, free_basis):
     assert errors[1] > 10 * errors[2]
 
 
+def test_path_integral_slice_matches_dense_sum(sho, sho_basis, sho_part_zero):
+    from gho.propagator import _lct_apply, kernel_coefficients
+
+    grid = GridSpec(-12.0, 12.0, 512)
+    x, dx = grid.points, grid.dx
+    co = kernel_coefficients(sho, sho_basis, sho_part_zero, 0.25, 0.5)
+    field = np.exp(-(x - 0.3) ** 2) * (1.0 + 0.2j * x)
+    # the trapezoid sum of one slice as a dense N x N kernel matrix
+    dense = co.value_1d(x[None, :], x[:, None]) @ field * dx
+    got = _lct_apply(co, x, field, dx, x)
+    assert np.max(np.abs(got - dense)) < 1e-10 * np.max(np.abs(dense))
+
+
 def test_path_integral_off_grid_path_rejected(free, free_basis):
     grid = GridSpec(-3.0, 3.0, 256)
     q = KernelQuery(0.0, 1.0, 0.0, 2.8)
@@ -115,6 +128,22 @@ def test_residual_detects_exact_and_corrupted(sho, sho_basis, sho_part_zero, gri
 
     assert schrodinger_residual(exact, sho, 0.9, grid) < 1e-4
     assert schrodinger_residual(corrupted, sho, 0.9, grid) > 1e-2
+
+
+def test_residual_of_zero_energy_mode(driven, driven_basis, grid):
+    # x_p = 1 sits at the force's equilibrium, so mode 0 has energy
+    # hbar/2 - F^2/(2 M omega^2) = 0 and H psi vanishes up to stencil error
+    part = gho.solve_particular(driven, (1.0, 0.0))
+
+    def exact(t, x):
+        g = GridSpec(x[0], x[-1], len(x))
+        return gho.eigenmode_packet(driven, driven_basis, part, 0, t, g).samples
+
+    def corrupted(t, x):
+        return exact(t, x) * (1 + 0.1 * x)
+
+    assert schrodinger_residual(exact, driven, 3.2, grid) < 1e-4
+    assert schrodinger_residual(corrupted, driven, 3.2, grid) > 1e-2
 
 
 def test_residual_kernel_slice(sho, sho_basis, sho_part_zero, grid):

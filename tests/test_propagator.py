@@ -250,3 +250,16 @@ def test_pathologically_short_step_rejected(sho, sho_basis, grid):
     packet = sho_eigenstate(0, grid)
     with pytest.raises(gho.GridTooNarrow):
         kernel_delta_check(sho, sho_basis, None, 0.0, 1e-9, packet)
+
+
+def test_propagate_split_avoids_earlier_focal_time(parametric, parametric_basis,
+                                                   parametric_part):
+    # t_b is the second focal time after t_a; the midpoint of the hop lies
+    # 3.6e-4 from the first, so the split must take another fraction
+    s, basis, part = parametric, parametric_basis, parametric_part
+    grid = gho.GridSpec(-15.37, 15.37, 6400)
+    t_a, t_b = 3.860832683236491, 10.14868524627105
+    start = gho.eigenmode_packet(s, basis, part, 2, t_a, grid)
+    moved = propagate(start, s, basis, part, t_b)
+    target = gho.eigenmode_packet(s, basis, part, 2, t_b, grid)
+    assert l2_distance(moved, target) < 1e-8
