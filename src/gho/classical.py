@@ -275,12 +275,16 @@ def tau_map(basis: ClassicalBasis, s: Scenario, t) -> float:
 def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> float:
     """Action-variable invariant evaluated on classical phase-space data.
 
-    I = [ (Omega^2/rho^2) (x - x_p)^2 + (M rho' (x - x_p) - rho (p - M x_p'))^2 ]
-        / (2 Omega).
-    part may be None for x_p = 0.
+    I = [ (Omega^2/rho^2) (x - x_p)^2 + (M rho' (x - x_p) - rho (M x' - M x_p'))^2 ]
+        / (2 Omega),
+    where p is the canonical momentum of the Hamiltonian (the one -i hbar d/dx
+    represents) and M x' = p - 2 M a x - b is the kinetic momentum; for
+    a = b = 0 the two coincide. part may be None for x_p = 0.
     """
     rv = basis.rho_at(t)
     m, _ = s.mass.eval(t)
+    a_c, _ = s.a.eval(t)
+    b_c, _ = s.b.eval(t)
     if part is None:
         xp = 0.0
         mxp_dot = 0.0
@@ -288,7 +292,7 @@ def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> fl
         xp = part.x(t)
         mxp_dot = part.momentum(t)
     dx = x - xp
-    dp = p - mxp_dot
+    dp = p - 2.0 * m * a_c * x - b_c - mxp_dot
     omega = basis.omega
     value = ((omega * omega / rv.rho ** 2) * dx * dx
              + (m * rv.rho_dot * dx - rv.rho * dp) ** 2) / (2.0 * omega)

@@ -440,15 +440,15 @@ def run_kernel_scan(args) -> int:
     if len(times) < 2:
         raise ParseError("kernel-scan needs two --times values")
     t_a, t_b = times[0], times[1]
+    if s.dimension != 1:
+        raise ValidationError("kernel-scan is implemented for dimension 1")
     positions = ctx.grid.points if ctx.grid.n_points <= 64 else np.linspace(
         ctx.grid.x_min, ctx.grid.x_max, 21)
-    rows = []
-    for x_a in positions:
-        for x_b in positions:
-            query = propagator.KernelQuery(t_a, t_b, float(x_a), float(x_b))
-            val = propagator.kernel(s, ctx.basis, ctx.part, query)
-            rows.append((t_a, x_a, t_b, x_b, val.real, val.imag, abs(val),
-                         math.atan2(val.imag, val.real)))
+    co = propagator.kernel_coefficients(s, ctx.basis, ctx.part, t_a, t_b)
+    x_a, x_b = (mesh.ravel() for mesh in np.meshgrid(positions, positions, indexing="ij"))
+    vals = co.value_1d(x_a, x_b)
+    rows = zip(np.full_like(x_a, t_a), x_a, np.full_like(x_a, t_b), x_b, vals.real,
+               vals.imag, np.abs(vals), np.arctan2(vals.imag, vals.real))
     _write_table_csv(ctx.outfile("kernel_scan.csv"),
                      ("t_a", "x_a", "t_b", "x_b", "re", "im", "modulus", "phase"), rows)
     return 0

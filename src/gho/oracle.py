@@ -226,16 +226,13 @@ def _classical_path(basis, part, t_a, x_a, t_b, x_b, t):
     """Classical trajectory through the two endpoints, evaluated at t."""
     u_a, _, v_a, _ = basis.uv(t_a)
     u_b, _, v_b, _ = basis.uv(t_b)
-    xp_a = 0.0 if part is None else float(part.x(t_a))
-    xp_b = 0.0 if part is None else float(part.x(t_b))
-    xp_t = 0.0 if part is None else float(part.x(t))
-    y_a = x_a - xp_a
-    y_b = x_b - xp_b
+    y_a = x_a - float(part.x(t_a))
+    y_b = x_b - float(part.x(t_b))
     det = u_a * v_b - v_a * u_b
     alpha = (y_a * v_b - y_b * v_a) / det
     beta = (y_b * u_a - y_a * u_b) / det
     u_t, _, v_t, _ = basis.uv(t)
-    return alpha * u_t + beta * v_t + xp_t
+    return alpha * u_t + beta * v_t + float(part.x(t))
 
 
 def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,

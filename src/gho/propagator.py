@@ -6,16 +6,19 @@ For any pair of times the kernel is a complex Gaussian
                            + L_b x_b + L_a x_a + C ) ]
 
 whose coefficients come from the homogeneous basis (u, v), the particular
-solution x_p and the scenario couplings. The denominator
+solution x_p and the scenario couplings. With u - i v = rho exp(i theta) and
+theta = theta(t0) - tau, the denominator is
 
-    D = v(t_b) u(t_a) - u(t_b) v(t_a)
+    D = v(t_b) u(t_a) - u(t_b) v(t_a) = rho(t_a) rho(t_b) sin(tau_b - tau_a),
 
-vanishes at focal times, where the kernel is distributional and evaluation
-raises CausticEncountered. The branch of the square-root prefactor is fixed to
-exp(-i pi/4) per dimension in the short forward-time limit (free-Gaussian
-convention) and continued through each simple zero of D with an extra
-exp(-i pi/2) per dimension (Morse index counting). Backward-time values follow
-from the conjugation symmetry K*(b, a) = K(a, b).
+so it vanishes at focal times, where |tau_b - tau_a| is a multiple of pi; there
+the kernel is distributional and evaluation raises CausticEncountered. The
+branch of the square-root prefactor is fixed to exp(-i pi/4) per dimension in
+the short forward-time limit (free-Gaussian convention) and continued through
+each simple zero of D with an extra exp(-i pi/2) per dimension. The Morse
+index is counted from tau, floor(|tau_b - tau_a| / pi), with its parity pinned
+by the sign of D. Backward-time values follow from the conjugation symmetry
+K*(b, a) = K(a, b).
 
 Wave-packet propagation evaluates the quadrature
 
@@ -72,7 +75,8 @@ class KernelQuery:
 
 @dataclass(frozen=True)
 class CausticReport:
-    """Zeros of the kernel denominator after t_a, with Morse counting."""
+    """Focal times after t_a, where tau has turned by a multiple of pi since
+    t_a; morse_index counts those before a given time."""
 
     t_a: float
     t_end: float
@@ -129,67 +133,53 @@ def _check_time(s: Scenario, t, name):
         raise ValidationError(f"{name}={t} outside working interval [{s.t0}, {s.t1}]")
 
 
-def _denominator(basis: ClassicalBasis, t_a):
-    """D(t) = v(t) u(t_a) - u(t) v(t_a) as a vectorized function of t."""
-    ya = basis._dense(t_a)
-    u_a, v_a = ya[0], ya[2]
-
-    def dfun(t):
-        y = basis._dense(t)
-        return y[2] * u_a - y[0] * v_a
-
-    return dfun, u_a, v_a
-
-
-def _scan_times(basis: ClassicalBasis, t_lo, t_hi, per_segment=8):
-    nodes = basis.nodes
-    inside = nodes[(nodes > t_lo) & (nodes < t_hi)]
-    anchors = np.concatenate([[t_lo], inside, [t_hi]])
-    segments = []
-    for lo, hi in zip(anchors[:-1], anchors[1:]):
-        segments.append(np.linspace(lo, hi, per_segment + 1)[:-1])
-    segments.append(np.array([t_hi]))
-    return np.concatenate(segments)
-
-
-def _find_zeros(basis: ClassicalBasis, t_a, t_lo, t_hi, refine):
-    """Zeros of D(.; t_a) in (t_lo, t_hi), by sign change + optional bisection."""
-    if t_hi <= t_lo:
-        return []
-    dfun, _, _ = _denominator(basis, t_a)
-    ts = _scan_times(basis, t_lo, t_hi)
-    vals = dfun(ts)
-    zeros = []
-    sign = np.sign(vals)
-    for i in range(len(ts) - 1):
-        if sign[i] == 0.0:
-            if ts[i] > t_lo:
-                zeros.append(float(ts[i]))
-            continue
-        if sign[i] * sign[i + 1] < 0:
-            if refine:
-                root = brentq(lambda t: float(dfun(t)), ts[i], ts[i + 1],
-                              xtol=1e-12, rtol=4 * np.finfo(float).eps)
-                zeros.append(float(root))
-            else:
-                zeros.append(0.5 * (ts[i] + ts[i + 1]))
-    if sign[-1] == 0.0 and ts[-1] < t_hi:
-        zeros.append(float(ts[-1]))
-    return zeros
-
-
 def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticReport:
-    """All focal times in (t_a, t_end] (default: end of the working interval)."""
+    """All focal times in (t_a, t_end] (default: end of the working interval).
+
+    D(t; t_a) = rho(t_a) rho(t) sin(tau(t) - tau(t_a)), so the k-th focal time
+    is the root of the monotone sgn(Omega) (tau(t) - tau(t_a)) - k pi, polished
+    by one Newton step on D; their number is the Morse index at t_end.
+    """
     s = basis.scenario
     _check_time(s, t_a, "t_a")
     t_end = s.t1 if t_end is None else t_end
-    zeros = _find_zeros(basis, t_a, t_a, t_end, refine=True)
-    return CausticReport(t_a=t_a, t_end=t_end, times=tuple(zeros))
+    times = []
+    if t_end > t_a:
+        u_a, _, v_a, _ = basis.uv(t_a)
+        u_b, _, v_b, _ = basis.uv(t_end)
+        count = _morse_count(basis, t_a, t_end, v_b * u_a - u_b * v_a)
+        sign = math.copysign(1.0, basis.omega)
+        tau_a = float(basis.tau(t_a))
+
+        def half_turns(t):
+            return sign * (float(basis.tau(t)) - tau_a) / math.pi
+
+        lo = t_a
+        end_turns = half_turns(t_end)
+        for k in range(1, count + 1):
+            if end_turns <= k:
+                lo = t_end  # a focal time within solver error of t_end
+            else:
+                lo = brentq(lambda t: half_turns(t) - k, lo, t_end)
+                # one Newton step on D removes the error tau accumulates
+                u, u_dot, v, v_dot = basis.uv(lo)
+                lo = min(lo - (v * u_a - u * v_a) / (v_dot * u_a - u_dot * v_a), t_end)
+            times.append(float(lo))
+    return CausticReport(t_a=t_a, t_end=t_end, times=tuple(times))
 
 
-def _morse_count(basis, t_a, t_b):
-    lo, hi = (t_a, t_b) if t_b > t_a else (t_b, t_a)
-    return len(_find_zeros(basis, t_a, lo, hi, refine=False))
+def _morse_count(basis, t_a, t_b, d):
+    """Focal times strictly between t_a < t_b, given D(t_b; t_a) = d.
+
+    The count is floor(|tau_b - tau_a| / pi); its parity is pinned by
+    sign(D Omega) = (-1)^count, which corrects the floor when the endpoint
+    lies within the solver error of a focal time.
+    """
+    turns = abs(float(basis.tau(t_b) - basis.tau(t_a))) / math.pi
+    count = math.floor(turns)
+    if (d * basis.omega < 0) != (count % 2 == 1):
+        count = count + 1 if turns - count > 0.5 else max(count - 1, 0)
+    return count
 
 
 def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
@@ -237,7 +227,7 @@ def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
     f_int = integrate_coefficient(s.f, t_a, t_b)
     const = n * (per_dim_const + dxi / hbar) + f_int / hbar
 
-    morse = _morse_count(basis, t_a, t_b)
+    morse = _morse_count(basis, t_a, t_b, d)
     modulus = abs(omega / (2.0 * math.pi * hbar * d)) ** (0.5 * n)
     branch = -n * (0.25 * math.pi + 0.5 * math.pi * morse)
     prefactor = modulus * np.exp(1j * (branch + const))

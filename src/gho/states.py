@@ -317,9 +317,11 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     """Expectation of the invariant I on a packet at the packet's time.
 
     I = [ (Omega^2/rho^2) X^2 + (M rho' X - rho P)^2 ] / (2 Omega) with
-    X = x - x_p and P = p - M x_p'; the cross term expands to the symmetric
-    combination XP + PX, so <I> is real up to discretization. The momentum
-    acts by 4th-order centered differences.
+    X = x - x_p and P = p - 2 M a x - b - M x_p', where p = -i hbar d/dx and
+    p - 2 M a x - b = M dx/dt is the kinetic momentum under the a, b gauge
+    couplings (the convention of classical.classical_invariant). The cross
+    term expands to the symmetric combination XP + PX, so <I> is real up to
+    discretization. The momentum acts by 4th-order centered differences.
     """
     packet.require_dark_edges(1e-8, "invariant_expectation")
     t = packet.t
@@ -327,6 +329,8 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     omega = basis.omega
     rv = basis.rho_at(t)
     m, _ = s.mass.eval(t)
+    a_c, _ = s.a.eval(t)
+    b_c, _ = s.b.eval(t)
     if part is None:
         xp, mxdot = 0.0, 0.0
     else:
@@ -335,9 +339,10 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     x = packet.grid.points
     dx = packet.grid.dx
     psi = packet.samples
+    momentum_shift = 2.0 * m * a_c * x + b_c + mxdot
 
     def p_tilde(f):
-        return -1j * hbar * derivative(f, dx) - mxdot * f
+        return -1j * hbar * derivative(f, dx) - momentum_shift * f
 
     x_shift = x - xp
     p_psi = p_tilde(psi)

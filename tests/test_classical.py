@@ -243,3 +243,27 @@ def test_zero_rho_detected(sho, sho_basis):
                                 _dense=CorruptDense(), _nodes=np.array([0.0]))
     with pytest.raises(gho.ZeroRho):
         rho(broken, 1.0)
+
+
+def test_classical_invariant_takes_canonical_momentum():
+    # with gauge couplings the canonical momentum is p = M x' + 2 M a x + b
+    s = scenario_from_dict({"a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0},
+                            "b": 0.3, "force": 0.4, "interval": [0.0, 10.0]})
+    basis = solve_homogeneous_basis(s)
+    part = solve_particular(s)
+
+    def rhs(t, y):
+        m, _ = s.mass.eval(t)
+        w, _ = s.frequency.eval(t)
+        force, _ = s.force.eval(t)
+        return [y[1] / m, force - m * w * w * y[0]]
+
+    sol = solve_ivp(rhs, (0.0, 10.0), [1.0, 0.3], method="DOP853",
+                    dense_output=True, rtol=1e-12, atol=1e-14)
+    ts = np.linspace(0.0, 10.0, 400)
+    x, m_xdot = sol.sol(ts)
+    a, _ = s.a.eval(ts)
+    b, _ = s.b.eval(ts)
+    p = m_xdot + 2.0 * a * x + b
+    vals = classical_invariant(basis, part, s, x, p, ts)
+    assert (vals.max() - vals.min()) / abs(vals.mean()) < 1e-6

@@ -157,3 +157,27 @@ def test_modes_deterministic(sho_file, tmp_path):
                      "--modes", "0..1", "--times", "0.0,1.0"]) == 0
     for name in ("mode_n0_t0.csv", "mode_n1_t1.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_kernel_scan_matches_scalar_kernel(sho_file, tmp_path):
+    import gho
+
+    out_dir = tmp_path / "scan"
+    assert main(["kernel-scan", "--scenario", str(sho_file), "--out", str(out_dir),
+                 "--times", "0.4,5.1", "--xp", "1.0,0.5"]) == 0
+    rows = np.loadtxt(out_dir / "kernel_scan.csv", delimiter=",", skiprows=1)
+    s = gho.scenario_from_dict(json.loads(SHO_TEXT))
+    basis = gho.solve_homogeneous_basis(s)
+    part = gho.solve_particular(s, (1.0, 0.5))
+    for t_a, x_a, t_b, x_b, re, im, _, _ in rows[::37]:
+        ref = gho.kernel(s, basis, part, gho.KernelQuery(t_a, t_b, x_a, x_b))
+        assert abs(complex(re, im) - ref) < 1e-12 * abs(ref)
+
+
+def test_kernel_scan_exit_codes(sho_file, tmp_path):
+    dim2 = tmp_path / "dim2.json"
+    dim2.write_text(json.dumps({"dimension": 2, "interval": [0.0, 6.0]}))
+    assert main(["kernel-scan", "--scenario", str(dim2), "--out", str(tmp_path / "a"),
+                 "--times", "0.0,1.0"]) == 2
+    assert main(["kernel-scan", "--scenario", str(sho_file), "--out", str(tmp_path / "b"),
+                 "--times", f"0.0,{np.pi!r}"]) == 1

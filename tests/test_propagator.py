@@ -263,3 +263,69 @@ def test_propagate_split_avoids_earlier_focal_time(parametric, parametric_basis,
     moved = propagate(start, s, basis, part, t_b)
     target = gho.eigenmode_packet(s, basis, part, 2, t_b, grid)
     assert l2_distance(moved, target) < 1e-8
+
+
+@pytest.mark.parametrize("ics, t_b, morse", [
+    (None, 2 * np.pi - 2e-12, 1),
+    (None, 3 * np.pi - 5e-12, 2),
+    (((1.0, 0.0), (0.0, 2.0)), 2 * np.pi + 2e-12, 2),
+    (((1.0, 0.0), (0.0, 2.0)), 3 * np.pi + 5e-12, 3),
+    (((0.0, 1.0), (1.0, 0.0)), 2 * np.pi - 2e-12, 1),  # Omega = -1
+])
+def test_morse_index_next_to_focal_time(sho, ics, t_b, morse):
+    # t_b sits within the solver error of tau from a focal time but outside
+    # the caustic band; floor(|tau_b - tau_a| / pi) alone miscounts here, the
+    # sign of D pins the parity
+    basis = gho.solve_homogeneous_basis(sho, ics)
+    co = gho.kernel_coefficients(sho, basis, None, 0.0, t_b)
+    phase = co.prefactor / abs(co.prefactor)
+    assert abs(phase - np.exp(-1j * (np.pi / 4 + np.pi / 2 * morse))) < 1e-9
+
+
+PIECEWISE_MASS = {"mass": {"kind": "piecewise", "breakpoints": [2.0, 5.0],
+                           "values": [1.0, 2.5, 0.7]},
+                  "interval": [0.0, 12.0]}
+TAU_CASES = [({"interval": [0.0, 12.0]}, None),
+             (PIECEWISE_MASS, None),
+             ({"interval": [0.0, 12.0]}, ((0.0, 1.0), (1.0, 0.0))),
+             (PIECEWISE_MASS, ((0.0, 1.0), (1.0, 0.5)))]
+
+
+@pytest.mark.parametrize("spec, ics", TAU_CASES)
+def test_denominator_is_rho_rho_sin_tau(spec, ics):
+    s = gho.scenario_from_dict(spec)
+    basis = gho.solve_homogeneous_basis(s, ics)
+    rng = np.random.default_rng(12)
+    checked = 0
+    for t_a, t_b in rng.uniform(s.t0, s.t1, (60, 2)):
+        expected = (basis.rho_at(t_a).rho * basis.rho_at(t_b).rho
+                    * np.sin(basis.tau(t_b) - basis.tau(t_a)))
+        if abs(t_b - t_a) < 1e-3 or abs(expected) < 1e-3:
+            continue
+        co = gho.kernel_coefficients(s, basis, None, t_a, t_b)
+        assert abs(co.denominator - expected) < 1e-8 * abs(expected)
+        checked += 1
+    assert checked > 40
+
+
+# tau drifts by ~5e-10 over this span; the focal times must not inherit it
+FAST_SHO = ({"frequency": 3.0, "interval": [0.0, 12.0]}, None)
+
+
+@pytest.mark.parametrize("spec, ics", TAU_CASES + [FAST_SHO])
+def test_caustic_times_match_denominator_sign_changes(spec, ics):
+    s = gho.scenario_from_dict(spec)
+    basis = gho.solve_homogeneous_basis(s, ics)
+    for t_a in (s.t0, 1.3, 4.2):
+        report = caustic_times(basis, t_a)
+        ts = np.linspace(t_a, s.t1, 6001)
+        u, _, v, _ = basis.uv(ts)
+        d = v * u[0] - u * v[0]
+        changes = np.nonzero(np.sign(d[1:-1]) * np.sign(d[2:]) < 0)[0] + 1
+        assert len(report.times) == len(changes) > 0
+        for k, i in enumerate(changes):
+            assert ts[i] < report.times[k] < ts[i + 1]
+            u_k, _, v_k, _ = basis.uv(report.times[k])
+            assert abs(v_k * u[0] - u_k * v[0]) < 1e-11
+        t_mid = 0.5 * (report.times[0] + report.times[1]) if len(changes) > 1 else s.t1
+        assert report.morse_index(t_mid) == 1

@@ -324,3 +324,19 @@ def test_coupled_scenario_consistency():
     packets = [eigenmode_packet(s, basis, part, n, 1.3, grid) for n in range(6)]
     gram = np.array([[inner_product(a, b) for b in packets] for a in packets])
     assert np.max(np.abs(gram - np.eye(6))) < 1e-8
+
+
+@pytest.mark.parametrize("coupling", [
+    {"a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0}},
+    {"b": 0.3},
+])
+def test_invariant_with_gauge_couplings(coupling, grid):
+    # P in the invariant is the kinetic momentum p - 2 M a x - b - M x_p'
+    s = gho.scenario_from_dict({"interval": [0.0, 12.0], **coupling})
+    basis = gho.solve_homogeneous_basis(s)
+    part = gho.solve_particular(s, (0.5, 0.2))
+    for n in (0, 1, 2):
+        for t in (0.0, 1.3):
+            packet = eigenmode_packet(s, basis, part, n, t, grid)
+            value = invariant_expectation(packet, basis, part, s)
+            assert value == pytest.approx(n + 0.5, abs=1e-6)
