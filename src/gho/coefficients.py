@@ -97,7 +97,8 @@ class PiecewiseConstant:
 
     Evaluation exactly at a breakpoint takes the right-limit value, so an ODE
     integration restarted on a breakpoint sees the new plateau. The derivative
-    is 0 away from breakpoints and reported as 0 on them as well.
+    is 0 away from breakpoints and reported as 0 on them as well, so a
+    `Scenario` rejects jumps in a and b, and jumps in M where a != 0.
     """
 
     breakpoints: tuple
@@ -235,6 +236,14 @@ class HamiltonianCoeffs:
     d: float
 
 
+def _jumps(fn: CoefficientFn, t0: float, t1: float) -> list:
+    """Breakpoints inside (t0, t1) where a piecewise-constant fn changes value."""
+    if not isinstance(fn, PiecewiseConstant):
+        return []
+    return [t for t, lo, hi in zip(fn.breakpoints, fn.values[:-1], fn.values[1:])
+            if t0 < t < t1 and lo != hi]
+
+
 _COEFF_DEFAULTS = {
     "mass": 1.0, "frequency": 1.0, "force": 0.0, "a": 0.0, "b": 0.0, "f": 0.0,
 }
@@ -263,6 +272,25 @@ class Scenario:
         if not self.t0 < self.t1:
             raise ValidationError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
         self.check_mass_positive(np.linspace(self.t0, self.t1, 257))
+        self._reject_derivative_deltas()
+
+    def _reject_derivative_deltas(self):
+        """A jump in a or b puts a delta into da/dt or db/dt, a jump in M puts
+        one into (dM/dt / M) a wherever a != 0; H(t) and the evolver see
+        coefficients only between breakpoints and would drop the kick."""
+        for name in ("a", "b"):
+            jumps = _jumps(getattr(self, name), self.t0, self.t1)
+            if jumps:
+                raise ValidationError(
+                    f"piecewise '{name}' jumps at t = {jumps[0]:g}: d{name}/dt holds a "
+                    f"delta there that the Hamiltonian coefficients and the evolver drop")
+        for t in _jumps(self.mass, self.t0, self.t1):
+            a_t = float(self.a.eval(t)[0])
+            if a_t != 0.0:
+                raise ValidationError(
+                    f"piecewise 'mass' jumps at t = {t:g} where a = {a_t:g}: "
+                    f"(dM/dt / M) a holds a delta there that the Hamiltonian "
+                    f"coefficients and the evolver drop")
 
     def check_mass_positive(self, times):
         m, _ = self.mass.eval(times)

@@ -44,6 +44,15 @@ def test_verify_exit_two_on_bad_scenario(tmp_path, capsys):
     assert main(["verify", "--scenario", str(tmp_path / "missing.json")]) == 2
 
 
+def test_verify_exit_two_on_coefficient_jump(tmp_path, capsys):
+    bad = tmp_path / "a_step.json"
+    bad.write_text(json.dumps({"a": {"kind": "piecewise", "breakpoints": [0.5],
+                                     "values": [0.0, 0.2]},
+                               "interval": [0.0, 4.0]}))
+    assert main(["verify", "--scenario", str(bad)]) == 2
+    assert "piecewise 'a' jumps at t = 0.5" in capsys.readouterr().err
+
+
 def test_verify_tolerance_override_can_fail(sho_file, capsys):
     code = main(["verify", "--scenario", str(sho_file),
                  "--tol", "wronskian_constancy=1e-16"])

@@ -117,6 +117,32 @@ def test_bad_interval_rejected():
         load_scenario('{"interval": [1.0, 1.0]}')
 
 
+STEP = {"kind": "piecewise", "breakpoints": [0.5], "values": [0.0, 0.2]}
+COS_A = {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0}
+MASS_STEP = {"kind": "piecewise", "breakpoints": [0.5], "values": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("spec, name", [
+    ({"a": STEP}, "'a'"),
+    ({"b": STEP}, "'b'"),
+    ({"mass": MASS_STEP, "a": COS_A}, "'mass'"),
+])
+def test_coefficient_jump_with_delta_rejected(spec, name):
+    # each jump puts a delta into a Hamiltonian coefficient that the
+    # evolver and the basis solve drop, so the scenario cannot be checked
+    with pytest.raises(ValidationError, match=name):
+        scenario_from_dict({**spec, "interval": [0.0, 4.0]})
+
+
+@pytest.mark.parametrize("spec", [
+    {"mass": MASS_STEP},  # a = 0: (dM/dt / M) a has no delta
+    {"a": {**STEP, "breakpoints": [5.0]}},  # the jump lies outside the interval
+    {"b": {**STEP, "values": [0.3, 0.3]}},  # no jump
+])
+def test_coefficient_steps_without_delta_accepted(spec):
+    scenario_from_dict({**spec, "interval": [0.0, 4.0]})
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         load_scenario("{not json")

@@ -1,8 +1,12 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
 import gho
-from gho import (EvolverConfig, GridSpec, KernelQuery, ValidationError, WavePacket,
+from gho import (EvolverConfig, GridSpec, KernelQuery, LinearSolveFailure,
+                 ValidationError, WavePacket,
                  evolve_tdse, inner_product, kernel, l2_distance, mean_x,
                  packet_norm, path_integral_oracle, propagate,
                  schrodinger_residual, sho_eigenstate, var_x)
@@ -46,6 +50,54 @@ def test_evolver_vs_kernel_propagation(sho, sho_basis, parametric,
         evolved = evolve_tdse(s, packet, 1.0, EvolverConfig(dt=1e-3))
         direct = propagate(packet, s, basis, None, 1.0)
         assert l2_distance(evolved, direct) < 1e-4
+
+
+COUPLED = {"a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0},
+           "b": 0.3, "f": 0.2,
+           "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 1.3},
+           "interval": [0.0, 2.0]}
+FREQUENCY_STEP = {"frequency": {"kind": "piecewise", "breakpoints": [0.5],
+                                "values": [1.0, 1.6]},
+                  "interval": [0.0, 2.0]}
+
+
+@pytest.mark.parametrize("spec", [COUPLED, FREQUENCY_STEP], ids=["coupled", "step"])
+def test_evolver_vs_propagate(spec, grid):
+    # the step case fails if the step matrix is not factored again after
+    # the frequency changes
+    s = gho.scenario_from_dict(spec)
+    basis = gho.solve_homogeneous_basis(s)
+    part = gho.solve_particular(s)
+    packet = sho_eigenstate(0, grid)
+    evolved = evolve_tdse(s, packet, 1.0, EvolverConfig(dt=1e-3))
+    direct = propagate(packet, s, basis, part, 1.0)
+    assert l2_distance(evolved, direct) < 1e-4
+
+
+def _factorizations(caplog):
+    (record,) = [r for r in caplog.records if r.name == "gho.oracle"]
+    return int(re.search(r"(\d+) factorizations", record.getMessage()).group(1))
+
+
+@pytest.mark.parametrize("spec, count", [
+    ({"interval": [0.0, 2.0]}, 1),
+    ({"frequency": {"kind": "piecewise", "breakpoints": [0.3, 0.6, 1.5],
+                    "values": [1.0, 1.4, 0.8, 1.2]}, "interval": [0.0, 2.0]}, 3),
+])
+def test_evolver_factors_once_per_plateau(spec, count, grid, caplog):
+    s = gho.scenario_from_dict(spec)
+    with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
+        evolve_tdse(s, sho_eigenstate(0, grid), 1.0, EvolverConfig(dt=1e-2))
+    assert _factorizations(caplog) == count
+
+
+def test_evolver_non_finite_state_raises(grid):
+    # w(t) = 1 + 1e200 t^2 loads (M stays positive) but w^2 overflows once
+    # t > 1e-23, so the step matrix and the state turn non-finite
+    s = gho.scenario_from_dict({"frequency": {"kind": "polynomial",
+                                              "coefficients": [1.0, 0.0, 1e200]}})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinearSolveFailure):
+        evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
 
 
 def test_evolver_respects_mixed_coupling_norm():
