@@ -21,7 +21,7 @@ print("undriven oscillator, x_p = cos t:")
 print(f"{'t':>5} {'<x>':>14} {'x_p(t)':>14} {'Var(x)':>10}")
 for t in np.linspace(0.0, 2.0, 5):
     state = gho.build_generalized_coherent_state(sho, basis, part, 0, float(t), grid)
-    print(f"{t:5.2f} {gho.mean_x(state):14.10f} {float(part.x(t)):14.10f} "
+    print(f"{t:5.2f} {gho.mean_x(state):14.10f} {part.at(t).x:14.10f} "
           f"{gho.var_x(state):10.6f}")
 print("the center tracks the classical solution; the width never changes.")
 
@@ -36,7 +36,7 @@ state = gho.sho_eigenstate(0, grid)
 cfg = gho.EvolverConfig(dt=1e-3)
 for t in (1.0, 2.0, 3.0):
     state = gho.evolve_tdse(driven, state, t, cfg)
-    print(f"{t:5.2f} {gho.mean_x(state):14.9f} {float(dpart.x(t)):14.9f}")
+    print(f"{t:5.2f} {gho.mean_x(state):14.9f} {dpart.at(t).x:14.9f}")
 
 print("\nthe kernel does not care which particular solution is used:")
 q = gho.KernelQuery(0.1, 1.4, 0.3, -0.6)

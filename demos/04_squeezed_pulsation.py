@@ -22,9 +22,9 @@ print("u = cos t, v = 2 sin t  (Omega = 2)")
 print(f"{'t':>6} {'Var(x) measured':>16} {'rho^2/(2 Omega)':>16}")
 for t in np.linspace(0.0, np.pi, 9):
     state = gho.build_generalized_coherent_state(sho, basis, part, 0, float(t), grid)
-    rv = basis.rho_at(float(t))
+    rho = basis.at(float(t)).rho
     print(f"{t:6.3f} {gho.var_x(state):16.10f} "
-          f"{rv.rho ** 2 / (2 * basis.omega):16.10f}")
+          f"{rho ** 2 / (2 * basis.omega):16.10f}")
 
 def width(t):
     state = gho.build_generalized_coherent_state(sho, basis, part, 0, t, grid)

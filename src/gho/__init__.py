@@ -6,9 +6,8 @@ frequency and driving, all evaluated from numerically integrated classical
 solutions and cross-checked against independent grid oracles.
 """
 
-from .classical import (ClassicalBasis, ParticularSolution, RhoValue,
-                        classical_invariant, rho, solve_homogeneous_basis,
-                        solve_particular, tau_map, trajectory_table, wronskian)
+from .classical import (ClassicalBasis, ParticularSolution, classical_invariant,
+                        solve_homogeneous_basis, solve_particular, trajectory_table)
 from .coefficients import (CoefficientFn, Constant, Exponential, HamiltonianCoeffs,
                            PiecewiseConstant, Polynomial, Scenario, Sinusoidal,
                            eval_coefficient, hamiltonian_coefficients,
@@ -17,16 +16,14 @@ from .coefficients import (CoefficientFn, Constant, Exponential, HamiltonianCoef
 from .errors import (CausticEncountered, DegenerateBasis, GhoError, GridMismatch,
                      GridTooNarrow, IntegrationFailure, LinearSolveFailure,
                      ParseError, ValidationError, ZeroRho)
-from .oracle import (EvolverConfig, compose_kernels, evolve_tdse, inner_product,
-                     path_integral_oracle, schrodinger_residual,
-                     schrodinger_residual_map)
-from .packets import (GridSpec, WavePacket, l2_distance, mean_x, packet_norm,
-                      var_x)
+from .oracle import (EvolverConfig, compose_kernels, evolve_tdse, path_integral_oracle,
+                     schrodinger_residual, schrodinger_residual_map)
+from .packets import (GridSpec, WavePacket, inner_product, l2_distance, mean_x,
+                      packet_norm, var_x)
 from .propagator import (CausticReport, KernelQuery, caustic_times, green_function,
                          kernel, kernel_coefficients, kernel_delta_check, propagate)
-from .states import (QuantumNumbers, apply_U_F, apply_U_S,
-                     build_generalized_coherent_state, eigenmode, eigenmode_packet,
-                     hermite, hermite_functions, invariant_expectation,
+from .states import (apply_U_F, apply_U_S, build_generalized_coherent_state, eigenmode,
+                     eigenmode_packet, hermite, hermite_functions, invariant_expectation,
                      mode_sum_kernel, sho_eigenstate)
 
 __version__ = "0.1.0"

@@ -15,6 +15,14 @@ The equations are integrated in (x, M x') form so the analytic derivative of
 M is never needed, and xi / tau ride along as extra components so they inherit
 the solver's accuracy. Integration constants are fixed as xi(t0) = 0 and
 tau(t0) = 0; both only shift global phases.
+
+Every consumer reads a solution through its `at(t)` method, which returns all
+of the solution's per-time data from one dense-output evaluation, for a scalar
+or an array t: `ClassicalBasis.at` gives u, u', v, v', rho, rho', tau, the
+unwrapped angle theta = theta(t0) - tau of u - i v, and M;
+`ParticularSolution.at` gives x_p, M x_p' and xi. `particular_or_zero` is the
+one place that turns `part=None` into the zero particular solution, which
+solves the driven equation only when the force is the default constant 0.
 """
 
 from __future__ import annotations
@@ -25,21 +33,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import OdeSolution, solve_ivp
 
-from .coefficients import PiecewiseConstant, Scenario
-from .errors import DegenerateBasis, IntegrationFailure, ZeroRho
+from .coefficients import Constant, PiecewiseConstant, Scenario
+from .errors import DegenerateBasis, IntegrationFailure, ValidationError, ZeroRho
 
 __all__ = [
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
+    "MAX_RHS_CALLS",
+    "BasisSnapshot",
+    "ParticularSnapshot",
     "ClassicalBasis",
     "ParticularSolution",
-    "RhoValue",
     "solve_homogeneous_basis",
     "solve_particular",
+    "particular_or_zero",
     "default_basis_ics",
-    "wronskian",
-    "rho",
-    "tau_map",
     "classical_invariant",
     "trajectory_columns",
     "trajectory_table",
@@ -49,6 +57,10 @@ __all__ = [
 # kernel prefactor amplifies basis error near caustics.
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
+# Right-hand-side evaluations allowed per solve. The bundled scenarios use
+# 0.4k-2k and w = 30 over 12 time units about 111k; a coefficient that makes
+# the solver crawl fails with IntegrationFailure instead of running on.
+MAX_RHS_CALLS = 500_000
 
 
 def _coefficient_breakpoints(scenario):
@@ -64,15 +76,27 @@ def _solve(scenario, rhs, y0, rtol, atol):
     """Integrate over [t0, t1], restarting at piecewise-coefficient breakpoints.
 
     Restarting keeps the right-limit plateau semantics exact; the per-segment
-    dense outputs are stitched into one OdeSolution.
+    dense outputs are stitched into one OdeSolution. Raises IntegrationFailure
+    once rhs has been called MAX_RHS_CALLS times.
     """
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_RHS_CALLS:
+            raise IntegrationFailure(
+                f"classical solve exceeded {MAX_RHS_CALLS} right-hand-side "
+                f"evaluations near t={t:g}")
+        return rhs(t, y)
+
     edges = [scenario.t0, *_coefficient_breakpoints(scenario), scenario.t1]
     interpolants = []
     ts = [edges[0]]
     nodes = [np.array([edges[0]])]
     y = list(y0)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
+        sol = solve_ivp(counted, (lo, hi), y, method="DOP853",
                         dense_output=True, rtol=rtol, atol=atol)
         if not sol.success:
             raise IntegrationFailure(sol.message)
@@ -87,9 +111,28 @@ def _solve(scenario, rhs, y0, rtol, atol):
 
 
 @dataclass(frozen=True)
-class RhoValue:
-    rho: float
-    rho_dot: float
+class BasisSnapshot:
+    """Per-time data of a ClassicalBasis: scalars at a scalar time, arrays at
+    an array of times."""
+
+    u: object
+    u_dot: object
+    v: object
+    v_dot: object
+    rho: object
+    rho_dot: object
+    tau: object
+    theta: object
+    mass: object
+
+
+@dataclass(frozen=True)
+class ParticularSnapshot:
+    """Per-time data of a ParticularSolution: x_p, M x_p' and xi."""
+
+    x: object
+    momentum: object
+    xi: object
 
 
 @dataclass(frozen=True)
@@ -106,59 +149,39 @@ class ClassicalBasis:
     atol: float
     _dense: object = field(repr=False)
     _nodes: object = field(repr=False)
+    _theta0: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        y0 = self._dense(self.scenario.t0)
+        object.__setattr__(self, "_theta0", math.atan2(-y0[2], y0[0]))
 
     @property
     def nodes(self):
         return self._nodes
 
-    def _mass(self, t):
+    def at(self, t) -> BasisSnapshot:
+        """Everything the basis knows at time(s) t, from one dense evaluation.
+
+        theta is the continuously unwrapped angle of u - i v: since
+        d/dt arg(u - iv) = -Omega / (M rho^2) = -tau', it is the t0 principal
+        value minus tau(t), with no pointwise atan2 jumps. Raises ZeroRho
+        where u and v vanish together.
+        """
+        u, pu, v, pv, tau = self._dense(t)
         m, _ = self.scenario.mass.eval(t)
-        return m
-
-    def u(self, t):
-        return self._dense(t)[0]
-
-    def u_dot(self, t):
-        return self._dense(t)[1] / self._mass(t)
-
-    def v(self, t):
-        return self._dense(t)[2]
-
-    def v_dot(self, t):
-        return self._dense(t)[3] / self._mass(t)
-
-    def tau(self, t):
-        return self._dense(t)[4]
-
-    def uv(self, t):
-        """(u, u', v, v') in one dense-output evaluation."""
-        y = self._dense(t)
-        m = self._mass(t)
-        return y[0], y[1] / m, y[2], y[3] / m
-
-    def wronskian_at(self, t):
-        y = self._dense(t)
-        return y[0] * y[3] - y[2] * y[1]
-
-    def rho_at(self, t) -> "RhoValue":
-        u, u_dot, v, v_dot = self.uv(t)
+        u_dot = pu / m
+        v_dot = pv / m
         r = np.hypot(u, v)
         if np.any(r == 0.0):
             raise ZeroRho(f"u and v vanish together at t={t}")
-        rd = (u * u_dot + v * v_dot) / r
-        if np.ndim(np.asarray(t)) == 0:
-            return RhoValue(float(r), float(rd))
-        return RhoValue(r, rd)
+        return BasisSnapshot(u=u, u_dot=u_dot, v=v, v_dot=v_dot, rho=r,
+                             rho_dot=(u * u_dot + v * v_dot) / r, tau=tau,
+                             theta=self._theta0 - tau, mass=m[()])  # 0-d -> scalar
 
-    def phase_angle(self, t):
-        """Continuously unwrapped angle of u - i v.
-
-        d/dt arg(u - iv) = -Omega / (M rho^2) = -tau', so the unwrapped angle
-        is the t0 principal value minus tau(t); no pointwise atan2 jumps.
-        """
-        y0 = self._dense(self.scenario.t0)
-        theta0 = math.atan2(-y0[2], y0[0])
-        return theta0 - self.tau(t)
+    def wronskian_at(self, t):
+        """M (u v' - v u') at time(s) t; constant in t up to solver error."""
+        y = self._dense(t)
+        return y[0] * y[3] - y[2] * y[1]
 
 
 @dataclass(frozen=True)
@@ -174,19 +197,29 @@ class ParticularSolution:
     _dense: object = field(repr=False)
     _nodes: object = field(repr=False)
 
-    def x(self, t):
-        return self._dense(t)[0]
+    def at(self, t) -> ParticularSnapshot:
+        """x_p, M x_p' and xi at time(s) t from one dense evaluation."""
+        x, momentum, xi = self._dense(t)
+        return ParticularSnapshot(x=x, momentum=momentum, xi=xi)
 
-    def x_dot(self, t):
-        m, _ = self.scenario.mass.eval(t)
-        return self._dense(t)[1] / m
 
-    def momentum(self, t):
-        """M x_p' without the extra mass evaluation."""
-        return self._dense(t)[1]
+def _zero_dense(t):
+    return np.zeros((3,) + np.shape(t))
 
-    def xi(self, t):
-        return self._dense(t)[2]
+
+def particular_or_zero(s: Scenario, part) -> ParticularSolution:
+    """part itself, or for part=None the zero particular solution x_p = 0.
+
+    x_p = 0 solves the driven equation only without a force, so None is
+    accepted only when the force is the default constant 0.
+    """
+    if part is not None:
+        return part
+    if not (isinstance(s.force, Constant) and s.force.value == 0.0):
+        raise ValidationError(
+            "part=None means x_p = 0, which needs force 0; pass solve_particular(s)")
+    return ParticularSolution(scenario=s, rtol=0.0, atol=0.0, _dense=_zero_dense,
+                              _nodes=np.array([s.t0, s.t1]))
 
 
 def default_basis_ics(s: Scenario):
@@ -255,23 +288,6 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0), rtol=DEFAULT_RTOL,
                               _dense=dense, _nodes=nodes)
 
 
-def wronskian(basis: ClassicalBasis, s: Scenario, t) -> float:
-    """M(t) (u v' - v u') evaluated from the dense solution; constant in t."""
-    w = basis.wronskian_at(t)
-    return float(w) if np.ndim(np.asarray(t)) == 0 else w
-
-
-def rho(basis: ClassicalBasis, t) -> RhoValue:
-    """rho = sqrt(u^2 + v^2) and rho' = (u u' + v v') / rho."""
-    return basis.rho_at(t)
-
-
-def tau_map(basis: ClassicalBasis, s: Scenario, t) -> float:
-    """Rescaled unit-oscillator time: integral of Omega / (M rho^2) from t0."""
-    tau = basis.tau(t)
-    return float(tau) if np.ndim(np.asarray(t)) == 0 else tau
-
-
 def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> float:
     """Action-variable invariant evaluated on classical phase-space data.
 
@@ -279,23 +295,17 @@ def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> fl
         / (2 Omega),
     where p is the canonical momentum of the Hamiltonian (the one -i hbar d/dx
     represents) and M x' = p - 2 M a x - b is the kinetic momentum; for
-    a = b = 0 the two coincide. part may be None for x_p = 0.
+    a = b = 0 the two coincide. part=None stands for x_p = 0.
     """
-    rv = basis.rho_at(t)
-    m, _ = s.mass.eval(t)
+    bs = basis.at(t)
+    ps = particular_or_zero(s, part).at(t)
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
-    if part is None:
-        xp = 0.0
-        mxp_dot = 0.0
-    else:
-        xp = part.x(t)
-        mxp_dot = part.momentum(t)
-    dx = x - xp
-    dp = p - 2.0 * m * a_c * x - b_c - mxp_dot
+    dx = x - ps.x
+    dp = p - 2.0 * bs.mass * a_c * x - b_c - ps.momentum
     omega = basis.omega
-    value = ((omega * omega / rv.rho ** 2) * dx * dx
-             + (m * rv.rho_dot * dx - rv.rho * dp) ** 2) / (2.0 * omega)
+    value = ((omega * omega / bs.rho ** 2) * dx * dx
+             + (bs.mass * bs.rho_dot * dx - bs.rho * dp) ** 2) / (2.0 * omega)
     return float(value) if np.ndim(np.asarray(value)) == 0 else value
 
 
@@ -306,16 +316,7 @@ trajectory_columns = ("t", "u", "u_dot", "v", "v_dot", "x_p", "x_p_dot",
 def trajectory_table(basis: ClassicalBasis, part, times) -> np.ndarray:
     """Dense trajectory export: one row per time, columns trajectory_columns."""
     times = np.asarray(times, dtype=float)
-    u, u_dot, v, v_dot = basis.uv(times)
-    rv = basis.rho_at(times)
-    tau = basis.tau(times)
-    if part is None:
-        xp = np.zeros_like(times)
-        xp_dot = np.zeros_like(times)
-        xi = np.zeros_like(times)
-    else:
-        xp = part.x(times)
-        xp_dot = part.x_dot(times)
-        xi = part.xi(times)
-    return np.column_stack([times, u, u_dot, v, v_dot, xp, xp_dot, xi,
-                            rv.rho, rv.rho_dot, tau])
+    bs = basis.at(times)
+    ps = particular_or_zero(basis.scenario, part).at(times)
+    return np.column_stack([times, bs.u, bs.u_dot, bs.v, bs.v_dot, ps.x,
+                            ps.momentum / bs.mass, ps.xi, bs.rho, bs.rho_dot, bs.tau])

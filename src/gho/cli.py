@@ -122,6 +122,10 @@ class _Context:
         self.grid = _parse_grid(args.grid)
         ics = _parse_basis(args.basis, self.scenario)
         self.basis = classical.solve_homogeneous_basis(self.scenario, ics)
+        # modes and squeezes need Omega > 0; the swapped pair (v, u) has it and
+        # builds the same physical states, so verify takes them from that pair
+        self.mode_basis = self.basis if self.basis.omega > 0 else \
+            classical.solve_homogeneous_basis(self.scenario, ics[::-1])
         self.part = classical.solve_particular(self.scenario, _parse_xp(args.xp))
         self.out = Path(args.out) if args.out else None
         if self.out is not None:
@@ -172,6 +176,7 @@ def _verify_checks(ctx):
     """Yield (name, default_tol, callable) triples; callables return the value."""
     s = ctx.scenario
     basis, part, grid = ctx.basis, ctx.part, ctx.grid
+    modes = ctx.mode_basis  # basis with Omega > 0 for modes, squeezes and I
     hbar = s.hbar
     rng = np.random.default_rng(_SEED)
     span = s.t1 - s.t0
@@ -180,8 +185,7 @@ def _verify_checks(ctx):
         """Base grid widened for packet spreading (rho growth) at the times used."""
         factor = 1.0
         for t_val in times:
-            rv = basis.rho_at(t_val)
-            factor = max(factor, rv.rho * math.sqrt(hbar / abs(basis.omega)))
+            factor = max(factor, modes.at(t_val).rho * math.sqrt(hbar / modes.omega))
         if factor <= 1.0:
             return grid
         n = int(math.ceil(grid.n_points * factor / 256.0)) * 256
@@ -189,34 +193,34 @@ def _verify_checks(ctx):
 
     def wronskian_constancy():
         ts = np.linspace(s.t0, s.t1, 201)
-        return float(np.max(np.abs(classical.wronskian(basis, s, ts) - basis.omega))
+        return float(np.max(np.abs(basis.wronskian_at(ts) - basis.omega))
                      / abs(basis.omega))
 
     def basis_residual():
         ts = rng.uniform(s.t0 + 0.01 * span, s.t1 - 0.01 * span, 200)
         h = 1e-6 * max(1.0, span)
-        m_p, _ = s.mass.eval(ts + h)
-        m_m, _ = s.mass.eval(ts - h)
-        dmu = (m_p * basis.u_dot(ts + h) - m_m * basis.u_dot(ts - h)) / (2 * h)
-        m, _ = s.mass.eval(ts)
+        ahead, behind, now = basis.at(ts + h), basis.at(ts - h), basis.at(ts)
+        dmu = (ahead.mass * ahead.u_dot - behind.mass * behind.u_dot) / (2 * h)
         w, _ = s.frequency.eval(ts)
-        drive = m * w * w * basis.u(ts)
+        drive = now.mass * w * w * now.u
         scale = max(float(np.max(np.abs(drive))), 1e-12)
         return float(np.max(np.abs(dmu + drive)) / scale)
 
     def xi_consistency():
         ts = rng.uniform(s.t0 + 0.01 * span, s.t1 - 0.01 * span, 100)
         h = 1e-5 * max(1.0, span)
-        fd = (part.xi(ts + h) - part.xi(ts - h)) / (2 * h)
+        fd = (part.at(ts + h).xi - part.at(ts - h).xi) / (2 * h)
         m, _ = s.mass.eval(ts)
         w, _ = s.frequency.eval(ts)
-        analytic = 0.5 * (m * w * w * part.x(ts) ** 2 - m * part.x_dot(ts) ** 2)
+        now = part.at(ts)
+        x_dot = now.momentum / m
+        analytic = 0.5 * (m * w * w * now.x ** 2 - m * x_dot ** 2)
         scale = max(float(np.max(np.abs(analytic))), 1.0)
         return float(np.max(np.abs(fd - analytic)) / scale)
 
     def tau_monotone():
         ts = np.linspace(s.t0, s.t1, 401)
-        steps = np.diff(basis.tau(ts)) * np.sign(basis.omega)
+        steps = np.diff(basis.at(ts).tau) * np.sign(basis.omega)
         return float(np.min(steps))
 
     def kernel_conjugation():
@@ -260,11 +264,11 @@ def _verify_checks(ctx):
         else:
             return None
         worst = 0.0
-        zero = classical.solve_particular(s)
         for _ in range(100):
             t_a, t_b = draw()
             x_a, x_b = rng.uniform(-3.0, 3.0, 2)
-            val = propagator.kernel(s, basis, zero, propagator.KernelQuery(t_a, t_b, x_a, x_b))
+            # both references are undriven, so part=None is the exact x_p = 0
+            val = propagator.kernel(s, basis, None, propagator.KernelQuery(t_a, t_b, x_a, x_b))
             ref = reference(t_a, t_b, x_a, x_b)
             worst = max(worst, abs(val - ref) / abs(ref))
         return worst
@@ -298,7 +302,7 @@ def _verify_checks(ctx):
         for n in range(4):
             def field(t, x, n=n):
                 g = GridSpec(x[0], x[-1], len(x))
-                return states.eigenmode_packet(s, basis, part, n, t, g).samples
+                return states.eigenmode_packet(s, modes, part, n, t, g).samples
 
             worst = max(worst, oracle.schrodinger_residual(field, s, t_val, wide))
         return worst
@@ -306,7 +310,7 @@ def _verify_checks(ctx):
     def mode_orthonormality():
         t_val = s.t0 + 0.3 * span
         wide = grid_for(t_val)
-        packets = [states.eigenmode_packet(s, basis, part, n, t_val, wide)
+        packets = [states.eigenmode_packet(s, modes, part, n, t_val, wide)
                    for n in range(8)]
         gram = np.array([[inner_product(pm, pn) for pn in packets] for pm in packets])
         return float(np.max(np.abs(gram - np.eye(8))))
@@ -315,24 +319,23 @@ def _verify_checks(ctx):
         g0 = states.sho_eigenstate(0, grid, hbar)
         t_val = s.t0 + 0.25 * span
         dev = abs(packet_norm(states.apply_U_F(g0, part, s, t_val)) - 1.0)
-        dev = max(dev, abs(packet_norm(states.apply_U_S(g0, basis, s, t_val)) - 1.0))
+        dev = max(dev, abs(packet_norm(states.apply_U_S(g0, modes, s, t_val)) - 1.0))
         return dev
 
     def coherent_tracking():
         worst = 0.0
         for t_val in _interior_times(s, (0.1, 0.3, 0.5)):
-            packet = states.build_generalized_coherent_state(s, basis, part, 0, t_val,
+            packet = states.build_generalized_coherent_state(s, modes, part, 0, t_val,
                                                              grid_for(t_val))
-            worst = max(worst, abs(mean_x(packet) - float(part.x(t_val))))
+            worst = max(worst, abs(mean_x(packet) - part.at(t_val).x))
         return worst
 
     def squeezed_variance():
         worst = 0.0
         for t_val in _interior_times(s, (0.1, 0.3, 0.5)):
-            packet = states.build_generalized_coherent_state(s, basis, part, 0, t_val,
+            packet = states.build_generalized_coherent_state(s, modes, part, 0, t_val,
                                                              grid_for(t_val))
-            rv = basis.rho_at(t_val)
-            expected = hbar * rv.rho ** 2 / (2.0 * basis.omega)
+            expected = hbar * modes.at(t_val).rho ** 2 / (2.0 * modes.omega)
             worst = max(worst, abs(var_x(packet) - expected) / expected)
         return worst
 
@@ -341,28 +344,28 @@ def _verify_checks(ctx):
         wide = grid_for(t_val)
         worst = 0.0
         for n in range(3):
-            packet = states.eigenmode_packet(s, basis, part, n, t_val, wide)
-            val = states.invariant_expectation(packet, basis, part, s)
+            packet = states.eigenmode_packet(s, modes, part, n, t_val, wide)
+            val = states.invariant_expectation(packet, modes, part, s)
             worst = max(worst, abs(val - hbar * (n + 0.5)))
         return worst
 
     def invariant_drift_tdse():
         horizon = s.t0 + min(2.0, 0.8 * span)
         wide = grid_for(*np.linspace(s.t0, horizon, 5))
-        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, wide)
+        packet = states.eigenmode_packet(s, modes, part, 0, s.t0, wide)
         cfg = oracle.EvolverConfig(dt=1e-3)
-        values = [states.invariant_expectation(packet, basis, part, s)]
+        values = [states.invariant_expectation(packet, modes, part, s)]
         state = packet
         for t_end in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4):
             state = oracle.evolve_tdse(s, state, float(t_end), cfg)
-            values.append(states.invariant_expectation(state, basis, part, s))
+            values.append(states.invariant_expectation(state, modes, part, s))
         values = np.asarray(values)
         return float((values.max() - values.min()) / abs(values.mean()))
 
     def evolver_vs_kernel():
         t_end = s.t0 + min(1.0, 0.8 * span)
         wide = grid_for(*np.linspace(s.t0, t_end, 3))
-        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, wide)
+        packet = states.eigenmode_packet(s, modes, part, 0, s.t0, wide)
         evolved = oracle.evolve_tdse(s, packet, t_end, oracle.EvolverConfig(dt=1e-3))
         direct = propagator.propagate(packet, s, basis, part, t_end)
         return l2_distance(evolved, direct)
@@ -376,7 +379,7 @@ def _verify_checks(ctx):
         return abs(value - reference) / abs(reference)
 
     def delta_limit():
-        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, grid)
+        packet = states.eigenmode_packet(s, modes, part, 0, s.t0, grid)
         return propagator.kernel_delta_check(s, basis, part, s.t0, 1e-3, packet)
 
     yield "wronskian_constancy", 1e-6, wronskian_constancy
@@ -518,9 +521,8 @@ def run_coherent(args) -> int:
         packet = states.build_generalized_coherent_state(s, ctx.basis, ctx.part, n,
                                                          t, ctx.grid)
         _write_packet_csv(ctx.outfile(f"coherent_t{k}.csv"), packet, s)
-        rv = ctx.basis.rho_at(t)
-        rows.append((t, mean_x(packet), float(ctx.part.x(t)), var_x(packet),
-                     s.hbar * rv.rho ** 2 / (2.0 * ctx.basis.omega)))
+        rows.append((t, mean_x(packet), ctx.part.at(t).x, var_x(packet),
+                     s.hbar * ctx.basis.at(t).rho ** 2 / (2.0 * ctx.basis.omega)))
     _write_table_csv(ctx.outfile("coherent_moments.csv"),
                      ("t", "mean_x", "x_p", "var_x", "expected_var"), rows)
     return 0

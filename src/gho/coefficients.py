@@ -271,8 +271,21 @@ class Scenario:
             raise ValidationError("hbar must be positive")
         if not self.t0 < self.t1:
             raise ValidationError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
-        self.check_mass_positive(np.linspace(self.t0, self.t1, 257))
+        samples = np.linspace(self.t0, self.t1, 257)
+        self._reject_non_finite(samples)
+        self.check_mass_positive(samples)
         self._reject_derivative_deltas()
+
+    def _reject_non_finite(self, times):
+        """A coefficient, or M w^2, that overflows on the interval leaves the
+        classical solve nothing finite to integrate."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = {name: getattr(self, name).eval(times)[0] for name in _COEFF_DEFAULTS}
+            values["M w^2"] = values["mass"] * values["frequency"] ** 2
+        for name, value in values.items():
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(
+                    f"'{name}' is not finite on [{self.t0}, {self.t1}]")
 
     def _reject_derivative_deltas(self):
         """A jump in a or b puts a delta into da/dt or db/dt, a jump in M puts

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .classical import ClassicalBasis, solve_homogeneous_basis, solve_particular
+from .classical import ClassicalBasis, particular_or_zero, solve_homogeneous_basis
 from .coefficients import Scenario, hamiltonian_coefficients
 from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
-from .packets import (GridSpec, WavePacket, derivative, inner_product,
-                      second_derivative)
+from .packets import GridSpec, WavePacket, derivative, second_derivative
 from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
 
 _log = logging.getLogger(__name__)
@@ -37,26 +36,20 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "EvolverConfig",
     "evolve_tdse",
-    "hamiltonian_apply",
     "schrodinger_residual",
     "schrodinger_residual_map",
     "path_integral_oracle",
     "compose_kernels",
-    "inner_product",
 ]
 
 
 @dataclass(frozen=True)
 class EvolverConfig:
     dt: float
-    grid: GridSpec = None
-    scheme: str = "crank-nicolson"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
-        if self.scheme != "crank-nicolson":
-            raise ValidationError("only the crank-nicolson scheme is implemented")
 
 
 def _hamiltonian_scalars(s: Scenario, t):
@@ -115,8 +108,6 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     if s.dimension != 1:
         raise ValidationError("the grid evolver is one-dimensional")
     grid = packet.grid
-    if cfg.grid is not None and cfg.grid != grid:
-        raise ValidationError("config grid differs from the packet grid")
     packet.require_dark_edges(1e-8, "evolve_tdse")
     span = t_end - packet.t
     if span == 0.0:
@@ -158,11 +149,6 @@ def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
             1j * hbar * a_c * (2.0 * x * d1 + psi),
             1j * hbar * (b_c / m) * d1,
             (v2 * x * x + v1 * x + v0) * psi)
-
-
-def hamiltonian_apply(s: Scenario, t: float, grid: GridSpec, samples) -> np.ndarray:
-    """H(t) acting on grid samples with 4th-order stencils (for residuals)."""
-    return sum(_hamiltonian_terms(s, t, grid, samples))
 
 
 def schrodinger_residual_map(field, s: Scenario, t: float, grid: GridSpec,
@@ -253,17 +239,15 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     return complex(np.trapezoid(vals, dx=ys[1] - ys[0]))
 
 
-def _classical_path(basis, part, t_a, x_a, t_b, x_b, t):
-    """Classical trajectory through the two endpoints, evaluated at t."""
-    u_a, _, v_a, _ = basis.uv(t_a)
-    u_b, _, v_b, _ = basis.uv(t_b)
-    y_a = x_a - float(part.x(t_a))
-    y_b = x_b - float(part.x(t_b))
-    det = u_a * v_b - v_a * u_b
-    alpha = (y_a * v_b - y_b * v_a) / det
-    beta = (y_b * u_a - y_a * u_b) / det
-    u_t, _, v_t, _ = basis.uv(t)
-    return alpha * u_t + beta * v_t + float(part.x(t))
+def _classical_path(basis, part, t_a, x_a, t_b, x_b, times):
+    """Classical trajectory through the two endpoints, evaluated at times."""
+    at_a, at_b, at_t = basis.at(t_a), basis.at(t_b), basis.at(times)
+    y_a = x_a - part.at(t_a).x
+    y_b = x_b - part.at(t_b).x
+    det = at_a.u * at_b.v - at_a.v * at_b.u
+    alpha = (y_a * at_b.v - y_b * at_a.v) / det
+    beta = (y_b * at_a.u - y_a * at_b.u) / det
+    return alpha * at_t.u + beta * at_t.v + part.at(times).x
 
 
 def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
@@ -284,8 +268,7 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
         raise ValidationError("the slicing oracle is one-dimensional")
     if basis is None:
         basis = solve_homogeneous_basis(s)
-    if part is None:
-        part = solve_particular(s)
+    part = particular_or_zero(s, part)
     if n_slices == 1:
         return kernel(s, basis, part, q)
     x_a = float(np.atleast_1d(q.r_a)[0])
@@ -298,8 +281,7 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
     r_flat = 0.55 * half_span
     r_zero = 0.90 * half_span
     sigma = math.sqrt(s.hbar * abs(q.t_b - q.t_a))
-    for t_mid in times[1:-1]:
-        x_cl = _classical_path(basis, part, q.t_a, x_a, q.t_b, x_b, t_mid)
+    for x_cl in _classical_path(basis, part, q.t_a, x_a, q.t_b, x_b, times[1:-1]):
         if abs(x_cl - center) + 3.0 * sigma > r_flat:
             raise GridTooNarrow(
                 f"classical path at {x_cl:.3g} leaves the window's flat region")

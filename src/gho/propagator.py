@@ -40,7 +40,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.optimize import brentq
 
-from .classical import ClassicalBasis
+from .classical import ClassicalBasis, particular_or_zero
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, GridTooNarrow, ValidationError
 from .packets import WavePacket, czt, upsample_periodic
@@ -145,39 +145,40 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
     t_end = s.t1 if t_end is None else t_end
     times = []
     if t_end > t_a:
-        u_a, _, v_a, _ = basis.uv(t_a)
-        u_b, _, v_b, _ = basis.uv(t_end)
-        count = _morse_count(basis, t_a, t_end, v_b * u_a - u_b * v_a)
+        at_a = basis.at(t_a)
+        at_end = basis.at(t_end)
+        count = _morse_count(basis.omega, at_a, at_end, at_end.v * at_a.u - at_end.u * at_a.v)
         sign = math.copysign(1.0, basis.omega)
-        tau_a = float(basis.tau(t_a))
 
-        def half_turns(t):
-            return sign * (float(basis.tau(t)) - tau_a) / math.pi
+        def half_turns(tau):
+            return sign * float(tau - at_a.tau) / math.pi
 
         lo = t_a
-        end_turns = half_turns(t_end)
+        end_turns = half_turns(at_end.tau)
         for k in range(1, count + 1):
             if end_turns <= k:
                 lo = t_end  # a focal time within solver error of t_end
             else:
-                lo = brentq(lambda t: half_turns(t) - k, lo, t_end)
+                lo = brentq(lambda t: half_turns(basis.at(t).tau) - k, lo, t_end)
                 # one Newton step on D removes the error tau accumulates
-                u, u_dot, v, v_dot = basis.uv(lo)
-                lo = min(lo - (v * u_a - u * v_a) / (v_dot * u_a - u_dot * v_a), t_end)
+                at = basis.at(lo)
+                lo = min(lo - (at.v * at_a.u - at.u * at_a.v)
+                         / (at.v_dot * at_a.u - at.u_dot * at_a.v), t_end)
             times.append(float(lo))
     return CausticReport(t_a=t_a, t_end=t_end, times=tuple(times))
 
 
-def _morse_count(basis, t_a, t_b, d):
-    """Focal times strictly between t_a < t_b, given D(t_b; t_a) = d.
+def _morse_count(omega, at_a, at_b, d):
+    """Focal times strictly between t_a < t_b, from the basis snapshots there
+    and D(t_b; t_a) = d.
 
     The count is floor(|tau_b - tau_a| / pi); its parity is pinned by
     sign(D Omega) = (-1)^count, which corrects the floor when the endpoint
     lies within the solver error of a focal time.
     """
-    turns = abs(float(basis.tau(t_b) - basis.tau(t_a))) / math.pi
+    turns = abs(float(at_b.tau - at_a.tau)) / math.pi
     count = math.floor(turns)
-    if (d * basis.omega < 0) != (count % 2 == 1):
+    if (d * omega < 0) != (count % 2 == 1):
         count = count + 1 if turns - count > 0.5 else max(count - 1, 0)
     return count
 
@@ -185,49 +186,37 @@ def _morse_count(basis, t_a, t_b, d):
 def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
     hbar = s.hbar
     n = s.dimension
-    u_a, udot_a, v_a, vdot_a = basis.uv(t_a)
-    u_b, udot_b, v_b, vdot_b = basis.uv(t_b)
-    m_a, _ = s.mass.eval(t_a)
-    m_b, _ = s.mass.eval(t_b)
+    # one scalar dense evaluation per solution and endpoint
+    at_a, at_b = basis.at(t_a), basis.at(t_b)
+    xp_a, xp_b = part.at(t_a), part.at(t_b)
     omega = basis.omega
 
-    d = v_b * u_a - u_b * v_a
-    scale = max(abs(u_b), abs(v_b)) * (abs(u_a) + abs(v_a))
+    d = at_b.v * at_a.u - at_b.u * at_a.v
+    scale = max(abs(at_b.u), abs(at_b.v)) * (abs(at_a.u) + abs(at_a.v))
     if abs(d) <= CAUSTIC_RTOL * scale:
         raise CausticEncountered(
             f"focal point: denominator {d:.3e} at t_b={t_b} (t_a={t_a})")
 
-    a_aa = m_a * (u_b * vdot_a - udot_a * v_b) / (2.0 * hbar * d)
-    a_bb = m_b * (u_a * vdot_b - udot_b * v_a) / (2.0 * hbar * d)
+    a_aa = at_a.mass * (at_b.u * at_a.v_dot - at_a.u_dot * at_b.v) / (2.0 * hbar * d)
+    a_bb = at_b.mass * (at_a.u * at_b.v_dot - at_b.u_dot * at_a.v) / (2.0 * hbar * d)
     a_ab = -omega / (hbar * d)
-
-    if part is None:
-        xp_a = xp_b = 0.0
-        mxdot_a = mxdot_b = 0.0
-        dxi = 0.0
-    else:
-        xp_a = float(part.x(t_a))
-        xp_b = float(part.x(t_b))
-        mxdot_a = float(part.momentum(t_a))
-        mxdot_b = float(part.momentum(t_b))
-        dxi = float(part.xi(t_b) - part.xi(t_a))
 
     ca, _ = s.a.eval(t_a)
     cb, _ = s.a.eval(t_b)
     ba, _ = s.b.eval(t_a)
     bb, _ = s.b.eval(t_b)
 
-    q_aa = a_aa - m_a * ca / hbar
-    q_bb = a_bb + m_b * cb / hbar
+    q_aa = a_aa - at_a.mass * ca / hbar
+    q_bb = a_bb + at_b.mass * cb / hbar
     q_ab = a_ab
-    l_a = -2.0 * a_aa * xp_a - a_ab * xp_b - (mxdot_a + ba) / hbar
-    l_b = -2.0 * a_bb * xp_b - a_ab * xp_a + (mxdot_b + bb) / hbar
-    per_dim_const = a_aa * xp_a ** 2 + a_bb * xp_b ** 2 + a_ab * xp_a * xp_b
+    l_a = -2.0 * a_aa * xp_a.x - a_ab * xp_b.x - (xp_a.momentum + ba) / hbar
+    l_b = -2.0 * a_bb * xp_b.x - a_ab * xp_a.x + (xp_b.momentum + bb) / hbar
+    per_dim_const = a_aa * xp_a.x ** 2 + a_bb * xp_b.x ** 2 + a_ab * xp_a.x * xp_b.x
 
     f_int = integrate_coefficient(s.f, t_a, t_b)
-    const = n * (per_dim_const + dxi / hbar) + f_int / hbar
+    const = n * (per_dim_const + (xp_b.xi - xp_a.xi) / hbar) + f_int / hbar
 
-    morse = _morse_count(basis, t_a, t_b, d)
+    morse = _morse_count(omega, at_a, at_b, d)
     modulus = abs(omega / (2.0 * math.pi * hbar * d)) ** (0.5 * n)
     branch = -n * (0.25 * math.pi + 0.5 * math.pi * morse)
     prefactor = modulus * np.exp(1j * (branch + const))
@@ -238,7 +227,11 @@ def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
 
 
 def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> KernelCoefficients:
-    """Gaussian coefficients of K(t_b, .; t_a, .); conjugated for t_b < t_a."""
+    """Gaussian coefficients of K(t_b, .; t_a, .); conjugated for t_b < t_a.
+
+    part=None stands for x_p = 0 (see classical.particular_or_zero).
+    """
+    part = particular_or_zero(s, part)
     _check_time(s, t_a, "t_a")
     _check_time(s, t_b, "t_b")
     if t_b == t_a:

@@ -21,17 +21,15 @@ as grid operations on arbitrary packets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalBasis, ParticularSolution
+from .classical import ClassicalBasis, ParticularSolution, particular_or_zero
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
 from .packets import GridSpec, WavePacket, derivative, evaluate_trig_interpolant
 
 __all__ = [
-    "QuantumNumbers",
     "hermite",
     "hermite_functions",
     "sho_eigenstate",
@@ -47,25 +45,13 @@ __all__ = [
 _MAX_HERMITE = 200
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    n: tuple
-
-    def __post_init__(self):
-        values = tuple(int(k) for k in (self.n if isinstance(self.n, (tuple, list))
-                                        else (self.n,)))
-        if any(k < 0 for k in values):
-            raise ValidationError("quantum numbers must be non-negative")
-        object.__setattr__(self, "n", values)
-
-
-def _as_quantum_numbers(qn, n_dims):
-    if isinstance(qn, QuantumNumbers):
-        numbers = qn
-    else:
-        numbers = QuantumNumbers(qn if isinstance(qn, (tuple, list)) else (int(qn),))
-    if len(numbers.n) != n_dims:
-        raise ValidationError(f"need {n_dims} quantum number(s), got {len(numbers.n)}")
+def _quantum_numbers(qn, n_dims):
+    """One non-negative integer per dimension, from an int or a sequence."""
+    numbers = tuple(int(k) for k in (qn if isinstance(qn, (tuple, list)) else (qn,)))
+    if any(k < 0 for k in numbers):
+        raise ValidationError("quantum numbers must be non-negative")
+    if len(numbers) != n_dims:
+        raise ValidationError(f"need {n_dims} quantum number(s), got {len(numbers)}")
     return numbers
 
 
@@ -119,32 +105,27 @@ def sho_eigenstate(n: int, grid: GridSpec, hbar: float = 1.0) -> WavePacket:
     return packet
 
 
-def _mode_common_1d(s, basis, part, t, x):
-    """Shared per-dimension factor of psi_n: everything except htilde_n and
-    the (n + 1/2) theta phase. Returns (common, z, theta)."""
-    hbar = s.hbar
-    u, _, v, _ = basis.uv(t)
-    rv = basis.rho_at(t)
-    omega = basis.omega
-    if omega <= 0:
+def _mode_snapshots(s, basis, part, t):
+    """Basis and particular snapshots at t for a mode construction (Omega > 0)."""
+    if basis.omega <= 0:
         raise ValidationError("mode construction needs Omega > 0 (normalizable Gaussian)")
-    m, _ = s.mass.eval(t)
+    return basis.at(t), particular_or_zero(s, part).at(t)
+
+
+def _mode_common_1d(s, omega, bs, ps, t, x):
+    """Shared per-dimension factor of psi_n at t from the snapshots bs, ps
+    there: everything except htilde_n and the (n + 1/2) theta phase.
+    Returns (common, z)."""
+    hbar = s.hbar
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
-    if part is None:
-        xp, mxdot, xi = 0.0, 0.0, 0.0
-    else:
-        xp = float(part.x(t))
-        mxdot = float(part.momentum(t))
-        xi = float(part.xi(t))
     x = np.asarray(x, dtype=float)
-    dxp = x - xp
-    z = math.sqrt(omega / hbar) * dxp / rv.rho
-    phase = (xi + m * a_c * x * x + (mxdot + b_c) * x) / hbar \
-        + m * rv.rho_dot * dxp * dxp / (2.0 * hbar * rv.rho)
-    common = (omega / (hbar * rv.rho ** 2)) ** 0.25 * np.exp(1j * phase)
-    theta = float(basis.phase_angle(t))
-    return common, z, theta
+    dxp = x - ps.x
+    z = math.sqrt(omega / hbar) * dxp / bs.rho
+    phase = (ps.xi + bs.mass * a_c * x * x + (ps.momentum + b_c) * x) / hbar \
+        + bs.mass * bs.rho_dot * dxp * dxp / (2.0 * hbar * bs.rho)
+    common = (omega / (hbar * bs.rho ** 2)) ** 0.25 * np.exp(1j * phase)
+    return common, z
 
 
 def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> complex:
@@ -154,16 +135,17 @@ def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> comp
     unwrapped basis angle, and the time integral of f starts at t0 (a global
     phase convention, matching xi(t0) = tau(t0) = 0).
     """
-    numbers = _as_quantum_numbers(qn, s.dimension)
+    numbers = _quantum_numbers(qn, s.dimension)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (s.dimension,):
         raise ValidationError(f"position must have {s.dimension} component(s)")
+    bs, ps = _mode_snapshots(s, basis, part, t)
     f_int = integrate_coefficient(s.f, s.t0, t) / s.hbar
     value = np.exp(1j * f_int)
-    for n_i, x_i in zip(numbers.n, r):
-        common, z, theta = _mode_common_1d(s, basis, part, t, x_i)
+    for n_i, x_i in zip(numbers, r):
+        common, z = _mode_common_1d(s, basis.omega, bs, ps, t, x_i)
         h = hermite_functions(n_i, z)[n_i][0]
-        value = value * common * h * np.exp(1j * (n_i + 0.5) * theta)
+        value = value * common * h * np.exp(1j * (n_i + 0.5) * bs.theta)
     return complex(value)
 
 
@@ -172,10 +154,11 @@ def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
     """psi_n(t, .) sampled on a grid (dimension 1)."""
     if s.dimension != 1:
         raise ValidationError("eigenmode_packet is implemented for dimension 1")
-    common, z, theta = _mode_common_1d(s, basis, part, t, grid.points)
+    bs, ps = _mode_snapshots(s, basis, part, t)
+    common, z = _mode_common_1d(s, basis.omega, bs, ps, t, grid.points)
     h = hermite_functions(n, z)[n]
     f_int = integrate_coefficient(s.f, s.t0, t) / s.hbar
-    samples = common * h * np.exp(1j * ((n + 0.5) * theta + f_int))
+    samples = common * h * np.exp(1j * ((n + 0.5) * bs.theta + f_int))
     return WavePacket(grid, samples, t=t)
 
 
@@ -189,15 +172,17 @@ def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
     rb = np.atleast_1d(np.asarray(q.r_b, dtype=float))
     if ra.shape != (s.dimension,) or rb.shape != (s.dimension,):
         raise ValidationError(f"positions must have {s.dimension} component(s)")
+    bs_a, ps_a = _mode_snapshots(s, basis, part, q.t_a)
+    bs_b, ps_b = _mode_snapshots(s, basis, part, q.t_b)
+    orders = np.arange(n_max + 1) + 0.5
+    turn = np.exp(1j * orders * (bs_b.theta - bs_a.theta))
     total = 1.0 + 0j
     for x_a, x_b in zip(ra, rb):
-        common_a, z_a, theta_a = _mode_common_1d(s, basis, part, q.t_a, x_a)
-        common_b, z_b, theta_b = _mode_common_1d(s, basis, part, q.t_b, x_b)
+        common_a, z_a = _mode_common_1d(s, basis.omega, bs_a, ps_a, q.t_a, x_a)
+        common_b, z_b = _mode_common_1d(s, basis.omega, bs_b, ps_b, q.t_b, x_b)
         h_a = hermite_functions(n_max, z_a)[:, 0]
         h_b = hermite_functions(n_max, z_b)[:, 0]
-        orders = np.arange(n_max + 1) + 0.5
-        series = np.sum(h_a * h_b * np.exp(1j * orders * (theta_b - theta_a)))
-        total *= common_b * np.conj(common_a) * series
+        total *= common_b * np.conj(common_a) * np.sum(h_a * h_b * turn)
     # the per-dimension commons exclude the pure time term; it enters once
     f_ab = integrate_coefficient(s.f, q.t_a, q.t_b) / s.hbar
     return complex(total * np.exp(1j * f_ab))
@@ -217,13 +202,11 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
               t: float) -> WavePacket:
     """Displacement map: translate by x_p(t), boost by M x_p', phase by xi.
 
-    (U_F psi)(x) = exp(i xi / hbar) exp(i M x_p' x / hbar) psi(x - x_p).
+    (U_F psi)(x) = exp(i xi / hbar) exp(i M x_p' x / hbar) psi(x - x_p);
+    part=None stands for x_p = 0.
     """
-    if part is None:
-        return packet.with_samples(packet.samples, t=t)
-    xp = float(part.x(t))
-    mxdot = float(part.momentum(t))
-    xi = float(part.xi(t))
+    ps = particular_or_zero(s, part).at(t)
+    xp = ps.x
     lo, hi = _support_bounds(packet)
     if lo + xp < packet.grid.x_min or hi + xp > packet.grid.x_max:
         raise GridTooNarrow(f"translation by {xp:.3g} pushes support off the grid")
@@ -234,7 +217,7 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     x = packet.grid.points
     outside = (x - xp < packet.grid.x_min) | (x - xp > packet.grid.x_max)
     shifted[outside] = 0.0
-    out = np.exp(1j * (xi + mxdot * x) / s.hbar) * shifted
+    out = np.exp(1j * (ps.xi + ps.momentum * x) / s.hbar) * shifted
     return WavePacket(packet.grid, out, t=t)
 
 
@@ -248,14 +231,13 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
     omega = basis.omega
     if omega <= 0:
         raise ValidationError("squeezing map needs Omega > 0")
-    rv = basis.rho_at(t)
-    m, _ = s.mass.eval(t)
-    scale = math.sqrt(omega) / rv.rho
+    bs = basis.at(t)
+    scale = math.sqrt(omega) / bs.rho
     packet.require_dark_edges(1e-8, "apply_U_S")
     rescaled = evaluate_trig_interpolant(packet, scale * packet.grid.points)
     x = packet.grid.points
     out = (np.sqrt(scale)
-           * np.exp(1j * m * rv.rho_dot * x * x / (2.0 * s.hbar * rv.rho)) * rescaled)
+           * np.exp(1j * bs.mass * bs.rho_dot * x * x / (2.0 * s.hbar * bs.rho)) * rescaled)
     result = WavePacket(packet.grid, out, t=t)
     result.require_dark_edges(1e-8, "apply_U_S output")
     return result
@@ -277,36 +259,25 @@ def build_generalized_coherent_state(s: Scenario, basis: ClassicalBasis, part,
         raise ValidationError("coherent-state construction is implemented for dimension 1")
     if n < 0:
         raise ValidationError("mode index must be >= 0")
-    omega = basis.omega
-    if omega <= 0:
-        raise ValidationError("mode construction needs Omega > 0")
+    bs, ps = _mode_snapshots(s, basis, part, t)
     hbar = s.hbar
-    rv = basis.rho_at(t)
-    m, _ = s.mass.eval(t)
     x = grid.points
-    if part is None:
-        xp, mxdot, xi = 0.0, 0.0, 0.0
-    else:
-        xp = float(part.x(t))
-        mxdot = float(part.momentum(t))
-        xi = float(part.xi(t))
 
     # U_S phi_n at the shifted argument: dilation with Jacobian normalization
-    scale = math.sqrt(omega) / rv.rho
-    y = scale * (x - xp)
+    scale = math.sqrt(basis.omega) / bs.rho
+    y = scale * (x - ps.x)
     phi = hbar ** -0.25 * hermite_functions(n, y / math.sqrt(hbar))[n]
     state = math.sqrt(scale) * phi \
-        * np.exp(1j * m * rv.rho_dot * (x - xp) ** 2 / (2.0 * hbar * rv.rho))
+        * np.exp(1j * bs.mass * bs.rho_dot * (x - ps.x) ** 2 / (2.0 * hbar * bs.rho))
     # U_F: momentum boost and xi phase (translation already in the argument)
-    state = state * np.exp(1j * (xi + mxdot * x) / hbar)
+    state = state * np.exp(1j * (ps.xi + ps.momentum * x) / hbar)
     # energy phase through the unwrapped basis angle
-    theta = float(basis.phase_angle(t))
-    state = state * np.exp(1j * (n + 0.5) * theta)
+    state = state * np.exp(1j * (n + 0.5) * bs.theta)
     # quadratic-coupling phase map (identity when a = b = f = 0)
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
     f_int = integrate_coefficient(s.f, s.t0, t)
-    state = state * np.exp(1j * (m * a_c * x * x + b_c * x + f_int) / hbar)
+    state = state * np.exp(1j * (bs.mass * a_c * x * x + b_c * x + f_int) / hbar)
     result = WavePacket(grid, state, t=t)
     result.require_dark_edges(1e-8, "build_generalized_coherent_state")
     return result
@@ -319,7 +290,8 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     I = [ (Omega^2/rho^2) X^2 + (M rho' X - rho P)^2 ] / (2 Omega) with
     X = x - x_p and P = p - 2 M a x - b - M x_p', where p = -i hbar d/dx and
     p - 2 M a x - b = M dx/dt is the kinetic momentum under the a, b gauge
-    couplings (the convention of classical.classical_invariant). The cross
+    couplings (the convention of classical.classical_invariant); part=None
+    stands for x_p = 0. The cross
     term expands to the symmetric combination XP + PX, so <I> is real up to
     discretization. The momentum acts by 4th-order centered differences.
     """
@@ -327,30 +299,26 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     t = packet.t
     hbar = s.hbar
     omega = basis.omega
-    rv = basis.rho_at(t)
-    m, _ = s.mass.eval(t)
+    bs = basis.at(t)
+    ps = particular_or_zero(s, part).at(t)
+    m = bs.mass
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
-    if part is None:
-        xp, mxdot = 0.0, 0.0
-    else:
-        xp = float(part.x(t))
-        mxdot = float(part.momentum(t))
     x = packet.grid.points
     dx = packet.grid.dx
     psi = packet.samples
-    momentum_shift = 2.0 * m * a_c * x + b_c + mxdot
+    momentum_shift = 2.0 * m * a_c * x + b_c + ps.momentum
 
     def p_tilde(f):
         return -1j * hbar * derivative(f, dx) - momentum_shift * f
 
-    x_shift = x - xp
+    x_shift = x - ps.x
     p_psi = p_tilde(psi)
     xpsi = x_shift * psi
     cross = x_shift * p_psi + p_tilde(xpsi)
-    i_psi = ((omega ** 2 / rv.rho ** 2 + (m * rv.rho_dot) ** 2) * x_shift * xpsi
-             - m * rv.rho * rv.rho_dot * cross
-             + rv.rho ** 2 * p_tilde(p_psi)) / (2.0 * omega)
+    i_psi = ((omega ** 2 / bs.rho ** 2 + (m * bs.rho_dot) ** 2) * x_shift * xpsi
+             - m * bs.rho * bs.rho_dot * cross
+             + bs.rho ** 2 * p_tilde(p_psi)) / (2.0 * omega)
     norm_sq = np.trapezoid(np.abs(psi) ** 2, dx=dx)
     expectation = complex(np.trapezoid(np.conj(psi) * i_psi, dx=dx) / norm_sq)
     if with_diagnostic:

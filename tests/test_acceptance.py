@@ -177,7 +177,7 @@ def test_criterion_6_coherent_and_squeezed(sho, sho_basis, sho_basis_squeezed,
     for t in np.linspace(0.0, np.pi, 7):
         packet = build_generalized_coherent_state(sho, sho_basis_squeezed,
                                                   sho_part_zero, 0, float(t), grid)
-        rv = sho_basis_squeezed.rho_at(float(t))
+        rv = sho_basis_squeezed.at(float(t))
         expected = rv.rho ** 2 / (2.0 * sho_basis_squeezed.omega)
         worst_var = max(worst_var, abs(var_x(packet) - expected) / expected)
     assert worst_var < 1e-6

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -190,3 +193,27 @@ def test_kernel_scan_exit_codes(sho_file, tmp_path):
                  "--times", "0.0,1.0"]) == 2
     assert main(["kernel-scan", "--scenario", str(sho_file), "--out", str(tmp_path / "b"),
                  "--times", f"0.0,{np.pi!r}"]) == 1
+
+
+def test_verify_overflowing_coefficient_exits_two_in_time(tmp_path):
+    # w = 1 + 1e200 t^2 used to send the classical solve into an endless crawl
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"frequency": {"kind": "polynomial",
+                                              "coefficients": [1, 0, 1e200]}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "gho", "verify", "--scenario", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "not finite" in done.stderr
+
+
+def test_verify_negative_omega_basis(capsys):
+    # Omega = -1: kernel checks use this basis, mode checks the swapped pair
+    sho = Path(__file__).resolve().parents[1] / "scenarios" / "sho.json"
+    code = main(["verify", "--scenario", str(sho), "--basis", "custom:0,1,1,0"])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
+    assert code == 0
+    assert len(lines) == 18
+    assert all(ln.endswith(" PASS") or "SKIP(not applicable)" in ln for ln in lines)

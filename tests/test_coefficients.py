@@ -239,3 +239,14 @@ def test_hamiltonian_coeffs_driven(driven):
         hc = hamiltonian_coefficients(driven, t)
         assert hc.c == 1.0
         assert hc.d == -1.0
+
+
+@pytest.mark.parametrize("spec, name", [
+    ({"frequency": {"kind": "polynomial", "coefficients": [1.0, 0.0, 1e200]}}, "M w"),
+    ({"force": {"kind": "exponential", "amplitude": 1.0, "rate": 1000.0}}, "'force'"),
+    ({"mass": {"kind": "polynomial", "coefficients": [1.0, 1e308, 1e308]}}, "'mass'"),
+])
+def test_non_finite_coefficient_rejected(spec, name):
+    # an overflowing coefficient would leave the classical solve crawling
+    with pytest.raises(ValidationError, match=name):
+        scenario_from_dict({**spec, "interval": [0.0, 4.0]})

@@ -298,8 +298,8 @@ def test_denominator_is_rho_rho_sin_tau(spec, ics):
     rng = np.random.default_rng(12)
     checked = 0
     for t_a, t_b in rng.uniform(s.t0, s.t1, (60, 2)):
-        expected = (basis.rho_at(t_a).rho * basis.rho_at(t_b).rho
-                    * np.sin(basis.tau(t_b) - basis.tau(t_a)))
+        at_a, at_b = basis.at(t_a), basis.at(t_b)
+        expected = at_a.rho * at_b.rho * np.sin(at_b.tau - at_a.tau)
         if abs(t_b - t_a) < 1e-3 or abs(expected) < 1e-3:
             continue
         co = gho.kernel_coefficients(s, basis, None, t_a, t_b)
@@ -319,13 +319,14 @@ def test_caustic_times_match_denominator_sign_changes(spec, ics):
     for t_a in (s.t0, 1.3, 4.2):
         report = caustic_times(basis, t_a)
         ts = np.linspace(t_a, s.t1, 6001)
-        u, _, v, _ = basis.uv(ts)
+        at = basis.at(ts)
+        u, v = at.u, at.v
         d = v * u[0] - u * v[0]
         changes = np.nonzero(np.sign(d[1:-1]) * np.sign(d[2:]) < 0)[0] + 1
         assert len(report.times) == len(changes) > 0
         for k, i in enumerate(changes):
             assert ts[i] < report.times[k] < ts[i + 1]
-            u_k, _, v_k, _ = basis.uv(report.times[k])
-            assert abs(v_k * u[0] - u_k * v[0]) < 1e-11
+            at_k = basis.at(report.times[k])
+            assert abs(at_k.v * u[0] - at_k.u * v[0]) < 1e-11
         t_mid = 0.5 * (report.times[0] + report.times[1]) if len(changes) > 1 else s.t1
         assert report.morse_index(t_mid) == 1

@@ -79,7 +79,7 @@ def test_eigenmode_node_of_first_mode(driven, driven_basis, driven_part):
     # H_1 vanishes at its node x = x_p(t)
     t = 1.7
     value = eigenmode(driven, driven_basis, driven_part, 1, t,
-                      float(driven_part.x(t)))
+                      float(driven_part.at(t).x))
     assert abs(value) < 1e-12
 
 
@@ -202,7 +202,7 @@ def test_variance_trajectory_matches_rho(sho, sho_basis_squeezed, sho_part_zero,
     for t in np.linspace(0.0, np.pi, 9):
         packet = build_generalized_coherent_state(sho, sho_basis_squeezed,
                                                   sho_part_zero, 0, float(t), grid)
-        rv = sho_basis_squeezed.rho_at(float(t))
+        rv = sho_basis_squeezed.at(float(t))
         expected = rv.rho ** 2 / (2.0 * sho_basis_squeezed.omega)
         assert var_x(packet) == pytest.approx(expected, rel=1e-6)
 
