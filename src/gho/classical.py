@@ -47,6 +47,7 @@ __all__ = [
     "solve_homogeneous_basis",
     "solve_particular",
     "particular_or_zero",
+    "gauge_phase",
     "default_basis_ics",
     "classical_invariant",
     "trajectory_columns",
@@ -201,6 +202,14 @@ class ParticularSolution:
         """x_p, M x_p' and xi at time(s) t from one dense evaluation."""
         x, momentum, xi = self._dense(t)
         return ParticularSnapshot(x=x, momentum=momentum, xi=xi)
+
+
+def gauge_phase(s: Scenario, mass, ps: ParticularSnapshot, t, x):
+    """G(t, x) = (xi + M a x^2 + (M x_p' + b) x) / hbar, the phase the couplings
+    a, b and x_p put on every mode; M and ps are the mass and snapshot at t."""
+    a_c, _ = s.a.eval(t)
+    b_c, _ = s.b.eval(t)
+    return (ps.xi + mass * a_c * x * x + (ps.momentum + b_c) * x) / s.hbar
 
 
 def _zero_dense(t):

@@ -158,18 +158,10 @@ def _find_composition_triple(ctx):
     return None
 
 
-def _is_unit_sho(s: Scenario) -> bool:
-    wanted = {"mass": 1.0, "frequency": 1.0, "force": 0.0, "a": 0.0, "b": 0.0, "f": 0.0}
+def _is_constant(s: Scenario, **wanted) -> bool:
+    """Each named coefficient is a Constant of the given value."""
     return all(isinstance(getattr(s, k), Constant) and getattr(s, k).value == v
                for k, v in wanted.items())
-
-
-def _is_free_particle(s: Scenario) -> bool:
-    rest = {"force": 0.0, "a": 0.0, "b": 0.0, "f": 0.0}
-    return (isinstance(s.frequency, Constant) and s.frequency.value == 0.0
-            and isinstance(s.mass, Constant) and s.mass.value > 0.0
-            and all(isinstance(getattr(s, k), Constant) and getattr(s, k).value == v
-                    for k, v in rest.items()))
 
 
 def _verify_checks(ctx):
@@ -239,7 +231,7 @@ def _verify_checks(ctx):
         return worst
 
     def kernel_closed_form():
-        if _is_unit_sho(s):
+        if _is_constant(s, mass=1.0, frequency=1.0, force=0.0, a=0.0, b=0.0, f=0.0):
             def reference(t_a, t_b, x_a, x_b):
                 big_t = t_b - t_a
                 return ((2j * np.pi * hbar * np.sin(big_t)) ** -0.5
@@ -250,7 +242,8 @@ def _verify_checks(ctx):
                 t_a = rng.uniform(s.t0, s.t1 - 0.5)
                 big_t = rng.uniform(0.2, min(np.pi - 0.2, s.t1 - t_a))
                 return t_a, t_a + big_t
-        elif _is_free_particle(s):
+        elif isinstance(s.mass, Constant) and _is_constant(  # mass > 0 once loaded
+                s, frequency=0.0, force=0.0, a=0.0, b=0.0, f=0.0):
             m0 = s.mass.value
 
             def reference(t_a, t_b, x_a, x_b):

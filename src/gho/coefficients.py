@@ -278,10 +278,14 @@ class Scenario:
 
     def _reject_non_finite(self, times):
         """A coefficient, or M w^2, that overflows on the interval leaves the
-        classical solve nothing finite to integrate."""
+        classical solve nothing finite to integrate; a Hamiltonian coefficient
+        c or d that overflows leaves the evolver nothing finite to step."""
         with np.errstate(over="ignore", invalid="ignore"):
             values = {name: getattr(self, name).eval(times)[0] for name in _COEFF_DEFAULTS}
             values["M w^2"] = values["mass"] * values["frequency"] ** 2
+            if np.all(values["mass"] > 0):  # else check_mass_positive says why
+                ham = hamiltonian_coefficients(self, times)
+                values["Hamiltonian c"], values["Hamiltonian d"] = ham.c, ham.d
         for name, value in values.items():
             if not np.all(np.isfinite(value)):
                 raise ValidationError(

@@ -20,19 +20,19 @@ index is counted from tau, floor(|tau_b - tau_a| / pi), with its parity pinned
 by the sign of D. Backward-time values follow from the conjugation symmetry
 K*(b, a) = K(a, b).
 
-Wave-packet propagation evaluates the quadrature
-
-    psi(t_b, x) = integral K(t_b, x; t_a, y) psi(t_a, y) dy
-
-as a trapezoidal sum; because the integrand is a chirp times a band-limited
-packet the sum is computed exactly via chirp multiplications and a chirp-z
-transform, with the packet trigonometrically upsampled first whenever the
-kernel's phase rate exceeds the packet grid's capacity (short-time kernels
-oscillate far faster than any reasonable packet grid).
+Wave-packet propagation makes one hop with the metaplectic operator of the
+hop's symplectic matrix [[A, B], [C, .]] (see _hop_matrix; D above is Omega B):
+stripped of the mode set's gauge phase, the linear canonical transform. When
+hbar |B| pi / dx <= |A| N dx it is applied as chirp(C/A) . dilation(A) .
+Fresnel(B/A): a trigonometric interpolant on the shifted, dilated grid, one
+FFT multiply and a chirp, regular at B = 0 (short hops, focal times).
+Otherwise it is the trapezoidal kernel sum by chirp multiplications and a
+chirp-z transform on an upsampled packet, regular at A = 0.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -40,10 +40,12 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.optimize import brentq
 
-from .classical import ClassicalBasis, particular_or_zero
+from .classical import ClassicalBasis, gauge_phase, particular_or_zero
 from .coefficients import Scenario, integrate_coefficient
-from .errors import CausticEncountered, GridTooNarrow, ValidationError
-from .packets import WavePacket, czt, upsample_periodic
+from .errors import CausticEncountered, ValidationError
+from .packets import WavePacket, czt, evaluate_trig_interpolant, upsample_periodic
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "KernelQuery",
@@ -60,7 +62,6 @@ __all__ = [
 # caustic trigger: |D| below this times the basis scale at the two endpoints
 CAUSTIC_RTOL = 1e-12
 _QUAD_OVERSAMPLE = 4.0
-_MAX_QUAD_POINTS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
     if t_end > t_a:
         at_a = basis.at(t_a)
         at_end = basis.at(t_end)
-        count = _morse_count(basis.omega, at_a, at_end, at_end.v * at_a.u - at_end.u * at_a.v)
+        count = _morse_count(at_a, at_end, _hop_matrix(basis.omega, at_a, at_end)[1])
         sign = math.copysign(1.0, basis.omega)
 
         def half_turns(tau):
@@ -168,19 +169,27 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
     return CausticReport(t_a=t_a, t_end=t_end, times=tuple(times))
 
 
-def _morse_count(omega, at_a, at_b, d):
-    """Focal times strictly between t_a < t_b, from the basis snapshots there
-    and D(t_b; t_a) = d.
-
-    The count is floor(|tau_b - tau_a| / pi); its parity is pinned by
-    sign(D Omega) = (-1)^count, which corrects the floor when the endpoint
-    lies within the solver error of a focal time.
-    """
+def _morse_count(at_a, at_b, big_b):
+    """Focal times strictly between t_a < t_b from the snapshots there and
+    the hop matrix entry B: floor(|tau_b - tau_a| / pi), with its parity
+    pinned by sign(B) = (-1)^count when t_b is within solver error of a
+    focal time."""
     turns = abs(float(at_b.tau - at_a.tau)) / math.pi
     count = math.floor(turns)
-    if (d * omega < 0) != (count % 2 == 1):
+    if (big_b < 0) != (count % 2 == 1):
         count = count + 1 if turns - count > 0.5 else max(count - 1, 0)
     return count
+
+
+def _hop_matrix(omega, at_a, at_b):
+    """Symplectic matrix (A, B, C, D) of the hop t_a -> t_b, either way:
+    X_b = A X_a + B P_a, P_b = C X_a + D P_a for X = x - x_p and P = M X'.
+    B is the kernel denominator over Omega, 0 at focal times."""
+    big_a = at_a.mass * (at_b.u * at_a.v_dot - at_a.u_dot * at_b.v) / omega
+    big_b = (at_a.u * at_b.v - at_a.v * at_b.u) / omega
+    big_c = at_a.mass * at_b.mass * (at_a.v_dot * at_b.u_dot - at_a.u_dot * at_b.v_dot) / omega
+    big_d = at_b.mass * (at_a.u * at_b.v_dot - at_b.u_dot * at_a.v) / omega
+    return big_a, big_b, big_c, big_d
 
 
 def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
@@ -191,15 +200,16 @@ def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
     xp_a, xp_b = part.at(t_a), part.at(t_b)
     omega = basis.omega
 
-    d = at_b.v * at_a.u - at_b.u * at_a.v
+    big_a, big_b, _, big_d = _hop_matrix(omega, at_a, at_b)
+    d = omega * big_b
     scale = max(abs(at_b.u), abs(at_b.v)) * (abs(at_a.u) + abs(at_a.v))
     if abs(d) <= CAUSTIC_RTOL * scale:
         raise CausticEncountered(
             f"focal point: denominator {d:.3e} at t_b={t_b} (t_a={t_a})")
 
-    a_aa = at_a.mass * (at_b.u * at_a.v_dot - at_a.u_dot * at_b.v) / (2.0 * hbar * d)
-    a_bb = at_b.mass * (at_a.u * at_b.v_dot - at_b.u_dot * at_a.v) / (2.0 * hbar * d)
-    a_ab = -omega / (hbar * d)
+    a_aa = big_a / (2.0 * hbar * big_b)
+    a_bb = big_d / (2.0 * hbar * big_b)
+    a_ab = -1.0 / (hbar * big_b)
 
     ca, _ = s.a.eval(t_a)
     cb, _ = s.a.eval(t_b)
@@ -216,8 +226,8 @@ def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
     f_int = integrate_coefficient(s.f, t_a, t_b)
     const = n * (per_dim_const + (xp_b.xi - xp_a.xi) / hbar) + f_int / hbar
 
-    morse = _morse_count(omega, at_a, at_b, d)
-    modulus = abs(omega / (2.0 * math.pi * hbar * d)) ** (0.5 * n)
+    morse = _morse_count(at_a, at_b, big_b)
+    modulus = abs(1.0 / (2.0 * math.pi * hbar * big_b)) ** (0.5 * n)
     branch = -n * (0.25 * math.pi + 0.5 * math.pi * morse)
     prefactor = modulus * np.exp(1j * (branch + const))
 
@@ -256,11 +266,7 @@ def kernel(s: Scenario, basis: ClassicalBasis, part, q: KernelQuery) -> complex:
 
 def green_function(s: Scenario, basis: ClassicalBasis, part, q: KernelQuery) -> complex:
     """Retarded Green function: K(b, a) for t_b > t_a, exactly 0 for t_b < t_a."""
-    if q.t_b == q.t_a:
-        raise ValidationError("Green function is distributional at equal times")
-    if q.t_b < q.t_a:
-        return 0j
-    return kernel(s, basis, part, q)
+    return 0j if q.t_b < q.t_a else kernel(s, basis, part, q)
 
 
 def _lct_apply(co: KernelCoefficients, ys, g, dy, out_points):
@@ -280,9 +286,8 @@ def _lct_apply(co: KernelCoefficients, ys, g, dy, out_points):
 
 def _quadrature_size(co: KernelCoefficients, grid):
     """Points needed so the chirped integrand is sampled below Nyquist."""
-    y_max = max(abs(grid.x_min), abs(grid.x_max))
-    x_max = y_max
-    kernel_rate = 2.0 * abs(co.q_aa) * y_max + abs(co.q_ab) * x_max + abs(co.l_a)
+    y_max = max(abs(grid.x_min), abs(grid.x_max))  # also the largest |x|
+    kernel_rate = (2.0 * abs(co.q_aa) + abs(co.q_ab)) * y_max + abs(co.l_a)
     packet_rate = math.pi / grid.dx
     period = grid.n_points * grid.dx
     needed = int(math.ceil(period * (packet_rate + _QUAD_OVERSAMPLE * kernel_rate) / math.pi))
@@ -290,63 +295,49 @@ def _quadrature_size(co: KernelCoefficients, grid):
 
 
 def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
-              t_b: float, _depth: int = 0) -> WavePacket:
-    """Propagate a packet to t_b through the exact kernel quadrature.
-
-    The evolved packet is regular even when t_b is a focal time (only the
-    kernel's position representation is singular there), so a caustic at t_b
-    is handled by composing two caustic-free hops through an intermediate
-    time; caustics strictly inside the interval need no special treatment
-    (the Morse phase accounts for them).
+              t_b: float) -> WavePacket:
+    """Propagate a packet to t_b in one hop, in the factored or the chirp-z
+    form (see the module docstring); part=None stands for x_p = 0.
     """
     if s.dimension != 1:
         raise ValidationError("packet propagation is implemented for dimension 1")
     if t_b == packet.t:
         return packet.with_samples(packet.samples)
     packet.require_dark_edges(1e-10, "propagate")
-    try:
-        co = kernel_coefficients(s, basis, part, packet.t, t_b)
-        needed = _quadrature_size(co, packet.grid)
-    except CausticEncountered:
-        co = None
-        needed = None
-    if co is None or needed > _MAX_QUAD_POINTS:
-        # at (or numerically near) a focal time the kernel is singular or
-        # oscillates beyond any quadrature budget; the evolved packet is
-        # still regular, so compose two hops when that genuinely helps,
-        # through the split point whose worse half needs the fewest points
-        # (a midpoint next to another focal time barely resolves its chirp)
-        best = None
-        if _depth < 3:
-            for fraction in (0.5, 0.45, 0.55, 0.40, 0.60):
-                t_mid = packet.t + fraction * (t_b - packet.t)
-                try:
-                    co1 = kernel_coefficients(s, basis, part, packet.t, t_mid)
-                    co2 = kernel_coefficients(s, basis, part, t_mid, t_b)
-                except CausticEncountered:
-                    continue
-                worst = max(_quadrature_size(co1, packet.grid),
-                            _quadrature_size(co2, packet.grid))
-                if worst > _MAX_QUAD_POINTS or (needed is not None
-                                                and worst > needed // 2):
-                    continue  # splitting does not reduce the chirp
-                if best is None or worst < best[0]:
-                    best = (worst, t_mid)
-        if best is not None:
-            halfway = propagate(packet, s, basis, part, best[1], _depth + 1)
-            return propagate(halfway, s, basis, part, t_b, _depth + 1)
-        if co is None:
-            raise CausticEncountered(
-                f"focal point at t_b={t_b} and no caustic-free split found")
-        raise GridTooNarrow(
-            f"kernel needs {needed} quadrature points on this grid "
-            f"(budget {_MAX_QUAD_POINTS}); the endpoint is too close to a "
-            f"focal time or the step too short")
-    m = next_fast_len(needed)
-    ys, g = upsample_periodic(packet, m)
-    dy = ys[1] - ys[0]
-    out = _lct_apply(co, ys, g, dy, packet.grid.points)
-    return WavePacket(packet.grid, out, t_b)
+    t_a, grid, hbar = packet.t, packet.grid, s.hbar
+    _check_time(s, t_a, "t_a")
+    _check_time(s, t_b, "t_b")
+    part = particular_or_zero(s, part)
+    at_a, at_b = basis.at(t_a), basis.at(t_b)
+    big_a, big_b, big_c, _ = _hop_matrix(basis.omega, at_a, at_b)
+    x = grid.points
+    if hbar * abs(big_b) * math.pi / grid.dx > abs(big_a) * grid.n_points * grid.dx:
+        co = kernel_coefficients(s, basis, part, t_a, t_b)
+        m = next_fast_len(_quadrature_size(co, grid))
+        _log.debug("propagate %.6g -> %.6g: chirp-z form, A %.6e, B %.6e, "
+                   "%d quadrature points", t_a, t_b, big_a, big_b, m)
+        ys, g = upsample_periodic(packet, m)
+        return WavePacket(grid, _lct_apply(co, ys, g, ys[1] - ys[0], x), t_b)
+    _log.debug("propagate %.6g -> %.6g: factored form, A %.6e, B %.6e",
+               t_a, t_b, big_a, big_b)
+    xp_a, xp_b = part.at(t_a), part.at(t_b)
+    # the metaplectic phase: -pi/4 - m pi/2 from the kernel (conjugated going
+    # backward) less the -pi/4 sgn(A B) the Fresnel factor carries; it is
+    # continuous across B = 0, where m steps and sgn(A) = (-1)^m
+    sigma = math.copysign(1.0, t_b - t_a)
+    morse = math.floor(abs(float(at_b.tau - at_a.tau)) / math.pi)
+    phi = sigma * (-0.25 * math.pi - 0.5 * math.pi * morse
+                   + 0.25 * math.pi * math.copysign(1.0, big_a) * (-1) ** morse)
+    reduced = packet.with_samples(
+        packet.samples * np.exp(-1j * gauge_phase(s, at_a.mass, xp_a, t_a, x)))
+    big_x = x - xp_b.x
+    dilated = evaluate_trig_interpolant(reduced, xp_a.x + big_x / big_a)
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
+    fresnel = np.fft.ifft(np.fft.fft(dilated) * np.exp(-0.5j * hbar * big_a * big_b * k * k))
+    f_int = integrate_coefficient(s.f, t_a, t_b)
+    phase = (phi + big_c * big_x * big_x / (2.0 * hbar * big_a)
+             + gauge_phase(s, at_b.mass, xp_b, t_b, x) + f_int / hbar)
+    return WavePacket(grid, abs(big_a) ** -0.5 * np.exp(1j * phase) * fresnel, t_b)
 
 
 def kernel_delta_check(s: Scenario, basis: ClassicalBasis, part, t_a: float,

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .classical import ClassicalBasis, ParticularSolution, particular_or_zero
+from .classical import ClassicalBasis, ParticularSolution, gauge_phase, particular_or_zero
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
 from .packets import GridSpec, WavePacket, derivative, evaluate_trig_interpolant
@@ -117,12 +117,10 @@ def _mode_common_1d(s, omega, bs, ps, t, x):
     there: everything except htilde_n and the (n + 1/2) theta phase.
     Returns (common, z)."""
     hbar = s.hbar
-    a_c, _ = s.a.eval(t)
-    b_c, _ = s.b.eval(t)
     x = np.asarray(x, dtype=float)
     dxp = x - ps.x
     z = math.sqrt(omega / hbar) * dxp / bs.rho
-    phase = (ps.xi + bs.mass * a_c * x * x + (ps.momentum + b_c) * x) / hbar \
+    phase = gauge_phase(s, bs.mass, ps, t, x) \
         + bs.mass * bs.rho_dot * dxp * dxp / (2.0 * hbar * bs.rho)
     common = (omega / (hbar * bs.rho ** 2)) ** 0.25 * np.exp(1j * phase)
     return common, z

@@ -209,6 +209,32 @@ def test_verify_overflowing_coefficient_exits_two_in_time(tmp_path):
     assert "not finite" in done.stderr
 
 
+def test_verify_overflowing_hamiltonian_exits_two(tmp_path, capsys):
+    # a = 1e154 is finite, the x^2 coefficient c = w^2 + 4 a^2 - ... of H is not
+    path = tmp_path / "a_huge.json"
+    path.write_text(json.dumps({"a": 1e154}))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    assert "'Hamiltonian c' is not finite" in capsys.readouterr().err
+
+
+# hbar != 1, M != 1 and every gauge coupling; a and the force are cosines
+COUPLED_TEXT = json.dumps({
+    "hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0],
+    "a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0, "phase": 0.5},
+    "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 1.3}})
+
+
+def test_verify_coupled_scenario_passes(tmp_path, capsys):
+    path = tmp_path / "coupled.json"
+    path.write_text(COUPLED_TEXT)
+    code = main(["verify", "--scenario", str(path), "--xp", "0.4,-0.2"])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
+    assert code == 0
+    assert sum(ln.endswith(" PASS") for ln in lines) == 17
+    (skipped,) = [ln for ln in lines if not ln.endswith(" PASS")]
+    assert skipped.startswith("CHECK kernel_closed_form ") and "SKIP(" in skipped
+
+
 def test_verify_negative_omega_basis(capsys):
     # Omega = -1: kernel checks use this basis, mode checks the swapped pair
     sho = Path(__file__).resolve().parents[1] / "scenarios" / "sho.json"

@@ -245,6 +245,8 @@ def test_hamiltonian_coeffs_driven(driven):
     ({"frequency": {"kind": "polynomial", "coefficients": [1.0, 0.0, 1e200]}}, "M w"),
     ({"force": {"kind": "exponential", "amplitude": 1.0, "rate": 1000.0}}, "'force'"),
     ({"mass": {"kind": "polynomial", "coefficients": [1.0, 1e308, 1e308]}}, "'mass'"),
+    # every coefficient is finite, but 4 a^2 in the x^2 coefficient of H is not
+    ({"a": 1e154}, "'Hamiltonian c'"),
 ])
 def test_non_finite_coefficient_rejected(spec, name):
     # an overflowing coefficient would leave the classical solve crawling

@@ -92,10 +92,10 @@ def test_evolver_factors_once_per_plateau(spec, count, grid, caplog):
 
 
 def test_evolver_non_finite_state_raises(grid):
-    # a = 1e154 loads (every coefficient and M w^2 is finite) but 4 a^2 in the
-    # x^2 coefficient of H overflows, so the step matrix and the state turn
+    # a = 1e150 loads (c = 4 a^2 = 4e300 is finite) but with hbar = 1e-10 the
+    # step matrix 1 + i dt H / (2 hbar) overflows, so the state turns
     # non-finite
-    s = gho.scenario_from_dict({"a": 1e154})
+    s = gho.scenario_from_dict({"a": 1e150, "hbar": 1e-10})
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinearSolveFailure):
         evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
 

@@ -1,3 +1,7 @@
+import functools
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ import gho
 from gho import (CausticEncountered, KernelQuery, ValidationError, caustic_times,
                  green_function, inner_product, kernel, kernel_delta_check,
                  l2_distance, mean_x, packet_norm, propagate, sho_eigenstate, var_x)
+from gho.propagator import _hop_matrix
 
 from conftest import free_kernel, mehler_kernel
 
@@ -226,8 +231,8 @@ def test_eigenmode_two_dimensional_factorizes():
 
 
 def test_propagate_through_repeated_caustics():
-    # t_b = 4 pi is focal and so is the naive midpoint 2 pi; the split search
-    # must find an intermediate time that actually reduces the chirp
+    # t_b = 4 pi is the fourth focal time: one factored hop with B = 0 and
+    # three focal times crossed on the way
     s = gho.scenario_from_dict({"interval": [0.0, 14.0]})
     basis = gho.solve_homogeneous_basis(s)
     grid = gho.GridSpec(-10.0, 10.0, 2048)
@@ -239,23 +244,25 @@ def test_propagate_through_repeated_caustics():
 
 
 def test_propagate_just_outside_caustic_tolerance(sho, sho_basis, grid):
-    # |sin T| ~ 1e-9 is outside the kernel's caustic trigger but far beyond
-    # any quadrature budget; propagation must compose around it, not alias
+    # |sin T| ~ 1e-9 is outside the kernel's caustic trigger, where the
+    # kernel's chirp is far beyond any quadrature; the factored form must
+    # take it, not the chirp-z sum
     packet = sho_eigenstate(0, grid)
     out = propagate(packet, sho, sho_basis, None, np.pi - 1e-9)
     assert abs(packet_norm(out) - 1.0) < 1e-6
 
 
-def test_pathologically_short_step_rejected(sho, sho_basis, grid):
+def test_pathologically_short_step_is_near_identity(sho, sho_basis, grid):
+    # the factored form takes a 1e-9 hop as a Fresnel multiply, with no
+    # quadrature to refine; the packet moves by O(epsilon)
     packet = sho_eigenstate(0, grid)
-    with pytest.raises(gho.GridTooNarrow):
-        kernel_delta_check(sho, sho_basis, None, 0.0, 1e-9, packet)
+    assert kernel_delta_check(sho, sho_basis, None, 0.0, 1e-9, packet) < 1e-8
 
 
 def test_propagate_split_avoids_earlier_focal_time(parametric, parametric_basis,
                                                    parametric_part):
-    # t_b is the second focal time after t_a; the midpoint of the hop lies
-    # 3.6e-4 from the first, so the split must take another fraction
+    # t_b is the second focal time after t_a and the midpoint of the hop lies
+    # 3.6e-4 from the first; the single factored hop never visits it
     s, basis, part = parametric, parametric_basis, parametric_part
     grid = gho.GridSpec(-15.37, 15.37, 6400)
     t_a, t_b = 3.860832683236491, 10.14868524627105
@@ -330,3 +337,94 @@ def test_caustic_times_match_denominator_sign_changes(spec, ics):
             assert abs(at_k.v * u[0] - at_k.u * v[0]) < 1e-11
         t_mid = 0.5 * (report.times[0] + report.times[1]) if len(changes) > 1 else s.t1
         assert report.morse_index(t_mid) == 1
+
+
+# hbar != 1, M != 1 and every gauge coupling, driven; a and the force are cosines
+COUPLED = {"hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0],
+           "a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0, "phase": 0.5},
+           "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 1.3}}
+HOP_SCENARIOS = {
+    "sho": {"interval": [0.0, 12.0]},
+    "parametric": {"frequency": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 2.0,
+                                 "offset": 1.0}, "interval": [0.0, 12.0]},
+    "coupled": COUPLED,
+    # strong pumping: |A| is far from 1 at the focal times
+    "pumped": {"frequency": {"kind": "sinusoidal", "amplitude": 0.6, "omega": 2.0,
+                             "offset": 1.0}, "interval": [0.0, 12.0]},
+}
+
+
+@functools.cache
+def _solved(name):
+    s = gho.scenario_from_dict(HOP_SCENARIOS[name])
+    return s, gho.solve_homogeneous_basis(s), gho.solve_particular(s)
+
+
+def _hop_error(name, n, t_a, t_b, grid):
+    """L2 distance of mode n hopped t_a -> t_b from mode n built at t_b."""
+    s, basis, part = _solved(name)
+    moved = propagate(gho.eigenmode_packet(s, basis, part, n, t_a, grid), s, basis, part, t_b)
+    return l2_distance(moved, gho.eigenmode_packet(s, basis, part, n, t_b, grid))
+
+
+@pytest.mark.parametrize("name", ["sho", "parametric", "coupled"])
+def test_propagate_short_hop(name, grid):
+    # a 1e-3 hop is one Fresnel multiply; a quadrature would need ~0.5M points
+    assert _hop_error(name, 2, 1.0, 1.001, grid) < 1e-10
+    assert _hop_error(name, 2, 1.0, 0.999, grid) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["sho", "parametric", "coupled"])
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("k", [0, 1])
+def test_propagate_lands_on_focal_time(name, n, k, grid):
+    # B = 0 at t_f: the kernel is singular, the metaplectic hop is not; the
+    # Morse term of the phase is what tells the two focal times apart
+    _, basis, _ = _solved(name)
+    t_a = 0.7
+    t_f = caustic_times(basis, t_a).times[k]
+    assert _hop_error(name, n, t_a, t_f, grid) < 1e-9
+    assert _hop_error(name, n, t_f, t_a, grid) < 1e-9
+
+
+def test_propagate_focal_landing_with_strong_dilation(grid):
+    s, basis, _ = _solved("pumped")
+    t_a = 0.6
+    t_f = caustic_times(basis, t_a).times[1]
+    big_a = _hop_matrix(basis.omega, basis.at(t_a), basis.at(t_f))[0]
+    assert abs(big_a) == pytest.approx(0.19, abs=0.02)
+    for n in (0, 2):
+        assert _hop_error("pumped", n, t_a, t_f, grid) < 1e-9
+        assert _hop_error("pumped", n, t_f, t_a, grid) < 1e-9
+
+
+def _propagate_records(caplog):
+    """(form, A, B, quadrature points or None) of each propagate record."""
+    pattern = r"(\S+) form, A (\S+), B (\S+)(?:, (\d+) quadrature points)?$"
+    out = []
+    for record in caplog.records:
+        if record.name == "gho.propagator":
+            form, big_a, big_b, points = re.search(pattern, record.getMessage()).groups()
+            out.append((form, float(big_a), float(big_b), points and int(points)))
+    return out
+
+
+def test_propagate_logs_form_and_hop_matrix(sho, sho_basis, grid, caplog):
+    packet = sho_eigenstate(0, grid)
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        propagate(packet, sho, sho_basis, None, 1e-3)
+        propagate(packet, sho, sho_basis, None, 1.0)
+    (short, long) = _propagate_records(caplog)
+    assert short[0] == "factored" and short[3] is None
+    assert short[1:3] == pytest.approx((np.cos(1e-3), np.sin(1e-3)), rel=1e-6)
+    assert long[0] == "chirp-z" and long[3] >= grid.n_points
+    assert long[1:3] == pytest.approx((np.cos(1.0), np.sin(1.0)), rel=1e-6)
+
+
+def test_propagate_quarter_period_takes_chirp_z(sho, sho_basis, grid, caplog):
+    # A = cos(pi/2) = 0: the dilation is singular, the kernel quadrature is not
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        error = _hop_error("sho", 2, 0.3, 0.3 + np.pi / 2, grid)
+    ((form, big_a, _, _),) = _propagate_records(caplog)
+    assert form == "chirp-z" and abs(big_a) < 1e-9
+    assert error < 1e-8
