@@ -23,7 +23,7 @@ from .packets import (GridSpec, WavePacket, inner_product, l2_distance, mean_x,
 from .propagator import (CausticReport, KernelQuery, caustic_times, green_function,
                          kernel, kernel_coefficients, kernel_delta_check, propagate)
 from .states import (apply_U_F, apply_U_S, build_generalized_coherent_state, eigenmode,
-                     eigenmode_packet, hermite, hermite_functions, invariant_expectation,
+                     eigenmode_packet, hermite_functions, invariant_expectation,
                      mode_sum_kernel, sho_eigenstate)
 
 __version__ = "0.1.0"

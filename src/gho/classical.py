@@ -301,10 +301,11 @@ def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> fl
     """Action-variable invariant evaluated on classical phase-space data.
 
     I = [ (Omega^2/rho^2) (x - x_p)^2 + (M rho' (x - x_p) - rho (M x' - M x_p'))^2 ]
-        / (2 Omega),
+        / (2 |Omega|),
     where p is the canonical momentum of the Hamiltonian (the one -i hbar d/dx
     represents) and M x' = p - 2 M a x - b is the kinetic momentum; for
-    a = b = 0 the two coincide. part=None stands for x_p = 0.
+    a = b = 0 the two coincide. part=None stands for x_p = 0. With |Omega|, I
+    is non-negative for either sign of Omega.
     """
     bs = basis.at(t)
     ps = particular_or_zero(s, part).at(t)
@@ -312,7 +313,7 @@ def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> fl
     b_c, _ = s.b.eval(t)
     dx = x - ps.x
     dp = p - 2.0 * bs.mass * a_c * x - b_c - ps.momentum
-    omega = basis.omega
+    omega = abs(basis.omega)
     value = ((omega * omega / bs.rho ** 2) * dx * dx
              + (bs.mass * bs.rho_dot * dx - bs.rho * dp) ** 2) / (2.0 * omega)
     return float(value) if np.ndim(np.asarray(value)) == 0 else value

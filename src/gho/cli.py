@@ -122,10 +122,6 @@ class _Context:
         self.grid = _parse_grid(args.grid)
         ics = _parse_basis(args.basis, self.scenario)
         self.basis = classical.solve_homogeneous_basis(self.scenario, ics)
-        # modes and squeezes need Omega > 0; the swapped pair (v, u) has it and
-        # builds the same physical states, so verify takes them from that pair
-        self.mode_basis = self.basis if self.basis.omega > 0 else \
-            classical.solve_homogeneous_basis(self.scenario, ics[::-1])
         self.part = classical.solve_particular(self.scenario, _parse_xp(args.xp))
         self.out = Path(args.out) if args.out else None
         if self.out is not None:
@@ -168,7 +164,6 @@ def _verify_checks(ctx):
     """Yield (name, default_tol, callable) triples; callables return the value."""
     s = ctx.scenario
     basis, part, grid = ctx.basis, ctx.part, ctx.grid
-    modes = ctx.mode_basis  # basis with Omega > 0 for modes, squeezes and I
     hbar = s.hbar
     rng = np.random.default_rng(_SEED)
     span = s.t1 - s.t0
@@ -177,7 +172,7 @@ def _verify_checks(ctx):
         """Base grid widened for packet spreading (rho growth) at the times used."""
         factor = 1.0
         for t_val in times:
-            factor = max(factor, modes.at(t_val).rho * math.sqrt(hbar / modes.omega))
+            factor = max(factor, basis.at(t_val).rho * math.sqrt(hbar / abs(basis.omega)))
         if factor <= 1.0:
             return grid
         n = int(math.ceil(grid.n_points * factor / 256.0)) * 256
@@ -295,7 +290,7 @@ def _verify_checks(ctx):
         for n in range(4):
             def field(t, x, n=n):
                 g = GridSpec(x[0], x[-1], len(x))
-                return states.eigenmode_packet(s, modes, part, n, t, g).samples
+                return states.eigenmode_packet(s, basis, part, n, t, g).samples
 
             worst = max(worst, oracle.schrodinger_residual(field, s, t_val, wide))
         return worst
@@ -303,7 +298,7 @@ def _verify_checks(ctx):
     def mode_orthonormality():
         t_val = s.t0 + 0.3 * span
         wide = grid_for(t_val)
-        packets = [states.eigenmode_packet(s, modes, part, n, t_val, wide)
+        packets = [states.eigenmode_packet(s, basis, part, n, t_val, wide)
                    for n in range(8)]
         gram = np.array([[inner_product(pm, pn) for pn in packets] for pm in packets])
         return float(np.max(np.abs(gram - np.eye(8))))
@@ -312,13 +307,13 @@ def _verify_checks(ctx):
         g0 = states.sho_eigenstate(0, grid, hbar)
         t_val = s.t0 + 0.25 * span
         dev = abs(packet_norm(states.apply_U_F(g0, part, s, t_val)) - 1.0)
-        dev = max(dev, abs(packet_norm(states.apply_U_S(g0, modes, s, t_val)) - 1.0))
+        dev = max(dev, abs(packet_norm(states.apply_U_S(g0, basis, s, t_val)) - 1.0))
         return dev
 
     def coherent_tracking():
         worst = 0.0
         for t_val in _interior_times(s, (0.1, 0.3, 0.5)):
-            packet = states.build_generalized_coherent_state(s, modes, part, 0, t_val,
+            packet = states.build_generalized_coherent_state(s, basis, part, 0, t_val,
                                                              grid_for(t_val))
             worst = max(worst, abs(mean_x(packet) - part.at(t_val).x))
         return worst
@@ -326,9 +321,9 @@ def _verify_checks(ctx):
     def squeezed_variance():
         worst = 0.0
         for t_val in _interior_times(s, (0.1, 0.3, 0.5)):
-            packet = states.build_generalized_coherent_state(s, modes, part, 0, t_val,
+            packet = states.build_generalized_coherent_state(s, basis, part, 0, t_val,
                                                              grid_for(t_val))
-            expected = hbar * modes.at(t_val).rho ** 2 / (2.0 * modes.omega)
+            expected = hbar * basis.at(t_val).rho ** 2 / (2.0 * abs(basis.omega))
             worst = max(worst, abs(var_x(packet) - expected) / expected)
         return worst
 
@@ -337,28 +332,28 @@ def _verify_checks(ctx):
         wide = grid_for(t_val)
         worst = 0.0
         for n in range(3):
-            packet = states.eigenmode_packet(s, modes, part, n, t_val, wide)
-            val = states.invariant_expectation(packet, modes, part, s)
+            packet = states.eigenmode_packet(s, basis, part, n, t_val, wide)
+            val = states.invariant_expectation(packet, basis, part, s)
             worst = max(worst, abs(val - hbar * (n + 0.5)))
         return worst
 
     def invariant_drift_tdse():
         horizon = s.t0 + min(2.0, 0.8 * span)
         wide = grid_for(*np.linspace(s.t0, horizon, 5))
-        packet = states.eigenmode_packet(s, modes, part, 0, s.t0, wide)
+        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, wide)
         cfg = oracle.EvolverConfig(dt=1e-3)
-        values = [states.invariant_expectation(packet, modes, part, s)]
+        values = [states.invariant_expectation(packet, basis, part, s)]
         state = packet
         for t_end in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4):
             state = oracle.evolve_tdse(s, state, float(t_end), cfg)
-            values.append(states.invariant_expectation(state, modes, part, s))
+            values.append(states.invariant_expectation(state, basis, part, s))
         values = np.asarray(values)
         return float((values.max() - values.min()) / abs(values.mean()))
 
     def evolver_vs_kernel():
         t_end = s.t0 + min(1.0, 0.8 * span)
         wide = grid_for(*np.linspace(s.t0, t_end, 3))
-        packet = states.eigenmode_packet(s, modes, part, 0, s.t0, wide)
+        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, wide)
         evolved = oracle.evolve_tdse(s, packet, t_end, oracle.EvolverConfig(dt=1e-3))
         direct = propagator.propagate(packet, s, basis, part, t_end)
         return l2_distance(evolved, direct)
@@ -372,7 +367,7 @@ def _verify_checks(ctx):
         return abs(value - reference) / abs(reference)
 
     def delta_limit():
-        packet = states.eigenmode_packet(s, modes, part, 0, s.t0, grid)
+        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, grid)
         return propagator.kernel_delta_check(s, basis, part, s.t0, 1e-3, packet)
 
     yield "wronskian_constancy", 1e-6, wronskian_constancy
@@ -515,7 +510,7 @@ def run_coherent(args) -> int:
                                                          t, ctx.grid)
         _write_packet_csv(ctx.outfile(f"coherent_t{k}.csv"), packet, s)
         rows.append((t, mean_x(packet), ctx.part.at(t).x, var_x(packet),
-                     s.hbar * ctx.basis.at(t).rho ** 2 / (2.0 * ctx.basis.omega)))
+                     s.hbar * ctx.basis.at(t).rho ** 2 / (2.0 * abs(ctx.basis.omega))))
     _write_table_csv(ctx.outfile("coherent_moments.csv"),
                      ("t", "mean_x", "x_p", "var_x", "expected_var"), rows)
     return 0

@@ -109,13 +109,21 @@ class KernelCoefficients:
     l_b: float
     denominator: float
 
+    def _gaussian(self, aa, bb, ab, a, b):
+        """prefactor * exp(i phase) from the endpoint products x_a.x_a, x_b.x_b,
+        x_a.x_b and the component sums of x_a, x_b. Swapping the endpoints
+        and negating every coefficient (the backward kernel) maps each group
+        onto itself, so the phase is negated exactly and K(b, a) is
+        conj K(a, b) to the bit."""
+        phase = ((self.q_aa * aa + self.q_bb * bb) + self.q_ab * ab
+                 + (self.l_a * a + self.l_b * b))
+        return self.prefactor * np.exp(1j * phase)
+
     def value_1d(self, x_a, x_b):
         """Kernel values with numpy broadcasting over endpoint positions."""
         x_a = np.asarray(x_a)
         x_b = np.asarray(x_b)
-        phase = (self.q_bb * x_b * x_b + self.q_ab * x_a * x_b
-                 + self.q_aa * x_a * x_a + self.l_b * x_b + self.l_a * x_a)
-        return self.prefactor * np.exp(1j * phase)
+        return self._gaussian(x_a * x_a, x_b * x_b, x_a * x_b, x_a, x_b)
 
     def value(self, r_a, r_b):
         ra = np.atleast_1d(np.asarray(r_a, dtype=float))
@@ -123,9 +131,7 @@ class KernelCoefficients:
         if ra.shape != (self.n_dims,) or rb.shape != (self.n_dims,):
             raise ValidationError(
                 f"positions must have {self.n_dims} component(s)")
-        phase = (self.q_bb * rb @ rb + self.q_ab * ra @ rb + self.q_aa * ra @ ra
-                 + self.l_b * np.sum(rb) + self.l_a * np.sum(ra))
-        return complex(self.prefactor * np.exp(1j * phase))
+        return complex(self._gaussian(ra @ ra, rb @ rb, ra @ rb, np.sum(ra), np.sum(rb)))
 
 
 def _check_time(s: Scenario, t, name):

@@ -2,20 +2,24 @@
 
 The mode set for a generalized oscillator is, per dimension,
 
-    psi_n(t, x) = (Omega / (hbar rho^2))^{1/4} htilde_n(z) *
-                  exp[ i ( (n + 1/2) theta(t)
+    psi_n(t, x) = (|Omega| / (hbar rho^2))^{1/4} htilde_n(z) *
+                  exp[ i ( (n + 1/2) sgn(Omega) theta(t)
                            + ( xi + M a x^2 + (M x_p' + b) x + int f ) / hbar
                            + M rho' (x - x_p)^2 / (2 hbar rho) ) ]
 
-with z = sqrt(Omega/hbar) (x - x_p) / rho and htilde_n the orthonormal
+with z = sqrt(|Omega|/hbar) (x - x_p) / rho and htilde_n the orthonormal
 Hermite functions. theta(t) is the continuously unwrapped angle of u - i v;
-it equals theta(t0) - tau(t), so the fractional power (u - iv)^{n + 1/2}
-never suffers principal-branch jumps.
+it equals theta(t0) - tau(t), so sgn(Omega) theta, the angle of
+u - i sgn(Omega) v, falls at the rate |Omega| / (M rho^2) and the fractional
+power (n + 1/2) never suffers principal-branch jumps. Only rho, rho', |Omega|
+and that angle enter, so a basis with Omega < 0 and its swapped pair (v, u)
+give the same states up to one constant phase per mode.
 
-The same states arise by conjugating unit-oscillator eigenstates with the
+The same states arise from unit-oscillator eigenstates phi_n through the
 displacement map U_F (shift by x_p plus momentum boost) and the squeezing map
-U_S (dilation by rho/sqrt(Omega) plus quadratic phase); both maps are provided
-as grid operations on arbitrary packets.
+U_S (dilation by rho/sqrt(|Omega|) plus quadratic phase): energy phase x U_F
+x U_S phi_n = psi_n. Both maps are provided as grid operations on arbitrary
+packets, apart from the closed form above.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .errors import GridTooNarrow, ValidationError
 from .packets import GridSpec, WavePacket, derivative, evaluate_trig_interpolant
 
 __all__ = [
-    "hermite",
     "hermite_functions",
     "sho_eigenstate",
     "eigenmode",
@@ -53,20 +56,6 @@ def _quantum_numbers(qn, n_dims):
     if len(numbers) != n_dims:
         raise ValidationError(f"need {n_dims} quantum number(s), got {len(numbers)}")
     return numbers
-
-
-def hermite(n: int, y):
-    """Physicists' Hermite polynomial H_n by the three-term recurrence."""
-    if n < 0 or n > _MAX_HERMITE:
-        raise ValidationError(f"hermite order must be in [0, {_MAX_HERMITE}]")
-    y = np.asarray(y, dtype=float)
-    h_prev = np.ones_like(y)
-    if n == 0:
-        return h_prev if y.shape else float(h_prev)
-    h = 2.0 * y
-    for k in range(1, n):
-        h, h_prev = 2.0 * y * h - 2.0 * k * h_prev, h
-    return h if y.shape else float(h)
 
 
 def hermite_functions(n_max: int, z):
@@ -105,25 +94,26 @@ def sho_eigenstate(n: int, grid: GridSpec, hbar: float = 1.0) -> WavePacket:
     return packet
 
 
-def _mode_snapshots(s, basis, part, t):
-    """Basis and particular snapshots at t for a mode construction (Omega > 0)."""
-    if basis.omega <= 0:
-        raise ValidationError("mode construction needs Omega > 0 (normalizable Gaussian)")
-    return basis.at(t), particular_or_zero(s, part).at(t)
-
-
-def _mode_common_1d(s, omega, bs, ps, t, x):
-    """Shared per-dimension factor of psi_n at t from the snapshots bs, ps
-    there: everything except htilde_n and the (n + 1/2) theta phase.
-    Returns (common, z)."""
+def _modes_1d(s, basis, part, n_max, t, x):
+    """psi_0..psi_{n_max} at time t and positions x in one dimension, from one
+    basis and one particular snapshot, as factors: psi_k = h[k] * envelope *
+    turn[k]. h holds htilde_0..htilde_{n_max}(z), one row per k; turn holds
+    exp(i (k + 1/2) sgn(Omega) theta). The time term exp(i int f / hbar) is
+    left out, since it enters once however many dimensions there are. Select
+    row k before multiplying by the phases when only psi_k is wanted.
+    """
+    bs, ps = basis.at(t), particular_or_zero(s, part).at(t)
     hbar = s.hbar
+    omega = abs(basis.omega)
     x = np.asarray(x, dtype=float)
     dxp = x - ps.x
-    z = math.sqrt(omega / hbar) * dxp / bs.rho
     phase = gauge_phase(s, bs.mass, ps, t, x) \
         + bs.mass * bs.rho_dot * dxp * dxp / (2.0 * hbar * bs.rho)
-    common = (omega / (hbar * bs.rho ** 2)) ** 0.25 * np.exp(1j * phase)
-    return common, z
+    envelope = (omega / (hbar * bs.rho ** 2)) ** 0.25 * np.exp(1j * phase)
+    h = hermite_functions(n_max, math.sqrt(omega / hbar) * dxp / bs.rho)
+    angle = math.copysign(1.0, basis.omega) * bs.theta
+    turn = np.exp(1j * (np.arange(n_max + 1) + 0.5) * angle)
+    return h, envelope, turn
 
 
 def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> complex:
@@ -137,13 +127,10 @@ def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> comp
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (s.dimension,):
         raise ValidationError(f"position must have {s.dimension} component(s)")
-    bs, ps = _mode_snapshots(s, basis, part, t)
-    f_int = integrate_coefficient(s.f, s.t0, t) / s.hbar
-    value = np.exp(1j * f_int)
-    for n_i, x_i in zip(numbers, r):
-        common, z = _mode_common_1d(s, basis.omega, bs, ps, t, x_i)
-        h = hermite_functions(n_i, z)[n_i][0]
-        value = value * common * h * np.exp(1j * (n_i + 0.5) * bs.theta)
+    h, envelope, turn = _modes_1d(s, basis, part, max(numbers), t, r)
+    value = np.exp(1j * integrate_coefficient(s.f, s.t0, t) / s.hbar)
+    for i, n_i in enumerate(numbers):
+        value = value * (h[n_i, i] * envelope[i] * turn[n_i])
     return complex(value)
 
 
@@ -152,12 +139,9 @@ def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
     """psi_n(t, .) sampled on a grid (dimension 1)."""
     if s.dimension != 1:
         raise ValidationError("eigenmode_packet is implemented for dimension 1")
-    bs, ps = _mode_snapshots(s, basis, part, t)
-    common, z = _mode_common_1d(s, basis.omega, bs, ps, t, grid.points)
-    h = hermite_functions(n, z)[n]
+    h, envelope, turn = _modes_1d(s, basis, part, n, t, grid.points)
     f_int = integrate_coefficient(s.f, s.t0, t) / s.hbar
-    samples = common * h * np.exp(1j * ((n + 0.5) * bs.theta + f_int))
-    return WavePacket(grid, samples, t=t)
+    return WavePacket(grid, h[n] * envelope * (turn[n] * np.exp(1j * f_int)), t=t)
 
 
 def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
@@ -170,20 +154,12 @@ def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
     rb = np.atleast_1d(np.asarray(q.r_b, dtype=float))
     if ra.shape != (s.dimension,) or rb.shape != (s.dimension,):
         raise ValidationError(f"positions must have {s.dimension} component(s)")
-    bs_a, ps_a = _mode_snapshots(s, basis, part, q.t_a)
-    bs_b, ps_b = _mode_snapshots(s, basis, part, q.t_b)
-    orders = np.arange(n_max + 1) + 0.5
-    turn = np.exp(1j * orders * (bs_b.theta - bs_a.theta))
-    total = 1.0 + 0j
-    for x_a, x_b in zip(ra, rb):
-        common_a, z_a = _mode_common_1d(s, basis.omega, bs_a, ps_a, q.t_a, x_a)
-        common_b, z_b = _mode_common_1d(s, basis.omega, bs_b, ps_b, q.t_b, x_b)
-        h_a = hermite_functions(n_max, z_a)[:, 0]
-        h_b = hermite_functions(n_max, z_b)[:, 0]
-        total *= common_b * np.conj(common_a) * np.sum(h_a * h_b * turn)
-    # the per-dimension commons exclude the pure time term; it enters once
+    h_a, envelope_a, turn_a = _modes_1d(s, basis, part, n_max, q.t_a, ra)
+    h_b, envelope_b, turn_b = _modes_1d(s, basis, part, n_max, q.t_b, rb)
+    sums = np.sum(h_a * h_b * (turn_b * np.conj(turn_a))[:, None], axis=0)
+    # the per-dimension factors exclude the pure time term; it enters once
     f_ab = integrate_coefficient(s.f, q.t_a, q.t_b) / s.hbar
-    return complex(total * np.exp(1j * f_ab))
+    return complex(np.prod(envelope_b * np.conj(envelope_a) * sums) * np.exp(1j * f_ab))
 
 
 def _support_bounds(packet: WavePacket, rel=1e-8):
@@ -221,16 +197,13 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
 
 def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
               t: float) -> WavePacket:
-    """Squeezing map: dilate by sqrt(Omega/rho^2) with a quadratic phase.
+    """Squeezing map: dilate by sqrt(|Omega|/rho^2) with a quadratic phase.
 
-    (U_S psi)(x) = exp(i M rho' x^2 / (2 hbar rho)) (Omega/rho^2)^{1/4}
-                   psi(sqrt(Omega/rho^2) x).
+    (U_S psi)(x) = exp(i M rho' x^2 / (2 hbar rho)) (|Omega|/rho^2)^{1/4}
+                   psi(sqrt(|Omega|/rho^2) x).
     """
-    omega = basis.omega
-    if omega <= 0:
-        raise ValidationError("squeezing map needs Omega > 0")
     bs = basis.at(t)
-    scale = math.sqrt(omega) / bs.rho
+    scale = math.sqrt(abs(basis.omega)) / bs.rho
     packet.require_dark_edges(1e-8, "apply_U_S")
     rescaled = evaluate_trig_interpolant(packet, scale * packet.grid.points)
     x = packet.grid.points
@@ -243,40 +216,20 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
 
 def build_generalized_coherent_state(s: Scenario, basis: ClassicalBasis, part,
                                      n: int, t: float, grid: GridSpec) -> WavePacket:
-    """Mode n of the full system built as the unitary transform of a unit-SHO
-    eigenstate: energy phase x U_F x U_S acting on phi_n, evaluated in closed
-    form on the grid (no interpolation error).
+    """Mode n of the full system as the unitary transform of a unit-SHO
+    eigenstate phi_n: energy phase x U_F x U_S phi_n = psi_n, evaluated in
+    closed form on the grid (no interpolation error).
 
-    The energy phase uses E = hbar (n + 1/2) and the unwrapped basis angle
-    theta(t) = theta(t0) - tau(t), so it reduces to exp(-i E tau / hbar) for
-    bases with u(t0) > 0, v(t0) = 0. For scenarios with quadratic couplings
-    (a, b, f nonzero) the corresponding phase map is applied on top, keeping
-    the construction equal to the mode set for every scenario.
+    U_S stretches phi_n by rho/sqrt(|Omega|) with the chirp
+    M rho' x^2 / (2 hbar rho), U_F shifts it by x_p and boosts it by M x_p'
+    with the phase xi, and the energy phase exp(i (n + 1/2) sgn(Omega) theta)
+    reduces to exp(-i E |tau| / hbar), E = hbar (n + 1/2), for bases with
+    u(t0) > 0, v(t0) = 0; the couplings add exp(i (M a x^2 + b x + int f) /
+    hbar). The product is the mode psi_n of eigenmode_packet.
     """
-    if s.dimension != 1:
-        raise ValidationError("coherent-state construction is implemented for dimension 1")
     if n < 0:
         raise ValidationError("mode index must be >= 0")
-    bs, ps = _mode_snapshots(s, basis, part, t)
-    hbar = s.hbar
-    x = grid.points
-
-    # U_S phi_n at the shifted argument: dilation with Jacobian normalization
-    scale = math.sqrt(basis.omega) / bs.rho
-    y = scale * (x - ps.x)
-    phi = hbar ** -0.25 * hermite_functions(n, y / math.sqrt(hbar))[n]
-    state = math.sqrt(scale) * phi \
-        * np.exp(1j * bs.mass * bs.rho_dot * (x - ps.x) ** 2 / (2.0 * hbar * bs.rho))
-    # U_F: momentum boost and xi phase (translation already in the argument)
-    state = state * np.exp(1j * (ps.xi + ps.momentum * x) / hbar)
-    # energy phase through the unwrapped basis angle
-    state = state * np.exp(1j * (n + 0.5) * bs.theta)
-    # quadratic-coupling phase map (identity when a = b = f = 0)
-    a_c, _ = s.a.eval(t)
-    b_c, _ = s.b.eval(t)
-    f_int = integrate_coefficient(s.f, s.t0, t)
-    state = state * np.exp(1j * (bs.mass * a_c * x * x + b_c * x + f_int) / hbar)
-    result = WavePacket(grid, state, t=t)
+    result = eigenmode_packet(s, basis, part, n, t, grid)
     result.require_dark_edges(1e-8, "build_generalized_coherent_state")
     return result
 
@@ -285,7 +238,7 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
                           s: Scenario, with_diagnostic: bool = False):
     """Expectation of the invariant I on a packet at the packet's time.
 
-    I = [ (Omega^2/rho^2) X^2 + (M rho' X - rho P)^2 ] / (2 Omega) with
+    I = [ (Omega^2/rho^2) X^2 + (M rho' X - rho P)^2 ] / (2 |Omega|) with
     X = x - x_p and P = p - 2 M a x - b - M x_p', where p = -i hbar d/dx and
     p - 2 M a x - b = M dx/dt is the kinetic momentum under the a, b gauge
     couplings (the convention of classical.classical_invariant); part=None
@@ -296,7 +249,7 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     packet.require_dark_edges(1e-8, "invariant_expectation")
     t = packet.t
     hbar = s.hbar
-    omega = basis.omega
+    omega = abs(basis.omega)
     bs = basis.at(t)
     ps = particular_or_zero(s, part).at(t)
     m = bs.mass

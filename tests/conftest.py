@@ -101,3 +101,25 @@ def free_kernel(t_a, t_b, x_a, x_b, hbar=1.0, mass=1.0):
     big_t = t_b - t_a
     return ((mass / (2j * np.pi * hbar * big_t)) ** 0.5
             * np.exp(1j * mass * (x_b - x_a) ** 2 / (2 * hbar * big_t)))
+
+
+# hbar != 1, M != 1 and every gauge coupling, driven; a and the force are cosines
+COUPLED = {"hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0],
+           "a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0, "phase": 0.5},
+           "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 1.3}}
+
+
+def transformed_eigenstate(s, basis, part, n, t, grid):
+    """psi_n as energy phase x U_F x U_S acting on the unit-oscillator
+    eigenstate, through the grid maps (FFT shift, trigonometric interpolant)
+    rather than the closed form."""
+    bs = basis.at(t)
+    a_c, _ = s.a.eval(t)
+    b_c, _ = s.b.eval(t)
+    x = grid.points
+    phase = ((n + 0.5) * np.sign(basis.omega) * bs.theta
+             + (bs.mass * a_c * x * x + b_c * x
+                + gho.integrate_coefficient(s.f, s.t0, t)) / s.hbar)
+    unit = gho.sho_eigenstate(n, grid, s.hbar)
+    moved = gho.apply_U_F(gho.apply_U_S(unit, basis, s, t), part, s, t)
+    return moved.with_samples(np.exp(1j * phase) * moved.samples)

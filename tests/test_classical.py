@@ -184,6 +184,20 @@ def test_classical_invariant_vanishes_on_particular(driven, driven_basis, driven
             == pytest.approx(0.0, abs=1e-12)
 
 
+def test_classical_invariant_either_sign_of_omega(parametric, parametric_part):
+    # I depends on the basis only through rho and |Omega|: a basis with
+    # Omega < 0 and its swapped pair (v, u) give the same positive value
+    ics = ((0.3, 1.1), (1.0, -0.2))
+    negative = solve_homogeneous_basis(parametric, ics)
+    swapped = solve_homogeneous_basis(parametric, ics[::-1])
+    assert negative.omega < 0 < swapped.omega
+    for t in (0.0, 1.4, 6.1):
+        value = classical_invariant(negative, parametric_part, parametric, 0.7, -0.4, t)
+        assert value > 0
+        assert value == pytest.approx(
+            classical_invariant(swapped, parametric_part, parametric, 0.7, -0.4, t), rel=1e-10)
+
+
 def test_classical_invariant_constant_along_trajectory(parametric, parametric_basis,
                                                        parametric_part):
     def rhs(t, y):

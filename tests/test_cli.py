@@ -235,11 +235,35 @@ def test_verify_coupled_scenario_passes(tmp_path, capsys):
     assert skipped.startswith("CHECK kernel_closed_form ") and "SKIP(" in skipped
 
 
-def test_verify_negative_omega_basis(capsys):
-    # Omega = -1: kernel checks use this basis, mode checks the swapped pair
+def test_verify_negative_omega_basis(monkeypatch, capsys):
+    # Omega = -1: every check, modes and squeezes included, takes this one basis
+    import gho.classical
+
+    solves = []
+    solve = gho.classical.solve_homogeneous_basis
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gho.classical, "solve_homogeneous_basis", counted)
     sho = Path(__file__).resolve().parents[1] / "scenarios" / "sho.json"
     code = main(["verify", "--scenario", str(sho), "--basis", "custom:0,1,1,0"])
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
     assert code == 0
     assert len(lines) == 18
     assert all(ln.endswith(" PASS") or "SKIP(not applicable)" in ln for ln in lines)
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("command", ["modes", "coherent", "invariant", "evolve"])
+def test_commands_take_a_negative_omega_basis(sho_file, tmp_path, command):
+    out = tmp_path / command
+    assert main([command, "--scenario", str(sho_file), "--basis", "custom:0,1,1,0",
+                 "--times", "0.0,0.5", "--out", str(out)]) == 0
+    if command == "invariant":  # I = hbar (n + 1/2) on the ground mode
+        rows = np.loadtxt(out / "invariant.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[:, 1] - 0.5)) < 1e-6
+    if command == "coherent":  # var_x follows hbar rho^2 / (2 |Omega|)
+        rows = np.loadtxt(out / "coherent_moments.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[:, 3] / rows[:, 4] - 1.0)) < 1e-6

@@ -6,10 +6,12 @@ import pytest
 import gho
 from gho import (GridSpec, KernelQuery, ValidationError, WavePacket, apply_U_F,
                  apply_U_S, build_generalized_coherent_state, eigenmode,
-                 eigenmode_packet, hermite, inner_product, invariant_expectation,
+                 eigenmode_packet, hermite_functions, inner_product, invariant_expectation,
                  l2_distance, mean_x, mode_sum_kernel, packet_norm, propagate,
                  sho_eigenstate, var_x)
 from gho.packets import derivative, second_derivative
+
+from conftest import COUPLED, transformed_eigenstate
 
 
 def hermite_series(n, y):
@@ -22,21 +24,24 @@ def hermite_series(n, y):
 
 
 def test_hermite_basics():
-    assert hermite(0, 123.4) == 1.0
-    assert hermite(2, 1.0) == 2.0  # 4 y^2 - 2
+    assert hermite_functions(0, 0.0)[0, 0] == pytest.approx(np.pi ** -0.25, rel=1e-15)
+    # H_2(1) = 4 y^2 - 2 = 2, normalized by sqrt(2^2 2! sqrt(pi))
+    assert hermite_functions(2, 1.0)[2, 0] == pytest.approx(
+        2.0 * math.exp(-0.5) / math.sqrt(8.0 * math.sqrt(math.pi)), rel=1e-14)
 
 
 def test_hermite_against_series():
-    for n in (1, 3, 5, 8):
-        for y in (-1.3, 0.0, 0.7, 2.4):
-            ref = hermite_series(n, y)
-            got = hermite(n, y)
-            assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    for y in (-1.3, 0.0, 0.7, 2.4):
+        rows = hermite_functions(8, y)[:, 0]
+        for n in (1, 3, 5, 8):
+            norm = math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
+            ref = hermite_series(n, y) * math.exp(-0.5 * y * y) / norm
+            assert rows[n] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_hermite_order_cap():
     with pytest.raises(ValidationError):
-        hermite(201, 0.5)
+        hermite_functions(201, 0.5)
 
 
 def test_sho_eigenstate_ground(grid):
@@ -209,13 +214,18 @@ def test_variance_trajectory_matches_rho(sho, sho_basis_squeezed, sho_part_zero,
 
 def test_equivalence_of_constructions(sho, sho_basis_squeezed, sho_part_cos, grid,
                                       driven, driven_basis, driven_part):
-    cases = [(sho, sho_basis_squeezed, sho_part_cos), (driven, driven_basis,
-                                                       driven_part)]
+    coupled = gho.scenario_from_dict(COUPLED)
+    coupled_part = gho.solve_particular(coupled, (0.4, -0.2))
+    cases = [(sho, sho_basis_squeezed, sho_part_cos),
+             (driven, driven_basis, driven_part),
+             (coupled, gho.solve_homogeneous_basis(coupled), coupled_part),
+             (coupled, gho.solve_homogeneous_basis(coupled, ((0.0, 1.0), (1.0, 0.0))),
+              coupled_part)]  # Omega = -1.3
     for s, basis, part in cases:
         for n in (0, 3):
             for t in (0.0, 0.7, 2.0):
                 direct = eigenmode_packet(s, basis, part, n, t, grid)
-                built = build_generalized_coherent_state(s, basis, part, n, t, grid)
+                built = transformed_eigenstate(s, basis, part, n, t, grid)
                 assert l2_distance(direct, built) < 1e-9
 
 
