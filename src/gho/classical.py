@@ -27,6 +27,7 @@ solves the driven equation only when the force is the default constant 0.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,8 @@ from scipy.integrate import OdeSolution, solve_ivp
 
 from .coefficients import Constant, PiecewiseConstant, Scenario
 from .errors import DegenerateBasis, IntegrationFailure, ValidationError, ZeroRho
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "DEFAULT_RTOL",
@@ -78,7 +81,8 @@ def _solve(scenario, rhs, y0, rtol, atol):
 
     Restarting keeps the right-limit plateau semantics exact; the per-segment
     dense outputs are stitched into one OdeSolution. Raises IntegrationFailure
-    once rhs has been called MAX_RHS_CALLS times.
+    once rhs has been called MAX_RHS_CALLS times. Returns the solution, its
+    nodes and the number of rhs calls.
     """
     calls = 0
 
@@ -108,7 +112,7 @@ def _solve(scenario, rhs, y0, rtol, atol):
     stitched = OdeSolution(np.asarray(ts), interpolants)
     all_nodes = np.concatenate(nodes)
     scenario.check_mass_positive(all_nodes)
-    return stitched, all_nodes
+    return stitched, all_nodes, calls
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ class ClassicalBasis:
         u_dot = pu / m
         v_dot = pv / m
         r = np.hypot(u, v)
-        if np.any(r == 0.0):
+        if (r == 0.0).any():
             raise ZeroRho(f"u and v vanish together at t={t}")
         return BasisSnapshot(u=u, u_dot=u_dot, v=v, v_dot=v_dot, rho=r,
                              rho_dot=(u * u_dot + v * v_dot) / r, tau=tau,
@@ -243,7 +247,9 @@ def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
 
     ics is ((u0, u0_dot), (v0, v0_dot)); defaults to the Omega = 1 convention.
     Raises DegenerateBasis when the initial Wronskian vanishes and
-    IntegrationFailure when the solver cannot meet the tolerance.
+    IntegrationFailure when the solver cannot meet the tolerance. Logs the
+    ODE nodes, the right-hand-side calls and the largest relative Wronskian
+    drift at the nodes at DEBUG level on "gho.classical".
     """
     if ics is None:
         ics = default_basis_ics(s)
@@ -263,13 +269,15 @@ def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
         return [pu / m, -m * w * w * u, pv / m, -m * w * w * v,
                 omega / (m * (u * u + v * v))]
 
-    dense, nodes = _solve(s, rhs, [u0, pu0, v0, pv0, 0.0], rtol, atol)
+    dense, nodes, calls = _solve(s, rhs, [u0, pu0, v0, pv0, 0.0], rtol, atol)
     basis = ClassicalBasis(scenario=s, omega=omega, rtol=rtol, atol=atol,
                            _dense=dense, _nodes=nodes)
-    drift = np.abs(basis.wronskian_at(nodes) - omega) / abs(omega)
-    if np.max(drift) > max(10.0 * rtol, 1e-12):
+    drift = float(np.max(np.abs(basis.wronskian_at(nodes) - omega))) / abs(omega)
+    _log.debug("solve_homogeneous_basis: %d nodes, %d rhs calls, Wronskian drift %.3e",
+               len(nodes), calls, drift)
+    if drift > max(10.0 * rtol, 1e-12):
         raise IntegrationFailure(
-            f"Wronskian drifted by {np.max(drift):.2e} (> 10x solver tolerance)")
+            f"Wronskian drifted by {drift:.2e} (> 10x solver tolerance)")
     return basis
 
 
@@ -278,7 +286,9 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0), rtol=DEFAULT_RTOL,
     """Integrate the driven equation from (x_p(t0), x_p'(t0)) = ics, with xi(t0)=0.
 
     Any solution of the driven equation is a valid x_p; for F = 0 a nonzero
-    choice is still legitimate and produces coherent states downstream.
+    choice is still legitimate and produces coherent states downstream. Logs
+    the ODE nodes and the right-hand-side calls at DEBUG level on
+    "gho.classical".
     """
     x0, xdot0 = ics
     m0, _ = s.mass.eval(s.t0)
@@ -292,7 +302,8 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0), rtol=DEFAULT_RTOL,
         return [x_dot, force - m * w * w * x,
                 0.5 * (m * w * w * x * x - m * x_dot * x_dot)]
 
-    dense, nodes = _solve(s, rhs, [x0, m0 * xdot0, 0.0], rtol, atol)
+    dense, nodes, calls = _solve(s, rhs, [x0, m0 * xdot0, 0.0], rtol, atol)
+    _log.debug("solve_particular: %d nodes, %d rhs calls", len(nodes), calls)
     return ParticularSolution(scenario=s, rtol=rtol, atol=atol,
                               _dense=dense, _nodes=nodes)
 

@@ -8,6 +8,7 @@ passed, 1 when any verification check failed, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -168,15 +169,27 @@ def _verify_checks(ctx):
     rng = np.random.default_rng(_SEED)
     span = s.t1 - s.t0
 
+    def mode_scales(times):
+        """(widen, refine) of the modes at the times used: the mode width
+        rho sqrt(hbar/|Omega|) and the momentum spread
+        M |(u', v')| / sqrt(hbar |Omega|), each relative to the oscillator's
+        own modes at hbar = 1 and at least 1. A factor that would move the
+        base grid by less than one spacing is solver noise and reads 1."""
+        bs = basis.at(np.asarray(times, dtype=float))
+        omega = abs(basis.omega)
+        widen = max(1.0, float(np.max(bs.rho)) * math.sqrt(hbar / omega))
+        refine = max(1.0, float(np.max(bs.mass * np.hypot(bs.u_dot, bs.v_dot)))
+                     / math.sqrt(hbar * omega))
+        return tuple(f if (f - 1.0) * grid.n_points >= 1.0 else 1.0 for f in (widen, refine))
+
     def grid_for(*times):
-        """Base grid widened for packet spreading (rho growth) at the times used."""
-        factor = 1.0
-        for t_val in times:
-            factor = max(factor, basis.at(t_val).rho * math.sqrt(hbar / abs(basis.omega)))
-        if factor <= 1.0:
+        """Base grid widened by the modes' width and with N refined by their
+        momentum spread (see mode_scales), N rounded up to a multiple of 256."""
+        widen, refine = mode_scales(times)
+        if widen == refine == 1.0:
             return grid
-        n = int(math.ceil(grid.n_points * factor / 256.0)) * 256
-        return GridSpec(grid.x_min * factor, grid.x_max * factor, n)
+        n = int(math.ceil(grid.n_points * widen * refine / 256.0)) * 256
+        return GridSpec(grid.x_min * widen, grid.x_max * widen, n)
 
     def wronskian_constancy():
         ts = np.linspace(s.t0, s.t1, 201)
@@ -211,19 +224,19 @@ def _verify_checks(ctx):
         return float(np.min(steps))
 
     def kernel_conjugation():
-        worst = 0.0
+        pairs = []
         for _ in range(100):
             t_a, t_b = sorted(rng.uniform(s.t0, s.t1, 2))
             if t_b - t_a < 0.01 * span:
                 continue
-            x_a, x_b = rng.uniform(-2.0, 2.0, 2)
-            try:
-                kf = propagator.kernel(s, basis, part, propagator.KernelQuery(t_a, t_b, x_a, x_b))
-                kb = propagator.kernel(s, basis, part, propagator.KernelQuery(t_b, t_a, x_b, x_a))
-            except CausticEncountered:
-                continue
-            worst = max(worst, abs(np.conj(kf) - kb) / abs(kf))
-        return worst
+            pairs.append((t_a, t_b, *rng.uniform(-2.0, 2.0, 2)))
+        t_a, t_b, x_a, x_b = np.array(pairs).reshape(-1, 4).T
+        fwd = propagator.kernel_coefficients(s, basis, part, t_a, t_b)
+        bwd = propagator.kernel_coefficients(s, basis, part, t_b, t_a)
+        kept = ~fwd.caustic  # bwd is built from the same forward pairs
+        kf = fwd.value_1d(x_a, x_b)[kept]
+        kb = bwd.value_1d(x_b, x_a)[kept]
+        return float(np.max(np.abs(np.conj(kf) - kb) / np.abs(kf), initial=0.0))
 
     def kernel_closed_form():
         if _is_constant(s, mass=1.0, frequency=1.0, force=0.0, a=0.0, b=0.0, f=0.0):
@@ -251,15 +264,14 @@ def _verify_checks(ctx):
                 return t_a, t_a + rng.uniform(0.1 * span, 0.45 * span)
         else:
             return None
-        worst = 0.0
-        for _ in range(100):
-            t_a, t_b = draw()
-            x_a, x_b = rng.uniform(-3.0, 3.0, 2)
-            # both references are undriven, so part=None is the exact x_p = 0
-            val = propagator.kernel(s, basis, None, propagator.KernelQuery(t_a, t_b, x_a, x_b))
-            ref = reference(t_a, t_b, x_a, x_b)
-            worst = max(worst, abs(val - ref) / abs(ref))
-        return worst
+        t_a, t_b, x_a, x_b = np.array([(*draw(), *rng.uniform(-3.0, 3.0, 2))
+                                       for _ in range(100)]).T
+        # both references are undriven, so part=None is the exact x_p = 0
+        co = propagator.kernel_coefficients(s, basis, None, t_a, t_b)
+        if co.caustic.any():
+            raise CausticEncountered("closed-form pair on a focal time")
+        ref = reference(t_a, t_b, x_a, x_b)
+        return float(np.max(np.abs(co.value_1d(x_a, x_b) - ref) / np.abs(ref)))
 
     def kernel_composition():
         triple = _find_composition_triple(ctx)
@@ -304,8 +316,8 @@ def _verify_checks(ctx):
         return float(np.max(np.abs(gram - np.eye(8))))
 
     def unitary_norms():
-        g0 = states.sho_eigenstate(0, grid, hbar)
         t_val = s.t0 + 0.25 * span
+        g0 = states.sho_eigenstate(0, grid_for(t_val), hbar)
         dev = abs(packet_norm(states.apply_U_F(g0, part, s, t_val)) - 1.0)
         dev = max(dev, abs(packet_norm(states.apply_U_S(g0, basis, s, t_val)) - 1.0))
         return dev
@@ -337,26 +349,40 @@ def _verify_checks(ctx):
             worst = max(worst, abs(val - hbar * (n + 0.5)))
         return worst
 
-    def invariant_drift_tdse():
+    @functools.cache
+    def mode_zero_evolution():
+        """The n = 0 mode at t0 on the drift check's grid, evolved by
+        Crank-Nicolson through the drift check's four legs and, when it is not
+        one of them, evolver_vs_kernel's stop t0 + min(1, 0.8 span): both
+        checks read this one evolution. Returns the start packet, the leg
+        times, the kernel stop and the evolved packet at each stop."""
         horizon = s.t0 + min(2.0, 0.8 * span)
-        wide = grid_for(*np.linspace(s.t0, horizon, 5))
-        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, wide)
-        cfg = oracle.EvolverConfig(dt=1e-3)
-        values = [states.invariant_expectation(packet, basis, part, s)]
-        state = packet
-        for t_end in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4):
-            state = oracle.evolve_tdse(s, state, float(t_end), cfg)
-            values.append(states.invariant_expectation(state, basis, part, s))
-        values = np.asarray(values)
+        legs = [float(t) for t in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4)]
+        stop = s.t0 + min(1.0, 0.8 * span)
+        nearest = min(legs, key=lambda t: abs(t - stop))
+        if abs(nearest - stop) <= 1e-12 * span:  # the same leg up to rounding
+            stop = nearest
+        times = np.linspace(s.t0, horizon, 5)
+        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, grid_for(*times))
+        # the mode's phase rates grow with its momentum spread as well, and
+        # Crank-Nicolson's phase error with them: round(refine) steps per 1e-3
+        cfg = oracle.EvolverConfig(dt=1e-3 / round(mode_scales(times)[1]))
+        evolved, state = {}, packet
+        for t_end in sorted({*legs, stop}):
+            state = oracle.evolve_tdse(s, state, t_end, cfg)
+            evolved[t_end] = state
+        return packet, legs, stop, evolved
+
+    def invariant_drift_tdse():
+        packet, legs, _, evolved = mode_zero_evolution()
+        values = np.asarray([states.invariant_expectation(p, basis, part, s)
+                             for p in (packet, *(evolved[t] for t in legs))])
         return float((values.max() - values.min()) / abs(values.mean()))
 
     def evolver_vs_kernel():
-        t_end = s.t0 + min(1.0, 0.8 * span)
-        wide = grid_for(*np.linspace(s.t0, t_end, 3))
-        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, wide)
-        evolved = oracle.evolve_tdse(s, packet, t_end, oracle.EvolverConfig(dt=1e-3))
-        direct = propagator.propagate(packet, s, basis, part, t_end)
-        return l2_distance(evolved, direct)
+        packet, _, stop, evolved = mode_zero_evolution()
+        direct = propagator.propagate(packet, s, basis, part, stop)
+        return l2_distance(evolved[stop], direct)
 
     def path_integral():
         t_end = s.t0 + min(1.0, 0.5 * span)
@@ -367,7 +393,7 @@ def _verify_checks(ctx):
         return abs(value - reference) / abs(reference)
 
     def delta_limit():
-        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, grid)
+        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, grid_for(s.t0))
         return propagator.kernel_delta_check(s, basis, part, s.t0, 1e-3, packet)
 
     yield "wronskian_constancy", 1e-6, wronskian_constancy

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -45,8 +45,8 @@ class Constant:
     value: float
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(np.float64(self.value), t.shape).copy(), np.zeros(t.shape)
+        shape = np.shape(t)
+        return np.full(shape, self.value, dtype=float), np.zeros(shape)
 
     def to_dict(self):
         return {"kind": "constant", "value": self.value}
@@ -57,14 +57,20 @@ class Polynomial:
     """c0 + c1 t + c2 t^2 + ...  (ascending coefficients)."""
 
     coefficients: tuple
+    _value: np.ndarray = field(init=False, repr=False, compare=False)
+    _deriv: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = np.asarray(self.coefficients, dtype=float)
+        with np.errstate(over="ignore"):  # Scenario rejects what overflows
+            deriv = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
+        object.__setattr__(self, "_value", c)
+        object.__setattr__(self, "_deriv", deriv)
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        c = np.asarray(self.coefficients, dtype=float)
-        value = np.polynomial.polynomial.polyval(t, c)
-        deriv = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(c)) \
-            if len(c) > 1 else np.zeros(t.shape)
-        return value, deriv
+        return (np.polynomial.polynomial.polyval(t, self._value),
+                np.polynomial.polynomial.polyval(t, self._deriv))
 
     def to_dict(self):
         return {"kind": "polynomial", "coefficients": list(self.coefficients)}
@@ -82,9 +88,8 @@ class Sinusoidal:
     def eval(self, t):
         t = np.asarray(t, dtype=float)
         arg = self.omega * t + self.phase
-        value = self.amplitude * np.cos(arg) + self.offset
-        deriv = -self.amplitude * self.omega * np.sin(arg)
-        return value, np.broadcast_to(deriv, t.shape).copy() if np.ndim(deriv) == 0 else deriv
+        return (self.amplitude * np.cos(arg) + self.offset,
+                -self.amplitude * self.omega * np.sin(arg))
 
     def to_dict(self):
         return {"kind": "sinusoidal", "amplitude": self.amplitude, "omega": self.omega,
@@ -151,37 +156,41 @@ def eval_coefficient(fn: CoefficientFn, t):
     return value, deriv
 
 
-def integrate_coefficient(fn: CoefficientFn, t_lo: float, t_hi: float) -> float:
-    """Exact integral of a coefficient over [t_lo, t_hi] (signed)."""
-    if t_lo == t_hi:
-        return 0.0
-    if t_hi < t_lo:
-        return -integrate_coefficient(fn, t_hi, t_lo)
+def integrate_coefficient(fn: CoefficientFn, t_lo, t_hi):
+    """Exact integral of a coefficient over [t_lo, t_hi] (signed).
+
+    The limits may be scalars or arrays of one shape; the result is a float or
+    an array of that shape. Each closed form is antisymmetric in the limits to
+    the bit, so a reversed interval needs no branch.
+    """
+    lo = np.asarray(t_lo, dtype=float)
+    hi = np.asarray(t_hi, dtype=float)
     if isinstance(fn, Constant):
-        return fn.value * (t_hi - t_lo)
-    if isinstance(fn, Polynomial):
-        anti = np.polynomial.polynomial.polyint(np.asarray(fn.coefficients, dtype=float))
-        poly = np.polynomial.polynomial.polyval
-        return float(poly(t_hi, anti) - poly(t_lo, anti))
-    if isinstance(fn, Sinusoidal):
+        total = fn.value * (hi - lo)
+    elif isinstance(fn, Polynomial):
+        anti = np.polynomial.polynomial.polyint(fn._value)
+        total = (np.polynomial.polynomial.polyval(hi, anti)
+                 - np.polynomial.polynomial.polyval(lo, anti))
+    elif isinstance(fn, Sinusoidal):
         if fn.omega == 0.0:
-            return (fn.amplitude * math.cos(fn.phase) + fn.offset) * (t_hi - t_lo)
-        osc = (math.sin(fn.omega * t_hi + fn.phase)
-               - math.sin(fn.omega * t_lo + fn.phase)) * fn.amplitude / fn.omega
-        return osc + fn.offset * (t_hi - t_lo)
-    if isinstance(fn, Exponential):
+            total = (fn.amplitude * math.cos(fn.phase) + fn.offset) * (hi - lo)
+        else:
+            total = ((np.sin(fn.omega * hi + fn.phase) - np.sin(fn.omega * lo + fn.phase))
+                     * fn.amplitude / fn.omega + fn.offset * (hi - lo))
+    elif isinstance(fn, Exponential):
         if fn.rate == 0.0:
-            return fn.amplitude * (t_hi - t_lo)
-        return fn.amplitude * (math.exp(fn.rate * t_hi) - math.exp(fn.rate * t_lo)) / fn.rate
-    if isinstance(fn, PiecewiseConstant):
-        edges = np.concatenate([[t_lo], np.clip(np.asarray(fn.breakpoints, float), t_lo, t_hi),
-                                [t_hi]])
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi > lo:
-                total += fn.eval(0.5 * (lo + hi))[0] * (hi - lo)
-        return float(total)
-    raise TypeError(f"unknown coefficient kind {type(fn).__name__}")
+            total = fn.amplitude * (hi - lo)
+        else:
+            total = fn.amplitude * (np.exp(fn.rate * hi) - np.exp(fn.rate * lo)) / fn.rate
+    elif isinstance(fn, PiecewiseConstant):
+        # plateau i covers [edges[i], edges[i + 1]); value times signed overlap
+        edges = np.concatenate([[-np.inf], np.asarray(fn.breakpoints, float), [np.inf]])
+        overlap = (np.clip(hi[..., None], edges[:-1], edges[1:])
+                   - np.clip(lo[..., None], edges[:-1], edges[1:]))
+        total = overlap @ np.asarray(fn.values, dtype=float)
+    else:
+        raise TypeError(f"unknown coefficient kind {type(fn).__name__}")
+    return float(total) if np.ndim(total) == 0 else total
 
 
 _KINDS = {

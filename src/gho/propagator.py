@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -62,6 +62,7 @@ __all__ = [
 # caustic trigger: |D| below this times the basis scale at the two endpoints
 CAUSTIC_RTOL = 1e-12
 _QUAD_OVERSAMPLE = 4.0
+_EQUAL_TIMES = "equal-time kernel is a delta function; probe it via kernel_delta_check"
 
 
 @dataclass(frozen=True)
@@ -96,18 +97,24 @@ class KernelCoefficients:
                                + l_b x_b + l_a x_a)), summed over dimensions
     inside the exponent; the dimension-independent constant phase is already
     folded into `prefactor`.
+
+    For a 1-D array of time pairs every field but n_dims is an array of the
+    pairs, and `caustic` marks the pairs inside the caustic band, whose
+    prefactor and exponent coefficients are nan (their denominator is kept).
+    A scalar pair is never marked: it raises CausticEncountered instead.
     """
 
-    t_a: float
-    t_b: float
+    t_a: object
+    t_b: object
     n_dims: int
-    prefactor: complex
-    q_aa: float
-    q_bb: float
-    q_ab: float
-    l_a: float
-    l_b: float
-    denominator: float
+    prefactor: object
+    q_aa: object
+    q_bb: object
+    q_ab: object
+    l_a: object
+    l_b: object
+    denominator: object
+    caustic: object = False
 
     def _gaussian(self, aa, bb, ab, a, b):
         """prefactor * exp(i phase) from the endpoint products x_a.x_a, x_b.x_b,
@@ -120,7 +127,10 @@ class KernelCoefficients:
         return self.prefactor * np.exp(1j * phase)
 
     def value_1d(self, x_a, x_b):
-        """Kernel values with numpy broadcasting over endpoint positions."""
+        """Kernel values with numpy broadcasting over endpoint positions (and
+        over the pairs of an array of time pairs); dimension 1 only."""
+        if self.n_dims != 1:
+            raise ValidationError(f"positions must have {self.n_dims} component(s)")
         x_a = np.asarray(x_a)
         x_b = np.asarray(x_b)
         return self._gaussian(x_a * x_a, x_b * x_b, x_a * x_b, x_a, x_b)
@@ -136,8 +146,11 @@ class KernelCoefficients:
 
 def _check_time(s: Scenario, t, name):
     slack = 1e-9 * (s.t1 - s.t0)
-    if t < s.t0 - slack or t > s.t1 + slack:
-        raise ValidationError(f"{name}={t} outside working interval [{s.t0}, {s.t1}]")
+    times = np.asarray(t)
+    outside = (times < s.t0 - slack) | (times > s.t1 + slack)
+    if outside.any():
+        bad = t if times.ndim == 0 else times[outside].flat[0]
+        raise ValidationError(f"{name}={bad} outside working interval [{s.t0}, {s.t1}]")
 
 
 def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticReport:
@@ -154,7 +167,7 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
     if t_end > t_a:
         at_a = basis.at(t_a)
         at_end = basis.at(t_end)
-        count = _morse_count(at_a, at_end, _hop_matrix(basis.omega, at_a, at_end)[1])
+        count = int(_morse_count(at_a, at_end, _hop_matrix(basis.omega, at_a, at_end)[1]))
         sign = math.copysign(1.0, basis.omega)
 
         def half_turns(tau):
@@ -179,11 +192,13 @@ def _morse_count(at_a, at_b, big_b):
     """Focal times strictly between t_a < t_b from the snapshots there and
     the hop matrix entry B: floor(|tau_b - tau_a| / pi), with its parity
     pinned by sign(B) = (-1)^count when t_b is within solver error of a
-    focal time."""
-    turns = abs(float(at_b.tau - at_a.tau)) / math.pi
-    count = math.floor(turns)
-    if (big_b < 0) != (count % 2 == 1):
-        count = count + 1 if turns - count > 0.5 else max(count - 1, 0)
+    focal time. Element by element for snapshots at arrays of times."""
+    turns = np.abs(at_b.tau - at_a.tau) / math.pi
+    count = np.floor(turns)
+    wrong = (big_b < 0) != (count % 2 == 1)
+    if wrong.any():
+        moved = np.where(turns - count > 0.5, count + 1, np.maximum(count - 1, 0))
+        count = np.where(wrong, moved, count)
     return count
 
 
@@ -199,19 +214,30 @@ def _hop_matrix(omega, at_a, at_b):
 
 
 def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
+    """Coefficients for t_a < t_b, scalars or arrays of pairs; a scalar pair
+    in the caustic band raises, an array marks it."""
     hbar = s.hbar
     n = s.dimension
-    # one scalar dense evaluation per solution and endpoint
+    # one dense evaluation per solution and endpoint (array)
     at_a, at_b = basis.at(t_a), basis.at(t_b)
     xp_a, xp_b = part.at(t_a), part.at(t_b)
     omega = basis.omega
 
     big_a, big_b, _, big_d = _hop_matrix(omega, at_a, at_b)
     d = omega * big_b
-    scale = max(abs(at_b.u), abs(at_b.v)) * (abs(at_a.u) + abs(at_a.v))
-    if abs(d) <= CAUSTIC_RTOL * scale:
-        raise CausticEncountered(
-            f"focal point: denominator {d:.3e} at t_b={t_b} (t_a={t_a})")
+    scale = np.maximum(np.abs(at_b.u), np.abs(at_b.v)) * (np.abs(at_a.u) + np.abs(at_a.v))
+    caustic = np.abs(d) <= CAUSTIC_RTOL * scale
+    morse = _morse_count(at_a, at_b, big_b)
+    if _log.isEnabledFor(logging.DEBUG):
+        margin = np.abs(d) / (CAUSTIC_RTOL * scale)
+        _log.debug("kernel_coefficients: %d pairs, Morse index <= %d, "
+                   "min |D|/scale %.3e x CAUSTIC_RTOL", np.size(d),
+                   int(np.max(morse, initial=0)), float(np.min(margin, initial=np.inf)))
+    if caustic.any():
+        if np.ndim(caustic) == 0:
+            raise CausticEncountered(
+                f"focal point: denominator {d:.3e} at t_b={t_b} (t_a={t_a})")
+        big_b = np.where(caustic, np.nan, big_b)
 
     a_aa = big_a / (2.0 * hbar * big_b)
     a_bb = big_d / (2.0 * hbar * big_b)
@@ -232,36 +258,61 @@ def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
     f_int = integrate_coefficient(s.f, t_a, t_b)
     const = n * (per_dim_const + (xp_b.xi - xp_a.xi) / hbar) + f_int / hbar
 
-    morse = _morse_count(at_a, at_b, big_b)
-    modulus = abs(1.0 / (2.0 * math.pi * hbar * big_b)) ** (0.5 * n)
+    modulus = np.abs(1.0 / (2.0 * math.pi * hbar * big_b)) ** (0.5 * n)
     branch = -n * (0.25 * math.pi + 0.5 * math.pi * morse)
     prefactor = modulus * np.exp(1j * (branch + const))
 
-    return KernelCoefficients(t_a=t_a, t_b=t_b, n_dims=n, prefactor=complex(prefactor),
-                              q_aa=float(q_aa), q_bb=float(q_bb), q_ab=float(q_ab),
-                              l_a=float(l_a), l_b=float(l_b), denominator=float(d))
+    return KernelCoefficients(t_a=t_a, t_b=t_b, n_dims=n, prefactor=prefactor,
+                              q_aa=q_aa, q_bb=q_bb, q_ab=q_ab, l_a=l_a, l_b=l_b,
+                              denominator=d, caustic=caustic)
+
+
+def _backward(fwd: KernelCoefficients) -> KernelCoefficients:
+    """K(b, a) = conj(K(a, b)): swap the endpoint roles, negate the exponent."""
+    return KernelCoefficients(t_a=fwd.t_b, t_b=fwd.t_a, n_dims=fwd.n_dims,
+                              prefactor=np.conj(fwd.prefactor),
+                              q_aa=-fwd.q_bb, q_bb=-fwd.q_aa, q_ab=-fwd.q_ab,
+                              l_a=-fwd.l_b, l_b=-fwd.l_a,
+                              denominator=-fwd.denominator, caustic=fwd.caustic)
 
 
 def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> KernelCoefficients:
     """Gaussian coefficients of K(t_b, .; t_a, .); conjugated for t_b < t_a.
+
+    t_a and t_b are scalars, or a scalar and a 1-D array or two 1-D arrays
+    of one length (the pairs). Arrays are evaluated in one pass: one dense
+    evaluation of the basis and one of x_p per endpoint array, the Morse
+    count, the backward swap-and-conjugate and the caustic band applied pair
+    by pair, and the fields come back as arrays over the pairs. A scalar pair
+    inside the caustic band (|D| <= CAUSTIC_RTOL times the basis scale)
+    raises CausticEncountered; in an array such pairs are marked in
+    `caustic` and their prefactor and exponent coefficients are nan. Equal
+    times raise ValidationError either way.
+    Logs the number of pairs, the largest Morse index and the smallest
+    |D|/scale in units of CAUSTIC_RTOL at DEBUG level on "gho.propagator".
 
     part=None stands for x_p = 0 (see classical.particular_or_zero).
     """
     part = particular_or_zero(s, part)
     _check_time(s, t_a, "t_a")
     _check_time(s, t_b, "t_b")
-    if t_b == t_a:
-        raise ValidationError(
-            "equal-time kernel is a delta function; probe it via kernel_delta_check")
-    if t_b > t_a:
-        return _forward_coefficients(s, basis, part, t_a, t_b)
-    fwd = _forward_coefficients(s, basis, part, t_b, t_a)
-    # K(b, a) = conj(K(a, b)): swap endpoint roles, negate the exponent
-    return KernelCoefficients(t_a=t_a, t_b=t_b, n_dims=fwd.n_dims,
-                              prefactor=complex(np.conj(fwd.prefactor)),
-                              q_aa=-fwd.q_bb, q_bb=-fwd.q_aa, q_ab=-fwd.q_ab,
-                              l_a=-fwd.l_b, l_b=-fwd.l_a,
-                              denominator=-fwd.denominator)
+    if np.ndim(t_a) == 0 and np.ndim(t_b) == 0:
+        if t_b == t_a:
+            raise ValidationError(_EQUAL_TIMES)
+        if t_b > t_a:
+            return _forward_coefficients(s, basis, part, t_a, t_b)
+        return _backward(_forward_coefficients(s, basis, part, t_b, t_a))
+    t_a, t_b = np.broadcast_arrays(np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float))
+    if t_a.ndim != 1:
+        raise ValidationError("time pairs must be scalars or 1-D arrays")
+    if np.any(t_a == t_b):
+        raise ValidationError(_EQUAL_TIMES)
+    back = t_b < t_a
+    fwd = _forward_coefficients(s, basis, part, np.minimum(t_a, t_b), np.maximum(t_a, t_b))
+    bwd = _backward(fwd)
+    return KernelCoefficients(n_dims=fwd.n_dims, **{
+        f.name: np.where(back, getattr(bwd, f.name), getattr(fwd, f.name))
+        for f in fields(KernelCoefficients) if f.name != "n_dims"})
 
 
 def kernel(s: Scenario, basis: ClassicalBasis, part, q: KernelQuery) -> complex:

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -289,3 +292,19 @@ def test_solve_budget_raises_integration_failure(monkeypatch):
     monkeypatch.setattr(gho.classical, "MAX_RHS_CALLS", 1000)
     with pytest.raises(gho.IntegrationFailure, match="right-hand-side"):
         solve_homogeneous_basis(s)
+
+
+def test_solves_log_nodes_calls_and_wronskian_drift(parametric, caplog):
+    with caplog.at_level(logging.DEBUG, logger="gho.classical"):
+        basis = solve_homogeneous_basis(parametric)
+        part = solve_particular(parametric, (1.0, 0.0))
+    basis_msg, part_msg = [r.getMessage() for r in caplog.records if r.name == "gho.classical"]
+    nodes, calls, drift = re.search(
+        r"^solve_homogeneous_basis: (\d+) nodes, (\d+) rhs calls, Wronskian drift (\S+)$",
+        basis_msg).groups()
+    assert int(nodes) == len(basis.nodes) and int(calls) > int(nodes)
+    expected = np.max(np.abs(basis.wronskian_at(basis.nodes) - basis.omega))
+    assert float(drift) == pytest.approx(expected / abs(basis.omega), rel=1e-3, abs=1e-300)
+    nodes, calls = re.search(r"^solve_particular: (\d+) nodes, (\d+) rhs calls$",
+                             part_msg).groups()
+    assert int(nodes) == len(part._nodes) and int(calls) > int(nodes)

@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gho import cli, propagator
 from gho.cli import main
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SHO_TEXT = json.dumps({"interval": [0.0, 12.0]})
 FREE_TEXT = json.dumps({"frequency": {"kind": "constant", "value": 0.0},
                         "interval": [0.0, 5.0]})
@@ -267,3 +271,47 @@ def test_commands_take_a_negative_omega_basis(sho_file, tmp_path, command):
     if command == "coherent":  # var_x follows hbar rho^2 / (2 |Omega|)
         rows = np.loadtxt(out / "coherent_moments.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(rows[:, 3] / rows[:, 4] - 1.0)) < 1e-6
+
+
+def test_verify_evolves_the_ground_mode_once(caplog, capsys):
+    # invariant_drift_tdse and evolver_vs_kernel share one 2000-step evolution
+    sho = str(SCENARIOS / "sho.json")
+    assert main(["verify", "--scenario", sho]) == 0
+    quiet = capsys.readouterr().out
+    with caplog.at_level(logging.DEBUG, logger="gho"):
+        assert main(["verify", "--scenario", sho]) == 0
+    assert capsys.readouterr().out == quiet  # diagnostics never reach stdout
+    steps = [int(re.match(r"evolve_tdse: (\d+) steps", r.getMessage())[1])
+             for r in caplog.records if r.name == "gho.oracle"]
+    assert sum(steps) == 2000
+
+
+@pytest.mark.parametrize("scenario", ["sho", "free_particle"])
+def test_kernel_checks_take_array_coefficient_calls(scenario, monkeypatch):
+    calls = []
+    coefficients = propagator.kernel_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[3:5])
+        return coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "kernel_coefficients", counted)
+    args = cli.build_parser().parse_args(
+        ["verify", "--scenario", str(SCENARIOS / f"{scenario}.json")])
+    for name, tol, check in cli._verify_checks(cli._Context(args)):
+        if name in ("kernel_conjugation", "kernel_closed_form"):
+            calls.clear()
+            assert check() <= tol
+            assert 1 <= len(calls) <= 2
+            assert all(np.size(t_a) >= 90 for t_a, _ in calls)
+
+
+@pytest.mark.parametrize("ics", ["0.14,0,0,1.5", "-0.5414,0.4926,0.9182,-0.5404"])
+def test_verify_strongly_squeezed_bases_pass(ics, capsys):
+    # modes about 3.3 times narrower in momentum than the base grid expects:
+    # verify refines its grids and the evolver's step by the momentum spread
+    code = main(["verify", "--scenario", str(SCENARIOS / "sho.json"),
+                 "--basis", f"custom:{ics}"])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
+    assert code == 0
+    assert len(lines) == 18 and all(ln.endswith(" PASS") for ln in lines)

@@ -77,6 +77,27 @@ def test_derivative_matches_central_differences(fn):
 def test_integrate_coefficient(fn, lo, hi, expected):
     assert integrate_coefficient(fn, lo, hi) == pytest.approx(expected, rel=1e-12)
     assert integrate_coefficient(fn, hi, lo) == pytest.approx(-expected, rel=1e-12)
+    # arrays of limits, element by element, the same values as scalar calls
+    both = integrate_coefficient(fn, np.array([lo, hi, lo]), np.array([hi, lo, lo]))
+    assert both.shape == (3,)
+    assert both == pytest.approx([integrate_coefficient(fn, lo, hi),
+                                  integrate_coefficient(fn, hi, lo), 0.0], rel=1e-15)
+
+
+@pytest.mark.parametrize("fn", [
+    Constant(2),
+    Polynomial((1.5,)),
+    Polynomial((1.0, -2.0, 0.5)),
+    Sinusoidal(amplitude=0.7, omega=3.0, phase=0.4, offset=1.2),
+    PiecewiseConstant((1.0,), (1.0, 3.0)),
+    Exponential(1.5, 0.3),
+])
+def test_eval_shapes_and_dtypes(fn):
+    for t in (0.7, np.float64(0.7), np.array(0.7), np.linspace(0.0, 2.0, 5),
+              np.zeros((2, 3))):
+        value, deriv = fn.eval(t)
+        assert np.shape(value) == np.shape(deriv) == np.shape(t)
+        assert np.asarray(value).dtype == np.asarray(deriv).dtype == np.float64
 
 
 def test_load_sho_scenario_roundtrip():

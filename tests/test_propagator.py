@@ -9,9 +9,9 @@ import gho
 from gho import (CausticEncountered, KernelQuery, ValidationError, caustic_times,
                  green_function, inner_product, kernel, kernel_delta_check,
                  l2_distance, mean_x, packet_norm, propagate, sho_eigenstate, var_x)
-from gho.propagator import _hop_matrix
+from gho.propagator import CAUSTIC_RTOL, _hop_matrix, kernel_coefficients
 
-from conftest import free_kernel, mehler_kernel
+from conftest import COUPLED, free_kernel, mehler_kernel
 
 
 def test_free_kernel_closed_form(free, free_basis):
@@ -339,10 +339,6 @@ def test_caustic_times_match_denominator_sign_changes(spec, ics):
         assert report.morse_index(t_mid) == 1
 
 
-# hbar != 1, M != 1 and every gauge coupling, driven; a and the force are cosines
-COUPLED = {"hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0],
-           "a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0, "phase": 0.5},
-           "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 1.3}}
 HOP_SCENARIOS = {
     "sho": {"interval": [0.0, 12.0]},
     "parametric": {"frequency": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 2.0,
@@ -403,7 +399,7 @@ def _propagate_records(caplog):
     pattern = r"(\S+) form, A (\S+), B (\S+)(?:, (\d+) quadrature points)?$"
     out = []
     for record in caplog.records:
-        if record.name == "gho.propagator":
+        if record.name == "gho.propagator" and record.getMessage().startswith("propagate"):
             form, big_a, big_b, points = re.search(pattern, record.getMessage()).groups()
             out.append((form, float(big_a), float(big_b), points and int(points)))
     return out
@@ -428,3 +424,77 @@ def test_propagate_quarter_period_takes_chirp_z(sho, sho_basis, grid, caplog):
     ((form, big_a, _, _),) = _propagate_records(caplog)
     assert form == "chirp-z" and abs(big_a) < 1e-9
     assert error < 1e-8
+
+
+# (scenario, basis initial data, x_p initial data); hbar != 1 and Omega = -1
+# in the second, every coupling with a drive in the third
+ARRAY_CASES = {
+    "sho": ({"interval": [0.0, 12.0]}, None, (0.0, 0.0)),
+    "negative_omega": ({"hbar": 0.6, "interval": [0.0, 12.0]}, ((0.0, 1.0), (1.0, 0.0)),
+                       (0.5, 0.0)),
+    "coupled": (COUPLED, ((0.8, 0.3), (0.4, 1.1)), (0.4, -0.2)),
+}
+_FIELDS = ("t_a", "t_b", "prefactor", "q_aa", "q_bb", "q_ab", "l_a", "l_b", "denominator")
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+def test_array_coefficients_match_scalar_calls(name):
+    spec, ics, xp = ARRAY_CASES[name]
+    s = gho.scenario_from_dict(spec)
+    basis = gho.solve_homogeneous_basis(s, ics)
+    part = gho.solve_particular(s, xp)
+    t_a, t_b = np.random.default_rng(21).uniform(s.t0, s.t1, (2, 120))
+    focal = caustic_times(basis, 1.0).times
+    # the last two pairs sit on focal times, one forward and one backward
+    t_a = np.append(t_a, [1.0, focal[1]])
+    t_b = np.append(t_b, [focal[0], 1.0])
+    turns = np.abs(basis.at(t_b).tau - basis.at(t_a).tau) // np.pi
+    assert np.any((turns >= 2) & (t_b > t_a)) and np.any((turns >= 2) & (t_b < t_a))
+    co = kernel_coefficients(s, basis, part, t_a, t_b)
+    assert list(np.flatnonzero(co.caustic)) == [120, 121]
+    for i in range(len(t_a)):
+        if co.caustic[i]:
+            assert all(np.isnan(getattr(co, field)[i]) for field in _FIELDS[2:-1])
+            assert abs(co.denominator[i]) <= 1e-12
+            with pytest.raises(CausticEncountered):
+                kernel_coefficients(s, basis, part, float(t_a[i]), float(t_b[i]))
+            continue
+        one = kernel_coefficients(s, basis, part, float(t_a[i]), float(t_b[i]))
+        for field in _FIELDS:
+            assert getattr(co, field)[i] == pytest.approx(getattr(one, field), rel=1e-14,
+                                                          abs=0.0), (i, field)
+
+
+def test_array_coefficients_broadcast_and_validate(sho, sho_basis):
+    co = kernel_coefficients(sho, sho_basis, None, 0.5, np.array([1.0, 2.0, 3.0, 0.1]))
+    assert co.q_ab.shape == co.caustic.shape == (4,)
+    assert co.q_ab[3] == kernel_coefficients(sho, sho_basis, None, 0.5, 0.1).q_ab
+    with pytest.raises(ValidationError):
+        kernel_coefficients(sho, sho_basis, None, 0.5, np.array([[1.0, 2.0]]))
+    with pytest.raises(ValidationError):  # equal times are a delta, not a caustic
+        kernel_coefficients(sho, sho_basis, None, np.array([0.5, 1.0]), np.array([0.7, 1.0]))
+    with pytest.raises(ValidationError):
+        kernel_coefficients(sho, sho_basis, None, np.array([0.5, 13.0]), 1.0)
+
+
+def _coefficient_records(caplog):
+    """(pairs, largest Morse index, min |D|/scale over CAUSTIC_RTOL) per call."""
+    pattern = r"(\d+) pairs, Morse index <= (\d+), min \|D\|/scale (\S+) x CAUSTIC_RTOL"
+    return [tuple(f(g) for f, g in zip((int, int, float), re.search(pattern, r.getMessage()).groups()))
+            for r in caplog.records
+            if r.name == "gho.propagator" and r.getMessage().startswith("kernel_coefficients")]
+
+
+def test_kernel_coefficients_logs_pairs_morse_and_caustic_margin(sho, sho_basis, caplog):
+    focal = caustic_times(sho_basis, 0.5).times[0]
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        kernel(sho, sho_basis, None, KernelQuery(0.3, 0.3 + np.pi + 1.0, 0.1, 0.2))
+        kernel_coefficients(sho, sho_basis, None, np.array([0.5, 0.5, 2.0]),
+                            np.array([focal, 9.0, 1.0]))
+    (one, three) = _coefficient_records(caplog)
+    # u = cos, v = sin: |D| = |sin(t_b - t_a)|, scale max|u_b, v_b| (|u_a| + |v_a|)
+    t_b = 0.3 + np.pi + 1.0
+    scale = max(abs(np.cos(t_b)), abs(np.sin(t_b))) * (np.cos(0.3) + np.sin(0.3))
+    assert one[:2] == (1, 1)
+    assert one[2] == pytest.approx(np.sin(1.0) / scale / CAUSTIC_RTOL, rel=1e-3)
+    assert three[:2] == (3, 2) and three[2] <= 1.0
