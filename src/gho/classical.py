@@ -177,7 +177,7 @@ class ClassicalBasis:
         u_dot = pu / m
         v_dot = pv / m
         r = np.hypot(u, v)
-        if (r == 0.0).any():
+        if np.any(r == 0.0):
             raise ZeroRho(f"u and v vanish together at t={t}")
         return BasisSnapshot(u=u, u_dot=u_dot, v=v, v_dot=v_dot, rho=r,
                              rho_dot=(u * u_dot + v * v_dot) / r, tau=tau,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -57,20 +57,14 @@ class Polynomial:
     """c0 + c1 t + c2 t^2 + ...  (ascending coefficients)."""
 
     coefficients: tuple
-    _value: np.ndarray = field(init=False, repr=False, compare=False)
-    _deriv: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        with np.errstate(over="ignore"):  # Scenario rejects what overflows
-            deriv = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
-        object.__setattr__(self, "_value", c)
-        object.__setattr__(self, "_deriv", deriv)
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        return (np.polynomial.polynomial.polyval(t, self._value),
-                np.polynomial.polynomial.polyval(t, self._deriv))
+        c = np.asarray(self.coefficients, dtype=float)
+        value = np.polynomial.polynomial.polyval(t, c)
+        deriv = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(c)) \
+            if len(c) > 1 else np.zeros(t.shape)
+        return value, deriv
 
     def to_dict(self):
         return {"kind": "polynomial", "coefficients": list(self.coefficients)}
@@ -168,7 +162,7 @@ def integrate_coefficient(fn: CoefficientFn, t_lo, t_hi):
     if isinstance(fn, Constant):
         total = fn.value * (hi - lo)
     elif isinstance(fn, Polynomial):
-        anti = np.polynomial.polynomial.polyint(fn._value)
+        anti = np.polynomial.polynomial.polyint(np.asarray(fn.coefficients, dtype=float))
         total = (np.polynomial.polynomial.polyval(hi, anti)
                  - np.polynomial.polynomial.polyval(lo, anti))
     elif isinstance(fn, Sinusoidal):

@@ -11,6 +11,7 @@ import pytest
 
 from gho import cli, propagator
 from gho.cli import main
+from gho.errors import GridTooNarrow
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SHO_TEXT = json.dumps({"interval": [0.0, 12.0]})
@@ -315,3 +316,14 @@ def test_verify_strongly_squeezed_bases_pass(ics, capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
     assert code == 0
     assert len(lines) == 18 and all(ln.endswith(" PASS") for ln in lines)
+
+
+def test_verify_skips_evolver_checks_beyond_the_resolved_spread():
+    # momentum spread 4.5: the Crank-Nicolson checks would run for tens of
+    # seconds and still miss their tolerance, so they skip before evolving
+    args = cli.build_parser().parse_args(
+        ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--basis", "custom:0.1,0,0,2"])
+    checks = {name: check for name, _, check in cli._verify_checks(cli._Context(args))}
+    for name in ("invariant_drift_tdse", "evolver_vs_kernel"):
+        with pytest.raises(GridTooNarrow, match="momentum spread rounds to 4"):
+            checks[name]()
