@@ -12,14 +12,21 @@ xi' = (M w^2 x_p^2 - M x_p'^2) / 2, and the rescaled time tau with
 tau' = Omega / (M rho^2).
 
 The equations are integrated in (x, M x') form so the analytic derivative of
-M is never needed, and xi / tau ride along as extra components so they inherit
+M is never needed. The homogeneous equation is solved once per scenario object
+and tolerance pair, for the fundamental pair (c, s) with (c, M c') = (1, 0) and
+(s, M s') = (0, 1) at t0: every basis is the linear image of (c, s) fixed by
+its initial data, so further bases of the same scenario cost no integration.
+tau is not integrated: theta, the angle of u - i v, is read off the solutions
+themselves (atan2) and lifted continuously through a table sampled finely
+enough that it turns by less than pi/2 per entry, and tau = theta(t0) - theta.
+xi rides along as an extra component of the particular solve so it inherits
 the solver's accuracy. Integration constants are fixed as xi(t0) = 0 and
 tau(t0) = 0; both only shift global phases.
 
 Every consumer reads a solution through its `at(t)` method, which returns all
 of the solution's per-time data from one dense-output evaluation, for a scalar
 or an array t: `ClassicalBasis.at` gives u, u', v, v', rho, rho', tau, the
-unwrapped angle theta = theta(t0) - tau of u - i v, and M;
+continuously lifted angle theta = theta(t0) - tau of u - i v, and M;
 `ParticularSolution.at` gives x_p, M x_p' and xi. `particular_or_zero` is the
 one place that turns `part=None` into the zero particular solution, which
 solves the driven equation only when the force is the default constant 0.
@@ -27,6 +34,7 @@ solves the driven equation only when the force is the default constant 0.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -62,8 +70,9 @@ __all__ = [
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 # Right-hand-side evaluations allowed per solve. The bundled scenarios use
-# 0.4k-2k and w = 30 over 12 time units about 111k; a coefficient that makes
-# the solver crawl fails with IntegrationFailure instead of running on.
+# 0.1k-2.3k (the fundamental pair 92-1703, x_p 107-2309) and the pair for
+# w = 30 over 12 time units about 30k; a coefficient that makes the solver
+# crawl fails with IntegrationFailure instead of running on.
 MAX_RHS_CALLS = 500_000
 
 
@@ -140,53 +149,115 @@ class ParticularSnapshot:
     xi: object
 
 
+def _wrap(angle):
+    """angle reduced into (-pi, pi]."""
+    return math.pi - np.mod(math.pi - angle, 2.0 * math.pi)
+
+
 @dataclass(frozen=True)
 class ClassicalBasis:
     """Two independent homogeneous solutions with dense output over [t0, t1].
 
-    State components of the underlying solve: (u, M u', v, M v', tau).
-    Immutable; evaluation at a time point is pure and thread-safe.
+    The basis is the linear image of the scenario's fundamental pair (c, s):
+    (u, M u') = u0 (c, M c') + M u0' (s, M s'), and likewise for v, with
+    _state0 = (u0, M u0', v0, M v0') and _fundamental the dense output of
+    (c, M c', s, M s'). Immutable; evaluation at a time point is pure and
+    thread-safe.
     """
 
     scenario: Scenario
     omega: float
     rtol: float
     atol: float
-    _dense: object = field(repr=False)
+    _fundamental: object = field(repr=False)
+    _state0: tuple = field(repr=False)
     _nodes: object = field(repr=False)
+    _lift: tuple = field(init=False, repr=False)
     _theta0: float = field(init=False, repr=False)
+    _drift: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        y0 = self._dense(self.scenario.t0)
-        object.__setattr__(self, "_theta0", math.atan2(-y0[2], y0[0]))
+        # one dense evaluation at the nodes and their midpoints gives both the
+        # Wronskian drift at the nodes and the lift table's first samples
+        nodes = np.asarray(self._nodes, dtype=float)
+        times = np.empty(2 * nodes.size - 1)
+        times[::2] = nodes
+        times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        u, pu, v, pv = self._state(times)
+        wronskian = (u * pv - v * pu)[::2]
+        object.__setattr__(self, "_drift",
+                           float(np.max(np.abs(wronskian - self.omega))) / abs(self.omega))
+        edges, lifted = self._lift_table(times, np.arctan2(-v, u))
+        # the table as arrays, and as lists for the scalar path of _theta
+        object.__setattr__(self, "_lift", (edges, lifted, edges.tolist(), lifted.tolist()))
+        object.__setattr__(self, "_theta0", float(lifted[0]))
 
     @property
     def nodes(self):
         return self._nodes
 
+    def _state(self, t):
+        """(u, M u', v, M v') at time(s) t from one dense evaluation."""
+        c, pc, sn, ps = self._fundamental(t)
+        u0, pu0, v0, pv0 = self._state0
+        return u0 * c + pu0 * sn, u0 * pc + pu0 * ps, v0 * c + pv0 * sn, v0 * pc + pv0 * ps
+
+    def _lift_table(self, times, angle):
+        """The continuous angle of u - i v, from its principal values at
+        increasing times, bisected until it turns by less than pi/2 between
+        neighbours, and the times that separate the entries (all but the
+        first). theta is monotone (theta' = -Omega / (M rho^2)), so between
+        two entries it stays within that turn of the left one."""
+        while True:
+            coarse = np.abs(_wrap(np.diff(angle))) >= 0.5 * math.pi
+            mid = 0.5 * (times[:-1] + times[1:])[coarse]
+            mid = mid[(mid > times[:-1][coarse]) & (mid < times[1:][coarse])]
+            if mid.size == 0:
+                break
+            u, _, v, _ = self._state(mid)
+            times = np.concatenate([times, mid])
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            angle = np.concatenate([angle, np.arctan2(-v, u)])[order]
+        return times[1:], np.unwrap(angle)
+
     def at(self, t) -> BasisSnapshot:
         """Everything the basis knows at time(s) t, from one dense evaluation.
 
-        theta is the continuously unwrapped angle of u - i v: since
-        d/dt arg(u - iv) = -Omega / (M rho^2) = -tau', it is the t0 principal
-        value minus tau(t), with no pointwise atan2 jumps. Raises ZeroRho
-        where u and v vanish together.
+        theta is the continuously lifted angle of u - i v: atan2(-v, u) taken
+        onto the branch of the lift table entry that opens t's interval, by
+        the wrap into (-pi, pi] of their difference. Since
+        d/dt arg(u - iv) = -Omega / (M rho^2), tau = theta(t0) - theta
+        increases for Omega > 0. Raises ZeroRho where u and v vanish together.
         """
-        u, pu, v, pv, tau = self._dense(t)
+        u, pu, v, pv = self._state(t)
         m, _ = self.scenario.mass.eval(t)
         u_dot = pu / m
         v_dot = pv / m
         r = np.hypot(u, v)
-        if np.any(r == 0.0):
+        if not r.all():
             raise ZeroRho(f"u and v vanish together at t={t}")
+        theta = self._theta(t, u, v)
         return BasisSnapshot(u=u, u_dot=u_dot, v=v, v_dot=v_dot, rho=r,
-                             rho_dot=(u * u_dot + v * v_dot) / r, tau=tau,
-                             theta=self._theta0 - tau, mass=m[()])  # 0-d -> scalar
+                             rho_dot=(u * u_dot + v * v_dot) / r, tau=self._theta0 - theta,
+                             theta=theta, mass=m[()])  # 0-d -> scalar
+
+    def _theta(self, t, u, v):
+        """theta at time(s) t from u, v there: the lift table entry that opens
+        t's interval plus the wrap into (-pi, pi] of atan2(-v, u) less it.
+        A scalar t takes the same steps in math and bisect on lists, which
+        saves a few microseconds of numpy call overhead on every scalar `at`."""
+        edges, lifted, edge_list, lifted_list = self._lift
+        if isinstance(u, np.ndarray):
+            ref = lifted[np.searchsorted(edges, t, side="right")]
+            return ref + _wrap(np.arctan2(-v, u) - ref)
+        ref = lifted_list[bisect.bisect_right(edge_list, t)]
+        return ref + (math.pi - (math.pi - (math.atan2(-v, u) - ref)) % (2.0 * math.pi))
 
     def wronskian_at(self, t):
         """M (u v' - v u') at time(s) t; constant in t up to solver error."""
-        y = self._dense(t)
-        return y[0] * y[3] - y[2] * y[1]
+        u, pu, v, pv = self._state(t)
+        return u * pv - v * pu
 
 
 @dataclass(frozen=True)
@@ -241,15 +312,38 @@ def default_basis_ics(s: Scenario):
     return (1.0, 0.0), (0.0, 1.0 / m0)
 
 
+def _fundamental_solve(s: Scenario, rtol, atol):
+    """Dense output, nodes and right-hand-side calls of the fundamental pair
+    (c, M c', s, M s') with (1, 0, 0, 1) at t0.
+
+    Solved once per scenario object and (rtol, atol), and kept on that object
+    (outside its dataclass fields, so equality and hashing ignore it): an
+    equal scenario loaded again solves afresh.
+    """
+    solves = vars(s).setdefault("_fundamental_solves", {})
+    if (rtol, atol) not in solves:
+        def rhs(t, y):
+            m, _ = s.mass.eval(t)
+            w, _ = s.frequency.eval(t)
+            c, pc, sn, ps = y
+            return [pc / m, -m * w * w * c, ps / m, -m * w * w * sn]
+
+        solves[rtol, atol] = _solve(s, rhs, [1.0, 0.0, 0.0, 1.0], rtol, atol)
+    return solves[rtol, atol]
+
+
 def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
                             atol=DEFAULT_ATOL) -> ClassicalBasis:
-    """Integrate two homogeneous solutions (plus tau) over the working interval.
+    """Two homogeneous solutions over the working interval, as the linear
+    image of the scenario's fundamental pair (solved on the first call for
+    this scenario object and tolerance pair).
 
     ics is ((u0, u0_dot), (v0, v0_dot)); defaults to the Omega = 1 convention.
     Raises DegenerateBasis when the initial Wronskian vanishes and
     IntegrationFailure when the solver cannot meet the tolerance. Logs the
-    ODE nodes, the right-hand-side calls and the largest relative Wronskian
-    drift at the nodes at DEBUG level on "gho.classical".
+    fundamental solve's ODE nodes and right-hand-side calls, also when the
+    solve is reused, and this basis's largest relative Wronskian drift at the
+    nodes at DEBUG level on "gho.classical".
     """
     if ics is None:
         ics = default_basis_ics(s)
@@ -262,17 +356,10 @@ def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
     if abs(omega) <= 1e-14 * max(scale, 1e-300):
         raise DegenerateBasis("initial conditions are linearly dependent (Wronskian = 0)")
 
-    def rhs(t, y):
-        m, _ = s.mass.eval(t)
-        w, _ = s.frequency.eval(t)
-        u, pu, v, pv, _tau = y
-        return [pu / m, -m * w * w * u, pv / m, -m * w * w * v,
-                omega / (m * (u * u + v * v))]
-
-    dense, nodes, calls = _solve(s, rhs, [u0, pu0, v0, pv0, 0.0], rtol, atol)
+    dense, nodes, calls = _fundamental_solve(s, rtol, atol)
     basis = ClassicalBasis(scenario=s, omega=omega, rtol=rtol, atol=atol,
-                           _dense=dense, _nodes=nodes)
-    drift = float(np.max(np.abs(basis.wronskian_at(nodes) - omega))) / abs(omega)
+                           _fundamental=dense, _state0=(u0, pu0, v0, pv0), _nodes=nodes)
+    drift = basis._drift
     _log.debug("solve_homogeneous_basis: %d nodes, %d rhs calls, Wronskian drift %.3e",
                len(nodes), calls, drift)
     if drift > max(10.0 * rtol, 1e-12):

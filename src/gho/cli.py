@@ -143,20 +143,18 @@ def _interior_times(s: Scenario, fractions):
 
 
 def _find_composition_triple(ctx):
-    """A caustic-free (t_a, t_b, t_c) inside the interval, if one exists."""
+    """The first caustic-free (t_a, t_b, t_c) of four candidates inside the
+    interval, if one exists; one array call tests every candidate's pairs."""
     s = ctx.scenario
-    span = s.t1 - s.t0
-    for fa, fb, fc in ((0.05, 0.25, 0.45), (0.1, 0.2, 0.3), (0.02, 0.1, 0.18),
-                       (0.05, 0.5, 0.9)):
-        t_a, t_b, t_c = (s.t0 + f * span for f in (fa, fb, fc))
-        try:
-            propagator.kernel_coefficients(s, ctx.basis, ctx.part, t_a, t_b)
-            propagator.kernel_coefficients(s, ctx.basis, ctx.part, t_b, t_c)
-            propagator.kernel_coefficients(s, ctx.basis, ctx.part, t_a, t_c)
-            return t_a, t_b, t_c
-        except CausticEncountered:
-            continue
-    return None
+    triples = s.t0 + (s.t1 - s.t0) * np.array([(0.05, 0.25, 0.45), (0.1, 0.2, 0.3),
+                                               (0.02, 0.1, 0.18), (0.05, 0.5, 0.9)])
+    t_a, t_b, t_c = triples.T
+    co = propagator.kernel_coefficients(s, ctx.basis, ctx.part, np.concatenate([t_a, t_b, t_a]),
+                                        np.concatenate([t_b, t_c, t_c]))
+    clear = ~co.caustic.reshape(3, -1).any(axis=0)
+    if not clear.any():
+        return None
+    return tuple(float(t) for t in triples[np.argmax(clear)])
 
 
 def _is_constant(s: Scenario, **wanted) -> bool:

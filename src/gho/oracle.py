@@ -8,11 +8,12 @@ mixed term is discretized antisymmetrically so the matrix stays exactly
 Hermitian and the Cayley step preserves the discrete norm to solver roundoff.
 With A = 1 + i dt H(t_mid) / (2 hbar) the step A psi' = (2 - A) psi is taken
 as psi' = 2 A^-1 psi - psi: one tridiagonal solve and no matrix-vector
-product. A is factored (LAPACK zgttrf) only when the midpoint coefficients
-differ from the previous step's, so a constant scenario, or each plateau of a
-piecewise one, is factored once. The evolver sees coefficients only at step
-midpoints, so it cannot apply the delta a jump puts into da/dt, db/dt or
-(dM/dt / M) a; `Scenario` rejects such jumps at load time.
+product, computed in place on two buffers that swap roles each step. A is
+factored (LAPACK zgttrf) only when the midpoint coefficients differ from the
+previous step's, so a constant scenario, or each plateau of a piecewise one,
+is factored once. The evolver sees coefficients only at step midpoints, so it
+cannot apply the delta a jump puts into da/dt, db/dt or (dM/dt / M) a;
+`Scenario` rejects such jumps at load time.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ def _hamiltonian_scalars(s: Scenario, t):
 
 
 def solve_banded(factors, rhs):
-    """A^-1 rhs from the zgttrf factors (dl, d, du, du2, ipiv) of a tridiagonal A."""
-    out, info = zgttrs(*factors, rhs)
+    """A^-1 rhs from the zgttrf factors (dl, d, du, du2, ipiv) of a tridiagonal A,
+    written over rhs when it is a contiguous complex array (use the result)."""
+    out, info = zgttrs(*factors, rhs, overwrite_b=1)
     if info != 0:
         raise LinearSolveFailure(f"tridiagonal solve failed (zgttrs info {info})")
     return out
@@ -120,12 +122,17 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     fresh[1:] = np.any(table[1:] != table[:-1], axis=1)
     i_half = 0.5j * dt / s.hbar
     x = grid.points
-    psi = np.asarray(packet.samples, dtype=np.complex128)
+    psi = np.array(packet.samples, dtype=np.complex128)
+    work = np.empty_like(psi)
     norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     for k in range(n_steps):
         if fresh[k]:
             factors = _factor_step(table[k], i_half, s.hbar, x, grid.dx)
-        psi = 2.0 * solve_banded(factors, psi) - psi
+        np.copyto(work, psi)
+        y = solve_banded(factors, work)
+        np.multiply(y, 2.0, out=y)
+        np.subtract(y, psi, out=y)
+        psi, work = y, psi
         if not np.all(np.isfinite(psi.view(np.float64))):
             raise LinearSolveFailure(f"non-finite state after step {k + 1}")
     drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2))) / norm0 - 1.0)
@@ -257,7 +264,8 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
 
     Composes n_slices exact short-time kernels by iterated quadrature on the
     given grid (the grid fixes the quadrature resolution, so refinement
-    studies are meaningful); each slice's trapezoid sum is one chirp-z.
+    studies are meaningful); each slice's trapezoid sum is one chirp-z, and
+    one array call gives every slice's kernel coefficients.
     Intermediate fields are smoothly windowed to tame the non-decaying chirp
     tails; the window must stay flat around the classical path, otherwise
     GridTooNarrow is raised.
@@ -287,11 +295,11 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
                 f"classical path at {x_cl:.3g} leaves the window's flat region")
     window = _smooth_window(x, center, r_flat, r_zero)
 
-    co = kernel_coefficients(s, basis, part, times[0], times[1])
-    field = co.value_1d(x_a, x)
+    slices = kernel_coefficients(s, basis, part, times[:-1], times[1:])
+    if slices.caustic.any():
+        raise CausticEncountered("a time slice ends on a focal time")
+    field = slices.pair(0).value_1d(x_a, x)
     for k in range(1, n_slices - 1):
-        co = kernel_coefficients(s, basis, part, times[k], times[k + 1])
-        field = _lct_apply(co, x, field * window, dx, x)
-    co = kernel_coefficients(s, basis, part, times[-2], times[-1])
-    vals = co.value_1d(x, x_b) * field * window
+        field = _lct_apply(slices.pair(k), x, field * window, dx, x)
+    vals = slices.pair(-1).value_1d(x, x_b) * field * window
     return complex(np.sum(vals) * dx)

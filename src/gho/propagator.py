@@ -126,6 +126,11 @@ class KernelCoefficients:
                  + (self.l_a * a + self.l_b * b))
         return self.prefactor * np.exp(1j * phase)
 
+    def pair(self, k) -> KernelCoefficients:
+        """The scalar coefficients of pair k of an array of time pairs."""
+        return KernelCoefficients(n_dims=self.n_dims, **{
+            f.name: getattr(self, f.name)[k] for f in fields(self) if f.name != "n_dims"})
+
     def value_1d(self, x_a, x_b):
         """Kernel values with numpy broadcasting over endpoint positions (and
         over the pairs of an array of time pairs); dimension 1 only."""
@@ -157,8 +162,9 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
     """All focal times in (t_a, t_end] (default: end of the working interval).
 
     D(t; t_a) = rho(t_a) rho(t) sin(tau(t) - tau(t_a)), so the k-th focal time
-    is the root of the monotone sgn(Omega) (tau(t) - tau(t_a)) - k pi, polished
-    by one Newton step on D; their number is the Morse index at t_end.
+    is the root of the monotone sgn(Omega) (tau(t) - tau(t_a)) - k pi, found to
+    rounding since tau is exact to rounding; their number is the Morse index
+    at t_end.
     """
     s = basis.scenario
     _check_time(s, t_a, "t_a")
@@ -179,11 +185,7 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
             if end_turns <= k:
                 lo = t_end  # a focal time within solver error of t_end
             else:
-                lo = brentq(lambda t: half_turns(basis.at(t).tau) - k, lo, t_end)
-                # one Newton step on D removes the error tau accumulates
-                at = basis.at(lo)
-                lo = min(lo - (at.v * at_a.u - at.u * at_a.v)
-                         / (at.v_dot * at_a.u - at.u_dot * at_a.v), t_end)
+                lo = brentq(lambda t: half_turns(basis.at(t).tau) - k, lo, t_end, xtol=1e-15)
             times.append(float(lo))
     return CausticReport(t_a=t_a, t_end=t_end, times=tuple(times))
 

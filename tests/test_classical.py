@@ -168,6 +168,50 @@ def test_tau_free_is_arctan(free, free_basis):
         assert free_basis.at(t).tau == pytest.approx(np.arctan(t), abs=1e-9)
 
 
+# the benchmark's fast oscillator, and a squeezed basis on sho whose rho dips
+# to 0.1 (Omega = 0.2), where the angle of u - i v turns fastest
+TAU_EXACT_CASES = [({"hbar": 0.5, "interval": [0.0, 12.0], "frequency": 5.0}, None),
+                   ({"interval": [0.0, 12.0]}, ((0.1, 0.0), (0.0, 2.0)))]
+
+
+@pytest.mark.parametrize("spec, ics", TAU_EXACT_CASES)
+def test_theta_is_the_unwrapped_angle_of_u_minus_iv(spec, ics):
+    s = scenario_from_dict(spec)
+    basis = solve_homogeneous_basis(s, ics)
+    ts = np.linspace(s.t0, s.t1, 20001)
+    at = basis.at(ts)
+    assert np.max(np.abs(at.theta - np.unwrap(np.arctan2(-at.v, at.u)))) <= 1e-12
+    assert np.array_equal(at.tau, at.theta[0] - at.theta)
+    a, b = np.random.default_rng(9).integers(0, len(ts), (2, 4000))
+    rr = at.rho[a] * at.rho[b]
+    d = at.v[b] * at.u[a] - at.u[b] * at.v[a]
+    assert np.max(np.abs(d - rr * np.sin(at.tau[b] - at.tau[a])) / rr) <= 1e-13
+
+
+def test_fundamental_solve_is_shared_per_scenario_object(monkeypatch):
+    solves = []
+    solve = gho.classical._solve
+
+    def counted(*args):
+        solves.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(gho.classical, "_solve", counted)
+    spec = {"frequency": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 2.0},
+            "interval": [0.0, 6.0]}
+    s = scenario_from_dict(spec)
+    bases = [solve_homogeneous_basis(s, ics)
+             for ics in (None, ((0.0, 1.0), (1.0, 0.0)), ((0.8, 0.3), (0.4, 1.1)))]
+    assert solves == [s]
+    # each basis is the image of the same pair: its own initial data at t0
+    assert bases[2].at(0.0).u == 0.8 and bases[2].at(0.0).v_dot == 1.1
+    again = scenario_from_dict(spec)  # equal, but another object: solved afresh
+    assert again == s
+    solve_homogeneous_basis(again)
+    solve_homogeneous_basis(s, rtol=1e-10)
+    assert len(solves) == 3 and solves[1] is again and solves[2] is s
+
+
 def test_tau_strictly_increasing(parametric, parametric_basis):
     ts = np.linspace(0.0, 12.0, 400)
     assert np.all(np.diff(parametric_basis.at(ts).tau) > 0)
@@ -254,10 +298,11 @@ def test_piecewise_frequency_restarts_cleanly():
 def test_zero_rho_detected(sho, sho_basis):
     class CorruptDense:
         def __call__(self, t):
-            return np.zeros(5)
+            return np.zeros((4,) + np.shape(t))
 
     broken = gho.ClassicalBasis(scenario=sho, omega=1.0, rtol=1e-12, atol=1e-14,
-                                _dense=CorruptDense(), _nodes=np.array([0.0]))
+                                _fundamental=CorruptDense(), _state0=(1.0, 0.0, 0.0, 1.0),
+                                _nodes=np.array([0.0, 12.0]))
     with pytest.raises(gho.ZeroRho):
         broken.at(1.0)
 
@@ -287,7 +332,7 @@ def test_classical_invariant_takes_canonical_momentum():
 
 
 def test_solve_budget_raises_integration_failure(monkeypatch):
-    # w = 5 over 12 time units needs thousands of right-hand-side calls
+    # w = 5 over 12 time units needs about 5000 right-hand-side calls
     s = scenario_from_dict({"hbar": 0.5, "interval": [0.0, 12.0], "frequency": 5.0})
     monkeypatch.setattr(gho.classical, "MAX_RHS_CALLS", 1000)
     with pytest.raises(gho.IntegrationFailure, match="right-hand-side"):

@@ -307,6 +307,25 @@ def test_kernel_checks_take_array_coefficient_calls(scenario, monkeypatch):
             assert all(np.size(t_a) >= 90 for t_a, _ in calls)
 
 
+def test_composition_triple_takes_one_coefficient_call(tmp_path, monkeypatch):
+    # on [0, 2.5 pi] the first candidate's outer pair spans 0.4 x 2.5 pi = pi,
+    # a focal time, so the second candidate (0.1, 0.2, 0.3) x 2.5 pi is taken
+    path = tmp_path / "sho.json"
+    path.write_text(json.dumps({"interval": [0.0, 2.5 * np.pi]}))
+    calls = []
+    coefficients = propagator.kernel_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[3:5])
+        return coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "kernel_coefficients", counted)
+    ctx = cli._Context(cli.build_parser().parse_args(["verify", "--scenario", str(path)]))
+    triple = cli._find_composition_triple(ctx)
+    assert len(calls) == 1 and np.size(calls[0][0]) == 12
+    assert triple == tuple(f * 2.5 * np.pi for f in (0.1, 0.2, 0.3))
+
+
 @pytest.mark.parametrize("ics", ["0.14,0,0,1.5", "-0.5414,0.4926,0.9182,-0.5404"])
 def test_verify_strongly_squeezed_bases_pass(ics, capsys):
     # modes about 3.3 times narrower in momentum than the base grid expects:

@@ -136,6 +136,24 @@ def test_path_integral_sho_eight_slices(sho, sho_basis, sho_part_zero):
         assert abs(value - ref) / abs(ref) < 1e-5
 
 
+def test_path_integral_takes_one_coefficient_call(monkeypatch, sho, sho_basis,
+                                                  sho_part_zero):
+    calls = []
+    coefficients = gho.oracle.kernel_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[3:5])
+        return coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(gho.oracle, "kernel_coefficients", counted)
+    q = KernelQuery(0.0, 1.0, 0.3, -0.4)
+    value = path_integral_oracle(sho, q, 8, GridSpec(-12.0, 12.0, 4096), basis=sho_basis,
+                                 part=sho_part_zero)
+    assert len(calls) == 1 and np.size(calls[0][0]) == 8
+    ref = kernel(sho, sho_basis, sho_part_zero, q)
+    assert abs(value - ref) / abs(ref) < 1e-5
+
+
 def test_path_integral_converges_with_grid(free, free_basis):
     # the base grid under-resolves the slice chirp; x2 and x4 refinements
     # drop the error by orders of magnitude each

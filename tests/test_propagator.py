@@ -83,6 +83,49 @@ def test_conjugation_symmetry(sho, sho_basis, sho_part_cos):
         assert abs(np.conj(forward) - backward) / abs(forward) < 1e-12
 
 
+def ramp_kernel(t_a, t_b, x_a, x_b, kappa):
+    """Kernel of x'' + x = kappa t (unit mass, frequency and hbar) for
+    t_b > t_a off the focal times: the forced-oscillator action (Feynman and
+    Hibbs, problem 3-10) with its force integrals in closed form, and the
+    Morse phase exp(-i pi/2) per focal time crossed."""
+    big_t = t_b - t_a
+    sin_t, cos_t = np.sin(big_t), np.cos(big_t)
+    # int f(t) sin(t - t_a) dt and int f(t) sin(t_b - t) dt over [t_a, t_b]
+    force_b = kappa * (sin_t - big_t * cos_t + t_a * (1.0 - cos_t))
+    force_a = kappa * (t_b * (1.0 - cos_t) - sin_t + big_t * cos_t)
+    # the double integral of f(t) f(s) sin(t_b - t) sin(s - t_a), s < t, over sin T
+    double = kappa ** 2 * (big_t / 2 - (t_b ** 3 - t_a ** 3) / 6
+                           + (big_t * t_a + t_a ** 2 - (t_a ** 2 + t_b ** 2) * cos_t / 2) / sin_t)
+    action = ((((x_a ** 2 + x_b ** 2) * cos_t - 2 * x_a * x_b) / 2
+               + x_b * force_b + x_a * force_a) / sin_t - double)
+    morse = np.floor(big_t / np.pi)
+    return ((2 * np.pi * abs(sin_t)) ** -0.5
+            * np.exp(-1j * (np.pi / 4 + morse * np.pi / 2) + 1j * action))
+
+
+def test_backward_kernel_is_conjugate_closed_form():
+    # a time-dependent force breaks the symmetry K(b, a) = K(a, b) of a
+    # time-independent H, so l_a != l_b and a swap that mixes them up cannot
+    # go unseen; the reference is computed apart from gho
+    kappa = 0.4
+    s = gho.scenario_from_dict({"force": {"kind": "polynomial", "coefficients": [0.0, kappa]},
+                                "interval": [0.0, 12.0]})
+    basis = gho.solve_homogeneous_basis(s)
+    part = gho.solve_particular(s, (1.0, 0.3))
+    rng = np.random.default_rng(31)
+    crossed = set()
+    for _ in range(120):
+        t_early, t_late = np.sort(rng.uniform(0.0, 12.0, 2))
+        if abs(np.sin(t_late - t_early)) < 0.05:
+            continue
+        x_early, x_late = rng.uniform(-2.0, 2.0, 2)
+        value = kernel(s, basis, part, KernelQuery(t_late, t_early, x_late, x_early))
+        ref = np.conj(ramp_kernel(t_early, t_late, x_early, x_late, kappa))
+        assert abs(value - ref) / abs(ref) < 1e-9
+        crossed.add(int((t_late - t_early) // np.pi))
+    assert crossed == {0, 1, 2, 3}
+
+
 def test_basis_choice_invariance(sho, sho_basis, sho_basis_squeezed,
                                  sho_basis_rotated, sho_part_zero, sho_part_cos):
     rng = np.random.default_rng(8)
@@ -315,7 +358,7 @@ def test_denominator_is_rho_rho_sin_tau(spec, ics):
     assert checked > 40
 
 
-# tau drifts by ~5e-10 over this span; the focal times must not inherit it
+# a fast oscillator: ten focal times after t0, each on a sign change of D
 FAST_SHO = ({"frequency": 3.0, "interval": [0.0, 12.0]}, None)
 
 
