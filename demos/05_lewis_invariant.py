@@ -49,7 +49,7 @@ for n in range(4):
 
 print("\nquantum: <I> along an independent Crank-Nicolson evolution:")
 state = gho.eigenmode_packet(par, basis, part, 0, 0.0, grid)
-cfg = gho.EvolverConfig(dt=1e-3)
+cfg = gho.EvolverConfig(dt=1e-2)
 print(f"{'t':>5} {'<I>(t)':>18}")
 print(f"{0.0:5.2f} {gho.invariant_expectation(state, basis, part, par):18.12f}")
 for t in (1.0, 2.5, 5.0):

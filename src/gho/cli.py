@@ -22,9 +22,8 @@ from .errors import CausticEncountered, GhoError, GridTooNarrow, ParseError, Val
 from .packets import GridSpec, WavePacket, inner_product, l2_distance, mean_x, packet_norm, var_x
 
 _SEED = 20240801
-# verify's Crank-Nicolson checks refine dx and dt by the mode's momentum spread
-# r, yet their error still grows about as r^2: it stays within
-# evolver_vs_kernel's tolerance only up to round(r) = 3
+# verify's evolver checks refine dx by the mode's momentum spread r and dt by
+# r^2, so their cost grows about as r^3; they run only up to round(r) = 3
 _EVOLVER_MAX_SPREAD = 3
 
 
@@ -354,7 +353,7 @@ def _verify_checks(ctx):
     @functools.cache
     def mode_zero_evolution():
         """The n = 0 mode at t0 on the drift check's grid, evolved by
-        Crank-Nicolson through the drift check's four legs and, when it is not
+        evolve_tdse through the drift check's four legs and, when it is not
         one of them, evolver_vs_kernel's stop t0 + min(1, 0.8 span): both
         checks read this one evolution. Returns the start packet, the leg
         times, the kernel stop and the evolved packet at each stop."""
@@ -366,13 +365,13 @@ def _verify_checks(ctx):
             stop = nearest
         times = np.linspace(s.t0, horizon, 5)
         # the mode's phase rates grow with its momentum spread as well, and
-        # Crank-Nicolson's phase error with them: round(spread) steps per 1e-3
-        steps = round(mode_scales(times)[1])
-        if steps > _EVOLVER_MAX_SPREAD:
-            raise GridTooNarrow(f"momentum spread rounds to {steps}, beyond the "
+        # the evolver's time error with them: fine steps of 1e-2 / round(spread)^2
+        spread = round(mode_scales(times)[1])
+        if spread > _EVOLVER_MAX_SPREAD:
+            raise GridTooNarrow(f"momentum spread rounds to {spread}, beyond the "
                                 f"evolver's resolved {_EVOLVER_MAX_SPREAD}")
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, grid_for(*times))
-        cfg = oracle.EvolverConfig(dt=1e-3 / steps)
+        cfg = oracle.EvolverConfig(dt=1e-2 / spread ** 2)
         evolved, state = {}, packet
         for t_end in sorted({*legs, stop}):
             state = oracle.evolve_tdse(s, state, t_end, cfg)
@@ -574,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default|custom:u0,udot0,v0,vdot0")
         p.add_argument("--xp", default="0.0,0.0",
                        help="particular-solution initial data x0,xdot0")
-        p.add_argument("--dt", type=float, default=1e-3, help="evolver time step")
+        p.add_argument("--dt", type=float, default=1e-2,
+                       help="evolver's fine time step (paired with twice it)")
         p.add_argument("--tol", action="append", default=None, metavar="name=value",
                        help="override a verification tolerance (repeatable)")
     return parser

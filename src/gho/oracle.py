@@ -1,19 +1,24 @@
 """Independent numerical references used to validate the analytic modules.
 
 Nothing here shares mutable state with the code it checks. The evolver is an
-implicit-midpoint (Crank-Nicolson) scheme on a tridiagonal Hermitian
+implicit-midpoint (Crank-Nicolson) scheme on a pentadiagonal Hermitian
 discretization of the Hamiltonian, chosen over split-step because the mixed
 a(t) (xp + px) coupling does not factor into kinetic/potential pieces. The
-mixed term is discretized antisymmetrically so the matrix stays exactly
-Hermitian and the Cayley step preserves the discrete norm to solver roundoff.
+derivatives take the 5-point fourth-order stencils, and the mixed term is
+discretized antisymmetrically, (x_j + x_k) D_jk, so the matrix stays exactly
+Hermitian and each Cayley step preserves the discrete norm to solver roundoff.
 With A = 1 + i dt H(t_mid) / (2 hbar) the step A psi' = (2 - A) psi is taken
-as psi' = 2 A^-1 psi - psi: one tridiagonal solve and no matrix-vector
-product, computed in place on two buffers that swap roles each step. A is
-factored (LAPACK zgttrf) only when the midpoint coefficients differ from the
-previous step's, so a constant scenario, or each plateau of a piecewise one,
-is factored once. The evolver sees coefficients only at step midpoints, so it
-cannot apply the delta a jump puts into da/dt, db/dt or (dM/dt / M) a;
-`Scenario` rejects such jumps at load time.
+as psi' = 2 A^-1 psi - psi: one banded solve and no matrix-vector product,
+computed in place on two buffers that swap roles each step. A is factored
+(LAPACK zgbtrf, two sub- and two superdiagonals) only when the midpoint
+coefficients differ from the previous step's, so a constant scenario, or each
+plateau of a piecewise one, is factored once per run. The midpoint rule is
+symmetric, so its time error is even in dt: each evolution is two runs, at dt
+and 2 dt, combined by Richardson extrapolation into a fourth-order result
+(the combination is not exactly unitary; each run is). The evolver sees
+coefficients only at step midpoints, so it cannot apply the delta a jump puts
+into da/dt, db/dt or (dM/dt / M) a; `Scenario` rejects such jumps at load
+time.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .classical import ClassicalBasis, particular_or_zero, solve_homogeneous_basis
 from .coefficients import Scenario, hamiltonian_coefficients
@@ -33,6 +38,13 @@ from .packets import GridSpec, WavePacket, derivative, second_derivative
 from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
 
 _log = logging.getLogger(__name__)
+
+# fourth-order central weights at offsets 0, 1, 2 (Fornberg 1988), in units of
+# 1/dx^2 and 1/dx: d^2 is symmetric and d antisymmetric (offset -k weighs
+# minus offset +k), so the discrete H is exactly Hermitian
+_D2 = (-30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
+_D1 = (0.0, 8.0 / 12.0, -1.0 / 12.0)
+_BAND = 2  # sub- and superdiagonals of the step matrix
 
 __all__ = [
     "EvolverConfig",
@@ -69,65 +81,56 @@ def _hamiltonian_scalars(s: Scenario, t):
 
 
 def solve_banded(factors, rhs):
-    """A^-1 rhs from the zgttrf factors (dl, d, du, du2, ipiv) of a tridiagonal A,
+    """A^-1 rhs from the zgbtrf factors (lu, ipiv) of a pentadiagonal A,
     written over rhs when it is a contiguous complex array (use the result)."""
-    out, info = zgttrs(*factors, rhs, overwrite_b=1)
+    lu, ipiv = factors
+    out, info = zgbtrs(lu, _BAND, _BAND, rhs, ipiv, overwrite_b=1)
     if info != 0:
-        raise LinearSolveFailure(f"tridiagonal solve failed (zgttrs info {info})")
+        raise LinearSolveFailure(f"banded solve failed (zgbtrs info {info})")
     return out
 
 
-def _factor_step(row, i_half, hbar, x, dx):
-    """zgttrf factors of A = 1 + i_half H for one row of _hamiltonian_scalars."""
+def _factor_step(row, i_half, hbar, x, pairs, dx):
+    """zgbtrf factors of A = 1 + i_half H for one row of _hamiltonian_scalars;
+    pairs[k] holds x_j + x_(j+k)."""
     m, a_c, b_c, v2, v1, v0 = row
-    kin = hbar ** 2 / (m * dx * dx)
-    diag = (1.0 + i_half * (kin + v0)) + ((i_half * v2) * x + i_half * v1) * x
-    # -a (xp + px) -> -i hbar a (D_c X + X D_c); -(b/M) p -> i hbar (b/M) D_c
-    u0 = -0.5 * kin + 0.5j * hbar * b_c / (m * dx)
-    u1 = 0.5j * hbar * a_c / dx
-    pair = x[:-1] + x[1:]
-    upper = i_half * u0 + (i_half * u1) * pair
-    lower = i_half * np.conj(u0) + (i_half * np.conj(u1)) * pair
-    *factors, info = zgttrf(lower, diag, upper, overwrite_dl=1, overwrite_d=1,
-                            overwrite_du=1)
+    kin = -0.5 * hbar ** 2 / (m * dx * dx)
+    # -a (xp + px) -> i hbar a (D X + X D); -(b/M) p -> i hbar (b/M) D
+    drift = 1j * hbar * b_c / (m * dx)
+    mixed = 1j * hbar * a_c / dx
+    # LAPACK band storage: A[i, j] sits in row 2 _BAND + i - j, column j; the
+    # top _BAND rows are zgbtrf's room for the pivoting fill-in
+    band = np.zeros((3 * _BAND + 1, x.size), dtype=np.complex128, order="F")
+    band[2 * _BAND] = 1.0 + i_half * (kin * _D2[0] + v0 + (v2 * x + v1) * x)
+    for k in range(1, _BAND + 1):
+        h = kin * _D2[k] + _D1[k] * (drift + mixed * pairs[k])  # H[j, j + k]
+        band[2 * _BAND - k, k:] = i_half * h
+        band[2 * _BAND + k, :-k] = i_half * np.conj(h)
+    if not np.all(np.isfinite(band)):
+        raise LinearSolveFailure("non-finite step matrix")
+    lu, ipiv, info = zgbtrf(band, _BAND, _BAND, overwrite_ab=1)
     if info != 0:
-        raise LinearSolveFailure(f"singular step matrix (zgttrf info {info})")
-    return factors
+        raise LinearSolveFailure(f"singular step matrix (zgbtrf info {info})")
+    return lu, ipiv
 
 
-def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
-                cfg: EvolverConfig) -> WavePacket:
-    """Crank-Nicolson evolution of a packet to t_end.
-
-    Coefficients are sampled at step midpoints, which keeps second-order
-    accuracy for time-dependent scenarios; the step count is rounded so the
-    interval divides evenly and runs are deterministic. Each step is
-    psi' = 2 A^-1 psi - psi with A = 1 + i dt H / (2 hbar); A is factored
-    again only when the midpoint coefficients change. Logs the step count,
-    the number of factorizations and the norm drift at DEBUG level on the
-    "gho.oracle" logger.
-    """
-    if s.dimension != 1:
-        raise ValidationError("the grid evolver is one-dimensional")
-    grid = packet.grid
-    packet.require_dark_edges(1e-8, "evolve_tdse")
-    span = t_end - packet.t
-    if span == 0.0:
-        return packet.with_samples(packet.samples)
-    n_steps = max(1, round(abs(span) / cfg.dt))
+def _crank_nicolson(s: Scenario, packet: WavePacket, span: float, n_steps: int,
+                    x, pairs):
+    """n_steps equal Crank-Nicolson steps of the packet over span: the final
+    samples, the number of factorizations and the norm drift, which must stay
+    within 1e-10 per step. x and pairs are the grid arrays of _factor_step."""
     dt = span / n_steps
     table = np.column_stack(
         _hamiltonian_scalars(s, packet.t + (np.arange(n_steps) + 0.5) * dt))
     fresh = np.ones(n_steps, dtype=bool)
     fresh[1:] = np.any(table[1:] != table[:-1], axis=1)
     i_half = 0.5j * dt / s.hbar
-    x = grid.points
     psi = np.array(packet.samples, dtype=np.complex128)
     work = np.empty_like(psi)
     norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     for k in range(n_steps):
         if fresh[k]:
-            factors = _factor_step(table[k], i_half, s.hbar, x, grid.dx)
+            factors = _factor_step(table[k], i_half, s.hbar, x, pairs, packet.grid.dx)
         np.copyto(work, psi)
         y = solve_banded(factors, work)
         np.multiply(y, 2.0, out=y)
@@ -136,11 +139,43 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
         if not np.all(np.isfinite(psi.view(np.float64))):
             raise LinearSolveFailure(f"non-finite state after step {k + 1}")
     drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2))) / norm0 - 1.0)
-    _log.debug("evolve_tdse: %d steps, %d factorizations, norm drift %.3e",
-               n_steps, int(np.count_nonzero(fresh)), drift)
     if drift > 1e-10 * n_steps:
         raise LinearSolveFailure(f"norm drifted by {drift:.2e} over {n_steps} steps")
-    return WavePacket(grid, psi, t=t_end)
+    return psi, int(np.count_nonzero(fresh)), drift
+
+
+def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
+                cfg: EvolverConfig) -> WavePacket:
+    """Fourth-order evolution of a packet to t_end: two Crank-Nicolson runs,
+    at a fine step dt of about cfg.dt and at 2 dt, extrapolated as
+    (4 psi_dt - psi_2dt) / 3.
+
+    The coarse run takes round(|span| / (2 cfg.dt)) steps, at least one, and
+    the fine run twice as many, so both divide the interval evenly and runs
+    are deterministic. Each run samples the coefficients at step midpoints;
+    each step is psi' = 2 A^-1 psi - psi with A = 1 + i dt H / (2 hbar) on the
+    5-point stencils, and A is factored again only when the midpoint
+    coefficients change. Logs, at DEBUG level on the "gho.oracle" logger, each
+    run's step count, factorizations and norm drift, and the Richardson error
+    estimate |psi_dt - psi_2dt| / |psi|.
+    """
+    if s.dimension != 1:
+        raise ValidationError("the grid evolver is one-dimensional")
+    packet.require_dark_edges(1e-8, "evolve_tdse")
+    span = t_end - packet.t
+    if span == 0.0:
+        return packet.with_samples(packet.samples)
+    x = packet.grid.points
+    pairs = {k: x[:-k] + x[k:] for k in range(1, _BAND + 1)}
+    n_coarse = max(1, round(abs(span) / (2.0 * cfg.dt)))
+    runs = [_crank_nicolson(s, packet, span, n, x, pairs) for n in (2 * n_coarse, n_coarse)]
+    (fine, fine_factors, fine_drift), (coarse, coarse_factors, coarse_drift) = runs
+    estimate = float(np.linalg.norm(fine - coarse) / np.linalg.norm(packet.samples))
+    _log.debug("evolve_tdse: fine run %d steps, %d factorizations, norm drift %.3e; "
+               "coarse run %d steps, %d factorizations, norm drift %.3e; "
+               "Richardson error estimate %.3e", 2 * n_coarse, fine_factors, fine_drift,
+               n_coarse, coarse_factors, coarse_drift, estimate)
+    return WavePacket(packet.grid, (4.0 * fine - coarse) / 3.0, t=t_end)
 
 
 def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):

@@ -211,7 +211,7 @@ def test_criterion_7_invariant(sho, sho_basis, sho_basis_squeezed, sho_part_zero
 
     packet = eigenmode_packet(parametric, parametric_basis, parametric_part, 0,
                               0.0, grid)
-    cfg = EvolverConfig(dt=1e-3)
+    cfg = EvolverConfig(dt=1e-2)
     values = [invariant_expectation(packet, parametric_basis, parametric_part,
                                     parametric)]
     state = packet

@@ -275,16 +275,20 @@ def test_commands_take_a_negative_omega_basis(sho_file, tmp_path, command):
 
 
 def test_verify_evolves_the_ground_mode_once(caplog, capsys):
-    # invariant_drift_tdse and evolver_vs_kernel share one 2000-step evolution
+    # invariant_drift_tdse and evolver_vs_kernel share one evolution: four legs
+    # of 0.5 with fine steps of 1e-2, each paired with a coarse run at 2e-2
     sho = str(SCENARIOS / "sho.json")
     assert main(["verify", "--scenario", sho]) == 0
     quiet = capsys.readouterr().out
     with caplog.at_level(logging.DEBUG, logger="gho"):
         assert main(["verify", "--scenario", sho]) == 0
     assert capsys.readouterr().out == quiet  # diagnostics never reach stdout
-    steps = [int(re.match(r"evolve_tdse: (\d+) steps", r.getMessage())[1])
-             for r in caplog.records if r.name == "gho.oracle"]
-    assert sum(steps) == 2000
+    records = [r.getMessage() for r in caplog.records if r.name == "gho.oracle"]
+    steps = [re.search(r"fine run (\d+) steps.*coarse run (\d+) steps", m) for m in records]
+    assert [sum(int(m[k]) for m in steps) for k in (1, 2)] == [200, 100]
+    # |psi_dt - psi_2dt| / |psi| per leg, measured 1.6e-6
+    estimates = [float(re.search(r"Richardson error estimate (\S+)", m)[1]) for m in records]
+    assert len(estimates) == 4 and all(0.0 < e < 1e-5 for e in estimates)
 
 
 @pytest.mark.parametrize("scenario", ["sho", "free_particle"])
@@ -338,8 +342,8 @@ def test_verify_strongly_squeezed_bases_pass(ics, capsys):
 
 
 def test_verify_skips_evolver_checks_beyond_the_resolved_spread():
-    # momentum spread 4.5: the Crank-Nicolson checks would run for tens of
-    # seconds and still miss their tolerance, so they skip before evolving
+    # momentum spread 4.5: the evolver checks would run for about half a
+    # minute, so they skip before evolving
     args = cli.build_parser().parse_args(
         ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--basis", "custom:0.1,0,0,2"])
     checks = {name: check for name, _, check in cli._verify_checks(cli._Context(args))}
