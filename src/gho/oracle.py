@@ -18,7 +18,8 @@ and 2 dt, combined by Richardson extrapolation into a fourth-order result
 (the combination is not exactly unitary; each run is). The evolver sees
 coefficients only at step midpoints, so it cannot apply the delta a jump puts
 into da/dt, db/dt or (dM/dt / M) a; `Scenario` rejects such jumps at load
-time.
+time. Both runs step to and from every other jump, so each step sees smooth
+coefficients and the Richardson combination keeps its order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .classical import ClassicalBasis, particular_or_zero, solve_homogeneous_basis
-from .coefficients import Scenario, hamiltonian_coefficients
+from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
 from .packets import GridSpec, WavePacket, derivative, second_derivative
@@ -114,23 +115,27 @@ def _factor_step(row, i_half, hbar, x, pairs, dx):
     return lu, ipiv
 
 
-def _crank_nicolson(s: Scenario, packet: WavePacket, span: float, n_steps: int,
-                    x, pairs):
-    """n_steps equal Crank-Nicolson steps of the packet over span: the final
-    samples, the number of factorizations and the norm drift, which must stay
-    within 1e-10 per step. x and pairs are the grid arrays of _factor_step."""
-    dt = span / n_steps
-    table = np.column_stack(
-        _hamiltonian_scalars(s, packet.t + (np.arange(n_steps) + 0.5) * dt))
+def _crank_nicolson(s: Scenario, packet: WavePacket, edges, counts, x, pairs):
+    """Crank-Nicolson steps of the packet across the pieces [edges[i],
+    edges[i + 1]], counts[i] equal steps each: the final samples, the total
+    step count, the number of factorizations and the norm drift, which must
+    stay within 1e-10 per step. x and pairs are the grid arrays of
+    _factor_step."""
+    piece_dts = np.diff(edges) / counts
+    dts = np.repeat(piece_dts, counts)
+    mids = np.concatenate([lo + (np.arange(n) + 0.5) * dt
+                           for lo, n, dt in zip(edges[:-1], counts, piece_dts)])
+    table = np.column_stack(_hamiltonian_scalars(s, mids) + (dts,))
+    n_steps = dts.size
     fresh = np.ones(n_steps, dtype=bool)
     fresh[1:] = np.any(table[1:] != table[:-1], axis=1)
-    i_half = 0.5j * dt / s.hbar
     psi = np.array(packet.samples, dtype=np.complex128)
     work = np.empty_like(psi)
     norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     for k in range(n_steps):
         if fresh[k]:
-            factors = _factor_step(table[k], i_half, s.hbar, x, pairs, packet.grid.dx)
+            factors = _factor_step(table[k, :-1], 0.5j * dts[k] / s.hbar, s.hbar, x,
+                                   pairs, packet.grid.dx)
         np.copyto(work, psi)
         y = solve_banded(factors, work)
         np.multiply(y, 2.0, out=y)
@@ -141,7 +146,16 @@ def _crank_nicolson(s: Scenario, packet: WavePacket, span: float, n_steps: int,
     drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2))) / norm0 - 1.0)
     if drift > 1e-10 * n_steps:
         raise LinearSolveFailure(f"norm drifted by {drift:.2e} over {n_steps} steps")
-    return psi, int(np.count_nonzero(fresh)), drift
+    return psi, n_steps, int(np.count_nonzero(fresh)), drift
+
+
+def _smooth_pieces(s: Scenario, t_a: float, t_b: float):
+    """t_a, the breakpoints strictly between t_a and t_b where a piecewise
+    coefficient jumps, and t_b, in the order the evolution meets them."""
+    lo, hi = min(t_a, t_b), max(t_a, t_b)
+    jumps = sorted({t for name in ("mass", "frequency", "force", "a", "b", "f")
+                    for t in _jumps(getattr(s, name), lo, hi)}, reverse=t_b < t_a)
+    return np.array([t_a, *jumps, t_b], dtype=float)
 
 
 def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
@@ -150,9 +164,12 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     at a fine step dt of about cfg.dt and at 2 dt, extrapolated as
     (4 psi_dt - psi_2dt) / 3.
 
-    The coarse run takes round(|span| / (2 cfg.dt)) steps, at least one, and
-    the fine run twice as many, so both divide the interval evenly and runs
-    are deterministic. Each run samples the coefficients at step midpoints;
+    The interval is first cut at every breakpoint inside it where a piecewise
+    coefficient jumps, so that no step of either run straddles a jump (the
+    midpoint rule is only first order across one). On each smooth piece the
+    coarse run takes round(|piece| / (2 cfg.dt)) steps, at least one, and the
+    fine run twice as many, so both divide the piece evenly and runs are
+    deterministic. Each run samples the coefficients at step midpoints;
     each step is psi' = 2 A^-1 psi - psi with A = 1 + i dt H / (2 hbar) on the
     5-point stencils, and A is factored again only when the midpoint
     coefficients change. Logs, at DEBUG level on the "gho.oracle" logger, each
@@ -162,19 +179,21 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     if s.dimension != 1:
         raise ValidationError("the grid evolver is one-dimensional")
     packet.require_dark_edges(1e-8, "evolve_tdse")
-    span = t_end - packet.t
-    if span == 0.0:
+    if t_end == packet.t:
         return packet.with_samples(packet.samples)
     x = packet.grid.points
     pairs = {k: x[:-k] + x[k:] for k in range(1, _BAND + 1)}
-    n_coarse = max(1, round(abs(span) / (2.0 * cfg.dt)))
-    runs = [_crank_nicolson(s, packet, span, n, x, pairs) for n in (2 * n_coarse, n_coarse)]
-    (fine, fine_factors, fine_drift), (coarse, coarse_factors, coarse_drift) = runs
+    edges = _smooth_pieces(s, packet.t, t_end)
+    coarse_counts = np.maximum(1, np.round(np.abs(np.diff(edges)) / (2.0 * cfg.dt))).astype(int)
+    (fine, fine_steps, fine_factors, fine_drift), (coarse, coarse_steps, coarse_factors,
+                                                   coarse_drift) = [
+        _crank_nicolson(s, packet, edges, counts, x, pairs)
+        for counts in (2 * coarse_counts, coarse_counts)]
     estimate = float(np.linalg.norm(fine - coarse) / np.linalg.norm(packet.samples))
     _log.debug("evolve_tdse: fine run %d steps, %d factorizations, norm drift %.3e; "
                "coarse run %d steps, %d factorizations, norm drift %.3e; "
-               "Richardson error estimate %.3e", 2 * n_coarse, fine_factors, fine_drift,
-               n_coarse, coarse_factors, coarse_drift, estimate)
+               "Richardson error estimate %.3e", fine_steps, fine_factors, fine_drift,
+               coarse_steps, coarse_factors, coarse_drift, estimate)
     return WavePacket(packet.grid, (4.0 * fine - coarse) / 3.0, t=t_end)
 
 

@@ -60,6 +60,10 @@ COUPLED = {"a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0},
 FREQUENCY_STEP = {"frequency": {"kind": "piecewise", "breakpoints": [0.5],
                                 "values": [1.0, 1.6]},
                   "interval": [0.0, 2.0]}
+# the same jump at 0.55, inside the coarse run's step from 0.54 to 0.56
+FREQUENCY_STEP_MID = {"frequency": {"kind": "piecewise", "breakpoints": [0.55],
+                                    "values": [1.0, 1.6]},
+                      "interval": [0.0, 2.0]}
 
 
 def _evolver_error(spec, grid, dt):
@@ -73,12 +77,15 @@ def _evolver_error(spec, grid, dt):
     return l2_distance(evolved, propagate(packet, s, basis, part, 1.0))
 
 
-# measured 1.3e-8 (coupled) and 6.4e-7 (step); the bounds keep about 8x margin
-@pytest.mark.parametrize("spec, bound", [(COUPLED, 1e-7), (FREQUENCY_STEP, 5e-6)],
-                         ids=["coupled", "step"])
+# measured 1.3e-8 (coupled), 6.4e-7 (step) and 5.9e-7 (step_mid_coarse_step);
+# the bounds keep about 8x margin
+@pytest.mark.parametrize("spec, bound", [(COUPLED, 1e-7), (FREQUENCY_STEP, 5e-6),
+                                         (FREQUENCY_STEP_MID, 5e-6)],
+                         ids=["coupled", "step", "step_mid_coarse_step"])
 def test_evolver_vs_propagate(spec, bound, grid):
-    # the step case fails if the step matrix is not factored again after
-    # the frequency changes
+    # the step cases fail if the step matrix is not factored again after the
+    # frequency changes; the mid-step case reads 2.3e-3 if a coarse step
+    # straddles the jump instead of ending on it
     assert _evolver_error(spec, grid, 1e-2) < bound
 
 
@@ -125,12 +132,21 @@ def test_evolver_factors_once_per_plateau(spec, count, grid, caplog):
     assert _factorizations(caplog) == [count, count]
 
 
-def test_evolver_non_finite_state_raises(grid):
+def test_evolver_non_finite_step_matrix_raises(grid):
     # a = 1e150 loads (c = 4 a^2 = 4e300 is finite) but with hbar = 1e-10 the
     # step matrix 1 + i dt H / (2 hbar) overflows
     s = gho.scenario_from_dict({"a": 1e150, "hbar": 1e-10})
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinearSolveFailure):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(LinearSolveFailure, match="non-finite step matrix"):
         evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
+
+
+def test_evolver_non_finite_state_raises(sho, grid, monkeypatch):
+    # a banded solve that returns nan past a finite step matrix is caught
+    # after the step that produced it
+    monkeypatch.setattr(gho.oracle, "solve_banded", lambda factors, rhs: rhs * np.nan)
+    with pytest.raises(LinearSolveFailure, match="non-finite state after step 1"):
+        evolve_tdse(sho, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
 
 
 def test_evolver_respects_mixed_coupling_norm():
