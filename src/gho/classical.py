@@ -11,17 +11,34 @@ amplitude rho = sqrt(u^2 + v^2), the action-like phase xi with
 xi' = (M w^2 x_p^2 - M x_p'^2) / 2, and the rescaled time tau with
 tau' = Omega / (M rho^2).
 
-The equations are integrated in (x, M x') form so the analytic derivative of
-M is never needed. The homogeneous equation is solved once per scenario object
-and tolerance pair, for the fundamental pair (c, s) with (c, M c') = (1, 0) and
-(s, M s') = (0, 1) at t0: every basis is the linear image of (c, s) fixed by
-its initial data, so further bases of the same scenario cost no integration.
+In y = (x, M x') the equations are linear, y' = A(t) y + g(t) with
+A = [[0, 1/M], [-M w^2, 0]] and g = (0, F), so the analytic derivative of M is
+never needed. They are solved once per scenario object and tolerance pair by
+4-stage (order 8) Gauss-Legendre collocation (Hairer, Lubich & Wanner,
+Geometric Numerical Integration, II.1.3 and VI.4). On a linear equation each
+step is a fixed affine map of y, so one array coefficient evaluation at every
+step's Gauss nodes and one batched linear solve give all the maps, and their
+running product gives, at every step edge, the fundamental pair (c, s) with
+(c, M c') = (1, 0) and (s, M s') = (0, 1) at t0, and the particular solution
+that starts from x_p(t0) = x_p'(t0) = 0. Every basis is the linear image of
+(c, s) fixed by its initial data, and every x_p that image plus the zero-start
+solution, so further bases and particular solutions of the same scenario
+integrate nothing. xi is the extra collocation component, the Gauss
+quadrature of its rate at the stage values, so it keeps order 8. Each smooth
+piece between jumps of a piecewise mass, frequency or force takes uniform
+steps, doubled until two step counts agree at every edge to rtol/atol, so
+step edges land on the jumps.
+
+Dense output is one degree-7 polynomial per step, built at solve time from
+the values and exact derivatives at the step's ends and at a third and two
+thirds of it (each the end of one more, shorter collocation step): an
+evaluation is a bisection and one polynomial.
+
 tau is not integrated: theta, the angle of u - i v, is read off the solutions
 themselves (atan2) and lifted continuously through a table sampled finely
 enough that it turns by less than pi/2 per entry, and tau = theta(t0) - theta.
-xi rides along as an extra component of the particular solve so it inherits
-the solver's accuracy. Integration constants are fixed as xi(t0) = 0 and
-tau(t0) = 0; both only shift global phases.
+Integration constants are fixed as xi(t0) = 0 and tau(t0) = 0; both only
+shift global phases.
 
 Every consumer reads a solution through its `at(t)` method, which returns all
 of the solution's per-time data from one dense-output evaluation, for a scalar
@@ -40,9 +57,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 
-from .coefficients import Constant, PiecewiseConstant, Scenario
+from .coefficients import Constant, Scenario, _jumps
 from .errors import DegenerateBasis, IntegrationFailure, ValidationError, ZeroRho
 
 _log = logging.getLogger(__name__)
@@ -50,7 +66,7 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
-    "MAX_RHS_CALLS",
+    "MAX_STEPS",
     "BasisSnapshot",
     "ParticularSnapshot",
     "ClassicalBasis",
@@ -65,63 +81,232 @@ __all__ = [
     "trajectory_table",
 ]
 
-# Tight enough that the dense-output interpolant stays ~1e-12 accurate; the
-# kernel prefactor amplifies basis error near caustics.
+# Tight enough that the dense output stays ~1e-12 accurate; the kernel
+# prefactor amplifies basis error near caustics.
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
-# Right-hand-side evaluations allowed per solve. The bundled scenarios use
-# 0.1k-2.3k (the fundamental pair 92-1703, x_p 107-2309) and the pair for
-# w = 30 over 12 time units about 30k; a coefficient that makes the solver
-# crawl fails with IntegrationFailure instead of running on.
-MAX_RHS_CALLS = 500_000
+# Collocation steps allowed per solve, summed over its trial step counts. The
+# bundled scenarios try 24-504 steps and keep 16-256; w = 5 over 12 time units
+# tries 2,040 and w = 30 16,376. A coefficient that needs more fails with
+# IntegrationFailure instead of running on; a kept step holds about 1.5 kB.
+MAX_STEPS = 100_000
+
+# 4-stage Gauss-Legendre collocation on [0, 1]: nodes _C, weights _B, and
+# _A[i, j], the integral from 0 to c_i of the j-th Lagrange polynomial on _C
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(4)
+_C, _B = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
+_A = (_C[:, None] ** np.arange(1, 5) / np.arange(1, 5)) @ np.linalg.inv(
+    _C[:, None] ** np.arange(4))
+# Dense output: per step the degree-7 polynomial y_k + (sigma + 1) q(sigma) in
+# sigma = 2 (t - t_k) / h - 1 with given values and sigma-derivatives at
+# _SIGMA. _HERMITE maps the values less y_k at the last three nodes and the
+# four derivatives to the monomial coefficients of q, lowest degree first.
+# In the centred variable the map's rows sum to at most 23 in absolute value
+# (to 9.1e3 for monomials in (t - t_k) / h), so it loses only a few ulps of the
+# data, and the data of a constant give q = 0 exactly.
+_SIGMA = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
+_DEGREES = np.arange(7)
+_HERMITE = np.linalg.inv(np.vstack([
+    (_SIGMA[1:, None] + 1.0) * _SIGMA[1:, None] ** _DEGREES,
+    _SIGMA[:, None] ** _DEGREES
+    + (_SIGMA[:, None] + 1.0) * _DEGREES * _SIGMA[:, None] ** np.maximum(_DEGREES - 1, 0)]))
 
 
-def _coefficient_breakpoints(scenario):
-    points = set()
-    for name in ("mass", "frequency", "force", "a", "b", "f"):
-        fn = getattr(scenario, name)
-        if isinstance(fn, PiecewiseConstant):
-            points.update(t for t in fn.breakpoints if scenario.t0 < t < scenario.t1)
-    return sorted(points)
+def _coefficients(s: Scenario, t):
+    """1/M, M w^2 and F at times t, from one evaluation of each coefficient."""
+    m, _ = s.mass.eval(t)
+    if not np.all(m > 0):
+        s.check_mass_positive(t)
+    w, _ = s.frequency.eval(t)
+    force, _ = s.force.eval(t)
+    return 1.0 / m, m * w * w, force
 
 
-def _solve(scenario, rhs, y0, rtol, atol):
-    """Integrate over [t0, t1], restarting at piecewise-coefficient breakpoints.
+def _gauss_steps(s: Scenario, start, h):
+    """Collocation steps of lengths h from times start (arrays of N steps).
 
-    Restarting keeps the right-limit plateau semantics exact; the per-segment
-    dense outputs are stitched into one OdeSolution. Raises IntegrationFailure
-    once rhs has been called MAX_RHS_CALLS times. Returns the solution, its
-    nodes and the number of rhs calls.
+    y' = A y + g is linear, so a step is the affine map
+    y(start + h) = maps[:, :, :2] y(start) + maps[:, :, 2] and so is every
+    stage value. xi's increment over the step, the Gauss quadrature
+    h sum_i b_i (M w^2 x_i^2 - (M x_i')^2 / M) / 2 at the stage values, is
+    then the quadratic form (y(start), 1) . forms (y(start), 1). Returns maps
+    (N, 2, 3) and forms (N, 3, 3).
     """
-    calls = 0
+    inv_m, k, force = _coefficients(s, start[:, None] + h[:, None] * _C)
+    ha = h[:, None, None] * _A
+    # the stage positions X = x0 + h A (P / M), put into the stage momenta
+    # P = p0 + h A (F - M w^2 X), leave a 4 x 4 system for P, solved at once
+    # for the coefficients of x0, p0 and 1
+    lhs = np.eye(4) + (ha * k[:, None, :]) @ (ha * inv_m[:, None, :])
+    rhs = np.stack([-(ha @ k[..., None])[..., 0], np.ones_like(k),
+                    (ha @ force[..., None])[..., 0]], axis=-1)
+    p = np.linalg.solve(lhs, rhs)
+    x = ha @ (inv_m[..., None] * p)
+    x[..., 0] += 1.0
+    hb = h[:, None] * _B
+    maps = np.stack([np.einsum("ni,nic->nc", hb * inv_m, p),
+                     -np.einsum("ni,nic->nc", hb * k, x)], axis=1)
+    maps[:, 1, 2] += np.sum(hb * force, axis=1)
+    maps[:, 0, 0] += 1.0
+    maps[:, 1, 1] += 1.0
+    forms = (np.einsum("ni,nia,nib->nab", 0.5 * hb * k, x, x)
+             - np.einsum("ni,nia,nib->nab", 0.5 * hb * inv_m, p, p))
+    return maps, forms
 
-    def counted(t, y):
-        nonlocal calls
-        calls += 1
-        if calls > MAX_RHS_CALLS:
+
+def _running_maps(maps):
+    """The affine maps (N + 1, 2, 3) from the first step's start to every
+    step edge, for steps maps (N, 2, 3): a log-depth scan of 3 x 3 products."""
+    scan = np.zeros((len(maps) + 1, 3, 3))
+    scan[0, :2, :2] = np.eye(2)
+    scan[1:, :2] = maps
+    scan[:, 2, 2] = 1.0
+    shift = 1
+    while shift < len(scan):
+        scan[shift:] = scan[shift:] @ scan[:-shift]
+        shift *= 2
+    return scan[:, :2]
+
+
+def _piece_steps(s: Scenario, lo, hi, rtol, atol, tried):
+    """Uniform steps on [lo, hi], doubled until the maps from lo to every
+    edge of a step count agree with those of twice the count, entry by
+    entry, to atol + rtol times the entry's largest size; the difference
+    estimates the error of the smaller count, which is kept. tried counts
+    steps over all trials against MAX_STEPS. Returns the edges, the steps
+    and the new count."""
+    n, coarse = 8, None
+    while True:
+        tried += n
+        if tried > MAX_STEPS:
             raise IntegrationFailure(
-                f"classical solve exceeded {MAX_RHS_CALLS} right-hand-side "
-                f"evaluations near t={t:g}")
-        return rhs(t, y)
+                f"classical solve exceeded {MAX_STEPS} collocation steps "
+                f"on [{lo:g}, {hi:g}]")
+        edges = np.linspace(lo, hi, n + 1)
+        steps = _gauss_steps(s, edges[:-1], np.diff(edges))
+        path = _running_maps(steps[0])
+        if coarse is not None and np.all(
+                np.abs(path[::2] - coarse[2]) <= atol + rtol * np.max(np.abs(path), axis=0)):
+            return coarse[0], coarse[1], tried
+        coarse, n = (edges, steps, path), 2 * n
 
-    edges = [scenario.t0, *_coefficient_breakpoints(scenario), scenario.t1]
-    interpolants = []
-    ts = [edges[0]]
-    nodes = [np.array([edges[0]])]
-    y = list(y0)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(counted, (lo, hi), y, method="DOP853",
-                        dense_output=True, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise IntegrationFailure(sol.message)
-        interpolants.extend(sol.sol.interpolants)
-        ts.extend(sol.sol.ts[1:])
-        nodes.append(sol.t[1:])
-        y = sol.y[:, -1]
-    stitched = OdeSolution(np.asarray(ts), interpolants)
-    all_nodes = np.concatenate(nodes)
-    scenario.check_mass_positive(all_nodes)
-    return stitched, all_nodes, calls
+
+class _DenseOutput:
+    """Piecewise-polynomial dense output: the components at time(s) t, shape
+    (n_components,) + shape(t), from the step that holds t (the first or the
+    last step beyond the ends).
+
+    On step k the polynomial is y_k + (sigma + 1) q(sigma) in
+    sigma = 2 (t - edges[k]) / (edges[k + 1] - edges[k]) - 1, so it returns
+    the step's start value y_k (N, n_components) exactly; quotient
+    (N, 7, n_components) holds the monomial coefficients of q, lowest degree
+    first. Both paths run Horner's rule with the same roundings, so a
+    scalar t and the same t inside an array give the same bits; a scalar t
+    runs it on Python floats, which saves numpy's per-call overhead.
+    """
+
+    def __init__(self, edges, quotient, start_values):
+        # per step and component: q's coefficients, highest degree first, then y_k
+        self._horner = np.concatenate([quotient[:, ::-1], start_values[:, None]],
+                                      axis=1).transpose(0, 2, 1).copy()
+        self._edges = edges
+        self._scale = 2.0 / np.diff(edges)
+        self._starts = edges[:-1].tolist()
+        self._scale_list = self._scale.tolist()
+
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            k = max(bisect.bisect_right(self._starts, t) - 1, 0)
+            rise = float((t - self._starts[k]) * self._scale_list[k])
+            sigma = rise - 1.0
+            out = []
+            for *quotient, start in self._horner[k].tolist():
+                acc = quotient[0]
+                for c in quotient[1:]:
+                    acc = acc * sigma + c
+                out.append(start + rise * acc)
+            return np.array(out)
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, len(self._scale) - 1)
+        rise = ((t - self._edges[k]) * self._scale[k])[..., None]
+        sigma = rise - 1.0
+        horner = self._horner[k]
+        acc = horner[..., 0]
+        for j in range(1, 7):
+            acc = acc * sigma + horner[..., j]
+        return np.moveaxis(horner[..., 7] + rise * acc, -1, 0)
+
+
+def _node_states(thirds, start):
+    """(x, M x') at the dense-output nodes of every step (N, 4, 2, m), for
+    solutions with augmented states start (N + 1, 3, m) at the step edges
+    and thirds, the maps of the steps to a third and to two thirds of each."""
+    n = len(start) - 1
+    return np.stack([start[:-1, :2], thirds[:n] @ start[:-1], thirds[n:] @ start[:-1],
+                     start[1:, :2]], axis=1)
+
+
+def _dense_output(edges, values, slopes):
+    """The dense output of values and t-derivatives (N, 4, n_components) at
+    the nodes of the steps between edges."""
+    half = 0.5 * np.diff(edges)[:, None, None]
+    data = np.concatenate([values[:, 1:] - values[:, :1], half * slopes], axis=1)
+    return _DenseOutput(edges, _HERMITE @ data, values[:, 0])
+
+
+@dataclass(frozen=True)
+class _Collocation:
+    """One scenario's collocation solve over [t0, t1].
+
+    path (N + 1, 2, 3) holds the affine maps from t0 to every step edge: the
+    fundamental matrix and the zero-start particular solution. forms (N, 3, 3)
+    are the steps' xi quadratic forms; thirds holds the maps and forms of the
+    2N shorter steps to a third and to two thirds of each step; at_nodes
+    holds 1/M, M w^2 and F at the dense-output nodes (N, 4), the last just
+    before the step's end, so a jump there takes the step's own value.
+    fundamental is the dense output of (c, M c', s, M s').
+    """
+
+    edges: np.ndarray
+    path: np.ndarray
+    forms: np.ndarray
+    thirds: tuple
+    at_nodes: tuple
+    tried: int
+    fundamental: _DenseOutput
+
+
+def _collocation_solve(s: Scenario, rtol, atol) -> _Collocation:
+    """The collocation solve of s: uniform steps per smooth piece (between
+    jumps of M, w or F), the running maps, the steps to the dense-output
+    nodes, and the fundamental pair's dense output."""
+    cuts = {t for name in ("mass", "frequency", "force")
+            for t in _jumps(getattr(s, name), s.t0, s.t1)}
+    bounds = [s.t0, *sorted(cuts), s.t1]
+    edges, steps, tried = [np.array([s.t0])], [], 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        piece, piece_steps, tried = _piece_steps(s, lo, hi, rtol, atol, tried)
+        edges.append(piece[1:])
+        steps.append(piece_steps)
+    edges = np.concatenate(edges)
+    maps, forms = (np.concatenate(parts) for parts in zip(*steps))
+    start, h = edges[:-1], np.diff(edges)
+    thirds = _gauss_steps(s, np.concatenate([start, start]), np.concatenate([h, 2.0 * h]) / 3.0)
+    nodes = start[:, None] + h[:, None] * (0.5 * _SIGMA + 0.5)
+    nodes[:, -1] = np.nextafter(edges[1:], start)
+    inv_m, k, force = _coefficients(s, nodes)
+    path = _running_maps(maps)
+    # the pair as the columns (c, s) of augmented states with no affine part
+    pair = np.zeros((len(edges), 3, 2))
+    pair[:, :2] = path[:, :, :2]
+    states = _node_states(thirds[0], pair)
+    slopes = np.stack([inv_m[..., None] * states[:, :, 1], -k[..., None] * states[:, :, 0]],
+                      axis=2)
+    # components (c, M c', s, M s'): column by column
+    flat = [a.swapaxes(2, 3).reshape(len(h), 4, 4) for a in (states, slopes)]
+    return _Collocation(edges=edges, path=path, forms=forms, thirds=thirds,
+                        at_nodes=(inv_m, k, force), tried=tried,
+                        fundamental=_dense_output(edges, *flat))
 
 
 @dataclass(frozen=True)
@@ -177,17 +362,13 @@ class ClassicalBasis:
     _drift: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        # one dense evaluation at the nodes and their midpoints gives both the
-        # Wronskian drift at the nodes and the lift table's first samples
+        # one dense evaluation at the nodes gives both the Wronskian drift and
+        # the lift table's first samples
         nodes = np.asarray(self._nodes, dtype=float)
-        times = np.empty(2 * nodes.size - 1)
-        times[::2] = nodes
-        times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-        u, pu, v, pv = self._state(times)
-        wronskian = (u * pv - v * pu)[::2]
+        u, pu, v, pv = self._state(nodes)
         object.__setattr__(self, "_drift",
-                           float(np.max(np.abs(wronskian - self.omega))) / abs(self.omega))
-        edges, lifted = self._lift_table(times, np.arctan2(-v, u))
+                           float(np.max(np.abs(u * pv - v * pu - self.omega))) / abs(self.omega))
+        edges, lifted = self._lift_table(nodes, np.arctan2(-v, u))
         # the table as arrays, and as lists for the scalar path of _theta
         object.__setattr__(self, "_lift", (edges, lifted, edges.tolist(), lifted.tolist()))
         object.__setattr__(self, "_theta0", float(lifted[0]))
@@ -312,23 +493,14 @@ def default_basis_ics(s: Scenario):
     return (1.0, 0.0), (0.0, 1.0 / m0)
 
 
-def _fundamental_solve(s: Scenario, rtol, atol):
-    """Dense output, nodes and right-hand-side calls of the fundamental pair
-    (c, M c', s, M s') with (1, 0, 0, 1) at t0.
-
-    Solved once per scenario object and (rtol, atol), and kept on that object
-    (outside its dataclass fields, so equality and hashing ignore it): an
-    equal scenario loaded again solves afresh.
-    """
-    solves = vars(s).setdefault("_fundamental_solves", {})
+def _collocation(s: Scenario, rtol, atol) -> _Collocation:
+    """The collocation solve of s at (rtol, atol), solved once per scenario
+    object and tolerance pair and kept on that object (outside its dataclass
+    fields, so equality and hashing ignore it): an equal scenario loaded
+    again solves afresh."""
+    solves = vars(s).setdefault("_collocation_solves", {})
     if (rtol, atol) not in solves:
-        def rhs(t, y):
-            m, _ = s.mass.eval(t)
-            w, _ = s.frequency.eval(t)
-            c, pc, sn, ps = y
-            return [pc / m, -m * w * w * c, ps / m, -m * w * w * sn]
-
-        solves[rtol, atol] = _solve(s, rhs, [1.0, 0.0, 0.0, 1.0], rtol, atol)
+        solves[rtol, atol] = _collocation_solve(s, rtol, atol)
     return solves[rtol, atol]
 
 
@@ -340,10 +512,10 @@ def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
 
     ics is ((u0, u0_dot), (v0, v0_dot)); defaults to the Omega = 1 convention.
     Raises DegenerateBasis when the initial Wronskian vanishes and
-    IntegrationFailure when the solver cannot meet the tolerance. Logs the
-    fundamental solve's ODE nodes and right-hand-side calls, also when the
-    solve is reused, and this basis's largest relative Wronskian drift at the
-    nodes at DEBUG level on "gho.classical".
+    IntegrationFailure when the solve exceeds MAX_STEPS. Logs the solve's
+    steps and the steps it tried, also when the solve is reused, and this
+    basis's largest relative Wronskian drift at the step edges at DEBUG level
+    on "gho.classical".
     """
     if ics is None:
         ics = default_basis_ics(s)
@@ -356,12 +528,13 @@ def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
     if abs(omega) <= 1e-14 * max(scale, 1e-300):
         raise DegenerateBasis("initial conditions are linearly dependent (Wronskian = 0)")
 
-    dense, nodes, calls = _fundamental_solve(s, rtol, atol)
+    sol = _collocation(s, rtol, atol)
     basis = ClassicalBasis(scenario=s, omega=omega, rtol=rtol, atol=atol,
-                           _fundamental=dense, _state0=(u0, pu0, v0, pv0), _nodes=nodes)
+                           _fundamental=sol.fundamental, _state0=(u0, pu0, v0, pv0),
+                           _nodes=sol.edges)
     drift = basis._drift
-    _log.debug("solve_homogeneous_basis: %d nodes, %d rhs calls, Wronskian drift %.3e",
-               len(nodes), calls, drift)
+    _log.debug("solve_homogeneous_basis: %d steps, %d steps tried, Wronskian drift %.3e",
+               len(sol.edges) - 1, sol.tried, drift)
     if drift > max(10.0 * rtol, 1e-12):
         raise IntegrationFailure(
             f"Wronskian drifted by {drift:.2e} (> 10x solver tolerance)")
@@ -370,29 +543,33 @@ def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
 
 def solve_particular(s: Scenario, ics=(0.0, 0.0), rtol=DEFAULT_RTOL,
                      atol=DEFAULT_ATOL) -> ParticularSolution:
-    """Integrate the driven equation from (x_p(t0), x_p'(t0)) = ics, with xi(t0)=0.
+    """The driven solution from (x_p(t0), x_p'(t0)) = ics, with xi(t0) = 0.
 
     Any solution of the driven equation is a valid x_p; for F = 0 a nonzero
-    choice is still legitimate and produces coherent states downstream. Logs
-    the ODE nodes and the right-hand-side calls at DEBUG level on
-    "gho.classical".
+    choice is still legitimate and produces coherent states downstream. x_p
+    is the scenario's zero-start solution plus the fundamental pair's image
+    of ics, at the edges of the shared solve's steps; xi sums the steps'
+    quadratic forms of x_p there. Logs the solve's steps and the steps it
+    tried at DEBUG level on "gho.classical".
     """
     x0, xdot0 = ics
     m0, _ = s.mass.eval(s.t0)
-
-    def rhs(t, y):
-        m, _ = s.mass.eval(t)
-        w, _ = s.frequency.eval(t)
-        force, _ = s.force.eval(t)
-        x, pi, _xi = y
-        x_dot = pi / m
-        return [x_dot, force - m * w * w * x,
-                0.5 * (m * w * w * x * x - m * x_dot * x_dot)]
-
-    dense, nodes, calls = _solve(s, rhs, [x0, m0 * xdot0, 0.0], rtol, atol)
-    _log.debug("solve_particular: %d nodes, %d rhs calls", len(nodes), calls)
+    sol = _collocation(s, rtol, atol)
+    n = len(sol.edges) - 1
+    edge = np.ones((n + 1, 3))  # (x_p, M x_p', 1) at the step edges
+    edge[:, :2] = sol.path @ np.array([x0, m0 * xdot0, 1.0])
+    start = edge[:-1]
+    xi = np.concatenate([[0.0], np.cumsum(np.einsum("na,nab,nb->n", start, sol.forms, start))])
+    twice = np.concatenate([start, start])
+    xi_thirds = np.einsum("na,nab,nb->n", twice, sol.thirds[1], twice)
+    x, p = np.moveaxis(_node_states(sol.thirds[0], edge[..., None])[..., 0], -1, 0)
+    values = np.stack([x, p, np.stack([xi[:-1], xi[:-1] + xi_thirds[:n],
+                                       xi[:-1] + xi_thirds[n:], xi[1:]], axis=1)], axis=-1)
+    inv_m, k, force = sol.at_nodes
+    slopes = np.stack([inv_m * p, force - k * x, 0.5 * (k * x * x - inv_m * p * p)], axis=-1)
+    _log.debug("solve_particular: %d steps, %d steps tried", n, sol.tried)
     return ParticularSolution(scenario=s, rtol=rtol, atol=atol,
-                              _dense=dense, _nodes=nodes)
+                              _dense=_dense_output(sol.edges, values, slopes), _nodes=sol.edges)
 
 
 def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> float:

@@ -38,7 +38,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.optimize import brentq
 
 from .classical import ClassicalBasis, gauge_phase, particular_or_zero
 from .coefficients import Scenario, integrate_coefficient
@@ -174,20 +173,37 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
         at_a = basis.at(t_a)
         at_end = basis.at(t_end)
         count = int(_morse_count(at_a, at_end, _hop_matrix(basis.omega, at_a, at_end)[1]))
-        sign = math.copysign(1.0, basis.omega)
-
-        def half_turns(tau):
-            return sign * float(tau - at_a.tau) / math.pi
-
+        end_turns = math.copysign(1.0, basis.omega) * float(at_end.tau - at_a.tau) / math.pi
         lo = t_a
-        end_turns = half_turns(at_end.tau)
         for k in range(1, count + 1):
-            if end_turns <= k:
-                lo = t_end  # a focal time within solver error of t_end
-            else:
-                lo = brentq(lambda t: half_turns(basis.at(t).tau) - k, lo, t_end, xtol=1e-15)
+            # a focal time within solver error of t_end is t_end
+            lo = t_end if end_turns <= k else _focal_time(basis, at_a.tau, k, lo, t_end)
             times.append(float(lo))
     return CausticReport(t_a=t_a, t_end=t_end, times=tuple(times))
+
+
+def _focal_time(basis, tau_a, k, lo, hi):
+    """The root in [lo, hi] of g(t) = sgn(Omega) (tau(t) - tau_a) - k pi, which
+    increases with g' = |Omega| / (M rho^2) from the same snapshot: Newton
+    steps kept inside the bracket that g's sign narrows, bisection where a
+    step would leave it, until the step is below rounding."""
+    sign = math.copysign(1.0, basis.omega)
+    t = lo
+    for _ in range(200):
+        at = basis.at(t)
+        g = sign * float(at.tau - tau_a) - k * math.pi
+        if g == 0.0:
+            return t
+        if g < 0.0:
+            lo = t
+        else:
+            hi = t
+        step = g * float(at.mass * at.rho ** 2) / abs(basis.omega)
+        new = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+        if abs(new - t) <= 1e-15 * max(1.0, abs(t)):
+            return new
+        t = new
+    return t
 
 
 def _morse_count(at_a, at_b, big_b):

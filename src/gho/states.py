@@ -156,10 +156,20 @@ def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
         raise ValidationError(f"positions must have {s.dimension} component(s)")
     h_a, envelope_a, turn_a = _modes_1d(s, basis, part, n_max, q.t_a, ra)
     h_b, envelope_b, turn_b = _modes_1d(s, basis, part, n_max, q.t_b, rb)
-    sums = np.sum(h_a * h_b * (turn_b * np.conj(turn_a))[:, None], axis=0)
+    sums = np.sum(h_a * h_b * _times_conj(turn_b, turn_a)[:, None], axis=0)
     # the per-dimension factors exclude the pure time term; it enters once
     f_ab = integrate_coefficient(s.f, q.t_a, q.t_b) / s.hbar
-    return complex(np.prod(envelope_b * np.conj(envelope_a) * sums) * np.exp(1j * f_ab))
+    return complex(np.prod(_times_conj(envelope_b, envelope_a) * sums) * np.exp(1j * f_ab))
+
+
+def _times_conj(z, w):
+    """z conj(w) from real products, so that swapping z and w conjugates it to
+    the bit; numpy's complex product, fused on some CPUs, does not promise
+    that."""
+    out = np.empty(np.broadcast(z, w).shape, dtype=complex)
+    out.real = z.real * w.real + z.imag * w.imag
+    out.imag = z.imag * w.real - z.real * w.imag
+    return out
 
 
 def _support_bounds(packet: WavePacket, rel=1e-8):

@@ -190,19 +190,23 @@ def test_theta_is_the_unwrapped_angle_of_u_minus_iv(spec, ics):
 
 def test_fundamental_solve_is_shared_per_scenario_object(monkeypatch):
     solves = []
-    solve = gho.classical._solve
+    solve = gho.classical._collocation_solve
 
     def counted(*args):
         solves.append(args[0])
         return solve(*args)
 
-    monkeypatch.setattr(gho.classical, "_solve", counted)
+    monkeypatch.setattr(gho.classical, "_collocation_solve", counted)
     spec = {"frequency": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 2.0},
-            "interval": [0.0, 6.0]}
+            "force": 0.3, "interval": [0.0, 6.0]}
     s = scenario_from_dict(spec)
     bases = [solve_homogeneous_basis(s, ics)
              for ics in (None, ((0.0, 1.0), (1.0, 0.0)), ((0.8, 0.3), (0.4, 1.1)))]
+    # particular solutions ride on the same solve: the zero-start x_p plus
+    # the pair's image of their initial data
+    parts = [solve_particular(s, ics) for ics in ((0.0, 0.0), (0.5, -0.2))]
     assert solves == [s]
+    assert (parts[1].at(0.0).x, parts[1].at(0.0).momentum) == pytest.approx((0.5, -0.2), abs=1e-14)
     # each basis is the image of the same pair: its own initial data at t0
     assert bases[2].at(0.0).u == 0.8 and bases[2].at(0.0).v_dot == 1.1
     again = scenario_from_dict(spec)  # equal, but another object: solved afresh
@@ -332,24 +336,113 @@ def test_classical_invariant_takes_canonical_momentum():
 
 
 def test_solve_budget_raises_integration_failure(monkeypatch):
-    # w = 5 over 12 time units needs about 5000 right-hand-side calls
+    # w = 5 over 12 time units tries 8, 16, ..., 1024 steps, 2040 in all,
+    # and keeps 512
     s = scenario_from_dict({"hbar": 0.5, "interval": [0.0, 12.0], "frequency": 5.0})
-    monkeypatch.setattr(gho.classical, "MAX_RHS_CALLS", 1000)
-    with pytest.raises(gho.IntegrationFailure, match="right-hand-side"):
+    monkeypatch.setattr(gho.classical, "MAX_STEPS", 2000)
+    with pytest.raises(gho.IntegrationFailure, match="exceeded 2000 collocation steps"):
         solve_homogeneous_basis(s)
+    monkeypatch.setattr(gho.classical, "MAX_STEPS", 2040)
+    assert len(solve_homogeneous_basis(s).nodes) == 513
 
 
-def test_solves_log_nodes_calls_and_wronskian_drift(parametric, caplog):
+def test_solves_log_steps_and_wronskian_drift(parametric, caplog):
     with caplog.at_level(logging.DEBUG, logger="gho.classical"):
         basis = solve_homogeneous_basis(parametric)
         part = solve_particular(parametric, (1.0, 0.0))
     basis_msg, part_msg = [r.getMessage() for r in caplog.records if r.name == "gho.classical"]
-    nodes, calls, drift = re.search(
-        r"^solve_homogeneous_basis: (\d+) nodes, (\d+) rhs calls, Wronskian drift (\S+)$",
+    steps, tried, drift = re.search(
+        r"^solve_homogeneous_basis: (\d+) steps, (\d+) steps tried, Wronskian drift (\S+)$",
         basis_msg).groups()
-    assert int(nodes) == len(basis.nodes) and int(calls) > int(nodes)
+    # one piece: 8, 16, ..., 2 N steps tried, N kept
+    assert int(steps) == len(basis.nodes) - 1 and int(tried) == 4 * int(steps) - 8
     expected = np.max(np.abs(basis.wronskian_at(basis.nodes) - basis.omega))
     assert float(drift) == pytest.approx(expected / abs(basis.omega), rel=1e-3, abs=1e-300)
-    nodes, calls = re.search(r"^solve_particular: (\d+) nodes, (\d+) rhs calls$",
-                             part_msg).groups()
-    assert int(nodes) == len(part._nodes) and int(calls) > int(nodes)
+    assert part_msg == f"solve_particular: {steps} steps, {tried} steps tried"
+    assert np.array_equal(part._nodes, basis.nodes)
+
+
+# one scenario per coefficient kind, with force, and the fast oscillator
+KIND_CASES = {
+    "constant": {"mass": 2.0, "frequency": 1.3, "force": 0.4, "interval": [0.0, 8.0]},
+    "polynomial": {"mass": {"kind": "polynomial", "coefficients": [1.0, 0.1]},
+                   "frequency": {"kind": "polynomial", "coefficients": [1.0, 0.0, 0.05]},
+                   "force": {"kind": "polynomial", "coefficients": [0.2, -0.1]},
+                   "interval": [0.0, 6.0]},
+    "sinusoidal": {"mass": {"kind": "sinusoidal", "amplitude": 0.2, "omega": 1.1,
+                            "offset": 1.0},
+                   "frequency": {"kind": "sinusoidal", "amplitude": 0.3, "omega": 1.7,
+                                 "offset": 1.2},
+                   "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 0.9},
+                   "interval": [0.0, 10.0]},
+    "piecewise": {"mass": {"kind": "piecewise", "breakpoints": [1.5, 4.0],
+                           "values": [1.0, 2.5, 0.8]},
+                  "frequency": {"kind": "piecewise", "breakpoints": [2.5, 4.0],
+                                "values": [1.0, 1.8, 0.6]},
+                  "force": {"kind": "piecewise", "breakpoints": [3.0], "values": [0.0, 0.7]},
+                  "interval": [0.0, 6.0]},
+    "exponential": {"mass": {"kind": "exponential", "amplitude": 1.0, "rate": 0.3},
+                    "frequency": {"kind": "exponential", "amplitude": 1.5, "rate": -0.1},
+                    "force": {"kind": "exponential", "amplitude": 0.3, "rate": 0.2},
+                    "interval": [0.0, 6.0]},
+    "fast": {"frequency": 30.0, "interval": [0.0, 12.0]},
+}
+
+
+XP0 = (0.4, -0.3)
+
+
+def _reference(s, xp0, times):
+    """(u, M u', v, M v', x_p, M x_p', xi) of the default basis and x_p at
+    sorted times, by DOP853 at rtol 1e-13, restarted at every breakpoint."""
+    def rhs(t, y):
+        m, _ = s.mass.eval(t)
+        w, _ = s.frequency.eval(t)
+        force, _ = s.force.eval(t)
+        k = m * w * w
+        u, pu, v, pv, x, p, _ = y
+        return [pu / m, -k * u, pv / m, -k * v, p / m, force - k * x,
+                0.5 * (k * x * x - p * p / m)]
+
+    cuts = sorted({t for fn in (s.mass, s.frequency, s.force)
+                   for t in getattr(fn, "breakpoints", ()) if s.t0 < t < s.t1})
+    bounds = [s.t0, *cuts, s.t1]
+    m0, _ = s.mass.eval(s.t0)
+    y = [1.0, 0.0, 0.0, 1.0, xp0[0], m0 * xp0[1], 0.0]
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", dense_output=True,
+                        rtol=1e-13, atol=1e-15)
+        out.append(sol.sol(times[(times >= lo) & (times < hi)]))
+        y = sol.y[:, -1]
+    return np.concatenate(out, axis=1)
+
+
+def _fast_reference(times):
+    """The same for w = 30, M = 1 and F = 0 in closed form."""
+    w, (x0, v0) = 30.0, XP0
+    c, sn = np.cos(w * times), np.sin(w * times)
+    x, p = x0 * c + v0 * sn / w, -x0 * w * sn + v0 * c
+    # xi' = (w^2 x^2 - p^2) / 2 with x = x0 cos + (v0 / w) sin
+    xi = (0.25 * (w * x0 * x0 - v0 * v0 / w) * np.sin(2 * w * times)
+          + 0.5 * x0 * v0 * (1.0 - np.cos(2 * w * times)))
+    return np.array([c, -w * sn, sn / w, c, x, p, xi])
+
+
+@pytest.mark.parametrize("name", sorted(KIND_CASES))
+def test_solve_matches_dop853_for_every_coefficient_kind(name):
+    s = scenario_from_dict(KIND_CASES[name])
+    basis = solve_homogeneous_basis(s)
+    part = solve_particular(s, XP0)
+    times = np.sort(np.random.default_rng(31).uniform(s.t0, s.t1, 400))
+    edges = basis.nodes
+    assert not np.isin(times, edges).any()  # between step edges
+    for jump in {t for fn in (s.mass, s.frequency, s.force)
+                 for t in getattr(fn, "breakpoints", ())}:
+        assert jump in edges
+    bs, ps = basis.at(times), part.at(times)
+    got = np.array([bs.u, bs.mass * bs.u_dot, bs.v, bs.mass * bs.v_dot,
+                    ps.x, ps.momentum, ps.xi])
+    ref = _fast_reference(times) if name == "fast" else _reference(s, XP0, times)
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=1))
+    assert np.max(np.abs(got - ref).max(axis=1) / scale) < 1e-10

@@ -9,7 +9,7 @@ import gho
 from gho import (CausticEncountered, KernelQuery, ValidationError, caustic_times,
                  green_function, inner_product, kernel, kernel_delta_check,
                  l2_distance, mean_x, packet_norm, propagate, sho_eigenstate, var_x)
-from gho.propagator import CAUSTIC_RTOL, _hop_matrix, kernel_coefficients
+from gho.propagator import CAUSTIC_RTOL, _hop_matrix, _morse_count, kernel_coefficients
 
 from conftest import COUPLED, free_kernel, mehler_kernel
 
@@ -161,6 +161,28 @@ def test_caustic_times_sho(sho, sho_basis):
     assert report.morse_index(1.0) == 0
     assert report.morse_index(4.0) == 1
     assert report.morse_index(7.0) == 2
+
+
+@pytest.mark.parametrize("ics", [None, ((1.0, 0.0), (0.0, 5.0)), ((0.1, 0.0), (0.0, -2.0))],
+                         ids=["default", "round", "squeezed_negative_omega"])
+def test_caustic_times_fast_oscillator_to_rounding(ics):
+    # w = 5: D(t; t_a) is proportional to sin(5 (t - t_a)) in every basis, so
+    # the k-th focal time is t_a + k pi / 5, whichever way rho varies
+    s = gho.scenario_from_dict({"hbar": 0.5, "interval": [0.0, 12.0], "frequency": 5.0})
+    basis = gho.solve_homogeneous_basis(s, ics)
+    rng = np.random.default_rng(5)
+    for t_a in (0.0, 0.37, 2.9):
+        report = caustic_times(basis, t_a)
+        count = int((s.t1 - t_a) * 5.0 / np.pi)
+        expected = t_a + np.pi * np.arange(1, count + 1) / 5.0
+        assert len(report.times) == count
+        assert np.max(np.abs(np.asarray(report.times) - expected)) <= 1e-13
+        # the Morse count of the kernel agrees with the report and the closed form
+        t_b = rng.uniform(t_a + 0.01, s.t1, 200)
+        at_a, at_b = basis.at(t_a), basis.at(t_b)
+        morse = _morse_count(at_a, at_b, _hop_matrix(basis.omega, at_a, at_b)[1])
+        assert np.array_equal(morse, np.floor((t_b - t_a) * 5.0 / np.pi))
+        assert [report.morse_index(t) for t in t_b] == list(morse)
 
 
 def test_caustic_times_free(free, free_basis):

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
 
 import gho
 from gho import KernelQuery, ValidationError
@@ -63,13 +62,13 @@ def test_dense_evaluations_per_operation(monkeypatch, parametric, parametric_bas
     part = gho.solve_particular(s, (1.0, 0.0))
     packet = gho.eigenmode_packet(s, basis, part, 1, 1.1, grid)
     sizes = []
-    original = OdeSolution.__call__
+    original = gho.classical._DenseOutput.__call__
 
     def counting(self, t):
         sizes.append(int(np.size(t)))
         return original(self, t)
 
-    monkeypatch.setattr(OdeSolution, "__call__", counting)
+    monkeypatch.setattr(gho.classical._DenseOutput, "__call__", counting)
 
     def evaluations(operation):
         sizes.clear()

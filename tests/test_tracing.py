@@ -22,8 +22,12 @@ basis = gho.solve_homogeneous_basis(s)
 gho.kernel(s, basis, None, gho.KernelQuery(0.1, 1.2, 0.3, -0.4))
 metrics = tracer.metrics()
 for name in ("propagator.kernel.calls", "propagator.kernel_coefficients.calls",
-             "classical.dense_eval.calls", "classical.solve_homogeneous_basis.calls"):
+             "classical.solve_homogeneous_basis.calls"):
     assert metrics[name] >= 1, name
+# classical.dense_eval still wraps scipy's OdeSolution.__call__, which gho no
+# longer calls: it records nothing until the tracer wraps the dense output in
+# gho.classical, and then this line must go back into the loop above
+assert "classical.dense_eval.calls" not in metrics
 print("installed")
 """
 
