@@ -86,9 +86,9 @@ __all__ = [
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 # Collocation steps allowed per solve, summed over its trial step counts. The
-# bundled scenarios try 24-504 steps and keep 16-256; w = 5 over 12 time units
+# bundled scenarios try 24-504 steps and keep 8-128; w = 5 over 12 time units
 # tries 2,040 and w = 30 16,376. A coefficient that needs more fails with
-# IntegrationFailure instead of running on; a kept step holds about 1.5 kB.
+# IntegrationFailure instead of running on; a kept step holds about 0.8 kB.
 MAX_STEPS = 100_000
 
 # 4-stage Gauss-Legendre collocation on [0, 1]: nodes _C, weights _B, and
