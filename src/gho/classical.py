@@ -363,11 +363,15 @@ class ClassicalBasis:
 
     def __post_init__(self):
         # one dense evaluation at the nodes gives both the Wronskian drift and
-        # the lift table's first samples
+        # the lift table's first samples; the drift at each node is relative
+        # to the products u M v' and v M u' that cancel to Omega there, whose
+        # rounding grows with the solutions
         nodes = np.asarray(self._nodes, dtype=float)
         u, pu, v, pv = self._state(nodes)
+        u_pv, v_pu = u * pv, v * pu
+        scale = np.maximum(np.abs(u_pv) + np.abs(v_pu), abs(self.omega))
         object.__setattr__(self, "_drift",
-                           float(np.max(np.abs(u * pv - v * pu - self.omega))) / abs(self.omega))
+                           float(np.max(np.abs(u_pv - v_pu - self.omega) / scale)))
         edges, lifted = self._lift_table(nodes, np.arctan2(-v, u))
         # the table as arrays, and as lists for the scalar path of _theta
         object.__setattr__(self, "_lift", (edges, lifted, edges.tolist(), lifted.tolist()))
@@ -514,8 +518,9 @@ def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
     Raises DegenerateBasis when the initial Wronskian vanishes and
     IntegrationFailure when the solve exceeds MAX_STEPS. Logs the solve's
     steps and the steps it tried, also when the solve is reused, and this
-    basis's largest relative Wronskian drift at the step edges at DEBUG level
-    on "gho.classical".
+    basis's largest Wronskian drift at the step edges, relative to
+    |u M v'| + |v M u'| there (at least |Omega|), at DEBUG level on
+    "gho.classical".
     """
     if ics is None:
         ics = default_basis_ics(s)

@@ -22,8 +22,11 @@ from .errors import CausticEncountered, GhoError, GridTooNarrow, ParseError, Val
 from .packets import GridSpec, WavePacket, inner_product, l2_distance, mean_x, packet_norm, var_x
 
 _SEED = 20240801
-# verify's evolver checks refine dx by the mode's momentum spread r and dt by
-# r^2, so their cost grows about as r^3; they run only up to round(r) = 3
+# verify's evolver checks take half of grid_for's points, whose spacing shrinks
+# as 1 / r with the mode's momentum spread r, and a fine step of
+# 1e-2 / round(r)^2, so their cost grows about as r^3: sho at spread 3
+# (custom:0.14,0,0,1.5, 11,008 points) evolves in 2.2-2.7 s on a 2-core
+# machine. They run only up to round(r) = 3
 _EVOLVER_MAX_SPREAD = 3
 
 
@@ -323,19 +326,24 @@ def _verify_checks(ctx):
         dev = max(dev, abs(packet_norm(states.apply_U_S(g0, basis, s, t_val)) - 1.0))
         return dev
 
+    @functools.cache
+    def coherent_states():
+        """(t, the n = 0 coherent state at t on grid_for(t)) at 0.1, 0.3 and
+        0.5 of the interval: coherent_tracking and squeezed_variance read
+        these three packets."""
+        return [(t_val, states.build_generalized_coherent_state(s, basis, part, 0, t_val,
+                                                                grid_for(t_val)))
+                for t_val in _interior_times(s, (0.1, 0.3, 0.5))]
+
     def coherent_tracking():
         worst = 0.0
-        for t_val in _interior_times(s, (0.1, 0.3, 0.5)):
-            packet = states.build_generalized_coherent_state(s, basis, part, 0, t_val,
-                                                             grid_for(t_val))
+        for t_val, packet in coherent_states():
             worst = max(worst, abs(mean_x(packet) - part.at(t_val).x))
         return worst
 
     def squeezed_variance():
         worst = 0.0
-        for t_val in _interior_times(s, (0.1, 0.3, 0.5)):
-            packet = states.build_generalized_coherent_state(s, basis, part, 0, t_val,
-                                                             grid_for(t_val))
+        for t_val, packet in coherent_states():
             expected = hbar * basis.at(t_val).rho ** 2 / (2.0 * abs(basis.omega))
             worst = max(worst, abs(var_x(packet) - expected) / expected)
         return worst
@@ -352,11 +360,16 @@ def _verify_checks(ctx):
 
     @functools.cache
     def mode_zero_evolution():
-        """The n = 0 mode at t0 on the drift check's grid, evolved by
-        evolve_tdse through the drift check's four legs and, when it is not
-        one of them, evolver_vs_kernel's stop t0 + min(1, 0.8 span): both
-        checks read this one evolution. Returns the start packet, the leg
-        times, the kernel stop and the evolved packet at each stop."""
+        """The n = 0 mode at t0 on the evolver's grid, evolved by evolve_tdse
+        through the drift check's four legs and, when it is not one of them,
+        evolver_vs_kernel's stop t0 + min(1, 0.8 span): both checks read this
+        one evolution. Returns the start packet, the leg times, the kernel
+        stop and the evolved packet at each stop.
+
+        The evolver's grid has the extent of grid_for over the five drift
+        times and half its points. The evolver's spatial error falls as dx^4,
+        so at twice grid_for's spacing it is about the size of the time error
+        of the fine step below rather than far under it."""
         horizon = s.t0 + min(2.0, 0.8 * span)
         legs = [float(t) for t in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4)]
         stop = s.t0 + min(1.0, 0.8 * span)
@@ -370,7 +383,9 @@ def _verify_checks(ctx):
         if spread > _EVOLVER_MAX_SPREAD:
             raise GridTooNarrow(f"momentum spread rounds to {spread}, beyond the "
                                 f"evolver's resolved {_EVOLVER_MAX_SPREAD}")
-        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, grid_for(*times))
+        wide = grid_for(*times)
+        coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 2)
+        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
         cfg = oracle.EvolverConfig(dt=1e-2 / spread ** 2)
         evolved, state = {}, packet
         for t_end in sorted({*legs, stop}):

@@ -172,9 +172,9 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     deterministic. Each run samples the coefficients at step midpoints;
     each step is psi' = 2 A^-1 psi - psi with A = 1 + i dt H / (2 hbar) on the
     5-point stencils, and A is factored again only when the midpoint
-    coefficients change. Logs, at DEBUG level on the "gho.oracle" logger, each
-    run's step count, factorizations and norm drift, and the Richardson error
-    estimate |psi_dt - psi_2dt| / |psi|.
+    coefficients change. Logs, at DEBUG level on the "gho.oracle" logger, the
+    grid's point count and spacing, each run's step count, factorizations and
+    norm drift, and the Richardson error estimate |psi_dt - psi_2dt| / |psi|.
     """
     if s.dimension != 1:
         raise ValidationError("the grid evolver is one-dimensional")
@@ -190,10 +190,12 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
         _crank_nicolson(s, packet, edges, counts, x, pairs)
         for counts in (2 * coarse_counts, coarse_counts)]
     estimate = float(np.linalg.norm(fine - coarse) / np.linalg.norm(packet.samples))
-    _log.debug("evolve_tdse: fine run %d steps, %d factorizations, norm drift %.3e; "
+    _log.debug("evolve_tdse: grid %d points, dx %.6g; "
+               "fine run %d steps, %d factorizations, norm drift %.3e; "
                "coarse run %d steps, %d factorizations, norm drift %.3e; "
-               "Richardson error estimate %.3e", fine_steps, fine_factors, fine_drift,
-               coarse_steps, coarse_factors, coarse_drift, estimate)
+               "Richardson error estimate %.3e", packet.grid.n_points, packet.grid.dx,
+               fine_steps, fine_factors, fine_drift, coarse_steps, coarse_factors,
+               coarse_drift, estimate)
     return WavePacket(packet.grid, (4.0 * fine - coarse) / 3.0, t=t_end)
 
 

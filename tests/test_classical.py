@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -335,6 +336,27 @@ def test_classical_invariant_takes_canonical_momentum():
     assert (vals.max() - vals.min()) / abs(vals.mean()) < 1e-6
 
 
+def test_wronskian_drift_raises_integration_failure(monkeypatch):
+    # c scaled by 1 + 1e-9 moves M (u v' - v u') by 1e-9 cos^2 t on the
+    # default oscillator basis, where the products it cancels are cos^2 t and
+    # sin^2 t: a real drift, 100x the limit of 10 rtol
+    solve = gho.classical._collocation_solve
+
+    def perturbed(*args):
+        sol = solve(*args)
+        fundamental = sol.fundamental
+
+        def off(t):
+            c, pc, sn, ps = fundamental(t)
+            return (1.0 + 1e-9) * c, pc, sn, ps
+
+        return dataclasses.replace(sol, fundamental=off)
+
+    monkeypatch.setattr(gho.classical, "_collocation_solve", perturbed)
+    with pytest.raises(gho.IntegrationFailure, match="Wronskian drifted by 1.00e-09"):
+        solve_homogeneous_basis(scenario_from_dict({"interval": [0.0, 12.0]}))
+
+
 def test_solve_budget_raises_integration_failure(monkeypatch):
     # w = 5 over 12 time units tries 8, 16, ..., 1024 steps, 2040 in all,
     # and keeps 512
@@ -356,8 +378,13 @@ def test_solves_log_steps_and_wronskian_drift(parametric, caplog):
         basis_msg).groups()
     # one piece: 8, 16, ..., 2 N steps tried, N kept
     assert int(steps) == len(basis.nodes) - 1 and int(tried) == 4 * int(steps) - 8
-    expected = np.max(np.abs(basis.wronskian_at(basis.nodes) - basis.omega))
-    assert float(drift) == pytest.approx(expected / abs(basis.omega), rel=1e-3, abs=1e-300)
+    # the drift at each step edge is relative to the products that cancel to
+    # Omega there, |u M v'| + |v M u'|, or to |Omega| if that is larger
+    at = basis.at(basis.nodes)
+    u_pv, v_pu = at.u * at.mass * at.v_dot, at.v * at.mass * at.u_dot
+    scale = np.maximum(np.abs(u_pv) + np.abs(v_pu), abs(basis.omega))
+    expected = np.max(np.abs(u_pv - v_pu - basis.omega) / scale)
+    assert float(drift) == pytest.approx(expected, rel=1e-3, abs=1e-300)
     assert part_msg == f"solve_particular: {steps} steps, {tried} steps tried"
     assert np.array_equal(part._nodes, basis.nodes)
 

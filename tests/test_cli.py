@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -9,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gho import cli, propagator
+from gho import GridSpec, cli, oracle, propagator
 from gho.cli import main
 from gho.errors import GridTooNarrow
+
+from test_oracle import COUPLED
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SHO_TEXT = json.dumps({"interval": [0.0, 12.0]})
@@ -286,6 +289,10 @@ def test_verify_evolves_the_ground_mode_once(caplog, capsys):
     records = [r.getMessage() for r in caplog.records if r.name == "gho.oracle"]
     steps = [re.search(r"fine run (\d+) steps.*coarse run (\d+) steps", m) for m in records]
     assert [sum(int(m[k]) for m in steps) for k in (1, 2)] == [200, 100]
+    # on half of the 2048-point base grid's points: dx = 20 / 1023
+    grids = [re.search(r"grid (\d+) points, dx (\S+);", m).groups() for m in records]
+    assert all(int(n) == 1024 and float(dx) == pytest.approx(20.0 / 1023, rel=1e-5)
+               for n, dx in grids)
     # |psi_dt - psi_2dt| / |psi| per leg, measured 1.6e-6
     estimates = [float(re.search(r"Richardson error estimate (\S+)", m)[1]) for m in records]
     assert len(estimates) == 4 and all(0.0 < e < 1e-5 for e in estimates)
@@ -339,6 +346,84 @@ def test_verify_strongly_squeezed_bases_pass(ics, capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
     assert code == 0
     assert len(lines) == 18 and all(ln.endswith(" PASS") for ln in lines)
+
+
+@pytest.mark.parametrize("basis", ["default", "custom:-0.5414,0.4926,0.9182,-0.5404"])
+def test_verify_evolves_on_half_of_grid_for_points(basis, monkeypatch):
+    # every packet the evolver gets, and so the propagate call and the <I>
+    # reads, keeps the extent of grid_for over the drift check's five times
+    # (0, 0.5, ..., 2 on sho) and has half its points
+    grids = []
+
+    def recorded(s, packet, t_end, cfg):
+        grids.append(packet.grid)
+        return packet.with_samples(packet.samples, t=t_end)
+
+    monkeypatch.setattr(cli.oracle, "evolve_tdse", recorded)
+    args = cli.build_parser().parse_args(
+        ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--basis", basis])
+    ctx = cli._Context(args)
+    checks = {name: check for name, _, check in cli._verify_checks(ctx)}
+    checks["invariant_drift_tdse"]()
+    checks["evolver_vs_kernel"]()
+    # grid_for: the base grid (-10, 10, 2048) widened by the largest mode
+    # width rho / sqrt|Omega| and with N refined by the largest momentum
+    # spread M |(u', v')| / sqrt|Omega| (hbar = M = 1), rounded up to a
+    # multiple of 256; factors within one spacing of 1 read 1
+    bs = ctx.basis.at(np.linspace(0.0, 2.0, 5))
+    root = math.sqrt(abs(ctx.basis.omega))
+    widen, refine = (f if (f - 1.0) * 2048 >= 1.0 else 1.0 for f in (
+        max(1.0, float(np.max(bs.rho)) / root),
+        max(1.0, float(np.max(np.hypot(bs.u_dot, bs.v_dot))) / root)))
+    n = int(math.ceil(2048 * widen * refine / 256.0)) * 256
+    assert len(grids) == 4 and len(set(grids)) == 1
+    (evolved,) = set(grids)
+    assert (evolved.x_min, evolved.x_max) == pytest.approx((-10.0 * widen, 10.0 * widen),
+                                                           rel=1e-12)
+    assert evolved.n_points == n // 2
+    if basis == "default":
+        assert evolved == GridSpec(-10.0, 10.0, 1024)
+    else:  # squeezed: widened and refined
+        assert widen > 1.0 and refine > 1.0
+
+
+def test_verify_evolver_cross_check_fails_on_a_wrong_coupling(tmp_path, monkeypatch,
+                                                              capsys):
+    # the evolver with the mixed a (xp + px) term's sign flipped: on the
+    # coarser evolver grid evolver_vs_kernel still reads about 0.2, far over
+    # its tolerance of 1e-4
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(COUPLED))
+    assert main(["verify", "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    scalars = oracle._hamiltonian_scalars
+
+    def mutated(s, t):
+        m, a_c, *rest = scalars(s, t)
+        return (m, -a_c, *rest)
+
+    monkeypatch.setattr(oracle, "_hamiltonian_scalars", mutated)
+    assert main(["verify", "--scenario", str(path)]) == 1
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("CHECK evolver_vs_kernel ")]
+    assert line.endswith(" FAIL") and float(re.search(r"value=(\S+)", line)[1]) > 1e-2
+
+
+def test_verify_parametric_resonance_passes(tmp_path, capsys):
+    # the solutions grow to about 7e2 and the products u M v', v M u' that
+    # cancel to Omega reach 4.5e5, so their rounding alone moves the
+    # Wronskian by about 5e-11 of Omega; the basis's drift test weighs it
+    # against the products and the scenario loads
+    path = tmp_path / "resonance.json"
+    path.write_text(json.dumps({
+        "frequency": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 2.0, "offset": 1.0},
+        "interval": [0.0, 30.0]}))
+    code = main(["verify", "--scenario", str(path)])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
+    assert code == 0
+    assert sum(ln.endswith(" PASS") for ln in lines) == 17
+    (skipped,) = [ln for ln in lines if not ln.endswith(" PASS")]
+    assert skipped.startswith("CHECK kernel_closed_form ") and "SKIP(not applicable)" in skipped
 
 
 def test_verify_skips_evolver_checks_beyond_the_resolved_spread():
