@@ -363,15 +363,11 @@ class ClassicalBasis:
 
     def __post_init__(self):
         # one dense evaluation at the nodes gives both the Wronskian drift and
-        # the lift table's first samples; the drift at each node is relative
-        # to the products u M v' and v M u' that cancel to Omega there, whose
-        # rounding grows with the solutions
+        # the lift table's first samples
         nodes = np.asarray(self._nodes, dtype=float)
         u, pu, v, pv = self._state(nodes)
-        u_pv, v_pu = u * pv, v * pu
-        scale = np.maximum(np.abs(u_pv) + np.abs(v_pu), abs(self.omega))
         object.__setattr__(self, "_drift",
-                           float(np.max(np.abs(u_pv - v_pu - self.omega) / scale)))
+                           float(np.max(_wronskian_drift(u, pu, v, pv, self.omega))))
         edges, lifted = self._lift_table(nodes, np.arctan2(-v, u))
         # the table as arrays, and as lists for the scalar path of _theta
         object.__setattr__(self, "_lift", (edges, lifted, edges.tolist(), lifted.tolist()))
@@ -443,6 +439,18 @@ class ClassicalBasis:
         """M (u v' - v u') at time(s) t; constant in t up to solver error."""
         u, pu, v, pv = self._state(t)
         return u * pv - v * pu
+
+    def wronskian_drift_at(self, t):
+        """|M (u v' - v u') - Omega| at time(s) t, relative to the larger of
+        |Omega| and the products |u M v'| + |v M u'| that cancel to it."""
+        return _wronskian_drift(*self._state(t), self.omega)
+
+
+def _wronskian_drift(u, pu, v, pv, omega):
+    """The Wronskian's drift from omega relative to the products u M v' and
+    v M u' that cancel to it, whose rounding grows with the solutions."""
+    u_pv, v_pu = u * pv, v * pu
+    return np.abs(u_pv - v_pu - omega) / np.maximum(np.abs(u_pv) + np.abs(v_pu), abs(omega))
 
 
 @dataclass(frozen=True)

@@ -91,9 +91,10 @@ def solve_banded(factors, rhs):
     return out
 
 
-def _factor_step(row, i_half, hbar, x, pairs, dx):
-    """zgbtrf factors of A = 1 + i_half H for one row of _hamiltonian_scalars;
-    pairs[k] holds x_j + x_(j+k)."""
+def _factor_step(band, row, i_half, hbar, x, pairs, dx):
+    """zgbtrf factors of A = 1 + i_half H for one row of _hamiltonian_scalars,
+    built and factored in band, a Fortran-ordered complex (3 _BAND + 1) x N
+    array that the factors then occupy; pairs[k] holds x_j + x_(j+k)."""
     m, a_c, b_c, v2, v1, v0 = row
     kin = -0.5 * hbar ** 2 / (m * dx * dx)
     # -a (xp + px) -> i hbar a (D X + X D); -(b/M) p -> i hbar (b/M) D
@@ -101,7 +102,7 @@ def _factor_step(row, i_half, hbar, x, pairs, dx):
     mixed = 1j * hbar * a_c / dx
     # LAPACK band storage: A[i, j] sits in row 2 _BAND + i - j, column j; the
     # top _BAND rows are zgbtrf's room for the pivoting fill-in
-    band = np.zeros((3 * _BAND + 1, x.size), dtype=np.complex128, order="F")
+    band[:] = 0.0
     band[2 * _BAND] = 1.0 + i_half * (kin * _D2[0] + v0 + (v2 * x + v1) * x)
     for k in range(1, _BAND + 1):
         h = kin * _D2[k] + _D1[k] * (drift + mixed * pairs[k])  # H[j, j + k]
@@ -120,7 +121,7 @@ def _crank_nicolson(s: Scenario, packet: WavePacket, edges, counts, x, pairs):
     edges[i + 1]], counts[i] equal steps each: the final samples, the total
     step count, the number of factorizations and the norm drift, which must
     stay within 1e-10 per step. x and pairs are the grid arrays of
-    _factor_step."""
+    _factor_step; one band buffer serves every factorization of the run."""
     piece_dts = np.diff(edges) / counts
     dts = np.repeat(piece_dts, counts)
     mids = np.concatenate([lo + (np.arange(n) + 0.5) * dt
@@ -131,10 +132,11 @@ def _crank_nicolson(s: Scenario, packet: WavePacket, edges, counts, x, pairs):
     fresh[1:] = np.any(table[1:] != table[:-1], axis=1)
     psi = np.array(packet.samples, dtype=np.complex128)
     work = np.empty_like(psi)
+    band = np.empty((3 * _BAND + 1, x.size), dtype=np.complex128, order="F")
     norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     for k in range(n_steps):
         if fresh[k]:
-            factors = _factor_step(table[k, :-1], 0.5j * dts[k] / s.hbar, s.hbar, x,
+            factors = _factor_step(band, table[k, :-1], 0.5j * dts[k] / s.hbar, s.hbar, x,
                                    pairs, packet.grid.dx)
         np.copyto(work, psi)
         y = solve_banded(factors, work)

@@ -4,6 +4,12 @@ Quadrature is trapezoidal throughout; it is spectrally accurate for the
 edge-decayed packets every operation requires. Derivatives use 4th-order
 centered stencils with one-sided closures at the edges (which are required to
 be numerically dark anyway).
+
+The packet functions here and in gho.propagator and gho.states compute in
+place on arrays they own and never write to their inputs. Each in-place step
+keeps the operand order of the plain expression it replaces, so the results
+are the same to the bit: numpy's complex product, fused on some CPUs, is not
+commutative to the bit.
 """
 
 from __future__ import annotations
@@ -137,7 +143,14 @@ def derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     """d/dx via 4th-order centered stencil, one-sided at the edges."""
     f = np.asarray(samples)
     out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * dx)
+    # (f[:-4] - 8 f[1:-3] + 8 f[3:-1] - f[4:]) / (12 dx), summed in that
+    # order into the interior of the result with one scratch term
+    mid = out[2:-2]
+    np.multiply(8.0, f[1:-3], out=mid)
+    np.subtract(f[:-4], mid, out=mid)
+    mid += np.multiply(8.0, f[3:-1])
+    mid -= f[4:]
+    mid /= 12.0 * dx
     head = f[:5]
     tail = f[-5:][::-1]
     out[0] = _EDGE1[0] @ head / dx
@@ -151,8 +164,16 @@ def second_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     """d2/dx2, 4th order in the interior, 2nd-order one-sided at the edges."""
     f = np.asarray(samples)
     out = np.empty_like(f)
-    out[2:-2] = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2]
-                 + 16.0 * f[3:-1] - f[4:]) / (12.0 * dx * dx)
+    # (-f[:-4] + 16 f[1:-3] - 30 f[2:-2] + 16 f[3:-1] - f[4:]) / (12 dx^2),
+    # summed in that order into the interior with one scratch term
+    mid = out[2:-2]
+    np.multiply(16.0, f[1:-3], out=mid)
+    mid -= f[:-4]
+    term = np.multiply(30.0, f[2:-2])
+    mid -= term
+    mid += np.multiply(16.0, f[3:-1], out=term)
+    mid -= f[4:]
+    mid /= 12.0 * dx * dx
     edge = np.array([2.0, -5.0, 4.0, -1.0])
     out[0] = edge @ f[:4] / (dx * dx)
     out[1] = edge @ f[1:5] / (dx * dx)
@@ -172,13 +193,20 @@ def czt(h, m: int, angle: float) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     n = len(h)
     k = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(0.5j * angle * k * k)
+    chirp = np.multiply(0.5j * angle, k)
+    chirp *= k
+    np.exp(chirp, out=chirp)
     size = sfft.next_fast_len(n + m - 1)
+    # the zero-padded signal and the chirp filter, transformed in place
+    work = np.zeros(size, dtype=np.complex128)
+    np.multiply(h, chirp[:n], out=work[:n])
     filt = np.zeros(size, dtype=np.complex128)
-    filt[:m] = np.conj(chirp[:m])
-    filt[size - n + 1:] = np.conj(chirp[1:n][::-1])
-    spectrum = sfft.fft(h * chirp[:n], size) * sfft.fft(filt)
-    return sfft.ifft(spectrum)[:m] * chirp[:m]
+    np.conjugate(chirp[:m], out=filt[:m])
+    np.conjugate(chirp[n - 1:0:-1], out=filt[size - n + 1:])
+    work = sfft.fft(work, overwrite_x=True)
+    work *= sfft.fft(filt, overwrite_x=True)
+    work = sfft.ifft(work, overwrite_x=True)
+    return work[:m] * chirp[:m]
 
 
 def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
@@ -195,17 +223,27 @@ def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
         raise ValidationError("interpolation points must be a non-empty 1-D array")
     m = len(points)
     step = (points[-1] - points[0]) / (m - 1) if m > 1 else 0.0
-    lattice = points[0] + step * np.arange(m)
+    lattice = np.arange(m, dtype=float)
+    lattice *= step
+    lattice += points[0]
     if np.max(np.abs(points - lattice)) > 1e-9 * abs(step):
         raise ValidationError("interpolation points must be evenly spaced")
     n = p.grid.n_points
     period = n * p.grid.dx
     # modes ordered by frequency (k - n//2) / period, k = 0 .. n-1
-    coeffs = np.fft.fftshift(np.fft.fft(p.samples)) / n
+    spectrum = sfft.fft(p.samples)
+    h = np.empty(n, dtype=np.complex128)
+    h[n // 2:] = spectrum[:n - n // 2]
+    h[:n // 2] = spectrum[n - n // 2:]
+    h /= n
     start = points[0] - p.grid.x_min
-    h = coeffs * np.exp(2j * np.pi * start / period * np.arange(n))
+    ramp = np.multiply(2j * np.pi * start / period, np.arange(n))
+    h *= np.exp(ramp, out=ramp)
     vals = czt(h, m, 2.0 * np.pi * step / period)
-    vals *= np.exp(-2j * np.pi * (n // 2) * (lattice - p.grid.x_min) / period)
+    lattice -= p.grid.x_min
+    ramp = np.multiply(-2j * np.pi * (n // 2), lattice)
+    ramp /= period
+    vals *= np.exp(ramp, out=ramp)
     vals[(points < p.grid.x_min) | (points > p.grid.x_max)] = 0.0
     return vals
 
@@ -221,7 +259,7 @@ def upsample_periodic(p: WavePacket, m: int):
         return p.grid.points.copy(), np.asarray(p.samples, dtype=np.complex128).copy()
     if m < n:
         raise ValidationError("upsample target must be >= current grid size")
-    spectrum = np.fft.fft(p.samples)
+    spectrum = sfft.fft(p.samples)
     padded = np.zeros(m, dtype=np.complex128)
     half = n // 2
     if n % 2 == 0:
@@ -233,7 +271,10 @@ def upsample_periodic(p: WavePacket, m: int):
     else:
         padded[:half + 1] = spectrum[:half + 1]
         padded[m - half:] = spectrum[half + 1:]
-    values = np.fft.ifft(padded) * (m / n)
+    values = sfft.ifft(padded, overwrite_x=True)
+    values *= m / n
     period = n * p.grid.dx
-    points = p.grid.x_min + np.arange(m) * (period / m)
+    points = np.arange(m, dtype=float)
+    points *= period / m
+    points += p.grid.x_min
     return points, values

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import fft, fftfreq, ifft, next_fast_len
 
 from .classical import ClassicalBasis, gauge_phase, particular_or_zero
 from .coefficients import Scenario, integrate_coefficient
@@ -350,13 +350,16 @@ def _lct_apply(co: KernelCoefficients, ys, g, dy, out_points):
     x0 = float(out_points[0])
     dxo = float(out_points[1] - out_points[0])
     m_out = len(out_points)
-    h = g * np.exp(1j * (co.q_aa * ys * ys + co.l_a * ys))
-    h = h * np.exp(1j * beta * x0 * (ys - ys[0]))
+    y0 = float(ys[0])
+    # one exponential per side: the kernel's own phase plus the shift that
+    # puts the chirp-z origin at (y0, x0)
+    h = 1j * (co.q_aa * ys * ys + co.l_a * ys + beta * x0 * (ys - y0))
+    h = np.multiply(g, np.exp(h, out=h), out=h)
     transform = czt(h, m_out, beta * dxo * dy)
-    transform *= np.exp(1j * beta * ys[0] * out_points)
-    out = co.prefactor * np.exp(
-        1j * (co.q_bb * out_points ** 2 + co.l_b * out_points)) * transform * dy
-    return out
+    phase = 1j * (co.q_bb * out_points ** 2 + co.l_b * out_points + beta * y0 * out_points)
+    transform *= np.exp(phase, out=phase)
+    transform *= co.prefactor * dy
+    return transform
 
 
 def _quadrature_size(co: KernelCoefficients, grid):
@@ -403,16 +406,23 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     morse = math.floor(abs(float(at_b.tau - at_a.tau)) / math.pi)
     phi = sigma * (-0.25 * math.pi - 0.5 * math.pi * morse
                    + 0.25 * math.pi * math.copysign(1.0, big_a) * (-1) ** morse)
-    reduced = packet.with_samples(
-        packet.samples * np.exp(-1j * gauge_phase(s, at_a.mass, xp_a, t_a, x)))
+    phase = -1j * gauge_phase(s, at_a.mass, xp_a, t_a, x)
+    reduced = np.multiply(packet.samples, np.exp(phase, out=phase), out=phase)
     big_x = x - xp_b.x
-    dilated = evaluate_trig_interpolant(reduced, xp_a.x + big_x / big_a)
-    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
-    fresnel = np.fft.ifft(np.fft.fft(dilated) * np.exp(-0.5j * hbar * big_a * big_b * k * k))
+    dilated = evaluate_trig_interpolant(packet.with_samples(reduced), xp_a.x + big_x / big_a)
+    k = fftfreq(grid.n_points, grid.dx)
+    k *= 2.0 * math.pi
+    chirp = np.multiply(-0.5j * hbar * big_a * big_b, k)
+    chirp *= k
+    fresnel = fft(dilated, overwrite_x=True)
+    fresnel *= np.exp(chirp, out=chirp)
+    fresnel = ifft(fresnel, overwrite_x=True)
     f_int = integrate_coefficient(s.f, t_a, t_b)
-    phase = (phi + big_c * big_x * big_x / (2.0 * hbar * big_a)
-             + gauge_phase(s, at_b.mass, xp_b, t_b, x) + f_int / hbar)
-    return WavePacket(grid, abs(big_a) ** -0.5 * np.exp(1j * phase) * fresnel, t_b)
+    phase = 1j * (phi + big_c * big_x * big_x / (2.0 * hbar * big_a)
+                  + gauge_phase(s, at_b.mass, xp_b, t_b, x) + f_int / hbar)
+    out = np.multiply(abs(big_a) ** -0.5, np.exp(phase, out=phase), out=phase)
+    out *= fresnel
+    return WavePacket(grid, out, t_b)
 
 
 def kernel_delta_check(s: Scenario, basis: ClassicalBasis, part, t_a: float,

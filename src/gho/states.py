@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.fft import fft, fftfreq, ifft
 
 from .classical import ClassicalBasis, ParticularSolution, gauge_phase, particular_or_zero
 from .coefficients import Scenario, integrate_coefficient
@@ -109,7 +110,9 @@ def _modes_1d(s, basis, part, n_max, t, x):
     dxp = x - ps.x
     phase = gauge_phase(s, bs.mass, ps, t, x) \
         + bs.mass * bs.rho_dot * dxp * dxp / (2.0 * hbar * bs.rho)
-    envelope = (omega / (hbar * bs.rho ** 2)) ** 0.25 * np.exp(1j * phase)
+    envelope = 1j * phase
+    envelope = np.multiply((omega / (hbar * bs.rho ** 2)) ** 0.25,
+                           np.exp(envelope, out=envelope), out=envelope)
     h = hermite_functions(n_max, math.sqrt(omega / hbar) * dxp / bs.rho)
     angle = math.copysign(1.0, basis.omega) * bs.theta
     turn = np.exp(1j * (np.arange(n_max + 1) + 0.5) * angle)
@@ -141,7 +144,9 @@ def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
         raise ValidationError("eigenmode_packet is implemented for dimension 1")
     h, envelope, turn = _modes_1d(s, basis, part, n, t, grid.points)
     f_int = integrate_coefficient(s.f, s.t0, t) / s.hbar
-    return WavePacket(grid, h[n] * envelope * (turn[n] * np.exp(1j * f_int)), t=t)
+    np.multiply(h[n], envelope, out=envelope)
+    envelope *= turn[n] * np.exp(1j * f_int)
+    return WavePacket(grid, envelope, t=t)
 
 
 def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
@@ -195,13 +200,18 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     if lo + xp < packet.grid.x_min or hi + xp > packet.grid.x_max:
         raise GridTooNarrow(f"translation by {xp:.3g} pushes support off the grid")
     # exact band-limited translation: phase multiply in frequency space
-    n = packet.grid.n_points
-    freqs = np.fft.fftfreq(n, d=packet.grid.dx)
-    shifted = np.fft.ifft(np.fft.fft(packet.samples) * np.exp(-2j * np.pi * freqs * xp))
+    ramp = np.multiply(-2j * np.pi, fftfreq(packet.grid.n_points, d=packet.grid.dx))
+    ramp *= xp
+    shifted = fft(packet.samples)
+    shifted *= np.exp(ramp, out=ramp)
+    shifted = ifft(shifted, overwrite_x=True)
     x = packet.grid.points
     outside = (x - xp < packet.grid.x_min) | (x - xp > packet.grid.x_max)
     shifted[outside] = 0.0
-    out = np.exp(1j * (ps.xi + ps.momentum * x) / s.hbar) * shifted
+    phase = 1j * (ps.xi + ps.momentum * x)
+    phase /= s.hbar
+    out = np.exp(phase, out=phase)
+    out *= shifted
     return WavePacket(packet.grid, out, t=t)
 
 
@@ -217,8 +227,10 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
     packet.require_dark_edges(1e-8, "apply_U_S")
     rescaled = evaluate_trig_interpolant(packet, scale * packet.grid.points)
     x = packet.grid.points
-    out = (np.sqrt(scale)
-           * np.exp(1j * bs.mass * bs.rho_dot * x * x / (2.0 * s.hbar * bs.rho)) * rescaled)
+    phase = 1j * bs.mass * bs.rho_dot * x * x
+    phase /= 2.0 * s.hbar * bs.rho
+    out = np.multiply(np.sqrt(scale), np.exp(phase, out=phase), out=phase)
+    out *= rescaled
     result = WavePacket(packet.grid, out, t=t)
     result.require_dark_edges(1e-8, "apply_U_S output")
     return result
@@ -257,31 +269,52 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     discretization. The momentum acts by 4th-order centered differences.
     """
     packet.require_dark_edges(1e-8, "invariant_expectation")
+    dx = packet.grid.dx
+    norm_sq = np.trapezoid(np.abs(packet.samples) ** 2, dx=dx)
+    density = _invariant_density(packet, basis, particular_or_zero(s, part).at(packet.t), s)
+    expectation = complex(np.trapezoid(density, dx=dx) / norm_sq)
+    if with_diagnostic:
+        return expectation.real, expectation.imag
+    return expectation.real
+
+
+def _invariant_density(packet: WavePacket, basis: ClassicalBasis, ps, s: Scenario):
+    """conj(psi) I psi on the grid for the particular snapshot ps at the
+    packet's time; its work arrays are freed on return, before the caller's
+    quadrature allocates."""
     t = packet.t
     hbar = s.hbar
     omega = abs(basis.omega)
     bs = basis.at(t)
-    ps = particular_or_zero(s, part).at(t)
     m = bs.mass
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
     x = packet.grid.points
     dx = packet.grid.dx
     psi = packet.samples
-    momentum_shift = 2.0 * m * a_c * x + b_c + ps.momentum
+    momentum_shift = 2.0 * m * a_c * x
+    momentum_shift += b_c
+    momentum_shift += ps.momentum
+    scratch = np.empty_like(psi)
 
     def p_tilde(f):
-        return -1j * hbar * derivative(f, dx) - momentum_shift * f
+        out = derivative(f, dx)
+        np.multiply(-1j * hbar, out, out=out)
+        out -= np.multiply(momentum_shift, f, out=scratch)
+        return out
 
+    # I psi = (c_xx X^2 psi - c_xp (X P + P X) psi + rho^2 P^2 psi) / (2 |Omega|),
+    # each sum in the written order, accumulated over the buffers it frees
     x_shift = x - ps.x
     p_psi = p_tilde(psi)
     xpsi = x_shift * psi
-    cross = x_shift * p_psi + p_tilde(xpsi)
-    i_psi = ((omega ** 2 / bs.rho ** 2 + (m * bs.rho_dot) ** 2) * x_shift * xpsi
-             - m * bs.rho * bs.rho_dot * cross
-             + bs.rho ** 2 * p_tilde(p_psi)) / (2.0 * omega)
-    norm_sq = np.trapezoid(np.abs(psi) ** 2, dx=dx)
-    expectation = complex(np.trapezoid(np.conj(psi) * i_psi, dx=dx) / norm_sq)
-    if with_diagnostic:
-        return expectation.real, expectation.imag
-    return expectation.real
+    cross = p_tilde(xpsi)
+    cross += np.multiply(x_shift, p_psi, out=scratch)
+    i_psi = p_tilde(p_psi)
+    np.multiply(bs.rho ** 2, i_psi, out=i_psi)
+    x_shift *= omega ** 2 / bs.rho ** 2 + (m * bs.rho_dot) ** 2
+    np.multiply(x_shift, xpsi, out=xpsi)
+    xpsi -= np.multiply(m * bs.rho * bs.rho_dot, cross, out=cross)
+    i_psi += xpsi
+    i_psi /= 2.0 * omega
+    return np.multiply(np.conjugate(psi, out=scratch), i_psi, out=i_psi)

@@ -412,8 +412,8 @@ def test_verify_evolver_cross_check_fails_on_a_wrong_coupling(tmp_path, monkeypa
 def test_verify_parametric_resonance_passes(tmp_path, capsys):
     # the solutions grow to about 7e2 and the products u M v', v M u' that
     # cancel to Omega reach 4.5e5, so their rounding alone moves the
-    # Wronskian by about 5e-11 of Omega; the basis's drift test weighs it
-    # against the products and the scenario loads
+    # Wronskian by about 5e-11 of Omega; the basis's drift test and verify's
+    # wronskian_constancy weigh it against the products
     path = tmp_path / "resonance.json"
     path.write_text(json.dumps({
         "frequency": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 2.0, "offset": 1.0},
@@ -424,6 +424,8 @@ def test_verify_parametric_resonance_passes(tmp_path, capsys):
     assert sum(ln.endswith(" PASS") for ln in lines) == 17
     (skipped,) = [ln for ln in lines if not ln.endswith(" PASS")]
     assert skipped.startswith("CHECK kernel_closed_form ") and "SKIP(not applicable)" in skipped
+    (wronskian,) = [ln for ln in lines if ln.startswith("CHECK wronskian_constancy ")]
+    assert float(wronskian.split()[2].removeprefix("value=")) < 1e-13
 
 
 def test_verify_skips_evolver_checks_beyond_the_resolved_spread():

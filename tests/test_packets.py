@@ -1,14 +1,20 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import fft, ifft, next_fast_len
+
+from conftest import COUPLED
 
 import gho
 from gho import GridSpec, ValidationError, WavePacket, sho_eigenstate
-from gho.packets import czt, evaluate_trig_interpolant
+from gho.packets import (czt, derivative, evaluate_trig_interpolant, second_derivative,
+                         upsample_periodic)
+from gho.propagator import _lct_apply, kernel_coefficients
 
 
 def _direct_czt(h, m, angle):
@@ -66,3 +72,138 @@ def test_import_does_not_load_scipy_signal():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def _bluestein(h, m, angle):
+    """Textbook chirp-z: chirp, convolution with the conjugate chirp by FFT,
+    chirp again."""
+    n = len(h)
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(0.5j * angle * k * k)
+    size = next_fast_len(n + m - 1)
+    filt = np.zeros(size, dtype=np.complex128)
+    filt[:m] = np.conj(chirp[:m])
+    filt[size - n + 1:] = np.conj(chirp[1:n][::-1])
+    return ifft(fft(h * chirp[:n], size) * fft(filt))[:m] * chirp[:m]
+
+
+def _owns_its_buffer(result):
+    """No larger buffer (an FFT work array, a chirp) is kept alive by result."""
+    return result.flags.owndata or result.base.nbytes == result.nbytes
+
+
+@pytest.mark.parametrize("n, m", [(64, 24), (24, 64), (2048, 4800), (3001, 7919)])
+def test_czt_is_the_textbook_bluestein_sum(n, m):
+    rng = np.random.default_rng(n * m)
+    h = rng.normal(size=n) + 1j * rng.normal(size=n)
+    kept = h.copy()
+    for angle in (0.37, -2.1e-4):
+        got = czt(h, m, angle)
+        assert np.array_equal(got, _bluestein(h, m, angle))
+        assert np.array_equal(h, kept)
+        assert got.shape == (m,) and _owns_its_buffer(got)
+
+
+@pytest.mark.parametrize("stencil", [derivative, second_derivative])
+def test_stencils_leave_input_unchanged(stencil):
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    kept = f.copy()
+    got = stencil(f, 0.01)
+    assert np.array_equal(f, kept)
+    assert got.shape == f.shape and _owns_its_buffer(got)
+
+
+def test_resampling_leaves_packet_unchanged(grid):
+    packet = WavePacket(grid, sho_eigenstate(2, grid).samples * np.exp(0.4j * grid.points))
+    kept = packet.samples.copy()
+    points = 0.8 * grid.points + 0.05
+    points_kept = points.copy()
+    values = evaluate_trig_interpolant(packet, points)
+    assert np.array_equal(points, points_kept)
+    assert _owns_its_buffer(values)
+    for result in upsample_periodic(packet, 3 * grid.n_points + 5):
+        assert _owns_its_buffer(result)
+    assert np.array_equal(packet.samples, kept)
+
+
+def test_lct_apply_leaves_inputs_unchanged(sho, sho_basis, sho_part_zero):
+    grid = GridSpec(-12.0, 12.0, 1024)
+    x, dx = grid.points, grid.dx
+    co = kernel_coefficients(sho, sho_basis, sho_part_zero, 0.25, 0.5)
+    field = np.exp(-(x - 0.3) ** 2) * (1.0 + 0.2j * x)
+    kept = field.copy(), x.copy()
+    got = _lct_apply(co, x, field, dx, x)
+    assert np.array_equal(field, kept[0]) and np.array_equal(x, kept[1])
+    assert _owns_its_buffer(got)
+
+
+def _invariant_written_out(packet, basis, part, s):
+    """invariant_expectation's arithmetic as one expression per quantity."""
+    t, hbar, omega = packet.t, s.hbar, abs(basis.omega)
+    bs = basis.at(t)
+    ps = part.at(t)
+    m = bs.mass
+    a_c, _ = s.a.eval(t)
+    b_c, _ = s.b.eval(t)
+    x, dx, psi = packet.grid.points, packet.grid.dx, packet.samples
+    momentum_shift = 2.0 * m * a_c * x + b_c + ps.momentum
+
+    def p_tilde(f):
+        return -1j * hbar * derivative(f, dx) - momentum_shift * f
+
+    x_shift = x - ps.x
+    p_psi = p_tilde(psi)
+    xpsi = x_shift * psi
+    cross = x_shift * p_psi + p_tilde(xpsi)
+    i_psi = ((omega ** 2 / bs.rho ** 2 + (m * bs.rho_dot) ** 2) * x_shift * xpsi
+             - m * bs.rho * bs.rho_dot * cross
+             + bs.rho ** 2 * p_tilde(p_psi)) / (2.0 * omega)
+    norm_sq = np.trapezoid(np.abs(psi) ** 2, dx=dx)
+    value = complex(np.trapezoid(np.conj(psi) * i_psi, dx=dx) / norm_sq)
+    return value.real, value.imag
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_invariant_expectation_is_the_written_out_expression(coupled, sho, sho_basis,
+                                                             sho_part_cos):
+    s = gho.scenario_from_dict(COUPLED) if coupled else sho
+    basis = gho.solve_homogeneous_basis(s) if coupled else sho_basis
+    part = gho.solve_particular(s) if coupled else sho_part_cos
+    grid = GridSpec(-12.0, 12.0, 3000)
+    packet = gho.eigenmode_packet(s, basis, part, 2, 1.3, grid)
+    kept = packet.samples.copy()
+    got = gho.invariant_expectation(packet, basis, part, s, with_diagnostic=True)
+    assert np.array_equal(got, _invariant_written_out(packet, basis, part, s))
+    assert np.array_equal(packet.samples, kept)
+
+
+def _traced_peak(call):
+    """Peak bytes numpy allocates (as tracemalloc sees them) during call()."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_chirp_z_hop_and_invariant_allocate_no_extra_full_size_array(
+        sho, sho_basis, sho_part_zero):
+    # At N = 4096 on (-10, 10) the hop 0.3 -> 1.0 takes the chirp-z form on
+    # 4800 quadrature points. Measured with numpy 2.4 / scipy 1.17: the hop
+    # peaks at 678 KiB and the invariant at 483 KiB (892 and 610 KiB before
+    # the packet functions worked in place). Each bound adds half of one
+    # complex array of the size at stake, 4800 or 4096 points, so one more
+    # such temporary alive at the peak fails.
+    grid = GridSpec(-10.0, 10.0, 4096)
+    packet = gho.eigenmode_packet(sho, sho_basis, sho_part_zero, 1, 0.3, grid)
+    co = kernel_coefficients(sho, sho_basis, sho_part_zero, 0.3, 1.0)
+    assert next_fast_len(gho.propagator._quadrature_size(co, grid)) == 4800
+    moved = gho.propagate(packet, sho, sho_basis, sho_part_zero, 1.0)  # warm-up
+    hop = _traced_peak(lambda: gho.propagate(packet, sho, sho_basis, sho_part_zero, 1.0))
+    invariant = _traced_peak(
+        lambda: gho.invariant_expectation(moved, sho_basis, sho_part_zero, sho))
+    assert hop < 678 * 1024 + 4800 * 16 // 2
+    assert invariant < 483 * 1024 + 4096 * 16 // 2
