@@ -144,7 +144,7 @@ def derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     f = np.asarray(samples)
     out = np.empty_like(f)
     # (f[:-4] - 8 f[1:-3] + 8 f[3:-1] - f[4:]) / (12 dx), summed in that
-    # order into the interior of the result with one scratch term
+    # order into the interior of the result with one temporary term
     mid = out[2:-2]
     np.multiply(8.0, f[1:-3], out=mid)
     np.subtract(f[:-4], mid, out=mid)
@@ -165,7 +165,7 @@ def second_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     f = np.asarray(samples)
     out = np.empty_like(f)
     # (-f[:-4] + 16 f[1:-3] - 30 f[2:-2] + 16 f[3:-1] - f[4:]) / (12 dx^2),
-    # summed in that order into the interior with one scratch term
+    # summed in that order into the interior with one temporary term
     mid = out[2:-2]
     np.multiply(16.0, f[1:-3], out=mid)
     mid -= f[:-4]

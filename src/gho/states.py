@@ -295,12 +295,12 @@ def _invariant_density(packet: WavePacket, basis: ClassicalBasis, ps, s: Scenari
     momentum_shift = 2.0 * m * a_c * x
     momentum_shift += b_c
     momentum_shift += ps.momentum
-    scratch = np.empty_like(psi)
+    spare = np.empty_like(psi)
 
     def p_tilde(f):
         out = derivative(f, dx)
         np.multiply(-1j * hbar, out, out=out)
-        out -= np.multiply(momentum_shift, f, out=scratch)
+        out -= np.multiply(momentum_shift, f, out=spare)
         return out
 
     # I psi = (c_xx X^2 psi - c_xp (X P + P X) psi + rho^2 P^2 psi) / (2 |Omega|),
@@ -309,7 +309,7 @@ def _invariant_density(packet: WavePacket, basis: ClassicalBasis, ps, s: Scenari
     p_psi = p_tilde(psi)
     xpsi = x_shift * psi
     cross = p_tilde(xpsi)
-    cross += np.multiply(x_shift, p_psi, out=scratch)
+    cross += np.multiply(x_shift, p_psi, out=spare)
     i_psi = p_tilde(p_psi)
     np.multiply(bs.rho ** 2, i_psi, out=i_psi)
     x_shift *= omega ** 2 / bs.rho ** 2 + (m * bs.rho_dot) ** 2
@@ -317,4 +317,4 @@ def _invariant_density(packet: WavePacket, basis: ClassicalBasis, ps, s: Scenari
     xpsi -= np.multiply(m * bs.rho * bs.rho_dot, cross, out=cross)
     i_psi += xpsi
     i_psi /= 2.0 * omega
-    return np.multiply(np.conjugate(psi, out=scratch), i_psi, out=i_psi)
+    return np.multiply(np.conjugate(psi, out=spare), i_psi, out=i_psi)
