@@ -571,7 +571,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse sizes its
+    help formatter against the terminal for every argument it adds."""
     parser = argparse.ArgumentParser(
         prog="gho",
         description="Generalized-harmonic-oscillator propagators, states and checks")

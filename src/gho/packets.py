@@ -14,10 +14,10 @@ commutative to the bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import GridMismatch, GridTooNarrow, ValidationError
 
@@ -182,6 +182,15 @@ def second_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _scipy_fft():
+    """scipy.fft, imported at first use. The kernel layer imports this module
+    but transforms nothing, so `import gho` loads no scipy module."""
+    from scipy import fft
+
+    return fft
+
+
 def czt(h, m: int, angle: float) -> np.ndarray:
     """Chirp-z sum out_j = sum_n h_n exp(i angle n j) for j < m.
 
@@ -190,6 +199,7 @@ def czt(h, m: int, angle: float) -> np.ndarray:
     The chirp is built from the angle itself, so small angles lose no phase
     accuracy to rounding in exp(i angle).
     """
+    sfft = _scipy_fft()
     h = np.asarray(h, dtype=np.complex128)
     n = len(h)
     k = np.arange(max(n, m), dtype=float)
@@ -231,7 +241,7 @@ def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
     n = p.grid.n_points
     period = n * p.grid.dx
     # modes ordered by frequency (k - n//2) / period, k = 0 .. n-1
-    spectrum = sfft.fft(p.samples)
+    spectrum = _scipy_fft().fft(p.samples)
     h = np.empty(n, dtype=np.complex128)
     h[n // 2:] = spectrum[:n - n // 2]
     h[:n // 2] = spectrum[n - n // 2:]
@@ -259,6 +269,7 @@ def upsample_periodic(p: WavePacket, m: int):
         return p.grid.points.copy(), np.asarray(p.samples, dtype=np.complex128).copy()
     if m < n:
         raise ValidationError("upsample target must be >= current grid size")
+    sfft = _scipy_fft()
     spectrum = sfft.fft(p.samples)
     padded = np.zeros(m, dtype=np.complex128)
     half = n // 2

@@ -37,12 +37,12 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.fft import fft, fftfreq, ifft, next_fast_len
 
 from .classical import ClassicalBasis, gauge_phase, particular_or_zero
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, ValidationError
-from .packets import WavePacket, czt, evaluate_trig_interpolant, upsample_periodic
+from .packets import (WavePacket, _scipy_fft, czt, evaluate_trig_interpolant,
+                      upsample_periodic)
 
 _log = logging.getLogger(__name__)
 
@@ -389,9 +389,10 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     at_a, at_b = basis.at(t_a), basis.at(t_b)
     big_a, big_b, big_c, _ = _hop_matrix(basis.omega, at_a, at_b)
     x = grid.points
+    sfft = _scipy_fft()
     if hbar * abs(big_b) * math.pi / grid.dx > abs(big_a) * grid.n_points * grid.dx:
         co = kernel_coefficients(s, basis, part, t_a, t_b)
-        m = next_fast_len(_quadrature_size(co, grid))
+        m = sfft.next_fast_len(_quadrature_size(co, grid))
         _log.debug("propagate %.6g -> %.6g: chirp-z form, A %.6e, B %.6e, "
                    "%d quadrature points", t_a, t_b, big_a, big_b, m)
         ys, g = upsample_periodic(packet, m)
@@ -410,13 +411,13 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     reduced = np.multiply(packet.samples, np.exp(phase, out=phase), out=phase)
     big_x = x - xp_b.x
     dilated = evaluate_trig_interpolant(packet.with_samples(reduced), xp_a.x + big_x / big_a)
-    k = fftfreq(grid.n_points, grid.dx)
+    k = sfft.fftfreq(grid.n_points, grid.dx)
     k *= 2.0 * math.pi
     chirp = np.multiply(-0.5j * hbar * big_a * big_b, k)
     chirp *= k
-    fresnel = fft(dilated, overwrite_x=True)
+    fresnel = sfft.fft(dilated, overwrite_x=True)
     fresnel *= np.exp(chirp, out=chirp)
-    fresnel = ifft(fresnel, overwrite_x=True)
+    fresnel = sfft.ifft(fresnel, overwrite_x=True)
     f_int = integrate_coefficient(s.f, t_a, t_b)
     phase = 1j * (phi + big_c * big_x * big_x / (2.0 * hbar * big_a)
                   + gauge_phase(s, at_b.mass, xp_b, t_b, x) + f_int / hbar)

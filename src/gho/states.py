@@ -66,17 +66,38 @@ def hermite_functions(n_max: int, z):
     recurrence keeps every intermediate bounded, so large n and z are safe
     where the raw polynomial would overflow.
     """
+    z = _hermite_points(n_max, z)
+    out = np.empty((n_max + 1, len(z)))
+    for k, row in enumerate(_hermite_rows(n_max, z)):
+        out[k] = row
+    return out
+
+
+def _hermite_row(n: int, z):
+    """htilde_n(z) alone, equal to hermite_functions(n, z)[n] to the bit; the
+    recurrence keeps only its last two rows."""
+    for row in _hermite_rows(n, _hermite_points(n, z)):
+        pass
+    return row
+
+
+def _hermite_points(n_max, z):
     if n_max < 0 or n_max > _MAX_HERMITE:
         raise ValidationError(f"hermite order must be in [0, {_MAX_HERMITE}]")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty((n_max + 1, len(z)))
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * z * z)
+    return np.atleast_1d(np.asarray(z, dtype=float))
+
+
+def _hermite_rows(n_max, z):
+    """Yield htilde_0..htilde_{n_max}(z) in turn, each from the two before it."""
+    prev = math.pi ** -0.25 * np.exp(-0.5 * z * z)
+    yield prev
     if n_max >= 1:
-        out[1] = math.sqrt(2.0) * z * out[0]
+        row = math.sqrt(2.0) * z * prev
+        yield row
     for k in range(1, n_max):
-        out[k + 1] = (math.sqrt(2.0 / (k + 1)) * z * out[k]
-                      - math.sqrt(k / (k + 1.0)) * out[k - 1])
-    return out
+        prev, row = row, (math.sqrt(2.0 / (k + 1)) * z * row
+                          - math.sqrt(k / (k + 1.0)) * prev)
+        yield row
 
 
 def sho_eigenstate(n: int, grid: GridSpec, hbar: float = 1.0) -> WavePacket:
@@ -89,7 +110,7 @@ def sho_eigenstate(n: int, grid: GridSpec, hbar: float = 1.0) -> WavePacket:
             f"grid spacing {grid.dx:.3g} cannot resolve mode n={n} "
             f"(needs <= {wavelength / 8.0:.3g})")
     z = grid.points / math.sqrt(hbar)
-    samples = hbar ** -0.25 * hermite_functions(n, z)[n]
+    samples = hbar ** -0.25 * _hermite_row(n, z)
     packet = WavePacket(grid, samples.astype(np.complex128), t=0.0)
     packet.require_dark_edges(1e-8, f"sho_eigenstate(n={n})")
     return packet
@@ -97,11 +118,11 @@ def sho_eigenstate(n: int, grid: GridSpec, hbar: float = 1.0) -> WavePacket:
 
 def _modes_1d(s, basis, part, n_max, t, x):
     """psi_0..psi_{n_max} at time t and positions x in one dimension, from one
-    basis and one particular snapshot, as factors: psi_k = h[k] * envelope *
-    turn[k]. h holds htilde_0..htilde_{n_max}(z), one row per k; turn holds
-    exp(i (k + 1/2) sgn(Omega) theta). The time term exp(i int f / hbar) is
-    left out, since it enters once however many dimensions there are. Select
-    row k before multiplying by the phases when only psi_k is wanted.
+    basis and one particular snapshot, as factors: psi_k = htilde_k(z) *
+    envelope * turn[k]. turn holds exp(i (k + 1/2) sgn(Omega) theta). The
+    time term exp(i int f / hbar) is left out, since it enters once however
+    many dimensions there are. The caller evaluates the Hermite functions at
+    z: every row for a mode sum, one row when only psi_k is wanted.
     """
     bs, ps = basis.at(t), particular_or_zero(s, part).at(t)
     hbar = s.hbar
@@ -113,10 +134,10 @@ def _modes_1d(s, basis, part, n_max, t, x):
     envelope = 1j * phase
     envelope = np.multiply((omega / (hbar * bs.rho ** 2)) ** 0.25,
                            np.exp(envelope, out=envelope), out=envelope)
-    h = hermite_functions(n_max, math.sqrt(omega / hbar) * dxp / bs.rho)
+    z = math.sqrt(omega / hbar) * dxp / bs.rho
     angle = math.copysign(1.0, basis.omega) * bs.theta
     turn = np.exp(1j * (np.arange(n_max + 1) + 0.5) * angle)
-    return h, envelope, turn
+    return z, envelope, turn
 
 
 def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> complex:
@@ -130,7 +151,8 @@ def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> comp
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (s.dimension,):
         raise ValidationError(f"position must have {s.dimension} component(s)")
-    h, envelope, turn = _modes_1d(s, basis, part, max(numbers), t, r)
+    z, envelope, turn = _modes_1d(s, basis, part, max(numbers), t, r)
+    h = hermite_functions(max(numbers), z)
     value = np.exp(1j * integrate_coefficient(s.f, s.t0, t) / s.hbar)
     for i, n_i in enumerate(numbers):
         value = value * (h[n_i, i] * envelope[i] * turn[n_i])
@@ -142,9 +164,9 @@ def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
     """psi_n(t, .) sampled on a grid (dimension 1)."""
     if s.dimension != 1:
         raise ValidationError("eigenmode_packet is implemented for dimension 1")
-    h, envelope, turn = _modes_1d(s, basis, part, n, t, grid.points)
+    z, envelope, turn = _modes_1d(s, basis, part, n, t, grid.points)
     f_int = integrate_coefficient(s.f, s.t0, t) / s.hbar
-    np.multiply(h[n], envelope, out=envelope)
+    np.multiply(_hermite_row(n, z), envelope, out=envelope)
     envelope *= turn[n] * np.exp(1j * f_int)
     return WavePacket(grid, envelope, t=t)
 
@@ -159,8 +181,9 @@ def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
     rb = np.atleast_1d(np.asarray(q.r_b, dtype=float))
     if ra.shape != (s.dimension,) or rb.shape != (s.dimension,):
         raise ValidationError(f"positions must have {s.dimension} component(s)")
-    h_a, envelope_a, turn_a = _modes_1d(s, basis, part, n_max, q.t_a, ra)
-    h_b, envelope_b, turn_b = _modes_1d(s, basis, part, n_max, q.t_b, rb)
+    z_a, envelope_a, turn_a = _modes_1d(s, basis, part, n_max, q.t_a, ra)
+    z_b, envelope_b, turn_b = _modes_1d(s, basis, part, n_max, q.t_b, rb)
+    h_a, h_b = hermite_functions(n_max, z_a), hermite_functions(n_max, z_b)
     sums = np.sum(h_a * h_b * _times_conj(turn_b, turn_a)[:, None], axis=0)
     # the per-dimension factors exclude the pure time term; it enters once
     f_ab = integrate_coefficient(s.f, q.t_a, q.t_b) / s.hbar

@@ -73,6 +73,17 @@ def test_verify_tolerance_override_can_fail(sho_file, capsys):
     assert "FAIL" in out
 
 
+def test_parser_built_once_keeps_no_state_between_calls(sho_file, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda args: seen.append(vars(args)) or 0)
+    assert main(["verify", "--scenario", str(sho_file), "--tol", "kernel_closed_form=1",
+                 "--tol", "path_integral=2"]) == 0
+    assert main(["verify", "--scenario", str(sho_file)]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert seen[0]["tol"] == ["kernel_closed_form=1", "path_integral=2"]
+    assert seen[1] == dict(seen[0], tol=None)
+
+
 def test_verify_unknown_tolerance_rejected(sho_file, capsys):
     assert main(["verify", "--scenario", str(sho_file),
                  "--tol", "no_such_check=1.0"]) == 2

@@ -61,17 +61,79 @@ def test_trig_interpolant_rejects_uneven_points(grid):
         evaluate_trig_interpolant(packet, np.zeros((2, 2)))
 
 
-def test_import_does_not_load_scipy_signal():
-    # nor scipy.integrate or scipy.optimize, whose imports cost more than
-    # numpy's; the classical solve and the focal-time search need neither
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# every public name `import gho` exported before the states and oracle names
+# became lazy; `from gho import *` and dir(gho) must still list each one
+PUBLIC_NAMES = [
+    "CausticEncountered", "CausticReport", "ClassicalBasis", "CoefficientFn", "Constant",
+    "DegenerateBasis", "EvolverConfig", "Exponential", "GhoError", "GridMismatch",
+    "GridSpec", "GridTooNarrow", "HamiltonianCoeffs", "IntegrationFailure", "KernelQuery",
+    "LinearSolveFailure", "ParseError", "ParticularSolution", "PiecewiseConstant",
+    "Polynomial", "Scenario", "Sinusoidal", "ValidationError", "WavePacket", "ZeroRho",
+    "apply_U_F", "apply_U_S", "build_generalized_coherent_state", "caustic_times",
+    "classical", "classical_invariant", "coefficients", "compose_kernels", "eigenmode",
+    "eigenmode_packet", "errors", "eval_coefficient", "evolve_tdse", "green_function",
+    "hamiltonian_coefficients", "hermite_functions", "inner_product",
+    "integrate_coefficient", "invariant_expectation", "kernel", "kernel_coefficients",
+    "kernel_delta_check", "l2_distance", "load_scenario", "mean_x", "mode_sum_kernel",
+    "oracle", "packet_norm", "packets", "path_integral_oracle", "propagate", "propagator",
+    "scenario_from_dict", "scenario_to_dict", "schrodinger_residual",
+    "schrodinger_residual_map", "serialize_scenario", "sho_eigenstate",
+    "solve_homogeneous_basis", "solve_particular", "states", "trajectory_table", "var_x",
+]
+
+
+def _fresh_python(code):
+    """Standard output of code run in a new interpreter that imports this gho."""
     src = str(Path(gho.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, gho; print([m for m in ('scipy.signal', 'scipy.integrate', "
-            "'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_signal():
+    # nor any other scipy module on the kernel path: import, load, the
+    # classical solves and a kernel query run on numpy alone
+    code = f"""
+import sys, gho
+from pathlib import Path
+s = gho.load_scenario(Path({str(SCENARIOS / "driven_sho.json")!r}).read_text())
+basis, part = gho.solve_homogeneous_basis(s), gho.solve_particular(s)
+gho.kernel(s, basis, part, gho.KernelQuery(0.1, 1.2, 0.3, -0.4))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert gho.eigenmode_packet is gho.states.eigenmode_packet
+assert gho.evolve_tdse is gho.oracle.evolve_tdse
+print(sorted(m for m in ("scipy.fft", "scipy.linalg.lapack") if m in sys.modules))
+"""
+    assert _fresh_python(code).splitlines() == ["[]", "['scipy.fft', 'scipy.linalg.lapack']"]
+
+
+def test_cli_loads_scipy_at_start():
+    # the CLI imports the oracle and the mode set at its top, as it always did
+    code = ("import sys, gho.cli; "
+            "print([m in sys.modules for m in ('scipy.fft', 'scipy.linalg.lapack')])")
+    assert _fresh_python(code) == "[True, True]"
+
+
+def test_lazy_names_are_the_submodules_own():
+    for module, names in gho._LAZY.items():
+        home = getattr(gho, module)
+        assert home is sys.modules[f"gho.{module}"]
+        for name in names:
+            assert getattr(gho, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        gho.no_such_name
+
+
+def test_namespace_keeps_every_public_name():
+    namespace = {}
+    exec("from gho import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert set(PUBLIC_NAMES) <= set(dir(gho))
+    assert len(set(gho.__all__)) == len(gho.__all__)
 
 
 def _bluestein(h, m, angle):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,29 @@ def test_hermite_against_series():
 def test_hermite_order_cap():
     with pytest.raises(ValidationError):
         hermite_functions(201, 0.5)
+
+
+def test_single_hermite_row_is_the_tables_row():
+    z = np.linspace(-14.0, 14.0, 1001)
+    for n in range(41):
+        assert np.array_equal(gho.states._hermite_row(n, z), hermite_functions(n, z)[n])
+    with pytest.raises(ValidationError):
+        gho.states._hermite_row(201, z)
+
+
+def test_eigenmode_packet_keeps_two_hermite_rows(sho, sho_basis):
+    # Measured with numpy 2.4: the call peaks at 258 KiB for n = 0, 5 and 40
+    # alike (1602 KiB for n = 40 while it built all 41 Hermite rows). The
+    # bound adds two real rows of 32 KiB.
+    grid = GridSpec(-12.0, 12.0, 4096)
+    eigenmode_packet(sho, sho_basis, None, 40, 0.3, grid)  # warm-up
+    tracemalloc.start()
+    try:
+        eigenmode_packet(sho, sho_basis, None, 40, 0.3, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 258 * 1024 + 2 * 4096 * 8
 
 
 def test_sho_eigenstate_ground(grid):

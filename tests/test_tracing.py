@@ -20,9 +20,11 @@ tracer.phase = "ops"
 s = gho.scenario_from_dict({"interval": [0.0, 2.0]})
 basis = gho.solve_homogeneous_basis(s)
 gho.kernel(s, basis, None, gho.KernelQuery(0.1, 1.2, 0.3, -0.4))
+# resolved lazily, after install: the package must hand out the wrapped function
+gho.eigenmode_packet(s, basis, None, 0, 0.5, gho.GridSpec(-10.0, 10.0, 256))
 metrics = tracer.metrics()
 for name in ("propagator.kernel.calls", "propagator.kernel_coefficients.calls",
-             "classical.solve_homogeneous_basis.calls"):
+             "classical.solve_homogeneous_basis.calls", "states.eigenmode_packet.calls"):
     assert metrics[name] >= 1, name
 # classical.dense_eval still wraps scipy's OdeSolution.__call__, which gho no
 # longer calls: it records nothing until the tracer wraps the dense output in
