@@ -192,9 +192,10 @@ def _piece_steps(s: Scenario, lo, hi, rtol, atol, tried):
 
 
 class _DenseOutput:
-    """Piecewise-polynomial dense output: the components at time(s) t, shape
-    (n_components,) + shape(t), from the step that holds t (the first or the
-    last step beyond the ends).
+    """Piecewise-polynomial dense output: the components at time(s) t from the
+    step that holds t (the first or the last step beyond the ends), as a list
+    of n_components Python floats at a scalar t (an int or a float) and an
+    array (n_components,) + shape(t) at an array of times, 0-d included.
 
     On step k the polynomial is y_k + (sigma + 1) q(sigma) in
     sigma = 2 (t - edges[k]) / (edges[k + 1] - edges[k]) - 1, so it returns
@@ -215,17 +216,13 @@ class _DenseOutput:
         self._scale_list = self._scale.tolist()
 
     def __call__(self, t):
-        if np.ndim(t) == 0:
+        if isinstance(t, (int, float)):
             k = max(bisect.bisect_right(self._starts, t) - 1, 0)
             rise = float((t - self._starts[k]) * self._scale_list[k])
             sigma = rise - 1.0
-            out = []
-            for *quotient, start in self._horner[k].tolist():
-                acc = quotient[0]
-                for c in quotient[1:]:
-                    acc = acc * sigma + c
-                out.append(start + rise * acc)
-            return np.array(out)
+            return [start + rise * ((((((q6 * sigma + q5) * sigma + q4) * sigma + q3)
+                                       * sigma + q2) * sigma + q1) * sigma + q0)
+                    for q6, q5, q4, q3, q2, q1, q0, start in self._horner[k].tolist()]
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, len(self._scale) - 1)
         rise = ((t - self._edges[k]) * self._scale[k])[..., None]
@@ -311,8 +308,9 @@ def _collocation_solve(s: Scenario, rtol, atol) -> _Collocation:
 
 @dataclass(frozen=True)
 class BasisSnapshot:
-    """Per-time data of a ClassicalBasis: scalars at a scalar time, arrays at
-    an array of times."""
+    """Per-time data of a ClassicalBasis: Python floats at a scalar time (an
+    int or a float, np.float64 included), numpy scalars at a 0-d array time,
+    arrays at an array of times."""
 
     u: object
     u_dot: object
@@ -327,7 +325,8 @@ class BasisSnapshot:
 
 @dataclass(frozen=True)
 class ParticularSnapshot:
-    """Per-time data of a ParticularSolution: x_p, M x_p' and xi."""
+    """Per-time data of a ParticularSolution: x_p, M x_p' and xi, of the
+    types a BasisSnapshot has at the same time."""
 
     x: object
     momentum: object
@@ -415,19 +414,25 @@ class ClassicalBasis:
         m, _ = self.scenario.mass.eval(t)
         u_dot = pu / m
         v_dot = pv / m
-        r = np.hypot(u, v)
-        if not r.all():
+        if isinstance(t, (int, float)):
+            r = math.hypot(u, v)
+            vanishes = r == 0.0
+        else:
+            r, m = np.hypot(u, v), m[()]  # 0-d -> scalar
+            vanishes = not r.all()
+        if vanishes:
             raise ZeroRho(f"u and v vanish together at t={t}")
         theta = self._theta(t, u, v)
         return BasisSnapshot(u=u, u_dot=u_dot, v=v, v_dot=v_dot, rho=r,
                              rho_dot=(u * u_dot + v * v_dot) / r, tau=self._theta0 - theta,
-                             theta=theta, mass=m[()])  # 0-d -> scalar
+                             theta=theta, mass=m)
 
     def _theta(self, t, u, v):
         """theta at time(s) t from u, v there: the lift table entry that opens
         t's interval plus the wrap into (-pi, pi] of atan2(-v, u) less it.
-        A scalar t takes the same steps in math and bisect on lists, which
-        saves a few microseconds of numpy call overhead on every scalar `at`."""
+        Where u and v are scalars (Python floats at a scalar t, numpy scalars
+        at a 0-d array t) it takes the same steps in math and bisect on
+        lists, which saves numpy's per-call overhead on every scalar `at`."""
         edges, lifted, edge_list, lifted_list = self._lift
         if isinstance(u, np.ndarray):
             ref = lifted[np.searchsorted(edges, t, side="right")]
@@ -481,7 +486,7 @@ def gauge_phase(s: Scenario, mass, ps: ParticularSnapshot, t, x):
 
 
 def _zero_dense(t):
-    return np.zeros((3,) + np.shape(t))
+    return [0.0, 0.0, 0.0] if isinstance(t, (int, float)) else np.zeros((3,) + np.shape(t))
 
 
 def particular_or_zero(s: Scenario, part) -> ParticularSolution:

@@ -126,6 +126,9 @@ class _Context:
 
     def __init__(self, args):
         self.scenario = load_scenario(Path(args.scenario).read_text())
+        if self.scenario.dimension != 1:
+            raise ValidationError(f"the gho commands are implemented for dimension 1, "
+                                  f"not {self.scenario.dimension}")
         self.grid = _parse_grid(args.grid)
         ics = _parse_basis(args.basis, self.scenario)
         self.basis = classical.solve_homogeneous_basis(self.scenario, ics)
@@ -476,8 +479,6 @@ def run_kernel_scan(args) -> int:
     if len(times) < 2:
         raise ParseError("kernel-scan needs two --times values")
     t_a, t_b = times[0], times[1]
-    if s.dimension != 1:
-        raise ValidationError("kernel-scan is implemented for dimension 1")
     positions = ctx.grid.points if ctx.grid.n_points <= 64 else np.linspace(
         ctx.grid.x_min, ctx.grid.x_max, 21)
     co = propagator.kernel_coefficients(s, ctx.basis, ctx.part, t_a, t_b)

@@ -12,6 +12,7 @@ coefficients and the accumulated-phase integrals).
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -40,11 +41,26 @@ __all__ = [
 ]
 
 
+def _horner(coefficients, t):
+    """c0 + c1 t + c2 t^2 + ... at a float t, in the order of numpy's polyval."""
+    acc = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        acc = c + acc * t
+    return acc
+
+
+# Each coefficient kind's eval returns (value, first derivative): Python floats
+# at a scalar time (an int or a float, np.float64 included), float arrays of
+# t's shape at an array (also 0-d) of times.
+
+
 @dataclass(frozen=True)
 class Constant:
     value: float
 
     def eval(self, t):
+        if isinstance(t, (int, float)):
+            return float(self.value), 0.0
         shape = np.shape(t)
         return np.full(shape, self.value, dtype=float), np.zeros(shape)
 
@@ -59,6 +75,10 @@ class Polynomial:
     coefficients: tuple
 
     def eval(self, t):
+        if isinstance(t, (int, float)):
+            t, c = float(t), [float(x) for x in self.coefficients]
+            slope = [j * x for j, x in enumerate(c)][1:]
+            return _horner(c, t), _horner(slope, t) if slope else 0.0
         t = np.asarray(t, dtype=float)
         c = np.asarray(self.coefficients, dtype=float)
         value = np.polynomial.polynomial.polyval(t, c)
@@ -80,10 +100,13 @@ class Sinusoidal:
     offset: float = 0.0
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
+        if isinstance(t, (int, float)):
+            cos, sin, t = math.cos, math.sin, float(t)
+        else:
+            cos, sin, t = np.cos, np.sin, np.asarray(t, dtype=float)
         arg = self.omega * t + self.phase
-        return (self.amplitude * np.cos(arg) + self.offset,
-                -self.amplitude * self.omega * np.sin(arg))
+        return (self.amplitude * cos(arg) + self.offset,
+                -self.amplitude * self.omega * sin(arg))
 
     def to_dict(self):
         return {"kind": "sinusoidal", "amplitude": self.amplitude, "omega": self.omega,
@@ -110,6 +133,8 @@ class PiecewiseConstant:
             raise ValidationError("piecewise-constant breakpoints must be strictly increasing")
 
     def eval(self, t):
+        if isinstance(t, (int, float)):
+            return float(self.values[bisect.bisect_right(self.breakpoints, t)]), 0.0
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(np.asarray(self.breakpoints, dtype=float), t, side="right")
         return np.asarray(self.values, dtype=float)[idx], np.zeros(t.shape)
@@ -127,6 +152,9 @@ class Exponential:
     rate: float
 
     def eval(self, t):
+        if isinstance(t, (int, float)):
+            value = self.amplitude * math.exp(self.rate * float(t))
+            return value, self.rate * value
         t = np.asarray(t, dtype=float)
         value = self.amplitude * np.exp(self.rate * t)
         return value, self.rate * value
@@ -157,34 +185,48 @@ def integrate_coefficient(fn: CoefficientFn, t_lo, t_hi):
     an array of that shape. Each closed form is antisymmetric in the limits to
     the bit, so a reversed interval needs no branch.
     """
-    lo = np.asarray(t_lo, dtype=float)
-    hi = np.asarray(t_hi, dtype=float)
+    scalar = isinstance(t_lo, (int, float)) and isinstance(t_hi, (int, float))
+    if scalar:
+        lo, hi, sin, exp = float(t_lo), float(t_hi), math.sin, math.exp
+    else:
+        lo, hi = np.asarray(t_lo, dtype=float), np.asarray(t_hi, dtype=float)
+        sin, exp = np.sin, np.exp
     if isinstance(fn, Constant):
         total = fn.value * (hi - lo)
     elif isinstance(fn, Polynomial):
         anti = np.polynomial.polynomial.polyint(np.asarray(fn.coefficients, dtype=float))
-        total = (np.polynomial.polynomial.polyval(hi, anti)
-                 - np.polynomial.polynomial.polyval(lo, anti))
+        if scalar:
+            anti = anti.tolist()
+            total = _horner(anti, hi) - _horner(anti, lo)
+        else:
+            total = (np.polynomial.polynomial.polyval(hi, anti)
+                     - np.polynomial.polynomial.polyval(lo, anti))
     elif isinstance(fn, Sinusoidal):
         if fn.omega == 0.0:
             total = (fn.amplitude * math.cos(fn.phase) + fn.offset) * (hi - lo)
         else:
-            total = ((np.sin(fn.omega * hi + fn.phase) - np.sin(fn.omega * lo + fn.phase))
+            total = ((sin(fn.omega * hi + fn.phase) - sin(fn.omega * lo + fn.phase))
                      * fn.amplitude / fn.omega + fn.offset * (hi - lo))
     elif isinstance(fn, Exponential):
         if fn.rate == 0.0:
             total = fn.amplitude * (hi - lo)
         else:
-            total = fn.amplitude * (np.exp(fn.rate * hi) - np.exp(fn.rate * lo)) / fn.rate
+            total = fn.amplitude * (exp(fn.rate * hi) - exp(fn.rate * lo)) / fn.rate
     elif isinstance(fn, PiecewiseConstant):
         # plateau i covers [edges[i], edges[i + 1]); value times signed overlap
-        edges = np.concatenate([[-np.inf], np.asarray(fn.breakpoints, float), [np.inf]])
-        overlap = (np.clip(hi[..., None], edges[:-1], edges[1:])
-                   - np.clip(lo[..., None], edges[:-1], edges[1:]))
-        total = overlap @ np.asarray(fn.values, dtype=float)
+        edges = [-math.inf, *fn.breakpoints, math.inf]
+        if scalar:
+            total = 0.0
+            for value, start, end in zip(fn.values, edges[:-1], edges[1:]):
+                total += value * (min(max(hi, start), end) - min(max(lo, start), end))
+        else:
+            edges = np.asarray(edges, dtype=float)
+            overlap = (np.clip(hi[..., None], edges[:-1], edges[1:])
+                       - np.clip(lo[..., None], edges[:-1], edges[1:]))
+            total = overlap @ np.asarray(fn.values, dtype=float)
     else:
         raise TypeError(f"unknown coefficient kind {type(fn).__name__}")
-    return float(total) if np.ndim(total) == 0 else total
+    return float(total) if scalar or np.ndim(total) == 0 else total
 
 
 _KINDS = {

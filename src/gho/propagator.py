@@ -32,9 +32,11 @@ chirp-z transform on an upsampled packet, regular at A = 0.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,6 +64,17 @@ __all__ = [
 CAUSTIC_RTOL = 1e-12
 _QUAD_OVERSAMPLE = 4.0
 _EQUAL_TIMES = "equal-time kernel is a delta function; probe it via kernel_delta_check"
+# numpy's elementwise functions that the kernel formulas use, under the same
+# names for Python floats: a scalar query runs the one copy of the formulas
+# without numpy's per-call overhead
+_FLOATS = SimpleNamespace(abs=abs, maximum=max, floor=math.floor, exp=cmath.exp, any=bool,
+                          where=lambda cond, yes, no: yes if cond else no)
+
+
+def _functions(a, b):
+    """_FLOATS when a and b are Python floats (or ints; np.float64 is a
+    float), numpy otherwise."""
+    return _FLOATS if isinstance(a, (int, float)) and isinstance(b, (int, float)) else np
 
 
 @dataclass(frozen=True)
@@ -115,7 +128,7 @@ class KernelCoefficients:
     denominator: object
     caustic: object = False
 
-    def _gaussian(self, aa, bb, ab, a, b):
+    def _gaussian(self, aa, bb, ab, a, b, exp=np.exp):
         """prefactor * exp(i phase) from the endpoint products x_a.x_a, x_b.x_b,
         x_a.x_b and the component sums of x_a, x_b. Swapping the endpoints
         and negating every coefficient (the backward kernel) maps each group
@@ -123,7 +136,7 @@ class KernelCoefficients:
         conj K(a, b) to the bit."""
         phase = ((self.q_aa * aa + self.q_bb * bb) + self.q_ab * ab
                  + (self.l_a * a + self.l_b * b))
-        return self.prefactor * np.exp(1j * phase)
+        return self.prefactor * exp(1j * phase)
 
     def pair(self, k) -> KernelCoefficients:
         """The scalar coefficients of pair k of an array of time pairs."""
@@ -140,6 +153,11 @@ class KernelCoefficients:
         return self._gaussian(x_a * x_a, x_b * x_b, x_a * x_b, x_a, x_b)
 
     def value(self, r_a, r_b):
+        """K at positions r_a, r_b with n_dims components each; in one
+        dimension scalar positions take Python's complex exp."""
+        if self.n_dims == 1 and isinstance(r_a, (int, float)) and isinstance(r_b, (int, float)):
+            x_a, x_b = float(r_a), float(r_b)
+            return complex(self._gaussian(x_a * x_a, x_b * x_b, x_a * x_b, x_a, x_b, cmath.exp))
         ra = np.atleast_1d(np.asarray(r_a, dtype=float))
         rb = np.atleast_1d(np.asarray(r_b, dtype=float))
         if ra.shape != (self.n_dims,) or rb.shape != (self.n_dims,):
@@ -150,6 +168,10 @@ class KernelCoefficients:
 
 def _check_time(s: Scenario, t, name):
     slack = 1e-9 * (s.t1 - s.t0)
+    if isinstance(t, (int, float)):
+        if t < s.t0 - slack or t > s.t1 + slack:
+            raise ValidationError(f"{name}={t} outside working interval [{s.t0}, {s.t1}]")
+        return
     times = np.asarray(t)
     outside = (times < s.t0 - slack) | (times > s.t1 + slack)
     if outside.any():
@@ -211,12 +233,13 @@ def _morse_count(at_a, at_b, big_b):
     the hop matrix entry B: floor(|tau_b - tau_a| / pi), with its parity
     pinned by sign(B) = (-1)^count when t_b is within solver error of a
     focal time. Element by element for snapshots at arrays of times."""
-    turns = np.abs(at_b.tau - at_a.tau) / math.pi
-    count = np.floor(turns)
+    ops = _functions(at_a.tau, at_b.tau)
+    turns = ops.abs(at_b.tau - at_a.tau) / math.pi
+    count = ops.floor(turns)
     wrong = (big_b < 0) != (count % 2 == 1)
-    if wrong.any():
-        moved = np.where(turns - count > 0.5, count + 1, np.maximum(count - 1, 0))
-        count = np.where(wrong, moved, count)
+    if ops.any(wrong):
+        moved = ops.where(turns - count > 0.5, count + 1, ops.maximum(count - 1, 0))
+        count = ops.where(wrong, moved, count)
     return count
 
 
@@ -234,6 +257,7 @@ def _hop_matrix(omega, at_a, at_b):
 def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
     """Coefficients for t_a < t_b, scalars or arrays of pairs; a scalar pair
     in the caustic band raises, an array marks it."""
+    ops = _functions(t_a, t_b)
     hbar = s.hbar
     n = s.dimension
     # one dense evaluation per solution and endpoint (array)
@@ -243,15 +267,15 @@ def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
 
     big_a, big_b, _, big_d = _hop_matrix(omega, at_a, at_b)
     d = omega * big_b
-    scale = np.maximum(np.abs(at_b.u), np.abs(at_b.v)) * (np.abs(at_a.u) + np.abs(at_a.v))
-    caustic = np.abs(d) <= CAUSTIC_RTOL * scale
+    scale = ops.maximum(ops.abs(at_b.u), ops.abs(at_b.v)) * (ops.abs(at_a.u) + ops.abs(at_a.v))
+    caustic = ops.abs(d) <= CAUSTIC_RTOL * scale
     morse = _morse_count(at_a, at_b, big_b)
     if _log.isEnabledFor(logging.DEBUG):
         margin = np.abs(d) / (CAUSTIC_RTOL * scale)
         _log.debug("kernel_coefficients: %d pairs, Morse index <= %d, "
                    "min |D|/scale %.3e x CAUSTIC_RTOL", np.size(d),
                    int(np.max(morse, initial=0)), float(np.min(margin, initial=np.inf)))
-    if caustic.any():
+    if ops.any(caustic):
         if np.ndim(caustic) == 0:
             raise CausticEncountered(
                 f"focal point: denominator {d:.3e} at t_b={t_b} (t_a={t_a})")
@@ -271,14 +295,15 @@ def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
     q_ab = a_ab
     l_a = -2.0 * a_aa * xp_a.x - a_ab * xp_b.x - (xp_a.momentum + ba) / hbar
     l_b = -2.0 * a_bb * xp_b.x - a_ab * xp_a.x + (xp_b.momentum + bb) / hbar
-    per_dim_const = a_aa * xp_a.x ** 2 + a_bb * xp_b.x ** 2 + a_ab * xp_a.x * xp_b.x
+    per_dim_const = (a_aa * (xp_a.x * xp_a.x) + a_bb * (xp_b.x * xp_b.x)
+                     + a_ab * xp_a.x * xp_b.x)
 
     f_int = integrate_coefficient(s.f, t_a, t_b)
     const = n * (per_dim_const + (xp_b.xi - xp_a.xi) / hbar) + f_int / hbar
 
-    modulus = np.abs(1.0 / (2.0 * math.pi * hbar * big_b)) ** (0.5 * n)
+    modulus = ops.abs(1.0 / (2.0 * math.pi * hbar * big_b)) ** (0.5 * n)
     branch = -n * (0.25 * math.pi + 0.5 * math.pi * morse)
-    prefactor = modulus * np.exp(1j * (branch + const))
+    prefactor = modulus * ops.exp(1j * (branch + const))
 
     return KernelCoefficients(t_a=t_a, t_b=t_b, n_dims=n, prefactor=prefactor,
                               q_aa=q_aa, q_bb=q_bb, q_ab=q_ab, l_a=l_a, l_b=l_b,
@@ -288,7 +313,7 @@ def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
 def _backward(fwd: KernelCoefficients) -> KernelCoefficients:
     """K(b, a) = conj(K(a, b)): swap the endpoint roles, negate the exponent."""
     return KernelCoefficients(t_a=fwd.t_b, t_b=fwd.t_a, n_dims=fwd.n_dims,
-                              prefactor=np.conj(fwd.prefactor),
+                              prefactor=fwd.prefactor.conjugate(),
                               q_aa=-fwd.q_bb, q_bb=-fwd.q_aa, q_ab=-fwd.q_ab,
                               l_a=-fwd.l_b, l_b=-fwd.l_a,
                               denominator=-fwd.denominator, caustic=fwd.caustic)
@@ -298,14 +323,18 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
     """Gaussian coefficients of K(t_b, .; t_a, .); conjugated for t_b < t_a.
 
     t_a and t_b are scalars, or a scalar and a 1-D array or two 1-D arrays
-    of one length (the pairs). Arrays are evaluated in one pass: one dense
-    evaluation of the basis and one of x_p per endpoint array, the Morse
-    count, the backward swap-and-conjugate and the caustic band applied pair
-    by pair, and the fields come back as arrays over the pairs. A scalar pair
-    inside the caustic band (|D| <= CAUSTIC_RTOL times the basis scale)
-    raises CausticEncountered; in an array such pairs are marked in
-    `caustic` and their prefactor and exponent coefficients are nan. Equal
-    times raise ValidationError either way.
+    of one length (the pairs). At two scalar times (ints or floats,
+    np.float64 included) the same formulas run on Python floats: the
+    coefficients and the denominator are floats and the prefactor a complex.
+    0-d arrays take numpy's path and give numpy scalars. Arrays are
+    evaluated in one pass: one dense evaluation of the basis and one of x_p
+    per endpoint array, the Morse count, the backward swap-and-conjugate and
+    the caustic band applied pair by pair, and the fields come back as
+    arrays over the pairs. A scalar pair inside the caustic band
+    (|D| <= CAUSTIC_RTOL times the basis scale) raises CausticEncountered;
+    in an array such pairs are marked in `caustic` and their prefactor and
+    exponent coefficients are nan. Equal times raise ValidationError either
+    way.
     Logs the number of pairs, the largest Morse index and the smallest
     |D|/scale in units of CAUSTIC_RTOL at DEBUG level on "gho.propagator".
 
@@ -314,7 +343,7 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
     part = particular_or_zero(s, part)
     _check_time(s, t_a, "t_a")
     _check_time(s, t_b, "t_b")
-    if np.ndim(t_a) == 0 and np.ndim(t_b) == 0:
+    if _functions(t_a, t_b) is _FLOATS or np.ndim(t_a) == 0 and np.ndim(t_b) == 0:
         if t_b == t_a:
             raise ValidationError(_EQUAL_TIMES)
         if t_b > t_a:

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 import gho
 from gho import (DegenerateBasis, classical_invariant, scenario_from_dict,
                  solve_homogeneous_basis, solve_particular)
-from gho.classical import trajectory_columns, trajectory_table
+from gho.classical import particular_or_zero, trajectory_columns, trajectory_table
 
 
 def test_sho_default_basis_is_cos_sin(sho, sho_basis):
@@ -310,6 +310,33 @@ def test_zero_rho_detected(sho, sho_basis):
                                 _nodes=np.array([0.0, 12.0]))
     with pytest.raises(gho.ZeroRho):
         broken.at(1.0)
+    with pytest.raises(gho.ZeroRho):
+        broken.at(np.array(1.0))
+
+
+def test_snapshots_at_a_scalar_time_hold_floats(parametric, parametric_basis,
+                                                parametric_part, sho):
+    # ints and floats, np.float64 included, give Python floats; a 0-d array
+    # takes the array path and gives the same numbers
+    zero = particular_or_zero(sho, None)
+    for t in (0.7, 1, np.float64(0.7)):
+        for snapshot, on_array in ((parametric_basis.at(t), parametric_basis.at(np.array(t))),
+                                   (parametric_part.at(t), parametric_part.at(np.array(t))),
+                                   (zero.at(t), zero.at(np.array(t)))):
+            for field in dataclasses.fields(snapshot):
+                value = getattr(snapshot, field.name)
+                assert type(value) is float, field.name
+                assert value == pytest.approx(float(getattr(on_array, field.name)), rel=1e-15)
+
+
+def test_dense_output_gives_a_scalar_time_the_bits_of_the_array(parametric, parametric_basis,
+                                                                parametric_part):
+    # both paths run Horner's rule with the same roundings, also beyond the ends
+    times = np.concatenate([[-0.5, 0.0, 12.0, 12.5], np.linspace(0.0, 12.0, 97) + 0.01])
+    for dense in (parametric_basis._fundamental, parametric_part._dense):
+        on_array = dense(times)
+        for k, t in enumerate(times.tolist()):
+            assert np.array_equal(dense(t), on_array[:, k])
 
 
 def test_classical_invariant_takes_canonical_momentum():

@@ -214,6 +214,21 @@ def test_kernel_scan_exit_codes(sho_file, tmp_path):
                  "--times", f"0.0,{np.pi!r}"]) == 1
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_rejects_dimension_two_after_load(command, tmp_path, capsys,
+                                                        monkeypatch):
+    # one check right after load, before any solve: the library's kernel
+    # takes dimension 2, the commands do not
+    path = tmp_path / "sho_2d.json"
+    path.write_text(json.dumps({"dimension": 2, "interval": [0.0, 12.0]}))
+    monkeypatch.setattr(cli.classical, "solve_homogeneous_basis", None)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the gho commands are implemented for dimension 1, not 2\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_overflowing_coefficient_exits_two_in_time(tmp_path):
     # w = 1 + 1e200 t^2 used to send the classical solve into an endless crawl
     path = tmp_path / "huge.json"

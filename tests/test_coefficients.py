@@ -77,6 +77,8 @@ def test_derivative_matches_central_differences(fn):
 def test_integrate_coefficient(fn, lo, hi, expected):
     assert integrate_coefficient(fn, lo, hi) == pytest.approx(expected, rel=1e-12)
     assert integrate_coefficient(fn, hi, lo) == pytest.approx(-expected, rel=1e-12)
+    # ints and np.float64 are scalars too, integrated on Python floats
+    assert type(integrate_coefficient(fn, np.float64(lo), 3)) is float
     # arrays of limits, element by element, the same values as scalar calls
     both = integrate_coefficient(fn, np.array([lo, hi, lo]), np.array([hi, lo, lo]))
     assert both.shape == (3,)
@@ -98,6 +100,24 @@ def test_eval_shapes_and_dtypes(fn):
         value, deriv = fn.eval(t)
         assert np.shape(value) == np.shape(deriv) == np.shape(t)
         assert np.asarray(value).dtype == np.asarray(deriv).dtype == np.float64
+
+
+@pytest.mark.parametrize("fn", [
+    Constant(2),
+    Polynomial((1.5,)),
+    Polynomial((1.0, -2.0, 0.5)),
+    Sinusoidal(amplitude=0.7, omega=3.0, phase=0.4, offset=1.2),
+    PiecewiseConstant((0.8, 1.5), (1.0, 3.0, -2.0)),
+    Exponential(1.5, 0.3),
+])
+def test_eval_at_a_scalar_time_returns_floats(fn):
+    # ints and floats, np.float64 included, take the Python-float path; a 0-d
+    # array takes numpy's and gives the same numbers
+    for t in (0.7, 1, np.float64(0.7), 0.8, 2):
+        value, deriv = fn.eval(t)
+        assert type(value) is float and type(deriv) is float
+        on_array = fn.eval(np.array(float(t)))
+        assert (value, deriv) == pytest.approx(tuple(map(float, on_array)), rel=1e-15)
 
 
 def test_load_sho_scenario_roundtrip():

@@ -1,6 +1,8 @@
 import functools
 import logging
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,3 +565,92 @@ def test_kernel_coefficients_logs_pairs_morse_and_caustic_margin(sho, sho_basis,
     assert one[:2] == (1, 1)
     assert one[2] == pytest.approx(np.sin(1.0) / scale / CAUSTIC_RTOL, rel=1e-3)
     assert three[:2] == (3, 2) and three[2] <= 1.0
+
+
+BUNDLED = Path(__file__).resolve().parents[1] / "scenarios"
+# the default basis, custom:0,1,1,0 (Omega < 0) and a rotated non-orthogonal pair
+SCALAR_BASES = (None, ((0.0, 1.0), (1.0, 0.0)), ((0.8, 0.3), (0.4, 1.1)))
+_COEFFICIENTS = ("prefactor", "q_aa", "q_bb", "q_ab", "l_a", "l_b", "denominator")
+
+
+@pytest.mark.parametrize("name", ["sho", "driven_sho", "parametric", "free_particle"])
+def test_scalar_coefficients_match_array_pairs(name):
+    # a scalar pair runs the kernel formulas on Python floats, an array of
+    # pairs on numpy; both must give the same coefficients and caustics
+    s = gho.load_scenario((BUNDLED / f"{name}.json").read_text())
+    part = gho.solve_particular(s)
+    t_a, t_b = np.random.default_rng(16).uniform(s.t0, s.t1, (2, 200))
+    caustics = 0
+    for ics in SCALAR_BASES:
+        basis = gho.solve_homogeneous_basis(s, ics)
+        # the first two focal times after t0 + 0.5, where there are any
+        focal = caustic_times(basis, s.t0 + 0.5).times[:2]
+        starts = np.append(t_a, [s.t0 + 0.5] * len(focal))
+        ends = np.append(t_b, focal)
+        for firsts, seconds in ((starts, ends), (ends, starts)):
+            co = kernel_coefficients(s, basis, part, firsts, seconds)
+            for k, (first, second) in enumerate(zip(firsts.tolist(), seconds.tolist())):
+                if co.caustic[k]:
+                    caustics += 1
+                    with pytest.raises(CausticEncountered):
+                        kernel_coefficients(s, basis, part, first, second)
+                    continue
+                one, pair = kernel_coefficients(s, basis, part, first, second), co.pair(k)
+                for field in _COEFFICIENTS:
+                    expected = getattr(pair, field)
+                    assert abs(getattr(one, field) - expected) <= 1e-15 * abs(expected), \
+                        (name, ics, k, field)
+    assert caustics == (0 if name == "free_particle" else 12)
+
+
+def test_scalar_query_types():
+    s = gho.load_scenario((BUNDLED / "driven_sho.json").read_text())
+    basis, part = gho.solve_homogeneous_basis(s), gho.solve_particular(s)
+    for t_a, t_b in ((0.7, 2.0), (1, 2), (np.float64(0.7), np.float64(2.0))):
+        co = kernel_coefficients(s, basis, part, t_a, t_b)
+        assert all(type(getattr(co, field)) is float for field in _COEFFICIENTS[1:])
+        assert type(co.prefactor) is complex
+        assert type(kernel(s, basis, part, KernelQuery(t_a, t_b, 0.3, -0.4))) is complex
+        assert type(kernel(s, basis, part, KernelQuery(t_b, t_a, 0.3, -0.4))) is complex
+
+
+def test_zero_dimensional_times_take_the_array_path():
+    s = gho.load_scenario((BUNDLED / "parametric.json").read_text())
+    basis, part = gho.solve_homogeneous_basis(s, SCALAR_BASES[2]), gho.solve_particular(s)
+    for t_a, t_b in ((0.7, 2.0), (5.5, 0.25)):
+        floats = kernel_coefficients(s, basis, part, t_a, t_b)
+        arrays = kernel_coefficients(s, basis, part, np.array(t_a), np.array(t_b))
+        assert isinstance(arrays.q_aa, np.floating)
+        for field in _COEFFICIENTS:
+            assert getattr(floats, field) == pytest.approx(getattr(arrays, field), rel=1e-15)
+        q = KernelQuery(np.array(t_a), np.array(t_b), 0.3, -0.4)
+        assert kernel(s, basis, part, q) == pytest.approx(
+            kernel(s, basis, part, KernelQuery(t_a, t_b, 0.3, -0.4)), rel=1e-14)
+
+
+@pytest.mark.parametrize("scalar", [float, np.array])
+def test_scalar_query_exceptions(sho, sho_basis, scalar):
+    def query(t_a, t_b):
+        return kernel(sho, sho_basis, None, KernelQuery(scalar(t_a), scalar(t_b), 0.3, -0.4))
+
+    with pytest.raises(ValidationError, match="outside working interval"):
+        query(-0.5, 1.0)
+    with pytest.raises(ValidationError, match="outside working interval"):
+        query(1.0, 12.5)
+    with pytest.raises(ValidationError, match="equal-time"):
+        query(1.0, 1.0)
+    with pytest.raises(CausticEncountered):
+        query(0.0, math.pi)
+    with pytest.raises(CausticEncountered):
+        query(math.pi, 0.0)
+    # next to the caustic band B is tiny: values or CausticEncountered, never
+    # ZeroDivisionError or OverflowError
+    for t_a in (0.0, 1.3, 2.9):
+        for offset in (0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-11, -1e-11, 1e-8):
+            for t_b in (t_a + math.pi + offset, t_a + 2.0 * math.pi + offset):
+                for first, second in ((t_a, t_b), (t_b, t_a)):
+                    try:
+                        value = query(first, second)
+                    except CausticEncountered:
+                        continue
+                    assert math.isfinite(abs(value))
