@@ -44,9 +44,16 @@ Every consumer reads a solution through its `at(t)` method, which returns all
 of the solution's per-time data from one dense-output evaluation, for a scalar
 or an array t: `ClassicalBasis.at` gives u, u', v, v', rho, rho', tau, the
 continuously lifted angle theta = theta(t0) - tau of u - i v, and M;
-`ParticularSolution.at` gives x_p, M x_p' and xi. `particular_or_zero` is the
-one place that turns `part=None` into the zero particular solution, which
-solves the driven equation only when the force is the default constant 0.
+`ParticularSolution.at` gives x_p, M x_p' and xi. The kernel reads both at
+each endpoint through `_snapshots`, from one evaluation of a joint dense
+output that a particular solution keeps of the fundamental pair and itself:
+the two share the solve's step edges, and each component keeps its own
+polynomial, so the snapshots have the bits of the two separate calls. The
+snapshots and the kernel's coefficient records are built by `_record`, in one
+step rather than by a dataclass `__init__` that sets each field on its own.
+`particular_or_zero` is the one place that turns `part=None` into the zero
+particular solution, which solves the driven equation only when the force is
+the default constant 0.
 """
 
 from __future__ import annotations
@@ -199,17 +206,16 @@ class _DenseOutput:
 
     On step k the polynomial is y_k + (sigma + 1) q(sigma) in
     sigma = 2 (t - edges[k]) / (edges[k + 1] - edges[k]) - 1, so it returns
-    the step's start value y_k (N, n_components) exactly; quotient
-    (N, 7, n_components) holds the monomial coefficients of q, lowest degree
-    first. Both paths run Horner's rule with the same roundings, so a
-    scalar t and the same t inside an array give the same bits; a scalar t
-    runs it on Python floats, which saves numpy's per-call overhead.
+    the step's start value y_k exactly; horner (N, n_components, 8) holds,
+    per step and component, q's monomial coefficients from the highest
+    degree down and then y_k. Both paths run Horner's rule with the same
+    roundings, so a scalar t and the same t inside an array give the same
+    bits; a scalar t runs it on Python floats, which saves numpy's per-call
+    overhead.
     """
 
-    def __init__(self, edges, quotient, start_values):
-        # per step and component: q's coefficients, highest degree first, then y_k
-        self._horner = np.concatenate([quotient[:, ::-1], start_values[:, None]],
-                                      axis=1).transpose(0, 2, 1).copy()
+    def __init__(self, edges, horner):
+        self._horner = horner
         self._edges = edges
         self._scale = 2.0 / np.diff(edges)
         self._starts = edges[:-1].tolist()
@@ -248,7 +254,16 @@ def _dense_output(edges, values, slopes):
     the nodes of the steps between edges."""
     half = 0.5 * np.diff(edges)[:, None, None]
     data = np.concatenate([values[:, 1:] - values[:, :1], half * slopes], axis=1)
-    return _DenseOutput(edges, _HERMITE @ data, values[:, 0])
+    quotient = _HERMITE @ data
+    return _DenseOutput(edges, np.concatenate([quotient[:, ::-1], values[:, :1]],
+                                              axis=1).transpose(0, 2, 1).copy())
+
+
+def _joined(first: _DenseOutput, second: _DenseOutput) -> _DenseOutput:
+    """One dense output of the components of first and then of second, two
+    dense outputs on the same step edges: each component keeps its
+    polynomial, so it takes the same bits from either."""
+    return _DenseOutput(first._edges, np.concatenate([first._horner, second._horner], axis=1))
 
 
 @dataclass(frozen=True)
@@ -304,6 +319,17 @@ def _collocation_solve(s: Scenario, rtol, atol) -> _Collocation:
     return _Collocation(edges=edges, path=path, forms=forms, thirds=thirds,
                         at_nodes=(inv_m, k, force), tried=tried,
                         fundamental=_dense_output(edges, *flat))
+
+
+def _record(cls, **values):
+    """An instance of the frozen dataclass cls holding values, one per field,
+    made in one step instead of by the generated __init__, which sets each
+    field through object.__setattr__. fields, replace, ==, hash, repr and the
+    FrozenInstanceError on assignment treat it as an __init__-built one. Only
+    for classes without __post_init__ checks, which this skips."""
+    record = object.__new__(cls)
+    record.__dict__.update(values)
+    return record
 
 
 @dataclass(frozen=True)
@@ -378,7 +404,11 @@ class ClassicalBasis:
 
     def _state(self, t):
         """(u, M u', v, M v') at time(s) t from one dense evaluation."""
-        c, pc, sn, ps = self._fundamental(t)
+        return self._image(self._fundamental(t))
+
+    def _image(self, fundamental):
+        """(u, M u', v, M v') from the fundamental pair's (c, M c', s, M s')."""
+        c, pc, sn, ps = fundamental
         u0, pu0, v0, pv0 = self._state0
         return u0 * c + pu0 * sn, u0 * pc + pu0 * ps, v0 * c + pv0 * sn, v0 * pc + pv0 * ps
 
@@ -410,11 +440,17 @@ class ClassicalBasis:
         d/dt arg(u - iv) = -Omega / (M rho^2), tau = theta(t0) - theta
         increases for Omega > 0. Raises ZeroRho where u and v vanish together.
         """
-        u, pu, v, pv = self._state(t)
+        return self._snapshot(t, self._fundamental(t), isinstance(t, (int, float)))
+
+    def _snapshot(self, t, fundamental, scalar) -> BasisSnapshot:
+        """The snapshot at time(s) t from the fundamental pair's
+        (c, M c', s, M s') there; scalar says whether t is an int or a
+        float."""
+        u, pu, v, pv = self._image(fundamental)
         m, _ = self.scenario.mass.eval(t)
         u_dot = pu / m
         v_dot = pv / m
-        if isinstance(t, (int, float)):
+        if scalar:
             r = math.hypot(u, v)
             vanishes = r == 0.0
         else:
@@ -423,9 +459,9 @@ class ClassicalBasis:
         if vanishes:
             raise ZeroRho(f"u and v vanish together at t={t}")
         theta = self._theta(t, u, v)
-        return BasisSnapshot(u=u, u_dot=u_dot, v=v, v_dot=v_dot, rho=r,
-                             rho_dot=(u * u_dot + v * v_dot) / r, tau=self._theta0 - theta,
-                             theta=theta, mass=m)
+        return _record(BasisSnapshot, u=u, u_dot=u_dot, v=v, v_dot=v_dot, rho=r,
+                       rho_dot=(u * u_dot + v * v_dot) / r, tau=self._theta0 - theta,
+                       theta=theta, mass=m)
 
     def _theta(self, t, u, v):
         """theta at time(s) t from u, v there: the lift table entry that opens
@@ -462,7 +498,10 @@ def _wronskian_drift(u, pu, v, pv, omega):
 class ParticularSolution:
     """Driven solution x_p with its accumulated phase integral xi.
 
-    State components: (x_p, M x_p', xi), with xi(t0) = 0.
+    State components: (x_p, M x_p', xi), with xi(t0) = 0. _joint is None or
+    (fundamental, joint): the dense output of the fundamental pair it was
+    solved with and the dense output of that pair's four components and its
+    own three, on the same step edges.
     """
 
     scenario: Scenario
@@ -470,11 +509,24 @@ class ParticularSolution:
     atol: float
     _dense: object = field(repr=False)
     _nodes: object = field(repr=False)
+    _joint: object = field(default=None, repr=False)
 
     def at(self, t) -> ParticularSnapshot:
         """x_p, M x_p' and xi at time(s) t from one dense evaluation."""
         x, momentum, xi = self._dense(t)
-        return ParticularSnapshot(x=x, momentum=momentum, xi=xi)
+        return _record(ParticularSnapshot, x=x, momentum=momentum, xi=xi)
+
+
+def _snapshots(basis: ClassicalBasis, part: ParticularSolution, t, scalar):
+    """(basis.at(t), part.at(t)), the same bits from one dense evaluation of
+    both when part was solved with the fundamental pair that basis is an
+    image of (same scenario object and tolerances), and from one each
+    otherwise; scalar says whether t is an int or a float."""
+    if part._joint is not None and part._joint[0] is basis._fundamental:
+        c, pc, sn, ps, x, momentum, xi = part._joint[1](t)
+        return (basis._snapshot(t, (c, pc, sn, ps), scalar),
+                _record(ParticularSnapshot, x=x, momentum=momentum, xi=xi))
+    return basis._snapshot(t, basis._fundamental(t), scalar), part.at(t)
 
 
 def gauge_phase(s: Scenario, mass, ps: ParticularSnapshot, t, x):
@@ -483,6 +535,23 @@ def gauge_phase(s: Scenario, mass, ps: ParticularSnapshot, t, x):
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
     return (ps.xi + mass * a_c * x * x + (ps.momentum + b_c) * x) / s.hbar
+
+
+def _check_time(s: Scenario, t, name, scalar=None):
+    """Raise ValidationError unless time(s) t lie in the working interval
+    [t0, t1], to 1e-9 of its length; nan is outside. scalar says whether t
+    is an int or a float (found from t when None)."""
+    slack = 1e-9 * (s.t1 - s.t0)
+    lo, hi = s.t0 - slack, s.t1 + slack
+    if isinstance(t, (int, float)) if scalar is None else scalar:
+        if not lo <= t <= hi:
+            raise ValidationError(f"{name}={t} outside working interval [{s.t0}, {s.t1}]")
+        return
+    times = np.asarray(t)
+    outside = ~((times >= lo) & (times <= hi))
+    if outside.any():
+        bad = t if times.ndim == 0 else times[outside].flat[0]
+        raise ValidationError(f"{name}={bad} outside working interval [{s.t0}, {s.t1}]")
 
 
 def _zero_dense(t):
@@ -586,8 +655,9 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0), rtol=DEFAULT_RTOL,
     inv_m, k, force = sol.at_nodes
     slopes = np.stack([inv_m * p, force - k * x, 0.5 * (k * x * x - inv_m * p * p)], axis=-1)
     _log.debug("solve_particular: %d steps, %d steps tried", n, sol.tried)
-    return ParticularSolution(scenario=s, rtol=rtol, atol=atol,
-                              _dense=_dense_output(sol.edges, values, slopes), _nodes=sol.edges)
+    dense = _dense_output(sol.edges, values, slopes)
+    return ParticularSolution(scenario=s, rtol=rtol, atol=atol, _dense=dense, _nodes=sol.edges,
+                              _joint=(sol.fundamental, _joined(sol.fundamental, dense)))
 
 
 def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> float:

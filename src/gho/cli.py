@@ -495,10 +495,10 @@ def run_evolve(args) -> int:
     ctx = _Context(args)
     s = ctx.scenario
     times = _parse_times(args.times) if args.times else _interior_times(s, (0.0, 0.5, 1.0))
+    cfg = oracle.EvolverConfig(dt=args.dt)
     packet = states.build_generalized_coherent_state(s, ctx.basis, ctx.part, 0,
                                                      times[0], ctx.grid)
     _write_packet_csv(ctx.outfile("packet_0000.csv"), packet, s)
-    cfg = oracle.EvolverConfig(dt=args.dt)
     state = packet
     for k, t_end in enumerate(times[1:], start=1):
         state = oracle.evolve_tdse(s, state, t_end, cfg)
@@ -526,8 +526,8 @@ def run_invariant(args) -> int:
     s = ctx.scenario
     times = _parse_times(args.times) if args.times else list(
         np.linspace(s.t0, s.t0 + min(5.0, s.t1 - s.t0), 11))
-    packet = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], ctx.grid)
     cfg = oracle.EvolverConfig(dt=args.dt)
+    packet = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], ctx.grid)
     rows = []
     re, im = states.invariant_expectation(packet, ctx.basis, ctx.part, s,
                                           with_diagnostic=True)

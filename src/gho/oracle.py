@@ -62,8 +62,8 @@ class EvolverConfig:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if not (0 < self.dt < math.inf):
+            raise ValidationError(f"dt must be positive and finite, not {self.dt}")
 
 
 def _hamiltonian_scalars(s: Scenario, t):
@@ -156,7 +156,7 @@ def _smooth_pieces(s: Scenario, t_a: float, t_b: float):
     coefficient jumps, and t_b, in the order the evolution meets them."""
     lo, hi = min(t_a, t_b), max(t_a, t_b)
     jumps = sorted({t for name in ("mass", "frequency", "force", "a", "b", "f")
-                    for t in _jumps(getattr(s, name), lo, hi)}, reverse=t_b < t_a)
+                    for t in _jumps(getattr(s, name), lo, hi)}, reverse=bool(t_b < t_a))
     return np.array([t_a, *jumps, t_b], dtype=float)
 
 

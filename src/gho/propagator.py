@@ -40,7 +40,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .classical import ClassicalBasis, gauge_phase, particular_or_zero
+from .classical import (ClassicalBasis, _check_time, _record, _snapshots, gauge_phase,
+                        particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, ValidationError
 from .packets import (WavePacket, _scipy_fft, czt, evaluate_trig_interpolant,
@@ -71,13 +72,7 @@ _FLOATS = SimpleNamespace(abs=abs, maximum=max, floor=math.floor, exp=cmath.exp,
                           where=lambda cond, yes, no: yes if cond else no)
 
 
-def _functions(a, b):
-    """_FLOATS when a and b are Python floats (or ints; np.float64 is a
-    float), numpy otherwise."""
-    return _FLOATS if isinstance(a, (int, float)) and isinstance(b, (int, float)) else np
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KernelQuery:
     """Endpoint data (t_a, r_a) -> (t_b, r_b); positions are scalars for N=1."""
 
@@ -85,6 +80,10 @@ class KernelQuery:
     t_b: float
     r_a: object
     r_b: object
+
+    def __init__(self, t_a, t_b, r_a, r_b):
+        # one dict update in place of the generated per-field object.__setattr__
+        self.__dict__.update(t_a=t_a, t_b=t_b, r_a=r_a, r_b=r_b)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ class KernelCoefficients:
 
     def pair(self, k) -> KernelCoefficients:
         """The scalar coefficients of pair k of an array of time pairs."""
-        return KernelCoefficients(n_dims=self.n_dims, **{
+        return _record(KernelCoefficients, n_dims=self.n_dims, **{
             f.name: getattr(self, f.name)[k] for f in fields(self) if f.name != "n_dims"})
 
     def value_1d(self, x_a, x_b):
@@ -166,19 +165,6 @@ class KernelCoefficients:
         return complex(self._gaussian(ra @ ra, rb @ rb, ra @ rb, np.sum(ra), np.sum(rb)))
 
 
-def _check_time(s: Scenario, t, name):
-    slack = 1e-9 * (s.t1 - s.t0)
-    if isinstance(t, (int, float)):
-        if t < s.t0 - slack or t > s.t1 + slack:
-            raise ValidationError(f"{name}={t} outside working interval [{s.t0}, {s.t1}]")
-        return
-    times = np.asarray(t)
-    outside = (times < s.t0 - slack) | (times > s.t1 + slack)
-    if outside.any():
-        bad = t if times.ndim == 0 else times[outside].flat[0]
-        raise ValidationError(f"{name}={bad} outside working interval [{s.t0}, {s.t1}]")
-
-
 def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticReport:
     """All focal times in (t_a, t_end] (default: end of the working interval).
 
@@ -189,7 +175,10 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
     """
     s = basis.scenario
     _check_time(s, t_a, "t_a")
-    t_end = s.t1 if t_end is None else t_end
+    if t_end is None:
+        t_end = s.t1
+    else:
+        _check_time(s, t_end, "t_end")
     times = []
     if t_end > t_a:
         at_a = basis.at(t_a)
@@ -228,12 +217,12 @@ def _focal_time(basis, tau_a, k, lo, hi):
     return t
 
 
-def _morse_count(at_a, at_b, big_b):
+def _morse_count(at_a, at_b, big_b, ops=np):
     """Focal times strictly between t_a < t_b from the snapshots there and
     the hop matrix entry B: floor(|tau_b - tau_a| / pi), with its parity
     pinned by sign(B) = (-1)^count when t_b is within solver error of a
-    focal time. Element by element for snapshots at arrays of times."""
-    ops = _functions(at_a.tau, at_b.tau)
+    focal time. Element by element for snapshots at arrays of times; ops is
+    numpy, or _FLOATS for snapshots of Python floats."""
     turns = ops.abs(at_b.tau - at_a.tau) / math.pi
     count = ops.floor(turns)
     wrong = (big_b < 0) != (count % 2 == 1)
@@ -254,22 +243,23 @@ def _hop_matrix(omega, at_a, at_b):
     return big_a, big_b, big_c, big_d
 
 
-def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
+def _forward_coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficients:
     """Coefficients for t_a < t_b, scalars or arrays of pairs; a scalar pair
-    in the caustic band raises, an array marks it."""
-    ops = _functions(t_a, t_b)
+    in the caustic band raises, an array marks it. scalar says whether both
+    times are ints or floats."""
+    ops = _FLOATS if scalar else np
     hbar = s.hbar
     n = s.dimension
-    # one dense evaluation per solution and endpoint (array)
-    at_a, at_b = basis.at(t_a), basis.at(t_b)
-    xp_a, xp_b = part.at(t_a), part.at(t_b)
+    # one dense evaluation of the basis and x_p together per endpoint (array)
+    at_a, xp_a = _snapshots(basis, part, t_a, scalar)
+    at_b, xp_b = _snapshots(basis, part, t_b, scalar)
     omega = basis.omega
 
     big_a, big_b, _, big_d = _hop_matrix(omega, at_a, at_b)
     d = omega * big_b
     scale = ops.maximum(ops.abs(at_b.u), ops.abs(at_b.v)) * (ops.abs(at_a.u) + ops.abs(at_a.v))
     caustic = ops.abs(d) <= CAUSTIC_RTOL * scale
-    morse = _morse_count(at_a, at_b, big_b)
+    morse = _morse_count(at_a, at_b, big_b, ops)
     if _log.isEnabledFor(logging.DEBUG):
         margin = np.abs(d) / (CAUSTIC_RTOL * scale)
         _log.debug("kernel_coefficients: %d pairs, Morse index <= %d, "
@@ -305,18 +295,18 @@ def _forward_coefficients(s, basis, part, t_a, t_b) -> KernelCoefficients:
     branch = -n * (0.25 * math.pi + 0.5 * math.pi * morse)
     prefactor = modulus * ops.exp(1j * (branch + const))
 
-    return KernelCoefficients(t_a=t_a, t_b=t_b, n_dims=n, prefactor=prefactor,
-                              q_aa=q_aa, q_bb=q_bb, q_ab=q_ab, l_a=l_a, l_b=l_b,
-                              denominator=d, caustic=caustic)
+    return _record(KernelCoefficients, t_a=t_a, t_b=t_b, n_dims=n, prefactor=prefactor,
+                   q_aa=q_aa, q_bb=q_bb, q_ab=q_ab, l_a=l_a, l_b=l_b,
+                   denominator=d, caustic=caustic)
 
 
 def _backward(fwd: KernelCoefficients) -> KernelCoefficients:
     """K(b, a) = conj(K(a, b)): swap the endpoint roles, negate the exponent."""
-    return KernelCoefficients(t_a=fwd.t_b, t_b=fwd.t_a, n_dims=fwd.n_dims,
-                              prefactor=fwd.prefactor.conjugate(),
-                              q_aa=-fwd.q_bb, q_bb=-fwd.q_aa, q_ab=-fwd.q_ab,
-                              l_a=-fwd.l_b, l_b=-fwd.l_a,
-                              denominator=-fwd.denominator, caustic=fwd.caustic)
+    return _record(KernelCoefficients, t_a=fwd.t_b, t_b=fwd.t_a, n_dims=fwd.n_dims,
+                   prefactor=fwd.prefactor.conjugate(),
+                   q_aa=-fwd.q_bb, q_bb=-fwd.q_aa, q_ab=-fwd.q_ab,
+                   l_a=-fwd.l_b, l_b=-fwd.l_a,
+                   denominator=-fwd.denominator, caustic=fwd.caustic)
 
 
 def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> KernelCoefficients:
@@ -327,10 +317,11 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
     np.float64 included) the same formulas run on Python floats: the
     coefficients and the denominator are floats and the prefactor a complex.
     0-d arrays take numpy's path and give numpy scalars. Arrays are
-    evaluated in one pass: one dense evaluation of the basis and one of x_p
-    per endpoint array, the Morse count, the backward swap-and-conjugate and
-    the caustic band applied pair by pair, and the fields come back as
-    arrays over the pairs. A scalar pair inside the caustic band
+    evaluated in one pass: one dense evaluation of the basis and x_p
+    together per endpoint array (one of each when x_p comes from another
+    solve; see classical._snapshots), the Morse count, the backward
+    swap-and-conjugate and the caustic band applied pair by pair, and the
+    fields come back as arrays over the pairs. A scalar pair inside the caustic band
     (|D| <= CAUSTIC_RTOL times the basis scale) raises CausticEncountered;
     in an array such pairs are marked in `caustic` and their prefactor and
     exponent coefficients are nan. Equal times raise ValidationError either
@@ -341,23 +332,25 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
     part=None stands for x_p = 0 (see classical.particular_or_zero).
     """
     part = particular_or_zero(s, part)
-    _check_time(s, t_a, "t_a")
-    _check_time(s, t_b, "t_b")
-    if _functions(t_a, t_b) is _FLOATS or np.ndim(t_a) == 0 and np.ndim(t_b) == 0:
+    scalar = isinstance(t_a, (int, float)) and isinstance(t_b, (int, float))
+    _check_time(s, t_a, "t_a", scalar)
+    _check_time(s, t_b, "t_b", scalar)
+    if scalar or np.ndim(t_a) == 0 and np.ndim(t_b) == 0:
         if t_b == t_a:
             raise ValidationError(_EQUAL_TIMES)
         if t_b > t_a:
-            return _forward_coefficients(s, basis, part, t_a, t_b)
-        return _backward(_forward_coefficients(s, basis, part, t_b, t_a))
+            return _forward_coefficients(s, basis, part, t_a, t_b, scalar)
+        return _backward(_forward_coefficients(s, basis, part, t_b, t_a, scalar))
     t_a, t_b = np.broadcast_arrays(np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float))
     if t_a.ndim != 1:
         raise ValidationError("time pairs must be scalars or 1-D arrays")
     if np.any(t_a == t_b):
         raise ValidationError(_EQUAL_TIMES)
     back = t_b < t_a
-    fwd = _forward_coefficients(s, basis, part, np.minimum(t_a, t_b), np.maximum(t_a, t_b))
+    fwd = _forward_coefficients(s, basis, part, np.minimum(t_a, t_b), np.maximum(t_a, t_b),
+                                False)
     bwd = _backward(fwd)
-    return KernelCoefficients(n_dims=fwd.n_dims, **{
+    return _record(KernelCoefficients, n_dims=fwd.n_dims, **{
         f.name: np.where(back, getattr(bwd, f.name), getattr(fwd, f.name))
         for f in fields(KernelCoefficients) if f.name != "n_dims"})
 
@@ -415,7 +408,8 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     _check_time(s, t_a, "t_a")
     _check_time(s, t_b, "t_b")
     part = particular_or_zero(s, part)
-    at_a, at_b = basis.at(t_a), basis.at(t_b)
+    at_a, xp_a = _snapshots(basis, part, t_a, isinstance(t_a, (int, float)))
+    at_b, xp_b = _snapshots(basis, part, t_b, isinstance(t_b, (int, float)))
     big_a, big_b, big_c, _ = _hop_matrix(basis.omega, at_a, at_b)
     x = grid.points
     sfft = _scipy_fft()
@@ -428,7 +422,6 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
         return WavePacket(grid, _lct_apply(co, ys, g, ys[1] - ys[0], x), t_b)
     _log.debug("propagate %.6g -> %.6g: factored form, A %.6e, B %.6e",
                t_a, t_b, big_a, big_b)
-    xp_a, xp_b = part.at(t_a), part.at(t_b)
     # the metaplectic phase: -pi/4 - m pi/2 from the kernel (conjugated going
     # backward) less the -pi/4 sgn(A B) the Fresnel factor carries; it is
     # continuous across B = 0, where m steps and sgn(A) = (-1)^m

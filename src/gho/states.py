@@ -29,7 +29,8 @@ import math
 import numpy as np
 from scipy.fft import fft, fftfreq, ifft
 
-from .classical import ClassicalBasis, ParticularSolution, gauge_phase, particular_or_zero
+from .classical import (ClassicalBasis, ParticularSolution, _check_time, _snapshots,
+                        gauge_phase, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
 from .packets import GridSpec, WavePacket, derivative, evaluate_trig_interpolant
@@ -122,9 +123,11 @@ def _modes_1d(s, basis, part, n_max, t, x):
     envelope * turn[k]. turn holds exp(i (k + 1/2) sgn(Omega) theta). The
     time term exp(i int f / hbar) is left out, since it enters once however
     many dimensions there are. The caller evaluates the Hermite functions at
-    z: every row for a mode sum, one row when only psi_k is wanted.
+    z: every row for a mode sum, one row when only psi_k is wanted. Raises
+    ValidationError for t outside the working interval.
     """
-    bs, ps = basis.at(t), particular_or_zero(s, part).at(t)
+    _check_time(s, t, "t")
+    bs, ps = _snapshots(basis, particular_or_zero(s, part), t, isinstance(t, (int, float)))
     hbar = s.hbar
     omega = abs(basis.omega)
     x = np.asarray(x, dtype=float)
@@ -217,6 +220,7 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     (U_F psi)(x) = exp(i xi / hbar) exp(i M x_p' x / hbar) psi(x - x_p);
     part=None stands for x_p = 0.
     """
+    _check_time(s, t, "t")
     ps = particular_or_zero(s, part).at(t)
     xp = ps.x
     lo, hi = _support_bounds(packet)
@@ -245,6 +249,7 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
     (U_S psi)(x) = exp(i M rho' x^2 / (2 hbar rho)) (|Omega|/rho^2)^{1/4}
                    psi(sqrt(|Omega|/rho^2) x).
     """
+    _check_time(s, t, "t")
     bs = basis.at(t)
     scale = math.sqrt(abs(basis.omega)) / bs.rho
     packet.require_dark_edges(1e-8, "apply_U_S")
@@ -291,6 +296,7 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     term expands to the symmetric combination XP + PX, so <I> is real up to
     discretization. The momentum acts by 4th-order centered differences.
     """
+    _check_time(s, packet.t, "packet.t")
     packet.require_dark_edges(1e-8, "invariant_expectation")
     dx = packet.grid.dx
     norm_sq = np.trapezoid(np.abs(packet.samples) ** 2, dx=dx)

@@ -155,6 +155,15 @@ def test_invariant_time_series_is_flat(sho_file, tmp_path):
     assert (values.max() - values.min()) / abs(values.mean()) < 1e-5
 
 
+def test_invariant_default_times(sho_file, tmp_path):
+    # the default times are numpy floats; the evolver once failed on their
+    # numpy-bool comparison
+    out_dir = tmp_path / "inv"
+    assert main(["invariant", "--scenario", str(sho_file), "--out", str(out_dir),
+                 "--grid=-10,10,256", "--dt", "0.05"]) == 0
+    assert len((out_dir / "invariant.csv").read_text().splitlines()) == 12
+
+
 def test_evolve_writes_packets_and_trajectory(sho_file, tmp_path):
     out_dir = tmp_path / "ev"
     assert main(["evolve", "--scenario", str(sho_file), "--out", str(out_dir),
@@ -212,6 +221,25 @@ def test_kernel_scan_exit_codes(sho_file, tmp_path):
                  "--times", "0.0,1.0"]) == 2
     assert main(["kernel-scan", "--scenario", str(sho_file), "--out", str(tmp_path / "b"),
                  "--times", f"0.0,{np.pi!r}"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-scan", "--times", "nan,1"],
+    ["kernel-scan", "--times", "1,nan"],
+    ["kernel-scan", "--times", "1,inf"],
+    ["evolve", "--dt", "nan"],
+    ["evolve", "--dt", "inf"],
+    ["invariant", "--dt", "nan"],
+    ["modes", "--times", "40", "--modes", "0"],
+    ["modes", "--times", "nan", "--modes", "0"],
+    ["coherent", "--times", "40"],
+    ["invariant", "--times", "40"],
+])
+def test_non_finite_or_outside_times_and_steps_exit_two(sho_file, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--scenario", str(sho_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(out.iterdir())  # rejected before any file is written
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

@@ -15,6 +15,12 @@ from gho.oracle import compose_kernels
 from conftest import free_kernel
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+def test_evolver_step_must_be_positive_and_finite(dt):
+    with pytest.raises(ValidationError, match="dt must be positive and finite"):
+        EvolverConfig(dt=dt)
+
+
 def test_stationary_state_under_evolution(sho, grid):
     packet = sho_eigenstate(0, grid)
     out = evolve_tdse(sho, packet, 1.0, EvolverConfig(dt=1e-3))

@@ -191,6 +191,14 @@ def test_caustic_times_free(free, free_basis):
     assert caustic_times(free_basis, 0.0).times == ()
 
 
+@pytest.mark.parametrize("t_end", [100.0, -1.0, math.nan])
+def test_caustic_times_rejects_an_end_outside_the_interval(sho, sho_basis, t_end):
+    # past t1 the report would claim t_end = 100 but list the focal times before 12
+    with pytest.raises(ValidationError, match="t_end=.* outside working interval"):
+        caustic_times(sho_basis, 0.5, t_end)
+    assert caustic_times(sho_basis, 0.5, sho.t1).times == caustic_times(sho_basis, 0.5).times
+
+
 def test_caustic_times_squeezed(sho, sho_basis_squeezed):
     report = caustic_times(sho_basis_squeezed, 0.0)
     expected = np.pi * np.arange(1, 4)
@@ -279,6 +287,15 @@ def test_kernel_two_dimensional_factorizes():
 def test_time_outside_interval_rejected(sho, sho_basis):
     with pytest.raises(ValidationError):
         kernel(sho, sho_basis, None, KernelQuery(0.0, 20.0, 0.0, 0.0))
+
+
+def test_array_pairs_with_a_nan_time_rejected(sho, sho_basis):
+    # a nan pair is not marked caustic and would come back as nan
+    with pytest.raises(ValidationError, match="t_b=nan outside working interval"):
+        kernel_coefficients(sho, sho_basis, None, 0.5, np.array([1.0, math.nan]))
+    with pytest.raises(ValidationError, match="t_a=nan outside working interval"):
+        kernel_coefficients(sho, sho_basis, None, np.array([math.nan, 2.0]),
+                            np.array([1.0, 1.5]))
 
 
 def test_green_function_propagates_caustic(sho, sho_basis):
@@ -637,6 +654,9 @@ def test_scalar_query_exceptions(sho, sho_basis, scalar):
         query(-0.5, 1.0)
     with pytest.raises(ValidationError, match="outside working interval"):
         query(1.0, 12.5)
+    for t_a, t_b in ((math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValidationError, match="outside working interval"):
+            query(t_a, t_b)
     with pytest.raises(ValidationError, match="equal-time"):
         query(1.0, 1.0)
     with pytest.raises(CausticEncountered):

@@ -1,5 +1,7 @@
 """One dense-output evaluation per solution and time, and the part=None rule."""
 
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -75,10 +77,98 @@ def test_dense_evaluations_per_operation(monkeypatch, parametric, parametric_bas
         operation()
         return list(sizes)
 
+    # u, v and x_p share the step edges: one evaluation of all three per endpoint
     kernel_calls = evaluations(lambda: gho.kernel(s, basis, part, QUERY))
-    assert len(kernel_calls) <= 4
-    assert set(kernel_calls) == {1}  # every endpoint is a scalar evaluation
-    assert len(evaluations(lambda: gho.eigenmode_packet(s, basis, part, 1, 1.1, grid))) <= 2
-    assert len(evaluations(lambda: gho.build_generalized_coherent_state(
-        s, basis, part, 1, 1.1, grid))) <= 2
+    assert kernel_calls == [1, 1]
+    # x_p solved at other tolerances has other edges: one evaluation of each
+    loose = gho.solve_particular(s, (1.0, 0.0), rtol=1e-10, atol=1e-12)
+    assert evaluations(lambda: gho.kernel(s, basis, loose, QUERY)) == [1, 1, 1, 1]
+    assert evaluations(lambda: gho.eigenmode_packet(s, basis, part, 1, 1.1, grid)) == [1]
+    assert evaluations(lambda: gho.build_generalized_coherent_state(
+        s, basis, part, 1, 1.1, grid)) == [1]
     assert len(evaluations(lambda: gho.invariant_expectation(packet, basis, part, s))) <= 2
+
+
+def test_joint_snapshots_are_the_separate_ones_to_the_bit(driven_sho):
+    s, basis, _ = driven_sho
+    part = gho.solve_particular(s, (1.0, 0.0))
+    loose = gho.solve_particular(s, (1.0, 0.0), rtol=1e-10, atol=1e-12)
+    zero = gho.classical.particular_or_zero(gho.load_scenario(
+        (ROOT / "scenarios" / "sho.json").read_text()), None)
+    times = np.linspace(s.t0, s.t1, 37)
+    # part shares basis's step edges; loose, solved at other tolerances, does not
+    assert part._joint[0] is basis._fundamental and loose._joint[0] is not basis._fundamental
+    for p in (part, loose):
+        for t in [*times.tolist(), times, np.array(1.3)]:
+            joint = gho.classical._snapshots(basis, p, t, isinstance(t, float))
+            for got, alone in zip(joint, (basis.at(t), p.at(t))):
+                assert type(got) is type(alone)
+                for f in dataclasses.fields(alone):
+                    assert np.array_equal(getattr(got, f.name), getattr(alone, f.name))
+                    assert type(getattr(got, f.name)) is type(getattr(alone, f.name))
+    assert zero._joint is None
+
+
+def _records(s, basis, part):
+    bs, ps = basis.at(1.3), part.at(1.3)
+    fwd = gho.kernel_coefficients(s, basis, part, 0.4, 1.3)
+    bwd = gho.kernel_coefficients(s, basis, part, 1.3, 0.4)
+    pairs = gho.kernel_coefficients(s, basis, part, np.array([0.4, 1.3]), np.array([1.3, 0.4]))
+    return bs, ps, fwd, bwd, pairs.pair(0), pairs.pair(1)
+
+
+def test_records_built_in_one_step_behave_as_dataclasses(driven_sho):
+    s, basis, part = driven_sho
+    for record in _records(s, basis, part):
+        cls = type(record)
+        names = [f.name for f in dataclasses.fields(cls)]
+        built = cls(**{name: getattr(record, name) for name in names})
+        assert vars(record).keys() == set(names)
+        assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
+        assert dataclasses.fields(record) == dataclasses.fields(built)
+        changed = dataclasses.replace(record, **{names[0]: 2.5})
+        assert type(changed) is cls and getattr(changed, names[0]) == 2.5
+        assert changed == dataclasses.replace(built, **{names[0]: 2.5})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, names[0], 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, "extra", 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, names[0])
+    fwd, bwd, first, second = _records(s, basis, part)[2:]
+    assert (first, second) == (fwd, bwd)
+
+
+def test_kernel_query_keeps_its_dataclass_behaviour():
+    q = KernelQuery(0.2, 1.4, 0.3, -0.4)
+    assert q == KernelQuery(t_a=0.2, t_b=1.4, r_a=0.3, r_b=-0.4)
+    assert hash(q) == hash(KernelQuery(0.2, 1.4, 0.3, -0.4))
+    assert repr(q) == "KernelQuery(t_a=0.2, t_b=1.4, r_a=0.3, r_b=-0.4)"
+    assert [f.name for f in dataclasses.fields(q)] == ["t_a", "t_b", "r_a", "r_b"]
+    assert dataclasses.replace(q, t_b=2.0) == KernelQuery(0.2, 2.0, 0.3, -0.4)
+    assert dataclasses.astuple(q) == (0.2, 1.4, 0.3, -0.4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.t_a = 0.0
+    with pytest.raises(TypeError):
+        KernelQuery(0.2, 1.4, 0.3)
+
+
+def test_backward_scalar_query_is_the_conjugate_to_the_bit(driven_sho):
+    s, _, _ = driven_sho
+    part = gho.solve_particular(s, (1.0, 0.0))
+    rng = np.random.default_rng(1701)
+    checked = 0
+    for ics in (None, ((0.0, 1.0), (1.0, 0.0)), ((0.8, 0.3), (0.4, 1.1))):
+        basis = gho.solve_homogeneous_basis(s, ics)
+        for t_a, t_b, x_a, x_b in zip(*rng.uniform([s.t0, s.t0, -2.0, -2.0],
+                                                   [s.t1, s.t1, 2.0, 2.0], (200, 4)).T):
+            t_a, t_b, x_a, x_b = float(t_a), float(t_b), float(x_a), float(x_b)
+            try:
+                forward = gho.kernel(s, basis, part, KernelQuery(t_a, t_b, x_a, x_b))
+            except gho.CausticEncountered:
+                continue
+            backward = gho.kernel(s, basis, part, KernelQuery(t_b, t_a, x_b, x_a))
+            assert math.isfinite(abs(forward))
+            assert backward.real == forward.real and backward.imag == -forward.imag
+            checked += 1
+    assert checked >= 590

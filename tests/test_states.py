@@ -188,6 +188,29 @@ def test_apply_U_F_grid_too_narrow(sho, grid):
         apply_U_F(packet, part, sho, 0.0)
 
 
+MODE_LAYER_CALLS = {
+    "eigenmode_packet": lambda s, basis, part, packet, t: eigenmode_packet(
+        s, basis, part, 0, t, packet.grid),
+    "build_generalized_coherent_state": lambda s, basis, part, packet, t:
+        build_generalized_coherent_state(s, basis, part, 0, t, packet.grid),
+    "apply_U_S": lambda s, basis, part, packet, t: apply_U_S(packet, basis, s, t),
+    "apply_U_F": lambda s, basis, part, packet, t: apply_U_F(packet, part, s, t),
+    "invariant_expectation": lambda s, basis, part, packet, t: invariant_expectation(
+        packet.with_samples(packet.samples, t=t), basis, part, s),
+}
+
+
+@pytest.mark.parametrize("t", [40.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(MODE_LAYER_CALLS))
+def test_mode_layer_rejects_times_outside_the_interval(sho, sho_basis, sho_part_cos, grid,
+                                                       name, t):
+    # past t1 the dense output extrapolates: u(40) would read -2.1e6, not cos 40
+    packet = eigenmode_packet(sho, sho_basis, sho_part_cos, 0, 1.0, grid)
+    with pytest.raises(ValidationError, match="outside working interval"):
+        MODE_LAYER_CALLS[name](sho, sho_basis, sho_part_cos, packet, t)
+    assert MODE_LAYER_CALLS[name](sho, sho_basis, sho_part_cos, packet, sho.t1) is not None
+
+
 def test_apply_U_S_identity_when_unsqueezed(sho, sho_basis, grid):
     packet = sho_eigenstate(2, grid)
     out = apply_U_S(packet, sho_basis, sho, 0.8)  # rho^2 = Omega = 1, rho' = 0
