@@ -45,10 +45,11 @@ of the solution's per-time data from one dense-output evaluation, for a scalar
 or an array t: `ClassicalBasis.at` gives u, u', v, v', rho, rho', tau, the
 continuously lifted angle theta = theta(t0) - tau of u - i v, and M;
 `ParticularSolution.at` gives x_p, M x_p' and xi. The kernel reads both at
-each endpoint through `_snapshots`, from one evaluation of a joint dense
-output that a particular solution keeps of the fundamental pair and itself:
-the two share the solve's step edges, and each component keeps its own
-polynomial, so the snapshots have the bits of the two separate calls. The
+each endpoint through `_snapshots`, from one evaluation of the joint dense
+output that a solved particular solution keeps of the fundamental pair and
+itself (its `at` reads the last three components): the two share the
+solve's step edges, and each component keeps its own polynomial, so the
+snapshots have the bits of the two separate calls. The
 snapshots and the kernel's coefficient records are built by `_record`, in one
 step rather than by a dataclass `__init__` that sets each field on its own.
 `particular_or_zero` is the one place that turns `part=None` into the zero
@@ -249,21 +250,22 @@ def _node_states(thirds, start):
                      start[1:, :2]], axis=1)
 
 
-def _dense_output(edges, values, slopes):
-    """The dense output of values and t-derivatives (N, 4, n_components) at
-    the nodes of the steps between edges."""
+def _horner_table(edges, values, slopes):
+    """The Horner table (N, n_components, 8) of values and t-derivatives
+    (N, 4, n_components) at the nodes of the steps between edges."""
     half = 0.5 * np.diff(edges)[:, None, None]
     data = np.concatenate([values[:, 1:] - values[:, :1], half * slopes], axis=1)
     quotient = _HERMITE @ data
-    return _DenseOutput(edges, np.concatenate([quotient[:, ::-1], values[:, :1]],
-                                              axis=1).transpose(0, 2, 1).copy())
+    return np.concatenate([quotient[:, ::-1], values[:, :1]], axis=1).transpose(0, 2, 1)
 
 
-def _joined(first: _DenseOutput, second: _DenseOutput) -> _DenseOutput:
-    """One dense output of the components of first and then of second, two
-    dense outputs on the same step edges: each component keeps its
-    polynomial, so it takes the same bits from either."""
-    return _DenseOutput(first._edges, np.concatenate([first._horner, second._horner], axis=1))
+def _joined(first: _DenseOutput, edges, values, slopes) -> _DenseOutput:
+    """One dense output of the components of first and then of those of
+    values and slopes at the nodes of first's steps between edges: each
+    component keeps its polynomial, so it takes the same bits as from a
+    dense output of its own."""
+    return _DenseOutput(edges, np.concatenate(
+        [first._horner, _horner_table(edges, values, slopes)], axis=1))
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,7 @@ def _collocation_solve(s: Scenario, rtol, atol) -> _Collocation:
     flat = [a.swapaxes(2, 3).reshape(len(h), 4, 4) for a in (states, slopes)]
     return _Collocation(edges=edges, path=path, forms=forms, thirds=thirds,
                         at_nodes=(inv_m, k, force), tried=tried,
-                        fundamental=_dense_output(edges, *flat))
+                        fundamental=_DenseOutput(edges, _horner_table(edges, *flat).copy()))
 
 
 def _record(cls, **values):
@@ -498,10 +500,11 @@ def _wronskian_drift(u, pu, v, pv, omega):
 class ParticularSolution:
     """Driven solution x_p with its accumulated phase integral xi.
 
-    State components: (x_p, M x_p', xi), with xi(t0) = 0. _joint is None or
-    (fundamental, joint): the dense output of the fundamental pair it was
-    solved with and the dense output of that pair's four components and its
-    own three, on the same step edges.
+    State components: (x_p, M x_p', xi), with xi(t0) = 0, the last three
+    components of _dense. When _fundamental is the dense output of the
+    fundamental pair it was solved with, _dense holds that pair's four
+    components before them, on the same step edges; otherwise (x_p = 0)
+    _fundamental is None and _dense holds the three alone.
     """
 
     scenario: Scenario
@@ -509,11 +512,11 @@ class ParticularSolution:
     atol: float
     _dense: object = field(repr=False)
     _nodes: object = field(repr=False)
-    _joint: object = field(default=None, repr=False)
+    _fundamental: object = field(default=None, repr=False)
 
     def at(self, t) -> ParticularSnapshot:
         """x_p, M x_p' and xi at time(s) t from one dense evaluation."""
-        x, momentum, xi = self._dense(t)
+        x, momentum, xi = self._dense(t)[-3:]
         return _record(ParticularSnapshot, x=x, momentum=momentum, xi=xi)
 
 
@@ -522,8 +525,8 @@ def _snapshots(basis: ClassicalBasis, part: ParticularSolution, t, scalar):
     both when part was solved with the fundamental pair that basis is an
     image of (same scenario object and tolerances), and from one each
     otherwise; scalar says whether t is an int or a float."""
-    if part._joint is not None and part._joint[0] is basis._fundamental:
-        c, pc, sn, ps, x, momentum, xi = part._joint[1](t)
+    if part._fundamental is basis._fundamental:
+        c, pc, sn, ps, x, momentum, xi = part._dense(t)
         return (basis._snapshot(t, (c, pc, sn, ps), scalar),
                 _record(ParticularSnapshot, x=x, momentum=momentum, xi=xi))
     return basis._snapshot(t, basis._fundamental(t), scalar), part.at(t)
@@ -655,9 +658,9 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0), rtol=DEFAULT_RTOL,
     inv_m, k, force = sol.at_nodes
     slopes = np.stack([inv_m * p, force - k * x, 0.5 * (k * x * x - inv_m * p * p)], axis=-1)
     _log.debug("solve_particular: %d steps, %d steps tried", n, sol.tried)
-    dense = _dense_output(sol.edges, values, slopes)
-    return ParticularSolution(scenario=s, rtol=rtol, atol=atol, _dense=dense, _nodes=sol.edges,
-                              _joint=(sol.fundamental, _joined(sol.fundamental, dense)))
+    return ParticularSolution(scenario=s, rtol=rtol, atol=atol,
+                              _dense=_joined(sol.fundamental, sol.edges, values, slopes),
+                              _nodes=sol.edges, _fundamental=sol.fundamental)
 
 
 def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> float:

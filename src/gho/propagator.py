@@ -183,7 +183,8 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
     if t_end > t_a:
         at_a = basis.at(t_a)
         at_end = basis.at(t_end)
-        count = int(_morse_count(at_a, at_end, _hop_matrix(basis.omega, at_a, at_end)[1]))
+        ops = _FLOATS if isinstance(t_a, (int, float)) and isinstance(t_end, (int, float)) else np
+        count = int(_morse_count(at_a, at_end, _hop_matrix(basis.omega, at_a, at_end)[1], ops))
         end_turns = math.copysign(1.0, basis.omega) * float(at_end.tau - at_a.tau) / math.pi
         lo = t_a
         for k in range(1, count + 1):
@@ -217,7 +218,7 @@ def _focal_time(basis, tau_a, k, lo, hi):
     return t
 
 
-def _morse_count(at_a, at_b, big_b, ops=np):
+def _morse_count(at_a, at_b, big_b, ops):
     """Focal times strictly between t_a < t_b from the snapshots there and
     the hop matrix entry B: floor(|tau_b - tau_a| / pi), with its parity
     pinned by sign(B) = (-1)^count when t_b is within solver error of a
@@ -246,13 +247,14 @@ def _hop_matrix(omega, at_a, at_b):
 def _forward_coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficients:
     """Coefficients for t_a < t_b, scalars or arrays of pairs; a scalar pair
     in the caustic band raises, an array marks it. scalar says whether both
-    times are ints or floats."""
+    times are ints or floats; otherwise each endpoint takes its own path, as
+    a float may be paired with a 0-d array or a numpy scalar."""
     ops = _FLOATS if scalar else np
     hbar = s.hbar
     n = s.dimension
     # one dense evaluation of the basis and x_p together per endpoint (array)
-    at_a, xp_a = _snapshots(basis, part, t_a, scalar)
-    at_b, xp_b = _snapshots(basis, part, t_b, scalar)
+    at_a, xp_a = _snapshots(basis, part, t_a, scalar or isinstance(t_a, (int, float)))
+    at_b, xp_b = _snapshots(basis, part, t_b, scalar or isinstance(t_b, (int, float)))
     omega = basis.omega
 
     big_a, big_b, _, big_d = _hop_matrix(omega, at_a, at_b)

@@ -182,7 +182,7 @@ def test_caustic_times_fast_oscillator_to_rounding(ics):
         # the Morse count of the kernel agrees with the report and the closed form
         t_b = rng.uniform(t_a + 0.01, s.t1, 200)
         at_a, at_b = basis.at(t_a), basis.at(t_b)
-        morse = _morse_count(at_a, at_b, _hop_matrix(basis.omega, at_a, at_b)[1])
+        morse = _morse_count(at_a, at_b, _hop_matrix(basis.omega, at_a, at_b)[1], np)
         assert np.array_equal(morse, np.floor((t_b - t_a) * 5.0 / np.pi))
         assert [report.morse_index(t) for t in t_b] == list(morse)
 
@@ -643,6 +643,17 @@ def test_zero_dimensional_times_take_the_array_path():
         q = KernelQuery(np.array(t_a), np.array(t_b), 0.3, -0.4)
         assert kernel(s, basis, part, q) == pytest.approx(
             kernel(s, basis, part, KernelQuery(t_a, t_b, 0.3, -0.4)), rel=1e-14)
+    # a float or an int paired with a 0-d array or a numpy scalar: each
+    # endpoint takes its own path, both ways round
+    for pair in ((0.5, np.array(1.0)), (0.5, np.float32(1.0)), (1, np.int64(3))):
+        for t_a, t_b in (pair, pair[::-1]):
+            floats = kernel_coefficients(s, basis, part, float(t_a), float(t_b))
+            mixed = kernel_coefficients(s, basis, part, t_a, t_b)
+            for field in _COEFFICIENTS:
+                assert getattr(floats, field) == pytest.approx(getattr(mixed, field), rel=1e-15)
+            assert kernel(s, basis, part, KernelQuery(t_a, t_b, 0.3, -0.4)) == pytest.approx(
+                kernel(s, basis, part, KernelQuery(float(t_a), float(t_b), 0.3, -0.4)),
+                rel=1e-14)
 
 
 @pytest.mark.parametrize("scalar", [float, np.array])

@@ -97,7 +97,8 @@ def test_joint_snapshots_are_the_separate_ones_to_the_bit(driven_sho):
         (ROOT / "scenarios" / "sho.json").read_text()), None)
     times = np.linspace(s.t0, s.t1, 37)
     # part shares basis's step edges; loose, solved at other tolerances, does not
-    assert part._joint[0] is basis._fundamental and loose._joint[0] is not basis._fundamental
+    assert part._fundamental is basis._fundamental
+    assert loose._fundamental is not basis._fundamental
     for p in (part, loose):
         for t in [*times.tolist(), times, np.array(1.3)]:
             joint = gho.classical._snapshots(basis, p, t, isinstance(t, float))
@@ -106,7 +107,7 @@ def test_joint_snapshots_are_the_separate_ones_to_the_bit(driven_sho):
                 for f in dataclasses.fields(alone):
                     assert np.array_equal(getattr(got, f.name), getattr(alone, f.name))
                     assert type(getattr(got, f.name)) is type(getattr(alone, f.name))
-    assert zero._joint is None
+    assert zero._fundamental is None
 
 
 def _records(s, basis, part):
