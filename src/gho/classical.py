@@ -671,8 +671,10 @@ def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> fl
     where p is the canonical momentum of the Hamiltonian (the one -i hbar d/dx
     represents) and M x' = p - 2 M a x - b is the kinetic momentum; for
     a = b = 0 the two coincide. part=None stands for x_p = 0. With |Omega|, I
-    is non-negative for either sign of Omega.
+    is non-negative for either sign of Omega. Times outside the working
+    interval (nan included) raise ValidationError.
     """
+    _check_time(s, t, "t")
     bs = basis.at(t)
     ps = particular_or_zero(s, part).at(t)
     a_c, _ = s.a.eval(t)
@@ -690,8 +692,10 @@ trajectory_columns = ("t", "u", "u_dot", "v", "v_dot", "x_p", "x_p_dot",
 
 
 def trajectory_table(basis: ClassicalBasis, part, times) -> np.ndarray:
-    """Dense trajectory export: one row per time, columns trajectory_columns."""
+    """Dense trajectory export: one row per time, columns trajectory_columns.
+    Times outside the working interval (nan included) raise ValidationError."""
     times = np.asarray(times, dtype=float)
+    _check_time(basis.scenario, times, "times")
     bs = basis.at(times)
     ps = particular_or_zero(basis.scenario, part).at(times)
     return np.column_stack([times, bs.u, bs.u_dot, bs.v, bs.v_dot, ps.x,

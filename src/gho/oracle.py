@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .classical import ClassicalBasis, particular_or_zero, solve_homogeneous_basis
+from .classical import (ClassicalBasis, _check_time, particular_or_zero,
+                        solve_homogeneous_basis)
 from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
@@ -177,9 +178,13 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     coefficients change. Logs, at DEBUG level on the "gho.oracle" logger, the
     grid's point count and spacing, each run's step count, factorizations and
     norm drift, and the Richardson error estimate |psi_dt - psi_2dt| / |psi|.
+    The packet's time and t_end must lie in the working interval
+    (ValidationError otherwise, nan included).
     """
     if s.dimension != 1:
         raise ValidationError("the grid evolver is one-dimensional")
+    _check_time(s, packet.t, "packet.t")
+    _check_time(s, t_end, "t_end")
     packet.require_dark_edges(1e-8, "evolve_tdse")
     if t_end == packet.t:
         return packet.with_samples(packet.samples)

@@ -262,7 +262,9 @@ def upsample_periodic(p: WavePacket, m: int):
     """Resample onto m >= n uniform points across the implied period.
 
     Returns (points, values); exact trigonometric upsampling by spectrum
-    zero-padding. Used to refine quadrature grids for oscillatory kernels.
+    zero-padding. The chirp-z form of propagation calls it only when the
+    trapezoid rule's aliasing bound asks for more points than the packet
+    has; m == n returns copies of the grid and the samples.
     """
     n = p.grid.n_points
     if m == n:

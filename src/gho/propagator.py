@@ -27,7 +27,9 @@ hbar |B| pi / dx <= |A| N dx it is applied as chirp(C/A) . dilation(A) .
 Fresnel(B/A): a trigonometric interpolant on the shifted, dilated grid, one
 FFT multiply and a chirp, regular at B = 0 (short hops, focal times).
 Otherwise it is the trapezoidal kernel sum by chirp multiplications and a
-chirp-z transform on an upsampled packet, regular at A = 0.
+chirp-z transform, regular at A = 0, on as many points as the trapezoid
+rule's aliasing bound asks (see _quadrature_size): the packet's own grid on
+most hops, an upsampled packet on the rest.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ __all__ = [
 
 # caustic trigger: |D| below this times the basis scale at the two endpoints
 CAUSTIC_RTOL = 1e-12
-_QUAD_OVERSAMPLE = 4.0
 _EQUAL_TIMES = "equal-time kernel is a delta function; probe it via kernel_delta_check"
 # numpy's elementwise functions that the kernel formulas use, under the same
 # names for Python floats: a scalar query runs the one copy of the formulas
@@ -387,12 +388,23 @@ def _lct_apply(co: KernelCoefficients, ys, g, dy, out_points):
 
 
 def _quadrature_size(co: KernelCoefficients, grid):
-    """Points needed so the chirped integrand is sampled below Nyquist."""
+    """Points M of the trapezoid sum over the packet's period P = N dx that
+    alias nothing: max(N, ceil(P (pi/dx + R) / (2 pi))).
+
+    The packet's trigonometric interpolant g is band-limited to pi/dx. Over
+    the window the kernel's phase q_aa y^2 + q_ab x y + l_a y has local
+    frequency 2 q_aa y + q_ab x + l_a, within R = (2|q_aa| + |q_ab|) y_max
+    + |l_a| for |x|, |y| <= y_max, so the integrand's spectrum lies within
+    pi/dx + R. By Poisson summation the trapezoid sum with step dy = P/M
+    adds the spectrum at the nonzero multiples of 2 pi/dy to the integral,
+    and these all miss it once 2 pi/dy > pi/dx + R. Where the chirp-z form
+    is taken, R is about pi/dx or less, so M is N on most hops.
+    """
     y_max = max(abs(grid.x_min), abs(grid.x_max))  # also the largest |x|
     kernel_rate = (2.0 * abs(co.q_aa) + abs(co.q_ab)) * y_max + abs(co.l_a)
     packet_rate = math.pi / grid.dx
     period = grid.n_points * grid.dx
-    needed = int(math.ceil(period * (packet_rate + _QUAD_OVERSAMPLE * kernel_rate) / math.pi))
+    needed = int(math.ceil(period * (packet_rate + kernel_rate) / (2.0 * math.pi)))
     return max(needed, grid.n_points)
 
 
@@ -417,10 +429,14 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     sfft = _scipy_fft()
     if hbar * abs(big_b) * math.pi / grid.dx > abs(big_a) * grid.n_points * grid.dx:
         co = kernel_coefficients(s, basis, part, t_a, t_b)
-        m = sfft.next_fast_len(_quadrature_size(co, grid))
+        m = _quadrature_size(co, grid)
+        if m > grid.n_points:
+            m = sfft.next_fast_len(m)
+            ys, g = upsample_periodic(packet, m)
+        else:  # the packet's own grid: the sum reads the samples as they are
+            ys, g = x, packet.samples
         _log.debug("propagate %.6g -> %.6g: chirp-z form, A %.6e, B %.6e, "
                    "%d quadrature points", t_a, t_b, big_a, big_b, m)
-        ys, g = upsample_periodic(packet, m)
         return WavePacket(grid, _lct_apply(co, ys, g, ys[1] - ys[0], x), t_b)
     _log.debug("propagate %.6g -> %.6g: factored form, A %.6e, B %.6e",
                t_a, t_b, big_a, big_b)

@@ -279,6 +279,17 @@ def test_trajectory_table_columns(sho, sho_basis, sho_part_cos):
     assert table[:, 7] == pytest.approx(np.sin(2 * ts) / 4, abs=1e-10)
 
 
+@pytest.mark.parametrize("t", [40.0, -1.0, float("nan"), np.array([1.0, 40.0])])
+def test_classical_invariant_and_trajectory_reject_times_outside_the_interval(
+        sho, sho_basis, sho_part_zero, t):
+    # the dense output extrapolates past t1: at t = 40 the invariant read
+    # 1.99e12 where it is 0.5, and u read -2.1e6 where cos 40 = -0.67
+    with pytest.raises(gho.ValidationError, match=r"outside working interval \[0.0, 12.0\]"):
+        classical_invariant(sho_basis, sho_part_zero, sho, np.cos(40.0), -np.sin(40.0), t)
+    with pytest.raises(gho.ValidationError, match=r"outside working interval \[0.0, 12.0\]"):
+        trajectory_table(sho_basis, None, np.atleast_1d(t))
+
+
 def test_mass_crossing_zero_rejected():
     with pytest.raises(gho.ValidationError):
         scenario_from_dict({

@@ -242,6 +242,14 @@ def test_non_finite_or_outside_times_and_steps_exit_two(sho_file, tmp_path, caps
     assert not any(out.iterdir())  # rejected before any file is written
 
 
+def test_evolve_rejects_a_stop_past_the_interval(sho_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["evolve", "--times", "0,14", "--scenario", str(sho_file), "--grid=-10,10,256",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: t_end=14.0 outside working interval [0.0, 12.0]\n"
+    assert not (out / "packet_0001.csv").exists()
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_every_command_rejects_dimension_two_after_load(command, tmp_path, capsys,
                                                         monkeypatch):

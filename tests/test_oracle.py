@@ -21,6 +21,16 @@ def test_evolver_step_must_be_positive_and_finite(dt):
         EvolverConfig(dt=dt)
 
 
+@pytest.mark.parametrize("start, t_end, name", [
+    (0.0, 14.0, "t_end=14.0"), (0.0, -1.0, "t_end=-1.0"), (0.0, float("nan"), "t_end=nan"),
+    (13.0, 1.0, "packet.t=13.0"), (float("nan"), 1.0, "packet.t=nan")])
+def test_evolver_rejects_times_outside_the_interval(sho, grid, start, t_end, name):
+    # past t1 the evolver would read coefficients the scenario never checked
+    packet = WavePacket(grid, sho_eigenstate(0, grid).samples, t=start)
+    with pytest.raises(ValidationError, match=rf"{name} outside working interval \[0.0, 12.0\]"):
+        evolve_tdse(sho, packet, t_end, EvolverConfig(dt=1e-2))
+
+
 def test_stationary_state_under_evolution(sho, grid):
     packet = sho_eigenstate(0, grid)
     out = evolve_tdse(sho, packet, 1.0, EvolverConfig(dt=1e-3))

@@ -254,18 +254,18 @@ def _traced_peak(call):
 def test_chirp_z_hop_and_invariant_allocate_no_extra_full_size_array(
         sho, sho_basis, sho_part_zero):
     # At N = 4096 on (-10, 10) the hop 0.3 -> 1.0 takes the chirp-z form on
-    # 4800 quadrature points. Measured with numpy 2.4 / scipy 1.17: the hop
-    # peaks at 678 KiB and the invariant at 483 KiB (892 and 610 KiB before
-    # the packet functions worked in place). Each bound adds half of one
-    # complex array of the size at stake, 4800 or 4096 points, so one more
-    # such temporary alive at the peak fails.
+    # the packet's own 4096 points. Measured with numpy 2.4 / scipy 1.17: the
+    # hop peaks at 515 KiB and the invariant at 483 KiB (678 KiB for the hop
+    # on 4800 upsampled points, 892 and 610 KiB before the packet functions
+    # worked in place). Each bound adds half of one complex array of 4096
+    # points, so one more such temporary alive at the peak fails.
     grid = GridSpec(-10.0, 10.0, 4096)
     packet = gho.eigenmode_packet(sho, sho_basis, sho_part_zero, 1, 0.3, grid)
     co = kernel_coefficients(sho, sho_basis, sho_part_zero, 0.3, 1.0)
-    assert next_fast_len(gho.propagator._quadrature_size(co, grid)) == 4800
+    assert gho.propagator._quadrature_size(co, grid) == grid.n_points
     moved = gho.propagate(packet, sho, sho_basis, sho_part_zero, 1.0)  # warm-up
     hop = _traced_peak(lambda: gho.propagate(packet, sho, sho_basis, sho_part_zero, 1.0))
     invariant = _traced_peak(
         lambda: gho.invariant_expectation(moved, sho_basis, sho_part_zero, sho))
-    assert hop < 678 * 1024 + 4800 * 16 // 2
+    assert hop < 515 * 1024 + 4096 * 16 // 2
     assert invariant < 483 * 1024 + 4096 * 16 // 2

@@ -11,7 +11,9 @@ import gho
 from gho import (CausticEncountered, KernelQuery, ValidationError, caustic_times,
                  green_function, inner_product, kernel, kernel_delta_check,
                  l2_distance, mean_x, packet_norm, propagate, sho_eigenstate, var_x)
-from gho.propagator import CAUSTIC_RTOL, _hop_matrix, _morse_count, kernel_coefficients
+from gho.packets import upsample_periodic
+from gho.propagator import (CAUSTIC_RTOL, _hop_matrix, _lct_apply, _morse_count,
+                            _quadrature_size, kernel_coefficients)
 
 from conftest import COUPLED, free_kernel, mehler_kernel
 
@@ -685,3 +687,29 @@ def test_scalar_query_exceptions(sho, sho_basis, scalar):
                     except CausticEncountered:
                         continue
                     assert math.isfinite(abs(value))
+
+
+@pytest.mark.parametrize("name, t_a, t_b, n_points, size", [
+    ("sho", 0.3, 1.0, 4096, 4096), ("sho", 1.0, 4.5, 4096, 4096),
+    ("parametric", 0.5, 1.2, 4096, 4096), ("parametric", 1.0, 5.0, 4096, 4096),
+    ("driven_sho", 0.5, 1.3, 4096, 4096), ("driven_sho", 1.0, 5.5, 4096, 4096),
+    # a coarse grid, where the aliasing bound asks for more than N points
+    ("sho", 1.0, 1.7, 160, 168)])
+def test_chirp_z_quadrature_size_has_converged(name, t_a, t_b, n_points, size, caplog):
+    # the trapezoid sum on the points the aliasing bound asks for agrees
+    # with the same sum on four times as many, and with the mode at t_b
+    s = gho.load_scenario((BUNDLED / f"{name}.json").read_text())
+    basis, part = gho.solve_homogeneous_basis(s), gho.solve_particular(s)
+    grid = gho.GridSpec(-10.0, 10.0, n_points)
+    packet = gho.eigenmode_packet(s, basis, part, 2, t_a, grid)
+    co = kernel_coefficients(s, basis, part, t_a, t_b)
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        moved = propagate(packet, s, basis, part, t_b)
+    ((form, _, _, points),) = _propagate_records(caplog)
+    assert form == "chirp-z" and points == size
+    assert _quadrature_size(co, grid) == size
+    ys, g = upsample_periodic(packet, 4 * size)
+    finer = _lct_apply(co, ys, g, ys[1] - ys[0], grid.points)
+    exact = gho.eigenmode_packet(s, basis, part, 2, t_b, grid).samples
+    assert np.max(np.abs(moved.samples - finer)) < 1e-10
+    assert np.max(np.abs(moved.samples - exact)) < 1e-10
