@@ -496,12 +496,12 @@ def run_evolve(args) -> int:
     s = ctx.scenario
     times = _parse_times(args.times) if args.times else _interior_times(s, (0.0, 0.5, 1.0))
     cfg = oracle.EvolverConfig(dt=args.dt)
-    packet = states.build_generalized_coherent_state(s, ctx.basis, ctx.part, 0,
-                                                     times[0], ctx.grid)
-    _write_packet_csv(ctx.outfile("packet_0000.csv"), packet, s)
-    state = packet
-    for k, t_end in enumerate(times[1:], start=1):
-        state = oracle.evolve_tdse(s, state, t_end, cfg)
+    evolved = [states.build_generalized_coherent_state(s, ctx.basis, ctx.part, 0,
+                                                       times[0], ctx.grid)]
+    for t_end in times[1:]:
+        evolved.append(oracle.evolve_tdse(s, evolved[-1], t_end, cfg))
+    # written once every stop has evolved, so a rejected stop writes no file
+    for k, state in enumerate(evolved):
         _write_packet_csv(ctx.outfile(f"packet_{k:04d}.csv"), state, s)
     dense = np.linspace(s.t0, s.t1, 401)
     table = classical.trajectory_table(ctx.basis, ctx.part, dense)

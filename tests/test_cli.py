@@ -247,7 +247,7 @@ def test_evolve_rejects_a_stop_past_the_interval(sho_file, tmp_path, capsys):
     assert main(["evolve", "--times", "0,14", "--scenario", str(sho_file), "--grid=-10,10,256",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: t_end=14.0 outside working interval [0.0, 12.0]\n"
-    assert not (out / "packet_0001.csv").exists()
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

@@ -255,10 +255,9 @@ def test_chirp_z_hop_and_invariant_allocate_no_extra_full_size_array(
         sho, sho_basis, sho_part_zero):
     # At N = 4096 on (-10, 10) the hop 0.3 -> 1.0 takes the chirp-z form on
     # the packet's own 4096 points. Measured with numpy 2.4 / scipy 1.17: the
-    # hop peaks at 515 KiB and the invariant at 483 KiB (678 KiB for the hop
-    # on 4800 upsampled points, 892 and 610 KiB before the packet functions
-    # worked in place). Each bound adds half of one complex array of 4096
-    # points, so one more such temporary alive at the peak fails.
+    # hop peaks at 515 KiB and the invariant at 483 KiB. Each bound adds half
+    # of one complex array of 4096 points, so one more such temporary alive
+    # at the peak fails.
     grid = GridSpec(-10.0, 10.0, 4096)
     packet = gho.eigenmode_packet(sho, sho_basis, sho_part_zero, 1, 0.3, grid)
     co = kernel_coefficients(sho, sho_basis, sho_part_zero, 0.3, 1.0)
