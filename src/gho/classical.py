@@ -82,7 +82,7 @@ __all__ = [
     "solve_homogeneous_basis",
     "solve_particular",
     "particular_or_zero",
-    "gauge_phase",
+    "gauge_coefficients",
     "default_basis_ics",
     "classical_invariant",
     "trajectory_columns",
@@ -532,12 +532,14 @@ def _snapshots(basis: ClassicalBasis, part: ParticularSolution, t, scalar):
     return basis._snapshot(t, basis._fundamental(t), scalar), part.at(t)
 
 
-def gauge_phase(s: Scenario, mass, ps: ParticularSnapshot, t, x):
-    """G(t, x) = (xi + M a x^2 + (M x_p' + b) x) / hbar, the phase the couplings
-    a, b and x_p put on every mode; M and ps are the mass and snapshot at t."""
+def gauge_coefficients(s: Scenario, mass, ps: ParticularSnapshot, t):
+    """(alpha, beta, gamma) of the gauge phase G(t, x) = alpha x^2 + beta x +
+    gamma = (xi + M a x^2 + (M x_p' + b) x) / hbar, the phase the couplings
+    a, b and x_p put on every mode; M and ps are the mass and snapshot at t.
+    Grids take exp(i G) from packets.grid_phase, scattered points from exp."""
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
-    return (ps.xi + mass * a_c * x * x + (ps.momentum + b_c) * x) / s.hbar
+    return mass * a_c / s.hbar, (ps.momentum + b_c) / s.hbar, ps.xi / s.hbar
 
 
 def _check_time(s: Scenario, t, name, scalar=None):

@@ -410,7 +410,11 @@ def _verify_checks(ctx):
         t_end = s.t0 + min(1.0, 0.5 * span)
         q = propagator.KernelQuery(s.t0, t_end, 0.3, -0.4)
         reference = propagator.kernel(s, basis, part, q)
-        wide = GridSpec(1.2 * grid.x_min, 1.2 * grid.x_max, 4096)
+        # the slices' chirps and the paths' spread grow with hbar: so do the
+        # slice grid's extent and its point count
+        widen = max(1.0, s.hbar)
+        wide = GridSpec(1.2 * widen * grid.x_min, 1.2 * widen * grid.x_max,
+                        math.ceil(4096 * widen))
         value = oracle.path_integral_oracle(s, q, 4, wide, basis=basis, part=part)
         return abs(value - reference) / abs(reference)
 

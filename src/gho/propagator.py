@@ -24,12 +24,18 @@ Wave-packet propagation makes one hop with the metaplectic operator of the
 hop's symplectic matrix [[A, B], [C, .]] (see _hop_matrix; D above is Omega B):
 stripped of the mode set's gauge phase, the linear canonical transform. When
 hbar |B| pi / dx <= |A| N dx it is applied as chirp(C/A) . dilation(A) .
-Fresnel(B/A): a trigonometric interpolant on the shifted, dilated grid, one
-FFT multiply and a chirp, regular at B = 0 (short hops, focal times).
+Fresnel(B/A): a trigonometric interpolant on the shifted, dilated grid (none
+when A = 1 and x_p stays put, as on every free-particle hop), one FFT
+multiply and a chirp, regular at B = 0 (short hops, focal times).
 Otherwise it is the trapezoidal kernel sum by chirp multiplications and a
 chirp-z transform, regular at A = 0, on as many points as the trapezoid
 rule's aliasing bound asks (see _quadrature_size): the packet's own grid on
 most hops, an upsampled packet on the rest.
+
+Every phase either form puts on a grid (the gauge phase, the kernel's
+chirps, the Fresnel transfer on each half of the FFT order) is a quadratic
+in the grid index, evaluated from its coefficients by packets.grid_phase;
+no full-grid complex exponential is taken point by point.
 """
 
 from __future__ import annotations
@@ -42,12 +48,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .classical import (ClassicalBasis, _check_time, _record, _snapshots, gauge_phase,
-                        particular_or_zero)
+from .classical import (ClassicalBasis, _check_time, _record, _snapshots,
+                        gauge_coefficients, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, ValidationError
-from .packets import (WavePacket, _scipy_fft, czt, evaluate_trig_interpolant,
-                      upsample_periodic)
+from .packets import (WavePacket, _scipy_fft, apply_spectral_phase, czt,
+                      evaluate_trig_interpolant, grid_phase, upsample_periodic)
 
 _log = logging.getLogger(__name__)
 
@@ -370,19 +376,19 @@ def green_function(s: Scenario, basis: ClassicalBasis, part, q: KernelQuery) -> 
 
 
 def _lct_apply(co: KernelCoefficients, ys, g, dy, out_points):
-    """Trapezoid-by-chirp-z: sum_m K(x_j, y_m) g_m dy for all output points."""
+    """Trapezoid-by-chirp-z: sum_m K(x_j, y_m) g_m dy for all output points,
+    ys and out_points uniform grids."""
     beta = co.q_ab
     x0 = float(out_points[0])
     dxo = float(out_points[1] - out_points[0])
     m_out = len(out_points)
     y0 = float(ys[0])
-    # one exponential per side: the kernel's own phase plus the shift that
-    # puts the chirp-z origin at (y0, x0)
-    h = 1j * (co.q_aa * ys * ys + co.l_a * ys + beta * x0 * (ys - y0))
-    h = np.multiply(g, np.exp(h, out=h), out=h)
+    # one grid phase per side: the kernel's own phase plus the shift
+    # beta x0 (y - y0) that puts the chirp-z origin at (y0, x0)
+    h = grid_phase(co.q_aa, co.l_a + beta * x0, -beta * x0 * y0, y0, dy, len(g))
+    h = np.multiply(g, h, out=h)
     transform = czt(h, m_out, beta * dxo * dy)
-    phase = 1j * (co.q_bb * out_points ** 2 + co.l_b * out_points + beta * y0 * out_points)
-    transform *= np.exp(phase, out=phase)
+    transform *= grid_phase(co.q_bb, co.l_b + beta * y0, 0.0, x0, dxo, m_out)
     transform *= co.prefactor * dy
     return transform
 
@@ -425,9 +431,9 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     at_a, xp_a = _snapshots(basis, part, t_a, isinstance(t_a, (int, float)))
     at_b, xp_b = _snapshots(basis, part, t_b, isinstance(t_b, (int, float)))
     big_a, big_b, big_c, _ = _hop_matrix(basis.omega, at_a, at_b)
-    x = grid.points
     sfft = _scipy_fft()
     if hbar * abs(big_b) * math.pi / grid.dx > abs(big_a) * grid.n_points * grid.dx:
+        x = grid.points
         co = kernel_coefficients(s, basis, part, t_a, t_b)
         m = _quadrature_size(co, grid)
         if m > grid.n_points:
@@ -438,8 +444,12 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
         _log.debug("propagate %.6g -> %.6g: chirp-z form, A %.6e, B %.6e, "
                    "%d quadrature points", t_a, t_b, big_a, big_b, m)
         return WavePacket(grid, _lct_apply(co, ys, g, ys[1] - ys[0], x), t_b)
-    _log.debug("propagate %.6g -> %.6g: factored form, A %.6e, B %.6e",
-               t_a, t_b, big_a, big_b)
+    # the dilation x -> x_p(t_a) + (x - x_p(t_b)) / A maps the grid onto
+    # itself when A = 1 and x_p does not move (every free-particle hop)
+    resample = big_a != 1.0 or xp_a.x != xp_b.x
+    _log.debug("propagate %.6g -> %.6g: factored form, A %.6e, B %.6e, %s",
+               t_a, t_b, big_a, big_b,
+               "dilation resampled" if resample else "dilation is the identity")
     # the metaplectic phase: -pi/4 - m pi/2 from the kernel (conjugated going
     # backward) less the -pi/4 sgn(A B) the Fresnel factor carries; it is
     # continuous across B = 0, where m steps and sgn(A) = (-1)^m
@@ -447,21 +457,24 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     morse = math.floor(abs(float(at_b.tau - at_a.tau)) / math.pi)
     phi = sigma * (-0.25 * math.pi - 0.5 * math.pi * morse
                    + 0.25 * math.pi * math.copysign(1.0, big_a) * (-1) ** morse)
-    phase = -1j * gauge_phase(s, at_a.mass, xp_a, t_a, x)
-    reduced = np.multiply(packet.samples, np.exp(phase, out=phase), out=phase)
-    big_x = x - xp_b.x
-    dilated = evaluate_trig_interpolant(packet.with_samples(reduced), xp_a.x + big_x / big_a)
-    k = sfft.fftfreq(grid.n_points, grid.dx)
-    k *= 2.0 * math.pi
-    chirp = np.multiply(-0.5j * hbar * big_a * big_b, k)
-    chirp *= k
-    fresnel = sfft.fft(dilated, overwrite_x=True)
-    fresnel *= np.exp(chirp, out=chirp)
+    n = grid.n_points
+    alpha, beta, gamma = gauge_coefficients(s, at_a.mass, xp_a, t_a)
+    reduced = grid_phase(-alpha, -beta, -gamma, grid.x_min, grid.dx, n)
+    reduced = np.multiply(packet.samples, reduced, out=reduced)
+    if resample:
+        reduced = evaluate_trig_interpolant(packet.with_samples(reduced),
+                                            xp_a.x + (grid.points - xp_b.x) / big_a)
+    fresnel = sfft.fft(reduced, overwrite_x=True)
+    apply_spectral_phase(fresnel, -0.5 * hbar * big_a * big_b, 0.0, grid.dx)
     fresnel = sfft.ifft(fresnel, overwrite_x=True)
+    # phi + C X^2 / (2 hbar A) + G(t_b, x) + int f / hbar, X = x - x_p(t_b)
     f_int = integrate_coefficient(s.f, t_a, t_b)
-    phase = 1j * (phi + big_c * big_x * big_x / (2.0 * hbar * big_a)
-                  + gauge_phase(s, at_b.mass, xp_b, t_b, x) + f_int / hbar)
-    out = np.multiply(abs(big_a) ** -0.5, np.exp(phase, out=phase), out=phase)
+    chirp = big_c / (2.0 * hbar * big_a)
+    alpha, beta, gamma = gauge_coefficients(s, at_b.mass, xp_b, t_b)
+    out = grid_phase(chirp + alpha, beta - 2.0 * chirp * xp_b.x,
+                     phi + chirp * xp_b.x * xp_b.x + gamma + f_int / hbar,
+                     grid.x_min, grid.dx, n)
+    out = np.multiply(abs(big_a) ** -0.5, out, out=out)
     out *= fresnel
     return WavePacket(grid, out, t_b)
 

@@ -27,13 +27,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import fft, fftfreq, ifft
+from scipy.fft import fft, ifft
 
 from .classical import (ClassicalBasis, ParticularSolution, _check_time, _snapshots,
-                        gauge_phase, particular_or_zero)
+                        gauge_coefficients, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
-from .packets import GridSpec, WavePacket, derivative, evaluate_trig_interpolant
+from .packets import (GridSpec, WavePacket, apply_spectral_phase, derivative,
+                      evaluate_trig_interpolant, grid_phase)
 
 __all__ = [
     "hermite_functions",
@@ -120,27 +121,34 @@ def sho_eigenstate(n: int, grid: GridSpec, hbar: float = 1.0) -> WavePacket:
 def _modes_1d(s, basis, part, n_max, t, x):
     """psi_0..psi_{n_max} at time t and positions x in one dimension, from one
     basis and one particular snapshot, as factors: psi_k = htilde_k(z) *
-    envelope * turn[k]. turn holds exp(i (k + 1/2) sgn(Omega) theta). The
-    time term exp(i int f / hbar) is left out, since it enters once however
-    many dimensions there are. The caller evaluates the Hermite functions at
-    z: every row for a mode sum, one row when only psi_k is wanted. Raises
-    ValidationError for t outside the working interval.
+    amplitude * exp(i (alpha x^2 + beta x + gamma)) * turn[k], the envelope's
+    phase being the gauge phase plus M rho' (x - x_p)^2 / (2 hbar rho) and
+    phase = (alpha, beta, gamma). turn holds exp(i (k + 1/2) sgn(Omega)
+    theta). The time term exp(i int f / hbar) is left out, since it enters
+    once however many dimensions there are. The caller takes the envelope's
+    exponential, by grid_phase on a grid and by _envelope at scattered
+    points, and evaluates the Hermite functions at z: every row for a mode
+    sum, one row when only psi_k is wanted. Raises ValidationError for t
+    outside the working interval.
     """
     _check_time(s, t, "t")
     bs, ps = _snapshots(basis, particular_or_zero(s, part), t, isinstance(t, (int, float)))
     hbar = s.hbar
     omega = abs(basis.omega)
-    x = np.asarray(x, dtype=float)
-    dxp = x - ps.x
-    phase = gauge_phase(s, bs.mass, ps, t, x) \
-        + bs.mass * bs.rho_dot * dxp * dxp / (2.0 * hbar * bs.rho)
-    envelope = 1j * phase
-    envelope = np.multiply((omega / (hbar * bs.rho ** 2)) ** 0.25,
-                           np.exp(envelope, out=envelope), out=envelope)
-    z = math.sqrt(omega / hbar) * dxp / bs.rho
+    alpha, beta, gamma = gauge_coefficients(s, bs.mass, ps, t)
+    chirp = bs.mass * bs.rho_dot / (2.0 * hbar * bs.rho)
+    phase = (alpha + chirp, beta - 2.0 * chirp * ps.x, gamma + chirp * ps.x * ps.x)
+    amplitude = (omega / (hbar * bs.rho ** 2)) ** 0.25
+    z = math.sqrt(omega / hbar) * (np.asarray(x, dtype=float) - ps.x) / bs.rho
     angle = math.copysign(1.0, basis.omega) * bs.theta
     turn = np.exp(1j * (np.arange(n_max + 1) + 0.5) * angle)
-    return z, envelope, turn
+    return z, amplitude, phase, turn
+
+
+def _envelope(amplitude, phase, x):
+    """amplitude * exp(i (alpha x^2 + beta x + gamma)) at scattered points x."""
+    alpha, beta, gamma = phase
+    return amplitude * np.exp(1j * ((alpha * x + beta) * x + gamma))
 
 
 def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> complex:
@@ -154,7 +162,8 @@ def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> comp
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (s.dimension,):
         raise ValidationError(f"position must have {s.dimension} component(s)")
-    z, envelope, turn = _modes_1d(s, basis, part, max(numbers), t, r)
+    z, amplitude, phase, turn = _modes_1d(s, basis, part, max(numbers), t, r)
+    envelope = _envelope(amplitude, phase, r)
     h = hermite_functions(max(numbers), z)
     value = np.exp(1j * integrate_coefficient(s.f, s.t0, t) / s.hbar)
     for i, n_i in enumerate(numbers):
@@ -164,13 +173,15 @@ def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> comp
 
 def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
                      grid: GridSpec) -> WavePacket:
-    """psi_n(t, .) sampled on a grid (dimension 1)."""
+    """psi_n(t, .) sampled on a grid (dimension 1); the envelope's phase is
+    one grid_phase."""
     if s.dimension != 1:
         raise ValidationError("eigenmode_packet is implemented for dimension 1")
-    z, envelope, turn = _modes_1d(s, basis, part, n, t, grid.points)
+    z, amplitude, phase, turn = _modes_1d(s, basis, part, n, t, grid.points)
     f_int = integrate_coefficient(s.f, s.t0, t) / s.hbar
+    envelope = grid_phase(*phase, grid.x_min, grid.dx, grid.n_points)
     np.multiply(_hermite_row(n, z), envelope, out=envelope)
-    envelope *= turn[n] * np.exp(1j * f_int)
+    envelope *= amplitude * turn[n] * np.exp(1j * f_int)
     return WavePacket(grid, envelope, t=t)
 
 
@@ -184,8 +195,10 @@ def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
     rb = np.atleast_1d(np.asarray(q.r_b, dtype=float))
     if ra.shape != (s.dimension,) or rb.shape != (s.dimension,):
         raise ValidationError(f"positions must have {s.dimension} component(s)")
-    z_a, envelope_a, turn_a = _modes_1d(s, basis, part, n_max, q.t_a, ra)
-    z_b, envelope_b, turn_b = _modes_1d(s, basis, part, n_max, q.t_b, rb)
+    z_a, amplitude_a, phase_a, turn_a = _modes_1d(s, basis, part, n_max, q.t_a, ra)
+    z_b, amplitude_b, phase_b, turn_b = _modes_1d(s, basis, part, n_max, q.t_b, rb)
+    envelope_a = _envelope(amplitude_a, phase_a, ra)
+    envelope_b = _envelope(amplitude_b, phase_b, rb)
     h_a, h_b = hermite_functions(n_max, z_a), hermite_functions(n_max, z_b)
     sums = np.sum(h_a * h_b * _times_conj(turn_b, turn_a)[:, None], axis=0)
     # the per-dimension factors exclude the pure time term; it enters once
@@ -226,20 +239,17 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     lo, hi = _support_bounds(packet)
     if lo + xp < packet.grid.x_min or hi + xp > packet.grid.x_max:
         raise GridTooNarrow(f"translation by {xp:.3g} pushes support off the grid")
-    # exact band-limited translation: phase multiply in frequency space
-    ramp = np.multiply(-2j * np.pi, fftfreq(packet.grid.n_points, d=packet.grid.dx))
-    ramp *= xp
-    shifted = fft(packet.samples)
-    shifted *= np.exp(ramp, out=ramp)
+    grid = packet.grid
+    # exact band-limited translation: the ramp exp(-i k x_p) on the spectrum
+    shifted = apply_spectral_phase(fft(packet.samples), 0.0, -xp, grid.dx)
     shifted = ifft(shifted, overwrite_x=True)
-    x = packet.grid.points
-    outside = (x - xp < packet.grid.x_min) | (x - xp > packet.grid.x_max)
+    x = grid.points
+    outside = (x - xp < grid.x_min) | (x - xp > grid.x_max)
     shifted[outside] = 0.0
-    phase = 1j * (ps.xi + ps.momentum * x)
-    phase /= s.hbar
-    out = np.exp(phase, out=phase)
+    out = grid_phase(0.0, ps.momentum / s.hbar, ps.xi / s.hbar, grid.x_min, grid.dx,
+                     grid.n_points)
     out *= shifted
-    return WavePacket(packet.grid, out, t=t)
+    return WavePacket(grid, out, t=t)
 
 
 def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
@@ -253,11 +263,11 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
     bs = basis.at(t)
     scale = math.sqrt(abs(basis.omega)) / bs.rho
     packet.require_dark_edges(1e-8, "apply_U_S")
-    rescaled = evaluate_trig_interpolant(packet, scale * packet.grid.points)
-    x = packet.grid.points
-    phase = 1j * bs.mass * bs.rho_dot * x * x
-    phase /= 2.0 * s.hbar * bs.rho
-    out = np.multiply(np.sqrt(scale), np.exp(phase, out=phase), out=phase)
+    grid = packet.grid
+    rescaled = evaluate_trig_interpolant(packet, scale * grid.points)
+    chirp = bs.mass * bs.rho_dot / (2.0 * s.hbar * bs.rho)
+    out = grid_phase(chirp, 0.0, 0.0, grid.x_min, grid.dx, grid.n_points)
+    out = np.multiply(np.sqrt(scale), out, out=out)
     out *= rescaled
     result = WavePacket(packet.grid, out, t=t)
     result.require_dark_edges(1e-8, "apply_U_S output")

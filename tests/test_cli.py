@@ -305,6 +305,20 @@ def test_verify_coupled_scenario_passes(tmp_path, capsys):
     assert skipped.startswith("CHECK kernel_closed_form ") and "SKIP(" in skipped
 
 
+@pytest.mark.parametrize("hbar", [2.0, 3.0])
+def test_verify_sho_passes_at_large_hbar(hbar, tmp_path, capsys):
+    # the path-integral oracle's slice grid widens and refines with hbar; on
+    # the fixed grid of hbar = 1 it read 3.6e-5 against 1e-5 at hbar = 2
+    data = json.loads((SCENARIOS / "sho.json").read_text())
+    data["hbar"] = hbar
+    path = tmp_path / "sho.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "--scenario", str(path)])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
+    assert code == 0
+    assert len(lines) == 18 and all(ln.endswith(" PASS") for ln in lines)
+
+
 def test_verify_negative_omega_basis(monkeypatch, capsys):
     # Omega = -1: every check, modes and squeezes included, takes this one basis
     import gho.classical

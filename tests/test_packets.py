@@ -12,8 +12,8 @@ from conftest import COUPLED
 
 import gho
 from gho import GridSpec, ValidationError, WavePacket, sho_eigenstate
-from gho.packets import (czt, derivative, evaluate_trig_interpolant, second_derivative,
-                         upsample_periodic)
+from gho.packets import (czt, derivative, evaluate_trig_interpolant, quadratic_phase,
+                         second_derivative, upsample_periodic)
 from gho.propagator import _lct_apply, kernel_coefficients
 
 
@@ -136,12 +136,41 @@ def test_namespace_keeps_every_public_name():
     assert len(set(gho.__all__)) == len(gho.__all__)
 
 
+# The error of quadratic_phase and of np.exp on the same phase, in units of
+# eps (1 + |a| (n-1)^2 + |b| (n-1) + |c|), the rounding of the phase itself.
+# Measured worst over the cases below with numpy 2.4 on x86-64: 1.13 for the
+# primitive, 0.98 for np.exp; the bound of 2 leaves a margin of 1.7x.
+PHASE_ERROR_BOUND = 2.0
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps / 100,
+                    reason="the reference needs a long double wider than double")
+# n = 1; one row of blocks (n = 2, 3); a partial last row (3, 5, 1000, 4097:
+# blocks are powers of two no longer than n, so no n is shorter than a block);
+# the largest widened grid (20736)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 1000, 4096, 4097, 20736])
+def test_quadratic_phase_is_as_accurate_as_exp(n):
+    k = np.arange(n, dtype=float)
+    k_long = np.arange(n, dtype=np.longdouble)
+    for a in (1e-6, -3e-5, 1e-3, -0.01, 0.4, -0.4):
+        for b, c in ((0.0, 0.0), (-0.3, -5.0), (2.0, 1.5)):
+            phase = (np.longdouble(a) * k_long + np.longdouble(b)) * k_long + np.longdouble(c)
+            unit = np.finfo(float).eps * (1.0 + abs(a) * (n - 1) ** 2 + abs(b) * (n - 1)
+                                          + abs(c))
+            for got in (quadratic_phase(a, b, c, n), np.exp(1j * (a * k * k + b * k + c))):
+                assert got.shape == (n,) and got.dtype == np.complex128
+                error = np.hypot((got.real - np.cos(phase)).astype(float),
+                                 (got.imag - np.sin(phase)).astype(float))
+                assert np.max(error) <= PHASE_ERROR_BOUND * unit, (a, b, c)
+
+
 def _bluestein(h, m, angle):
     """Textbook chirp-z: chirp, convolution with the conjugate chirp by FFT,
-    chirp again."""
+    chirp again. The chirp exp(i angle k^2 / 2) comes from quadratic_phase,
+    whose accuracy its own test pins, so the comparison pins the
+    convolution's structure to the bit."""
     n = len(h)
-    k = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(0.5j * angle * k * k)
+    chirp = quadratic_phase(0.5 * angle, 0.0, 0.0, max(n, m))
     size = next_fast_len(n + m - 1)
     filt = np.zeros(size, dtype=np.complex128)
     filt[:m] = np.conj(chirp[:m])

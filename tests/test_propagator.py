@@ -11,7 +11,7 @@ import gho
 from gho import (CausticEncountered, KernelQuery, ValidationError, caustic_times,
                  green_function, inner_product, kernel, kernel_delta_check,
                  l2_distance, mean_x, packet_norm, propagate, sho_eigenstate, var_x)
-from gho.packets import upsample_periodic
+from gho.packets import WavePacket, evaluate_trig_interpolant, upsample_periodic
 from gho.propagator import (CAUSTIC_RTOL, _hop_matrix, _lct_apply, _morse_count,
                             _quadrature_size, kernel_coefficients)
 
@@ -482,7 +482,8 @@ def test_propagate_focal_landing_with_strong_dilation(grid):
 
 def _propagate_records(caplog):
     """(form, A, B, quadrature points or None) of each propagate record."""
-    pattern = r"(\S+) form, A (\S+), B (\S+)(?:, (\d+) quadrature points)?$"
+    pattern = (r"(\S+) form, A (\S+), B (\S+)"
+               r"(?:, (\d+) quadrature points|, dilation (?:resampled|is the identity))$")
     out = []
     for record in caplog.records:
         if record.name == "gho.propagator" and record.getMessage().startswith("propagate"):
@@ -510,6 +511,36 @@ def test_propagate_quarter_period_takes_chirp_z(sho, sho_basis, grid, caplog):
     ((form, big_a, _, _),) = _propagate_records(caplog)
     assert form == "chirp-z" and abs(big_a) < 1e-9
     assert error < 1e-8
+
+
+def test_free_particle_hop_resamples_nothing(free, free_basis, monkeypatch, caplog):
+    # A = 1 and x_p = 0 at both ends: the dilation maps the grid onto itself
+    grid = gho.GridSpec(-10.0, 10.0, 512)
+    x = grid.points
+    x0, p, t_a, big_t = 0.5, 1.3, 0.4, 0.05
+    packet = WavePacket(grid, np.pi ** -0.25 * np.exp(-(x - x0) ** 2 / 2 + 1j * p * x), t_a)
+    # what resampling at the grid's own nodes would have handed the Fresnel
+    # step; the hop's gauge phase is 1, so this is the resampling hop
+    resampled = propagate(packet.with_samples(evaluate_trig_interpolant(packet, x)),
+                          free, free_basis, None, t_a + big_t)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return evaluate_trig_interpolant(*args)
+
+    monkeypatch.setattr(gho.propagator, "evaluate_trig_interpolant", spy)
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        moved = propagate(packet, free, free_basis, None, t_a + big_t)
+    assert calls == []
+    ((form, big_a, _, _),) = _propagate_records(caplog)
+    assert form == "factored" and big_a == 1.0
+    assert caplog.records[-1].getMessage().endswith("dilation is the identity")
+    assert np.max(np.abs(moved.samples - resampled.samples)) <= 1e-13
+    width = 1.0 + 1j * big_t
+    exact = (np.pi ** -0.25 * width ** -0.5 * np.exp(
+        -(x - x0 - p * big_t) ** 2 / (2.0 * width) + 1j * p * x - 0.5j * p * p * big_t))
+    assert np.max(np.abs(moved.samples - exact)) <= 1e-13
 
 
 # (scenario, basis initial data, x_p initial data); hbar != 1 and Omega = -1
