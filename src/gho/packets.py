@@ -40,7 +40,7 @@ __all__ = [
     "second_derivative",
     "quadratic_phase",
     "grid_phase",
-    "apply_spectral_phase",
+    "spectral_phase",
     "czt",
     "evaluate_trig_interpolant",
     "upsample_periodic",
@@ -217,7 +217,7 @@ def quadratic_phase(a: float, b: float, c: float, n: int) -> np.ndarray:
     """
     block = 1 << (n.bit_length() // 2)
     rows, tail = divmod(n, block)  # full rows, points in the partial last row
-    levels = (rows - (tail == 0)).bit_length()  # ramps for f = 1, 2, .. < height
+    levels = (rows - (tail == 0)).bit_length()  # ramps f = 1, 2, 4, .. below the row count
     # one phase array: the in-block row, the ramp of each level, the starts
     phase = np.empty((levels + 1) * block + rows + 1)
     table = phase[:(levels + 1) * block].reshape(levels + 1, block)
@@ -255,19 +255,15 @@ def grid_phase(alpha: float, beta: float, gamma: float, x0: float, dx: float,
                            (alpha * x0 + beta) * x0 + gamma, n)
 
 
-def apply_spectral_phase(spectrum: np.ndarray, alpha: float, beta: float,
-                         dx: float) -> np.ndarray:
-    """Multiply an FFT of samples spaced dx, in place, by
-    exp(i (alpha k^2 + beta k)) at its angular frequencies
-    k = 2 pi fftfreq(n, dx), and return it. Each half of the FFT order, the
-    frequencies from 0 up and those from the most negative up, is a uniform
-    grid of k: one grid_phase each."""
-    n = len(spectrum)
+def spectral_phase(alpha: float, beta: float, n: int, dx: float) -> np.ndarray:
+    """exp(i (alpha k^2 + beta k)) at the angular frequencies
+    k = 2 pi fftfreq(n, dx) of an FFT of n samples spaced dx, in FFT order.
+    Each half of that order, the frequencies from 0 up and those from the
+    most negative up, is a uniform grid of k: one grid_phase each."""
     step = 2.0 * math.pi / (n * dx)
     low = (n + 1) // 2
-    spectrum[:low] *= grid_phase(alpha, beta, 0.0, 0.0, step, low)
-    spectrum[low:] *= grid_phase(alpha, beta, 0.0, -(n // 2) * step, step, n // 2)
-    return spectrum
+    return np.concatenate((grid_phase(alpha, beta, 0.0, 0.0, step, low),
+                           grid_phase(alpha, beta, 0.0, -(n // 2) * step, step, n // 2)))
 
 
 def czt(h, m: int, angle: float) -> np.ndarray:

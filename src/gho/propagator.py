@@ -52,8 +52,8 @@ from .classical import (ClassicalBasis, _check_time, _record, _snapshots,
                         gauge_coefficients, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, ValidationError
-from .packets import (WavePacket, _scipy_fft, apply_spectral_phase, czt,
-                      evaluate_trig_interpolant, grid_phase, upsample_periodic)
+from .packets import (WavePacket, _scipy_fft, czt, evaluate_trig_interpolant, grid_phase,
+                      spectral_phase, upsample_periodic)
 
 _log = logging.getLogger(__name__)
 
@@ -465,7 +465,7 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
         reduced = evaluate_trig_interpolant(packet.with_samples(reduced),
                                             xp_a.x + (grid.points - xp_b.x) / big_a)
     fresnel = sfft.fft(reduced, overwrite_x=True)
-    apply_spectral_phase(fresnel, -0.5 * hbar * big_a * big_b, 0.0, grid.dx)
+    fresnel *= spectral_phase(-0.5 * hbar * big_a * big_b, 0.0, n, grid.dx)
     fresnel = sfft.ifft(fresnel, overwrite_x=True)
     # phi + C X^2 / (2 hbar A) + G(t_b, x) + int f / hbar, X = x - x_p(t_b)
     f_int = integrate_coefficient(s.f, t_a, t_b)

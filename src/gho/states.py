@@ -33,8 +33,8 @@ from .classical import (ClassicalBasis, ParticularSolution, _check_time, _snapsh
                         gauge_coefficients, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
-from .packets import (GridSpec, WavePacket, apply_spectral_phase, derivative,
-                      evaluate_trig_interpolant, grid_phase)
+from .packets import (GridSpec, WavePacket, derivative, evaluate_trig_interpolant,
+                      grid_phase, spectral_phase)
 
 __all__ = [
     "hermite_functions",
@@ -231,7 +231,8 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     """Displacement map: translate by x_p(t), boost by M x_p', phase by xi.
 
     (U_F psi)(x) = exp(i xi / hbar) exp(i M x_p' x / hbar) psi(x - x_p);
-    part=None stands for x_p = 0.
+    part=None stands for x_p = 0. The shift is the ramp exp(-i k x_p) on the
+    spectrum and the phase one grid_phase, both linear in the grid index.
     """
     _check_time(s, t, "t")
     ps = particular_or_zero(s, part).at(t)
@@ -241,7 +242,8 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
         raise GridTooNarrow(f"translation by {xp:.3g} pushes support off the grid")
     grid = packet.grid
     # exact band-limited translation: the ramp exp(-i k x_p) on the spectrum
-    shifted = apply_spectral_phase(fft(packet.samples), 0.0, -xp, grid.dx)
+    shifted = fft(packet.samples)
+    shifted *= spectral_phase(0.0, -xp, grid.n_points, grid.dx)
     shifted = ifft(shifted, overwrite_x=True)
     x = grid.points
     outside = (x - xp < grid.x_min) | (x - xp > grid.x_max)
@@ -257,7 +259,8 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
     """Squeezing map: dilate by sqrt(|Omega|/rho^2) with a quadratic phase.
 
     (U_S psi)(x) = exp(i M rho' x^2 / (2 hbar rho)) (|Omega|/rho^2)^{1/4}
-                   psi(sqrt(|Omega|/rho^2) x).
+                   psi(sqrt(|Omega|/rho^2) x);
+    the chirp is one grid_phase.
     """
     _check_time(s, t, "t")
     bs = basis.at(t)
