@@ -215,6 +215,7 @@ def quadratic_phase(a: float, b: float, c: float, n: int) -> np.ndarray:
     never as a power of exp(i a), so the error stays that of rounding the
     phase itself, as for np.exp of the phase written out (see the tests).
     """
+    n = int(n)  # a grid size may be a numpy integer
     block = 1 << (n.bit_length() // 2)
     rows, tail = divmod(n, block)  # full rows, points in the partial last row
     levels = (rows - (tail == 0)).bit_length()  # ramps f = 1, 2, 4, .. below the row count
