@@ -13,11 +13,11 @@ tau' = Omega / (M rho^2).
 
 In y = (x, M x') the equations are linear, y' = A(t) y + g(t) with
 A = [[0, 1/M], [-M w^2, 0]] and g = (0, F), so the analytic derivative of M is
-never needed. They are solved once per scenario object and tolerance pair by
-4-stage (order 8) Gauss-Legendre collocation (Hairer, Lubich & Wanner,
-Geometric Numerical Integration, II.1.3 and VI.4). On a linear equation each
-step is a fixed affine map of y, so one array coefficient evaluation at every
-step's Gauss nodes and one batched linear solve give all the maps, and their
+never needed. They are solved once per scenario object by 4-stage (order 8)
+Gauss-Legendre collocation (Hairer, Lubich & Wanner, Geometric Numerical
+Integration, II.1.3 and VI.4). On a linear equation each step is a fixed
+affine map of y, so one array coefficient evaluation at every step's Gauss
+nodes and one batched linear solve give all the maps, and their
 running product gives, at every step edge, the fundamental pair (c, s) with
 (c, M c') = (1, 0) and (s, M s') = (0, 1) at t0, and the particular solution
 that starts from x_p(t0) = x_p'(t0) = 0. Every basis is the linear image of
@@ -26,8 +26,9 @@ solution, so further bases and particular solutions of the same scenario
 integrate nothing. xi is the extra collocation component, the Gauss
 quadrature of its rate at the stage values, so it keeps order 8. Each smooth
 piece between jumps of a piecewise mass, frequency or force takes uniform
-steps, doubled until two step counts agree at every edge to rtol/atol, so
-step edges land on the jumps.
+steps, doubled until two step counts agree at every edge to
+DEFAULT_ATOL + DEFAULT_RTOL times each entry's size, so step edges land on
+the jumps.
 
 Dense output is one degree-7 polynomial per step, built at solve time from
 the values and exact derivatives at the step's ends and at a third and two
@@ -176,13 +177,13 @@ def _running_maps(maps):
     return scan[:, :2]
 
 
-def _piece_steps(s: Scenario, lo, hi, rtol, atol, tried):
+def _piece_steps(s: Scenario, lo, hi, tried):
     """Uniform steps on [lo, hi], doubled until the maps from lo to every
     edge of a step count agree with those of twice the count, entry by
-    entry, to atol + rtol times the entry's largest size; the difference
-    estimates the error of the smaller count, which is kept. tried counts
-    steps over all trials against MAX_STEPS. Returns the edges, the steps
-    and the new count."""
+    entry, to DEFAULT_ATOL + DEFAULT_RTOL times the entry's largest size;
+    the difference estimates the error of the smaller count, which is kept.
+    tried counts steps over all trials against MAX_STEPS. Returns the edges,
+    the steps and the new count."""
     n, coarse = 8, None
     while True:
         tried += n
@@ -194,7 +195,8 @@ def _piece_steps(s: Scenario, lo, hi, rtol, atol, tried):
         steps = _gauss_steps(s, edges[:-1], np.diff(edges))
         path = _running_maps(steps[0])
         if coarse is not None and np.all(
-                np.abs(path[::2] - coarse[2]) <= atol + rtol * np.max(np.abs(path), axis=0)):
+                np.abs(path[::2] - coarse[2])
+                <= DEFAULT_ATOL + DEFAULT_RTOL * np.max(np.abs(path), axis=0)):
             return coarse[0], coarse[1], tried
         coarse, n = (edges, steps, path), 2 * n
 
@@ -290,7 +292,7 @@ class _Collocation:
     fundamental: _DenseOutput
 
 
-def _collocation_solve(s: Scenario, rtol, atol) -> _Collocation:
+def _collocation_solve(s: Scenario) -> _Collocation:
     """The collocation solve of s: uniform steps per smooth piece (between
     jumps of M, w or F), the running maps, the steps to the dense-output
     nodes, and the fundamental pair's dense output."""
@@ -299,7 +301,7 @@ def _collocation_solve(s: Scenario, rtol, atol) -> _Collocation:
     bounds = [s.t0, *sorted(cuts), s.t1]
     edges, steps, tried = [np.array([s.t0])], [], 0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        piece, piece_steps, tried = _piece_steps(s, lo, hi, rtol, atol, tried)
+        piece, piece_steps, tried = _piece_steps(s, lo, hi, tried)
         edges.append(piece[1:])
         steps.append(piece_steps)
     edges = np.concatenate(edges)
@@ -379,8 +381,6 @@ class ClassicalBasis:
 
     scenario: Scenario
     omega: float
-    rtol: float
-    atol: float
     _fundamental: object = field(repr=False)
     _state0: tuple = field(repr=False)
     _nodes: object = field(repr=False)
@@ -508,10 +508,7 @@ class ParticularSolution:
     """
 
     scenario: Scenario
-    rtol: float
-    atol: float
     _dense: object = field(repr=False)
-    _nodes: object = field(repr=False)
     _fundamental: object = field(default=None, repr=False)
 
     def at(self, t) -> ParticularSnapshot:
@@ -523,7 +520,7 @@ class ParticularSolution:
 def _snapshots(basis: ClassicalBasis, part: ParticularSolution, t, scalar):
     """(basis.at(t), part.at(t)), the same bits from one dense evaluation of
     both when part was solved with the fundamental pair that basis is an
-    image of (same scenario object and tolerances), and from one each
+    image of (same scenario object), and from one each
     otherwise; scalar says whether t is an int or a float."""
     if part._fundamental is basis._fundamental:
         c, pc, sn, ps, x, momentum, xi = part._dense(t)
@@ -574,8 +571,7 @@ def particular_or_zero(s: Scenario, part) -> ParticularSolution:
     if not (isinstance(s.force, Constant) and s.force.value == 0.0):
         raise ValidationError(
             "part=None means x_p = 0, which needs force 0; pass solve_particular(s)")
-    return ParticularSolution(scenario=s, rtol=0.0, atol=0.0, _dense=_zero_dense,
-                              _nodes=np.array([s.t0, s.t1]))
+    return ParticularSolution(scenario=s, _dense=_zero_dense)
 
 
 def default_basis_ics(s: Scenario):
@@ -584,22 +580,20 @@ def default_basis_ics(s: Scenario):
     return (1.0, 0.0), (0.0, 1.0 / m0)
 
 
-def _collocation(s: Scenario, rtol, atol) -> _Collocation:
-    """The collocation solve of s at (rtol, atol), solved once per scenario
-    object and tolerance pair and kept on that object (outside its dataclass
-    fields, so equality and hashing ignore it): an equal scenario loaded
-    again solves afresh."""
-    solves = vars(s).setdefault("_collocation_solves", {})
-    if (rtol, atol) not in solves:
-        solves[rtol, atol] = _collocation_solve(s, rtol, atol)
-    return solves[rtol, atol]
+def _collocation(s: Scenario) -> _Collocation:
+    """The collocation solve of s, solved once per scenario object and kept
+    on that object (outside its dataclass fields, so equality and hashing
+    ignore it): an equal scenario loaded again solves afresh."""
+    cached = vars(s)
+    if "_collocation" not in cached:
+        cached["_collocation"] = _collocation_solve(s)
+    return cached["_collocation"]
 
 
-def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
-                            atol=DEFAULT_ATOL) -> ClassicalBasis:
+def solve_homogeneous_basis(s: Scenario, ics=None) -> ClassicalBasis:
     """Two homogeneous solutions over the working interval, as the linear
     image of the scenario's fundamental pair (solved on the first call for
-    this scenario object and tolerance pair).
+    this scenario object).
 
     ics is ((u0, u0_dot), (v0, v0_dot)); defaults to the Omega = 1 convention.
     Raises DegenerateBasis when the initial Wronskian vanishes and
@@ -620,21 +614,19 @@ def solve_homogeneous_basis(s: Scenario, ics=None, rtol=DEFAULT_RTOL,
     if abs(omega) <= 1e-14 * max(scale, 1e-300):
         raise DegenerateBasis("initial conditions are linearly dependent (Wronskian = 0)")
 
-    sol = _collocation(s, rtol, atol)
-    basis = ClassicalBasis(scenario=s, omega=omega, rtol=rtol, atol=atol,
-                           _fundamental=sol.fundamental, _state0=(u0, pu0, v0, pv0),
-                           _nodes=sol.edges)
+    sol = _collocation(s)
+    basis = ClassicalBasis(scenario=s, omega=omega, _fundamental=sol.fundamental,
+                           _state0=(u0, pu0, v0, pv0), _nodes=sol.edges)
     drift = basis._drift
     _log.debug("solve_homogeneous_basis: %d steps, %d steps tried, Wronskian drift %.3e",
                len(sol.edges) - 1, sol.tried, drift)
-    if drift > max(10.0 * rtol, 1e-12):
+    if drift > 10.0 * DEFAULT_RTOL:
         raise IntegrationFailure(
             f"Wronskian drifted by {drift:.2e} (> 10x solver tolerance)")
     return basis
 
 
-def solve_particular(s: Scenario, ics=(0.0, 0.0), rtol=DEFAULT_RTOL,
-                     atol=DEFAULT_ATOL) -> ParticularSolution:
+def solve_particular(s: Scenario, ics=(0.0, 0.0)) -> ParticularSolution:
     """The driven solution from (x_p(t0), x_p'(t0)) = ics, with xi(t0) = 0.
 
     Any solution of the driven equation is a valid x_p; for F = 0 a nonzero
@@ -646,7 +638,7 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0), rtol=DEFAULT_RTOL,
     """
     x0, xdot0 = ics
     m0, _ = s.mass.eval(s.t0)
-    sol = _collocation(s, rtol, atol)
+    sol = _collocation(s)
     n = len(sol.edges) - 1
     edge = np.ones((n + 1, 3))  # (x_p, M x_p', 1) at the step edges
     edge[:, :2] = sol.path @ np.array([x0, m0 * xdot0, 1.0])
@@ -660,9 +652,8 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0), rtol=DEFAULT_RTOL,
     inv_m, k, force = sol.at_nodes
     slopes = np.stack([inv_m * p, force - k * x, 0.5 * (k * x * x - inv_m * p * p)], axis=-1)
     _log.debug("solve_particular: %d steps, %d steps tried", n, sol.tried)
-    return ParticularSolution(scenario=s, rtol=rtol, atol=atol,
-                              _dense=_joined(sol.fundamental, sol.edges, values, slopes),
-                              _nodes=sol.edges, _fundamental=sol.fundamental)
+    dense = _joined(sol.fundamental, sol.edges, values, slopes)
+    return ParticularSolution(scenario=s, _dense=dense, _fundamental=sol.fundamental)
 
 
 def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> float:

@@ -66,7 +66,7 @@ def _parse_modes(text: str):
     return modes
 
 
-def _parse_basis(text: str, s: Scenario):
+def _parse_basis(text: str):
     if text == "default":
         return None
     if text.startswith("custom:"):
@@ -130,8 +130,7 @@ class _Context:
             raise ValidationError(f"the gho commands are implemented for dimension 1, "
                                   f"not {self.scenario.dimension}")
         self.grid = _parse_grid(args.grid)
-        ics = _parse_basis(args.basis, self.scenario)
-        self.basis = classical.solve_homogeneous_basis(self.scenario, ics)
+        self.basis = classical.solve_homogeneous_basis(self.scenario, _parse_basis(args.basis))
         self.part = classical.solve_particular(self.scenario, _parse_xp(args.xp))
         self.out = Path(args.out) if args.out else None
         if self.out is not None:
@@ -299,7 +298,15 @@ def _verify_checks(ctx):
             co = propagator.kernel_coefficients(s, basis, part, t_a, t)
             return co.value_1d(0.3, x)
 
-        return oracle.schrodinger_residual(field, s, t_val, grid)
+        # the stencils' error grows as (k dx)^4 with the slice's largest
+        # wavenumber k, which grows as 1 / hbar and with the chirp: past
+        # k dx = 0.15 the slice takes more points over the same extent
+        co = propagator.kernel_coefficients(s, basis, part, t_a, t_val)
+        k_dx = (2.0 * abs(co.q_bb) * max(abs(grid.x_min), abs(grid.x_max))
+                + 0.3 * abs(co.q_ab) + abs(co.l_b)) * grid.dx
+        fine = grid if k_dx <= 0.15 else GridSpec(
+            grid.x_min, grid.x_max, math.ceil(grid.n_points * k_dx / 0.15 / 256) * 256)
+        return oracle.schrodinger_residual(field, s, t_val, fine)
 
     def residual_modes():
         t_val = s.t0 + 0.4 * span
@@ -548,12 +555,14 @@ def run_invariant(args) -> int:
 
 
 def run_coherent(args) -> int:
+    modes = _parse_modes(args.modes)
+    if len(modes) != 1:
+        raise ParseError(f"coherent takes one mode, not --modes '{args.modes}'")
+    (n,) = modes
     ctx = _Context(args)
     s = ctx.scenario
     times = _parse_times(args.times) if args.times else _interior_times(
         s, (0.0, 0.25, 0.5, 0.75, 1.0))
-    modes = _parse_modes(args.modes) if args.modes else [0]
-    n = modes[0]
     rows = []
     for k, t in enumerate(times):
         packet = states.build_generalized_coherent_state(s, ctx.basis, ctx.part, n,
@@ -579,7 +588,8 @@ _COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: argparse sizes its
-    help formatter against the terminal for every argument it adds."""
+    help formatter against the terminal for every argument it adds. Each
+    command takes only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="gho",
         description="Generalized-harmonic-oscillator propagators, states and checks")
@@ -589,16 +599,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--out", default=None, help="output directory for CSV files")
         p.add_argument("--grid", default="-10.0,10.0,2048", help="xmin,xmax,n")
-        p.add_argument("--times", default=None, help="comma-separated times")
-        p.add_argument("--modes", default="0..3", help="mode range n0..n1")
         p.add_argument("--basis", default="default",
                        help="default|custom:u0,udot0,v0,vdot0")
         p.add_argument("--xp", default="0.0,0.0",
                        help="particular-solution initial data x0,xdot0")
-        p.add_argument("--dt", type=float, default=1e-2,
-                       help="evolver's fine time step (paired with twice it)")
-        p.add_argument("--tol", action="append", default=None, metavar="name=value",
-                       help="override a verification tolerance (repeatable)")
+        if name == "verify":
+            p.add_argument("--tol", action="append", default=None, metavar="name=value",
+                           help="override a verification tolerance (repeatable)")
+        else:
+            p.add_argument("--times", default=None, help="comma-separated times")
+        if name in ("evolve", "invariant"):
+            p.add_argument("--dt", type=float, default=1e-2,
+                           help="evolver's fine time step (paired with twice it)")
+        if name == "modes":
+            p.add_argument("--modes", default="0..3", help="mode range n0..n1")
+        if name == "coherent":
+            p.add_argument("--modes", default="0", help="the one mode n (or n..n)")
     return parser
 
 

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .classical import (ClassicalBasis, _check_time, particular_or_zero,
-                        solve_homogeneous_basis)
+from .classical import ClassicalBasis, _check_time, particular_or_zero
 from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
@@ -221,8 +220,7 @@ def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
             (v2 * x * x + v1 * x + v0) * psi)
 
 
-def schrodinger_residual_map(field, s: Scenario, t: float, grid: GridSpec,
-                             dt: float = 1e-5):
+def schrodinger_residual_map(field, s: Scenario, t: float, grid: GridSpec):
     """Pointwise |(-i hbar d/dt + H) field| over interior nodes, normalized.
 
     The scale is the largest single term of (-i hbar d/dt + H) field on the
@@ -232,6 +230,7 @@ def schrodinger_residual_map(field, s: Scenario, t: float, grid: GridSpec,
     """
     x = grid.points
     psi = np.asarray(field(t, x), dtype=np.complex128)
+    dt = 1e-5  # the centred difference's step in t
     dpsi_dt = (np.asarray(field(t + dt, x)) - np.asarray(field(t - dt, x))) / (2.0 * dt)
     terms = (-1j * s.hbar * dpsi_dt,) + _hamiltonian_terms(s, t, grid, psi)
     res = sum(terms)
@@ -242,16 +241,15 @@ def schrodinger_residual_map(field, s: Scenario, t: float, grid: GridSpec,
     return x[interior], np.abs(res[interior]) / scale
 
 
-def schrodinger_residual(field, s: Scenario, t: float, grid: GridSpec,
-                         dt: float = 1e-5) -> float:
+def schrodinger_residual(field, s: Scenario, t: float, grid: GridSpec) -> float:
     """Normalized residual of (-i hbar d/dt + H) applied to a field.
 
     `field(t, x_array)` must be evaluable in a neighborhood of t. The time
-    derivative uses centered differences with step dt, space uses 4th-order
+    derivative uses centered differences with step 1e-5, space uses 4th-order
     stencils, and the max-norm over interior nodes is divided by the largest
     single term of the operator applied to the field.
     """
-    _, res = schrodinger_residual_map(field, s, t, grid, dt)
+    _, res = schrodinger_residual_map(field, s, t, grid)
     return float(np.max(res))
 
 
@@ -277,8 +275,7 @@ def _smooth_window(points, center, r_flat, r_zero):
 
 
 def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
-                    t_b: float, t_c: float, x_a: float, x_c: float,
-                    flat_halfwidth=None, oversample: float = 6.0) -> complex:
+                    t_b: float, t_c: float, x_a: float, x_c: float) -> complex:
     """Quadrature check of the semigroup property: integral over the
     intermediate position of K(c, b) K(b, a).
 
@@ -298,10 +295,10 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
         raise CausticEncountered("composite interval sits on a focal point")
     y_star = -0.5 * b_tot / a_tot
     zone = math.sqrt(math.pi / abs(a_tot))
-    r_flat = flat_halfwidth if flat_halfwidth is not None else max(12.0 * zone, 8.0)
+    r_flat = max(12.0 * zone, 8.0)
     r_zero = 2.0 * r_flat
     rate = 2.0 * abs(a_tot) * r_zero + abs(b_tot + 2.0 * a_tot * y_star)
-    dy = math.pi / (oversample * max(rate, 1.0))
+    dy = math.pi / (6.0 * max(rate, 1.0))
     n = int(math.ceil(2.0 * r_zero / dy)) + 1
     ys = np.linspace(y_star - r_zero, y_star + r_zero, n)
     vals = co1.value_1d(x_a, ys) * co2.value_1d(ys, x_c)
@@ -321,8 +318,7 @@ def _classical_path(basis, part, t_a, x_a, t_b, x_b, times):
 
 
 def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
-                         grid: GridSpec, basis: ClassicalBasis = None,
-                         part=None) -> complex:
+                         grid: GridSpec, basis: ClassicalBasis, part=None) -> complex:
     """Discretized time-slicing evaluation of the kernel.
 
     Composes n_slices exact short-time kernels by iterated quadrature on the
@@ -337,8 +333,6 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
         raise ValidationError("n_slices must be >= 1")
     if s.dimension != 1:
         raise ValidationError("the slicing oracle is one-dimensional")
-    if basis is None:
-        basis = solve_homogeneous_basis(s)
     part = particular_or_zero(s, part)
     if n_slices == 1:
         return kernel(s, basis, part, q)

@@ -454,7 +454,7 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     # backward) less the -pi/4 sgn(A B) the Fresnel factor carries; it is
     # continuous across B = 0, where m steps and sgn(A) = (-1)^m
     sigma = math.copysign(1.0, t_b - t_a)
-    morse = math.floor(abs(float(at_b.tau - at_a.tau)) / math.pi)
+    morse = _morse_count(at_a, at_b, big_b, _FLOATS)
     phi = sigma * (-0.25 * math.pi - 0.5 * math.pi * morse
                    + 0.25 * math.pi * math.copysign(1.0, big_a) * (-1) ** morse)
     n = grid.n_points

@@ -213,8 +213,9 @@ def test_fundamental_solve_is_shared_per_scenario_object(monkeypatch):
     again = scenario_from_dict(spec)  # equal, but another object: solved afresh
     assert again == s
     solve_homogeneous_basis(again)
-    solve_homogeneous_basis(s, rtol=1e-10)
-    assert len(solves) == 3 and solves[1] is again and solves[2] is s
+    solve_particular(again)
+    solve_homogeneous_basis(s)
+    assert len(solves) == 2 and solves[1] is again
 
 
 def test_tau_strictly_increasing(parametric, parametric_basis):
@@ -316,7 +317,7 @@ def test_zero_rho_detected(sho, sho_basis):
         def __call__(self, t):
             return np.zeros((4,) + np.shape(t))
 
-    broken = gho.ClassicalBasis(scenario=sho, omega=1.0, rtol=1e-12, atol=1e-14,
+    broken = gho.ClassicalBasis(scenario=sho, omega=1.0,
                                 _fundamental=CorruptDense(), _state0=(1.0, 0.0, 0.0, 1.0),
                                 _nodes=np.array([0.0, 12.0]))
     with pytest.raises(gho.ZeroRho):
@@ -377,7 +378,7 @@ def test_classical_invariant_takes_canonical_momentum():
 def test_wronskian_drift_raises_integration_failure(monkeypatch):
     # c scaled by 1 + 1e-9 moves M (u v' - v u') by 1e-9 cos^2 t on the
     # default oscillator basis, where the products it cancels are cos^2 t and
-    # sin^2 t: a real drift, 100x the limit of 10 rtol
+    # sin^2 t: a real drift, 100x the limit of 10 DEFAULT_RTOL
     solve = gho.classical._collocation_solve
 
     def perturbed(*args):
@@ -424,7 +425,7 @@ def test_solves_log_steps_and_wronskian_drift(parametric, caplog):
     expected = np.max(np.abs(u_pv - v_pu - basis.omega) / scale)
     assert float(drift) == pytest.approx(expected, rel=1e-3, abs=1e-300)
     assert part_msg == f"solve_particular: {steps} steps, {tried} steps tried"
-    assert np.array_equal(part._nodes, basis.nodes)
+    assert np.array_equal(part._dense._edges, basis.nodes)
 
 
 # one scenario per coefficient kind, with force, and the fast oscillator

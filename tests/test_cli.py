@@ -181,6 +181,46 @@ def test_bad_flags_exit_two(sho_file):
     assert main(["verify", "--scenario", str(sho_file), "--basis", "bogus"]) == 2
 
 
+# the options past --scenario, --out, --grid, --basis and --xp that each
+# command reads, and a valid value of each
+READS = {"verify": {"--tol"}, "kernel-scan": {"--times"}, "evolve": {"--times", "--dt"},
+         "modes": {"--times", "--modes"}, "invariant": {"--times", "--dt"},
+         "coherent": {"--times", "--modes"}}
+VALUES = {"--times": "0.0,0.5", "--dt": "1e-3", "--modes": "0", "--tol": "path_integral=1"}
+
+
+@pytest.mark.parametrize("command,option", [(command, option) for command in sorted(READS)
+                                            for option in sorted(set(VALUES) - READS[command])])
+def test_commands_reject_the_options_they_do_not_read(command, option, sho_file, tmp_path,
+                                                      capsys):
+    # verify --dt once ran exactly as without it
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--scenario", str(sho_file), "--out", str(out), option, VALUES[option]])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {option} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coherent_takes_one_mode(sho_file, tmp_path, capsys):
+    # a range once ran on its first mode alone
+    out = tmp_path / "out"
+    assert main(["coherent", "--scenario", str(sho_file), "--out", str(out),
+                 "--modes", "0..3"]) == 2
+    assert capsys.readouterr().err == "error: coherent takes one mode, not --modes '0..3'\n"
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines()]
+    assert sorted(words[1] for words in lines) == sorted(cli._COMMANDS)
+    for words in lines:
+        assert words[0] == "gho"
+        cli.build_parser().parse_args(words[1:])
+
+
 def test_verify_with_custom_basis_and_xp(sho_file, capsys):
     code = main(["verify", "--scenario", str(sho_file),
                  "--basis", "custom:1.0,0.0,0.0,2.0", "--xp", "1.0,0.0"])
@@ -317,6 +357,22 @@ def test_verify_sho_passes_at_large_hbar(hbar, tmp_path, capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
     assert code == 0
     assert len(lines) == 18 and all(ln.endswith(" PASS") for ln in lines)
+
+
+@pytest.mark.parametrize("spec", [{"hbar": 0.25}, {"hbar": 0.5, "a": 0.47}])
+def test_verify_sho_passes_at_small_hbar(spec, tmp_path, capsys):
+    # the kernel slice's wavenumber grows as 1 / hbar and with the chirp a:
+    # on the base grid schrodinger_residual_kernel read 3.5e-4 at hbar = 0.25
+    # and 5.5e-4 at hbar = 0.5, a = 0.47, against 1e-4
+    path = tmp_path / "sho.json"
+    path.write_text(json.dumps({"interval": [0.0, 12.0], **spec}))
+    code = main(["verify", "--scenario", str(path)])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
+    assert code == 0
+    assert len(lines) == 18
+    assert all(ln.endswith(" PASS") or "SKIP(not applicable)" in ln for ln in lines)
+    (residual,) = [ln for ln in lines if ln.startswith("CHECK schrodinger_residual_kernel ")]
+    assert float(re.search(r"value=(\S+)", residual)[1]) < 1e-5
 
 
 def test_verify_negative_omega_basis(monkeypatch, capsys):

@@ -80,9 +80,12 @@ def test_dense_evaluations_per_operation(monkeypatch, parametric, parametric_bas
     # u, v and x_p share the step edges: one evaluation of all three per endpoint
     kernel_calls = evaluations(lambda: gho.kernel(s, basis, part, QUERY))
     assert kernel_calls == [1, 1]
-    # x_p solved at other tolerances has other edges: one evaluation of each
-    loose = gho.solve_particular(s, (1.0, 0.0), rtol=1e-10, atol=1e-12)
-    assert evaluations(lambda: gho.kernel(s, basis, loose, QUERY)) == [1, 1, 1, 1]
+    # x_p solved on an equal scenario loaded again has a solve of its own:
+    # one evaluation of each
+    again = gho.scenario_from_dict(gho.scenario_to_dict(s))
+    assert again == s
+    other = gho.solve_particular(again, (1.0, 0.0))
+    assert evaluations(lambda: gho.kernel(s, basis, other, QUERY)) == [1, 1, 1, 1]
     assert evaluations(lambda: gho.eigenmode_packet(s, basis, part, 1, 1.1, grid)) == [1]
     assert evaluations(lambda: gho.build_generalized_coherent_state(
         s, basis, part, 1, 1.1, grid)) == [1]
@@ -92,14 +95,16 @@ def test_dense_evaluations_per_operation(monkeypatch, parametric, parametric_bas
 def test_joint_snapshots_are_the_separate_ones_to_the_bit(driven_sho):
     s, basis, _ = driven_sho
     part = gho.solve_particular(s, (1.0, 0.0))
-    loose = gho.solve_particular(s, (1.0, 0.0), rtol=1e-10, atol=1e-12)
+    other = gho.solve_particular(
+        gho.load_scenario((ROOT / "scenarios" / "driven_sho.json").read_text()), (1.0, 0.0))
     zero = gho.classical.particular_or_zero(gho.load_scenario(
         (ROOT / "scenarios" / "sho.json").read_text()), None)
     times = np.linspace(s.t0, s.t1, 37)
-    # part shares basis's step edges; loose, solved at other tolerances, does not
+    # part shares basis's solve; other, solved on an equal scenario loaded
+    # again, has its own
     assert part._fundamental is basis._fundamental
-    assert loose._fundamental is not basis._fundamental
-    for p in (part, loose):
+    assert other._fundamental is not basis._fundamental
+    for p in (part, other):
         for t in [*times.tolist(), times, np.array(1.3)]:
             joint = gho.classical._snapshots(basis, p, t, isinstance(t, float))
             for got, alone in zip(joint, (basis.at(t), p.at(t))):
