@@ -8,8 +8,8 @@ be numerically dark anyway).
 Two primitives serve every uniform grid. Every sum over one is a chirp-z
 transform (czt), and every phase put on one is a quadratic in the grid index,
 so every full-grid complex exponential is quadratic_phase, which builds
-exp(i (a k^2 + b k + c)) from O(sqrt(n) log n) exponentials and about 2n
-complex products.
+exp(i (a k^2 + b k + c)) from about 4 sqrt(n) exponentials, laid out as a
+Hankel table, and 2n complex products.
 
 The packet functions here and in gho.propagator and gho.states compute in
 place on arrays they own and never write to their inputs. Each in-place step
@@ -204,47 +204,49 @@ def _scipy_fft():
 def quadratic_phase(a: float, b: float, c: float, n: int) -> np.ndarray:
     """exp(i (a k^2 + b k + c)) for k = 0 .. n-1, from few exponentials.
 
-    With k = B h + l, B a power of two near sqrt(n) and l < B, the phase is
-    (a l^2 + b l) + (a B^2 h^2 + b B h + c) + 2 a B h l: an in-block row, the
-    block starts and a cross term. Row h of the n / B x B table of
-    exp(i (a l^2 + b l + 2 a B h l)) is row h - f times the ramp
-    exp(i 2 a B f l), so the table doubles from its first row over f = 1, 2,
-    4, ...; the starts multiply it last. One np.exp call of O(sqrt(n) log n)
-    points makes the row, the ramps and the starts, and about 2n complex
-    products the rest. Each exponent is formed from a, b and c themselves,
-    never as a power of exp(i a), so the error stays that of rounding the
-    phase itself, as for np.exp of the phase written out (see the tests).
+    With k = B h + l, B a power of two near sqrt(n) and l < B, the cross
+    term is 2 a B h l = a B ((h + l)^2 - h^2 - l^2), so the phase splits as
+    exp(i (a k^2 + b k + c)) = U[l] V[h] D[h + l] with
+
+        U[l] = exp(i ((a - a B) l^2 + b l)),
+        V[h] = exp(i ((a B^2 - a B) h^2 + b B h + c)),
+        D[j] = exp(i a B j^2).
+
+    One np.exp call of about 4 sqrt(n) points makes U, V and D. The rows h
+    of the table of k read D through a Hankel view, D[h + l] at row h and
+    column l, which is multiplied by U along the rows and then by V down the
+    columns: two complex products per point. Each exponent is formed from a,
+    b and c themselves, never as a power of exp(i a), so the error stays
+    that of rounding the phase itself, as for np.exp of the phase written
+    out (see the tests). n = 0 gives an empty array.
     """
     n = int(n)  # a grid size may be a numpy integer
     block = 1 << (n.bit_length() // 2)
-    rows, tail = divmod(n, block)  # full rows, points in the partial last row
-    levels = (rows - (tail == 0)).bit_length()  # ramps f = 1, 2, 4, .. below the row count
-    # one phase array: the in-block row, the ramp of each level, the starts
-    phase = np.empty((levels + 1) * block + rows + 1)
-    table = phase[:(levels + 1) * block].reshape(levels + 1, block)
-    ell = np.arange(block, dtype=float)
-    np.multiply(a * ell + b, ell, out=table[0])
-    np.multiply.outer((2.0 * a * block) * (1 << np.arange(levels)), ell, out=table[1:])
-    starts = np.arange(rows + 1, dtype=float)
-    starts *= block
-    tops = phase[(levels + 1) * block:]
-    np.multiply(a * starts + b, starts, out=tops)
-    tops += c
+    rows = -(-n // block)  # the last row may run past n
+    step = a * block
+    # one phase array: U (block points), V (rows) and D (rows + block; the
+    # view reads one fewer, and the one more keeps i as long as U at n = 0)
+    i = np.arange(rows + block, dtype=float)
+    phase = np.empty(2 * (rows + block))
+    u, v, d = phase[:block], phase[block:block + rows], phase[block + rows:]
+    np.multiply((a - step) * i[:block] + b, i[:block], out=u)
+    np.multiply((step * block - step) * i[:rows] + b * block, i[:rows], out=v)
+    v += c
+    np.multiply(step * i, i, out=d)
     cis = np.multiply(1j, phase)
     np.exp(cis, out=cis)
-    ramps = cis[:(levels + 1) * block].reshape(levels + 1, block)
-    tops = cis[(levels + 1) * block:]
-    out = np.empty(n, dtype=np.complex128)
-    full = out[:rows * block].reshape(rows, block)
-    full[0] = ramps[0]
-    for level in range(1, levels + 1):
-        f = 1 << (level - 1)
-        np.multiply(full[:min(f, rows - f)], ramps[level], out=full[f:2 * f])
-    if tail:  # row `rows` doubles from row rows - f of the last level
-        np.multiply(full[rows - (1 << (levels - 1)), :tail], ramps[levels, :tail],
-                    out=out[rows * block:])
-    full *= tops[:rows, None]
-    out[rows * block:] *= tops[rows:]
+    # D[h + l] at (h, l): a read-only view with equal strides over D; the
+    # ndarray constructor checks that it stays inside the buffer
+    hankel = np.ndarray((rows, block), np.complex128, cis, (block + rows) * cis.itemsize,
+                        (cis.itemsize, cis.itemsize))
+    hankel.flags.writeable = False
+    out = np.empty(rows * block, dtype=np.complex128)
+    table = out.reshape(rows, block)
+    np.multiply(hankel, cis[:block], out=table)
+    table *= cis[block:block + rows, None]
+    # drop the part of the last row past n; no other view of out is alive
+    del table
+    out.resize(n, refcheck=False)
     return out
 
 
@@ -274,11 +276,13 @@ def czt(h, m: int, angle: float) -> np.ndarray:
     linear convolution with a chirp, done by FFT in O((n + m) log(n + m)).
     The chirp exp(i angle k^2 / 2) is quadratic_phase, built from the angle
     itself, so small angles lose no phase accuracy to rounding in
-    exp(i angle).
+    exp(i angle). An empty h or m = 0 gives the empty sum, zeros(m).
     """
     sfft = _scipy_fft()
     h = np.asarray(h, dtype=np.complex128)
     n = len(h)
+    if n == 0 or m == 0:
+        return np.zeros(m, dtype=np.complex128)
     chirp = quadratic_phase(0.5 * angle, 0.0, 0.0, max(n, m))
     size = sfft.next_fast_len(n + m - 1)
     # the zero-padded signal and the chirp filter, transformed in place
