@@ -126,9 +126,6 @@ class _Context:
 
     def __init__(self, args):
         self.scenario = load_scenario(Path(args.scenario).read_text())
-        if self.scenario.dimension != 1:
-            raise ValidationError(f"the gho commands are implemented for dimension 1, "
-                                  f"not {self.scenario.dimension}")
         self.grid = _parse_grid(args.grid)
         self.basis = classical.solve_homogeneous_basis(self.scenario, _parse_basis(args.basis))
         self.part = classical.solve_particular(self.scenario, _parse_xp(args.xp))
@@ -239,8 +236,8 @@ def _verify_checks(ctx):
         fwd = propagator.kernel_coefficients(s, basis, part, t_a, t_b)
         bwd = propagator.kernel_coefficients(s, basis, part, t_b, t_a)
         kept = ~fwd.caustic  # bwd is built from the same forward pairs
-        kf = fwd.value_1d(x_a, x_b)[kept]
-        kb = bwd.value_1d(x_b, x_a)[kept]
+        kf = fwd.value(x_a, x_b)[kept]
+        kb = bwd.value(x_b, x_a)[kept]
         return float(np.max(np.abs(np.conj(kf) - kb) / np.abs(kf), initial=0.0))
 
     def kernel_closed_form():
@@ -276,7 +273,7 @@ def _verify_checks(ctx):
         if co.caustic.any():
             raise CausticEncountered("closed-form pair on a focal time")
         ref = reference(t_a, t_b, x_a, x_b)
-        return float(np.max(np.abs(co.value_1d(x_a, x_b) - ref) / np.abs(ref)))
+        return float(np.max(np.abs(co.value(x_a, x_b) - ref) / np.abs(ref)))
 
     def kernel_composition():
         triple = _find_composition_triple(ctx)
@@ -296,7 +293,7 @@ def _verify_checks(ctx):
 
         def field(t, x):
             co = propagator.kernel_coefficients(s, basis, part, t_a, t)
-            return co.value_1d(0.3, x)
+            return co.value(0.3, x)
 
         # the stencils' error grows as (k dx)^4 with the slice's largest
         # wavenumber k, which grows as 1 / hbar and with the chirp: past
@@ -494,7 +491,7 @@ def run_kernel_scan(args) -> int:
         ctx.grid.x_min, ctx.grid.x_max, 21)
     co = propagator.kernel_coefficients(s, ctx.basis, ctx.part, t_a, t_b)
     x_a, x_b = (mesh.ravel() for mesh in np.meshgrid(positions, positions, indexing="ij"))
-    vals = co.value_1d(x_a, x_b)
+    vals = co.value(x_a, x_b)
     rows = zip(np.full_like(x_a, t_a), x_a, np.full_like(x_a, t_b), x_b, vals.real,
                vals.imag, np.abs(vals), np.arctan2(vals.imag, vals.real))
     _write_table_csv(ctx.outfile("kernel_scan.csv"),
@@ -525,10 +522,11 @@ def run_modes(args) -> int:
     s = ctx.scenario
     modes = _parse_modes(args.modes)
     times = _parse_times(args.times) if args.times else [s.t0]
-    for n in modes:
-        for k, t in enumerate(times):
-            packet = states.eigenmode_packet(s, ctx.basis, ctx.part, n, t, ctx.grid)
-            _write_packet_csv(ctx.outfile(f"mode_n{n}_t{k}.csv"), packet, s)
+    packets = {(n, k): states.eigenmode_packet(s, ctx.basis, ctx.part, n, t, ctx.grid)
+               for n in modes for k, t in enumerate(times)}
+    # written once every packet is built, so a rejected one writes no file
+    for (n, k), packet in packets.items():
+        _write_packet_csv(ctx.outfile(f"mode_n{n}_t{k}.csv"), packet, s)
     return 0
 
 
@@ -563,10 +561,11 @@ def run_coherent(args) -> int:
     s = ctx.scenario
     times = _parse_times(args.times) if args.times else _interior_times(
         s, (0.0, 0.25, 0.5, 0.75, 1.0))
+    packets = [states.build_generalized_coherent_state(s, ctx.basis, ctx.part, n, t, ctx.grid)
+               for t in times]
+    # written once every packet is built, so a rejected one writes no file
     rows = []
-    for k, t in enumerate(times):
-        packet = states.build_generalized_coherent_state(s, ctx.basis, ctx.part, n,
-                                                         t, ctx.grid)
+    for k, (t, packet) in enumerate(zip(times, packets)):
         _write_packet_csv(ctx.outfile(f"coherent_t{k}.csv"), packet, s)
         rows.append((t, mean_x(packet), ctx.part.at(t).x, var_x(packet),
                      s.hbar * ctx.basis.at(t).rho ** 2 / (2.0 * abs(ctx.basis.omega))))

@@ -3,7 +3,7 @@
 A scenario is the full description of one generalized (driven, time-dependent)
 quadratic oscillator: mass M(t), frequency w(t), force F(t), the
 total-derivative couplings a(t), b(t) and the pure time term f(t), together
-with hbar, the spatial dimension and the working time interval.
+with hbar and the working time interval, in one spatial dimension.
 
 Coefficients are restricted to a closed set of analytic kinds so that exact
 first derivatives are always available (they enter the Hamiltonian
@@ -238,13 +238,22 @@ _KINDS = {
 }
 
 _OPTIONAL_FIELDS = {"phase": 0.0, "offset": 0.0}
+_LIST_FIELDS = {"coefficients", "breakpoints", "values"}
+
+
+def _number(value, what) -> float:
+    """A JSON number (an int or a float, not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} overflows a float") from None
 
 
 def _coefficient_from_dict(name, spec) -> CoefficientFn:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return Constant(float(spec))
     if not isinstance(spec, dict):
-        raise ParseError(f"coefficient '{name}': expected a number or a kind block")
+        return Constant(_number(spec, f"coefficient '{name}', if not a kind block,"))
     try:
         kind = spec["kind"]
     except KeyError:
@@ -255,9 +264,13 @@ def _coefficient_from_dict(name, spec) -> CoefficientFn:
     kwargs = {}
     for field in fields:
         if field in spec:
-            raw = spec[field]
-            kwargs[field] = tuple(float(x) for x in raw) if isinstance(raw, (list, tuple)) \
-                else float(raw)
+            raw, what = spec[field], f"coefficient '{name}' ({kind}) '{field}'"
+            if field not in _LIST_FIELDS:
+                kwargs[field] = _number(raw, what)
+            elif isinstance(raw, (list, tuple)):
+                kwargs[field] = tuple(_number(x, f"each of {what}") for x in raw)
+            else:
+                raise ParseError(f"{what} must be a list of numbers")
         elif field in _OPTIONAL_FIELDS:
             kwargs[field] = _OPTIONAL_FIELDS[field]
         else:
@@ -307,11 +320,8 @@ class Scenario:
     t0: float = 0.0
     t1: float = 1.0
     hbar: float = 1.0
-    dimension: int = 1
 
     def __post_init__(self):
-        if self.dimension < 1 or int(self.dimension) != self.dimension:
-            raise ValidationError("dimension must be a positive integer")
         if not self.hbar > 0:
             raise ValidationError("hbar must be positive")
         if not self.t0 < self.t1:
@@ -390,6 +400,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     extra = set(data) - known
     if extra:
         raise ParseError(f"unknown scenario keys {sorted(extra)}")
+    dimension = _number(data.get("dimension", 1), "'dimension'")
+    if dimension != 1:
+        raise ValidationError(f"gho is one-dimensional: 'dimension' must be 1, not {dimension:g}")
     interval = data.get("interval", [0.0, 1.0])
     if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
         raise ParseError("'interval' must be [t0, t1]")
@@ -399,13 +412,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             coeffs[name] = _coefficient_from_dict(name, data[name])
         else:
             coeffs[name] = Constant(default)
-    try:
-        t0, t1 = float(interval[0]), float(interval[1])
-        hbar = float(data.get("hbar", 1.0))
-        dim = int(data.get("dimension", 1))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad scalar field: {exc}") from exc
-    return Scenario(t0=t0, t1=t1, hbar=hbar, dimension=dim, **coeffs)
+    t0, t1 = (_number(t, "each end of 'interval'") for t in interval)
+    return Scenario(t0=t0, t1=t1, hbar=_number(data.get("hbar", 1.0), "'hbar'"), **coeffs)
 
 
 def load_scenario(config_text: str) -> Scenario:
@@ -419,7 +427,7 @@ def load_scenario(config_text: str) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     return {
-        "dimension": s.dimension,
+        "dimension": 1,
         "hbar": s.hbar,
         "interval": [s.t0, s.t1],
         "mass": s.mass.to_dict(),

@@ -180,8 +180,6 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     The packet's time and t_end must lie in the working interval
     (ValidationError otherwise, nan included).
     """
-    if s.dimension != 1:
-        raise ValidationError("the grid evolver is one-dimensional")
     _check_time(s, packet.t, "packet.t")
     _check_time(s, t_end, "t_end")
     packet.require_dark_edges(1e-8, "evolve_tdse")
@@ -285,8 +283,6 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     tolerances. Kernel values come from the propagator module itself; only the
     integration is independent.
     """
-    if s.dimension != 1:
-        raise ValidationError("composition quadrature is one-dimensional")
     co1 = kernel_coefficients(s, basis, part, t_a, t_b)
     co2 = kernel_coefficients(s, basis, part, t_b, t_c)
     a_tot = co1.q_bb + co2.q_aa
@@ -301,7 +297,7 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     dy = math.pi / (6.0 * max(rate, 1.0))
     n = int(math.ceil(2.0 * r_zero / dy)) + 1
     ys = np.linspace(y_star - r_zero, y_star + r_zero, n)
-    vals = co1.value_1d(x_a, ys) * co2.value_1d(ys, x_c)
+    vals = co1.value(x_a, ys) * co2.value(ys, x_c)
     vals = vals * _smooth_window(ys, y_star, r_flat, r_zero)
     return complex(np.trapezoid(vals, dx=ys[1] - ys[0]))
 
@@ -331,13 +327,10 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
     """
     if n_slices < 1:
         raise ValidationError("n_slices must be >= 1")
-    if s.dimension != 1:
-        raise ValidationError("the slicing oracle is one-dimensional")
     part = particular_or_zero(s, part)
     if n_slices == 1:
         return kernel(s, basis, part, q)
-    x_a = float(np.atleast_1d(q.r_a)[0])
-    x_b = float(np.atleast_1d(q.r_b)[0])
+    x_a, x_b = float(q.r_a), float(q.r_b)
     times = np.linspace(q.t_a, q.t_b, n_slices + 1)
     x = grid.points
     dx = grid.dx
@@ -355,8 +348,8 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
     slices = kernel_coefficients(s, basis, part, times[:-1], times[1:])
     if slices.caustic.any():
         raise CausticEncountered("a time slice ends on a focal time")
-    field = slices.pair(0).value_1d(x_a, x)
+    field = slices.pair(0).value(x_a, x)
     for k in range(1, n_slices - 1):
         field = _lct_apply(slices.pair(k), x, field * window, dx, x)
-    vals = slices.pair(-1).value_1d(x, x_b) * field * window
+    vals = slices.pair(-1).value(x, x_b) * field * window
     return complex(np.sum(vals) * dx)

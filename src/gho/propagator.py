@@ -13,12 +13,11 @@ theta = theta(t0) - tau, the denominator is
 
 so it vanishes at focal times, where |tau_b - tau_a| is a multiple of pi; there
 the kernel is distributional and evaluation raises CausticEncountered. The
-branch of the square-root prefactor is fixed to exp(-i pi/4) per dimension in
-the short forward-time limit (free-Gaussian convention) and continued through
-each simple zero of D with an extra exp(-i pi/2) per dimension. The Morse
-index is counted from tau, floor(|tau_b - tau_a| / pi), with its parity pinned
-by the sign of D. Backward-time values follow from the conjugation symmetry
-K*(b, a) = K(a, b).
+branch of the square-root prefactor is fixed to exp(-i pi/4) in the short
+forward-time limit (free-Gaussian convention) and continued through each
+simple zero of D with an extra exp(-i pi/2). The Morse index is counted from
+tau, floor(|tau_b - tau_a| / pi), with its parity pinned by the sign of D.
+Backward-time values follow from the conjugation symmetry K*(b, a) = K(a, b).
 
 Wave-packet propagation makes one hop with the metaplectic operator of the
 hop's symplectic matrix [[A, B], [C, .]] (see _hop_matrix; D above is Omega B):
@@ -81,7 +80,7 @@ _FLOATS = SimpleNamespace(abs=abs, maximum=max, floor=math.floor, exp=cmath.exp,
 
 @dataclass(frozen=True, init=False)
 class KernelQuery:
-    """Endpoint data (t_a, r_a) -> (t_b, r_b); positions are scalars for N=1."""
+    """Endpoint data (t_a, r_a) -> (t_b, r_b); the positions are scalars."""
 
     t_a: float
     t_b: float
@@ -109,22 +108,20 @@ class CausticReport:
 
 @dataclass(frozen=True)
 class KernelCoefficients:
-    """Gaussian-exponent data of K between two fixed times (per dimension).
+    """Gaussian-exponent data of K between two fixed times.
 
     value = prefactor * exp(i (q_bb x_b^2 + q_ab x_a x_b + q_aa x_a^2
-                               + l_b x_b + l_a x_a)), summed over dimensions
-    inside the exponent; the dimension-independent constant phase is already
-    folded into `prefactor`.
+                               + l_b x_b + l_a x_a)), the constant phase
+    being already folded into `prefactor`; `value` is the one evaluator.
 
-    For a 1-D array of time pairs every field but n_dims is an array of the
-    pairs, and `caustic` marks the pairs inside the caustic band, whose
-    prefactor and exponent coefficients are nan (their denominator is kept).
-    A scalar pair is never marked: it raises CausticEncountered instead.
+    For a 1-D array of time pairs every field is an array of the pairs, and
+    `caustic` marks the pairs inside the caustic band, whose prefactor and
+    exponent coefficients are nan (their denominator is kept). A scalar pair
+    is never marked: it raises CausticEncountered instead.
     """
 
     t_a: object
     t_b: object
-    n_dims: int
     prefactor: object
     q_aa: object
     q_bb: object
@@ -134,42 +131,27 @@ class KernelCoefficients:
     denominator: object
     caustic: object = False
 
-    def _gaussian(self, aa, bb, ab, a, b, exp=np.exp):
-        """prefactor * exp(i phase) from the endpoint products x_a.x_a, x_b.x_b,
-        x_a.x_b and the component sums of x_a, x_b. Swapping the endpoints
-        and negating every coefficient (the backward kernel) maps each group
-        onto itself, so the phase is negated exactly and K(b, a) is
-        conj K(a, b) to the bit."""
-        phase = ((self.q_aa * aa + self.q_bb * bb) + self.q_ab * ab
-                 + (self.l_a * a + self.l_b * b))
-        return self.prefactor * exp(1j * phase)
-
     def pair(self, k) -> KernelCoefficients:
         """The scalar coefficients of pair k of an array of time pairs."""
-        return _record(KernelCoefficients, n_dims=self.n_dims, **{
-            f.name: getattr(self, f.name)[k] for f in fields(self) if f.name != "n_dims"})
+        return _record(KernelCoefficients,
+                       **{f.name: getattr(self, f.name)[k] for f in fields(self)})
 
-    def value_1d(self, x_a, x_b):
-        """Kernel values with numpy broadcasting over endpoint positions (and
-        over the pairs of an array of time pairs); dimension 1 only."""
-        if self.n_dims != 1:
-            raise ValidationError(f"positions must have {self.n_dims} component(s)")
-        x_a = np.asarray(x_a)
-        x_b = np.asarray(x_b)
-        return self._gaussian(x_a * x_a, x_b * x_b, x_a * x_b, x_a, x_b)
-
-    def value(self, r_a, r_b):
-        """K at positions r_a, r_b with n_dims components each; in one
-        dimension scalar positions take Python's complex exp."""
-        if self.n_dims == 1 and isinstance(r_a, (int, float)) and isinstance(r_b, (int, float)):
-            x_a, x_b = float(r_a), float(r_b)
-            return complex(self._gaussian(x_a * x_a, x_b * x_b, x_a * x_b, x_a, x_b, cmath.exp))
-        ra = np.atleast_1d(np.asarray(r_a, dtype=float))
-        rb = np.atleast_1d(np.asarray(r_b, dtype=float))
-        if ra.shape != (self.n_dims,) or rb.shape != (self.n_dims,):
-            raise ValidationError(
-                f"positions must have {self.n_dims} component(s)")
-        return complex(self._gaussian(ra @ ra, rb @ rb, ra @ rb, np.sum(ra), np.sum(rb)))
+    def value(self, x_a, x_b):
+        """K at positions x_a, x_b: a complex by Python's complex exp when
+        both are ints or floats, else numpy values broadcast over the
+        positions (and over the pairs of an array of time pairs). Swapping
+        the endpoints and negating every coefficient (the backward kernel)
+        maps each term group of the phase onto itself, so the phase is
+        negated exactly and K(b, a) is conj K(a, b) to the bit."""
+        scalar = isinstance(x_a, (int, float)) and isinstance(x_b, (int, float))
+        if scalar:
+            x_a, x_b, exp = float(x_a), float(x_b), cmath.exp
+        else:
+            x_a, x_b, exp = np.asarray(x_a), np.asarray(x_b), np.exp
+        phase = ((self.q_aa * (x_a * x_a) + self.q_bb * (x_b * x_b)) + self.q_ab * (x_a * x_b)
+                 + (self.l_a * x_a + self.l_b * x_b))
+        value = self.prefactor * exp(1j * phase)
+        return complex(value) if scalar else value
 
 
 def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticReport:
@@ -258,7 +240,6 @@ def _forward_coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficient
     a float may be paired with a 0-d array or a numpy scalar."""
     ops = _FLOATS if scalar else np
     hbar = s.hbar
-    n = s.dimension
     # one dense evaluation of the basis and x_p together per endpoint (array)
     at_a, xp_a = _snapshots(basis, part, t_a, scalar or isinstance(t_a, (int, float)))
     at_b, xp_b = _snapshots(basis, part, t_b, scalar or isinstance(t_b, (int, float)))
@@ -294,24 +275,22 @@ def _forward_coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficient
     q_ab = a_ab
     l_a = -2.0 * a_aa * xp_a.x - a_ab * xp_b.x - (xp_a.momentum + ba) / hbar
     l_b = -2.0 * a_bb * xp_b.x - a_ab * xp_a.x + (xp_b.momentum + bb) / hbar
-    per_dim_const = (a_aa * (xp_a.x * xp_a.x) + a_bb * (xp_b.x * xp_b.x)
-                     + a_ab * xp_a.x * xp_b.x)
-
     f_int = integrate_coefficient(s.f, t_a, t_b)
-    const = n * (per_dim_const + (xp_b.xi - xp_a.xi) / hbar) + f_int / hbar
+    const = ((a_aa * (xp_a.x * xp_a.x) + a_bb * (xp_b.x * xp_b.x) + a_ab * xp_a.x * xp_b.x)
+             + (xp_b.xi - xp_a.xi) / hbar + f_int / hbar)
 
-    modulus = ops.abs(1.0 / (2.0 * math.pi * hbar * big_b)) ** (0.5 * n)
-    branch = -n * (0.25 * math.pi + 0.5 * math.pi * morse)
+    modulus = ops.abs(1.0 / (2.0 * math.pi * hbar * big_b)) ** 0.5
+    branch = -(0.25 * math.pi + 0.5 * math.pi * morse)
     prefactor = modulus * ops.exp(1j * (branch + const))
 
-    return _record(KernelCoefficients, t_a=t_a, t_b=t_b, n_dims=n, prefactor=prefactor,
+    return _record(KernelCoefficients, t_a=t_a, t_b=t_b, prefactor=prefactor,
                    q_aa=q_aa, q_bb=q_bb, q_ab=q_ab, l_a=l_a, l_b=l_b,
                    denominator=d, caustic=caustic)
 
 
 def _backward(fwd: KernelCoefficients) -> KernelCoefficients:
     """K(b, a) = conj(K(a, b)): swap the endpoint roles, negate the exponent."""
-    return _record(KernelCoefficients, t_a=fwd.t_b, t_b=fwd.t_a, n_dims=fwd.n_dims,
+    return _record(KernelCoefficients, t_a=fwd.t_b, t_b=fwd.t_a,
                    prefactor=fwd.prefactor.conjugate(),
                    q_aa=-fwd.q_bb, q_bb=-fwd.q_aa, q_ab=-fwd.q_ab,
                    l_a=-fwd.l_b, l_b=-fwd.l_a,
@@ -359,15 +338,21 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
     fwd = _forward_coefficients(s, basis, part, np.minimum(t_a, t_b), np.maximum(t_a, t_b),
                                 False)
     bwd = _backward(fwd)
-    return _record(KernelCoefficients, n_dims=fwd.n_dims, **{
+    return _record(KernelCoefficients, **{
         f.name: np.where(back, getattr(bwd, f.name), getattr(fwd, f.name))
-        for f in fields(KernelCoefficients) if f.name != "n_dims"})
+        for f in fields(KernelCoefficients)})
 
 
 def kernel(s: Scenario, basis: ClassicalBasis, part, q: KernelQuery) -> complex:
-    """Exact kernel value K(b, a) for one endpoint query."""
-    co = kernel_coefficients(s, basis, part, q.t_a, q.t_b)
-    return co.value(q.r_a, q.r_b)
+    """Exact kernel value K(b, a) for one endpoint query at scalar times
+    and positions (ValidationError for anything else)."""
+    value = kernel_coefficients(s, basis, part, q.t_a, q.t_b).value(q.r_a, q.r_b)
+    if type(value) is not complex:  # checked after the float path, which needs no check
+        if np.ndim(value) != 0:
+            raise ValidationError("kernel takes scalar positions; "
+                                  "KernelCoefficients.value broadcasts over arrays")
+        value = complex(value)
+    return value
 
 
 def green_function(s: Scenario, basis: ClassicalBasis, part, q: KernelQuery) -> complex:
@@ -419,8 +404,6 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     """Propagate a packet to t_b in one hop, in the factored or the chirp-z
     form (see the module docstring); part=None stands for x_p = 0.
     """
-    if s.dimension != 1:
-        raise ValidationError("packet propagation is implemented for dimension 1")
     if t_b == packet.t:
         return packet.with_samples(packet.samples)
     packet.require_dark_edges(1e-10, "propagate")

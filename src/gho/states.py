@@ -1,6 +1,6 @@
 """Complete wavefunction sets, unitary displacement/squeezing maps, invariant.
 
-The mode set for a generalized oscillator is, per dimension,
+The mode set for a generalized oscillator is
 
     psi_n(t, x) = (|Omega| / (hbar rho^2))^{1/4} htilde_n(z) *
                   exp[ i ( (n + 1/2) sgn(Omega) theta(t)
@@ -49,16 +49,6 @@ __all__ = [
 ]
 
 _MAX_HERMITE = 200
-
-
-def _quantum_numbers(qn, n_dims):
-    """One non-negative integer per dimension, from an int or a sequence."""
-    numbers = tuple(int(k) for k in (qn if isinstance(qn, (tuple, list)) else (qn,)))
-    if any(k < 0 for k in numbers):
-        raise ValidationError("quantum numbers must be non-negative")
-    if len(numbers) != n_dims:
-        raise ValidationError(f"need {n_dims} quantum number(s), got {len(numbers)}")
-    return numbers
 
 
 def hermite_functions(n_max: int, z):
@@ -119,13 +109,13 @@ def sho_eigenstate(n: int, grid: GridSpec, hbar: float = 1.0) -> WavePacket:
 
 
 def _modes_1d(s, basis, part, n_max, t, x):
-    """psi_0..psi_{n_max} at time t and positions x in one dimension, from one
-    basis and one particular snapshot, as factors: psi_k = htilde_k(z) *
-    amplitude * exp(i (alpha x^2 + beta x + gamma)) * turn[k], the envelope's
-    phase being the gauge phase plus M rho' (x - x_p)^2 / (2 hbar rho) and
+    """psi_0..psi_{n_max} at time t and positions x, from one basis and one
+    particular snapshot, as factors: psi_k = htilde_k(z) * amplitude *
+    exp(i (alpha x^2 + beta x + gamma)) * turn[k], the envelope's phase being
+    the gauge phase plus M rho' (x - x_p)^2 / (2 hbar rho) and
     phase = (alpha, beta, gamma). turn holds exp(i (k + 1/2) sgn(Omega)
-    theta). The time term exp(i int f / hbar) is left out, since it enters
-    once however many dimensions there are. The caller takes the envelope's
+    theta). The time term exp(i int f / hbar) is left out: a mode takes it
+    from t0, a mode sum from t_a. The caller takes the envelope's
     exponential, by grid_phase on a grid and by _envelope at scattered
     points, and evaluates the Hermite functions at z: every row for a mode
     sum, one row when only psi_k is wanted. Raises ValidationError for t
@@ -151,32 +141,21 @@ def _envelope(amplitude, phase, x):
     return amplitude * np.exp(1j * ((alpha * x + beta) * x + gamma))
 
 
-def eigenmode(s: Scenario, basis: ClassicalBasis, part, qn, t: float, r) -> complex:
-    """Value of the mode-set wavefunction psi_qn(t, r).
+def eigenmode(s: Scenario, basis: ClassicalBasis, part, n: int, t: float, x: float) -> complex:
+    """Value of the mode-set wavefunction psi_n(t, x).
 
     The branch of (u - iv)^{n + 1/2} is tracked continuously from t0 via the
     unwrapped basis angle, and the time integral of f starts at t0 (a global
     phase convention, matching xi(t0) = tau(t0) = 0).
     """
-    numbers = _quantum_numbers(qn, s.dimension)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if r.shape != (s.dimension,):
-        raise ValidationError(f"position must have {s.dimension} component(s)")
-    z, amplitude, phase, turn = _modes_1d(s, basis, part, max(numbers), t, r)
-    envelope = _envelope(amplitude, phase, r)
-    h = hermite_functions(max(numbers), z)
+    z, amplitude, phase, turn = _modes_1d(s, basis, part, n, t, x)
     value = np.exp(1j * integrate_coefficient(s.f, s.t0, t) / s.hbar)
-    for i, n_i in enumerate(numbers):
-        value = value * (h[n_i, i] * envelope[i] * turn[n_i])
-    return complex(value)
+    return complex(value * (_hermite_row(n, z)[0] * _envelope(amplitude, phase, x) * turn[n]))
 
 
 def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
                      grid: GridSpec) -> WavePacket:
-    """psi_n(t, .) sampled on a grid (dimension 1); the envelope's phase is
-    one grid_phase."""
-    if s.dimension != 1:
-        raise ValidationError("eigenmode_packet is implemented for dimension 1")
+    """psi_n(t, .) sampled on a grid; the envelope's phase is one grid_phase."""
     z, amplitude, phase, turn = _modes_1d(s, basis, part, n, t, grid.points)
     f_int = integrate_coefficient(s.f, s.t0, t) / s.hbar
     envelope = grid_phase(*phase, grid.x_min, grid.dx, grid.n_points)
@@ -188,22 +167,17 @@ def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
 def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
                     q) -> complex:
     """Truncated mode-sum form of the kernel: sum over n <= n_max of
-    psi_n(b) psi_n*(a), factorized over dimensions."""
+    psi_n(b) psi_n*(a), at scalar positions."""
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    ra = np.atleast_1d(np.asarray(q.r_a, dtype=float))
-    rb = np.atleast_1d(np.asarray(q.r_b, dtype=float))
-    if ra.shape != (s.dimension,) or rb.shape != (s.dimension,):
-        raise ValidationError(f"positions must have {s.dimension} component(s)")
-    z_a, amplitude_a, phase_a, turn_a = _modes_1d(s, basis, part, n_max, q.t_a, ra)
-    z_b, amplitude_b, phase_b, turn_b = _modes_1d(s, basis, part, n_max, q.t_b, rb)
-    envelope_a = _envelope(amplitude_a, phase_a, ra)
-    envelope_b = _envelope(amplitude_b, phase_b, rb)
+    z_a, amplitude_a, phase_a, turn_a = _modes_1d(s, basis, part, n_max, q.t_a, q.r_a)
+    z_b, amplitude_b, phase_b, turn_b = _modes_1d(s, basis, part, n_max, q.t_b, q.r_b)
+    envelope_a = _envelope(amplitude_a, phase_a, q.r_a)
+    envelope_b = _envelope(amplitude_b, phase_b, q.r_b)
     h_a, h_b = hermite_functions(n_max, z_a), hermite_functions(n_max, z_b)
-    sums = np.sum(h_a * h_b * _times_conj(turn_b, turn_a)[:, None], axis=0)
-    # the per-dimension factors exclude the pure time term; it enters once
+    total = np.sum(h_a[:, 0] * h_b[:, 0] * _times_conj(turn_b, turn_a))
     f_ab = integrate_coefficient(s.f, q.t_a, q.t_b) / s.hbar
-    return complex(np.prod(_times_conj(envelope_b, envelope_a) * sums) * np.exp(1j * f_ab))
+    return complex(_times_conj(envelope_b, envelope_a) * total * np.exp(1j * f_ab))
 
 
 def _times_conj(z, w):

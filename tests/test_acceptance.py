@@ -113,7 +113,7 @@ def test_criterion_4_schrodinger_residuals(sho, sho_basis, sho_part_cos, driven,
     for s, basis, part in cases:
         def slice_field(t, x, s=s, basis=basis, part=part):
             co = kernel_coefficients(s, basis, part, 0.0, t)
-            return co.value_1d(0.3, x)
+            return co.value(0.3, x)
 
         worst = max(worst, schrodinger_residual(slice_field, s, 0.7, grid))
         for n in range(6):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gho import GridSpec, cli, oracle, propagator
+from gho import GridSpec, cli, load_scenario, oracle, propagator
 from gho.cli import main
 from gho.errors import GridTooNarrow
 
@@ -274,6 +274,8 @@ def test_kernel_scan_exit_codes(sho_file, tmp_path):
     ["modes", "--times", "nan", "--modes", "0"],
     ["coherent", "--times", "40"],
     ["invariant", "--times", "40"],
+    ["modes", "--times", "0,40"],
+    ["coherent", "--times", "0,40"],
 ])
 def test_non_finite_or_outside_times_and_steps_exit_two(sho_file, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -290,19 +292,47 @@ def test_evolve_rejects_a_stop_past_the_interval(sho_file, tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("scenario", ["free_particle", "parametric"])
+def test_coherent_writes_no_file_when_a_packet_fails(scenario, tmp_path, capsys):
+    # with the default grid and times a late coherent state reaches the grid
+    # edge; the earlier ones are built but not written
+    out = tmp_path / "out"
+    assert main(["coherent", "--scenario", str(SCENARIOS / f"{scenario}.json"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: build_generalized_coherent_state: "
+                                              "edge amplitude")
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_every_command_rejects_dimension_two_after_load(command, tmp_path, capsys,
                                                         monkeypatch):
-    # one check right after load, before any solve: the library's kernel
-    # takes dimension 2, the commands do not
-    path = tmp_path / "sho_2d.json"
-    path.write_text(json.dumps({"dimension": 2, "interval": [0.0, 12.0]}))
+    # rejected at load, before any solve: gho is one-dimensional, and a
+    # dimension that is not a JSON number does not parse
     monkeypatch.setattr(cli.classical, "solve_homogeneous_basis", None)
-    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: the gho commands are implemented for dimension 1, not 2\n"
-    assert not (tmp_path / "out").exists()
+    path = tmp_path / "sho_2d.json"
+    for dimension, message in [
+            (2, "gho is one-dimensional: 'dimension' must be 1, not 2"),
+            (0, "gho is one-dimensional: 'dimension' must be 1, not 0"),
+            (1.5, "gho is one-dimensional: 'dimension' must be 1, not 1.5"),
+            ("1", "'dimension' must be a number, not '1'"),
+            (True, "'dimension' must be a number, not True")]:
+        path.write_text(json.dumps({"dimension": dimension, "interval": [0.0, 12.0]}))
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_bundled_scenario_hashes_are_pinned():
+    # the CSV headers' scenario_sha256 is over the serialized scenario, which
+    # still writes "dimension": 1
+    expected = {"sho": "ab8d64ee882a464d", "free_particle": "5f22a3d29e611b14",
+                "parametric": "9baeaf67623271f3", "driven_sho": "b23c8319cd3e5408"}
+    for name, digest in expected.items():
+        s = load_scenario((SCENARIOS / f"{name}.json").read_text())
+        assert cli._scenario_hash(s) == digest
 
 
 def test_verify_overflowing_coefficient_exits_two_in_time(tmp_path):

@@ -145,7 +145,7 @@ def test_omitted_blocks_default():
     assert s.b == Constant(0.0)
     assert s.f == Constant(0.0)
     assert s.hbar == 1.0
-    assert s.dimension == 1
+    assert json.loads(serialize_scenario(s))["dimension"] == 1
 
 
 def test_negative_mass_rejected():
@@ -272,6 +272,45 @@ def test_dimension_and_hbar_validation():
         scenario_from_dict({"dimension": 0, "interval": [0.0, 1.0]})
     with pytest.raises(ValidationError):
         scenario_from_dict({"hbar": -1.0, "interval": [0.0, 1.0]})
+
+
+@pytest.mark.parametrize("dimension, error, message", [
+    (1, None, None),
+    (1.0, None, None),
+    (0, ValidationError, "gho is one-dimensional: 'dimension' must be 1, not 0"),
+    (2, ValidationError, "gho is one-dimensional: 'dimension' must be 1, not 2"),
+    (1.5, ValidationError, "gho is one-dimensional: 'dimension' must be 1, not 1.5"),
+    (2.9, ValidationError, "gho is one-dimensional: 'dimension' must be 1, not 2.9"),
+    ("1", ParseError, "'dimension' must be a number, not '1'"),
+    (True, ParseError, "'dimension' must be a number, not True"),
+], ids=["1", "1.0", "0", "2", "1.5", "2.9", "string", "true"])
+def test_only_dimension_one_loads(dimension, error, message):
+    text = json.dumps({"dimension": dimension, "interval": [0.0, 6.0]})
+    if error is None:
+        assert json.loads(serialize_scenario(load_scenario(text)))["dimension"] == 1
+    else:
+        with pytest.raises(error) as caught:
+            load_scenario(text)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("spec", [
+    {"hbar": "2"},
+    {"hbar": True},
+    {"interval": ["0", "1"]},
+    {"interval": [True, 2]},
+    {"mass": True},
+    {"mass": {"kind": "constant", "value": "2"}},
+    {"mass": {"kind": "constant", "value": [2.0]}},
+    {"frequency": {"kind": "sinusoidal", "amplitude": 0.1, "omega": False}},
+    {"frequency": {"kind": "polynomial", "coefficients": ["1"]}},
+    {"frequency": {"kind": "polynomial", "coefficients": 1.0}},
+    {"force": {"kind": "piecewise", "breakpoints": [1.0], "values": [0.0, None]}},
+    {"hbar": 10 ** 400},
+])
+def test_scalar_fields_take_only_json_numbers(spec):
+    with pytest.raises(ParseError, match="must be a (list of )?number|overflows a float"):
+        scenario_from_dict({"interval": [0.0, 2.0], **spec})
 
 
 def test_hamiltonian_coeffs_driven(driven):

@@ -250,7 +250,7 @@ def test_path_integral_slice_matches_dense_sum(sho, sho_basis, sho_part_zero):
     co = kernel_coefficients(sho, sho_basis, sho_part_zero, 0.25, 0.5)
     field = np.exp(-(x - 0.3) ** 2) * (1.0 + 0.2j * x)
     # the trapezoid sum of one slice as a dense N x N kernel matrix
-    dense = co.value_1d(x[None, :], x[:, None]) @ field * dx
+    dense = co.value(x[None, :], x[:, None]) @ field * dx
     got = _lct_apply(co, x, field, dx, x)
     assert np.max(np.abs(got - dense)) < 1e-10 * np.max(np.abs(dense))
 
@@ -295,7 +295,7 @@ def test_residual_kernel_slice(sho, sho_basis, sho_part_zero, grid):
 
     def field(t, x):
         co = kernel_coefficients(sho, sho_basis, sho_part_zero, 0.0, t)
-        return co.value_1d(0.3, x)
+        return co.value(0.3, x)
 
     assert schrodinger_residual(field, sho, 0.7, grid) < 1e-4
 

@@ -343,10 +343,9 @@ def test_chirp_z_hop_and_invariant_allocate_no_extra_full_size_array(
         sho, sho_basis, sho_part_zero):
     # At N = 4096 on (-10, 10) the hop 0.3 -> 1.0 takes the chirp-z form on
     # the packet's own 4096 points. Measured with numpy 2.4 / scipy 1.17: the
-    # hop peaked at 515 KiB (483 KiB with the Hankel layout of
-    # quadratic_phase; its bound is not yet tightened) and the invariant peaks
-    # at 257 KiB. Each bound adds half of one complex array of 4096 points, so
-    # one more such temporary alive at the peak fails.
+    # hop peaks at 483.25 KiB and the invariant at 257 KiB. Each bound adds
+    # half of one complex array of 4096 points, so one more such temporary
+    # alive at the peak fails.
     grid = GridSpec(-10.0, 10.0, 4096)
     packet = gho.eigenmode_packet(sho, sho_basis, sho_part_zero, 1, 0.3, grid)
     co = kernel_coefficients(sho, sho_basis, sho_part_zero, 0.3, 1.0)
@@ -355,5 +354,5 @@ def test_chirp_z_hop_and_invariant_allocate_no_extra_full_size_array(
     hop = _traced_peak(lambda: gho.propagate(packet, sho, sho_basis, sho_part_zero, 1.0))
     invariant = _traced_peak(
         lambda: gho.invariant_expectation(moved, sho_basis, sho_part_zero, sho))
-    assert hop < 515 * 1024 + 4096 * 16 // 2
+    assert hop < 484 * 1024 + 4096 * 16 // 2
     assert invariant < 257 * 1024 + 4096 * 16 // 2

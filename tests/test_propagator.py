@@ -274,18 +274,6 @@ def test_kernel_positions_dimension_checked(sho, sho_basis):
         kernel(sho, sho_basis, None, KernelQuery(0.0, 1.0, (0.0, 0.0), (1.0, 1.0)))
 
 
-def test_kernel_two_dimensional_factorizes():
-    s2 = gho.scenario_from_dict({"dimension": 2, "interval": [0.0, 6.0]})
-    basis = gho.solve_homogeneous_basis(s2)
-    s1 = gho.scenario_from_dict({"dimension": 1, "interval": [0.0, 6.0]})
-    basis1 = gho.solve_homogeneous_basis(s1)
-    q2 = KernelQuery(0.0, 1.1, (0.3, -0.2), (0.5, 0.9))
-    val = kernel(s2, basis, None, q2)
-    parts = [kernel(s1, basis1, None, KernelQuery(0.0, 1.1, a, b))
-             for a, b in ((0.3, 0.5), (-0.2, 0.9))]
-    assert abs(val - parts[0] * parts[1]) / abs(val) < 1e-10
-
-
 def test_time_outside_interval_rejected(sho, sho_basis):
     with pytest.raises(ValidationError):
         kernel(sho, sho_basis, None, KernelQuery(0.0, 20.0, 0.0, 0.0))
@@ -303,17 +291,6 @@ def test_array_pairs_with_a_nan_time_rejected(sho, sho_basis):
 def test_green_function_propagates_caustic(sho, sho_basis):
     with pytest.raises(CausticEncountered):
         green_function(sho, sho_basis, None, KernelQuery(0.0, np.pi, 0.1, 0.2))
-
-
-def test_eigenmode_two_dimensional_factorizes():
-    s2 = gho.scenario_from_dict({"dimension": 2, "interval": [0.0, 6.0]})
-    b2 = gho.solve_homogeneous_basis(s2)
-    s1 = gho.scenario_from_dict({"dimension": 1, "interval": [0.0, 6.0]})
-    b1 = gho.solve_homogeneous_basis(s1)
-    val = gho.eigenmode(s2, b2, None, (0, 2), 1.1, (0.3, -0.4))
-    parts = [gho.eigenmode(s1, b1, None, n, 1.1, x)
-             for n, x in ((0, 0.3), (2, -0.4))]
-    assert abs(val - parts[0] * parts[1]) / abs(val) < 1e-12
 
 
 def test_propagate_through_repeated_caustics():

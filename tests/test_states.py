@@ -369,7 +369,7 @@ def test_coupled_scenario_consistency():
     from gho.propagator import kernel_coefficients
 
     def kernel_field(t, x):
-        return kernel_coefficients(s, basis, part, 0.0, t).value_1d(0.3, x)
+        return kernel_coefficients(s, basis, part, 0.0, t).value(0.3, x)
 
     assert schrodinger_residual(kernel_field, s, 0.8, grid) < 1e-4
 
