@@ -86,19 +86,6 @@ def _parse_xp(text: str):
     return (x0, xdot0)
 
 
-def _parse_tols(items):
-    tols = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ParseError(f"bad --tol '{item}': expected name=value")
-        name, value = item.split("=", 1)
-        try:
-            tols[name] = float(value)
-        except ValueError as exc:
-            raise ParseError(f"bad --tol value in '{item}'") from exc
-    return tols
-
-
 def _scenario_hash(s: Scenario) -> str:
     return hashlib.sha256(serialize_scenario(s).encode()).hexdigest()[:16]
 
@@ -165,7 +152,7 @@ def _is_constant(s: Scenario, **wanted) -> bool:
 
 
 def _verify_checks(ctx):
-    """Yield (name, default_tol, callable) triples; callables return the value."""
+    """Yield (name, tol, callable) triples; callables return the value."""
     s = ctx.scenario
     basis, part, grid = ctx.basis, ctx.part, ctx.grid
     hbar = s.hbar
@@ -448,14 +435,9 @@ def _verify_checks(ctx):
 
 def run_verify(args) -> int:
     ctx = _Context(args)
-    tols = _parse_tols(args.tol)
-    unknown = set(tols) - {name for name, _, _ in _verify_checks(ctx)}
-    if unknown:
-        raise ParseError(f"--tol for unknown checks: {sorted(unknown)}")
     lines = []
     any_fail = False
-    for name, default_tol, fn in _verify_checks(ctx):
-        tol = tols.get(name, default_tol)
+    for name, tol, fn in _verify_checks(ctx):
         try:
             value = fn()
         except (CausticEncountered, GridTooNarrow) as exc:
@@ -602,10 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default|custom:u0,udot0,v0,vdot0")
         p.add_argument("--xp", default="0.0,0.0",
                        help="particular-solution initial data x0,xdot0")
-        if name == "verify":
-            p.add_argument("--tol", action="append", default=None, metavar="name=value",
-                           help="override a verification tolerance (repeatable)")
-        else:
+        if name != "verify":
             p.add_argument("--times", default=None, help="comma-separated times")
         if name in ("evolve", "invariant"):
             p.add_argument("--dt", type=float, default=1e-2,

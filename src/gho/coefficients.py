@@ -74,6 +74,10 @@ class Polynomial:
 
     coefficients: tuple
 
+    def __post_init__(self):
+        if len(self.coefficients) == 0:
+            raise ValidationError("polynomial needs at least one coefficient")
+
     def eval(self, t):
         if isinstance(t, (int, float)):
             t, c = float(t), [float(x) for x in self.coefficients]
@@ -129,8 +133,10 @@ class PiecewiseConstant:
     def __post_init__(self):
         if len(self.values) != len(self.breakpoints) + 1:
             raise ValidationError("piecewise-constant needs len(values) == len(breakpoints) + 1")
-        if len(self.breakpoints) > 1 and np.any(np.diff(self.breakpoints) <= 0):
-            raise ValidationError("piecewise-constant breakpoints must be strictly increasing")
+        edges = np.asarray(self.breakpoints, dtype=float)
+        if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+            raise ValidationError(
+                "piecewise-constant breakpoints must be finite and strictly increasing")
 
     def eval(self, t):
         if isinstance(t, (int, float)):
@@ -322,6 +328,9 @@ class Scenario:
     hbar: float = 1.0
 
     def __post_init__(self):
+        for name in ("t0", "t1", "hbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, not {getattr(self, name)}")
         if not self.hbar > 0:
             raise ValidationError("hbar must be positive")
         if not self.t0 < self.t1:

@@ -1,15 +1,18 @@
 """Uniform spatial grids, sampled wave packets and grid numerics.
 
-Quadrature is trapezoidal throughout; it is spectrally accurate for the
-edge-decayed packets every operation requires. Derivatives use 4th-order
-centered stencils with one-sided closures at the edges (which are required to
-be numerically dark anyway).
-
-Two primitives serve every uniform grid. Every sum over one is a chirp-z
-transform (czt), and every phase put on one is a quadratic in the grid index,
+One primitive does each job on a uniform grid. Integrals of conj(f) g (inner
+products, norms, distances, moments, the invariant) are the trapezoid rule as
+one BLAS dot product, _trapezoid_inner, spectrally accurate for the
+dark-edged packets every operation requires. Oscillatory sums are chirp-z
+transforms, czt. Every phase put on a grid is a quadratic in the grid index,
 so every full-grid complex exponential is quadratic_phase, which builds
 exp(i (a k^2 + b k + c)) from about 4 sqrt(n) exponentials, laid out as a
-Hankel table, and 2n complex products.
+Hankel table, and 2n complex products. Values off the nodes (a dilated grid,
+an upsampled one) are the packet's trigonometric interpolant,
+evaluate_trig_interpolant; a plain shift (states.apply_U_F) reads the same
+interpolant as a ramp on the FFT spectrum, which costs less than a chirp-z.
+Derivatives use 4th-order centered stencils with one-sided closures at the
+edges (which are required to be numerically dark anyway).
 
 The packet functions here and in gho.propagator and gho.states compute in
 place on arrays they own and never write to their inputs. Each in-place step
@@ -114,25 +117,32 @@ def _check_same_grid(p1: WavePacket, p2: WavePacket):
         raise GridMismatch(f"grids differ: {p1.grid} vs {p2.grid}")
 
 
+def _trapezoid_inner(f, g, dx) -> complex:
+    """Trapezoidal integral of conj(f) g over a uniform grid: one BLAS dot
+    product less half of each end term, with no full-size temporary."""
+    return dx * (np.vdot(f, g) - 0.5 * (f[0].conjugate() * g[0] + f[-1].conjugate() * g[-1]))
+
+
 def inner_product(p1: WavePacket, p2: WavePacket) -> complex:
     """Trapezoidal <p1|p2> = integral of conj(p1) p2 dx (grids must match)."""
     _check_same_grid(p1, p2)
-    return complex(np.trapezoid(np.conj(p1.samples) * p2.samples, dx=p1.grid.dx))
+    return complex(_trapezoid_inner(p1.samples, p2.samples, p1.grid.dx))
 
 
 def packet_norm(p: WavePacket) -> float:
-    return float(np.sqrt(np.trapezoid(np.abs(p.samples) ** 2, dx=p.grid.dx)))
+    return math.sqrt(_trapezoid_inner(p.samples, p.samples, p.grid.dx).real)
 
 
 def l2_distance(p1: WavePacket, p2: WavePacket) -> float:
     _check_same_grid(p1, p2)
-    return float(np.sqrt(np.trapezoid(np.abs(p1.samples - p2.samples) ** 2, dx=p1.grid.dx)))
+    diff = p1.samples - p2.samples
+    return math.sqrt(_trapezoid_inner(diff, diff, p1.grid.dx).real)
 
 
 def _moment(p: WavePacket, weight) -> float:
-    density = np.abs(p.samples) ** 2
-    total = np.trapezoid(density, dx=p.grid.dx)
-    return float(np.trapezoid(weight * density, dx=p.grid.dx) / total)
+    psi, dx = p.samples, p.grid.dx
+    return float(_trapezoid_inner(psi, weight * psi, dx).real
+                 / _trapezoid_inner(psi, psi, dx).real)
 
 
 def mean_x(p: WavePacket) -> float:
@@ -140,8 +150,7 @@ def mean_x(p: WavePacket) -> float:
 
 
 def var_x(p: WavePacket) -> float:
-    mu = mean_x(p)
-    return _moment(p, (p.grid.points - mu) ** 2)
+    return _moment(p, (p.grid.points - mean_x(p)) ** 2)
 
 
 # 4th-order first-derivative closures (rows: first two / last two points).
@@ -339,33 +348,18 @@ def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
 def upsample_periodic(p: WavePacket, m: int):
     """Resample onto m >= n uniform points across the implied period.
 
-    Returns (points, values); exact trigonometric upsampling by spectrum
-    zero-padding. The chirp-z form of propagation calls it only when the
-    trapezoid rule's aliasing bound asks for more points than the packet
-    has; m == n returns copies of the grid and the samples.
+    Returns (points, values), the values those of the packet's trigonometric
+    interpolant (evaluate_trig_interpolant), so 0 at the points past x_max.
+    The chirp-z form of propagation calls it only when the trapezoid rule's
+    aliasing bound asks for more points than the packet has; m == n returns
+    copies of the grid and the samples.
     """
     n = p.grid.n_points
     if m == n:
         return p.grid.points.copy(), np.asarray(p.samples, dtype=np.complex128).copy()
     if m < n:
         raise ValidationError("upsample target must be >= current grid size")
-    sfft = _scipy_fft()
-    spectrum = sfft.fft(p.samples)
-    padded = np.zeros(m, dtype=np.complex128)
-    half = n // 2
-    if n % 2 == 0:
-        padded[:half] = spectrum[:half]
-        # split the Nyquist bin symmetrically
-        padded[half] = 0.5 * spectrum[half]
-        padded[m - half] = 0.5 * spectrum[half]
-        padded[m - half + 1:] = spectrum[half + 1:]
-    else:
-        padded[:half + 1] = spectrum[:half + 1]
-        padded[m - half:] = spectrum[half + 1:]
-    values = sfft.ifft(padded, overwrite_x=True)
-    values *= m / n
-    period = n * p.grid.dx
     points = np.arange(m, dtype=float)
-    points *= period / m
+    points *= n * p.grid.dx / m
     points += p.grid.x_min
-    return points, values
+    return points, evaluate_trig_interpolant(p, points)

@@ -29,7 +29,7 @@ multiply and a chirp, regular at B = 0 (short hops, focal times).
 Otherwise it is the trapezoidal kernel sum by chirp multiplications and a
 chirp-z transform, regular at A = 0, on as many points as the trapezoid
 rule's aliasing bound asks (see _quadrature_size): the packet's own grid on
-most hops, an upsampled packet on the rest.
+most hops, its trigonometric interpolant read at that many points on the rest.
 
 Every phase either form puts on a grid (the gauge phase, the kernel's
 chirps, the Fresnel transfer on each half of the FFT order) is a quadratic
@@ -52,7 +52,7 @@ from .classical import (ClassicalBasis, _check_time, _record, _snapshots,
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, ValidationError
 from .packets import (WavePacket, _scipy_fft, czt, evaluate_trig_interpolant, grid_phase,
-                      spectral_phase, upsample_periodic)
+                      l2_distance, spectral_phase, upsample_periodic)
 
 _log = logging.getLogger(__name__)
 
@@ -472,6 +472,4 @@ def kernel_delta_check(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     start = test_packet.with_samples(test_packet.samples, t=t_a)
-    moved = propagate(start, s, basis, part, t_a + epsilon)
-    diff = np.abs(moved.samples - start.samples) ** 2
-    return float(np.sqrt(np.trapezoid(diff, dx=test_packet.grid.dx)))
+    return l2_distance(propagate(start, s, basis, part, t_a + epsilon), start)

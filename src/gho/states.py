@@ -33,8 +33,8 @@ from .classical import (ClassicalBasis, ParticularSolution, _check_time, _snapsh
                         gauge_coefficients, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
-from .packets import (GridSpec, WavePacket, derivative, evaluate_trig_interpolant,
-                      grid_phase, spectral_phase)
+from .packets import (GridSpec, WavePacket, _trapezoid_inner, derivative,
+                      evaluate_trig_interpolant, grid_phase, spectral_phase)
 
 __all__ = [
     "hermite_functions",
@@ -328,9 +328,3 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     if with_diagnostic:
         return value, float(skew)
     return value
-
-
-def _trapezoid_inner(f, g, dx) -> complex:
-    """Trapezoidal integral of conj(f) g over a uniform grid: one BLAS dot
-    product less half of each end term, with no full-size temporary."""
-    return dx * (np.vdot(f, g) - 0.5 * (f[0].conjugate() * g[0] + f[-1].conjugate() * g[-1]))

@@ -332,3 +332,28 @@ def test_non_finite_coefficient_rejected(spec, name):
     # an overflowing coefficient would leave the classical solve crawling
     with pytest.raises(ValidationError, match=name):
         scenario_from_dict({**spec, "interval": [0.0, 4.0]})
+
+
+# scenario texts that once loaded, with the error each now raises at load;
+# JSON 1e400 reads as inf, and Python's json reads NaN
+NON_FINITE_OR_EMPTY = [
+    ('{"interval": [0, 1e400]}', "t1 must be finite, not inf"),
+    ('{"interval": [-1e400, 1]}', "t0 must be finite, not -inf"),
+    ('{"hbar": 1e400}', "hbar must be finite, not inf"),
+    ('{"hbar": NaN}', "hbar must be finite, not nan"),
+    ('{"frequency": {"kind": "polynomial", "coefficients": []}}',
+     "polynomial needs at least one coefficient"),
+    ('{"frequency": {"kind": "piecewise", "breakpoints": [0.5, NaN], "values": [1, 2, 3]}}',
+     "piecewise-constant breakpoints must be finite and strictly increasing"),
+    ('{"frequency": {"kind": "piecewise", "breakpoints": [NaN], "values": [1, 2]}}',
+     "piecewise-constant breakpoints must be finite and strictly increasing"),
+    ('{"force": {"kind": "piecewise", "breakpoints": [1e400], "values": [0, 1]}}',
+     "piecewise-constant breakpoints must be finite and strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("text, message", NON_FINITE_OR_EMPTY)
+def test_non_finite_or_empty_fields_rejected_at_load(text, message):
+    with pytest.raises(ValidationError) as caught:
+        load_scenario(text)
+    assert str(caught.value) == message

@@ -12,8 +12,8 @@ from conftest import COUPLED
 
 import gho
 from gho import GridSpec, ValidationError, WavePacket, sho_eigenstate
-from gho.packets import (czt, derivative, evaluate_trig_interpolant, quadratic_phase,
-                         second_derivative, upsample_periodic)
+from gho.packets import (_trapezoid_inner, czt, derivative, evaluate_trig_interpolant,
+                         quadratic_phase, second_derivative, upsample_periodic)
 from gho.propagator import _lct_apply, kernel_coefficients
 
 
@@ -65,6 +65,46 @@ def test_trig_interpolant_rejects_uneven_points(grid):
         evaluate_trig_interpolant(packet, np.array([0.0, 0.1, 0.3]))
     with pytest.raises(ValidationError):
         evaluate_trig_interpolant(packet, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n", [1001, 1024])
+def test_trapezoid_inner_is_the_trapezoid_rule(n):
+    rng = np.random.default_rng(n)
+    f, g = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    for a, b in ((f, g), (g, f), (f, f)):
+        ref = np.trapezoid(np.conj(a) * b, dx=0.013)
+        assert abs(_trapezoid_inner(a, b, 0.013) - ref) <= 1e-14 * abs(ref)
+
+
+def _zero_padded(p, m):
+    """Reference: upsampling by zero-padding the packet's spectrum to m
+    points, the Nyquist bin of an even n split evenly between +-n/2."""
+    n = p.grid.n_points
+    spectrum = fft(p.samples)
+    padded = np.zeros(m, dtype=np.complex128)
+    half = n // 2
+    if n % 2 == 0:
+        padded[:half] = spectrum[:half]
+        padded[half] = padded[m - half] = 0.5 * spectrum[half]
+        padded[m - half + 1:] = spectrum[half + 1:]
+    else:
+        padded[:half + 1] = spectrum[:half + 1]
+        padded[m - half:] = spectrum[half + 1:]
+    points = p.grid.x_min + np.arange(m) * (n * p.grid.dx / m)
+    return points, ifft(padded) * (m / n)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_upsample_periodic_is_the_zero_padded_spectrum(n):
+    # the interpolant reads 0 past x_max and puts the Nyquist bin at -n/2
+    # alone: on a dark-edged packet neither shows
+    grid = GridSpec(-10.0, 10.0, n)
+    packet = WavePacket(grid, sho_eigenstate(2, grid).samples * np.exp(0.4j * grid.points))
+    for m in (n + 1, next_fast_len(3 * n + 5)):
+        points, values = upsample_periodic(packet, m)
+        ref_points, ref_values = _zero_padded(packet, m)
+        assert np.max(np.abs(points - ref_points)) <= 1e-14
+        assert np.max(np.abs(values - ref_values)) < 1e-12
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

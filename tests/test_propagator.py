@@ -230,6 +230,15 @@ def test_propagate_roundtrip(free, free_basis, grid):
     assert l2_distance(back, packet) < 1e-6
 
 
+def test_kernel_delta_check_is_the_distance_moved(sho, sho_basis, sho_part_cos, grid):
+    # the packet is read as a state at t_a, whatever its own time
+    packet = sho_eigenstate(1, grid)
+    start = packet.with_samples(packet.samples, t=0.3)
+    moved = propagate(start, sho, sho_basis, sho_part_cos, 0.3 + 1e-3)
+    assert (kernel_delta_check(sho, sho_basis, sho_part_cos, 0.3, 1e-3, packet)
+            == l2_distance(moved, start))
+
+
 def test_propagate_requires_dark_edges(free, free_basis):
     narrow = gho.GridSpec(-2.0, 2.0, 64)
     x = narrow.points

@@ -1,0 +1,134 @@
+"""Compare what gho prints and writes at a git revision with this working tree.
+
+    python tools/compare_outputs.py PARENT_REV
+
+Runs 28 command lines in each tree: the six commands with their default
+options, and `verify --xp 1.0,0.0`, each on the four bundled scenarios. The
+revision is exported with `git archive` into a temporary directory, and both
+trees read the working tree's scenario files. Each run is `python -m gho`
+with that tree's `src` on PYTHONPATH, in a fresh temporary directory.
+
+Prints every exit code, stdout, stderr or output file that differs. When two
+texts differ only in their numbers, it prints the largest absolute
+difference between them. Exits 1 when an exit code, a stderr or the status
+of a verify CHECK line differs, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import math
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ("sho", "free_particle", "parametric", "driven_sho")
+COMMANDS = (("verify",), ("kernel-scan",), ("evolve",), ("modes",), ("invariant",),
+            ("coherent",), ("verify", "--xp", "1.0,0.0"))
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
+
+
+def export(rev: str, into: Path) -> Path:
+    """The tree of rev, unpacked by git archive under into."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def run(tree: Path, command, scenario: str, workdir: Path) -> dict:
+    """Exit code, stdout, stderr and every written file of one command line."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "gho", *command,
+         "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", "out"],
+        cwd=workdir, env=env, capture_output=True, text=True)
+    out = workdir / "out"
+    files = {str(p.relative_to(out)): p.read_text() for p in sorted(out.rglob("*"))
+             if p.is_file()} if out.exists() else {}
+    return {"exit code": done.returncode, "stdout": done.stdout, "stderr": done.stderr,
+            "files": files}
+
+
+def number_difference(old: str, new: str):
+    """The largest absolute difference between the numbers of two texts that
+    differ in nothing else (nan against nan counts as equal), or None."""
+    old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
+    if len(old_parts) != len(new_parts) or old_parts[::2] != new_parts[::2]:
+        return None
+    largest = 0.0
+    for a, b in zip(old_parts[1::2], new_parts[1::2]):
+        a, b = float(a), float(b)
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        largest = max(largest, abs(a - b))
+    return largest
+
+
+def describe(what: str, old: str, new: str) -> str:
+    largest = number_difference(old, new)
+    if largest is None:
+        return f"{what} differs in text"
+    return f"{what} differs in numbers only, largest absolute difference {largest:.3g}"
+
+
+def check_statuses(stdout: str) -> dict:
+    return {line.split()[1]: line.split()[-1] for line in stdout.splitlines()
+            if line.startswith("CHECK ")}
+
+
+def compare(label: str, old: dict, new: dict):
+    """Lines describing each difference, and whether one of them is grave."""
+    lines, grave = [], False
+    if old["exit code"] != new["exit code"]:
+        lines.append(f"exit code {old['exit code']} -> {new['exit code']}")
+        grave = True
+    if old["stderr"] != new["stderr"]:
+        lines.append(f"stderr {old['stderr']!r} -> {new['stderr']!r}")
+        grave = True
+    if check_statuses(old["stdout"]) != check_statuses(new["stdout"]):
+        lines.append("CHECK statuses differ")
+        grave = True
+    if old["stdout"] != new["stdout"]:
+        lines.append(describe("stdout", old["stdout"], new["stdout"]))
+    for name in sorted(old["files"].keys() | new["files"].keys()):
+        if name not in new["files"] or name not in old["files"]:
+            lines.append(f"file {name} written by one tree only")
+        elif old["files"][name] != new["files"][name]:
+            lines.append(describe(f"file {name}", old["files"][name], new["files"][name]))
+    return [f"{label}: {line}" for line in lines], grave
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", metavar="PARENT_REV", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    differing, grave = 0, False
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = export(args.rev, Path(tmp) / "parent")
+        for command in COMMANDS:
+            for scenario in SCENARIOS:
+                label = f"{' '.join(command)} {scenario}"
+                runs = [run(tree, command, scenario, Path(tmp) / side / label.replace(" ", "_"))
+                        for tree, side in ((parent, "old"), (ROOT, "new"))]
+                lines, serious = compare(label, *runs)
+                differing += bool(lines)
+                grave = grave or serious
+                for line in lines:
+                    print(line, flush=True)
+    runs = len(COMMANDS) * len(SCENARIOS)
+    print(f"{runs} runs, {differing} differ; exit codes, stderr and CHECK statuses "
+          f"{'differ' if grave else 'all match'}")
+    return 1 if grave else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
