@@ -45,17 +45,18 @@ Every consumer reads a solution through its `at(t)` method, which returns all
 of the solution's per-time data from one dense-output evaluation, for a scalar
 or an array t: `ClassicalBasis.at` gives u, u', v, v', rho, rho', tau, the
 continuously lifted angle theta = theta(t0) - tau of u - i v, and M;
-`ParticularSolution.at` gives x_p, M x_p' and xi. The kernel reads both at
-each endpoint through `_snapshots`, from one evaluation of the joint dense
-output that a solved particular solution keeps of the fundamental pair and
-itself (its `at` reads the last three components): the two share the
-solve's step edges, and each component keeps its own polynomial, so the
-snapshots have the bits of the two separate calls. The
-snapshots and the kernel's coefficient records are built by `_record`, in one
-step rather than by a dataclass `__init__` that sets each field on its own.
-`particular_or_zero` is the one place that turns `part=None` into the zero
-particular solution, which solves the driven equation only when the force is
-the default constant 0.
+`ParticularSolution.at` gives x_p, M x_p' and xi. Whatever needs both (the
+kernel, the hop, the modes, both invariants, the trajectory table) reads
+them through `_snapshots(basis, part, t)`, for a scalar or an array t, from
+one evaluation of the joint dense output that a solved particular solution
+keeps of the fundamental pair and itself (its `at` reads the last three
+components): the two share the solve's step edges, and each component keeps
+its own polynomial, so the snapshots have the bits of the two separate
+calls. The snapshots and the kernel's coefficient records are built by
+`_record`, in one step rather than by a dataclass `__init__` that sets each
+field on its own. `particular_or_zero` is the one place that turns
+`part=None` into the zero particular solution, which solves the driven
+equation only when the force is the default constant 0.
 """
 
 from __future__ import annotations
@@ -517,11 +518,13 @@ class ParticularSolution:
         return _record(ParticularSnapshot, x=x, momentum=momentum, xi=xi)
 
 
-def _snapshots(basis: ClassicalBasis, part: ParticularSolution, t, scalar):
-    """(basis.at(t), part.at(t)), the same bits from one dense evaluation of
-    both when part was solved with the fundamental pair that basis is an
-    image of (same scenario object), and from one each
-    otherwise; scalar says whether t is an int or a float."""
+def _snapshots(basis: ClassicalBasis, part, t):
+    """(basis.at(t), part.at(t)), part=None standing for x_p = 0: the same
+    bits from one dense evaluation of both when part was solved with the
+    fundamental pair that basis is an image of (same scenario object), and
+    from one each otherwise."""
+    part = particular_or_zero(basis.scenario, part)
+    scalar = isinstance(t, (int, float))
     if part._fundamental is basis._fundamental:
         c, pc, sn, ps, x, momentum, xi = part._dense(t)
         return (basis._snapshot(t, (c, pc, sn, ps), scalar),
@@ -533,6 +536,9 @@ def gauge_coefficients(s: Scenario, mass, ps: ParticularSnapshot, t):
     """(alpha, beta, gamma) of the gauge phase G(t, x) = alpha x^2 + beta x +
     gamma = (xi + M a x^2 + (M x_p' + b) x) / hbar, the phase the couplings
     a, b and x_p put on every mode; M and ps are the mass and snapshot at t.
+    Its callers: propagator._forward_coefficients (the kernel at both ends),
+    propagator.propagate (the hop strips G(t_a), puts on G(t_b)) and
+    states._modes_1d, each of which adds int f / hbar once itself.
     Grids take exp(i G) from packets.grid_phase, scattered points from exp."""
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
@@ -610,6 +616,8 @@ def solve_homogeneous_basis(s: Scenario, ics=None) -> ClassicalBasis:
     pu0 = m0 * u0_dot
     pv0 = m0 * v0_dot
     omega = u0 * pv0 - v0 * pu0
+    if not math.isfinite(omega):  # as it is not when an initial value is not
+        raise ValidationError(f"basis initial data {ics} give Omega = {omega}, not finite")
     scale = (abs(u0) + abs(pu0)) * (abs(v0) + abs(pv0))
     if abs(omega) <= 1e-14 * max(scale, 1e-300):
         raise DegenerateBasis("initial conditions are linearly dependent (Wronskian = 0)")
@@ -637,6 +645,8 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0)) -> ParticularSolution:
     tried at DEBUG level on "gho.classical".
     """
     x0, xdot0 = ics
+    if not np.isfinite(ics).all():
+        raise ValidationError(f"particular initial data must be finite, not {ics}")
     m0, _ = s.mass.eval(s.t0)
     sol = _collocation(s)
     n = len(sol.edges) - 1
@@ -649,6 +659,8 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0)) -> ParticularSolution:
     x, p = np.moveaxis(_node_states(sol.thirds[0], edge[..., None])[..., 0], -1, 0)
     values = np.stack([x, p, np.stack([xi[:-1], xi[:-1] + xi_thirds[:n],
                                        xi[:-1] + xi_thirds[n:], xi[1:]], axis=1)], axis=-1)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"particular solution from {ics} overflows on the interval")
     inv_m, k, force = sol.at_nodes
     slopes = np.stack([inv_m * p, force - k * x, 0.5 * (k * x * x - inv_m * p * p)], axis=-1)
     _log.debug("solve_particular: %d steps, %d steps tried", n, sol.tried)
@@ -668,8 +680,7 @@ def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> fl
     interval (nan included) raise ValidationError.
     """
     _check_time(s, t, "t")
-    bs = basis.at(t)
-    ps = particular_or_zero(s, part).at(t)
+    bs, ps = _snapshots(basis, part, t)
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
     dx = x - ps.x
@@ -689,7 +700,6 @@ def trajectory_table(basis: ClassicalBasis, part, times) -> np.ndarray:
     Times outside the working interval (nan included) raise ValidationError."""
     times = np.asarray(times, dtype=float)
     _check_time(basis.scenario, times, "times")
-    bs = basis.at(times)
-    ps = particular_or_zero(basis.scenario, part).at(times)
+    bs, ps = _snapshots(basis, part, times)
     return np.column_stack([times, bs.u, bs.u_dot, bs.v, bs.v_dot, ps.x,
                             ps.momentum / bs.mass, ps.xi, bs.rho, bs.rho_dot, bs.tau])

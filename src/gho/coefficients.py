@@ -380,10 +380,6 @@ class Scenario:
             raise ValidationError(f"mass must stay positive on the interval; "
                                   f"M({float(bad.flat[0]):g}) <= 0")
 
-    @property
-    def interval(self):
-        return (self.t0, self.t1)
-
 
 def hamiltonian_coefficients(s: Scenario, t) -> HamiltonianCoeffs:
     """Coefficients of the x^2 and x terms of the Hamiltonian at time t.

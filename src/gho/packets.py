@@ -57,6 +57,9 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        if not math.isfinite(self.x_max - self.x_min):  # nor is it when an end is not
+            raise ValidationError(
+                f"grid needs finite ends and span, not {self.x_min}, {self.x_max}")
         if not self.x_min < self.x_max:
             raise ValidationError("grid needs x_min < x_max")
         if self.n_points < 16:
@@ -107,9 +110,6 @@ class WavePacket:
         if ratio >= threshold:
             raise GridTooNarrow(
                 f"{what}: edge amplitude {ratio:.2e} of peak (limit {threshold:.0e})")
-
-    def normalized(self) -> "WavePacket":
-        return self.with_samples(self.samples / packet_norm(self))
 
 
 def _check_same_grid(p1: WavePacket, p2: WavePacket):

@@ -47,8 +47,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .classical import (ClassicalBasis, _check_time, _record, _snapshots,
-                        gauge_coefficients, particular_or_zero)
+from .classical import ClassicalBasis, _check_time, _record, _snapshots, gauge_coefficients
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, ValidationError
 from .packets import (WavePacket, _scipy_fft, czt, evaluate_trig_interpolant, grid_phase,
@@ -236,13 +235,14 @@ def _hop_matrix(omega, at_a, at_b):
 def _forward_coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficients:
     """Coefficients for t_a < t_b, scalars or arrays of pairs; a scalar pair
     in the caustic band raises, an array marks it. scalar says whether both
-    times are ints or floats; otherwise each endpoint takes its own path, as
-    a float may be paired with a 0-d array or a numpy scalar."""
+    times are ints or floats. K is exp(i G(t_b)) times the reduced kernel in
+    x - x_p times exp(-i G(t_a)) (G from gauge_coefficients) times
+    exp(i int f / hbar) over [t_a, t_b]."""
     ops = _FLOATS if scalar else np
     hbar = s.hbar
     # one dense evaluation of the basis and x_p together per endpoint (array)
-    at_a, xp_a = _snapshots(basis, part, t_a, scalar or isinstance(t_a, (int, float)))
-    at_b, xp_b = _snapshots(basis, part, t_b, scalar or isinstance(t_b, (int, float)))
+    at_a, xp_a = _snapshots(basis, part, t_a)
+    at_b, xp_b = _snapshots(basis, part, t_b)
     omega = basis.omega
 
     big_a, big_b, _, big_d = _hop_matrix(omega, at_a, at_b)
@@ -265,19 +265,16 @@ def _forward_coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficient
     a_bb = big_d / (2.0 * hbar * big_b)
     a_ab = -1.0 / (hbar * big_b)
 
-    ca, _ = s.a.eval(t_a)
-    cb, _ = s.a.eval(t_b)
-    ba, _ = s.b.eval(t_a)
-    bb, _ = s.b.eval(t_b)
-
-    q_aa = a_aa - at_a.mass * ca / hbar
-    q_bb = a_bb + at_b.mass * cb / hbar
+    alpha_a, beta_a, gamma_a = gauge_coefficients(s, at_a.mass, xp_a, t_a)
+    alpha_b, beta_b, gamma_b = gauge_coefficients(s, at_b.mass, xp_b, t_b)
+    q_aa = a_aa - alpha_a
+    q_bb = a_bb + alpha_b
     q_ab = a_ab
-    l_a = -2.0 * a_aa * xp_a.x - a_ab * xp_b.x - (xp_a.momentum + ba) / hbar
-    l_b = -2.0 * a_bb * xp_b.x - a_ab * xp_a.x + (xp_b.momentum + bb) / hbar
+    l_a = -2.0 * a_aa * xp_a.x - a_ab * xp_b.x - beta_a
+    l_b = -2.0 * a_bb * xp_b.x - a_ab * xp_a.x + beta_b
     f_int = integrate_coefficient(s.f, t_a, t_b)
     const = ((a_aa * (xp_a.x * xp_a.x) + a_bb * (xp_b.x * xp_b.x) + a_ab * xp_a.x * xp_b.x)
-             + (xp_b.xi - xp_a.xi) / hbar + f_int / hbar)
+             + (gamma_b - gamma_a) + f_int / hbar)
 
     modulus = ops.abs(1.0 / (2.0 * math.pi * hbar * big_b)) ** 0.5
     branch = -(0.25 * math.pi + 0.5 * math.pi * morse)
@@ -319,7 +316,6 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
 
     part=None stands for x_p = 0 (see classical.particular_or_zero).
     """
-    part = particular_or_zero(s, part)
     scalar = isinstance(t_a, (int, float)) and isinstance(t_b, (int, float))
     _check_time(s, t_a, "t_a", scalar)
     _check_time(s, t_b, "t_b", scalar)
@@ -410,9 +406,8 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     t_a, grid, hbar = packet.t, packet.grid, s.hbar
     _check_time(s, t_a, "t_a")
     _check_time(s, t_b, "t_b")
-    part = particular_or_zero(s, part)
-    at_a, xp_a = _snapshots(basis, part, t_a, isinstance(t_a, (int, float)))
-    at_b, xp_b = _snapshots(basis, part, t_b, isinstance(t_b, (int, float)))
+    at_a, xp_a = _snapshots(basis, part, t_a)
+    at_b, xp_b = _snapshots(basis, part, t_b)
     big_a, big_b, big_c, _ = _hop_matrix(basis.omega, at_a, at_b)
     sfft = _scipy_fft()
     if hbar * abs(big_b) * math.pi / grid.dx > abs(big_a) * grid.n_points * grid.dx:

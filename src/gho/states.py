@@ -114,18 +114,18 @@ def _modes_1d(s, basis, part, n_max, t, x):
     exp(i (alpha x^2 + beta x + gamma)) * turn[k], the envelope's phase being
     the gauge phase plus M rho' (x - x_p)^2 / (2 hbar rho) and
     phase = (alpha, beta, gamma). turn holds exp(i (k + 1/2) sgn(Omega)
-    theta). The time term exp(i int f / hbar) is left out: a mode takes it
-    from t0, a mode sum from t_a. The caller takes the envelope's
-    exponential, by grid_phase on a grid and by _envelope at scattered
-    points, and evaluates the Hermite functions at z: every row for a mode
-    sum, one row when only psi_k is wanted. Raises ValidationError for t
-    outside the working interval.
+    theta). gamma holds the time term int f / hbar from t0. The caller takes
+    the envelope's exponential, by grid_phase on a grid and by _envelope at
+    scattered points, and evaluates the Hermite functions at z: every row for
+    a mode sum, one row when only psi_k is wanted. Raises ValidationError for
+    t outside the working interval.
     """
     _check_time(s, t, "t")
-    bs, ps = _snapshots(basis, particular_or_zero(s, part), t, isinstance(t, (int, float)))
+    bs, ps = _snapshots(basis, part, t)
     hbar = s.hbar
     omega = abs(basis.omega)
     alpha, beta, gamma = gauge_coefficients(s, bs.mass, ps, t)
+    gamma += integrate_coefficient(s.f, s.t0, t) / hbar
     chirp = bs.mass * bs.rho_dot / (2.0 * hbar * bs.rho)
     phase = (alpha + chirp, beta - 2.0 * chirp * ps.x, gamma + chirp * ps.x * ps.x)
     amplitude = (omega / (hbar * bs.rho ** 2)) ** 0.25
@@ -149,18 +149,16 @@ def eigenmode(s: Scenario, basis: ClassicalBasis, part, n: int, t: float, x: flo
     phase convention, matching xi(t0) = tau(t0) = 0).
     """
     z, amplitude, phase, turn = _modes_1d(s, basis, part, n, t, x)
-    value = np.exp(1j * integrate_coefficient(s.f, s.t0, t) / s.hbar)
-    return complex(value * (_hermite_row(n, z)[0] * _envelope(amplitude, phase, x) * turn[n]))
+    return complex(_hermite_row(n, z)[0] * _envelope(amplitude, phase, x) * turn[n])
 
 
 def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
                      grid: GridSpec) -> WavePacket:
     """psi_n(t, .) sampled on a grid; the envelope's phase is one grid_phase."""
     z, amplitude, phase, turn = _modes_1d(s, basis, part, n, t, grid.points)
-    f_int = integrate_coefficient(s.f, s.t0, t) / s.hbar
     envelope = grid_phase(*phase, grid.x_min, grid.dx, grid.n_points)
     np.multiply(_hermite_row(n, z), envelope, out=envelope)
-    envelope *= amplitude * turn[n] * np.exp(1j * f_int)
+    envelope *= amplitude * turn[n]
     return WavePacket(grid, envelope, t=t)
 
 
@@ -176,8 +174,7 @@ def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
     envelope_b = _envelope(amplitude_b, phase_b, q.r_b)
     h_a, h_b = hermite_functions(n_max, z_a), hermite_functions(n_max, z_b)
     total = np.sum(h_a[:, 0] * h_b[:, 0] * _times_conj(turn_b, turn_a))
-    f_ab = integrate_coefficient(s.f, q.t_a, q.t_b) / s.hbar
-    return complex(_times_conj(envelope_b, envelope_a) * total * np.exp(1j * f_ab))
+    return complex(_times_conj(envelope_b, envelope_a) * total)
 
 
 def _times_conj(z, w):
@@ -296,8 +293,7 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     _check_time(s, packet.t, "packet.t")
     packet.require_dark_edges(1e-8, "invariant_expectation")
     t = packet.t
-    ps = particular_or_zero(s, part).at(t)
-    bs = basis.at(t)
+    bs, ps = _snapshots(basis, part, t)
     omega = abs(basis.omega)
     m = bs.mass
     a_c, _ = s.a.eval(t)

@@ -345,6 +345,35 @@ def test_every_command_rejects_non_finite_or_empty_fields_after_load(command, tm
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("options, message", [
+    (["kernel-scan", "--xp", "nan,0"], "particular initial data must be finite, not (nan, 0.0)"),
+    (["kernel-scan", "--xp", "0,nan"], "particular initial data must be finite, not (0.0, nan)"),
+    (["kernel-scan", "--xp", "1e308,0"],
+     "particular solution from (1e+308, 0.0) overflows on the interval"),
+    (["verify", "--xp", "inf,0"], "particular initial data must be finite, not (inf, 0.0)"),
+    (["kernel-scan", "--grid=-inf,10,2048"], "grid needs finite ends and span, not -inf, 10.0"),
+    (["kernel-scan", "--grid=-1e308,1e308,32"],
+     "grid needs finite ends and span, not -1e+308, 1e+308"),
+    (["kernel-scan", "--basis", "custom:nan,0,0,1"],
+     "basis initial data ((nan, 0.0), (0.0, 1.0)) give Omega = nan, not finite"),
+    (["kernel-scan", "--basis", "custom:0,inf,1,0"],
+     "basis initial data ((0.0, inf), (1.0, 0.0)) give Omega = -inf, not finite"),
+    (["kernel-scan", "--basis", "custom:1e200,0,0,1e200"],
+     "basis initial data ((1e+200, 0.0), (0.0, 1e+200)) give Omega = inf, not finite"),
+], ids=["xp-nan-x", "xp-nan-xdot", "xp-overflows", "verify-xp-inf", "grid-inf-end",
+        "grid-span-overflows", "basis-nan", "basis-inf", "basis-omega-overflows"])
+def test_non_finite_options_rejected_before_any_file(options, message, tmp_path, capsys):
+    # each once wrote an all-nan table with exit 0, ended in a traceback or
+    # called a basis with an infinite Wronskian linearly dependent
+    out = tmp_path / "out"
+    code = main([*options, "--scenario", str(SCENARIOS / "sho.json"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # each command takes --grid as given, where verify fits its grid to the modes
 # (grid_for); with the default grid and times these packets reach its edge
 DEFAULT_EDGE_FAILURES = [

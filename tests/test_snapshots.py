@@ -97,17 +97,19 @@ def test_joint_snapshots_are_the_separate_ones_to_the_bit(driven_sho):
     part = gho.solve_particular(s, (1.0, 0.0))
     other = gho.solve_particular(
         gho.load_scenario((ROOT / "scenarios" / "driven_sho.json").read_text()), (1.0, 0.0))
-    zero = gho.classical.particular_or_zero(gho.load_scenario(
-        (ROOT / "scenarios" / "sho.json").read_text()), None)
+    sho = gho.load_scenario((ROOT / "scenarios" / "sho.json").read_text())
+    sho_basis = gho.solve_homogeneous_basis(sho)
+    zero = gho.classical.particular_or_zero(sho, None)
     times = np.linspace(s.t0, s.t1, 37)
     # part shares basis's solve; other, solved on an equal scenario loaded
     # again, has its own
     assert part._fundamental is basis._fundamental
     assert other._fundamental is not basis._fundamental
-    for p in (part, other):
+    # part=None on a force-free scenario reads the zero solution
+    for b, p, given in ((basis, part, part), (basis, other, other), (sho_basis, zero, None)):
         for t in [*times.tolist(), times, np.array(1.3)]:
-            joint = gho.classical._snapshots(basis, p, t, isinstance(t, float))
-            for got, alone in zip(joint, (basis.at(t), p.at(t))):
+            joint = gho.classical._snapshots(b, given, t)
+            for got, alone in zip(joint, (b.at(t), p.at(t))):
                 assert type(got) is type(alone)
                 for f in dataclasses.fields(alone):
                     assert np.array_equal(getattr(got, f.name), getattr(alone, f.name))

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from gho import (GridSpec, KernelQuery, ValidationError, WavePacket, apply_U_F,
 from gho.packets import derivative, second_derivative
 
 from conftest import COUPLED, transformed_eigenstate
+from test_propagator import _propagate_records
 
 
 def hermite_series(n, y):
@@ -397,3 +399,55 @@ def test_invariant_with_gauge_couplings(coupling, grid):
             packet = eigenmode_packet(s, basis, part, n, t, grid)
             value = invariant_expectation(packet, basis, part, s)
             assert value == pytest.approx(n + 0.5, abs=1e-6)
+
+
+# f = A cos(w t + phase) + offset, and a step at t = 1 between t_a = 0.6 and
+# t_b = 1.5; each with its integral over [lo, hi] written out
+F_TIME_TERMS = {
+    "sinusoidal": ({"kind": "sinusoidal", "amplitude": 0.4, "omega": 1.7, "phase": 0.3,
+                    "offset": 0.1},
+                   lambda lo, hi: (0.4 / 1.7 * (math.sin(1.7 * hi + 0.3)
+                                                - math.sin(1.7 * lo + 0.3)) + 0.1 * (hi - lo))),
+    "piecewise": ({"kind": "piecewise", "breakpoints": [1.0], "values": [0.3, -0.5]},
+                  lambda lo, hi: (0.3 * (min(hi, 1.0) - min(lo, 1.0))
+                                  - 0.5 * (max(hi, 1.0) - max(lo, 1.0)))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(F_TIME_TERMS))
+def test_f_time_term_is_one_phase_from_the_right_reference_time(kind, caplog):
+    # f enters only as exp(i int f / hbar): from t0 for a mode, from t_a for
+    # a kernel or a hop. A constant f cannot tell the two apart; these can.
+    spec, integral = F_TIME_TERMS[kind]
+    base = {k: v for k, v in COUPLED.items() if k != "f"} | {"interval": [0.0, 4.0]}
+    solved = []
+    for s in (gho.scenario_from_dict(base), gho.scenario_from_dict(base | {"f": spec})):
+        solved.append((s, gho.solve_homogeneous_basis(s), gho.solve_particular(s, (0.4, -0.2))))
+    (s0, basis0, part0), (sf, basisf, partf) = solved
+    hbar, t0, t_a, t_b = s0.hbar, s0.t0, 0.6, 1.5
+    grid = GridSpec(-10.0, 10.0, 512)
+
+    def phase(lo, hi):
+        return np.exp(1j * integral(lo, hi) / hbar)
+
+    def assert_ratio(with_f, without_f, ratio):
+        with_f, without_f = np.asarray(with_f), np.asarray(without_f)
+        assert np.max(np.abs(with_f - ratio * without_f)) <= 1e-12 * np.max(np.abs(without_f))
+
+    for q in (KernelQuery(t_a, t_b, 0.3, -0.5), KernelQuery(t_b, t_a, -0.5, 0.3)):
+        assert_ratio(gho.kernel(sf, basisf, partf, q), gho.kernel(s0, basis0, part0, q),
+                     phase(q.t_a, q.t_b))
+        assert_ratio(mode_sum_kernel(sf, basisf, partf, 6, q),
+                     mode_sum_kernel(s0, basis0, part0, 6, q), phase(q.t_a, q.t_b))
+    for t in (t_a, t_b):
+        assert_ratio(eigenmode(sf, basisf, partf, 2, t, 0.7),
+                     eigenmode(s0, basis0, part0, 2, t, 0.7), phase(t0, t))
+        assert_ratio(eigenmode_packet(sf, basisf, partf, 1, t, grid).samples,
+                     eigenmode_packet(s0, basis0, part0, 1, t, grid).samples, phase(t0, t))
+    for start, stop in ((0.9, 1.1), (t_a, t_b)):
+        packet = eigenmode_packet(s0, basis0, part0, 1, start, grid)
+        with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+            with_f = propagate(packet, sf, basisf, partf, stop)
+        assert_ratio(with_f.samples, propagate(packet, s0, basis0, part0, stop).samples,
+                     phase(start, stop))
+    assert [record[0] for record in _propagate_records(caplog)] == ["factored", "chirp-z"]

@@ -2,11 +2,14 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 28 command lines in each tree: the six commands with their default
-options, and `verify --xp 1.0,0.0`, each on the four bundled scenarios. The
-revision is exported with `git archive` into a temporary directory, and both
-trees read the working tree's scenario files. Each run is `python -m gho`
-with that tree's `src` on PYTHONPATH, in a fresh temporary directory.
+Runs 35 command lines in each tree: the six commands with their default
+options, and `verify --xp 1.0,0.0`, each on the four bundled scenarios and on
+the coupled scenario of tests/conftest.py (a, b and f nonzero, M = 1.3,
+hbar = 0.7), the one that reaches the gauge phase. The revision is exported
+with `git archive` into a temporary directory. Both trees read the working
+tree's scenario files, and the coupled one is written into the temporary
+directory. Each run is `python -m gho` with that tree's `src` on
+PYTHONPATH, in a fresh temporary directory.
 
 Prints every exit code, stdout, stderr or output file that differs. When two
 texts differ only in their numbers, it prints the largest absolute
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import math
 import os
 import re
@@ -28,7 +32,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCENARIOS = ("sho", "free_particle", "parametric", "driven_sho")
+SCENARIOS = ("sho", "free_particle", "parametric", "driven_sho", "coupled")
+# tests/conftest.py's COUPLED: no bundled scenario sets a, b or f
+COUPLED = {"hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0],
+           "a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0, "phase": 0.5},
+           "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 1.3}}
 COMMANDS = (("verify",), ("kernel-scan",), ("evolve",), ("modes",), ("invariant",),
             ("coherent",), ("verify", "--xp", "1.0,0.0"))
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
@@ -43,13 +51,12 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
-def run(tree: Path, command, scenario: str, workdir: Path) -> dict:
+def run(tree: Path, command, scenario: Path, workdir: Path) -> dict:
     """Exit code, stdout, stderr and every written file of one command line."""
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run(
-        [sys.executable, "-m", "gho", *command,
-         "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", "out"],
+        [sys.executable, "-m", "gho", *command, "--scenario", str(scenario), "--out", "out"],
         cwd=workdir, env=env, capture_output=True, text=True)
     out = workdir / "out"
     files = {str(p.relative_to(out)): p.read_text() for p in sorted(out.rglob("*"))
@@ -114,10 +121,14 @@ def main(argv=None) -> int:
     differing, grave = 0, False
     with tempfile.TemporaryDirectory() as tmp:
         parent = export(args.rev, Path(tmp) / "parent")
+        paths = {name: ROOT / "scenarios" / f"{name}.json" for name in SCENARIOS}
+        paths["coupled"] = Path(tmp) / "coupled.json"
+        paths["coupled"].write_text(json.dumps(COUPLED))
         for command in COMMANDS:
             for scenario in SCENARIOS:
                 label = f"{' '.join(command)} {scenario}"
-                runs = [run(tree, command, scenario, Path(tmp) / side / label.replace(" ", "_"))
+                runs = [run(tree, command, paths[scenario],
+                            Path(tmp) / side / label.replace(" ", "_"))
                         for tree, side in ((parent, "old"), (ROOT, "new"))]
                 lines, serious = compare(label, *runs)
                 differing += bool(lines)
