@@ -473,7 +473,13 @@ def run_kernel_scan(args) -> int:
         ctx.grid.x_min, ctx.grid.x_max, 21)
     co = propagator.kernel_coefficients(s, ctx.basis, ctx.part, t_a, t_b)
     x_a, x_b = (mesh.ravel() for mesh in np.meshgrid(positions, positions, indexing="ij"))
-    vals = co.value(x_a, x_b)
+    with np.errstate(all="ignore"):  # an overflow is rejected below, not warned of
+        vals = co.value(x_a, x_b)
+    if not np.all(np.isfinite(vals)):
+        what = (f"phase at |x| up to {np.max(np.abs(positions)):g}"
+                if np.isfinite(co.prefactor) else "constant phase")
+        raise ValidationError(f"kernel from t_a={t_a} to t_b={t_b} overflows: "
+                              f"its {what} is not finite")
     rows = zip(np.full_like(x_a, t_a), x_a, np.full_like(x_a, t_b), x_b, vals.real,
                vals.imag, np.abs(vals), np.arctan2(vals.imag, vals.real))
     _write_table_csv(ctx.outfile("kernel_scan.csv"),

@@ -270,12 +270,16 @@ def grid_phase(alpha: float, beta: float, gamma: float, x0: float, dx: float,
 def spectral_phase(alpha: float, beta: float, n: int, dx: float) -> np.ndarray:
     """exp(i (alpha k^2 + beta k)) at the angular frequencies
     k = 2 pi fftfreq(n, dx) of an FFT of n samples spaced dx, in FFT order.
-    Each half of that order, the frequencies from 0 up and those from the
-    most negative up, is a uniform grid of k: one grid_phase each."""
+    Each half of that order is a uniform grid of k formed from k = 0
+    outward, one grid_phase each: 0, step, 2 step, ... and -step, -2 step,
+    ..., the latter reversed. A phase near k = 0 is then made from terms of
+    its own size, not from the cancellation of terms of alpha k_max^2."""
     step = 2.0 * math.pi / (n * dx)
     low = (n + 1) // 2
-    return np.concatenate((grid_phase(alpha, beta, 0.0, 0.0, step, low),
-                           grid_phase(alpha, beta, 0.0, -(n // 2) * step, step, n // 2)))
+    out = np.empty(n, dtype=np.complex128)
+    out[:low] = grid_phase(alpha, beta, 0.0, 0.0, step, low)
+    out[low:] = grid_phase(alpha, beta, 0.0, -step, -step, n // 2)[::-1]
+    return out
 
 
 def czt(h, m: int, angle: float) -> np.ndarray:

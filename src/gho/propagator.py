@@ -31,6 +31,16 @@ chirp-z transform, regular at A = 0, on as many points as the trapezoid
 rule's aliasing bound asks (see _quadrature_size): the packet's own grid on
 most hops, its trigonometric interpolant read at that many points on the rest.
 
+That Nyquist-band test assumes content up to pi/dx. A hop whose dilation is
+the identity is one FFT multiply on a periodic grid, exact unless the packet
+wraps around, so when the test fails there the packet decides: the FFT of
+the gauge-reduced packet (the Fresnel step's first transform) gives the
+signed band [k_lo, k_hi] of its modes above PACKET_BOX_RTOL of their peak,
+the samples above it give the support, and the factored form goes on with
+that spectrum when the box moved by hbar (B/A) k stays inside [x_min,
+x_max]; else the hop takes the chirp-z form. The DEBUG line of each hop
+names the test that chose its form.
+
 Every phase either form puts on a grid (the gauge phase, the kernel's
 chirps, the Fresnel transfer on each half of the FFT order) is a quadratic
 in the grid index, evaluated from its coefficients by packets.grid_phase;
@@ -69,6 +79,9 @@ __all__ = [
 
 # caustic trigger: |D| below this times the basis scale at the two endpoints
 CAUSTIC_RTOL = 1e-12
+# a sample or an FFT mode of a packet belongs to its phase-space box when
+# its modulus is above this fraction of the largest one (see propagate)
+PACKET_BOX_RTOL = 1e-13
 _EQUAL_TIMES = "equal-time kernel is a delta function; probe it via kernel_delta_check"
 # numpy's elementwise functions that the kernel formulas use, under the same
 # names for Python floats: a scalar query runs the one copy of the formulas
@@ -395,6 +408,28 @@ def _quadrature_size(co: KernelCoefficients, grid):
     return max(needed, grid.n_points)
 
 
+def _moved_box(samples, spectrum, shear, grid):
+    """x-extent [lo, hi] of the packet's phase-space box after the shear
+    x -> x + shear k: the box spans the samples and the signed FFT modes
+    above PACKET_BOX_RTOL of their peak (spectrum in FFT order)."""
+    n = grid.n_points
+    support = _first_last(np.abs(samples))
+    # the modes in signed order, k = (j - n//2) 2 pi / (n dx) at index j
+    low = (n + 1) // 2
+    modulus = np.abs(spectrum)
+    band = _first_last(np.concatenate((modulus[low:], modulus[:low])))
+    k_lo, k_hi = ((j - n // 2) * 2.0 * math.pi / (n * grid.dx) for j in band)
+    moves = (shear * k_lo, shear * k_hi)
+    return (grid.x_min + support[0] * grid.dx + min(moves),
+            grid.x_min + support[1] * grid.dx + max(moves))
+
+
+def _first_last(modulus):
+    """First and last index of the entries above PACKET_BOX_RTOL of the peak."""
+    above = modulus > PACKET_BOX_RTOL * modulus.max()
+    return int(above.argmax()), len(above) - 1 - int(above[::-1].argmax())
+
+
 def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
               t_b: float) -> WavePacket:
     """Propagate a packet to t_b in one hop, in the factored or the chirp-z
@@ -410,23 +445,41 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     at_b, xp_b = _snapshots(basis, part, t_b)
     big_a, big_b, big_c, _ = _hop_matrix(basis.omega, at_a, at_b)
     sfft = _scipy_fft()
-    if hbar * abs(big_b) * math.pi / grid.dx > abs(big_a) * grid.n_points * grid.dx:
+    n = grid.n_points
+    # the dilation x -> x_p(t_a) + (x - x_p(t_b)) / A maps the grid onto
+    # itself when A = 1 and x_p does not move (every free-particle hop)
+    resample = big_a != 1.0 or xp_a.x != xp_b.x
+    nyquist = hbar * abs(big_b) * math.pi / grid.dx <= abs(big_a) * n * grid.dx
+    test, spectrum = "Nyquist band", None
+    if nyquist or not resample:
+        alpha, beta, gamma = gauge_coefficients(s, at_a.mass, xp_a, t_a)
+        reduced = grid_phase(-alpha, -beta, -gamma, grid.x_min, grid.dx, n)
+        reduced = np.multiply(packet.samples, reduced, out=reduced)
+        if resample:
+            reduced = evaluate_trig_interpolant(packet.with_samples(reduced),
+                                                xp_a.x + (grid.points - xp_b.x) / big_a)
+        spectrum = sfft.fft(reduced, overwrite_x=True)
+        if not nyquist:
+            # |reduced| is |packet|: the box reads the support off the samples
+            lo, hi = _moved_box(packet.samples, spectrum, hbar * big_b / big_a, grid)
+            fits = grid.x_min <= lo and hi <= grid.x_max
+            test = f"packet box [{lo:.6g}, {hi:.6g}] {'fits' if fits else 'leaves the grid'}"
+            if not fits:
+                spectrum = None
+    if spectrum is None:
         x = grid.points
         co = kernel_coefficients(s, basis, part, t_a, t_b)
         m = _quadrature_size(co, grid)
-        if m > grid.n_points:
+        if m > n:
             m = sfft.next_fast_len(m)
             ys, g = upsample_periodic(packet, m)
         else:  # the packet's own grid: the sum reads the samples as they are
             ys, g = x, packet.samples
-        _log.debug("propagate %.6g -> %.6g: chirp-z form, A %.6e, B %.6e, "
-                   "%d quadrature points", t_a, t_b, big_a, big_b, m)
+        _log.debug("propagate %.6g -> %.6g: chirp-z form (%s), A %.6e, B %.6e, "
+                   "%d quadrature points", t_a, t_b, test, big_a, big_b, m)
         return WavePacket(grid, _lct_apply(co, ys, g, ys[1] - ys[0], x), t_b)
-    # the dilation x -> x_p(t_a) + (x - x_p(t_b)) / A maps the grid onto
-    # itself when A = 1 and x_p does not move (every free-particle hop)
-    resample = big_a != 1.0 or xp_a.x != xp_b.x
-    _log.debug("propagate %.6g -> %.6g: factored form, A %.6e, B %.6e, %s",
-               t_a, t_b, big_a, big_b,
+    _log.debug("propagate %.6g -> %.6g: factored form (%s), A %.6e, B %.6e, %s",
+               t_a, t_b, test, big_a, big_b,
                "dilation resampled" if resample else "dilation is the identity")
     # the metaplectic phase: -pi/4 - m pi/2 from the kernel (conjugated going
     # backward) less the -pi/4 sgn(A B) the Fresnel factor carries; it is
@@ -435,16 +488,8 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     morse = _morse_count(at_a, at_b, big_b, _FLOATS)
     phi = sigma * (-0.25 * math.pi - 0.5 * math.pi * morse
                    + 0.25 * math.pi * math.copysign(1.0, big_a) * (-1) ** morse)
-    n = grid.n_points
-    alpha, beta, gamma = gauge_coefficients(s, at_a.mass, xp_a, t_a)
-    reduced = grid_phase(-alpha, -beta, -gamma, grid.x_min, grid.dx, n)
-    reduced = np.multiply(packet.samples, reduced, out=reduced)
-    if resample:
-        reduced = evaluate_trig_interpolant(packet.with_samples(reduced),
-                                            xp_a.x + (grid.points - xp_b.x) / big_a)
-    fresnel = sfft.fft(reduced, overwrite_x=True)
-    fresnel *= spectral_phase(-0.5 * hbar * big_a * big_b, 0.0, n, grid.dx)
-    fresnel = sfft.ifft(fresnel, overwrite_x=True)
+    spectrum *= spectral_phase(-0.5 * hbar * big_a * big_b, 0.0, n, grid.dx)
+    fresnel = sfft.ifft(spectrum, overwrite_x=True)
     # phi + C X^2 / (2 hbar A) + G(t_b, x) + int f / hbar, X = x - x_p(t_b)
     f_int = integrate_coefficient(s.f, t_a, t_b)
     chirp = big_c / (2.0 * hbar * big_a)

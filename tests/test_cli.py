@@ -427,6 +427,25 @@ def test_verify_overflowing_coefficient_exits_two_in_time(tmp_path):
     assert "not finite" in done.stderr
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--grid=-1e200,1e200,32", "its phase at |x| up to 1e+200 is not finite"),
+    ("--xp=1e154,0", "its constant phase is not finite"),
+], ids=["grid-squares-overflow", "xp-squares-overflow"])
+def test_kernel_scan_rejects_a_kernel_that_overflows(option, message, tmp_path):
+    # finite inputs whose squares overflow the kernel's phase: the table was
+    # all nan, with exit 0 and numpy's overflow warnings on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "gho", "kernel-scan", option, "--scenario",
+                           str(SCENARIOS / "sho.json"), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: kernel from t_a=0.0 to t_b=6.0 overflows: {message}\n"
+    assert not any(out.iterdir())
+
+
 def test_verify_overflowing_hamiltonian_exits_two(tmp_path, capsys):
     # a = 1e154 is finite, the x^2 coefficient c = w^2 + 4 a^2 - ... of H is not
     path = tmp_path / "a_huge.json"

@@ -13,7 +13,8 @@ from conftest import COUPLED
 import gho
 from gho import GridSpec, ValidationError, WavePacket, sho_eigenstate
 from gho.packets import (_trapezoid_inner, czt, derivative, evaluate_trig_interpolant,
-                         quadratic_phase, second_derivative, upsample_periodic)
+                         quadratic_phase, second_derivative, spectral_phase,
+                         upsample_periodic)
 from gho.propagator import _lct_apply, kernel_coefficients
 
 
@@ -209,6 +210,32 @@ def test_quadratic_phase_is_as_accurate_as_exp(n):
                 error = np.hypot((got.real - np.cos(phase)).astype(float),
                                  (got.imag - np.sin(phase)).astype(float))
                 assert np.max(error, initial=0.0) <= PHASE_ERROR_BOUND * unit, (a, b, c)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps / 100,
+                    reason="the reference needs a long double wider than double")
+@pytest.mark.parametrize("n", [2048, 2049, 9000])
+@pytest.mark.parametrize("beta", [37.0, -250.0])
+def test_spectral_phase_is_accurate_near_k0_in_both_halves(n, beta):
+    # alpha k_max^2 = 1e6 rad. quadratic_phase forms the phase at each k
+    # from terms of at most its block size B times |alpha k^2|, plus
+    # |beta k|; the error there is a few ulp of those terms, and near k = 0
+    # they are small. Built from the most negative k up, the negative half
+    # read up to 4e5 such ulp near k = 0 (terms of 1e6 rad cancelling).
+    dx = 0.01
+    step = 2.0 * np.pi / (n * dx)
+    alpha = 1e6 / ((n // 2) * step) ** 2
+    got = spectral_phase(alpha, beta, n, dx)
+    k = np.fft.fftfreq(n, 1.0 / n).astype(np.longdouble) * np.longdouble(step)
+    phase = (np.longdouble(alpha) * k + np.longdouble(beta)) * k
+    error = np.hypot((got.real - np.cos(phase)).astype(float),
+                     (got.imag - np.sin(phase)).astype(float))
+    block = 1 << ((n // 2).bit_length() // 2)
+    terms = 1.0 + block * np.abs(alpha * k * k).astype(float) + np.abs(beta * k).astype(float)
+    ulps = error / (np.finfo(float).eps * terms)
+    low = (n + 1) // 2
+    assert np.max(ulps[:low]) <= 4.0 and np.max(ulps[low:]) <= 4.0
+    assert np.max(ulps[np.abs(k) <= 20 * step]) <= 4.0
 
 
 def _bluestein(h, m, angle):

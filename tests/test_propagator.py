@@ -467,36 +467,123 @@ def test_propagate_focal_landing_with_strong_dilation(grid):
 
 
 def _propagate_records(caplog):
-    """(form, A, B, quadrature points or None) of each propagate record."""
-    pattern = (r"(\S+) form, A (\S+), B (\S+)"
+    """(form, the test that chose it, A, B, quadrature points or None) of
+    each propagate record."""
+    pattern = (r"(\S+) form \((.+)\), A (\S+), B (\S+)"
                r"(?:, (\d+) quadrature points|, dilation (?:resampled|is the identity))$")
     out = []
     for record in caplog.records:
         if record.name == "gho.propagator" and record.getMessage().startswith("propagate"):
-            form, big_a, big_b, points = re.search(pattern, record.getMessage()).groups()
-            out.append((form, float(big_a), float(big_b), points and int(points)))
+            form, test, big_a, big_b, points = re.search(pattern, record.getMessage()).groups()
+            out.append((form, test, float(big_a), float(big_b), points and int(points)))
     return out
 
 
-def test_propagate_logs_form_and_hop_matrix(sho, sho_basis, grid, caplog):
+def test_propagate_logs_form_and_hop_matrix(sho, sho_basis, free, free_basis, grid, caplog):
     packet = sho_eigenstate(0, grid)
+    wide, narrow = gho.GridSpec(-30.0, 30.0, 2048), gho.GridSpec(-10.0, 10.0, 512)
     with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
         propagate(packet, sho, sho_basis, None, 1e-3)
         propagate(packet, sho, sho_basis, None, 1.0)
-    (short, long) = _propagate_records(caplog)
-    assert short[0] == "factored" and short[3] is None
-    assert short[1:3] == pytest.approx((np.cos(1e-3), np.sin(1e-3)), rel=1e-6)
-    assert long[0] == "chirp-z" and long[3] >= grid.n_points
-    assert long[1:3] == pytest.approx((np.cos(1.0), np.sin(1.0)), rel=1e-6)
+        # free hops with B = 2 > N dx^2 / (hbar pi): the Nyquist test fails
+        # on both grids, and the packet's box decides
+        propagate(sho_eigenstate(0, wide), free, free_basis, None, 2.0)
+        propagate(sho_eigenstate(0, narrow).with_samples(
+            sho_eigenstate(0, narrow).samples * np.exp(4j * narrow.points)),
+            free, free_basis, None, 2.0)
+    (short, long, fits, leaves) = _propagate_records(caplog)
+    assert short[:2] == ("factored", "Nyquist band") and short[4] is None
+    assert short[2:4] == pytest.approx((np.cos(1e-3), np.sin(1e-3)), rel=1e-6)
+    assert long[:2] == ("chirp-z", "Nyquist band") and long[4] >= grid.n_points
+    assert long[2:4] == pytest.approx((np.cos(1.0), np.sin(1.0)), rel=1e-6)
+    box = r"packet box \[(\S+), (\S+)\] "
+    assert fits[0] == "factored" and fits[2:4] == (1.0, 2.0)
+    lo, hi = map(float, re.fullmatch(box + "fits", fits[1]).groups())
+    # the ground state's support above 1e-13 of its peak (|x| < 7.7) widens
+    # by its band (|k| < 7.7) times hbar B = 2
+    assert wide.x_min < lo < -20.0 and 20.0 < hi < wide.x_max and lo == pytest.approx(-hi)
+    assert leaves[0] == "chirp-z" and leaves[4] == narrow.n_points
+    lo, hi = map(float, re.fullmatch(box + "leaves the grid", leaves[1]).groups())
+    # boosted to k = 4: the box's middle moves right by hbar B 4 = 8, and
+    # it leaves past x_max
+    assert (lo + hi) / 2.0 == pytest.approx(8.0, abs=0.5) and hi > narrow.x_max
 
 
 def test_propagate_quarter_period_takes_chirp_z(sho, sho_basis, grid, caplog):
     # A = cos(pi/2) = 0: the dilation is singular, the kernel quadrature is not
     with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
         error = _hop_error("sho", 2, 0.3, 0.3 + np.pi / 2, grid)
-    ((form, big_a, _, _),) = _propagate_records(caplog)
+    ((form, _, big_a, _, _),) = _propagate_records(caplog)
     assert form == "chirp-z" and abs(big_a) < 1e-9
     assert error < 1e-8
+
+
+def _free_half_hbar(ics):
+    """The free particle at hbar = 0.5 on [0, 5], with the basis ics (None:
+    u = 1, v = t, narrowest at t = 0)."""
+    s = gho.scenario_from_dict({"frequency": 0.0, "hbar": 0.5, "interval": [0.0, 5.0]})
+    return s, gho.solve_homogeneous_basis(s, ics), gho.solve_particular(s)
+
+
+def _boosted_mode(s, basis, part, n, t, grid, boost):
+    return gho.eigenmode_packet(s, basis, part, n, t, grid).samples * np.exp(
+        1j * boost * grid.points / s.hbar)
+
+
+# forward from the default basis's narrowest time; backward from that of
+# u = 1, v = t - 5 (narrowest at t = 5): B = +-4.5, far past the Nyquist band
+@pytest.mark.parametrize("t_a, t_b, ics", [(0.3, 4.8, None),
+                                           (4.8, 0.3, ((1.0, 0.0), (-5.0, 1.0)))])
+def test_free_hop_at_large_b_takes_the_factored_form(t_a, t_b, ics, monkeypatch, caplog):
+    s, basis, part = _free_half_hbar(ics)
+    # (-10, 10, 2048) widened by rho sqrt(hbar) as packet-hops widens it
+    rho = max(float(basis.at(t).rho) for t in np.linspace(min(t_a, t_b), max(t_a, t_b), 33))
+    factor = rho * math.sqrt(s.hbar)
+    grid = gho.GridSpec(-10.0 * factor, 10.0 * factor, math.ceil(2048 * factor / 256) * 256)
+    boost, big_t = 0.1, t_b - t_a
+    packet = WavePacket(grid, _boosted_mode(s, basis, part, 3, t_a, grid, boost), t_a)
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        moved = propagate(packet, s, basis, part, t_b)
+        # a zero threshold puts every sample and mode in the box, which
+        # then leaves the grid: the chirp-z form of the same hop
+        monkeypatch.setattr(gho.propagator, "PACKET_BOX_RTOL", 0.0)
+        chirp_z = propagate(packet, s, basis, part, t_b)
+    (factored, fallback) = _propagate_records(caplog)
+    assert factored[0] == "factored" and factored[1].endswith(" fits")
+    assert factored[2:4] == (1.0, big_t)
+    assert fallback[0] == "chirp-z" and fallback[1].endswith(" leaves the grid")
+    # the mode spreads about x = boost T and picks up the boost's phase
+    shifted = gho.GridSpec(grid.x_min - boost * big_t, grid.x_max - boost * big_t,
+                           grid.n_points)
+    exact = _boosted_mode(s, basis, part, 3, t_b, shifted, 0.0) * np.exp(
+        1j * boost * grid.points / s.hbar - 0.5j * boost * boost * big_t / s.hbar)
+    assert np.max(np.abs(moved.samples - exact)) <= 1e-11
+    assert np.max(np.abs(moved.samples - chirp_z.samples)) <= 1e-11
+
+
+def test_free_hop_whose_box_leaves_the_grid_takes_chirp_z(monkeypatch, caplog):
+    # the boosted mode moves by 2.4 and spreads by a factor of 4.2 on a grid
+    # that is not widened: the Fresnel FFT pair would wrap it around
+    s, basis, part = _free_half_hbar(None)
+    grid = gho.GridSpec(-10.0, 10.0, 2048)
+    t_a, t_b, boost = 0.3, 4.3, 0.6
+    packet = WavePacket(grid, _boosted_mode(s, basis, part, 3, t_a, grid, boost), t_a)
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        moved = propagate(packet, s, basis, part, t_b)
+        monkeypatch.setattr(gho.propagator, "PACKET_BOX_RTOL", 0.0)
+        chirp_z = propagate(packet, s, basis, part, t_b)
+    ((form, test, _, _, _), _) = _propagate_records(caplog)
+    assert form == "chirp-z" and test.endswith(" leaves the grid")
+    assert np.max(np.abs(moved.samples - chirp_z.samples)) <= 1e-15
+    shifted = gho.GridSpec(-10.0 - boost * (t_b - t_a), 10.0 - boost * (t_b - t_a), 2048)
+    exact = _boosted_mode(s, basis, part, 3, t_b, shifted, 0.0) * np.exp(
+        1j * boost * grid.points / s.hbar - 0.5j * boost * boost * (t_b - t_a) / s.hbar)
+    assert np.max(np.abs(moved.samples - exact)) <= 1e-11
+    # the periodic Fresnel pair on the same grid (A = 1, no gauge phase)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.dx)
+    wrapped = np.fft.ifft(np.fft.fft(packet.samples)
+                          * np.exp(-0.5j * s.hbar * (t_b - t_a) * k * k))
+    assert np.max(np.abs(wrapped - exact)) > 1e-3
 
 
 def test_free_particle_hop_resamples_nothing(free, free_basis, monkeypatch, caplog):
@@ -519,7 +606,7 @@ def test_free_particle_hop_resamples_nothing(free, free_basis, monkeypatch, capl
     with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
         moved = propagate(packet, free, free_basis, None, t_a + big_t)
     assert calls == []
-    ((form, big_a, _, _),) = _propagate_records(caplog)
+    ((form, _, big_a, _, _),) = _propagate_records(caplog)
     assert form == "factored" and big_a == 1.0
     assert caplog.records[-1].getMessage().endswith("dilation is the identity")
     assert np.max(np.abs(moved.samples - resampled.samples)) <= 1e-13
@@ -722,7 +809,7 @@ def test_chirp_z_quadrature_size_has_converged(name, t_a, t_b, n_points, size, c
     co = kernel_coefficients(s, basis, part, t_a, t_b)
     with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
         moved = propagate(packet, s, basis, part, t_b)
-    ((form, _, _, points),) = _propagate_records(caplog)
+    ((form, _, _, _, points),) = _propagate_records(caplog)
     assert form == "chirp-z" and points == size
     assert _quadrature_size(co, grid) == size
     ys, g = upsample_periodic(packet, 4 * size)
