@@ -22,11 +22,11 @@ from .errors import CausticEncountered, GhoError, GridTooNarrow, ParseError, Val
 from .packets import GridSpec, WavePacket, inner_product, l2_distance, mean_x, packet_norm, var_x
 
 _SEED = 20240801
-# verify's evolver checks take half of grid_for's points, whose spacing shrinks
-# as 1 / r with the mode's momentum spread r, and a fine step of
-# 1e-2 / round(r)^2, so their cost grows about as r^3: sho at spread 3
-# (custom:0.14,0,0,1.5, 11,008 points) evolves in 2.2-2.7 s on a 2-core
-# machine. They run only up to round(r) = 3
+_BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the modes
+# verify's evolver checks take half of _fit_grid's points, spaced as 1 / r in
+# the modes' momentum spread r, and a fine step of 1e-2 / round(r)^2, so they
+# cost about r^3: sho at spread 3 (custom:0.14,0,0,1.5, 11,008 points) evolves
+# in 2.2-2.7 s on a 2-core machine. They run only up to round(r) = 3
 _EVOLVER_MAX_SPREAD = 3
 
 
@@ -108,12 +108,36 @@ def _write_table_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _mode_scales(s: Scenario, basis, base: GridSpec, times):
+    """(widen, refine) of the modes at the times: the mode width
+    rho sqrt(hbar/|Omega|) and the momentum spread M |(u', v')| / sqrt(hbar |Omega|),
+    each relative to the oscillator's own modes at hbar = 1 and at least 1. A
+    factor that would move base by less than one spacing is solver noise and reads 1."""
+    bs = basis.at(np.asarray(times, dtype=float))
+    omega = abs(basis.omega)
+    widen = max(1.0, float(np.max(bs.rho)) * math.sqrt(s.hbar / omega))
+    refine = max(1.0, float(np.max(bs.mass * np.hypot(bs.u_dot, bs.v_dot)))
+                 / math.sqrt(s.hbar * omega))
+    return tuple(f if (f - 1.0) * base.n_points >= 1.0 else 1.0 for f in (widen, refine))
+
+
+def _fit_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
+    """base widened by the modes' width and with N refined by their momentum
+    spread at the times (_mode_scales), N rounded up to a multiple of 256."""
+    widen, refine = _mode_scales(s, basis, base, times)
+    if widen == refine == 1.0:
+        return base
+    n = int(math.ceil(base.n_points * widen * refine / 256.0)) * 256
+    return GridSpec(base.x_min * widen, base.x_max * widen, n)
+
+
 class _Context:
     """Scenario, grid and solved classical data shared by the subcommands."""
 
     def __init__(self, args):
         self.scenario = load_scenario(Path(args.scenario).read_text())
-        self.grid = _parse_grid(args.grid)
+        self.fitted = args.grid is None
+        self.grid = _BASE_GRID if self.fitted else _parse_grid(args.grid)
         self.basis = classical.solve_homogeneous_basis(self.scenario, _parse_basis(args.basis))
         self.part = classical.solve_particular(self.scenario, _parse_xp(args.xp))
         self.out = Path(args.out) if args.out else None
@@ -123,6 +147,14 @@ class _Context:
     def outfile(self, name) -> Path:
         base = self.out if self.out is not None else Path(".")
         return base / name
+
+    def packet_grid(self, times) -> GridSpec:
+        """--grid as given, or else the default grid fitted over the times
+        clipped to the interval (a time outside is the command's to reject)."""
+        if not self.fitted:
+            return self.grid
+        s = self.scenario
+        return _fit_grid(s, self.basis, self.grid, np.clip(times, s.t0, s.t1))
 
 
 def _interior_times(s: Scenario, fractions):
@@ -158,28 +190,6 @@ def _verify_checks(ctx):
     hbar = s.hbar
     rng = np.random.default_rng(_SEED)
     span = s.t1 - s.t0
-
-    def mode_scales(times):
-        """(widen, refine) of the modes at the times used: the mode width
-        rho sqrt(hbar/|Omega|) and the momentum spread
-        M |(u', v')| / sqrt(hbar |Omega|), each relative to the oscillator's
-        own modes at hbar = 1 and at least 1. A factor that would move the
-        base grid by less than one spacing is solver noise and reads 1."""
-        bs = basis.at(np.asarray(times, dtype=float))
-        omega = abs(basis.omega)
-        widen = max(1.0, float(np.max(bs.rho)) * math.sqrt(hbar / omega))
-        refine = max(1.0, float(np.max(bs.mass * np.hypot(bs.u_dot, bs.v_dot)))
-                     / math.sqrt(hbar * omega))
-        return tuple(f if (f - 1.0) * grid.n_points >= 1.0 else 1.0 for f in (widen, refine))
-
-    def grid_for(*times):
-        """Base grid widened by the modes' width and with N refined by their
-        momentum spread (see mode_scales), N rounded up to a multiple of 256."""
-        widen, refine = mode_scales(times)
-        if widen == refine == 1.0:
-            return grid
-        n = int(math.ceil(grid.n_points * widen * refine / 256.0)) * 256
-        return GridSpec(grid.x_min * widen, grid.x_max * widen, n)
 
     def wronskian_constancy():
         ts = np.linspace(s.t0, s.t1, 201)
@@ -294,7 +304,7 @@ def _verify_checks(ctx):
 
     def residual_modes():
         t_val = s.t0 + 0.4 * span
-        wide = grid_for(t_val)
+        wide = _fit_grid(s, basis, grid, [t_val])
         worst = 0.0
         for n in range(4):
             def field(t, x, n=n):
@@ -306,7 +316,7 @@ def _verify_checks(ctx):
 
     def mode_orthonormality():
         t_val = s.t0 + 0.3 * span
-        wide = grid_for(t_val)
+        wide = _fit_grid(s, basis, grid, [t_val])
         packets = [states.eigenmode_packet(s, basis, part, n, t_val, wide)
                    for n in range(8)]
         gram = np.array([[inner_product(pm, pn) for pn in packets] for pm in packets])
@@ -314,18 +324,18 @@ def _verify_checks(ctx):
 
     def unitary_norms():
         t_val = s.t0 + 0.25 * span
-        g0 = states.sho_eigenstate(0, grid_for(t_val), hbar)
+        g0 = states.sho_eigenstate(0, _fit_grid(s, basis, grid, [t_val]), hbar)
         dev = abs(packet_norm(states.apply_U_F(g0, part, s, t_val)) - 1.0)
         dev = max(dev, abs(packet_norm(states.apply_U_S(g0, basis, s, t_val)) - 1.0))
         return dev
 
     @functools.cache
     def coherent_states():
-        """(t, the n = 0 coherent state at t on grid_for(t)) at 0.1, 0.3 and
-        0.5 of the interval: coherent_tracking and squeezed_variance read
-        these three packets."""
-        return [(t_val, states.build_generalized_coherent_state(s, basis, part, 0, t_val,
-                                                                grid_for(t_val)))
+        """(t, the n = 0 coherent state at t on the grid fitted at t) at 0.1,
+        0.3 and 0.5 of the interval: coherent_tracking and squeezed_variance
+        read these three packets."""
+        return [(t_val, states.build_generalized_coherent_state(
+                    s, basis, part, 0, t_val, _fit_grid(s, basis, grid, [t_val])))
                 for t_val in _interior_times(s, (0.1, 0.3, 0.5))]
 
     def coherent_tracking():
@@ -343,7 +353,7 @@ def _verify_checks(ctx):
 
     def invariant_eigenmode():
         t_val = s.t0 + 0.2 * span
-        wide = grid_for(t_val)
+        wide = _fit_grid(s, basis, grid, [t_val])
         worst = 0.0
         for n in range(3):
             packet = states.eigenmode_packet(s, basis, part, n, t_val, wide)
@@ -357,12 +367,9 @@ def _verify_checks(ctx):
         through the drift check's four legs and, when it is not one of them,
         evolver_vs_kernel's stop t0 + min(1, 0.8 span): both checks read this
         one evolution. Returns the start packet, the leg times, the kernel
-        stop and the evolved packet at each stop.
-
-        The evolver's grid has the extent of grid_for over the five drift
-        times and half its points. The evolver's spatial error falls as dx^4,
-        so at twice grid_for's spacing it is about the size of the time error
-        of the fine step below rather than far under it."""
+        stop and the evolved packet at each stop. The evolver's grid is
+        _fit_grid's over the five drift times with half its points: its dx^4
+        spatial error is then about the fine step's time error, not far under."""
         horizon = s.t0 + min(2.0, 0.8 * span)
         legs = [float(t) for t in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4)]
         stop = s.t0 + min(1.0, 0.8 * span)
@@ -372,11 +379,11 @@ def _verify_checks(ctx):
         times = np.linspace(s.t0, horizon, 5)
         # the mode's phase rates grow with its momentum spread as well, and
         # the evolver's time error with them: fine steps of 1e-2 / round(spread)^2
-        spread = round(mode_scales(times)[1])
+        spread = round(_mode_scales(s, basis, grid, times)[1])
         if spread > _EVOLVER_MAX_SPREAD:
             raise GridTooNarrow(f"momentum spread rounds to {spread}, beyond the "
                                 f"evolver's resolved {_EVOLVER_MAX_SPREAD}")
-        wide = grid_for(*times)
+        wide = _fit_grid(s, basis, grid, times)
         coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 2)
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
         cfg = oracle.EvolverConfig(dt=1e-2 / spread ** 2)
@@ -410,7 +417,8 @@ def _verify_checks(ctx):
         return abs(value - reference) / abs(reference)
 
     def delta_limit():
-        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, grid_for(s.t0))
+        wide = _fit_grid(s, basis, grid, [s.t0])
+        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, wide)
         return propagator.kernel_delta_check(s, basis, part, s.t0, 1e-3, packet)
 
     yield "wronskian_constancy", 1e-6, wronskian_constancy
@@ -492,8 +500,10 @@ def run_evolve(args) -> int:
     s = ctx.scenario
     times = _parse_times(args.times) if args.times else _interior_times(s, (0.0, 0.5, 1.0))
     cfg = oracle.EvolverConfig(dt=args.dt)
+    # evolve_tdse reads the edges only on entry: fit over the whole span crossed
+    grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))
     evolved = [states.build_generalized_coherent_state(s, ctx.basis, ctx.part, 0,
-                                                       times[0], ctx.grid)]
+                                                       times[0], grid)]
     for t_end in times[1:]:
         evolved.append(oracle.evolve_tdse(s, evolved[-1], t_end, cfg))
     # written once every stop has evolved, so a rejected stop writes no file
@@ -510,7 +520,8 @@ def run_modes(args) -> int:
     s = ctx.scenario
     modes = _parse_modes(args.modes)
     times = _parse_times(args.times) if args.times else [s.t0]
-    packets = {(n, k): states.eigenmode_packet(s, ctx.basis, ctx.part, n, t, ctx.grid)
+    grid = ctx.packet_grid(times)
+    packets = {(n, k): states.eigenmode_packet(s, ctx.basis, ctx.part, n, t, grid)
                for n in modes for k, t in enumerate(times)}
     # written once every packet is built, so a rejected one writes no file
     for (n, k), packet in packets.items():
@@ -524,17 +535,14 @@ def run_invariant(args) -> int:
     times = _parse_times(args.times) if args.times else list(
         np.linspace(s.t0, s.t0 + min(5.0, s.t1 - s.t0), 11))
     cfg = oracle.EvolverConfig(dt=args.dt)
-    packet = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], ctx.grid)
+    grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))  # as in run_evolve
+    state = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], grid)
     rows = []
-    re, im = states.invariant_expectation(packet, ctx.basis, ctx.part, s,
-                                          with_diagnostic=True)
-    rows.append((times[0], re, im))
-    state = packet
-    for t_end in times[1:]:
-        state = oracle.evolve_tdse(s, state, t_end, cfg)
-        re, im = states.invariant_expectation(state, ctx.basis, ctx.part, s,
-                                              with_diagnostic=True)
-        rows.append((t_end, re, im))
+    for k, t in enumerate(times):
+        if k:  # evolved leg by leg from the first time
+            state = oracle.evolve_tdse(s, state, t, cfg)
+        rows.append((t, *states.invariant_expectation(state, ctx.basis, ctx.part, s,
+                                                      with_diagnostic=True)))
     _write_table_csv(ctx.outfile("invariant.csv"), ("t", "invariant", "imag_diagnostic"),
                      rows)
     return 0
@@ -549,7 +557,8 @@ def run_coherent(args) -> int:
     s = ctx.scenario
     times = _parse_times(args.times) if args.times else _interior_times(
         s, (0.0, 0.25, 0.5, 0.75, 1.0))
-    packets = [states.build_generalized_coherent_state(s, ctx.basis, ctx.part, n, t, ctx.grid)
+    grid = ctx.packet_grid(times)
+    packets = [states.build_generalized_coherent_state(s, ctx.basis, ctx.part, n, t, grid)
                for t in times]
     # written once every packet is built, so a rejected one writes no file
     rows = []
@@ -585,7 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--out", default=None, help="output directory for CSV files")
-        p.add_argument("--grid", default="-10.0,10.0,2048", help="xmin,xmax,n")
+        p.add_argument("--grid", default=None, help="xmin,xmax,n (default -10,10,2048, "
+                       "fitted to the modes by verify and the packet commands; verify "
+                       "fits an explicit grid too)")
         p.add_argument("--basis", default="default",
                        help="default|custom:u0,udot0,v0,vdot0")
         p.add_argument("--xp", default="0.0,0.0",

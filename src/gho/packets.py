@@ -91,8 +91,14 @@ class WavePacket:
         if samples.shape != (self.grid.n_points,):
             raise ValidationError(
                 f"samples shape {samples.shape} != grid size ({self.grid.n_points},)")
-        if not np.all(np.isfinite(samples.view(np.float64))):
-            raise ValidationError("packet samples must be finite")
+        # one BLAS pass: the squared norm is finite and positive unless a
+        # sample is not finite, all are zero, or the squares over/underflow
+        if not 0.0 < np.vdot(samples, samples).real < math.inf:
+            view = samples.view(np.float64)
+            if not np.isfinite(view).all():
+                raise ValidationError("packet samples must be finite")
+            if not view.any():
+                raise ValidationError(f"packet is zero at every point of {self.grid}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -100,9 +106,7 @@ class WavePacket:
         return WavePacket(self.grid, samples, self.t if t is None else t)
 
     def edge_ratio(self) -> float:
-        peak = float(np.max(np.abs(self.samples)))
-        if peak == 0.0:
-            return 0.0
+        peak = float(np.max(np.abs(self.samples)))  # > 0: a packet is never empty
         return float(max(abs(self.samples[0]), abs(self.samples[-1]))) / peak
 
     def require_dark_edges(self, threshold=1e-8, what="operation"):
@@ -115,6 +119,12 @@ class WavePacket:
 def _check_same_grid(p1: WavePacket, p2: WavePacket):
     if p1.grid != p2.grid:
         raise GridMismatch(f"grids differ: {p1.grid} vs {p2.grid}")
+
+
+def _support(modulus, rel) -> tuple[int, int]:
+    """First and last index of the entries of modulus above rel times its max."""
+    above = modulus > rel * modulus.max()
+    return int(above.argmax()), len(above) - 1 - int(above[::-1].argmax())
 
 
 def _trapezoid_inner(f, g, dx) -> complex:

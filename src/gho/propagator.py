@@ -60,8 +60,8 @@ import numpy as np
 from .classical import ClassicalBasis, _check_time, _record, _snapshots, gauge_coefficients
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, ValidationError
-from .packets import (WavePacket, _scipy_fft, czt, evaluate_trig_interpolant, grid_phase,
-                      l2_distance, spectral_phase, upsample_periodic)
+from .packets import (WavePacket, _scipy_fft, _support, czt, evaluate_trig_interpolant,
+                      grid_phase, l2_distance, spectral_phase, upsample_periodic)
 
 _log = logging.getLogger(__name__)
 
@@ -413,21 +413,13 @@ def _moved_box(samples, spectrum, shear, grid):
     x -> x + shear k: the box spans the samples and the signed FFT modes
     above PACKET_BOX_RTOL of their peak (spectrum in FFT order)."""
     n = grid.n_points
-    support = _first_last(np.abs(samples))
+    support = _support(np.abs(samples), PACKET_BOX_RTOL)
     # the modes in signed order, k = (j - n//2) 2 pi / (n dx) at index j
-    low = (n + 1) // 2
-    modulus = np.abs(spectrum)
-    band = _first_last(np.concatenate((modulus[low:], modulus[:low])))
+    band = _support(np.fft.fftshift(np.abs(spectrum)), PACKET_BOX_RTOL)
     k_lo, k_hi = ((j - n // 2) * 2.0 * math.pi / (n * grid.dx) for j in band)
     moves = (shear * k_lo, shear * k_hi)
     return (grid.x_min + support[0] * grid.dx + min(moves),
             grid.x_min + support[1] * grid.dx + max(moves))
-
-
-def _first_last(modulus):
-    """First and last index of the entries above PACKET_BOX_RTOL of the peak."""
-    above = modulus > PACKET_BOX_RTOL * modulus.max()
-    return int(above.argmax()), len(above) - 1 - int(above[::-1].argmax())
 
 
 def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,

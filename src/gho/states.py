@@ -33,7 +33,7 @@ from .classical import (ClassicalBasis, ParticularSolution, _check_time, _snapsh
                         gauge_coefficients, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
-from .packets import (GridSpec, WavePacket, _trapezoid_inner, derivative,
+from .packets import (GridSpec, WavePacket, _support, _trapezoid_inner, derivative,
                       evaluate_trig_interpolant, grid_phase, spectral_phase)
 
 __all__ = [
@@ -58,11 +58,7 @@ def hermite_functions(n_max: int, z):
     recurrence keeps every intermediate bounded, so large n and z are safe
     where the raw polynomial would overflow.
     """
-    z = _hermite_points(n_max, z)
-    out = np.empty((n_max + 1, len(z)))
-    for k, row in enumerate(_hermite_rows(n_max, z)):
-        out[k] = row
-    return out
+    return np.array(list(_hermite_rows(n_max, _hermite_points(n_max, z))))
 
 
 def _hermite_row(n: int, z):
@@ -187,16 +183,6 @@ def _times_conj(z, w):
     return out
 
 
-def _support_bounds(packet: WavePacket, rel=1e-8):
-    amp = np.abs(packet.samples)
-    peak = float(np.max(amp))
-    if peak == 0.0:
-        return packet.grid.x_min, packet.grid.x_min
-    idx = np.nonzero(amp > rel * peak)[0]
-    pts = packet.grid.points
-    return float(pts[idx[0]]), float(pts[idx[-1]])
-
-
 def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
               t: float) -> WavePacket:
     """Displacement map: translate by x_p(t), boost by M x_p', phase by xi.
@@ -208,15 +194,15 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     _check_time(s, t, "t")
     ps = particular_or_zero(s, part).at(t)
     xp = ps.x
-    lo, hi = _support_bounds(packet)
-    if lo + xp < packet.grid.x_min or hi + xp > packet.grid.x_max:
-        raise GridTooNarrow(f"translation by {xp:.3g} pushes support off the grid")
     grid = packet.grid
+    x = grid.points
+    first, last = _support(np.abs(packet.samples), 1e-8)
+    if x[first] + xp < grid.x_min or x[last] + xp > grid.x_max:
+        raise GridTooNarrow(f"translation by {xp:.3g} pushes support off the grid")
     # exact band-limited translation: the ramp exp(-i k x_p) on the spectrum
     shifted = fft(packet.samples)
     shifted *= spectral_phase(0.0, -xp, grid.n_points, grid.dx)
     shifted = ifft(shifted, overwrite_x=True)
-    x = grid.points
     outside = (x - xp < grid.x_min) | (x - xp > grid.x_max)
     shifted[outside] = 0.0
     out = grid_phase(0.0, ps.momentum / s.hbar, ps.xi / s.hbar, grid.x_min, grid.dx,

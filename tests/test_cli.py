@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gho import GridSpec, cli, load_scenario, oracle, propagator
+from gho import GridSpec, classical, cli, load_scenario, oracle, propagator
 from gho.cli import main
 from gho.errors import GridTooNarrow
 
@@ -297,11 +297,11 @@ def test_evolve_rejects_a_stop_past_the_interval(sho_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario", ["free_particle", "parametric"])
 def test_coherent_writes_no_file_when_a_packet_fails(scenario, tmp_path, capsys):
-    # with the default grid and times a late coherent state reaches the grid
+    # on the default grid taken as given a late coherent state reaches its
     # edge; the earlier ones are built but not written
     out = tmp_path / "out"
     assert main(["coherent", "--scenario", str(SCENARIOS / f"{scenario}.json"),
-                 "--out", str(out)]) == 1
+                 "--grid=-10,10,2048", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: build_generalized_coherent_state: "
                                               "edge amplitude")
     assert not any(out.iterdir())
@@ -374,33 +374,51 @@ def test_non_finite_options_rejected_before_any_file(options, message, tmp_path,
     assert not out.exists()
 
 
-# each command takes --grid as given, where verify fits its grid to the modes
-# (grid_for); with the default grid and times these packets reach its edge
-DEFAULT_EDGE_FAILURES = [
-    ("free_particle", "coherent",
-     "build_generalized_coherent_state: edge amplitude 1.01e-03 of peak (limit 1e-08)"),
-    ("free_particle", "evolve", "evolve_tdse: edge amplitude 6.73e-05 of peak (limit 1e-08)"),
-    ("free_particle", "invariant",
-     "invariant_expectation: edge amplitude 2.04e-08 of peak (limit 1e-08)"),
-    ("parametric", "coherent",
-     "build_generalized_coherent_state: edge amplitude 1.40e-07 of peak (limit 1e-08)"),
-]
+# the runs whose grid the fit moves: with no --grid each packet command fits
+# the default grid to the modes over its times, as verify does; with that grid
+# as given the first three and parametric's coherent fail on its edge
+@pytest.mark.parametrize("scenario, command", [
+    *((name, command) for name in ("free_particle", "parametric")
+      for command in ("coherent", "evolve", "invariant")),
+    *(("coupled", command) for command in ("modes", "coherent", "evolve", "invariant"))])
+def test_packet_commands_pass_with_default_options(scenario, command, tmp_path, capsys):
+    path = SCENARIOS / f"{scenario}.json"
+    if scenario == "coupled":
+        path = tmp_path / "coupled.json"
+        path.write_text(COUPLED_TEXT)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert any(out.iterdir())
 
 
-@pytest.mark.parametrize("scenario, command, message", [
-    pytest.param(*case, id=f"{case[0]}-{case[1]}",
-                 marks=pytest.mark.xfail(strict=True, raises=GridTooNarrow, reason=case[2]))
-    for case in DEFAULT_EDGE_FAILURES])
-def test_default_options_pass_on_bundled_scenarios(scenario, command, message, tmp_path):
-    # a fix makes the run pass and so the strict mark fail; a failure other
-    # than the one named fails the test outright
-    args = cli.build_parser().parse_args(
-        [command, "--scenario", str(SCENARIOS / f"{scenario}.json"), "--out", str(tmp_path)])
-    try:
-        assert cli._COMMANDS[command](args) == 0
-    except GridTooNarrow as exc:
-        assert str(exc) == message
-        raise
+def test_fit_grid_widens_and_refines_only_where_the_modes_ask():
+    base = GridSpec(-10.0, 10.0, 2048)
+    sho = load_scenario((SCENARIOS / "sho.json").read_text())
+    sho_basis = classical.solve_homogeneous_basis(sho)
+    assert cli._fit_grid(sho, sho_basis, base, np.linspace(0.0, 12.0, 201)) is base
+    # the free mode's width rho(t) = sqrt(1 + t^2) (hbar = M = 1) peaks at
+    # t = 5; its momentum spread stays 1, so N grows only with the extent
+    free = load_scenario((SCENARIOS / "free_particle.json").read_text())
+    fitted = cli._fit_grid(free, classical.solve_homogeneous_basis(free), base,
+                           np.linspace(0.0, 5.0, 201))
+    assert (fitted.x_min, fitted.x_max) == pytest.approx(
+        (-10.0 * math.sqrt(26.0), 10.0 * math.sqrt(26.0)), rel=1e-12)
+    assert fitted.n_points % 256 == 0
+    assert fitted.n_points == math.ceil(2048 * math.sqrt(26.0) / 256) * 256 == 10496
+
+
+@pytest.mark.parametrize("command", ["invariant", "coherent", "modes"])
+def test_a_packet_wholly_off_the_grid_exits_two(command, tmp_path, capsys):
+    # x_p(t) = 60 cos t keeps sho's packets far off (-10, 10), so their
+    # samples underflow to zero: invariant once ended in a ZeroDivisionError,
+    # coherent wrote nan moments and modes an all-zero packet, each with exit 0
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(SCENARIOS / "sho.json"), "--xp", "60,0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: packet is zero at every point of "
+                                       "GridSpec(x_min=-10.0, x_max=10.0, n_points=2048)\n")
+    assert not any(out.iterdir())
 
 
 def test_bundled_scenario_hashes_are_pinned():
@@ -610,7 +628,7 @@ def test_verify_strongly_squeezed_bases_pass(ics, capsys):
 @pytest.mark.parametrize("basis", ["default", "custom:-0.5414,0.4926,0.9182,-0.5404"])
 def test_verify_evolves_on_half_of_grid_for_points(basis, monkeypatch):
     # every packet the evolver gets, and so the propagate call and the <I>
-    # reads, keeps the extent of grid_for over the drift check's five times
+    # reads, keeps the extent of _fit_grid over the drift check's five times
     # (0, 0.5, ..., 2 on sho) and has half its points
     grids = []
 
@@ -625,7 +643,7 @@ def test_verify_evolves_on_half_of_grid_for_points(basis, monkeypatch):
     checks = {name: check for name, _, check in cli._verify_checks(ctx)}
     checks["invariant_drift_tdse"]()
     checks["evolver_vs_kernel"]()
-    # grid_for: the base grid (-10, 10, 2048) widened by the largest mode
+    # _fit_grid: the base grid (-10, 10, 2048) widened by the largest mode
     # width rho / sqrt|Omega| and with N refined by the largest momentum
     # spread M |(u', v')| / sqrt|Omega| (hbar = M = 1), rounded up to a
     # multiple of 256; factors within one spacing of 1 read 1

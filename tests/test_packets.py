@@ -12,9 +12,9 @@ from conftest import COUPLED
 
 import gho
 from gho import GridSpec, ValidationError, WavePacket, sho_eigenstate
-from gho.packets import (_trapezoid_inner, czt, derivative, evaluate_trig_interpolant,
-                         quadratic_phase, second_derivative, spectral_phase,
-                         upsample_periodic)
+from gho.packets import (_support, _trapezoid_inner, czt, derivative,
+                         evaluate_trig_interpolant, quadratic_phase, second_derivative,
+                         spectral_phase, upsample_periodic)
 from gho.propagator import _lct_apply, kernel_coefficients
 
 
@@ -423,3 +423,34 @@ def test_chirp_z_hop_and_invariant_allocate_no_extra_full_size_array(
         lambda: gho.invariant_expectation(moved, sho_basis, sho_part_zero, sho))
     assert hop < 484 * 1024 + 4096 * 16 // 2
     assert invariant < 257 * 1024 + 4096 * 16 // 2
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (5, complex(np.nan, 0.0), "packet samples must be finite"),
+    (0, complex(0.0, np.inf), "packet samples must be finite"),
+    (31, complex(-np.inf, 1.0), "packet samples must be finite"),
+    (None, 0.0, "packet is zero at every point of GridSpec(x_min=-1.0, x_max=1.0, "
+                "n_points=32)"),
+])
+def test_packet_samples_are_finite_and_not_all_zero(where, value, message):
+    grid = GridSpec(-1.0, 1.0, 32)
+    samples = np.zeros(32, dtype=complex) if where is None else np.ones(32, dtype=complex)
+    if where is not None:
+        samples[where] = value
+    with pytest.raises(ValidationError) as raised:
+        WavePacket(grid, samples)
+    assert str(raised.value) == message
+    # one subnormal sample, whose square underflows, is a packet, and so is
+    # one whose squares overflow, or -0.0 beside a 1
+    for lone in (5e-324j, 1e200, -1e300 + 1e300j):
+        samples = np.zeros(32, dtype=complex)
+        samples[7] = lone
+        assert WavePacket(grid, samples).samples[7] == lone
+    assert WavePacket(grid, np.array([-0.0] * 31 + [1.0])).samples[-1] == 1.0
+
+
+def test_support_is_the_first_and_last_index_above_the_threshold():
+    modulus = np.array([0.0, 1e-9, 2e-8, 1.0, 0.5, 1e-8, 0.0])
+    assert _support(modulus, 1e-8) == (2, 4)
+    assert _support(modulus, 0.0) == (1, 5)
+    assert _support(modulus, 0.6) == (3, 3)

@@ -2,10 +2,12 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 35 command lines in each tree: the six commands with their default
-options, and `verify --xp 1.0,0.0`, each on the four bundled scenarios and on
-the coupled scenario of tests/conftest.py (a, b and f nonzero, M = 1.3,
-hbar = 0.7), the one that reaches the gauge phase. The revision is exported
+Runs 55 command lines in each tree: the six commands with their default
+options, `verify --xp 1.0,0.0`, and the four packet commands (modes, coherent,
+evolve, invariant) with the default grid given as `--grid=-10,10,2048`, which
+they run as given rather than fit to the modes. Each runs on the four bundled
+scenarios and on the coupled scenario of tests/conftest.py (a, b and f
+nonzero, M = 1.3, hbar = 0.7), the one that reaches the gauge phase. The revision is exported
 with `git archive` into a temporary directory. Both trees read the working
 tree's scenario files, and the coupled one is written into the temporary
 directory. Each run is `python -m gho` with that tree's `src` on
@@ -37,8 +39,10 @@ SCENARIOS = ("sho", "free_particle", "parametric", "driven_sho", "coupled")
 COUPLED = {"hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0],
            "a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0, "phase": 0.5},
            "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 1.3}}
-COMMANDS = (("verify",), ("kernel-scan",), ("evolve",), ("modes",), ("invariant",),
-            ("coherent",), ("verify", "--xp", "1.0,0.0"))
+PACKET_COMMANDS = ("evolve", "modes", "invariant", "coherent")
+COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS),
+            ("verify", "--xp", "1.0,0.0"),
+            *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS))
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
 
 
