@@ -28,6 +28,9 @@ _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the mode
 # cost about r^3: sho at spread 3 (custom:0.14,0,0,1.5, 11,008 points) evolves
 # in 2.2-2.7 s on a 2-core machine. They run only up to round(r) = 3
 _EVOLVER_MAX_SPREAD = 3
+# verify's kernel slice refines its grid by k dx / 0.15, at most 3.21 (sho at hbar = 0.25)
+# for |x_p| <= 4; only the rounding residue of a huge x_p in l_b drives it past this cap
+_SLICE_MAX_REFINE = 64
 
 
 def _fmt(x) -> str:
@@ -298,6 +301,8 @@ def _verify_checks(ctx):
         co = propagator.kernel_coefficients(s, basis, part, t_a, t_val)
         k_dx = (2.0 * abs(co.q_bb) * max(abs(grid.x_min), abs(grid.x_max))
                 + 0.3 * abs(co.q_ab) + abs(co.l_b)) * grid.dx
+        if k_dx > 0.15 * _SLICE_MAX_REFINE:
+            raise GridTooNarrow(f"slice refinement {k_dx / 0.15:.3g} past {_SLICE_MAX_REFINE}")
         fine = grid if k_dx <= 0.15 else GridSpec(
             grid.x_min, grid.x_max, math.ceil(grid.n_points * k_dx / 0.15 / 256) * 256)
         return oracle.schrodinger_residual(field, s, t_val, fine)
@@ -521,7 +526,7 @@ def run_modes(args) -> int:
     modes = _parse_modes(args.modes)
     times = _parse_times(args.times) if args.times else [s.t0]
     grid = ctx.packet_grid(times)
-    packets = {(n, k): states.eigenmode_packet(s, ctx.basis, ctx.part, n, t, grid)
+    packets = {(n, k): states.build_generalized_coherent_state(s, ctx.basis, ctx.part, n, t, grid)
                for n in modes for k, t in enumerate(times)}
     # written once every packet is built, so a rejected one writes no file
     for (n, k), packet in packets.items():

@@ -9,8 +9,8 @@ so every full-grid complex exponential is quadratic_phase, which builds
 exp(i (a k^2 + b k + c)) from about 4 sqrt(n) exponentials, laid out as a
 Hankel table, and 2n complex products. Values off the nodes (a dilated grid,
 an upsampled one) are the packet's trigonometric interpolant,
-evaluate_trig_interpolant; a plain shift (states.apply_U_F) reads the same
-interpolant as a ramp on the FFT spectrum, which costs less than a chirp-z.
+evaluate_trig_interpolant; every translation (states.apply_U_F, each
+unit-dilation hop of propagate) reads it as a ramp on the FFT spectrum.
 Derivatives use 4th-order centered stencils with one-sided closures at the
 edges (which are required to be numerically dark anyway).
 

@@ -23,23 +23,23 @@ Wave-packet propagation makes one hop with the metaplectic operator of the
 hop's symplectic matrix [[A, B], [C, .]] (see _hop_matrix; D above is Omega B):
 stripped of the mode set's gauge phase, the linear canonical transform. When
 hbar |B| pi / dx <= |A| N dx it is applied as chirp(C/A) . dilation(A) .
-Fresnel(B/A): a trigonometric interpolant on the shifted, dilated grid (none
-when A = 1 and x_p stays put, as on every free-particle hop), one FFT
-multiply and a chirp, regular at B = 0 (short hops, focal times).
+Fresnel(B/A), regular at B = 0 (short hops, focal times): a trigonometric
+interpolant on the shifted, dilated grid, or at a unit dilation, |A - 1| <=
+4 eps (every free-particle hop), the shift by x_p(t_b) - x_p(t_a) alone as
+the ramp exp(-i k shift) of apply_U_F; then one FFT multiply and a chirp.
 Otherwise it is the trapezoidal kernel sum by chirp multiplications and a
 chirp-z transform, regular at A = 0, on as many points as the trapezoid
 rule's aliasing bound asks (see _quadrature_size): the packet's own grid on
 most hops, its trigonometric interpolant read at that many points on the rest.
 
-That Nyquist-band test assumes content up to pi/dx. A hop whose dilation is
-the identity is one FFT multiply on a periodic grid, exact unless the packet
-wraps around, so when the test fails there the packet decides: the FFT of
-the gauge-reduced packet (the Fresnel step's first transform) gives the
-signed band [k_lo, k_hi] of its modes above PACKET_BOX_RTOL of their peak,
-the samples above it give the support, and the factored form goes on with
-that spectrum when the box moved by hbar (B/A) k stays inside [x_min,
-x_max]; else the hop takes the chirp-z form. The DEBUG line of each hop
-names the test that chose its form.
+That Nyquist-band test assumes content up to pi/dx. A unit-dilation hop is
+one FFT multiply on a periodic grid, exact unless the packet wraps around,
+so when the test fails there the packet decides: the factored form goes on
+when the packet's phase-space box (_moved_box), read off its samples and the
+FFT of the gauge-reduced packet (the Fresnel step's first transform), stays
+inside [x_min, x_max] once moved by the shift and by hbar (B/A) k; else the
+hop takes the chirp-z form. The DEBUG line of each hop names the test that
+chose its form.
 
 Every phase either form puts on a grid (the gauge phase, the kernel's
 chirps, the Fresnel transfer on each half of the FFT order) is a quadratic
@@ -79,6 +79,8 @@ __all__ = [
 
 # caustic trigger: |D| below this times the basis scale at the two endpoints
 CAUSTIC_RTOL = 1e-12
+# |A - 1| of a unit dilation: it moves no grid point by more than a few ulps
+_UNIT_DILATION = 4.0 * np.finfo(float).eps
 # a sample or an FFT mode of a packet belongs to its phase-space box when
 # its modulus is above this fraction of the largest one (see propagate)
 PACKET_BOX_RTOL = 1e-13
@@ -408,18 +410,18 @@ def _quadrature_size(co: KernelCoefficients, grid):
     return max(needed, grid.n_points)
 
 
-def _moved_box(samples, spectrum, shear, grid):
-    """x-extent [lo, hi] of the packet's phase-space box after the shear
-    x -> x + shear k: the box spans the samples and the signed FFT modes
-    above PACKET_BOX_RTOL of their peak (spectrum in FFT order)."""
+def _moved_box(samples, spectrum, shear, shift, grid):
+    """x-extent [lo, hi] of the packet's phase-space box moved by shift + shear k:
+    the box spans the samples and the signed FFT modes above PACKET_BOX_RTOL
+    of their peak (spectrum in FFT order)."""
     n = grid.n_points
     support = _support(np.abs(samples), PACKET_BOX_RTOL)
     # the modes in signed order, k = (j - n//2) 2 pi / (n dx) at index j
     band = _support(np.fft.fftshift(np.abs(spectrum)), PACKET_BOX_RTOL)
     k_lo, k_hi = ((j - n // 2) * 2.0 * math.pi / (n * grid.dx) for j in band)
     moves = (shear * k_lo, shear * k_hi)
-    return (grid.x_min + support[0] * grid.dx + min(moves),
-            grid.x_min + support[1] * grid.dx + max(moves))
+    return (grid.x_min + shift + support[0] * grid.dx + min(moves),
+            grid.x_min + shift + support[1] * grid.dx + max(moves))
 
 
 def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
@@ -438,9 +440,10 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     big_a, big_b, big_c, _ = _hop_matrix(basis.omega, at_a, at_b)
     sfft = _scipy_fft()
     n = grid.n_points
-    # the dilation x -> x_p(t_a) + (x - x_p(t_b)) / A maps the grid onto
-    # itself when A = 1 and x_p does not move (every free-particle hop)
-    resample = big_a != 1.0 or xp_a.x != xp_b.x
+    # the dilation reads the packet at x_p(t_a) + (x - x_p(t_b)) / A; a unit
+    # dilation is the shift by x_p(t_b) - x_p(t_a), the ramp exp(-i k shift)
+    resample = abs(big_a - 1.0) > _UNIT_DILATION
+    shift = 0.0 if resample else xp_b.x - xp_a.x
     nyquist = hbar * abs(big_b) * math.pi / grid.dx <= abs(big_a) * n * grid.dx
     test, spectrum = "Nyquist band", None
     if nyquist or not resample:
@@ -453,7 +456,7 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
         spectrum = sfft.fft(reduced, overwrite_x=True)
         if not nyquist:
             # |reduced| is |packet|: the box reads the support off the samples
-            lo, hi = _moved_box(packet.samples, spectrum, hbar * big_b / big_a, grid)
+            lo, hi = _moved_box(packet.samples, spectrum, hbar * big_b / big_a, shift, grid)
             fits = grid.x_min <= lo and hi <= grid.x_max
             test = f"packet box [{lo:.6g}, {hi:.6g}] {'fits' if fits else 'leaves the grid'}"
             if not fits:
@@ -480,7 +483,7 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     morse = _morse_count(at_a, at_b, big_b, _FLOATS)
     phi = sigma * (-0.25 * math.pi - 0.5 * math.pi * morse
                    + 0.25 * math.pi * math.copysign(1.0, big_a) * (-1) ** morse)
-    spectrum *= spectral_phase(-0.5 * hbar * big_a * big_b, 0.0, n, grid.dx)
+    spectrum *= spectral_phase(-0.5 * hbar * big_a * big_b, -shift, n, grid.dx)
     fresnel = sfft.ifft(spectrum, overwrite_x=True)
     # phi + C X^2 / (2 hbar A) + G(t_b, x) + int f / hbar, X = x - x_p(t_b)
     f_int = integrate_coefficient(s.f, t_a, t_b)

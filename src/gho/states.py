@@ -247,8 +247,6 @@ def build_generalized_coherent_state(s: Scenario, basis: ClassicalBasis, part,
     u(t0) > 0, v(t0) = 0; the couplings add exp(i (M a x^2 + b x + int f) /
     hbar). The product is the mode psi_n of eigenmode_packet.
     """
-    if n < 0:
-        raise ValidationError("mode index must be >= 0")
     result = eigenmode_packet(s, basis, part, n, t, grid)
     result.require_dark_edges(1e-8, "build_generalized_coherent_state")
     return result

@@ -421,6 +421,36 @@ def test_a_packet_wholly_off_the_grid_exits_two(command, tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["modes", "coherent", "evolve", "invariant"])
+def test_a_bright_edged_packet_exits_one(command, tmp_path, capsys):
+    # x_p(t0) = 8 puts driven_sho's packet at the edge of the grid fitted to
+    # the modes' widths alone: every packet command rejects it (modes once
+    # wrote it, edge amplitude and all, and exited 0)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(SCENARIOS / "driven_sho.json"), "--xp", "8,0",
+                 "--out", str(out)]) == 1
+    assert re.fullmatch(r"error: \w+: edge amplitude 1\.35e-01 of peak \(limit 1e-08\)\n",
+                        capsys.readouterr().err)
+    assert not any(out.iterdir())
+
+
+def test_verify_caps_the_kernel_slice_refinement(tmp_path, capsys, monkeypatch):
+    # x_p = 1e154 leaves a rounding residue in the kernel's l_b for which the
+    # slice asked for 1.9e137 times the grid's points, and the run ended in a
+    # ValueError traceback; past the cap the check skips, and the packet
+    # wholly off the grid ends the run
+    sho = str(SCENARIOS / "sho.json")
+    assert main(["verify", "--scenario", sho, "--xp", "1e154,0",
+                 "--out", str(tmp_path / "far")]) == 2
+    assert capsys.readouterr().err.startswith("error: packet is zero at every point")
+    # under a cap below sho's factor of 0.80 the check skips and the run passes
+    monkeypatch.setattr(cli, "_SLICE_MAX_REFINE", 0.5)
+    assert main(["verify", "--scenario", sho, "--out", str(tmp_path / "capped")]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("CHECK schrodinger_residual_kernel ")]
+    assert line.endswith(" SKIP(GridTooNarrow)")
+
+
 def test_bundled_scenario_hashes_are_pinned():
     # the CSV headers' scenario_sha256 is over the serialized scenario, which
     # still writes "dimension": 1

@@ -518,11 +518,19 @@ def test_propagate_quarter_period_takes_chirp_z(sho, sho_basis, grid, caplog):
     assert error < 1e-8
 
 
-def _free_half_hbar(ics):
+def _free_half_hbar(ics, xp=(0.0, 0.0)):
     """The free particle at hbar = 0.5 on [0, 5], with the basis ics (None:
-    u = 1, v = t, narrowest at t = 0)."""
+    u = 1, v = t, narrowest at t = 0) and x_p from the initial data xp."""
     s = gho.scenario_from_dict({"frequency": 0.0, "hbar": 0.5, "interval": [0.0, 5.0]})
-    return s, gho.solve_homogeneous_basis(s, ics), gho.solve_particular(s)
+    return s, gho.solve_homogeneous_basis(s, ics), gho.solve_particular(s, xp)
+
+
+def _widened_grid(s, basis, t_a, t_b):
+    """(-10, 10, 2048) widened by rho sqrt(hbar) over the hop, as packet-hops
+    widens it."""
+    rho = max(float(basis.at(t).rho) for t in np.linspace(min(t_a, t_b), max(t_a, t_b), 33))
+    factor = rho * math.sqrt(s.hbar)
+    return gho.GridSpec(-10.0 * factor, 10.0 * factor, math.ceil(2048 * factor / 256) * 256)
 
 
 def _boosted_mode(s, basis, part, n, t, grid, boost):
@@ -531,15 +539,15 @@ def _boosted_mode(s, basis, part, n, t, grid, boost):
 
 
 # forward from the default basis's narrowest time; backward from that of
-# u = 1, v = t - 5 (narrowest at t = 5): B = +-4.5, far past the Nyquist band
-@pytest.mark.parametrize("t_a, t_b, ics", [(0.3, 4.8, None),
-                                           (4.8, 0.3, ((1.0, 0.0), (-5.0, 1.0)))])
-def test_free_hop_at_large_b_takes_the_factored_form(t_a, t_b, ics, monkeypatch, caplog):
-    s, basis, part = _free_half_hbar(ics)
-    # (-10, 10, 2048) widened by rho sqrt(hbar) as packet-hops widens it
-    rho = max(float(basis.at(t).rho) for t in np.linspace(min(t_a, t_b), max(t_a, t_b), 33))
-    factor = rho * math.sqrt(s.hbar)
-    grid = gho.GridSpec(-10.0 * factor, 10.0 * factor, math.ceil(2048 * factor / 256) * 256)
+# u = 1, v = t - 5 (narrowest at t = 5): B = +-4.5, far past the Nyquist band.
+# The third hop's x_p moves by -0.9, which the spectrum's ramp shifts
+@pytest.mark.parametrize("t_a, t_b, ics, xp", [
+    pytest.param(0.3, 4.8, None, (0.0, 0.0), id="0.3-4.8-None"),
+    pytest.param(4.8, 0.3, ((1.0, 0.0), (-5.0, 1.0)), (0.0, 0.0), id="4.8-0.3-ics1"),
+    pytest.param(0.3, 4.8, None, (0.0, -0.2), id="0.3-4.8-moving-xp")])
+def test_free_hop_at_large_b_takes_the_factored_form(t_a, t_b, ics, xp, monkeypatch, caplog):
+    s, basis, part = _free_half_hbar(ics, xp)
+    grid = _widened_grid(s, basis, t_a, t_b)
     boost, big_t = 0.1, t_b - t_a
     packet = WavePacket(grid, _boosted_mode(s, basis, part, 3, t_a, grid, boost), t_a)
     with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
@@ -563,57 +571,70 @@ def test_free_hop_at_large_b_takes_the_factored_form(t_a, t_b, ics, monkeypatch,
 
 def test_free_hop_whose_box_leaves_the_grid_takes_chirp_z(monkeypatch, caplog):
     # the boosted mode moves by 2.4 and spreads by a factor of 4.2 on a grid
-    # that is not widened: the Fresnel FFT pair would wrap it around
-    s, basis, part = _free_half_hbar(None)
-    grid = gho.GridSpec(-10.0, 10.0, 2048)
-    t_a, t_b, boost = 0.3, 4.3, 0.6
-    packet = WavePacket(grid, _boosted_mode(s, basis, part, 3, t_a, grid, boost), t_a)
-    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
-        moved = propagate(packet, s, basis, part, t_b)
-        monkeypatch.setattr(gho.propagator, "PACKET_BOX_RTOL", 0.0)
-        chirp_z = propagate(packet, s, basis, part, t_b)
-    ((form, test, _, _, _), _) = _propagate_records(caplog)
-    assert form == "chirp-z" and test.endswith(" leaves the grid")
-    assert np.max(np.abs(moved.samples - chirp_z.samples)) <= 1e-15
-    shifted = gho.GridSpec(-10.0 - boost * (t_b - t_a), 10.0 - boost * (t_b - t_a), 2048)
-    exact = _boosted_mode(s, basis, part, 3, t_b, shifted, 0.0) * np.exp(
-        1j * boost * grid.points / s.hbar - 0.5j * boost * boost * (t_b - t_a) / s.hbar)
-    assert np.max(np.abs(moved.samples - exact)) <= 1e-11
-    # the periodic Fresnel pair on the same grid (A = 1, no gauge phase)
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.dx)
-    wrapped = np.fft.ifft(np.fft.fft(packet.samples)
-                          * np.exp(-0.5j * s.hbar * (t_b - t_a) * k * k))
-    assert np.max(np.abs(wrapped - exact)) > 1e-3
+    # that is not widened; or, on the grid widened for the hop, x_p moves by
+    # 18, while the same hop with x_p = 0 fits it (see the test above): the
+    # Fresnel FFT pair would wrap the packet around
+    for t_a, t_b, boost, xp in ((0.3, 4.3, 0.6, (0.0, 0.0)), (0.3, 4.8, 0.1, (0.0, 4.0))):
+        s, basis, part = _free_half_hbar(None, xp)
+        grid = gho.GridSpec(-10.0, 10.0, 2048) if xp == (0.0, 0.0) else _widened_grid(
+            s, basis, t_a, t_b)
+        packet = WavePacket(grid, _boosted_mode(s, basis, part, 3, t_a, grid, boost), t_a)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gho.propagator"), monkeypatch.context() as m:
+            moved = propagate(packet, s, basis, part, t_b)
+            m.setattr(gho.propagator, "PACKET_BOX_RTOL", 0.0)
+            chirp_z = propagate(packet, s, basis, part, t_b)
+        ((form, test, _, _, _), _) = _propagate_records(caplog)
+        assert form == "chirp-z" and test.endswith(" leaves the grid")
+        assert np.max(np.abs(moved.samples - chirp_z.samples)) <= 1e-15
+        big_t = t_b - t_a
+        shifted = gho.GridSpec(grid.x_min - boost * big_t, grid.x_max - boost * big_t,
+                               grid.n_points)
+        exact = _boosted_mode(s, basis, part, 3, t_b, shifted, 0.0) * np.exp(
+            1j * boost * grid.points / s.hbar - 0.5j * boost * boost * big_t / s.hbar)
+        assert np.max(np.abs(moved.samples - exact)) <= 1e-11
+        # the periodic Fresnel pair on the same grid (A = 1, no gauge phase)
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.dx)
+        wrapped = np.fft.ifft(np.fft.fft(packet.samples) * np.exp(-0.5j * s.hbar * big_t * k * k))
+        assert np.max(np.abs(wrapped - exact)) > 1e-3
 
 
-def test_free_particle_hop_resamples_nothing(free, free_basis, monkeypatch, caplog):
-    # A = 1 and x_p = 0 at both ends: the dilation maps the grid onto itself
+def test_free_particle_hop_resamples_nothing(free, monkeypatch, caplog):
+    # A free hop's dilation is a unit one: with A = 1 and x_p = 0 at both ends
+    # it maps the grid onto itself, a moving x_p makes it a shift (the ramp
+    # on the spectrum), and the rotated pair's A is 1 only to rounding
     grid = gho.GridSpec(-10.0, 10.0, 512)
     x = grid.points
-    x0, p, t_a, big_t = 0.5, 1.3, 0.4, 0.05
-    packet = WavePacket(grid, np.pi ** -0.25 * np.exp(-(x - x0) ** 2 / 2 + 1j * p * x), t_a)
-    # what resampling at the grid's own nodes would have handed the Fresnel
-    # step; the hop's gauge phase is 1, so this is the resampling hop
-    resampled = propagate(packet.with_samples(evaluate_trig_interpolant(packet, x)),
-                          free, free_basis, None, t_a + big_t)
+    x0, p, big_t = 0.5, 1.3, 0.05
     calls = []
 
     def spy(*args):
         calls.append(args)
         return evaluate_trig_interpolant(*args)
 
-    monkeypatch.setattr(gho.propagator, "evaluate_trig_interpolant", spy)
-    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
-        moved = propagate(packet, free, free_basis, None, t_a + big_t)
-    assert calls == []
-    ((form, _, big_a, _, _),) = _propagate_records(caplog)
-    assert form == "factored" and big_a == 1.0
-    assert caplog.records[-1].getMessage().endswith("dilation is the identity")
-    assert np.max(np.abs(moved.samples - resampled.samples)) <= 1e-13
-    width = 1.0 + 1j * big_t
-    exact = (np.pi ** -0.25 * width ** -0.5 * np.exp(
-        -(x - x0 - p * big_t) ** 2 / (2.0 * width) + 1j * p * x - 0.5j * p * p * big_t))
-    assert np.max(np.abs(moved.samples - exact)) <= 1e-13
+    for ics, xp, t_a in ((None, None, 0.4), (None, (0.5, 0.1), 0.4),
+                         (((0.8, 0.3), (0.4, 1.1)), None, 0.3)):
+        basis = gho.solve_homogeneous_basis(free, ics)
+        part = None if xp is None else gho.solve_particular(free, xp)
+        packet = WavePacket(grid, np.pi ** -0.25 * np.exp(-(x - x0) ** 2 / 2 + 1j * p * x), t_a)
+        # what resampling at the grid's own nodes would have handed the hop
+        resampled = propagate(packet.with_samples(evaluate_trig_interpolant(packet, x)),
+                              free, basis, part, t_a + big_t)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gho.propagator"), monkeypatch.context() as m:
+            m.setattr(gho.propagator, "evaluate_trig_interpolant", spy)
+            moved = propagate(packet, free, basis, part, t_a + big_t)
+        assert calls == []
+        ((form, _, _, _, _),) = _propagate_records(caplog)
+        big_a = _hop_matrix(basis.omega, basis.at(t_a), basis.at(t_a + big_t))[0]
+        assert form == "factored" and abs(big_a - 1.0) <= 4.0 * np.finfo(float).eps
+        assert (big_a != 1.0) == (ics is not None)
+        assert caplog.records[-1].getMessage().endswith("dilation is the identity")
+        assert np.max(np.abs(moved.samples - resampled.samples)) <= 1e-13
+        width = 1.0 + 1j * big_t
+        exact = (np.pi ** -0.25 * width ** -0.5 * np.exp(
+            -(x - x0 - p * big_t) ** 2 / (2.0 * width) + 1j * p * x - 0.5j * p * p * big_t))
+        assert np.max(np.abs(moved.samples - exact)) <= 1e-13
 
 
 # (scenario, basis initial data, x_p initial data); hbar != 1 and Omega = -1

@@ -2,10 +2,11 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 55 command lines in each tree: the six commands with their default
-options, `verify --xp 1.0,0.0`, and the four packet commands (modes, coherent,
-evolve, invariant) with the default grid given as `--grid=-10,10,2048`, which
-they run as given rather than fit to the modes. Each runs on the four bundled
+Runs 60 command lines in each tree: the six commands with their default
+options, `verify --xp 1.0,0.0`, `verify --xp 1.0,0.5` (a moving x_p, which a
+free-particle hop reads as a shift), and the four packet commands (modes,
+coherent, evolve, invariant) with the default grid given as
+`--grid=-10,10,2048`, which they run as given rather than fit to the modes. Each runs on the four bundled
 scenarios and on the coupled scenario of tests/conftest.py (a, b and f
 nonzero, M = 1.3, hbar = 0.7), the one that reaches the gauge phase. The revision is exported
 with `git archive` into a temporary directory. Both trees read the working
@@ -41,7 +42,7 @@ COUPLED = {"hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0]
            "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 1.3}}
 PACKET_COMMANDS = ("evolve", "modes", "invariant", "coherent")
 COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS),
-            ("verify", "--xp", "1.0,0.0"),
+            ("verify", "--xp", "1.0,0.0"), ("verify", "--xp", "1.0,0.5"),
             *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS))
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
 
