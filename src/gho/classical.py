@@ -539,7 +539,8 @@ def gauge_coefficients(s: Scenario, mass, ps: ParticularSnapshot, t):
     Its callers: propagator._forward_coefficients (the kernel at both ends),
     propagator.propagate (the hop strips G(t_a), puts on G(t_b)) and
     states._modes_1d, each of which adds int f / hbar once itself.
-    Grids take exp(i G) from packets.grid_phase, scattered points from exp."""
+    Grids multiply exp(i G) in place (packets._times_grid_phase), scattered
+    points take it from exp."""
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
     return mass * a_c / s.hbar, (ps.momentum + b_c) / s.hbar, ps.xi / s.hbar

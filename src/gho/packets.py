@@ -7,18 +7,27 @@ dark-edged packets every operation requires. Oscillatory sums are chirp-z
 transforms, czt. Every phase put on a grid is a quadratic in the grid index,
 so every full-grid complex exponential is quadratic_phase, which builds
 exp(i (a k^2 + b k + c)) from about 4 sqrt(n) exponentials, laid out as a
-Hankel table, and 2n complex products. Values off the nodes (a dilated grid,
-an upsampled one) are the packet's trigonometric interpolant,
-evaluate_trig_interpolant; every translation (states.apply_U_F, each
-unit-dilation hop of propagate) reads it as a ramp on the FFT spectrum.
-Derivatives use 4th-order centered stencils with one-sided closures at the
-edges (which are required to be numerically dark anyway).
+Hankel table, and 2n complex products. Where an array carries the phase (the
+gauge phase, a chirp, a spectral ramp), _times_quadratic_phase multiplies
+the same three factors into it in place, 3n products and no full-size
+temporary; _times_grid_phase and _times_spectral_phase take the phase's
+coefficients in x and in the angular frequencies of an FFT. Values off the
+nodes (a dilated grid, an upsampled one) are the packet's trigonometric
+interpolant, read off its FFT spectrum by one chirp-z, _read_spectrum: for
+evaluate_trig_interpolant, and for propagate's resampled hops after a Fresnel
+phase on that spectrum. Every translation (states.apply_U_F, each
+unit-dilation hop of propagate) is a ramp on the FFT spectrum. Derivatives
+use 4th-order centered stencils with one-sided closures at the edges (which
+are required to be numerically dark anyway).
 
 The packet functions here and in gho.propagator and gho.states compute in
-place on arrays they own and never write to their inputs. Each in-place step
-keeps the operand order of the plain expression it replaces, so the results
-are the same to the bit: numpy's complex product, fused on some CPUs, is not
-commutative to the bit.
+place on arrays they own and never write to their inputs. Where a test pins
+a result to the bit (the Hermite rows, the invariant's sums), each in-place
+step keeps the operand order of the plain expression it replaces: numpy's
+complex product, fused on some CPUs, is not commutative to the bit. A real
+array times a complex one is copied into a complex buffer first and then
+multiplied in place: numpy's product with the real array cast to complex, to
+the bit, without the casting buffer numpy fills (up to 8192 points).
 """
 
 from __future__ import annotations
@@ -64,6 +73,9 @@ class GridSpec:
             raise ValidationError("grid needs x_min < x_max")
         if self.n_points < 16:
             raise ValidationError("grid needs at least 16 points")
+        # numpy scalars (ends read off an array) print as np.float64(...)
+        object.__setattr__(self, "x_min", float(self.x_min))
+        object.__setattr__(self, "x_max", float(self.x_max))
 
     @property
     def dx(self) -> float:
@@ -123,8 +135,12 @@ def _check_same_grid(p1: WavePacket, p2: WavePacket):
 
 def _support(modulus, rel) -> tuple[int, int]:
     """First and last index of the entries of modulus above rel times its max."""
-    above = modulus > rel * modulus.max()
-    return int(above.argmax()), len(above) - 1 - int(above[::-1].argmax())
+    return _ends(modulus > rel * modulus.max())
+
+
+def _ends(mask) -> tuple[int, int]:
+    """First and last index where a boolean array is true."""
+    return int(mask.argmax()), len(mask) - 1 - int(mask[::-1].argmax())
 
 
 def _trapezoid_inner(f, g, dx) -> complex:
@@ -172,12 +188,12 @@ def derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     """d/dx via 4th-order centered stencil, one-sided at the edges."""
     f = np.asarray(samples)
     out = np.empty_like(f)
-    # (f[:-4] - 8 f[1:-3] + 8 f[3:-1] - f[4:]) / (12 dx), summed in that
-    # order into the interior of the result with one temporary term
+    # (8 (f[3:-1] - f[1:-3]) + f[:-4] - f[4:]) / (12 dx), summed in that
+    # order into the interior of the result
     mid = out[2:-2]
-    np.multiply(8.0, f[1:-3], out=mid)
-    np.subtract(f[:-4], mid, out=mid)
-    mid += np.multiply(8.0, f[3:-1])
+    np.subtract(f[3:-1], f[1:-3], out=mid)
+    mid *= 8.0
+    mid += f[:-4]
     mid -= f[4:]
     mid /= 12.0 * dx
     head = f[:5]
@@ -220,25 +236,10 @@ def _scipy_fft():
     return fft
 
 
-def quadratic_phase(a: float, b: float, c: float, n: int) -> np.ndarray:
-    """exp(i (a k^2 + b k + c)) for k = 0 .. n-1, from few exponentials.
-
-    With k = B h + l, B a power of two near sqrt(n) and l < B, the cross
-    term is 2 a B h l = a B ((h + l)^2 - h^2 - l^2), so the phase splits as
-    exp(i (a k^2 + b k + c)) = U[l] V[h] D[h + l] with
-
-        U[l] = exp(i ((a - a B) l^2 + b l)),
-        V[h] = exp(i ((a B^2 - a B) h^2 + b B h + c)),
-        D[j] = exp(i a B j^2).
-
-    One np.exp call of about 4 sqrt(n) points makes U, V and D. The rows h
-    of the table of k read D through a Hankel view, D[h + l] at row h and
-    column l, which is multiplied by U along the rows and then by V down the
-    columns: two complex products per point. Each exponent is formed from a,
-    b and c themselves, never as a power of exp(i a), so the error stays
-    that of rounding the phase itself, as for np.exp of the phase written
-    out (see the tests). n = 0 gives an empty array.
-    """
+def _phase_factors(a: float, b: float, c: float, n: int):
+    """The factors of exp(i (a k^2 + b k + c)), k < n, laid out for
+    quadratic_phase: the Hankel view of D, U along its rows and V down its
+    columns (see there)."""
     n = int(n)  # a grid size may be a numpy integer
     block = 1 << (n.bit_length() // 2)
     rows = -(-n // block)  # the last row may run past n
@@ -259,37 +260,96 @@ def quadratic_phase(a: float, b: float, c: float, n: int) -> np.ndarray:
     hankel = np.ndarray((rows, block), np.complex128, cis, (block + rows) * cis.itemsize,
                         (cis.itemsize, cis.itemsize))
     hankel.flags.writeable = False
-    out = np.empty(rows * block, dtype=np.complex128)
-    table = out.reshape(rows, block)
-    np.multiply(hankel, cis[:block], out=table)
-    table *= cis[block:block + rows, None]
+    return hankel, cis[:block], cis[block:block + rows, None]
+
+
+def quadratic_phase(a: float, b: float, c: float, n: int) -> np.ndarray:
+    """exp(i (a k^2 + b k + c)) for k = 0 .. n-1, from few exponentials.
+
+    With k = B h + l, B a power of two near sqrt(n) and l < B, the cross
+    term is 2 a B h l = a B ((h + l)^2 - h^2 - l^2), so the phase splits as
+    exp(i (a k^2 + b k + c)) = U[l] V[h] D[h + l] with
+
+        U[l] = exp(i ((a - a B) l^2 + b l)),
+        V[h] = exp(i ((a B^2 - a B) h^2 + b B h + c)),
+        D[j] = exp(i a B j^2).
+
+    One np.exp call of about 4 sqrt(n) points makes U, V and D. The rows h
+    of the table of k read D through a Hankel view, D[h + l] at row h and
+    column l, which is multiplied by U along the rows and then by V down the
+    columns: two complex products per point. Each exponent is formed from a,
+    b and c themselves, never as a power of exp(i a), so the error stays
+    that of rounding the phase itself, as for np.exp of the phase written
+    out (see the tests). n = 0 gives an empty array.
+    """
+    hankel, u, v = _phase_factors(a, b, c, n)
+    out = np.empty(hankel.size, dtype=np.complex128)
+    table = out.reshape(hankel.shape)
+    np.multiply(hankel, u, out=table)
+    table *= v
     # drop the part of the last row past n; no other view of out is alive
     del table
-    out.resize(n, refcheck=False)
+    out.resize(int(n), refcheck=False)
     return out
+
+
+def _times_quadratic_phase(values, a: float, b: float, c: float) -> np.ndarray:
+    """values *= quadratic_phase(a, b, c, len(values)), in place, with no
+    full-size temporary: D, U and V multiply the values' own rows of B
+    points in turn. values is any 1-D view, a reversed one included, and is
+    returned."""
+    hankel, u, v = _phase_factors(a, b, c, len(values))
+    block = hankel.shape[1]
+    full = len(values) // block
+    # the full rows as a view (reshape raises rather than copy), then the
+    # shorter last row
+    table = values[:full * block].reshape(full, block, copy=False)
+    table *= hankel[:full]
+    table *= u
+    table *= v[:full]
+    rest = values[full * block:]
+    if len(rest):
+        rest *= hankel[full, :len(rest)]
+        rest *= u[:len(rest)]
+        rest *= v[full]
+    return values
 
 
 def grid_phase(alpha: float, beta: float, gamma: float, x0: float, dx: float,
                n: int) -> np.ndarray:
     """exp(i (alpha x^2 + beta x + gamma)) at x = x0 + k dx, k < n: the same
-    quadratic in the index k, by quadratic_phase."""
-    return quadratic_phase(alpha * dx * dx, (2.0 * alpha * x0 + beta) * dx,
-                           (alpha * x0 + beta) * x0 + gamma, n)
+    quadratic in the index k, formed as quadratic_phase forms it."""
+    return _times_grid_phase(np.ones(n, dtype=np.complex128), alpha, beta, gamma, x0, dx)
+
+
+def _times_grid_phase(values, alpha: float, beta: float, gamma: float, x0: float,
+                      dx: float) -> np.ndarray:
+    """values *= grid_phase(alpha, beta, gamma, x0, dx, len(values)), in
+    place (_times_quadratic_phase); returns values."""
+    return _times_quadratic_phase(values, alpha * dx * dx, (2.0 * alpha * x0 + beta) * dx,
+                                  (alpha * x0 + beta) * x0 + gamma)
 
 
 def spectral_phase(alpha: float, beta: float, n: int, dx: float) -> np.ndarray:
     """exp(i (alpha k^2 + beta k)) at the angular frequencies
     k = 2 pi fftfreq(n, dx) of an FFT of n samples spaced dx, in FFT order.
     Each half of that order is a uniform grid of k formed from k = 0
-    outward, one grid_phase each: 0, step, 2 step, ... and -step, -2 step,
-    ..., the latter reversed. A phase near k = 0 is then made from terms of
-    its own size, not from the cancellation of terms of alpha k_max^2."""
+    outward, one grid phase each: 0, step, 2 step, ... and -step, -2 step,
+    ..., the latter read through a reversed view. A phase near k = 0 is then
+    made from terms of its own size, not from the cancellation of terms of
+    alpha k_max^2."""
+    return _times_spectral_phase(np.ones(n, dtype=np.complex128), alpha, beta, dx)
+
+
+def _times_spectral_phase(spectrum, alpha: float, beta: float, dx: float) -> np.ndarray:
+    """spectrum *= spectral_phase(alpha, beta, len(spectrum), dx), in place,
+    each half straight into its part of the spectrum; returns spectrum."""
+    n = len(spectrum)
     step = 2.0 * math.pi / (n * dx)
     low = (n + 1) // 2
-    out = np.empty(n, dtype=np.complex128)
-    out[:low] = grid_phase(alpha, beta, 0.0, 0.0, step, low)
-    out[low:] = grid_phase(alpha, beta, 0.0, -step, -step, n // 2)[::-1]
-    return out
+    _times_grid_phase(spectrum[:low], alpha, beta, 0.0, 0.0, step)
+    _times_grid_phase(spectrum[low:][::-1], alpha, beta, 0.0, -step, -step)
+    return spectrum
 
 
 def czt(h, m: int, angle: float) -> np.ndarray:
@@ -317,7 +377,35 @@ def czt(h, m: int, angle: float) -> np.ndarray:
     work = sfft.fft(work, overwrite_x=True)
     work *= sfft.fft(filt, overwrite_x=True)
     work = sfft.ifft(work, overwrite_x=True)
-    return work[:m] * chirp[:m]
+    # the result goes into the chirp's own buffer, cut to m points (no view
+    # of it is alive): no fresh array of m points
+    np.multiply(work[:m], chirp[:m], out=chirp[:m])
+    chirp.resize(m, refcheck=False)
+    return chirp
+
+
+def _read_spectrum(spectrum, scale: float, alpha: float, start: float, step: float, m: int,
+                   dx: float) -> np.ndarray:
+    """The sum r_j = sum_k scale F_k exp(i (alpha k^2 + k (start + j step)))
+    for j < m over the modes k of spectrum F (an FFT of n samples spaced dx,
+    in FFT order), times exp(-i k_min j step), k_min = -(n//2) 2 pi / (n dx)
+    the lowest mode: one chirp-z over the modes in signed order.
+
+    With scale 1/n and alpha = 0, r_j exp(i k_min j step) is the samples'
+    trigonometric interpolant at x_min + start + j step; a nonzero alpha
+    first multiplies each mode by the Fresnel phase exp(i alpha k^2). That
+    phase and the ramp exp(i k start) are one spectral phase, formed from
+    k = 0 outward; the caller removes the end ramp. spectrum is overwritten.
+    """
+    n = len(spectrum)
+    _times_spectral_phase(spectrum, alpha, start, dx)
+    # the modes in signed order, k = (j - n//2) 2 pi / (n dx) at index j,
+    # each times scale
+    low = n - n // 2
+    h = np.empty(n, dtype=np.complex128)
+    np.multiply(spectrum[:low], scale, out=h[n // 2:])
+    np.multiply(spectrum[low:], scale, out=h[:n // 2])
+    return czt(h, m, 2.0 * math.pi * step / (n * dx))
 
 
 def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
@@ -326,9 +414,8 @@ def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
     Exact at grid nodes, spectrally accurate between them for edge-decayed
     packets. Points outside [x_min, x_max] return 0 (the interpolant itself is
     periodic, which is meaningless for a dark-edged packet). The sum over the
-    packet's Fourier modes is one chirp-z between two linear phase ramps
-    (quadratic_phase); points that are not evenly spaced raise
-    ValidationError.
+    packet's Fourier modes is _read_spectrum, one chirp-z between two linear
+    phase ramps; points that are not evenly spaced raise ValidationError.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or len(points) == 0:
@@ -340,21 +427,11 @@ def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
     lattice += points[0]
     if np.max(np.abs(points - lattice)) > 1e-9 * abs(step):
         raise ValidationError("interpolation points must be evenly spaced")
-    n = p.grid.n_points
-    period = n * p.grid.dx
-    # modes ordered by frequency (k - n//2) / period, k = 0 .. n-1
-    spectrum = _scipy_fft().fft(p.samples)
-    h = np.empty(n, dtype=np.complex128)
-    h[n // 2:] = spectrum[:n - n // 2]
-    h[:n // 2] = spectrum[n - n // 2:]
-    h /= n
-    # the ramps that move the sum's origin to the first point and the
-    # frequencies' to the lowest mode, each linear in its index
-    start = points[0] - p.grid.x_min
-    h *= quadratic_phase(0.0, 2.0 * np.pi * start / period, 0.0, n)
-    vals = czt(h, m, 2.0 * np.pi * step / period)
-    shift = -2.0 * np.pi * (n // 2) / period
-    vals *= quadratic_phase(0.0, shift * step, shift * start, m)
+    n, dx = p.grid.n_points, p.grid.dx
+    vals = _read_spectrum(_scipy_fft().fft(p.samples), 1.0 / n, 0.0, points[0] - p.grid.x_min,
+                          step, m, dx)
+    # the end ramp exp(i k_min j step)
+    _times_quadratic_phase(vals, 0.0, -2.0 * math.pi * (n // 2) * step / (n * dx), 0.0)
     vals[(points < p.grid.x_min) | (points > p.grid.x_max)] = 0.0
     return vals
 

@@ -22,15 +22,22 @@ Backward-time values follow from the conjugation symmetry K*(b, a) = K(a, b).
 Wave-packet propagation makes one hop with the metaplectic operator of the
 hop's symplectic matrix [[A, B], [C, .]] (see _hop_matrix; D above is Omega B):
 stripped of the mode set's gauge phase, the linear canonical transform. When
-hbar |B| pi / dx <= |A| N dx it is applied as chirp(C/A) . dilation(A) .
-Fresnel(B/A), regular at B = 0 (short hops, focal times): a trigonometric
-interpolant on the shifted, dilated grid, or at a unit dilation, |A - 1| <=
-4 eps (every free-particle hop), the shift by x_p(t_b) - x_p(t_a) alone as
-the ramp exp(-i k shift) of apply_U_F; then one FFT multiply and a chirp.
-Otherwise it is the trapezoidal kernel sum by chirp multiplications and a
-chirp-z transform, regular at A = 0, on as many points as the trapezoid
-rule's aliasing bound asks (see _quadrature_size): the packet's own grid on
-most hops, its trigonometric interpolant read at that many points on the rest.
+hbar |B| pi / dx <= |A| N dx it is applied in the factored form, regular at
+B = 0 (short hops, focal times), from one FFT of the gauge-reduced packet. At
+a unit dilation, |A - 1| <= 4 eps (every free-particle hop), it is
+chirp(C/A) . Fresnel(A B) . shift: the ramp exp(-i k shift) of apply_U_F for
+the shift x_p(t_b) - x_p(t_a) and the Fresnel phase multiply that spectrum,
+one inverse FFT and a chirp finish it. Otherwise it is chirp(C/A) .
+dilation(A) . Fresnel(B/A), the same operator as chirp(C/A) . Fresnel(A B) .
+dilation(A): the Fresnel phase rides on the trigonometric interpolant's
+start ramp, one chirp-z (packets._read_spectrum) reads the interpolant of
+the Fresnel-multiplied spectrum at x_p(t_a) + (x - x_p(t_b)) / A, and the
+output phase carries the chirp and the interpolant's end ramp; no inverse
+FFT. Past the Nyquist band it is the trapezoidal kernel sum by chirp
+multiplications and a chirp-z transform, regular at A = 0, on as many points
+as the trapezoid rule's aliasing bound asks (see _quadrature_size): the
+packet's own grid on most hops, its trigonometric interpolant read at that
+many points on the rest.
 
 That Nyquist-band test assumes content up to pi/dx. A unit-dilation hop is
 one FFT multiply on a periodic grid, exact unless the packet wraps around,
@@ -43,8 +50,9 @@ chose its form.
 
 Every phase either form puts on a grid (the gauge phase, the kernel's
 chirps, the Fresnel transfer on each half of the FFT order) is a quadratic
-in the grid index, evaluated from its coefficients by packets.grid_phase;
-no full-grid complex exponential is taken point by point.
+in the grid index, evaluated from its coefficients and multiplied in place
+into the array that carries it (packets._times_grid_phase); no full-grid
+complex exponential is taken point by point.
 """
 
 from __future__ import annotations
@@ -60,8 +68,8 @@ import numpy as np
 from .classical import ClassicalBasis, _check_time, _record, _snapshots, gauge_coefficients
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, ValidationError
-from .packets import (WavePacket, _scipy_fft, _support, czt, evaluate_trig_interpolant,
-                      grid_phase, l2_distance, spectral_phase, upsample_periodic)
+from .packets import (WavePacket, _ends, _read_spectrum, _scipy_fft, _support, _times_grid_phase,
+                      _times_spectral_phase, czt, l2_distance, upsample_periodic)
 
 _log = logging.getLogger(__name__)
 
@@ -381,10 +389,10 @@ def _lct_apply(co: KernelCoefficients, ys, g, dy, out_points):
     y0 = float(ys[0])
     # one grid phase per side: the kernel's own phase plus the shift
     # beta x0 (y - y0) that puts the chirp-z origin at (y0, x0)
-    h = grid_phase(co.q_aa, co.l_a + beta * x0, -beta * x0 * y0, y0, dy, len(g))
-    h = np.multiply(g, h, out=h)
+    h = _times_grid_phase(np.array(g, dtype=np.complex128), co.q_aa, co.l_a + beta * x0,
+                          -beta * x0 * y0, y0, dy)
     transform = czt(h, m_out, beta * dxo * dy)
-    transform *= grid_phase(co.q_bb, co.l_b + beta * y0, 0.0, x0, dxo, m_out)
+    _times_grid_phase(transform, co.q_bb, co.l_b + beta * y0, 0.0, x0, dxo)
     transform *= co.prefactor * dy
     return transform
 
@@ -416,9 +424,14 @@ def _moved_box(samples, spectrum, shear, shift, grid):
     of their peak (spectrum in FFT order)."""
     n = grid.n_points
     support = _support(np.abs(samples), PACKET_BOX_RTOL)
-    # the modes in signed order, k = (j - n//2) 2 pi / (n dx) at index j
-    band = _support(np.fft.fftshift(np.abs(spectrum)), PACKET_BOX_RTOL)
-    k_lo, k_hi = ((j - n // 2) * 2.0 * math.pi / (n * grid.dx) for j in band)
+    modes = np.abs(spectrum)
+    above = modes > PACKET_BOX_RTOL * modes.max()
+    # FFT order holds the modes k >= 0 first, then k < 0: the band's lowest
+    # mode is the lowest negative one above, else the lowest one above 0
+    nonneg, neg = above[:n - n // 2], above[n - n // 2:]
+    j_lo = _ends(neg)[0] - n // 2 if neg.any() else _ends(nonneg)[0]
+    j_hi = _ends(nonneg)[1] if nonneg.any() else _ends(neg)[1] - n // 2
+    k_lo, k_hi = (j * 2.0 * math.pi / (n * grid.dx) for j in (j_lo, j_hi))
     moves = (shear * k_lo, shear * k_hi)
     return (grid.x_min + shift + support[0] * grid.dx + min(moves),
             grid.x_min + shift + support[1] * grid.dx + max(moves))
@@ -448,11 +461,8 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     test, spectrum = "Nyquist band", None
     if nyquist or not resample:
         alpha, beta, gamma = gauge_coefficients(s, at_a.mass, xp_a, t_a)
-        reduced = grid_phase(-alpha, -beta, -gamma, grid.x_min, grid.dx, n)
-        reduced = np.multiply(packet.samples, reduced, out=reduced)
-        if resample:
-            reduced = evaluate_trig_interpolant(packet.with_samples(reduced),
-                                                xp_a.x + (grid.points - xp_b.x) / big_a)
+        reduced = _times_grid_phase(np.array(packet.samples), -alpha, -beta, -gamma,
+                                    grid.x_min, grid.dx)
         spectrum = sfft.fft(reduced, overwrite_x=True)
         if not nyquist:
             # |reduced| is |packet|: the box reads the support off the samples
@@ -483,17 +493,31 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     morse = _morse_count(at_a, at_b, big_b, _FLOATS)
     phi = sigma * (-0.25 * math.pi - 0.5 * math.pi * morse
                    + 0.25 * math.pi * math.copysign(1.0, big_a) * (-1) ** morse)
-    spectrum *= spectral_phase(-0.5 * hbar * big_a * big_b, -shift, n, grid.dx)
-    fresnel = sfft.ifft(spectrum, overwrite_x=True)
+    if resample:
+        # dilation(A) . Fresnel(B/A), which is Fresnel(A B) . dilation(A):
+        # the interpolant of the Fresnel-multiplied spectrum read at
+        # y = x_p(t_a) + (x - x_p(t_b)) / A, 0 off the grid; the output
+        # phase below takes the end ramp exp(i k_min (x - x_min) / A)
+        step = grid.dx / big_a
+        start = xp_a.x + (grid.x_min - xp_b.x) / big_a
+        out = _read_spectrum(spectrum, abs(big_a) ** -0.5 / n, -0.5 * hbar * big_b / big_a,
+                             start - grid.x_min, step, n, grid.dx)
+        ramp = -2.0 * math.pi * (n // 2) / (n * grid.dx * big_a)
+        first, last = sorted(((grid.x_min - start) / step, (grid.x_max - start) / step))
+        out[:math.ceil(min(max(first, 0.0), n))] = 0.0
+        out[math.floor(min(max(last, -1.0), n)) + 1:] = 0.0
+    else:
+        out = sfft.ifft(_times_spectral_phase(spectrum, -0.5 * hbar * big_a * big_b, -shift,
+                                              grid.dx), overwrite_x=True)
+        out *= abs(big_a) ** -0.5
+        ramp = 0.0
     # phi + C X^2 / (2 hbar A) + G(t_b, x) + int f / hbar, X = x - x_p(t_b)
     f_int = integrate_coefficient(s.f, t_a, t_b)
     chirp = big_c / (2.0 * hbar * big_a)
     alpha, beta, gamma = gauge_coefficients(s, at_b.mass, xp_b, t_b)
-    out = grid_phase(chirp + alpha, beta - 2.0 * chirp * xp_b.x,
-                     phi + chirp * xp_b.x * xp_b.x + gamma + f_int / hbar,
-                     grid.x_min, grid.dx, n)
-    out = np.multiply(abs(big_a) ** -0.5, out, out=out)
-    out *= fresnel
+    _times_grid_phase(out, chirp + alpha, beta - 2.0 * chirp * xp_b.x + ramp,
+                      phi + chirp * xp_b.x * xp_b.x + gamma + f_int / hbar - ramp * grid.x_min,
+                      grid.x_min, grid.dx)
     return WavePacket(grid, out, t_b)
 
 

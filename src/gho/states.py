@@ -33,8 +33,8 @@ from .classical import (ClassicalBasis, ParticularSolution, _check_time, _snapsh
                         gauge_coefficients, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
-from .packets import (GridSpec, WavePacket, _support, _trapezoid_inner, derivative,
-                      evaluate_trig_interpolant, grid_phase, spectral_phase)
+from .packets import (GridSpec, WavePacket, _support, _times_grid_phase, _times_spectral_phase,
+                      _trapezoid_inner, derivative, evaluate_trig_interpolant)
 
 __all__ = [
     "hermite_functions",
@@ -58,7 +58,11 @@ def hermite_functions(n_max: int, z):
     recurrence keeps every intermediate bounded, so large n and z are safe
     where the raw polynomial would overflow.
     """
-    return np.array(list(_hermite_rows(n_max, _hermite_points(n_max, z))))
+    z = _hermite_points(n_max, z)
+    table = np.empty((n_max + 1,) + z.shape)
+    for n, row in enumerate(_hermite_rows(n_max, z)):
+        table[n] = row
+    return table
 
 
 def _hermite_row(n: int, z):
@@ -76,15 +80,26 @@ def _hermite_points(n_max, z):
 
 
 def _hermite_rows(n_max, z):
-    """Yield htilde_0..htilde_{n_max}(z) in turn, each from the two before it."""
-    prev = math.pi ** -0.25 * np.exp(-0.5 * z * z)
+    """Yield htilde_0..htilde_{n_max}(z) in turn, each from the two before it
+    by sqrt(2 / (k + 1)) z row - sqrt(k / (k + 1)) prev, in three buffers: a
+    yielded row is overwritten two rows later."""
+    prev = np.multiply(z, z)
+    prev *= -0.5
+    np.exp(prev, out=prev)
+    prev *= math.pi ** -0.25
     yield prev
     if n_max >= 1:
-        row = math.sqrt(2.0) * z * prev
+        row = np.multiply(math.sqrt(2.0), z)
+        row *= prev
         yield row
+    if n_max >= 2:
+        new = np.empty_like(row)
     for k in range(1, n_max):
-        prev, row = row, (math.sqrt(2.0 / (k + 1)) * z * row
-                          - math.sqrt(k / (k + 1.0)) * prev)
+        np.multiply(math.sqrt(2.0 / (k + 1)), z, out=new)
+        new *= row
+        prev *= math.sqrt(k / (k + 1.0))
+        new -= prev
+        prev, row, new = row, new, prev
         yield row
 
 
@@ -111,7 +126,7 @@ def _modes_1d(s, basis, part, n_max, t, x):
     the gauge phase plus M rho' (x - x_p)^2 / (2 hbar rho) and
     phase = (alpha, beta, gamma). turn holds exp(i (k + 1/2) sgn(Omega)
     theta). gamma holds the time term int f / hbar from t0. The caller takes
-    the envelope's exponential, by grid_phase on a grid and by _envelope at
+    the envelope's exponential, in place on a grid and by _envelope at
     scattered points, and evaluates the Hermite functions at z: every row for
     a mode sum, one row when only psi_k is wanted. Raises ValidationError for
     t outside the working interval.
@@ -125,7 +140,9 @@ def _modes_1d(s, basis, part, n_max, t, x):
     chirp = bs.mass * bs.rho_dot / (2.0 * hbar * bs.rho)
     phase = (alpha + chirp, beta - 2.0 * chirp * ps.x, gamma + chirp * ps.x * ps.x)
     amplitude = (omega / (hbar * bs.rho ** 2)) ** 0.25
-    z = math.sqrt(omega / hbar) * (np.asarray(x, dtype=float) - ps.x) / bs.rho
+    z = np.subtract(x, ps.x, dtype=float)
+    z *= math.sqrt(omega / hbar)
+    z /= bs.rho
     angle = math.copysign(1.0, basis.omega) * bs.theta
     turn = np.exp(1j * (np.arange(n_max + 1) + 0.5) * angle)
     return z, amplitude, phase, turn
@@ -150,12 +167,13 @@ def eigenmode(s: Scenario, basis: ClassicalBasis, part, n: int, t: float, x: flo
 
 def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
                      grid: GridSpec) -> WavePacket:
-    """psi_n(t, .) sampled on a grid; the envelope's phase is one grid_phase."""
+    """psi_n(t, .) sampled on a grid; the envelope's phase is one grid phase,
+    multiplied in place."""
     z, amplitude, phase, turn = _modes_1d(s, basis, part, n, t, grid.points)
-    envelope = grid_phase(*phase, grid.x_min, grid.dx, grid.n_points)
-    np.multiply(_hermite_row(n, z), envelope, out=envelope)
-    envelope *= amplitude * turn[n]
-    return WavePacket(grid, envelope, t=t)
+    samples = _hermite_row(n, z).astype(np.complex128)
+    samples *= amplitude * turn[n]
+    _times_grid_phase(samples, *phase, grid.x_min, grid.dx)
+    return WavePacket(grid, samples, t=t)
 
 
 def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
@@ -189,7 +207,8 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
 
     (U_F psi)(x) = exp(i xi / hbar) exp(i M x_p' x / hbar) psi(x - x_p);
     part=None stands for x_p = 0. The shift is the ramp exp(-i k x_p) on the
-    spectrum and the phase one grid_phase, both linear in the grid index.
+    spectrum and the phase one grid phase, both linear in the grid index and
+    multiplied in place.
     """
     _check_time(s, t, "t")
     ps = particular_or_zero(s, part).at(t)
@@ -201,14 +220,11 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
         raise GridTooNarrow(f"translation by {xp:.3g} pushes support off the grid")
     # exact band-limited translation: the ramp exp(-i k x_p) on the spectrum
     shifted = fft(packet.samples)
-    shifted *= spectral_phase(0.0, -xp, grid.n_points, grid.dx)
-    shifted = ifft(shifted, overwrite_x=True)
+    shifted = ifft(_times_spectral_phase(shifted, 0.0, -xp, grid.dx), overwrite_x=True)
     outside = (x - xp < grid.x_min) | (x - xp > grid.x_max)
     shifted[outside] = 0.0
-    out = grid_phase(0.0, ps.momentum / s.hbar, ps.xi / s.hbar, grid.x_min, grid.dx,
-                     grid.n_points)
-    out *= shifted
-    return WavePacket(grid, out, t=t)
+    _times_grid_phase(shifted, 0.0, ps.momentum / s.hbar, ps.xi / s.hbar, grid.x_min, grid.dx)
+    return WavePacket(grid, shifted, t=t)
 
 
 def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
@@ -217,7 +233,7 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
 
     (U_S psi)(x) = exp(i M rho' x^2 / (2 hbar rho)) (|Omega|/rho^2)^{1/4}
                    psi(sqrt(|Omega|/rho^2) x);
-    the chirp is one grid_phase.
+    the chirp is one grid phase, multiplied in place.
     """
     _check_time(s, t, "t")
     bs = basis.at(t)
@@ -226,10 +242,9 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
     grid = packet.grid
     rescaled = evaluate_trig_interpolant(packet, scale * grid.points)
     chirp = bs.mass * bs.rho_dot / (2.0 * s.hbar * bs.rho)
-    out = grid_phase(chirp, 0.0, 0.0, grid.x_min, grid.dx, grid.n_points)
-    out = np.multiply(np.sqrt(scale), out, out=out)
-    out *= rescaled
-    result = WavePacket(packet.grid, out, t=t)
+    rescaled *= np.sqrt(scale)
+    _times_grid_phase(rescaled, chirp, 0.0, 0.0, grid.x_min, grid.dx)
+    result = WavePacket(packet.grid, rescaled, t=t)
     result.require_dark_edges(1e-8, "apply_U_S output")
     return result
 
@@ -291,14 +306,17 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     shift = 2.0 * m * a_c * x
     shift += b_c
     shift += ps.momentum
-    work = np.multiply(shift, psi)
+    work = np.empty_like(psi)
+    np.copyto(work, shift)
+    work *= psi
     p_psi -= work
     norm_sq = _trapezoid_inner(psi, psi, dx).real
     if with_diagnostic:
         skew = _trapezoid_inner(psi, p_psi, dx).imag / math.sqrt(
             norm_sq * _trapezoid_inner(p_psi, p_psi, dx).real)
     x -= ps.x
-    x_psi = np.multiply(x, psi, out=work)
+    np.copyto(work, x)
+    x_psi = np.multiply(work, psi, out=work)
     spread = _trapezoid_inner(x_psi, x_psi, dx).real
     # (M rho' X - rho P) psi, over the buffers of X psi and P psi
     mixed = np.multiply(m * bs.rho_dot, x_psi, out=x_psi)

@@ -410,7 +410,9 @@ def test_chirp_z_hop_and_invariant_allocate_no_extra_full_size_array(
         sho, sho_basis, sho_part_zero):
     # At N = 4096 on (-10, 10) the hop 0.3 -> 1.0 takes the chirp-z form on
     # the packet's own 4096 points. Measured with numpy 2.4 / scipy 1.17: the
-    # hop peaks at 483.25 KiB and the invariant at 257 KiB. Each bound adds
+    # hop peaks at 419.4 KiB and the invariant at 193.5 KiB (483.25 and 257
+    # KiB while chirp-z returned a fresh array and the phases and the
+    # invariant's real-by-complex products made their own). Each bound adds
     # half of one complex array of 4096 points, so one more such temporary
     # alive at the peak fails.
     grid = GridSpec(-10.0, 10.0, 4096)
@@ -421,8 +423,27 @@ def test_chirp_z_hop_and_invariant_allocate_no_extra_full_size_array(
     hop = _traced_peak(lambda: gho.propagate(packet, sho, sho_basis, sho_part_zero, 1.0))
     invariant = _traced_peak(
         lambda: gho.invariant_expectation(moved, sho_basis, sho_part_zero, sho))
-    assert hop < 484 * 1024 + 4096 * 16 // 2
-    assert invariant < 257 * 1024 + 4096 * 16 // 2
+    assert hop < 420 * 1024 + 4096 * 16 // 2
+    assert invariant < 194 * 1024 + 4096 * 16 // 2
+
+
+def test_focal_landing_and_eigenmode_packet_allocate_no_extra_full_size_array(
+        sho, sho_basis, sho_part_zero):
+    # At N = 4096 on (-10, 10) the hop 0.7 -> its first focal time takes the
+    # factored form and resamples (A = -1). Measured with numpy 2.4 / scipy
+    # 1.17: the hop peaks at 451.2 KiB (643 KiB while it dilated before the
+    # Fresnel pair) and eigenmode_packet at 166.3 KiB (258 KiB while the
+    # phase was a separate array). Each bound adds half of one complex array
+    # of 4096 points.
+    grid = GridSpec(-10.0, 10.0, 4096)
+    t_f = gho.caustic_times(sho_basis, 0.7).times[0]
+    packet = gho.eigenmode_packet(sho, sho_basis, sho_part_zero, 2, 0.7, grid)
+    gho.propagate(packet, sho, sho_basis, sho_part_zero, t_f)  # warm-up
+    landing = _traced_peak(lambda: gho.propagate(packet, sho, sho_basis, sho_part_zero, t_f))
+    mode = _traced_peak(lambda: gho.eigenmode_packet(sho, sho_basis, sho_part_zero, 2, 0.7,
+                                                     grid))
+    assert landing < 452 * 1024 + 4096 * 16 // 2
+    assert mode < 167 * 1024 + 4096 * 16 // 2
 
 
 @pytest.mark.parametrize("where, value, message", [

@@ -3,6 +3,7 @@ import logging
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import gho
 from gho import (CausticEncountered, KernelQuery, ValidationError, caustic_times,
                  green_function, inner_product, kernel, kernel_delta_check,
                  l2_distance, mean_x, packet_norm, propagate, sho_eigenstate, var_x)
-from gho.packets import WavePacket, evaluate_trig_interpolant, upsample_periodic
+from gho.packets import WavePacket, _read_spectrum, evaluate_trig_interpolant, upsample_periodic
 from gho.propagator import (CAUSTIC_RTOL, _hop_matrix, _lct_apply, _morse_count,
                             _quadrature_size, kernel_coefficients)
 
@@ -423,14 +424,16 @@ HOP_SCENARIOS = {
 
 
 @functools.cache
-def _solved(name):
+def _solved(name, xp=None):
+    """Scenario, default basis and x_p (from the initial data xp, if given)."""
     s = gho.scenario_from_dict(HOP_SCENARIOS[name])
-    return s, gho.solve_homogeneous_basis(s), gho.solve_particular(s)
+    part = gho.solve_particular(s) if xp is None else gho.solve_particular(s, xp)
+    return s, gho.solve_homogeneous_basis(s), part
 
 
-def _hop_error(name, n, t_a, t_b, grid):
+def _hop_error(name, n, t_a, t_b, grid, xp=None):
     """L2 distance of mode n hopped t_a -> t_b from mode n built at t_b."""
-    s, basis, part = _solved(name)
+    s, basis, part = _solved(name, xp)
     moved = propagate(gho.eigenmode_packet(s, basis, part, n, t_a, grid), s, basis, part, t_b)
     return l2_distance(moved, gho.eigenmode_packet(s, basis, part, n, t_b, grid))
 
@@ -440,6 +443,43 @@ def test_propagate_short_hop(name, grid):
     # a 1e-3 hop is one Fresnel multiply; a quadrature would need ~0.5M points
     assert _hop_error(name, 2, 1.0, 1.001, grid) < 1e-10
     assert _hop_error(name, 2, 1.0, 0.999, grid) < 1e-10
+    # x_p moves over the hop: the dilation reads x_p(t_a) + (x - x_p(t_b)) / A
+    assert _hop_error(name, 2, 1.0, 1.001, grid, (0.5, 0.3)) < 1e-10
+    assert _hop_error(name, 2, 1.0, 0.999, grid, (0.5, 0.3)) < 1e-10
+
+
+def test_resampled_hop_reads_one_spectrum(grid, monkeypatch, caplog):
+    # a short hop and a focal landing, A != 1 on both: one forward FFT of the
+    # gauge-reduced packet, whose Fresnel-multiplied spectrum the one chirp-z
+    # of _read_spectrum reads at the dilated points; no inverse FFT
+    real = gho.packets._scipy_fft()
+    transforms, interpolants, reads = [], [], []
+
+    def counted(name):
+        def call(*args, **kwargs):
+            transforms.append(name)
+            return getattr(real, name)(*args, **kwargs)
+        return call
+
+    def read(*args):
+        reads.append(args)
+        return _read_spectrum(*args)
+
+    monkeypatch.setattr(gho.propagator, "_scipy_fft", lambda: SimpleNamespace(
+        fft=counted("fft"), ifft=counted("ifft"), next_fast_len=real.next_fast_len))
+    monkeypatch.setattr(gho.packets, "evaluate_trig_interpolant",
+                        lambda *args: interpolants.append(args))
+    monkeypatch.setattr(gho.propagator, "_read_spectrum", read)
+    _, basis, _ = _solved("coupled", (0.5, 0.3))
+    for t_a, t_b in ((1.0, 1.001), (0.7, caustic_times(basis, 0.7).times[0])):
+        transforms.clear()
+        reads.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+            error = _hop_error("coupled", 2, t_a, t_b, grid, (0.5, 0.3))
+        assert caplog.records[-1].getMessage().endswith("dilation resampled")
+        assert transforms == ["fft"] and len(reads) == 1 and interpolants == []
+        assert error < 1e-9
 
 
 @pytest.mark.parametrize("name", ["sho", "parametric", "coupled"])
@@ -610,7 +650,7 @@ def test_free_particle_hop_resamples_nothing(free, monkeypatch, caplog):
 
     def spy(*args):
         calls.append(args)
-        return evaluate_trig_interpolant(*args)
+        return _read_spectrum(*args)
 
     for ics, xp, t_a in ((None, None, 0.4), (None, (0.5, 0.1), 0.4),
                          (((0.8, 0.3), (0.4, 1.1)), None, 0.3)):
@@ -622,7 +662,7 @@ def test_free_particle_hop_resamples_nothing(free, monkeypatch, caplog):
                               free, basis, part, t_a + big_t)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="gho.propagator"), monkeypatch.context() as m:
-            m.setattr(gho.propagator, "evaluate_trig_interpolant", spy)
+            m.setattr(gho.propagator, "_read_spectrum", spy)
             moved = propagate(packet, free, basis, part, t_a + big_t)
         assert calls == []
         ((form, _, _, _, _),) = _propagate_records(caplog)
