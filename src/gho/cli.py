@@ -19,14 +19,16 @@ import numpy as np
 from . import classical, oracle, propagator, states
 from .coefficients import Constant, Scenario, load_scenario, serialize_scenario
 from .errors import CausticEncountered, GhoError, GridTooNarrow, ParseError, ValidationError
-from .packets import GridSpec, WavePacket, inner_product, l2_distance, mean_x, packet_norm, var_x
+from .packets import (GridSpec, WavePacket, evaluate_trig_interpolant, inner_product,
+                      l2_distance, mean_x, packet_norm, var_x)
 
 _SEED = 20240801
 _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the modes
-# verify's evolver checks take half of _fit_grid's points, spaced as 1 / r in
-# the modes' momentum spread r, and a fine step of 1e-2 / round(r)^2, so they
-# cost about r^3: sho at spread 3 (custom:0.14,0,0,1.5, 11,008 points) evolves
-# in 2.2-2.7 s on a 2-core machine. They run only up to round(r) = 3
+# verify's evolver checks take a sixth of _fit_grid's points, spaced as 1 / r
+# in the modes' momentum spread r, and a fine step of 1e-2 / round(r)^2, so
+# they cost about r^3: sho at spread 3 (custom:0.14,0,0,1.5, 3,669 points)
+# evolves in 0.5-0.7 s on a 2-core machine; spread 4.5 (custom:0.1,0,0,2)
+# would take 2.6 s. They run only up to round(r) = 3
 _EVOLVER_MAX_SPREAD = 3
 # verify's kernel slice refines its grid by k dx / 0.15, at most 3.21 (sho at hbar = 0.25)
 # for |x_p| <= 4; only the rounding residue of a huge x_p in l_b drives it past this cap
@@ -372,9 +374,10 @@ def _verify_checks(ctx):
         through the drift check's four legs and, when it is not one of them,
         evolver_vs_kernel's stop t0 + min(1, 0.8 span): both checks read this
         one evolution. Returns the start packet, the leg times, the kernel
-        stop and the evolved packet at each stop. The evolver's grid is
-        _fit_grid's over the five drift times with half its points: its dx^4
-        spatial error is then about the fine step's time error, not far under."""
+        stop, the evolved packet at each stop and _fit_grid's grid over the
+        five drift times. The evolver's grid has that extent and a sixth of
+        its points: its dx^6 spatial error is then about the fine step's time
+        error, not far under."""
         horizon = s.t0 + min(2.0, 0.8 * span)
         legs = [float(t) for t in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4)]
         stop = s.t0 + min(1.0, 0.8 * span)
@@ -389,23 +392,28 @@ def _verify_checks(ctx):
             raise GridTooNarrow(f"momentum spread rounds to {spread}, beyond the "
                                 f"evolver's resolved {_EVOLVER_MAX_SPREAD}")
         wide = _fit_grid(s, basis, grid, times)
-        coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 2)
+        coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
         cfg = oracle.EvolverConfig(dt=1e-2 / spread ** 2)
         evolved, state = {}, packet
         for t_end in sorted({*legs, stop}):
             state = oracle.evolve_tdse(s, state, t_end, cfg)
             evolved[t_end] = state
-        return packet, legs, stop, evolved
+        return packet, legs, stop, evolved, wide
 
     def invariant_drift_tdse():
-        packet, legs, _, evolved = mode_zero_evolution()
-        values = np.asarray([states.invariant_expectation(p, basis, part, s)
-                             for p in (packet, *(evolved[t] for t in legs))])
+        # <I>'s own 5-point stencil error sets most of this value, so each
+        # state is read on a grid of the evolver's extent with half of
+        # _fit_grid's points, off its trigonometric interpolant
+        packet, legs, _, evolved, wide = mode_zero_evolution()
+        read = GridSpec(wide.x_min, wide.x_max, wide.n_points // 2)
+        values = np.asarray([states.invariant_expectation(
+            WavePacket(read, evaluate_trig_interpolant(p, read.points), t=p.t), basis, part, s)
+            for p in (packet, *(evolved[t] for t in legs))])
         return float((values.max() - values.min()) / abs(values.mean()))
 
     def evolver_vs_kernel():
-        packet, _, stop, evolved = mode_zero_evolution()
+        packet, _, stop, evolved, _ = mode_zero_evolution()
         direct = propagator.propagate(packet, s, basis, part, stop)
         return l2_distance(evolved[stop], direct)
 

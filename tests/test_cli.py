@@ -598,9 +598,9 @@ def test_verify_evolves_the_ground_mode_once(caplog, capsys):
     records = [r.getMessage() for r in caplog.records if r.name == "gho.oracle"]
     steps = [re.search(r"fine run (\d+) steps.*coarse run (\d+) steps", m) for m in records]
     assert [sum(int(m[k]) for m in steps) for k in (1, 2)] == [200, 100]
-    # on half of the 2048-point base grid's points: dx = 20 / 1023
+    # on a sixth of the 2048-point base grid's points: dx = 20 / 340
     grids = [re.search(r"grid (\d+) points, dx (\S+);", m).groups() for m in records]
-    assert all(int(n) == 1024 and float(dx) == pytest.approx(20.0 / 1023, rel=1e-5)
+    assert all(int(n) == 341 and float(dx) == pytest.approx(20.0 / 340, rel=1e-5)
                for n, dx in grids)
     # |psi_dt - psi_2dt| / |psi| per leg, measured 1.6e-6
     estimates = [float(re.search(r"Richardson error estimate (\S+)", m)[1]) for m in records]
@@ -658,10 +658,10 @@ def test_verify_strongly_squeezed_bases_pass(ics, capsys):
 
 
 @pytest.mark.parametrize("basis", ["default", "custom:-0.5414,0.4926,0.9182,-0.5404"])
-def test_verify_evolves_on_half_of_grid_for_points(basis, monkeypatch):
-    # every packet the evolver gets, and so the propagate call and the <I>
-    # reads, keeps the extent of _fit_grid over the drift check's five times
-    # (0, 0.5, ..., 2 on sho) and has half its points
+def test_verify_evolves_on_a_sixth_of_grid_for_points(basis, monkeypatch):
+    # every packet the evolver gets, and so the propagate call, keeps the
+    # extent of _fit_grid over the drift check's five times (0, 0.5, ..., 2 on
+    # sho) and has a sixth of its points
     grids = []
 
     def recorded(s, packet, t_end, cfg):
@@ -689,11 +689,40 @@ def test_verify_evolves_on_half_of_grid_for_points(basis, monkeypatch):
     (evolved,) = set(grids)
     assert (evolved.x_min, evolved.x_max) == pytest.approx((-10.0 * widen, 10.0 * widen),
                                                            rel=1e-12)
-    assert evolved.n_points == n // 2
+    assert evolved.n_points == n // 6
     if basis == "default":
-        assert evolved == GridSpec(-10.0, 10.0, 1024)
+        assert evolved == GridSpec(-10.0, 10.0, 341)
     else:  # squeezed: widened and refined
         assert widen > 1.0 and refine > 1.0
+
+
+def test_verify_reads_the_drift_on_half_of_grid_for_points(monkeypatch):
+    # the drift check's value is mostly <I>'s own 5-point stencil error on the
+    # grid it reads, so the evolver's grid moves and the read grid does not:
+    # each of the five states is read off its interpolant on _fit_grid's
+    # extent with half its points
+    evolved, read = [], []
+    evolve, expectation = cli.oracle.evolve_tdse, cli.states.invariant_expectation
+
+    def spy_evolve(s, packet, t_end, cfg):
+        evolved.append(packet.grid)
+        return evolve(s, packet, t_end, cfg)
+
+    def spy_expectation(packet, *args):
+        read.append(packet.grid)
+        return expectation(packet, *args)
+
+    monkeypatch.setattr(cli.oracle, "evolve_tdse", spy_evolve)
+    monkeypatch.setattr(cli.states, "invariant_expectation", spy_expectation)
+    args = cli.build_parser().parse_args(
+        ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--xp", "1.0,0.0"])
+    ctx = cli._Context(args)
+    checks = {name: check for name, _, check in cli._verify_checks(ctx)}
+    assert checks["invariant_drift_tdse"]() <= 1e-5
+    wide = cli._fit_grid(ctx.scenario, ctx.basis, ctx.grid, np.linspace(0.0, 2.0, 5))
+    assert len(evolved) == 4
+    assert set(evolved) == {GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)}
+    assert read == [GridSpec(wide.x_min, wide.x_max, wide.n_points // 2)] * 5
 
 
 def test_verify_evolver_cross_check_fails_on_a_wrong_coupling(tmp_path, monkeypatch,
