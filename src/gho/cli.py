@@ -19,8 +19,7 @@ import numpy as np
 from . import classical, oracle, propagator, states
 from .coefficients import Constant, Scenario, load_scenario, serialize_scenario
 from .errors import CausticEncountered, GhoError, GridTooNarrow, ParseError, ValidationError
-from .packets import (GridSpec, WavePacket, evaluate_trig_interpolant, inner_product,
-                      l2_distance, mean_x, packet_norm, var_x)
+from .packets import GridSpec, WavePacket, inner_product, l2_distance, mean_x, packet_norm, var_x
 
 _SEED = 20240801
 _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the modes
@@ -297,7 +296,7 @@ def _verify_checks(ctx):
             co = propagator.kernel_coefficients(s, basis, part, t_a, t)
             return co.value(0.3, x)
 
-        # the stencils' error grows as (k dx)^4 with the slice's largest
+        # the stencils' error grows as (k dx)^6 with the slice's largest
         # wavenumber k, which grows as 1 / hbar and with the chirp: past
         # k dx = 0.15 the slice takes more points over the same extent
         co = propagator.kernel_coefficients(s, basis, part, t_a, t_val)
@@ -374,9 +373,9 @@ def _verify_checks(ctx):
         through the drift check's four legs and, when it is not one of them,
         evolver_vs_kernel's stop t0 + min(1, 0.8 span): both checks read this
         one evolution. Returns the start packet, the leg times, the kernel
-        stop, the evolved packet at each stop and _fit_grid's grid over the
-        five drift times. The evolver's grid has that extent and a sixth of
-        its points: its dx^6 spatial error is then about the fine step's time
+        stop and the evolved packet at each stop. The evolver's grid has the
+        extent of _fit_grid's over the five drift times and a sixth of its
+        points: its dx^6 spatial error is then about the fine step's time
         error, not far under."""
         horizon = s.t0 + min(2.0, 0.8 * span)
         legs = [float(t) for t in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4)]
@@ -399,21 +398,18 @@ def _verify_checks(ctx):
         for t_end in sorted({*legs, stop}):
             state = oracle.evolve_tdse(s, state, t_end, cfg)
             evolved[t_end] = state
-        return packet, legs, stop, evolved, wide
+        return packet, legs, stop, evolved
 
     def invariant_drift_tdse():
-        # <I>'s own 5-point stencil error sets most of this value, so each
-        # state is read on a grid of the evolver's extent with half of
-        # _fit_grid's points, off its trigonometric interpolant
-        packet, legs, _, evolved, wide = mode_zero_evolution()
-        read = GridSpec(wide.x_min, wide.x_max, wide.n_points // 2)
-        values = np.asarray([states.invariant_expectation(
-            WavePacket(read, evaluate_trig_interpolant(p, read.points), t=p.t), basis, part, s)
-            for p in (packet, *(evolved[t] for t in legs))])
+        # <I> takes the evolver's own first-derivative stencil, so each state
+        # is read on the grid it was evolved on
+        packet, legs, _, evolved = mode_zero_evolution()
+        values = np.asarray([states.invariant_expectation(p, basis, part, s)
+                             for p in (packet, *(evolved[t] for t in legs))])
         return float((values.max() - values.min()) / abs(values.mean()))
 
     def evolver_vs_kernel():
-        packet, _, stop, evolved, _ = mode_zero_evolution()
+        packet, _, stop, evolved = mode_zero_evolution()
         direct = propagator.propagate(packet, s, basis, part, stop)
         return l2_distance(evolved[stop], direct)
 

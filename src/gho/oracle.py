@@ -4,9 +4,11 @@ Nothing here shares mutable state with the code it checks. The evolver is an
 implicit-midpoint (Crank-Nicolson) scheme on a heptadiagonal Hermitian
 discretization of the Hamiltonian, chosen over split-step because the mixed
 a(t) (xp + px) coupling does not factor into kinetic/potential pieces. The
-derivatives take the 7-point sixth-order stencils, and the mixed term is
-discretized antisymmetrically, (x_j + x_k) D_jk, so the matrix stays exactly
-Hermitian and each Cayley step preserves the discrete norm to solver roundoff.
+derivatives take the 7-point sixth-order stencils of gho.packets (samples
+zero beyond the ends), and the mixed term is discretized antisymmetrically,
+(x_j + x_k) D_jk, so the matrix stays exactly Hermitian and each Cayley step
+preserves the discrete norm to solver roundoff. The Schrodinger residual
+applies the same discrete H, with the same stencils, to a sampled field.
 With A = 1 + i dt H(t_mid) / (2 hbar) the step A psi' = (2 - A) psi is taken
 as psi' = 2 A^-1 psi - psi: one banded solve and no matrix-vector product,
 computed in place on two buffers that swap roles each step. A is factored
@@ -35,17 +37,12 @@ from .classical import ClassicalBasis, _check_time, particular_or_zero
 from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
-from .packets import GridSpec, WavePacket, derivative, second_derivative
+from .packets import _D1, _D2, GridSpec, WavePacket, derivative, second_derivative
 from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
 
 _log = logging.getLogger(__name__)
 
-# sixth-order central weights at offsets 0, 1, 2, 3 (Fornberg 1988), in units
-# of 1/dx^2 and 1/dx: d^2 is symmetric and d antisymmetric (offset -k weighs
-# minus offset +k), so the discrete H is exactly Hermitian
-_D2 = (-490.0 / 180.0, 270.0 / 180.0, -27.0 / 180.0, 2.0 / 180.0)
-_D1 = (0.0, 45.0 / 60.0, -9.0 / 60.0, 1.0 / 60.0)
-_BAND = 3  # sub- and superdiagonals of the step matrix
+_BAND = len(_D1) - 1  # sub- and superdiagonals of the step matrix
 
 __all__ = [
     "EvolverConfig",
@@ -205,7 +202,10 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
 
 
 def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
-    """The summands of H(t) samples: kinetic, mixed a(xp + px), drift b p, potential."""
+    """The summands of H(t) samples: kinetic, mixed a(xp + px), drift b p,
+    potential. With the stencils of packets.derivative and second_derivative
+    and the mixed term as i hbar a (X D + D X), which is the step matrix's
+    (x_j + x_k) D_jk, their sum is the evolver's discrete H times samples."""
     x = grid.points
     dx = grid.dx
     hbar = s.hbar
@@ -214,7 +214,7 @@ def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
     d1 = derivative(psi, dx)
     d2 = second_derivative(psi, dx)
     return (-hbar ** 2 / (2.0 * m) * d2,
-            1j * hbar * a_c * (2.0 * x * d1 + psi),
+            1j * hbar * a_c * (x * d1 + derivative(x * psi, dx)),
             1j * hbar * (b_c / m) * d1,
             (v2 * x * x + v1 * x + v0) * psi)
 
@@ -244,9 +244,10 @@ def schrodinger_residual(field, s: Scenario, t: float, grid: GridSpec) -> float:
     """Normalized residual of (-i hbar d/dt + H) applied to a field.
 
     `field(t, x_array)` must be evaluable in a neighborhood of t. The time
-    derivative uses centered differences with step 1e-5, space uses 4th-order
-    stencils, and the max-norm over interior nodes is divided by the largest
-    single term of the operator applied to the field.
+    derivative uses centered differences with step 1e-5, H is the evolver's
+    discrete H on the 7-point sixth-order stencils, and the max-norm over
+    interior nodes is divided by the largest single term of the operator
+    applied to the field.
     """
     _, res = schrodinger_residual_map(field, s, t, grid)
     return float(np.max(res))

@@ -17,8 +17,10 @@ interpolant, read off its FFT spectrum by one chirp-z, _read_spectrum: for
 evaluate_trig_interpolant, and for propagate's resampled hops after a Fresnel
 phase on that spectrum. Every translation (states.apply_U_F, each
 unit-dilation hop of propagate) is a ramp on the FFT spectrum. Derivatives
-use 4th-order centered stencils with one-sided closures at the edges (which
-are required to be numerically dark anyway).
+are the 7-point sixth-order central stencils with the samples taken as zero
+beyond the ends (which are required to be numerically dark anyway): the
+weights _D1 and _D2 are defined here once, and gho.oracle's evolver builds
+its step matrix from the same ones.
 
 The packet functions here and in gho.propagator and gho.states compute in
 place on arrays they own and never write to their inputs. Where a test pins
@@ -51,8 +53,6 @@ __all__ = [
     "derivative",
     "second_derivative",
     "quadratic_phase",
-    "grid_phase",
-    "spectral_phase",
     "czt",
     "evaluate_trig_interpolant",
     "upsample_periodic",
@@ -179,52 +179,41 @@ def var_x(p: WavePacket) -> float:
     return _moment(p, (p.grid.points - mean_x(p)) ** 2)
 
 
-# 4th-order first-derivative closures (rows: first two / last two points).
-_EDGE1 = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
-                   [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
+# 7-point sixth-order central weights at offsets 0, 1, 2, 3 (Fornberg 1988),
+# in units of 1/dx^2 and 1/dx: d^2 weighs offset -k as +k and d as minus +k,
+# so under the plain dot product d^2 is symmetric and d antisymmetric
+_D2 = (-490.0 / 180.0, 270.0 / 180.0, -27.0 / 180.0, 2.0 / 180.0)
+_D1 = (0.0, 45.0 / 60.0, -9.0 / 60.0, 1.0 / 60.0)
+
+
+def _central_stencil(samples, weights, sign: float, scale: float) -> np.ndarray:
+    """sum_k c_k f[j + k] / scale over |k| < len(weights) at every j, with
+    c_k = weights[k] and c_-k = sign weights[k], the samples taken as zero
+    beyond the ends. np.correlate sums it, on the real and the imaginary
+    part in turn, so the one full-size complex array made is the result."""
+    f = np.asarray(samples)
+    taps = np.array([sign * w for w in weights[:0:-1]] + list(weights)) / scale
+    if len(f) < len(taps):  # np.correlate would return len(taps) values
+        raise ValidationError(f"a stencil of {len(taps)} points needs as many samples, "
+                              f"not {len(f)}")
+    if not np.iscomplexobj(f):
+        return np.correlate(f, taps, "same")
+    out = np.empty(len(f), dtype=np.complex128)
+    out.real = np.correlate(f.real, taps, "same")
+    out.imag = np.correlate(f.imag, taps, "same")
+    return out
 
 
 def derivative(samples: np.ndarray, dx: float) -> np.ndarray:
-    """d/dx via 4th-order centered stencil, one-sided at the edges."""
-    f = np.asarray(samples)
-    out = np.empty_like(f)
-    # (8 (f[3:-1] - f[1:-3]) + f[:-4] - f[4:]) / (12 dx), summed in that
-    # order into the interior of the result
-    mid = out[2:-2]
-    np.subtract(f[3:-1], f[1:-3], out=mid)
-    mid *= 8.0
-    mid += f[:-4]
-    mid -= f[4:]
-    mid /= 12.0 * dx
-    head = f[:5]
-    tail = f[-5:][::-1]
-    out[0] = _EDGE1[0] @ head / dx
-    out[1] = _EDGE1[1] @ head / dx
-    out[-1] = -(_EDGE1[0] @ tail) / dx
-    out[-2] = -(_EDGE1[1] @ tail) / dx
-    return out
+    """d/dx by the 7-point sixth-order central stencil, the samples taken as
+    zero beyond the ends."""
+    return _central_stencil(samples, _D1, -1.0, dx)
 
 
 def second_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
-    """d2/dx2, 4th order in the interior, 2nd-order one-sided at the edges."""
-    f = np.asarray(samples)
-    out = np.empty_like(f)
-    # (-f[:-4] + 16 f[1:-3] - 30 f[2:-2] + 16 f[3:-1] - f[4:]) / (12 dx^2),
-    # summed in that order into the interior with one temporary term
-    mid = out[2:-2]
-    np.multiply(16.0, f[1:-3], out=mid)
-    mid -= f[:-4]
-    term = np.multiply(30.0, f[2:-2])
-    mid -= term
-    mid += np.multiply(16.0, f[3:-1], out=term)
-    mid -= f[4:]
-    mid /= 12.0 * dx * dx
-    edge = np.array([2.0, -5.0, 4.0, -1.0])
-    out[0] = edge @ f[:4] / (dx * dx)
-    out[1] = edge @ f[1:5] / (dx * dx)
-    out[-1] = edge @ f[-4:][::-1] / (dx * dx)
-    out[-2] = edge @ f[-5:-1][::-1] / (dx * dx)
-    return out
+    """d2/dx2 by the 7-point sixth-order central stencil, the samples taken
+    as zero beyond the ends."""
+    return _central_stencil(samples, _D2, 1.0, dx * dx)
 
 
 @functools.cache
@@ -315,35 +304,23 @@ def _times_quadratic_phase(values, a: float, b: float, c: float) -> np.ndarray:
     return values
 
 
-def grid_phase(alpha: float, beta: float, gamma: float, x0: float, dx: float,
-               n: int) -> np.ndarray:
-    """exp(i (alpha x^2 + beta x + gamma)) at x = x0 + k dx, k < n: the same
-    quadratic in the index k, formed as quadratic_phase forms it."""
-    return _times_grid_phase(np.ones(n, dtype=np.complex128), alpha, beta, gamma, x0, dx)
-
-
 def _times_grid_phase(values, alpha: float, beta: float, gamma: float, x0: float,
                       dx: float) -> np.ndarray:
-    """values *= grid_phase(alpha, beta, gamma, x0, dx, len(values)), in
-    place (_times_quadratic_phase); returns values."""
+    """values *= exp(i (alpha x^2 + beta x + gamma)) at x = x0 + k dx, in
+    place: the same quadratic in the index k, multiplied in as
+    _times_quadratic_phase multiplies it; returns values."""
     return _times_quadratic_phase(values, alpha * dx * dx, (2.0 * alpha * x0 + beta) * dx,
                                   (alpha * x0 + beta) * x0 + gamma)
 
 
-def spectral_phase(alpha: float, beta: float, n: int, dx: float) -> np.ndarray:
-    """exp(i (alpha k^2 + beta k)) at the angular frequencies
-    k = 2 pi fftfreq(n, dx) of an FFT of n samples spaced dx, in FFT order.
-    Each half of that order is a uniform grid of k formed from k = 0
-    outward, one grid phase each: 0, step, 2 step, ... and -step, -2 step,
-    ..., the latter read through a reversed view. A phase near k = 0 is then
-    made from terms of its own size, not from the cancellation of terms of
-    alpha k_max^2."""
-    return _times_spectral_phase(np.ones(n, dtype=np.complex128), alpha, beta, dx)
-
-
 def _times_spectral_phase(spectrum, alpha: float, beta: float, dx: float) -> np.ndarray:
-    """spectrum *= spectral_phase(alpha, beta, len(spectrum), dx), in place,
-    each half straight into its part of the spectrum; returns spectrum."""
+    """spectrum *= exp(i (alpha k^2 + beta k)) at the angular frequencies
+    k = 2 pi fftfreq(n, dx) of an FFT of n samples spaced dx, in FFT order,
+    in place; returns spectrum. Each half of that order is a uniform grid of
+    k formed from k = 0 outward, one grid phase each: 0, step, 2 step, ...
+    and -step, -2 step, ..., the latter read through a reversed view. A
+    phase near k = 0 is then made from terms of its own size, not from the
+    cancellation of terms of alpha k_max^2."""
     n = len(spectrum)
     step = 2.0 * math.pi / (n * dx)
     low = (n + 1) // 2

@@ -280,12 +280,14 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
         <I> = [ (Omega^2/rho^2) ||X psi||^2 + ||(M rho' X - rho P) psi||^2 ]
               / (2 |Omega| ||psi||^2),
 
-    real and non-negative by construction. P psi takes one pass of the
-    4th-order centered difference, and each norm is the trapezoidal integral.
+    real and non-negative by construction. P psi takes one pass of
+    packets.derivative, the evolver's 7-point sixth-order stencil, and each
+    norm is the trapezoidal integral.
 
-    The sum of squares rests on the stencil's P being Hermitian, which it is
-    up to the dark edges. with_diagnostic=True returns the pair
-    (<I>, Im<psi, P psi> / (||psi|| ||P psi||)); the second value measures
+    The sum of squares rests on P being Hermitian: the zero-padded stencil
+    is antisymmetric, so P is Hermitian under the plain sum and, under the
+    trapezoid, up to the dark end samples. with_diagnostic=True returns the
+    pair (<I>, Im<psi, P psi> / (||psi|| ||P psi||)); the second value measures
     how far P is from Hermitian on this packet and is near rounding on a
     resolved, dark-edged one.
     """
@@ -297,12 +299,13 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     m = bs.mass
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
-    x = packet.grid.points
     dx = packet.grid.dx
     psi = packet.samples
-    # P psi = -i hbar psi' - (2 M a x + b + M x_p') psi
+    # P psi = -i hbar psi' - (2 M a x + b + M x_p') psi; the grid points are
+    # made after the stencil, whose padded copy and pair are then gone
     p_psi = derivative(psi, dx)
     np.multiply(-1j * s.hbar, p_psi, out=p_psi)
+    x = packet.grid.points
     shift = 2.0 * m * a_c * x
     shift += b_c
     shift += ps.momentum

@@ -696,11 +696,10 @@ def test_verify_evolves_on_a_sixth_of_grid_for_points(basis, monkeypatch):
         assert widen > 1.0 and refine > 1.0
 
 
-def test_verify_reads_the_drift_on_half_of_grid_for_points(monkeypatch):
-    # the drift check's value is mostly <I>'s own 5-point stencil error on the
-    # grid it reads, so the evolver's grid moves and the read grid does not:
-    # each of the five states is read off its interpolant on _fit_grid's
-    # extent with half its points
+def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
+    # <I> takes the evolver's own sixth-order stencil, so each of the five
+    # states is read on the grid it was evolved on: _fit_grid's extent with
+    # a sixth of its points
     evolved, read = [], []
     evolve, expectation = cli.oracle.evolve_tdse, cli.states.invariant_expectation
 
@@ -722,7 +721,7 @@ def test_verify_reads_the_drift_on_half_of_grid_for_points(monkeypatch):
     wide = cli._fit_grid(ctx.scenario, ctx.basis, ctx.grid, np.linspace(0.0, 2.0, 5))
     assert len(evolved) == 4
     assert set(evolved) == {GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)}
-    assert read == [GridSpec(wide.x_min, wide.x_max, wide.n_points // 2)] * 5
+    assert read == [GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)] * 5
 
 
 def test_verify_evolver_cross_check_fails_on_a_wrong_coupling(tmp_path, monkeypatch,

@@ -12,6 +12,7 @@ from gho import (EvolverConfig, GridSpec, KernelQuery, LinearSolveFailure,
                  schrodinger_residual, sho_eigenstate, var_x)
 from gho.oracle import compose_kernels
 
+from conftest import COUPLED as CONFTEST_COUPLED
 from conftest import free_kernel
 
 
@@ -133,10 +134,44 @@ def test_evolver_is_fourth_order_in_time(grid):
 def test_evolver_is_sixth_order_in_space():
     # dx = 20 / 64, 20 / 128, 20 / 256, 20 / 512 at a step whose time error
     # is far below the spatial one: each halving of dx cuts the error about
-    # 64x (measured 58.4, 62.5, 63.1); 5-point stencils would cut it 16x
+    # 64x (measured 58.4, 62.5, 63.1); fourth-order stencils would cut it 16x
     errors = [_evolver_error(COUPLED, GridSpec(-10.0, 10.0, n), 1.25e-3)
               for n in (65, 129, 257, 513)]
     assert all(coarse > 40.0 * fine for coarse, fine in zip(errors, errors[1:]))
+
+
+def test_residual_applies_the_evolvers_discrete_hamiltonian(monkeypatch):
+    # the residual's H, its summands applied to each unit vector, is the
+    # evolver's step matrix (A - 1) / (i dt / 2 hbar), read off the band
+    # _factor_step hands to LAPACK, and both are Hermitian (conftest's
+    # coupled scenario: a, b, f, M and hbar all away from 0 and 1)
+    s = gho.scenario_from_dict(CONFTEST_COUPLED)
+    grid = GridSpec(-10.0, 10.0, 32)
+    x, n, t, width = grid.points, grid.n_points, 0.7, gho.oracle._BAND
+    bands = []
+    factor = gho.oracle.zgbtrf
+
+    def spy(band, *args, **kwargs):
+        bands.append(band.copy())
+        return factor(band, *args, **kwargs)
+
+    monkeypatch.setattr(gho.oracle, "zgbtrf", spy)
+    i_half = 0.5j * 1e-2 / s.hbar
+    pairs = {k: x[:-k] + x[k:] for k in range(1, width + 1)}
+    gho.oracle._factor_step(np.empty((3 * width + 1, n), dtype=np.complex128, order="F"),
+                            gho.oracle._hamiltonian_scalars(s, t), i_half, s.hbar, x, pairs,
+                            grid.dx)
+    (band,) = bands
+    step = np.zeros((n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(max(0, i - width), min(n, i + width + 1)):
+            step[i, j] = band[2 * width + i - j, j]
+    step_h = (step - np.eye(n)) / i_half
+    residual_h = np.column_stack([sum(gho.oracle._hamiltonian_terms(s, t, grid, unit))
+                                  for unit in np.eye(n)])
+    scale = np.max(np.abs(step_h))
+    assert np.max(np.abs(residual_h - step_h)) <= 1e-13 * scale
+    assert np.max(np.abs(residual_h - residual_h.conj().T)) <= 1e-13 * scale
 
 
 def _factorizations(caplog):

@@ -12,9 +12,9 @@ from conftest import COUPLED
 
 import gho
 from gho import GridSpec, ValidationError, WavePacket, sho_eigenstate
-from gho.packets import (_support, _trapezoid_inner, czt, derivative,
+from gho.packets import (_support, _times_spectral_phase, _trapezoid_inner, czt, derivative,
                          evaluate_trig_interpolant, quadratic_phase, second_derivative,
-                         spectral_phase, upsample_periodic)
+                         upsample_periodic)
 from gho.propagator import _lct_apply, kernel_coefficients
 
 
@@ -225,7 +225,7 @@ def test_spectral_phase_is_accurate_near_k0_in_both_halves(n, beta):
     dx = 0.01
     step = 2.0 * np.pi / (n * dx)
     alpha = 1e6 / ((n // 2) * step) ** 2
-    got = spectral_phase(alpha, beta, n, dx)
+    got = _times_spectral_phase(np.ones(n, dtype=np.complex128), alpha, beta, dx)
     k = np.fft.fftfreq(n, 1.0 / n).astype(np.longdouble) * np.longdouble(step)
     phase = (np.longdouble(alpha) * k + np.longdouble(beta)) * k
     error = np.hypot((got.real - np.cos(phase)).astype(float),
@@ -267,6 +267,38 @@ def test_czt_is_the_textbook_bluestein_sum(n, m):
         assert np.array_equal(got, _bluestein(h, m, angle))
         assert np.array_equal(h, kept)
         assert got.shape == (m,) and _owns_its_buffer(got)
+
+
+def test_stencils_are_sixth_order_and_zero_padded():
+    # 3 or more points from the ends the 7-point stencils are exact on the
+    # polynomials up to x^6; the samples past the ends count as zero
+    grid = GridSpec(-1.3, 2.1, 37)
+    x, dx = grid.points, grid.dx
+    interior = slice(3, -3)
+    for p in range(7):
+        f = x ** p
+        d1 = p * x ** max(p - 1, 0)
+        d2 = p * (p - 1) * x ** max(p - 2, 0)
+        scale = np.max(np.abs(f))
+        assert np.max(np.abs(derivative(f, dx) - d1)[interior]) <= 1e-13 * scale / dx, p
+        assert (np.max(np.abs(second_derivative(f, dx) - d2)[interior])
+                <= 1e-13 * scale / dx ** 2), p
+    edge = np.zeros(grid.n_points)
+    edge[0] = 1.0
+    np.testing.assert_array_equal(derivative(edge, 1.0)[:4], [0.0, -0.75, 0.15, -1.0 / 60.0])
+    np.testing.assert_array_equal(second_derivative(edge, 1.0)[:4],
+                                  [-49.0 / 18.0, 1.5, -0.15, 1.0 / 90.0])
+    # under the plain dot product D is antisymmetric and D^2 symmetric, the
+    # ends included: the invariant's sum of squares and its skew rest on it
+    rng = np.random.default_rng(29)
+    u, v = (rng.normal(size=(2, 257)) + 1j * rng.normal(size=(2, 257))) * 10.0 ** rng.uniform(
+        -3, 3, size=(2, 257))
+    for stencil, sign in ((derivative, -1.0), (second_derivative, 1.0)):
+        left, right = np.dot(u, stencil(v, 0.1)), sign * np.dot(stencil(u, 0.1), v)
+        bound = 1e-14 * np.dot(np.abs(u), np.abs(stencil(np.abs(v), 0.1)))
+        assert abs(left - right) <= bound
+    with pytest.raises(ValidationError, match="needs as many samples, not 6"):
+        derivative(np.ones(6), 1.0)
 
 
 @pytest.mark.parametrize("stencil", [derivative, second_derivative])

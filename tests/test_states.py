@@ -330,12 +330,18 @@ def test_derivative_stencils_accuracy():
     x = grid.points
     f = np.exp(-x ** 2) * np.sin(3 * x)
     d1_ref = np.exp(-x ** 2) * (3 * np.cos(3 * x) - 2 * x * np.sin(3 * x))
-    assert np.max(np.abs(derivative(f, grid.dx) - d1_ref)) < 1e-5
-    interior = slice(2, -2)
+    d1 = derivative(f, grid.dx)
+    assert np.max(np.abs(d1 - d1_ref)) < 1e-5
     d2 = second_derivative(f, grid.dx)
     d2_ref = np.exp(-x ** 2) * ((4 * x ** 2 - 2 - 9) * np.sin(3 * x)
                                 - 12 * x * np.cos(3 * x))
-    assert np.max(np.abs(d2[interior] - d2_ref[interior])) < 1e-4
+    assert np.max(np.abs(d2[2:-2] - d2_ref[2:-2])) < 1e-4
+    # f is about 1e-7 at the ends and the stencils take the samples past
+    # them as zero, so they are sixth order from 3 points in: measured
+    # 2.8e-9 and 3.7e-9 there
+    interior = slice(3, -3)
+    assert np.max(np.abs(d1[interior] - d1_ref[interior])) < 1e-8
+    assert np.max(np.abs(d2[interior] - d2_ref[interior])) < 1e-8
 
 
 def test_grid_and_packet_validation():

@@ -16,8 +16,10 @@ PYTHONPATH, in a fresh temporary directory.
 
 Prints every exit code, stdout, stderr or output file that differs. When two
 texts differ only in their numbers, it prints the largest absolute
-difference between them. Exits 1 when an exit code, a stderr or the status
-of a verify CHECK line differs, and 0 otherwise.
+difference between them. Exits 1 when an exit code, the text of a stderr
+(more than its numbers) or the status of a verify CHECK line differs, and 0
+otherwise: a numerical change may move the amplitude an error message
+quotes, but not the message.
 """
 
 from __future__ import annotations
@@ -104,8 +106,11 @@ def compare(label: str, old: dict, new: dict):
         lines.append(f"exit code {old['exit code']} -> {new['exit code']}")
         grave = True
     if old["stderr"] != new["stderr"]:
-        lines.append(f"stderr {old['stderr']!r} -> {new['stderr']!r}")
-        grave = True
+        if number_difference(old["stderr"], new["stderr"]) is None:
+            lines.append(f"stderr {old['stderr']!r} -> {new['stderr']!r}")
+            grave = True
+        else:
+            lines.append(describe("stderr", old["stderr"], new["stderr"]))
     if check_statuses(old["stdout"]) != check_statuses(new["stdout"]):
         lines.append("CHECK statuses differ")
         grave = True
