@@ -8,15 +8,23 @@ with hbar and the working time interval, in one spatial dimension.
 Coefficients are restricted to a closed set of analytic kinds so that exact
 first derivatives are always available (they enter the Hamiltonian
 coefficients and the accumulated-phase integrals).
+
+A kind is one frozen dataclass and nothing else: its JSON name as the class
+variable `kind`, its parameters as its fields (a field with a default may be
+omitted from JSON, a `tuple` field is a JSON list of numbers), `eval(t)` and
+`integral(lo, hi)`. The parser, the serializer and `integrate_coefficient`
+read all of it from the class, so a new kind is one more class in the
+`CoefficientFn` union.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -51,11 +59,14 @@ def _horner(coefficients, t):
 
 # Each coefficient kind's eval returns (value, first derivative): Python floats
 # at a scalar time (an int or a float, np.float64 included), float arrays of
-# t's shape at an array (also 0-d) of times.
+# t's shape at an array (also 0-d) of times. Its integral(lo, hi) takes two
+# Python floats or two float arrays of one shape, and is antisymmetric in the
+# limits to the bit, so a reversed interval needs no branch.
 
 
 @dataclass(frozen=True)
 class Constant:
+    kind: ClassVar[str] = "constant"
     value: float
 
     def eval(self, t):
@@ -64,14 +75,15 @@ class Constant:
         shape = np.shape(t)
         return np.full(shape, self.value, dtype=float), np.zeros(shape)
 
-    def to_dict(self):
-        return {"kind": "constant", "value": self.value}
+    def integral(self, lo, hi):
+        return self.value * (hi - lo)
 
 
 @dataclass(frozen=True)
 class Polynomial:
     """c0 + c1 t + c2 t^2 + ...  (ascending coefficients)."""
 
+    kind: ClassVar[str] = "polynomial"
     coefficients: tuple
 
     def __post_init__(self):
@@ -90,14 +102,20 @@ class Polynomial:
             if len(c) > 1 else np.zeros(t.shape)
         return value, deriv
 
-    def to_dict(self):
-        return {"kind": "polynomial", "coefficients": list(self.coefficients)}
+    def integral(self, lo, hi):
+        anti = np.polynomial.polynomial.polyint(np.asarray(self.coefficients, dtype=float))
+        if isinstance(lo, float):
+            anti = anti.tolist()
+            return _horner(anti, hi) - _horner(anti, lo)
+        return (np.polynomial.polynomial.polyval(hi, anti)
+                - np.polynomial.polynomial.polyval(lo, anti))
 
 
 @dataclass(frozen=True)
 class Sinusoidal:
     """amplitude * cos(omega t + phase) + offset."""
 
+    kind: ClassVar[str] = "sinusoidal"
     amplitude: float
     omega: float
     phase: float = 0.0
@@ -112,9 +130,12 @@ class Sinusoidal:
         return (self.amplitude * cos(arg) + self.offset,
                 -self.amplitude * self.omega * sin(arg))
 
-    def to_dict(self):
-        return {"kind": "sinusoidal", "amplitude": self.amplitude, "omega": self.omega,
-                "phase": self.phase, "offset": self.offset}
+    def integral(self, lo, hi):
+        if self.omega == 0.0:
+            return (self.amplitude * math.cos(self.phase) + self.offset) * (hi - lo)
+        sin = math.sin if isinstance(lo, float) else np.sin
+        return ((sin(self.omega * hi + self.phase) - sin(self.omega * lo + self.phase))
+                * self.amplitude / self.omega + self.offset * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -127,6 +148,7 @@ class PiecewiseConstant:
     `Scenario` rejects jumps in a and b, and jumps in M where a != 0.
     """
 
+    kind: ClassVar[str] = "piecewise"
     breakpoints: tuple
     values: tuple  # len(values) == len(breakpoints) + 1
 
@@ -145,15 +167,25 @@ class PiecewiseConstant:
         idx = np.searchsorted(np.asarray(self.breakpoints, dtype=float), t, side="right")
         return np.asarray(self.values, dtype=float)[idx], np.zeros(t.shape)
 
-    def to_dict(self):
-        return {"kind": "piecewise", "breakpoints": list(self.breakpoints),
-                "values": list(self.values)}
+    def integral(self, lo, hi):
+        # plateau i covers [edges[i], edges[i + 1]); value times signed overlap
+        edges = [-math.inf, *self.breakpoints, math.inf]
+        if isinstance(lo, float):
+            total = 0.0
+            for value, start, end in zip(self.values, edges[:-1], edges[1:]):
+                total += value * (min(max(hi, start), end) - min(max(lo, start), end))
+            return total
+        edges = np.asarray(edges, dtype=float)
+        overlap = (np.clip(hi[..., None], edges[:-1], edges[1:])
+                   - np.clip(lo[..., None], edges[:-1], edges[1:]))
+        return overlap @ np.asarray(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
 class Exponential:
     """amplitude * exp(rate * t)."""
 
+    kind: ClassVar[str] = "exponential"
     amplitude: float
     rate: float
 
@@ -165,11 +197,15 @@ class Exponential:
         value = self.amplitude * np.exp(self.rate * t)
         return value, self.rate * value
 
-    def to_dict(self):
-        return {"kind": "exponential", "amplitude": self.amplitude, "rate": self.rate}
+    def integral(self, lo, hi):
+        if self.rate == 0.0:
+            return self.amplitude * (hi - lo)
+        exp = math.exp if isinstance(lo, float) else np.exp
+        return self.amplitude * (exp(self.rate * hi) - exp(self.rate * lo)) / self.rate
 
 
 CoefficientFn = Union[Constant, Polynomial, Sinusoidal, PiecewiseConstant, Exponential]
+_KINDS = {cls.kind: cls for cls in get_args(CoefficientFn)}
 
 
 def eval_coefficient(fn: CoefficientFn, t):
@@ -188,63 +224,14 @@ def integrate_coefficient(fn: CoefficientFn, t_lo, t_hi):
     """Exact integral of a coefficient over [t_lo, t_hi] (signed).
 
     The limits may be scalars or arrays of one shape; the result is a float or
-    an array of that shape. Each closed form is antisymmetric in the limits to
-    the bit, so a reversed interval needs no branch.
+    an array of that shape. Each kind's `integral` holds its closed form.
     """
     scalar = isinstance(t_lo, (int, float)) and isinstance(t_hi, (int, float))
     if scalar:
-        lo, hi, sin, exp = float(t_lo), float(t_hi), math.sin, math.exp
+        total = fn.integral(float(t_lo), float(t_hi))
     else:
-        lo, hi = np.asarray(t_lo, dtype=float), np.asarray(t_hi, dtype=float)
-        sin, exp = np.sin, np.exp
-    if isinstance(fn, Constant):
-        total = fn.value * (hi - lo)
-    elif isinstance(fn, Polynomial):
-        anti = np.polynomial.polynomial.polyint(np.asarray(fn.coefficients, dtype=float))
-        if scalar:
-            anti = anti.tolist()
-            total = _horner(anti, hi) - _horner(anti, lo)
-        else:
-            total = (np.polynomial.polynomial.polyval(hi, anti)
-                     - np.polynomial.polynomial.polyval(lo, anti))
-    elif isinstance(fn, Sinusoidal):
-        if fn.omega == 0.0:
-            total = (fn.amplitude * math.cos(fn.phase) + fn.offset) * (hi - lo)
-        else:
-            total = ((sin(fn.omega * hi + fn.phase) - sin(fn.omega * lo + fn.phase))
-                     * fn.amplitude / fn.omega + fn.offset * (hi - lo))
-    elif isinstance(fn, Exponential):
-        if fn.rate == 0.0:
-            total = fn.amplitude * (hi - lo)
-        else:
-            total = fn.amplitude * (exp(fn.rate * hi) - exp(fn.rate * lo)) / fn.rate
-    elif isinstance(fn, PiecewiseConstant):
-        # plateau i covers [edges[i], edges[i + 1]); value times signed overlap
-        edges = [-math.inf, *fn.breakpoints, math.inf]
-        if scalar:
-            total = 0.0
-            for value, start, end in zip(fn.values, edges[:-1], edges[1:]):
-                total += value * (min(max(hi, start), end) - min(max(lo, start), end))
-        else:
-            edges = np.asarray(edges, dtype=float)
-            overlap = (np.clip(hi[..., None], edges[:-1], edges[1:])
-                       - np.clip(lo[..., None], edges[:-1], edges[1:]))
-            total = overlap @ np.asarray(fn.values, dtype=float)
-    else:
-        raise TypeError(f"unknown coefficient kind {type(fn).__name__}")
+        total = fn.integral(np.asarray(t_lo, dtype=float), np.asarray(t_hi, dtype=float))
     return float(total) if scalar or np.ndim(total) == 0 else total
-
-
-_KINDS = {
-    "constant": (Constant, ("value",)),
-    "polynomial": (Polynomial, ("coefficients",)),
-    "sinusoidal": (Sinusoidal, ("amplitude", "omega", "phase", "offset")),
-    "piecewise": (PiecewiseConstant, ("breakpoints", "values")),
-    "exponential": (Exponential, ("amplitude", "rate")),
-}
-
-_OPTIONAL_FIELDS = {"phase": 0.0, "offset": 0.0}
-_LIST_FIELDS = {"coefficients", "breakpoints", "values"}
 
 
 def _number(value, what) -> float:
@@ -266,22 +253,22 @@ def _coefficient_from_dict(name, spec) -> CoefficientFn:
         raise ParseError(f"coefficient '{name}': missing 'kind'") from None
     if kind not in _KINDS:
         raise ParseError(f"coefficient '{name}': unknown kind '{kind}'")
-    cls, fields = _KINDS[kind]
+    cls = _KINDS[kind]
+    fields = dataclasses.fields(cls)
     kwargs = {}
     for field in fields:
-        if field in spec:
-            raw, what = spec[field], f"coefficient '{name}' ({kind}) '{field}'"
-            if field not in _LIST_FIELDS:
-                kwargs[field] = _number(raw, what)
+        if field.name in spec:
+            raw, what = spec[field.name], f"coefficient '{name}' ({kind}) '{field.name}'"
+            if field.type != "tuple":  # a string, under `from __future__ import annotations`
+                kwargs[field.name] = _number(raw, what)
             elif isinstance(raw, (list, tuple)):
-                kwargs[field] = tuple(_number(x, f"each of {what}") for x in raw)
+                kwargs[field.name] = tuple(_number(x, f"each of {what}") for x in raw)
             else:
                 raise ParseError(f"{what} must be a list of numbers")
-        elif field in _OPTIONAL_FIELDS:
-            kwargs[field] = _OPTIONAL_FIELDS[field]
-        else:
-            raise ParseError(f"coefficient '{name}' ({kind}): missing parameter '{field}'")
-    extra = set(spec) - {"kind", *fields}
+        elif field.default is dataclasses.MISSING:
+            raise ParseError(
+                f"coefficient '{name}' ({kind}): missing parameter '{field.name}'")
+    extra = set(spec) - {"kind", *(field.name for field in fields)}
     if extra:
         raise ParseError(f"coefficient '{name}': unexpected parameters {sorted(extra)}")
     try:
@@ -431,17 +418,14 @@ def load_scenario(config_text: str) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "dimension": 1,
-        "hbar": s.hbar,
-        "interval": [s.t0, s.t1],
-        "mass": s.mass.to_dict(),
-        "frequency": s.frequency.to_dict(),
-        "force": s.force.to_dict(),
-        "a": s.a.to_dict(),
-        "b": s.b.to_dict(),
-        "f": s.f.to_dict(),
-    }
+    data = {"dimension": 1, "hbar": s.hbar, "interval": [s.t0, s.t1]}
+    for name in _COEFF_DEFAULTS:
+        fn = getattr(s, name)
+        data[name] = {"kind": fn.kind}
+        for field in dataclasses.fields(fn):
+            value = getattr(fn, field.name)
+            data[name][field.name] = list(value) if field.type == "tuple" else value
+    return data
 
 
 def serialize_scenario(s: Scenario) -> str:

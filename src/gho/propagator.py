@@ -458,7 +458,7 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     resample = abs(big_a - 1.0) > _UNIT_DILATION
     shift = 0.0 if resample else xp_b.x - xp_a.x
     nyquist = hbar * abs(big_b) * math.pi / grid.dx <= abs(big_a) * n * grid.dx
-    test, spectrum = "Nyquist band", None
+    test, spectrum = "Nyquist band" if nyquist else "past the Nyquist band", None
     if nyquist or not resample:
         alpha, beta, gamma = gauge_coefficients(s, at_a.mass, xp_a, t_a)
         reduced = _times_grid_phase(np.array(packet.samples), -alpha, -beta, -gamma,

@@ -14,7 +14,7 @@ from gho import GridSpec, classical, cli, load_scenario, oracle, propagator
 from gho.cli import main
 from gho.errors import GridTooNarrow
 
-from test_coefficients import NON_FINITE_OR_EMPTY
+from test_coefficients import ALL_KINDS, NON_FINITE_OR_EMPTY
 from test_oracle import COUPLED
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -455,12 +455,15 @@ def test_verify_caps_the_kernel_slice_refinement(tmp_path, capsys, monkeypatch):
 
 def test_bundled_scenario_hashes_are_pinned():
     # the CSV headers' scenario_sha256 is over the serialized scenario, which
-    # still writes "dimension": 1
+    # still writes "dimension": 1 and every parameter of every kind
     expected = {"sho": "ab8d64ee882a464d", "free_particle": "5f22a3d29e611b14",
-                "parametric": "9baeaf67623271f3", "driven_sho": "b23c8319cd3e5408"}
+                "parametric": "9baeaf67623271f3", "driven_sho": "b23c8319cd3e5408",
+                "all_kinds": "0be7192851219518"}
+    texts = {name: (SCENARIOS / f"{name}.json").read_text() for name in expected
+             if name != "all_kinds"}
+    texts["all_kinds"] = json.dumps(ALL_KINDS)
     for name, digest in expected.items():
-        s = load_scenario((SCENARIOS / f"{name}.json").read_text())
-        assert cli._scenario_hash(s) == digest
+        assert cli._scenario_hash(load_scenario(texts[name])) == digest
 
 
 def test_verify_overflowing_coefficient_exits_two_in_time(tmp_path):
@@ -550,6 +553,21 @@ def test_verify_sho_passes_at_small_hbar(spec, tmp_path, capsys):
     assert all(ln.endswith(" PASS") or "SKIP(not applicable)" in ln for ln in lines)
     (residual,) = [ln for ln in lines if ln.startswith("CHECK schrodinger_residual_kernel ")]
     assert float(re.search(r"value=(\S+)", residual)[1]) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["sho", "driven_sho"])
+def test_residual_kernel_step_follows_hbar(name, tmp_path):
+    # the residual's time step is 1e-5 min(1, hbar): at a fixed 1e-5 its
+    # truncation error grew as 1 / hbar^2, and at hbar = 0.05 the check read
+    # 1.06e-4 (sho) and 1.15e-4 (driven_sho) against a tolerance of 1e-4
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**json.loads((SCENARIOS / f"{name}.json").read_text()),
+                                "hbar": 0.05}))
+    args = cli.build_parser().parse_args(
+        ["verify", "--scenario", str(path), "--xp", "1.0,0.0"])
+    checks = {check_name: check for check_name, _, check in
+              cli._verify_checks(cli._Context(args))}
+    assert checks["schrodinger_residual_kernel"]() <= 1e-5
 
 
 def test_verify_negative_omega_basis(monkeypatch, capsys):

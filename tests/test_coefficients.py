@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,9 @@ def test_derivative_matches_central_differences(fn):
     (Sinusoidal(1.0, 1.0, 0.0, 0.0), 0.0, np.pi / 2, 1.0),
     (Exponential(1.0, 1.0), 0.0, 1.0, np.e - 1.0),
     (PiecewiseConstant((1.0,), (1.0, 3.0)), 0.0, 2.0, 4.0),
+    # omega = 0 and rate = 0 take the closed forms' constant branches
+    (Sinusoidal(2.0, 0.0, 0.5, 1.0), 0.0, 3.0, 3.0 * (2.0 * np.cos(0.5) + 1.0)),
+    (Exponential(1.5, 0.0), 0.0, 2.0, 3.0),
 ])
 def test_integrate_coefficient(fn, lo, hi, expected):
     assert integrate_coefficient(fn, lo, hi) == pytest.approx(expected, rel=1e-12)
@@ -193,6 +197,44 @@ def test_parse_errors():
         load_scenario('{"mass": {"value": 1.0}}')
     with pytest.raises(ParseError):
         load_scenario('{"unknown_key": 1}')
+    with pytest.raises(ParseError, match=re.escape(
+            "coefficient 'mass' (exponential): missing parameter 'rate'")):
+        load_scenario('{"mass": {"kind": "exponential", "amplitude": 1.0}}')
+    with pytest.raises(ParseError, match=re.escape(
+            "coefficient 'a': unexpected parameters ['rate']")):
+        load_scenario('{"a": {"kind": "constant", "value": 0.1, "rate": 2.0}}')
+
+
+# every kind, and sinusoidal with its optional phase and offset omitted and given
+EVERY_KIND = [
+    {"kind": "constant", "value": 0.3},
+    {"kind": "polynomial", "coefficients": [0.3, -0.1, 0.02]},
+    {"kind": "sinusoidal", "amplitude": 0.1, "omega": 2.0},
+    {"kind": "sinusoidal", "amplitude": 0.1, "omega": 2.0, "phase": 0.4, "offset": 0.2},
+    {"kind": "piecewise", "breakpoints": [1.0, 2.0], "values": [0.1, 0.3, 0.2]},
+    {"kind": "exponential", "amplitude": 0.2, "rate": -0.1},
+]
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec["kind"])
+def test_every_kind_round_trips(spec):
+    s = scenario_from_dict({"force": spec, "interval": [0.0, 3.0]})
+    data = scenario_to_dict(s)
+    # the block writes every parameter, an omitted optional one at its default
+    assert {key: data["force"][key] for key in spec} == spec
+    assert set(data["force"]) - set(spec) <= {"phase", "offset"}
+    assert all(data["force"].get(key, 0.0) == 0.0 for key in set(data["force"]) - set(spec))
+    assert scenario_from_dict(data) == s
+    assert load_scenario(serialize_scenario(s)) == s
+
+
+# a scenario that draws on all five kinds (b and f are constants)
+ALL_KINDS = {"hbar": 0.8, "interval": [0, 6],
+             "mass": {"kind": "exponential", "amplitude": 1.0, "rate": 0.05},
+             "frequency": {"kind": "polynomial", "coefficients": [1.0, 0.02]},
+             "force": {"kind": "piecewise", "breakpoints": [3.0], "values": [0.0, 0.3]},
+             "a": {"kind": "sinusoidal", "amplitude": 0.05, "omega": 1.0},
+             "b": 0.1, "f": 0.2}
 
 
 def test_parametric_roundtrip_keeps_coefficients():
