@@ -24,11 +24,18 @@ from .packets import GridSpec, WavePacket, inner_product, l2_distance, mean_x, p
 _SEED = 20240801
 _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the modes
 # verify's evolver checks take a sixth of _fit_grid's points, spaced as 1 / r
-# in the modes' momentum spread r, and a fine step of 1e-2 / round(r)^2, so
-# they cost about r^3: sho at spread 3 (custom:0.14,0,0,1.5, 3,669 points)
-# evolves in 0.5-0.7 s on a 2-core machine; spread 4.5 (custom:0.1,0,0,2)
-# would take 2.6 s. They run only up to round(r) = 3
+# in the modes' momentum spread r, and a fine step of 1.8e-2 / round(r)^2.25,
+# so they cost about r^3.25: sho at spread 3 (custom:0.14,0,0,1.5, 3,669
+# points) evolves in 0.5-0.7 s on a 2-core machine; spread 4.5
+# (custom:0.1,0,0,2) would take 3.9-4.1 s, where the solves slow down on the
+# subnormal samples of the packet's dark tails. They run only up to
+# round(r) = 3
 _EVOLVER_MAX_SPREAD = 3
+# a fitted grid takes at most this many times the base grid's points. sho
+# with custom:1,0,0,1e-3 asks 498 (verify peaks at 188 MB and takes 1.7 s),
+# parametric resonance over 30 time units 112, and a near-degenerate basis
+# (custom:1,0,0,1e-300) 1e300, which no allocation survives
+_FIT_MAX_FACTOR = 1024
 # verify's kernel slice refines its grid by k dx / 0.15, at most 3.21 (sho at hbar = 0.25)
 # for |x_p| <= 4; only the rounding residue of a huge x_p in l_b drives it past this cap
 _SLICE_MAX_REFINE = 64
@@ -127,10 +134,14 @@ def _mode_scales(s: Scenario, basis, base: GridSpec, times):
 
 def _fit_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
     """base widened by the modes' width and with N refined by their momentum
-    spread at the times (_mode_scales), N rounded up to a multiple of 256."""
+    spread at the times (_mode_scales), N rounded up to a multiple of 256;
+    GridTooNarrow when widen x refine passes _FIT_MAX_FACTOR."""
     widen, refine = _mode_scales(s, basis, base, times)
     if widen == refine == 1.0:
         return base
+    if not widen * refine <= _FIT_MAX_FACTOR:
+        raise GridTooNarrow(f"the modes ask for {widen * refine:.3g} times the grid's "
+                            f"points, past {_FIT_MAX_FACTOR}")
     n = int(math.ceil(base.n_points * widen * refine / 256.0)) * 256
     return GridSpec(base.x_min * widen, base.x_max * widen, n)
 
@@ -385,7 +396,8 @@ def _verify_checks(ctx):
             stop = nearest
         times = np.linspace(s.t0, horizon, 5)
         # the mode's phase rates grow with its momentum spread as well, and
-        # the evolver's time error with them: fine steps of 1e-2 / round(spread)^2
+        # the evolver's time error with them: fine steps of
+        # 1.8e-2 / round(spread)^2.25 (spread^2 reads 8.4e-6 at spread 3)
         spread = round(_mode_scales(s, basis, grid, times)[1])
         if spread > _EVOLVER_MAX_SPREAD:
             raise GridTooNarrow(f"momentum spread rounds to {spread}, beyond the "
@@ -393,7 +405,7 @@ def _verify_checks(ctx):
         wide = _fit_grid(s, basis, grid, times)
         coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
-        cfg = oracle.EvolverConfig(dt=1e-2 / spread ** 2)
+        cfg = oracle.EvolverConfig(dt=1.8e-2 / spread ** 2.25)
         evolved, state = {}, packet
         for t_end in sorted({*legs, stop}):
             state = oracle.evolve_tdse(s, state, t_end, cfg)
@@ -613,8 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "verify":
             p.add_argument("--times", default=None, help="comma-separated times")
         if name in ("evolve", "invariant"):
-            p.add_argument("--dt", type=float, default=1e-2,
-                           help="evolver's fine time step (paired with twice it)")
+            p.add_argument("--dt", type=float, default=1.4e-2,
+                           help="evolver's fine time step (paired with twice and four "
+                           "times it)")
         if name == "modes":
             p.add_argument("--modes", default="0..3", help="mode range n0..n1")
         if name == "coherent":

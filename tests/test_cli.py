@@ -453,6 +453,42 @@ def test_verify_caps_the_kernel_slice_refinement(tmp_path, capsys, monkeypatch):
     assert line.endswith(" SKIP(GridTooNarrow)")
 
 
+@pytest.mark.parametrize("command", ["evolve", "invariant"])
+def test_evolver_step_count_is_capped_before_any_allocation(command, tmp_path, capsys):
+    # a step of 1e-300 asked for about 1e299 steps: the step table's size
+    # overflowed and the run ended in a ValueError traceback
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(SCENARIOS / "sho.json"), "--dt", "1e-300",
+                 "--times", "0,0.1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: dt=1e-300 from t=0 to t_end=0.1 takes "
+                                       "1.75e+299 steps, more than MAX_STEPS = 1000000\n")
+    assert not any(out.iterdir())
+
+
+# the checks that read a grid fitted to the modes
+FITTED_CHECKS = ("schrodinger_residual_modes", "mode_orthonormality", "unitary_norms",
+                 "coherent_tracking", "squeezed_variance", "invariant_eigenmode",
+                 "invariant_drift_tdse", "evolver_vs_kernel", "delta_limit")
+
+
+def test_fitted_grids_are_capped(tmp_path, capsys):
+    # Omega = 1e-300: the modes' width and momentum spread are about 1e150
+    # each, and a fitted grid asked for 1e300 times the base grid's points;
+    # verify ended in a ValueError traceback before its first CHECK line, and
+    # modes, coherent, evolve and invariant the same way
+    argv = ["--scenario", str(SCENARIOS / "sho.json"), "--basis", "custom:1,0,0,1e-300"]
+    assert main(["verify", *argv]) == 1  # tau_monotone: tau is flat to rounding
+    lines = {ln.split()[1]: ln for ln in capsys.readouterr().out.splitlines()}
+    assert len(lines) == 18 and lines["tau_monotone"].endswith(" FAIL")
+    assert all(lines[name].endswith(" SKIP(GridTooNarrow)") for name in FITTED_CHECKS)
+    for command in ("modes", "coherent", "evolve", "invariant"):
+        out = tmp_path / command
+        assert main([command, *argv, "--out", str(out)]) == 1
+        assert re.fullmatch(r"error: the modes ask for \S+ times the grid's points, "
+                            r"past 1024\n", capsys.readouterr().err)
+        assert not any(out.iterdir())
+
+
 def test_bundled_scenario_hashes_are_pinned():
     # the CSV headers' scenario_sha256 is over the serialized scenario, which
     # still writes "dimension": 1 and every parameter of every kind
@@ -606,7 +642,8 @@ def test_commands_take_a_negative_omega_basis(sho_file, tmp_path, command):
 
 def test_verify_evolves_the_ground_mode_once(caplog, capsys):
     # invariant_drift_tdse and evolver_vs_kernel share one evolution: four legs
-    # of 0.5 with fine steps of 1e-2, each paired with a coarse run at 2e-2
+    # of 0.5, each three runs of 28, 14 and 7 steps (1.8e-2 asks 0.5 / 0.072
+    # coarse steps, rounded)
     sho = str(SCENARIOS / "sho.json")
     assert main(["verify", "--scenario", sho]) == 0
     quiet = capsys.readouterr().out
@@ -614,15 +651,16 @@ def test_verify_evolves_the_ground_mode_once(caplog, capsys):
         assert main(["verify", "--scenario", sho]) == 0
     assert capsys.readouterr().out == quiet  # diagnostics never reach stdout
     records = [r.getMessage() for r in caplog.records if r.name == "gho.oracle"]
-    steps = [re.search(r"fine run (\d+) steps.*coarse run (\d+) steps", m) for m in records]
-    assert [sum(int(m[k]) for m in steps) for k in (1, 2)] == [200, 100]
+    steps = [re.search(r"fine run (\d+) steps.*middle run (\d+) steps.*coarse run (\d+) steps",
+                       m) for m in records]
+    assert [sum(int(m[k]) for m in steps) for k in (1, 2, 3)] == [112, 56, 28]
     # on a sixth of the 2048-point base grid's points: dx = 20 / 340
     grids = [re.search(r"grid (\d+) points, dx (\S+);", m).groups() for m in records]
     assert all(int(n) == 341 and float(dx) == pytest.approx(20.0 / 340, rel=1e-5)
                for n, dx in grids)
-    # |psi_dt - psi_2dt| / |psi| per leg, measured 1.6e-6
-    estimates = [float(re.search(r"Richardson error estimate (\S+)", m)[1]) for m in records]
-    assert len(estimates) == 4 and all(0.0 < e < 1e-5 for e in estimates)
+    # |R_dt - R_2dt| / (15 |psi|) per leg, measured 8.0e-11
+    estimates = [float(re.search(r"Romberg error estimate (\S+)", m)[1]) for m in records]
+    assert len(estimates) == 4 and all(0.0 < e < 1e-9 for e in estimates)
 
 
 @pytest.mark.parametrize("scenario", ["sho", "free_particle"])
