@@ -536,7 +536,7 @@ def gauge_coefficients(s: Scenario, mass, ps: ParticularSnapshot, t):
     """(alpha, beta, gamma) of the gauge phase G(t, x) = alpha x^2 + beta x +
     gamma = (xi + M a x^2 + (M x_p' + b) x) / hbar, the phase the couplings
     a, b and x_p put on every mode; M and ps are the mass and snapshot at t.
-    Its callers: propagator._forward_coefficients (the kernel at both ends),
+    Its callers: propagator._coefficients (the kernel at both ends),
     propagator.propagate (the hop strips G(t_a), puts on G(t_b)) and
     states._modes_1d, each of which adds int f / hbar once itself.
     Grids multiply exp(i G) in place (packets._times_grid_phase), scattered

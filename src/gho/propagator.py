@@ -17,7 +17,7 @@ branch of the square-root prefactor is fixed to exp(-i pi/4) in the short
 forward-time limit (free-Gaussian convention) and continued through each
 simple zero of D with an extra exp(-i pi/2). The Morse index is counted from
 tau, floor(|tau_b - tau_a| / pi), with its parity pinned by the sign of D.
-Backward-time values follow from the conjugation symmetry K*(b, a) = K(a, b).
+Backward-time values take the same formulas, which give K*(b, a) = K(a, b).
 
 Wave-packet propagation makes one hop with the metaplectic operator of the
 hop's symplectic matrix [[A, B], [C, .]] (see _hop_matrix; D above is Omega B):
@@ -97,7 +97,7 @@ _EQUAL_TIMES = "equal-time kernel is a delta function; probe it via kernel_delta
 # names for Python floats: a scalar query runs the one copy of the formulas
 # without numpy's per-call overhead
 _FLOATS = SimpleNamespace(abs=abs, maximum=max, floor=math.floor, exp=cmath.exp, any=bool,
-                          where=lambda cond, yes, no: yes if cond else no)
+                          copysign=math.copysign, where=lambda cond, yes, no: yes if cond else no)
 
 
 @dataclass(frozen=True, init=False)
@@ -161,10 +161,10 @@ class KernelCoefficients:
     def value(self, x_a, x_b):
         """K at positions x_a, x_b: a complex by Python's complex exp when
         both are ints or floats, else numpy values broadcast over the
-        positions (and over the pairs of an array of time pairs). Swapping
-        the endpoints and negating every coefficient (the backward kernel)
-        maps each term group of the phase onto itself, so the phase is
-        negated exactly and K(b, a) is conj K(a, b) to the bit."""
+        positions (and over the pairs of an array of time pairs). A backward
+        pair's coefficients are the forward pair's swapped and negated (see
+        _coefficients), which maps each term group of the phase onto itself,
+        so the phase is negated exactly and K(b, a) is conj K(a, b) to the bit."""
         scalar = isinstance(x_a, (int, float)) and isinstance(x_b, (int, float))
         if scalar:
             x_a, x_b, exp = float(x_a), float(x_b), cmath.exp
@@ -230,11 +230,11 @@ def _focal_time(basis, tau_a, k, lo, hi):
 
 
 def _morse_count(at_a, at_b, big_b, ops):
-    """Focal times strictly between t_a < t_b from the snapshots there and
-    the hop matrix entry B: floor(|tau_b - tau_a| / pi), with its parity
-    pinned by sign(B) = (-1)^count when t_b is within solver error of a
-    focal time. Element by element for snapshots at arrays of times; ops is
-    numpy, or _FLOATS for snapshots of Python floats."""
+    """Focal times strictly between t_a and t_b from the snapshots there and
+    the hop matrix entry B of the forward order: floor(|tau_b - tau_a| / pi),
+    with its parity pinned by sign(B) = (-1)^count when t_b is within solver
+    error of a focal time. Element by element for snapshots at arrays of
+    times; ops is numpy, or _FLOATS for snapshots of Python floats."""
     turns = ops.abs(at_b.tau - at_a.tau) / math.pi
     count = ops.floor(turns)
     wrong = (big_b < 0) != (count % 2 == 1)
@@ -255,24 +255,28 @@ def _hop_matrix(omega, at_a, at_b):
     return big_a, big_b, big_c, big_d
 
 
-def _forward_coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficients:
-    """Coefficients for t_a < t_b, scalars or arrays of pairs; a scalar pair
-    in the caustic band raises, an array marks it. scalar says whether both
-    times are ints or floats. K is exp(i G(t_b)) times the reduced kernel in
-    x - x_p times exp(-i G(t_a)) (G from gauge_coefficients) times
-    exp(i int f / hbar) over [t_a, t_b]."""
+def _coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficients:
+    """Coefficients for t_a != t_b in either order, scalars or arrays of
+    pairs; a scalar pair in the caustic band raises, an array marks it.
+    scalar says whether both times are ints or floats. K is exp(i G(t_b))
+    times the reduced kernel in x - x_p times exp(-i G(t_a)) (G from
+    gauge_coefficients) times exp(i int f / hbar) over [t_a, t_b]. Exchanged
+    endpoints swap A and D and negate B; with sigma = sign(t_b - t_a) on the
+    Morse pin and the branch, and the scale and the constant symmetric in
+    the ends, they give every coefficient swapped and negated to the bit."""
     ops = _FLOATS if scalar else np
     hbar = s.hbar
     # one dense evaluation of the basis and x_p together per endpoint (array)
     at_a, xp_a = _snapshots(basis, part, t_a)
     at_b, xp_b = _snapshots(basis, part, t_b)
     omega = basis.omega
+    sigma = ops.copysign(1.0, t_b - t_a)
 
     big_a, big_b, _, big_d = _hop_matrix(omega, at_a, at_b)
     d = omega * big_b
-    scale = ops.maximum(ops.abs(at_b.u), ops.abs(at_b.v)) * (ops.abs(at_a.u) + ops.abs(at_a.v))
+    scale = (ops.abs(at_a.u) + ops.abs(at_a.v)) * (ops.abs(at_b.u) + ops.abs(at_b.v))
     caustic = ops.abs(d) <= CAUSTIC_RTOL * scale
-    morse = _morse_count(at_a, at_b, big_b, ops)
+    morse = _morse_count(at_a, at_b, sigma * big_b, ops)
     if _log.isEnabledFor(logging.DEBUG):
         margin = np.abs(d) / (CAUSTIC_RTOL * scale)
         _log.debug("kernel_coefficients: %d pairs, Morse index <= %d, "
@@ -296,11 +300,11 @@ def _forward_coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficient
     l_a = -2.0 * a_aa * xp_a.x - a_ab * xp_b.x - beta_a
     l_b = -2.0 * a_bb * xp_b.x - a_ab * xp_a.x + beta_b
     f_int = integrate_coefficient(s.f, t_a, t_b)
-    const = ((a_aa * (xp_a.x * xp_a.x) + a_bb * (xp_b.x * xp_b.x) + a_ab * xp_a.x * xp_b.x)
+    const = ((a_aa * (xp_a.x * xp_a.x) + a_bb * (xp_b.x * xp_b.x)) + a_ab * (xp_a.x * xp_b.x)
              + (gamma_b - gamma_a) + f_int / hbar)
 
     modulus = ops.abs(1.0 / (2.0 * math.pi * hbar * big_b)) ** 0.5
-    branch = -(0.25 * math.pi + 0.5 * math.pi * morse)
+    branch = sigma * -(0.25 * math.pi + 0.5 * math.pi * morse)
     prefactor = modulus * ops.exp(1j * (branch + const))
 
     return _record(KernelCoefficients, t_a=t_a, t_b=t_b, prefactor=prefactor,
@@ -308,17 +312,8 @@ def _forward_coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficient
                    denominator=d, caustic=caustic)
 
 
-def _backward(fwd: KernelCoefficients) -> KernelCoefficients:
-    """K(b, a) = conj(K(a, b)): swap the endpoint roles, negate the exponent."""
-    return _record(KernelCoefficients, t_a=fwd.t_b, t_b=fwd.t_a,
-                   prefactor=fwd.prefactor.conjugate(),
-                   q_aa=-fwd.q_bb, q_bb=-fwd.q_aa, q_ab=-fwd.q_ab,
-                   l_a=-fwd.l_b, l_b=-fwd.l_a,
-                   denominator=-fwd.denominator, caustic=fwd.caustic)
-
-
 def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> KernelCoefficients:
-    """Gaussian coefficients of K(t_b, .; t_a, .); conjugated for t_b < t_a.
+    """Gaussian coefficients of K(t_b, .; t_a, .), forward or backward in time.
 
     t_a and t_b are scalars, or a scalar and a 1-D array or two 1-D arrays
     of one length (the pairs). At two scalar times (ints or floats,
@@ -327,13 +322,13 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
     0-d arrays take numpy's path and give numpy scalars. Arrays are
     evaluated in one pass: one dense evaluation of the basis and x_p
     together per endpoint array (one of each when x_p comes from another
-    solve; see classical._snapshots), the Morse count, the backward
-    swap-and-conjugate and the caustic band applied pair by pair, and the
-    fields come back as arrays over the pairs. A scalar pair inside the caustic band
-    (|D| <= CAUSTIC_RTOL times the basis scale) raises CausticEncountered;
-    in an array such pairs are marked in `caustic` and their prefactor and
-    exponent coefficients are nan. Equal times raise ValidationError either
-    way.
+    solve; see classical._snapshots), the Morse count and the caustic band
+    applied pair by pair, and the fields come back as arrays over the pairs
+    (an overflow gives inf or nan, as on floats, and no numpy warning). A
+    scalar pair inside the caustic band (|D| <= CAUSTIC_RTOL times the basis
+    scale) raises CausticEncountered; in an array such pairs are marked in
+    `caustic` and their prefactor and exponent coefficients are nan. Equal
+    times raise ValidationError either way.
     Logs the number of pairs, the largest Morse index and the smallest
     |D|/scale in units of CAUSTIC_RTOL at DEBUG level on "gho.propagator".
 
@@ -342,24 +337,17 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
     scalar = isinstance(t_a, (int, float)) and isinstance(t_b, (int, float))
     _check_time(s, t_a, "t_a", scalar)
     _check_time(s, t_b, "t_b", scalar)
-    if scalar or np.ndim(t_a) == 0 and np.ndim(t_b) == 0:
+    if scalar:
         if t_b == t_a:
             raise ValidationError(_EQUAL_TIMES)
-        if t_b > t_a:
-            return _forward_coefficients(s, basis, part, t_a, t_b, scalar)
-        return _backward(_forward_coefficients(s, basis, part, t_b, t_a, scalar))
+        return _coefficients(s, basis, part, t_a, t_b, True)
     t_a, t_b = np.broadcast_arrays(np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float))
-    if t_a.ndim != 1:
+    if t_a.ndim > 1:
         raise ValidationError("time pairs must be scalars or 1-D arrays")
     if np.any(t_a == t_b):
         raise ValidationError(_EQUAL_TIMES)
-    back = t_b < t_a
-    fwd = _forward_coefficients(s, basis, part, np.minimum(t_a, t_b), np.maximum(t_a, t_b),
-                                False)
-    bwd = _backward(fwd)
-    return _record(KernelCoefficients, **{
-        f.name: np.where(back, getattr(bwd, f.name), getattr(fwd, f.name))
-        for f in fields(KernelCoefficients)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _coefficients(s, basis, part, t_a, t_b, False)
 
 
 def kernel(s: Scenario, basis: ClassicalBasis, part, q: KernelQuery) -> complex:

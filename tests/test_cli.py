@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +376,39 @@ def test_non_finite_options_rejected_before_any_file(options, message, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("options, message", [
+    (["kernel-scan", "--times", "1.0,x"], "bad --times '1.0,x'"),
+    (["kernel-scan", "--times", ","], "--times must contain at least one value"),
+    (["kernel-scan", "--times", "0.5"], "kernel-scan needs two --times values"),
+    (["modes", "--modes", "3..1"],
+     "--modes must be a non-empty range of non-negative integers"),
+    (["modes", "--modes", "-1"], "--modes must be a non-empty range of non-negative integers"),
+    (["modes", "--basis", "custom:1,2"], "bad --basis 'custom:1,2'"),
+    (["modes", "--xp", "1"], "bad --xp '1': expected x0,xdot0"),
+    (["kernel-scan", "--xp", "1e154,0", "--grid=-1,1,16"],
+     "kernel from t_a=0.0 to t_b=6.0 overflows: its constant phase is not finite"),
+], ids=["times-not-a-number", "times-empty", "times-one-value", "modes-reversed",
+        "modes-negative", "basis-short", "xp-one-value", "xp-constant-phase-overflows"])
+def test_bad_option_values_exit_two_with_one_line(options, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([*options, "--scenario", str(SCENARIOS / "sho.json"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_verify_overflowing_xp_exits_two_without_numpy_warnings(capsys):
+    # x_p(0) = 1e154 squares past the largest float in the kernel's constant
+    # term: the run ends in its one error line, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--scenario", str(SCENARIOS / "sho.json"), "--xp", "1e154,0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: packet is zero at every point")
+
+
 # the runs whose grid the fit moves: with no --grid each packet command fits
 # the default grid to the modes over its times, as verify does; with that grid
 # as given the first three and parametric's coherent fail on its edge
@@ -681,6 +716,21 @@ def test_kernel_checks_take_array_coefficient_calls(scenario, monkeypatch):
             assert check() <= tol
             assert 1 <= len(calls) <= 2
             assert all(np.size(t_a) >= 90 for t_a, _ in calls)
+
+
+def test_kernel_conjugation_fails_on_a_scaled_l_a(monkeypatch, capsys):
+    # K(b, a) and K(a, b) come from the one formula with the endpoints
+    # exchanged, so an error in l_a alone breaks K(b, a) = conj K(a, b)
+    coefficients = propagator._coefficients
+
+    def scaled(*args):
+        co = coefficients(*args)
+        return dataclasses.replace(co, l_a=co.l_a * (1.0 + 1e-9))
+
+    monkeypatch.setattr(propagator, "_coefficients", scaled)
+    assert main(["verify", "--scenario", str(SCENARIOS / "driven_sho.json")]) == 1
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.endswith(" FAIL")]
+    assert [ln.split()[1] for ln in failed] == ["kernel_conjugation"]
 
 
 def test_composition_triple_takes_one_coefficient_call(tmp_path, monkeypatch):

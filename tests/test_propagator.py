@@ -744,9 +744,9 @@ def test_kernel_coefficients_logs_pairs_morse_and_caustic_margin(sho, sho_basis,
         kernel_coefficients(sho, sho_basis, None, np.array([0.5, 0.5, 2.0]),
                             np.array([focal, 9.0, 1.0]))
     (one, three) = _coefficient_records(caplog)
-    # u = cos, v = sin: |D| = |sin(t_b - t_a)|, scale max|u_b, v_b| (|u_a| + |v_a|)
+    # u = cos, v = sin: |D| = |sin(t_b - t_a)|, scale (|u_a| + |v_a|) (|u_b| + |v_b|)
     t_b = 0.3 + np.pi + 1.0
-    scale = max(abs(np.cos(t_b)), abs(np.sin(t_b))) * (np.cos(0.3) + np.sin(0.3))
+    scale = (np.cos(0.3) + np.sin(0.3)) * (abs(np.cos(t_b)) + abs(np.sin(t_b)))
     assert one[:2] == (1, 1)
     assert one[2] == pytest.approx(np.sin(1.0) / scale / CAUSTIC_RTOL, rel=1e-3)
     assert three[:2] == (3, 2) and three[2] <= 1.0
@@ -811,8 +811,8 @@ def test_zero_dimensional_times_take_the_array_path():
         q = KernelQuery(np.array(t_a), np.array(t_b), 0.3, -0.4)
         assert kernel(s, basis, part, q) == pytest.approx(
             kernel(s, basis, part, KernelQuery(t_a, t_b, 0.3, -0.4)), rel=1e-14)
-    # a float or an int paired with a 0-d array or a numpy scalar: each
-    # endpoint takes its own path, both ways round
+    # a float or an int paired with a 0-d array or a numpy scalar takes
+    # numpy's path, both ways round
     for pair in ((0.5, np.array(1.0)), (0.5, np.float32(1.0)), (1, np.int64(3))):
         for t_a, t_b in (pair, pair[::-1]):
             floats = kernel_coefficients(s, basis, part, float(t_a), float(t_b))

@@ -168,9 +168,8 @@ def test_backward_scalar_query_is_the_conjugate_to_the_bit(driven_sho):
     checked = 0
     for ics in (None, ((0.0, 1.0), (1.0, 0.0)), ((0.8, 0.3), (0.4, 1.1))):
         basis = gho.solve_homogeneous_basis(s, ics)
-        for t_a, t_b, x_a, x_b in zip(*rng.uniform([s.t0, s.t0, -2.0, -2.0],
-                                                   [s.t1, s.t1, 2.0, 2.0], (200, 4)).T):
-            t_a, t_b, x_a, x_b = float(t_a), float(t_b), float(x_a), float(x_b)
+        draws = rng.uniform([s.t0, s.t0, -2.0, -2.0], [s.t1, s.t1, 2.0, 2.0], (200, 4))
+        for t_a, t_b, x_a, x_b in draws.tolist():
             try:
                 forward = gho.kernel(s, basis, part, KernelQuery(t_a, t_b, x_a, x_b))
             except gho.CausticEncountered:
@@ -179,4 +178,17 @@ def test_backward_scalar_query_is_the_conjugate_to_the_bit(driven_sho):
             assert math.isfinite(abs(forward))
             assert backward.real == forward.real and backward.imag == -forward.imag
             checked += 1
+        # the same pairs, each drawn in either order, then each reversed,
+        # in one array call
+        t_a, t_b, x_a, x_b = draws.T
+        co = gho.kernel_coefficients(s, basis, part, np.concatenate([t_a, t_b]),
+                                     np.concatenate([t_b, t_a]))
+        values = co.value(np.concatenate([x_a, x_b]), np.concatenate([x_b, x_a]))
+        assert np.any(t_a < t_b) and np.any(t_a > t_b)
+        assert np.array_equal(co.caustic[:200], co.caustic[200:])
+        kept = ~co.caustic[:200]
+        forward, backward = values[:200][kept], values[200:][kept]
+        assert np.all(np.isfinite(forward)) and kept.sum() >= 190
+        assert np.array_equal(backward.real, forward.real)
+        assert np.array_equal(backward.imag, -forward.imag)
     assert checked >= 590

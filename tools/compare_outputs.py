@@ -2,19 +2,19 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 72 command lines in each tree: the six commands with their default
+Runs 78 command lines in each tree: the six commands with their default
 options, `verify --xp 1.0,0.0`, `verify --xp 1.0,0.5` (a moving x_p, which a
-free-particle hop reads as a shift), and the four packet commands (modes,
-coherent, evolve, invariant) with the default grid given as
-`--grid=-10,10,2048`, which they run as given rather than fit to the
-modes. Each runs on the four bundled scenarios, on the coupled scenario of
-tests/conftest.py (a, b and f nonzero, M = 1.3, hbar = 0.7), the one that
-reaches the gauge phase, and on an all-kinds scenario that loads each of the
-five coefficient kinds. The revision is exported with `git archive` into a
-temporary directory. Both trees read the working tree's scenario files, and
-the coupled and all-kinds ones are written into the temporary directory.
-Each run is `python -m gho` with that tree's `src` on PYTHONPATH, in a
-fresh temporary directory.
+free-particle hop reads as a shift), `kernel-scan --times 4.0,0.5` (a
+backward kernel), and the four packet commands (modes, coherent, evolve,
+invariant) with the default grid given as `--grid=-10,10,2048`, which they
+run as given rather than fit to the modes. Each runs on the four bundled
+scenarios, on the coupled scenario of tests/conftest.py (a, b and f nonzero,
+M = 1.3, hbar = 0.7), the one that reaches the gauge phase, and on an
+all-kinds scenario that loads each of the five coefficient kinds. The
+revision is exported with `git archive` into a temporary directory. Both
+trees read the working tree's scenario files, and the coupled and all-kinds
+ones are written into the temporary directory. Each run is `python -m gho`
+with that tree's `src` on PYTHONPATH, in a fresh temporary directory.
 
 Prints every exit code, stdout, stderr or output file that differs. When two
 texts differ only in their numbers, it prints the largest absolute
@@ -54,6 +54,7 @@ ALL_KINDS = {"hbar": 0.8, "interval": [0, 6],
 PACKET_COMMANDS = ("evolve", "modes", "invariant", "coherent")
 COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS),
             ("verify", "--xp", "1.0,0.0"), ("verify", "--xp", "1.0,0.5"),
+            ("kernel-scan", "--times", "4.0,0.5"),
             *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS))
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
 
