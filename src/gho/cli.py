@@ -31,14 +31,11 @@ _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the mode
 # subnormal samples of the packet's dark tails. They run only up to
 # round(r) = 3
 _EVOLVER_MAX_SPREAD = 3
-# a fitted grid takes at most this many times the base grid's points. sho
-# with custom:1,0,0,1e-3 asks 498 (verify peaks at 188 MB and takes 1.7 s),
-# parametric resonance over 30 time units 112, and a near-degenerate basis
-# (custom:1,0,0,1e-300) 1e300, which no allocation survives
+# _scaled_grid takes at most this many times its base grid's points. The
+# modes ask 498 on sho with custom:1,0,0,1e-3 (verify peaks at 188 MB and
+# takes 1.7 s), the kernel slice 80-109 at hbar = 0.01, and a near-degenerate
+# basis (custom:1,0,0,1e-300) 1e300, which no allocation survives
 _FIT_MAX_FACTOR = 1024
-# verify's kernel slice refines its grid by k dx / 0.15, at most 3.21 (sho at hbar = 0.25)
-# for |x_p| <= 4; only the rounding residue of a huge x_p in l_b drives it past this cap
-_SLICE_MAX_REFINE = 64
 
 
 def _fmt(x) -> str:
@@ -119,31 +116,35 @@ def _write_table_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _mode_scales(s: Scenario, basis, base: GridSpec, times):
+def _mode_scales(s: Scenario, basis, times):
     """(widen, refine) of the modes at the times: the mode width
     rho sqrt(hbar/|Omega|) and the momentum spread M |(u', v')| / sqrt(hbar |Omega|),
-    each relative to the oscillator's own modes at hbar = 1 and at least 1. A
-    factor that would move base by less than one spacing is solver noise and reads 1."""
+    each the largest over the times and relative to the oscillator's own
+    modes at hbar = 1."""
     bs = basis.at(np.asarray(times, dtype=float))
     omega = abs(basis.omega)
-    widen = max(1.0, float(np.max(bs.rho)) * math.sqrt(s.hbar / omega))
-    refine = max(1.0, float(np.max(bs.mass * np.hypot(bs.u_dot, bs.v_dot)))
-                 / math.sqrt(s.hbar * omega))
-    return tuple(f if (f - 1.0) * base.n_points >= 1.0 else 1.0 for f in (widen, refine))
+    return (float(np.max(bs.rho)) * math.sqrt(s.hbar / omega),
+            float(np.max(bs.mass * np.hypot(bs.u_dot, bs.v_dot))) / math.sqrt(s.hbar * omega))
 
 
-def _fit_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
-    """base widened by the modes' width and with N refined by their momentum
-    spread at the times (_mode_scales), N rounded up to a multiple of 256;
-    GridTooNarrow when widen x refine passes _FIT_MAX_FACTOR."""
-    widen, refine = _mode_scales(s, basis, base, times)
+def _scaled_grid(base: GridSpec, widen, refine, what: str) -> GridSpec:
+    """base over widen times its extent on widen x refine times its points,
+    rounded up to a multiple of 256. A factor below 1 or within one spacing
+    of 1 (solver noise) reads 1, and base itself comes back when both do;
+    GridTooNarrow, opening with what asked, past _FIT_MAX_FACTOR."""
+    widen, refine = (f if (f - 1.0) * base.n_points >= 1.0 else 1.0 for f in (widen, refine))
     if widen == refine == 1.0:
         return base
     if not widen * refine <= _FIT_MAX_FACTOR:
-        raise GridTooNarrow(f"the modes ask for {widen * refine:.3g} times the grid's "
-                            f"points, past {_FIT_MAX_FACTOR}")
+        raise GridTooNarrow(f"{what} {widen * refine:.3g} times the grid's points, "
+                            f"past {_FIT_MAX_FACTOR}")
     n = int(math.ceil(base.n_points * widen * refine / 256.0)) * 256
     return GridSpec(base.x_min * widen, base.x_max * widen, n)
+
+
+def _fit_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
+    """base scaled by the modes' width and momentum spread at the times."""
+    return _scaled_grid(base, *_mode_scales(s, basis, times), "the modes ask for")
 
 
 class _Context:
@@ -314,10 +315,7 @@ def _verify_checks(ctx):
         co = propagator.kernel_coefficients(s, basis, part, t_a, t_val)
         k_dx = (2.0 * abs(co.q_bb) * max(abs(grid.x_min), abs(grid.x_max))
                 + 0.3 * abs(co.q_ab) + abs(co.l_b)) * grid.dx
-        if k_dx > 0.15 * _SLICE_MAX_REFINE:
-            raise GridTooNarrow(f"slice refinement {k_dx / 0.15:.3g} past {_SLICE_MAX_REFINE}")
-        fine = grid if k_dx <= 0.15 else GridSpec(
-            grid.x_min, grid.x_max, math.ceil(grid.n_points * k_dx / 0.15 / 256) * 256)
+        fine = _scaled_grid(grid, 1.0, k_dx / 0.15, "the kernel slice's wavenumbers ask for")
         return oracle.schrodinger_residual(field, s, t_val, fine)
 
     def residual_modes():
@@ -399,11 +397,14 @@ def _verify_checks(ctx):
         # the mode's phase rates grow with its momentum spread as well, and
         # the evolver's time error with them: fine steps of
         # 1.8e-2 / round(spread)^2.25 (spread^2 reads 8.4e-6 at spread 3)
-        spread = round(_mode_scales(s, basis, grid, times)[1])
+        widen, refine = _mode_scales(s, basis, times)
+        spread = round(max(1.0, refine))
         if spread > _EVOLVER_MAX_SPREAD:
             raise GridTooNarrow(f"momentum spread rounds to {spread}, beyond the "
                                 f"evolver's resolved {_EVOLVER_MAX_SPREAD}")
-        wide = _fit_grid(s, basis, grid, times)
+        wide = _scaled_grid(grid, widen, refine, "the modes ask for")
+        if wide.n_points // 6 < 16:  # GridSpec's least
+            raise GridTooNarrow(f"the evolver's sixth of {wide.n_points} points is under 16")
         coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
         cfg = oracle.EvolverConfig(dt=1.8e-2 / spread ** 2.25)
@@ -432,9 +433,8 @@ def _verify_checks(ctx):
         reference = propagator.kernel(s, basis, part, q)
         # the slices' chirps and the paths' spread grow with hbar: so do the
         # slice grid's extent and its point count
-        widen = max(1.0, s.hbar)
-        wide = GridSpec(1.2 * widen * grid.x_min, 1.2 * widen * grid.x_max,
-                        math.ceil(4096 * widen))
+        wide = _scaled_grid(GridSpec(1.2 * grid.x_min, 1.2 * grid.x_max, 4096), s.hbar, 1.0,
+                            "the path-integral slices ask for")
         value = oracle.path_integral_oracle(s, q, 4, wide, basis=basis, part=part)
         return abs(value - reference) / abs(reference)
 

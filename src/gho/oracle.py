@@ -301,14 +301,15 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     a smooth window that is flat across the stationary-phase region; the
     windowed tails are non-stationary and contribute below the test
     tolerances. Kernel values come from the propagator module itself; only the
-    integration is independent.
+    integration is independent. A composite (t_a, t_c) inside the kernel's
+    caustic band raises CausticEncountered, and a chirp so slow that the
+    window asks for more than 2^20 points raises GridTooNarrow.
     """
+    kernel_coefficients(s, basis, part, t_a, t_c)  # raises where a_tot = 0, on a focal composite
     co1 = kernel_coefficients(s, basis, part, t_a, t_b)
     co2 = kernel_coefficients(s, basis, part, t_b, t_c)
     a_tot = co1.q_bb + co2.q_aa
     b_tot = co1.q_ab * x_a + co1.l_b + co2.q_ab * x_c + co2.l_a
-    if a_tot == 0.0:
-        raise CausticEncountered("composite interval sits on a focal point")
     y_star = -0.5 * b_tot / a_tot
     zone = math.sqrt(math.pi / abs(a_tot))
     r_flat = max(12.0 * zone, 8.0)
@@ -316,6 +317,8 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     rate = 2.0 * abs(a_tot) * r_zero + abs(b_tot + 2.0 * a_tot * y_star)
     dy = math.pi / (2.0 * max(rate, 1.0))
     n = int(math.ceil(2.0 * r_zero / dy)) + 1
+    if n > 2 ** 20:
+        raise GridTooNarrow(f"the composition's window asks for {n} points, more than 2^20")
     ys = np.linspace(y_star - r_zero, y_star + r_zero, n)
     vals = co1.value(x_a, ys) * co2.value(ys, x_c)
     vals = vals * _smooth_window(ys, y_star, r_flat, r_zero)

@@ -472,20 +472,67 @@ def test_a_bright_edged_packet_exits_one(command, tmp_path, capsys):
 def test_verify_caps_the_kernel_slice_refinement(tmp_path, capsys, monkeypatch):
     # x_p = 1e154 leaves a rounding residue in the kernel's l_b for which the
     # slice asked for 1.9e137 times the grid's points, and the run ended in a
-    # ValueError traceback; past the cap the check skips, and the packet
-    # wholly off the grid ends the run
+    # ValueError traceback; past the one cap of every scaled grid the check
+    # skips, and the packet wholly off the grid ends the run
     sho = str(SCENARIOS / "sho.json")
     assert main(["verify", "--scenario", sho, "--xp", "1e154,0",
                  "--out", str(tmp_path / "far")]) == 2
     # the grid is read off an array, and its ends print as plain floats
     assert capsys.readouterr().err == ("error: packet is zero at every point of GridSpec("
                                        "x_min=-10.0, x_max=10.0, n_points=2048)\n")
-    # under a cap below sho's factor of 0.80 the check skips and the run passes
-    monkeypatch.setattr(cli, "_SLICE_MAX_REFINE", 0.5)
-    assert main(["verify", "--scenario", sho, "--out", str(tmp_path / "capped")]) == 0
+    # at hbar = 0.25 the modes' fits ask 2 times the grid's points and the
+    # slice 3.21: under a cap of 3 only the slice skips, and the run passes
+    monkeypatch.setattr(cli, "_FIT_MAX_FACTOR", 3)
+    path = tmp_path / "sho_quarter.json"
+    path.write_text(json.dumps({"hbar": 0.25, "interval": [0.0, 12.0]}))
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "capped")]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
+    assert len(lines) == 18
+    assert [ln for ln in lines if not ln.endswith(" PASS")] == [
+        "CHECK schrodinger_residual_kernel value=nan tol=0.0001 SKIP(GridTooNarrow)"]
+    ctx = cli._Context(cli.build_parser().parse_args(["verify", "--scenario", str(path)]))
+    checks = {name: check for name, _, check in cli._verify_checks(ctx)}
+    with pytest.raises(GridTooNarrow, match=r"^the kernel slice's wavenumbers ask for 3\.21 "
+                       r"times the grid's points, past 3$"):
+        checks["schrodinger_residual_kernel"]()
+
+
+def test_verify_resolves_the_kernel_slice_at_small_hbar(tmp_path, capsys):
+    # at hbar = 0.01 the slice asks about 100 times the base grid's points,
+    # under the one cap of 1024: it once skipped past a cap of its own of 64.
+    # The run exits 1 on checks that do not hold at this hbar yet
+    path = tmp_path / "sho_small.json"
+    path.write_text(json.dumps({"hbar": 0.01, "interval": [0.0, 12.0]}))
+    assert main(["verify", "--scenario", str(path)]) == 1
     (line,) = [ln for ln in capsys.readouterr().out.splitlines()
                if ln.startswith("CHECK schrodinger_residual_kernel ")]
-    assert line.endswith(" SKIP(GridTooNarrow)")
+    assert line.endswith(" PASS")
+
+
+def test_verify_skips_a_composition_just_past_a_focal_time(tmp_path, capsys):
+    # on this interval the first candidate triple's composite spans
+    # pi + 3e-11: caustic-free, but its window would take 1.4e7 points
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"interval": [0, 7.853981634053023]}))
+    assert main(["verify", "--scenario", str(path)]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("CHECK kernel_composition ")]
+    assert line == "CHECK kernel_composition value=nan tol=1e-06 SKIP(GridTooNarrow)"
+
+
+def test_verify_on_a_grid_too_coarse_for_the_evolver_skips_its_two_checks(capsys):
+    # the evolver takes a sixth of the grid's points: 15 of 95, under a
+    # GridSpec's 16. The run once exited 2 on that grid, which the user did
+    # not give, and reported no check
+    assert main(["verify", "--scenario", str(SCENARIOS / "sho.json"),
+                 "--grid=-10,10,95"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = [ln for ln in captured.out.splitlines() if ln.startswith("CHECK ")]
+    assert len(lines) == 18
+    assert [ln for ln in lines if "SKIP" in ln] == [
+        f"CHECK {name} value=nan tol={tol} SKIP(GridTooNarrow)"
+        for name, tol in (("invariant_drift_tdse", "1e-05"), ("evolver_vs_kernel", "0.0001"))]
 
 
 @pytest.mark.parametrize("command", ["evolve", "invariant"])

@@ -1,0 +1,50 @@
+"""Input checks of the library's functions that no other test reaches, and
+the equal-time copies of the evolver and of propagate."""
+
+import numpy as np
+import pytest
+
+import gho
+from gho import (EvolverConfig, GridSpec, KernelQuery, ParseError, ValidationError,
+                 evolve_tdse, kernel_delta_check, load_scenario, mode_sum_kernel,
+                 path_integral_oracle, propagate, schrodinger_residual, sho_eigenstate)
+from gho.packets import upsample_periodic
+
+SHO = gho.scenario_from_dict({"interval": [0.0, 12.0]})
+BASIS = gho.solve_homogeneous_basis(SHO)
+GRID = GridSpec(-10.0, 10.0, 256)
+GROUND = sho_eigenstate(0, GRID)
+QUERY = KernelQuery(0.0, 1.0, 0.3, -0.4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: load_scenario("[]"), ParseError, "scenario must be a mapping"),
+    (lambda: load_scenario('{"interval": 5}'), ParseError, "'interval' must be [t0, t1]"),
+    (lambda: schrodinger_residual(lambda t, x: np.zeros_like(x), SHO, 1.0, GRID),
+     ValidationError, "the field vanishes on the interior; cannot normalize"),
+    (lambda: path_integral_oracle(SHO, QUERY, 0, GRID, basis=BASIS), ValidationError,
+     "n_slices must be >= 1"),
+    (lambda: sho_eigenstate(0, GRID, 0.0), ValidationError, "hbar must be positive"),
+    (lambda: mode_sum_kernel(SHO, BASIS, None, -1, QUERY), ValidationError,
+     "n_max must be >= 0"),
+    (lambda: kernel_delta_check(SHO, BASIS, None, 0.0, 0.0, GROUND), ValidationError,
+     "epsilon must be positive"),
+    (lambda: upsample_periodic(GROUND, 255), ValidationError,
+     "upsample target must be >= current grid size"),
+], ids=["scenario-not-a-mapping", "interval-not-a-pair", "vanishing-field", "no-slices",
+        "zero-hbar", "negative-n-max", "zero-epsilon", "upsample-below-n"])
+def test_bad_input_raises_its_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("hop", [
+    lambda packet: evolve_tdse(SHO, packet, packet.t, EvolverConfig(dt=1e-2)),
+    lambda packet: propagate(packet, SHO, BASIS, None, packet.t)], ids=["evolve", "propagate"])
+def test_an_equal_time_hop_copies_the_packet(hop):
+    start = GROUND.with_samples(GROUND.samples, t=0.5)
+    copy = hop(start)
+    assert copy is not start
+    assert (copy.grid, copy.t) == (start.grid, start.t)
+    assert np.array_equal(copy.samples, start.samples)

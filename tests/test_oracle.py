@@ -365,6 +365,36 @@ def test_compose_kernels_across_caustic(sho, sho_basis, sho_part_zero):
     assert abs(composed - direct) / abs(direct) < 1e-5
 
 
+def test_compose_kernels_refuses_a_focal_composite(sho, sho_basis):
+    # (0, pi) is a focal pair of sho. a_tot read 1.3e-13 there, not 0, and
+    # the window asked for 1.5e8 points about y* = -4.6e11
+    with pytest.raises(gho.CausticEncountered):
+        compose_kernels(sho, sho_basis, None, 0.0, 1.0, np.pi, 0.3, -0.4)
+
+
+def test_compose_kernels_bounds_its_window(sho, sho_basis, sho_part_cos, monkeypatch):
+    # verify's first triple on an interval of 2.5 pi + 3e-11 spans pi + 3e-11,
+    # outside the caustic band: the chirp is so slow that the window asks for
+    # 1.4e7 points, about 1 GB over its arrays. sho's own first triple, with
+    # --xp 1.0,0.0, asks 4,609
+    sizes = []
+    window = gho.oracle._smooth_window
+
+    def counted(points, *args):
+        sizes.append(len(points))
+        return window(points, *args)
+
+    monkeypatch.setattr(gho.oracle, "_smooth_window", counted)
+    compose_kernels(sho, sho_basis, sho_part_cos, *12.0 * np.array([0.05, 0.25, 0.45]),
+                    0.3, -0.4)
+    assert sizes == [4609]
+    t_a, t_b, t_c = 7.853981634053023 * np.array([0.05, 0.25, 0.45])
+    with pytest.raises(gho.GridTooNarrow, match=r"^the composition's window asks for "
+                       r"1\d{7} points, more than 2\^20$"):
+        compose_kernels(sho, sho_basis, None, t_a, t_b, t_c, 0.3, -0.4)
+    assert sizes == [4609]
+
+
 def test_evolver_config_validation(grid):
     with pytest.raises(ValidationError):
         EvolverConfig(dt=-0.1)

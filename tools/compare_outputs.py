@@ -2,19 +2,21 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 78 command lines in each tree: the six commands with their default
+Runs 91 command lines in each tree: the six commands with their default
 options, `verify --xp 1.0,0.0`, `verify --xp 1.0,0.5` (a moving x_p, which a
 free-particle hop reads as a shift), `kernel-scan --times 4.0,0.5` (a
 backward kernel), and the four packet commands (modes, coherent, evolve,
 invariant) with the default grid given as `--grid=-10,10,2048`, which they
 run as given rather than fit to the modes. Each runs on the four bundled
 scenarios, on the coupled scenario of tests/conftest.py (a, b and f nonzero,
-M = 1.3, hbar = 0.7), the one that reaches the gauge phase, and on an
-all-kinds scenario that loads each of the five coefficient kinds. The
-revision is exported with `git archive` into a temporary directory. Both
-trees read the working tree's scenario files, and the coupled and all-kinds
-ones are written into the temporary directory. Each run is `python -m gho`
-with that tree's `src` on PYTHONPATH, in a fresh temporary directory.
+M = 1.3, hbar = 0.7), the one that reaches the gauge phase, on an
+all-kinds scenario that loads each of the five coefficient kinds, and on sho
+at hbar = 2, where verify's path-integral grid grows and the modes' momentum
+spread falls below 1. The revision is exported with `git archive` into a
+temporary directory. Both trees read the working tree's scenario files, and
+the coupled, all-kinds and hbar = 2 ones are written into the temporary
+directory. Each run is `python -m gho` with that tree's `src` on
+PYTHONPATH, in a fresh temporary directory.
 
 Prints every exit code, stdout, stderr or output file that differs. When two
 texts differ only in their numbers, it prints the largest absolute
@@ -39,7 +41,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCENARIOS = ("sho", "free_particle", "parametric", "driven_sho", "coupled", "all_kinds")
+SCENARIOS = ("sho", "free_particle", "parametric", "driven_sho", "coupled", "all_kinds",
+             "sho_hbar2")
 # tests/conftest.py's COUPLED: no bundled scenario sets a, b or f
 COUPLED = {"hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0],
            "a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0, "phase": 0.5},
@@ -51,6 +54,7 @@ ALL_KINDS = {"hbar": 0.8, "interval": [0, 6],
              "force": {"kind": "piecewise", "breakpoints": [3.0], "values": [0.0, 0.3]},
              "a": {"kind": "sinusoidal", "amplitude": 0.05, "omega": 1.0},
              "b": 0.1, "f": 0.2}
+SHO_HBAR2 = {"hbar": 2.0, "interval": [0.0, 12.0]}
 PACKET_COMMANDS = ("evolve", "modes", "invariant", "coherent")
 COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS),
             ("verify", "--xp", "1.0,0.0"), ("verify", "--xp", "1.0,0.5"),
@@ -142,7 +146,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent = export(args.rev, Path(tmp) / "parent")
         paths = {name: ROOT / "scenarios" / f"{name}.json" for name in SCENARIOS}
-        for name, data in (("coupled", COUPLED), ("all_kinds", ALL_KINDS)):
+        for name, data in (("coupled", COUPLED), ("all_kinds", ALL_KINDS),
+                           ("sho_hbar2", SHO_HBAR2)):
             paths[name] = Path(tmp) / f"{name}.json"
             paths[name].write_text(json.dumps(data))
         for command in COMMANDS:
