@@ -255,38 +255,35 @@ def _verify_checks(ctx):
         return float(np.max(np.abs(np.conj(kf) - kb) / np.abs(kf), initial=0.0))
 
     def kernel_closed_form():
-        if _is_constant(s, mass=1.0, frequency=1.0, force=0.0, a=0.0, b=0.0, f=0.0):
-            def reference(t_a, t_b, x_a, x_b):
-                big_t = t_b - t_a
-                return ((2j * np.pi * hbar * np.sin(big_t)) ** -0.5
-                        * np.exp(1j * ((x_a ** 2 + x_b ** 2) * np.cos(big_t)
-                                       - 2 * x_a * x_b) / (2 * hbar * np.sin(big_t))))
+        # Mehler's kernel covers any constant M and w with no force, a, b or
+        # f; sin(w T) / w is T sinc(w T / pi), the free kernel's T at w = 0
+        if not (isinstance(s.mass, Constant)  # mass > 0 once loaded
+                and isinstance(s.frequency, Constant)
+                and _is_constant(s, force=0.0, a=0.0, b=0.0, f=0.0)):
+            return None
+        m0, w0 = s.mass.value, abs(s.frequency.value)
 
-            def draw():
-                t_a = rng.uniform(s.t0, s.t1 - 0.5)
-                big_t = rng.uniform(0.2, min(np.pi - 0.2, s.t1 - t_a))
-                return t_a, t_a + big_t
-        elif isinstance(s.mass, Constant) and _is_constant(  # mass > 0 once loaded
-                s, frequency=0.0, force=0.0, a=0.0, b=0.0, f=0.0):
-            m0 = s.mass.value
-
-            def reference(t_a, t_b, x_a, x_b):
-                big_t = t_b - t_a
-                return ((m0 / (2j * np.pi * hbar * big_t)) ** 0.5
-                        * np.exp(1j * m0 * (x_b - x_a) ** 2 / (2 * hbar * big_t)))
-
-            def draw():
+        def draw():
+            if w0 == 0.0:
                 t_a = rng.uniform(s.t0, s.t0 + 0.5 * span)
                 return t_a, t_a + rng.uniform(0.1 * span, 0.45 * span)
-        else:
-            return None
+            # w T in [0.2, pi - 0.2], clear of the focal times, with the time
+            # unit 1/w clamped to twice a short interval
+            unit = min(1.0 / w0, 2.0 * span)
+            t_a = rng.uniform(s.t0, s.t1 - 0.5 * unit)
+            return t_a, t_a + rng.uniform(0.2 * unit, min((np.pi - 0.2) * unit, s.t1 - t_a))
+
         t_a, t_b, x_a, x_b = np.array([(*draw(), *rng.uniform(-3.0, 3.0, 2))
                                        for _ in range(100)]).T
-        # both references are undriven, so part=None is the exact x_p = 0
+        # the reference is undriven, so part=None is the exact x_p = 0
         co = propagator.kernel_coefficients(s, basis, None, t_a, t_b)
         if co.caustic.any():
             raise CausticEncountered("closed-form pair on a focal time")
-        ref = reference(t_a, t_b, x_a, x_b)
+        big_t = t_b - t_a
+        sin_over_w = big_t * np.sinc(w0 * big_t / np.pi)
+        ref = ((m0 / (2j * np.pi * hbar * sin_over_w)) ** 0.5
+               * np.exp(1j * m0 * ((x_a ** 2 + x_b ** 2) * np.cos(w0 * big_t) - 2 * x_a * x_b)
+                        / (2 * hbar * sin_over_w)))
         return float(np.max(np.abs(co.value(x_a, x_b) - ref) / np.abs(ref)))
 
     def kernel_composition():

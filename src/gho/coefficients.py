@@ -19,7 +19,6 @@ read all of it from the class, so a new kind is one more class in the
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import json
 import math
@@ -49,19 +48,22 @@ __all__ = [
 ]
 
 
-def _horner(coefficients, t):
-    """c0 + c1 t + c2 t^2 + ... at a float t, in the order of numpy's polyval."""
-    acc = coefficients[-1]
-    for c in coefficients[-2::-1]:
-        acc = c + acc * t
-    return acc
-
-
 # Each coefficient kind's eval returns (value, first derivative): Python floats
 # at a scalar time (an int or a float, np.float64 included), float arrays of
-# t's shape at an array (also 0-d) of times. Its integral(lo, hi) takes two
-# Python floats or two float arrays of one shape, and is antisymmetric in the
-# limits to the bit, so a reversed interval needs no branch.
+# t's shape at an array (also 0-d) of times. Constant, Sinusoidal and
+# Exponential compute a scalar time's values with Python floats and `math`;
+# Polynomial and PiecewiseConstant compute every time in numpy and return a
+# scalar time's values as floats through _floats_at. Each kind's
+# integral(lo, hi) takes two Python floats or two float arrays of one shape,
+# and is antisymmetric in the limits to the bit, so a reversed interval needs
+# no branch.
+
+
+def _floats_at(t, value, deriv):
+    """(value, deriv) as Python floats at a scalar time t, as given at an array."""
+    if isinstance(t, (int, float)):
+        return float(value), float(deriv)
+    return value, deriv
 
 
 @dataclass(frozen=True)
@@ -91,24 +93,14 @@ class Polynomial:
             raise ValidationError("polynomial needs at least one coefficient")
 
     def eval(self, t):
-        if isinstance(t, (int, float)):
-            t, c = float(t), [float(x) for x in self.coefficients]
-            slope = [j * x for j, x in enumerate(c)][1:]
-            return _horner(c, t), _horner(slope, t) if slope else 0.0
-        t = np.asarray(t, dtype=float)
+        poly, x = np.polynomial.polynomial, np.asarray(t, dtype=float)
         c = np.asarray(self.coefficients, dtype=float)
-        value = np.polynomial.polynomial.polyval(t, c)
-        deriv = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(c)) \
-            if len(c) > 1 else np.zeros(t.shape)
-        return value, deriv
+        return _floats_at(t, poly.polyval(x, c), poly.polyval(x, poly.polyder(c)))
 
     def integral(self, lo, hi):
-        anti = np.polynomial.polynomial.polyint(np.asarray(self.coefficients, dtype=float))
-        if isinstance(lo, float):
-            anti = anti.tolist()
-            return _horner(anti, hi) - _horner(anti, lo)
-        return (np.polynomial.polynomial.polyval(hi, anti)
-                - np.polynomial.polynomial.polyval(lo, anti))
+        poly = np.polynomial.polynomial
+        anti = poly.polyint(np.asarray(self.coefficients, dtype=float))
+        return poly.polyval(hi, anti) - poly.polyval(lo, anti)
 
 
 @dataclass(frozen=True)
@@ -161,23 +153,14 @@ class PiecewiseConstant:
                 "piecewise-constant breakpoints must be finite and strictly increasing")
 
     def eval(self, t):
-        if isinstance(t, (int, float)):
-            return float(self.values[bisect.bisect_right(self.breakpoints, t)]), 0.0
-        t = np.asarray(t, dtype=float)
         idx = np.searchsorted(np.asarray(self.breakpoints, dtype=float), t, side="right")
-        return np.asarray(self.values, dtype=float)[idx], np.zeros(t.shape)
+        return _floats_at(t, np.asarray(self.values, dtype=float)[idx], np.zeros(np.shape(t)))
 
     def integral(self, lo, hi):
         # plateau i covers [edges[i], edges[i + 1]); value times signed overlap
-        edges = [-math.inf, *self.breakpoints, math.inf]
-        if isinstance(lo, float):
-            total = 0.0
-            for value, start, end in zip(self.values, edges[:-1], edges[1:]):
-                total += value * (min(max(hi, start), end) - min(max(lo, start), end))
-            return total
-        edges = np.asarray(edges, dtype=float)
-        overlap = (np.clip(hi[..., None], edges[:-1], edges[1:])
-                   - np.clip(lo[..., None], edges[:-1], edges[1:]))
+        edges = np.array([-math.inf, *self.breakpoints, math.inf])
+        overlap = (np.clip(np.expand_dims(hi, -1), edges[:-1], edges[1:])
+                   - np.clip(np.expand_dims(lo, -1), edges[:-1], edges[1:]))
         return overlap @ np.asarray(self.values, dtype=float)
 
 
@@ -191,10 +174,10 @@ class Exponential:
 
     def eval(self, t):
         if isinstance(t, (int, float)):
-            value = self.amplitude * math.exp(self.rate * float(t))
-            return value, self.rate * value
-        t = np.asarray(t, dtype=float)
-        value = self.amplitude * np.exp(self.rate * t)
+            exp, t = math.exp, float(t)
+        else:
+            exp, t = np.exp, np.asarray(t, dtype=float)
+        value = self.amplitude * exp(self.rate * t)
         return value, self.rate * value
 
     def integral(self, lo, hi):

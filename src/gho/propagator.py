@@ -41,12 +41,12 @@ many points on the rest.
 
 That Nyquist-band test assumes content up to pi/dx. A unit-dilation hop is
 one FFT multiply on a periodic grid, exact unless the packet wraps around,
-so when the test fails there the packet decides: the factored form goes on
-when the packet's phase-space box (_moved_box), read off its samples and the
-FFT of the gauge-reduced packet (the Fresnel step's first transform), stays
-inside [x_min, x_max] once moved by the shift and by hbar (B/A) k; else the
-hop takes the chirp-z form. The DEBUG line of each hop names the test that
-chose its form.
+so there the packet decides, inside the band or past it: the factored form
+goes on when the packet's phase-space box (_moved_box), read off its samples
+and the FFT of the gauge-reduced packet (the Fresnel step's first
+transform), stays inside [x_min, x_max] once moved by the shift and by
+hbar (B/A) k; else the hop takes the chirp-z form. The DEBUG line of each
+hop names the test that chose its form.
 
 Every phase either form puts on a grid (the gauge phase, the kernel's
 chirps, the Fresnel transfer on each half of the FFT order) is a quadratic
@@ -452,7 +452,7 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
         reduced = _times_grid_phase(np.array(packet.samples), -alpha, -beta, -gamma,
                                     grid.x_min, grid.dx)
         spectrum = sfft.fft(reduced, overwrite_x=True)
-        if not nyquist:
+        if not resample:
             # |reduced| is |packet|: the box reads the support off the samples
             lo, hi = _moved_box(packet.samples, spectrum, hbar * big_b / big_a, shift, grid)
             fits = grid.x_min <= lo and hi <= grid.x_max

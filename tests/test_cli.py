@@ -918,6 +918,29 @@ def test_verify_parametric_resonance_passes(tmp_path, capsys):
     assert float(wronskian.split()[2].removeprefix("value=")) < 1e-13
 
 
+def test_verify_sho_on_a_short_interval_passes(tmp_path, capsys):
+    # shorter than the closed-form draws' 0.5 / w: their time unit 1/w is
+    # clamped to twice the interval
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"interval": [0.0, 0.3]}))
+    code = main(["verify", "--scenario", str(path)])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
+    assert code == 0 and len(lines) == 18 and all(ln.endswith(" PASS") for ln in lines)
+
+
+@pytest.mark.parametrize("spec", [{"mass": 2.0, "frequency": 3.0},
+                                  {"hbar": 0.5, "frequency": 5.0}, {"frequency": -1.0},
+                                  {"interval": [0.0, 0.05]}])
+def test_kernel_closed_form_is_mehlers_kernel(spec, tmp_path):
+    # any constant M and w with no force, a, b or f, whatever the interval
+    path = tmp_path / "mehler.json"
+    path.write_text(json.dumps(spec))
+    ctx = cli._Context(cli.build_parser().parse_args(["verify", "--scenario", str(path)]))
+    checks = {name: (tol, check) for name, tol, check in cli._verify_checks(ctx)}
+    tol, check = checks["kernel_closed_form"]
+    assert check() <= tol
+
+
 def test_verify_skips_evolver_checks_beyond_the_resolved_spread():
     # momentum spread 4.5: the evolver checks would run for about half a
     # minute, so they skip before evolving

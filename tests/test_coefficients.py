@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import re
+from typing import get_args
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gho import (Constant, Exponential, ParseError, PiecewiseConstant, Polynomial,
-                 Sinusoidal, ValidationError, eval_coefficient,
+from gho import (CoefficientFn, Constant, Exponential, ParseError, PiecewiseConstant,
+                 Polynomial, Sinusoidal, ValidationError, eval_coefficient,
                  hamiltonian_coefficients, integrate_coefficient, load_scenario,
                  scenario_from_dict, scenario_to_dict, serialize_scenario)
 
@@ -122,6 +126,43 @@ def test_eval_at_a_scalar_time_returns_floats(fn):
         assert type(value) is float and type(deriv) is float
         on_array = fn.eval(np.array(float(t)))
         assert (value, deriv) == pytest.approx(tuple(map(float, on_array)), rel=1e-15)
+
+
+# a drawn parameter is 0 (omega = 0 and rate = 0 take their own branches) or
+# in [-3, 3]; a limit in [-5, 5]
+_parameter = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+_limit = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def _coefficients(draw):
+    """Any kind, each field drawn from dataclasses.fields: a float field as
+    one parameter, a tuple field as 1-4 distinct ones; breakpoints ascend and
+    values take one more than them."""
+    cls = draw(st.sampled_from(get_args(CoefficientFn)))
+    size = draw(st.integers(1, 4))
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        if field.type != "tuple":
+            kwargs[field.name] = draw(_parameter)
+            continue
+        n = size + (field.name == "values")
+        drawn = draw(st.lists(_parameter, min_size=n, max_size=n, unique=True))
+        kwargs[field.name] = tuple(sorted(drawn) if field.name == "breakpoints" else drawn)
+    return cls(**kwargs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(fn=_coefficients(), limits=st.lists(st.tuples(_limit, _limit), min_size=1, max_size=6))
+def test_every_kind_integral_is_antisymmetric_to_the_bit(fn, limits):
+    # kernel_coefficients reads K(b, a) = conj K(a, b) to the bit off this
+    lo, hi = np.array(limits).T
+    forward = integrate_coefficient(fn, lo, hi)
+    assert np.array_equal(integrate_coefficient(fn, hi, lo), -forward)
+    assert np.all(integrate_coefficient(fn, lo, lo) == 0.0)
+    for a, b in limits:
+        assert integrate_coefficient(fn, b, a) == -integrate_coefficient(fn, a, b)
+        assert integrate_coefficient(fn, a, a) == 0.0
 
 
 def test_load_sho_scenario_roundtrip():

@@ -640,6 +640,25 @@ def test_free_hop_whose_box_leaves_the_grid_takes_chirp_z(monkeypatch, caplog):
         assert np.max(np.abs(wrapped - exact)) > 1e-3
 
 
+# x_p moves by v t_b (12, 7.2 and 7.5) across [-10, 10]: the packet, or its
+# tails, leave past x_max, and the Fresnel FFT pair would bring them back in
+# past x_min, though the hop is inside the Nyquist band
+@pytest.mark.parametrize("v, n, t_b", [(120.0, 1024, 0.1), (60.0, 512, 0.12),
+                                       (150.0, 2048, 0.05)])
+def test_unit_hop_inside_the_nyquist_band_reads_the_box(v, n, t_b, caplog):
+    s = gho.scenario_from_dict({"interval": [0.0, 1.0], "frequency": 0.0})
+    basis, part = gho.solve_homogeneous_basis(s, None), gho.solve_particular(s, (0.0, v))
+    grid = gho.GridSpec(-10.0, 10.0, n)
+    packet = gho.eigenmode_packet(s, basis, part, 0, 0.0, grid)
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        moved = propagate(packet, s, basis, part, t_b)
+    ((form, test, big_a, big_b, _),) = _propagate_records(caplog)
+    assert big_a == 1.0 and s.hbar * abs(big_b) * np.pi / grid.dx <= n * grid.dx
+    assert form == "chirp-z" and test.endswith(" leaves the grid")
+    exact = gho.eigenmode_packet(s, basis, part, 0, t_b, grid)
+    assert gho.l2_distance(moved, exact) <= 1e-9
+
+
 def test_free_particle_hop_resamples_nothing(free, monkeypatch, caplog):
     # A free hop's dilation is a unit one: with A = 1 and x_p = 0 at both ends
     # it maps the grid onto itself, a moving x_p makes it a shift (the ramp
