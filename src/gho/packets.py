@@ -11,12 +11,14 @@ Hankel table, and 2n complex products. Where an array carries the phase (the
 gauge phase, a chirp, a spectral ramp), _times_quadratic_phase multiplies
 the same three factors into it in place, 3n products and no full-size
 temporary; _times_grid_phase and _times_spectral_phase take the phase's
-coefficients in x and in the angular frequencies of an FFT. Values off the
-nodes (a dilated grid, an upsampled one) are the packet's trigonometric
-interpolant, read off its FFT spectrum by one chirp-z, _read_spectrum: for
-evaluate_trig_interpolant, and for propagate's resampled hops after a Fresnel
-phase on that spectrum. Every translation (states.apply_U_F, each
-unit-dilation hop of propagate) is a ramp on the FFT spectrum. Derivatives
+coefficients in x and in the angular frequencies of an FFT. Every move of a
+packet on its grid (states.apply_U_F's shift, states.apply_U_S's dilation,
+the factored form of propagate, evaluate_trig_interpolant) is one read of
+its trigonometric interpolant on a moved lattice, _read_interpolant: the
+start ramp (after a Fresnel phase, if any) on the FFT spectrum, one inverse
+FFT for n points at the grid's own spacing and one chirp-z for any other
+lattice, 0 at the points off the grid, and one grid phase into which the
+chirp-z's end ramp folds. Derivatives
 are the 7-point sixth-order central stencils with the samples taken as zero
 beyond the ends (which are required to be numerically dark anyway): the
 weights _D1 and _D2 are defined here once, and gho.oracle's evolver builds
@@ -361,28 +363,45 @@ def czt(h, m: int, angle: float) -> np.ndarray:
     return chirp
 
 
-def _read_spectrum(spectrum, scale: float, alpha: float, start: float, step: float, m: int,
-                   dx: float) -> np.ndarray:
-    """The sum r_j = sum_k scale F_k exp(i (alpha k^2 + k (start + j step)))
-    for j < m over the modes k of spectrum F (an FFT of n samples spaced dx,
-    in FFT order), times exp(-i k_min j step), k_min = -(n//2) 2 pi / (n dx)
-    the lowest mode: one chirp-z over the modes in signed order.
+def _read_interpolant(spectrum, grid: GridSpec, start: float, step: float, m: int, scale=1.0,
+                      fresnel=0.0, phase=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """scale times the trigonometric interpolant of spectrum, the FFT of
+    samples on grid in FFT order, each mode k first times exp(i fresnel k^2),
+    at the m points start + j step, 0 where one leaves [x_min, x_max], times
+    exp(i (alpha x^2 + beta x + gamma)) at x = x_min + j dx for
+    phase = (alpha, beta, gamma). spectrum is overwritten.
 
-    With scale 1/n and alpha = 0, r_j exp(i k_min j step) is the samples'
-    trigonometric interpolant at x_min + start + j step; a nonzero alpha
-    first multiplies each mode by the Fresnel phase exp(i alpha k^2). That
-    phase and the ramp exp(i k start) are one spectral phase, formed from
-    k = 0 outward; the caller removes the end ramp. spectrum is overwritten.
+    The Fresnel phase and the start ramp exp(i k (start - x_min)) are one
+    spectral phase. n points at the grid's own spacing are one inverse FFT;
+    any other lattice is one chirp-z over the modes in signed order, whose
+    end ramp exp(i k_min j step), k_min = -(n//2) 2 pi / (n dx) the lowest
+    mode, folds into the grid phase.
     """
-    n = len(spectrum)
-    _times_spectral_phase(spectrum, alpha, start, dx)
-    # the modes in signed order, k = (j - n//2) 2 pi / (n dx) at index j,
-    # each times scale
-    low = n - n // 2
-    h = np.empty(n, dtype=np.complex128)
-    np.multiply(spectrum[:low], scale, out=h[n // 2:])
-    np.multiply(spectrum[low:], scale, out=h[:n // 2])
-    return czt(h, m, 2.0 * math.pi * step / (n * dx))
+    n, dx, x_min = grid.n_points, grid.dx, grid.x_min
+    _times_spectral_phase(spectrum, fresnel, start - x_min, dx)
+    if m == n and step == dx:
+        out = _scipy_fft().ifft(spectrum, overwrite_x=True)
+        out *= scale
+    else:
+        # the modes in signed order, k = (j - n//2) 2 pi / (n dx) at index j,
+        # each times scale / n
+        low = n - n // 2
+        h = np.empty(n, dtype=np.complex128)
+        np.multiply(spectrum[:low], scale / n, out=h[n // 2:])
+        np.multiply(spectrum[low:], scale / n, out=h[:n // 2])
+        out = czt(h, m, 2.0 * math.pi * step / (n * dx))
+        ramp = -2.0 * math.pi * (n // 2) * step / (n * dx * dx)
+        phase = (phase[0], phase[1] + ramp, phase[2] - ramp * x_min)
+    # 0 at the j outside [lo, hi] widened by 1e-9, the spacing test's bound,
+    # so that a lattice meeting an end keeps it through rounding
+    lo, hi = x_min - start, grid.x_max - start
+    if step:
+        lo, hi = sorted((lo / step, hi / step))
+    else:
+        lo, hi = (0.0, m) if lo <= 0.0 <= hi else (m, -1.0)
+    out[:math.ceil(min(max(lo - 1e-9, 0.0), m))] = 0.0
+    out[math.floor(min(max(hi + 1e-9, -1.0), m)) + 1:] = 0.0
+    return _times_grid_phase(out, *phase, x_min, dx)
 
 
 def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
@@ -391,12 +410,14 @@ def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
     Exact at grid nodes, spectrally accurate between them for edge-decayed
     packets. Points outside [x_min, x_max] return 0 (the interpolant itself is
     periodic, which is meaningless for a dark-edged packet). The sum over the
-    packet's Fourier modes is _read_spectrum, one chirp-z between two linear
-    phase ramps; points that are not evenly spaced raise ValidationError.
+    packet's Fourier modes is _read_interpolant; points that are not finite
+    or not evenly spaced raise ValidationError.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or len(points) == 0:
         raise ValidationError("interpolation points must be a non-empty 1-D array")
+    if not np.isfinite(points).all():
+        raise ValidationError("interpolation points must be finite")
     m = len(points)
     step = (points[-1] - points[0]) / (m - 1) if m > 1 else 0.0
     lattice = np.arange(m, dtype=float)
@@ -404,13 +425,7 @@ def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
     lattice += points[0]
     if np.max(np.abs(points - lattice)) > 1e-9 * abs(step):
         raise ValidationError("interpolation points must be evenly spaced")
-    n, dx = p.grid.n_points, p.grid.dx
-    vals = _read_spectrum(_scipy_fft().fft(p.samples), 1.0 / n, 0.0, points[0] - p.grid.x_min,
-                          step, m, dx)
-    # the end ramp exp(i k_min j step)
-    _times_quadratic_phase(vals, 0.0, -2.0 * math.pi * (n // 2) * step / (n * dx), 0.0)
-    vals[(points < p.grid.x_min) | (points > p.grid.x_max)] = 0.0
-    return vals
+    return _read_interpolant(_scipy_fft().fft(p.samples), p.grid, float(points[0]), float(step), m)
 
 
 def upsample_periodic(p: WavePacket, m: int):

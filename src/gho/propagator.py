@@ -23,21 +23,19 @@ Wave-packet propagation makes one hop with the metaplectic operator of the
 hop's symplectic matrix [[A, B], [C, .]] (see _hop_matrix; D above is Omega B):
 stripped of the mode set's gauge phase, the linear canonical transform. When
 hbar |B| pi / dx <= |A| N dx it is applied in the factored form, regular at
-B = 0 (short hops, focal times), from one FFT of the gauge-reduced packet. At
-a unit dilation, |A - 1| <= 4 eps (every free-particle hop), it is
-chirp(C/A) . Fresnel(A B) . shift: the ramp exp(-i k shift) of apply_U_F for
-the shift x_p(t_b) - x_p(t_a) and the Fresnel phase multiply that spectrum,
-one inverse FFT and a chirp finish it. Otherwise it is chirp(C/A) .
-dilation(A) . Fresnel(B/A), the same operator as chirp(C/A) . Fresnel(A B) .
-dilation(A): the Fresnel phase rides on the trigonometric interpolant's
-start ramp, one chirp-z (packets._read_spectrum) reads the interpolant of
-the Fresnel-multiplied spectrum at x_p(t_a) + (x - x_p(t_b)) / A, and the
-output phase carries the chirp and the interpolant's end ramp; no inverse
-FFT. Past the Nyquist band it is the trapezoidal kernel sum by chirp
-multiplications and a chirp-z transform, regular at A = 0, on as many points
-as the trapezoid rule's aliasing bound asks (see _quadrature_size): the
-packet's own grid on most hops, its trigonometric interpolant read at that
-many points on the rest.
+B = 0 (short hops, focal times), from one FFT of the gauge-reduced packet:
+chirp(C/A) . dilation(A) . Fresnel(B/A), the same operator as chirp(C/A) .
+Fresnel(A B) . dilation(A), is one read (packets._read_interpolant) of the
+interpolant of the Fresnel-multiplied spectrum at
+x_p(t_a) + (x - x_p(t_b)) / A, with the chirp and the gauge phase as its
+output phase. A unit dilation, |A - 1| <= 4 eps (every free-particle hop),
+is taken as A = 1: the read is then the shift by x_p(t_b) - x_p(t_a) at the
+grid's own spacing, one inverse FFT, as for states.apply_U_F; any other A
+reads by one chirp-z. Past the Nyquist band it is the trapezoidal kernel sum
+by chirp multiplications and a chirp-z transform, regular at A = 0, on as
+many points as the trapezoid rule's aliasing bound asks (see
+_quadrature_size): the packet's own grid on most hops, its trigonometric
+interpolant read at that many points on the rest.
 
 That Nyquist-band test assumes content up to pi/dx. A unit-dilation hop is
 one FFT multiply on a periodic grid, exact unless the packet wraps around,
@@ -45,8 +43,8 @@ so there the packet decides, inside the band or past it: the factored form
 goes on when the packet's phase-space box (_moved_box), read off its samples
 and the FFT of the gauge-reduced packet (the Fresnel step's first
 transform), stays inside [x_min, x_max] once moved by the shift and by
-hbar (B/A) k; else the hop takes the chirp-z form. The DEBUG line of each
-hop names the test that chose its form.
+hbar B k (A is 1); else the hop takes the chirp-z form. The DEBUG line of
+each hop names the test that chose its form.
 
 Every phase either form puts on a grid (the gauge phase, the kernel's
 chirps, the Fresnel transfer on each half of the FFT order) is a quadratic
@@ -68,8 +66,8 @@ import numpy as np
 from .classical import ClassicalBasis, _check_time, _record, _snapshots, gauge_coefficients
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, ValidationError
-from .packets import (WavePacket, _ends, _read_spectrum, _scipy_fft, _support, _times_grid_phase,
-                      _times_spectral_phase, czt, l2_distance, upsample_periodic)
+from .packets import (WavePacket, _ends, _read_interpolant, _scipy_fft, _support,
+                      _times_grid_phase, czt, l2_distance, upsample_periodic)
 
 _log = logging.getLogger(__name__)
 
@@ -442,9 +440,10 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     sfft = _scipy_fft()
     n = grid.n_points
     # the dilation reads the packet at x_p(t_a) + (x - x_p(t_b)) / A; a unit
-    # dilation is the shift by x_p(t_b) - x_p(t_a), the ramp exp(-i k shift)
+    # dilation is taken as A = 1, the shift by x_p(t_b) - x_p(t_a)
     resample = abs(big_a - 1.0) > _UNIT_DILATION
-    shift = 0.0 if resample else xp_b.x - xp_a.x
+    if not resample:
+        big_a = 1.0
     nyquist = hbar * abs(big_b) * math.pi / grid.dx <= abs(big_a) * n * grid.dx
     test, spectrum = "Nyquist band" if nyquist else "past the Nyquist band", None
     if nyquist or not resample:
@@ -454,7 +453,7 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
         spectrum = sfft.fft(reduced, overwrite_x=True)
         if not resample:
             # |reduced| is |packet|: the box reads the support off the samples
-            lo, hi = _moved_box(packet.samples, spectrum, hbar * big_b / big_a, shift, grid)
+            lo, hi = _moved_box(packet.samples, spectrum, hbar * big_b, xp_b.x - xp_a.x, grid)
             fits = grid.x_min <= lo and hi <= grid.x_max
             test = f"packet box [{lo:.6g}, {hi:.6g}] {'fits' if fits else 'leaves the grid'}"
             if not fits:
@@ -481,31 +480,17 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     morse = _morse_count(at_a, at_b, big_b, _FLOATS)
     phi = sigma * (-0.25 * math.pi - 0.5 * math.pi * morse
                    + 0.25 * math.pi * math.copysign(1.0, big_a) * (-1) ** morse)
-    if resample:
-        # dilation(A) . Fresnel(B/A), which is Fresnel(A B) . dilation(A):
-        # the interpolant of the Fresnel-multiplied spectrum read at
-        # y = x_p(t_a) + (x - x_p(t_b)) / A, 0 off the grid; the output
-        # phase below takes the end ramp exp(i k_min (x - x_min) / A)
-        step = grid.dx / big_a
-        start = xp_a.x + (grid.x_min - xp_b.x) / big_a
-        out = _read_spectrum(spectrum, abs(big_a) ** -0.5 / n, -0.5 * hbar * big_b / big_a,
-                             start - grid.x_min, step, n, grid.dx)
-        ramp = -2.0 * math.pi * (n // 2) / (n * grid.dx * big_a)
-        first, last = sorted(((grid.x_min - start) / step, (grid.x_max - start) / step))
-        out[:math.ceil(min(max(first, 0.0), n))] = 0.0
-        out[math.floor(min(max(last, -1.0), n)) + 1:] = 0.0
-    else:
-        out = sfft.ifft(_times_spectral_phase(spectrum, -0.5 * hbar * big_a * big_b, -shift,
-                                              grid.dx), overwrite_x=True)
-        out *= abs(big_a) ** -0.5
-        ramp = 0.0
+    # dilation(A) . Fresnel(B/A), which is Fresnel(A B) . dilation(A): the
+    # interpolant of the Fresnel-multiplied spectrum read at
+    # y = x_p(t_a) + (x - x_p(t_b)) / A, 0 off the grid, times the phase
     # phi + C X^2 / (2 hbar A) + G(t_b, x) + int f / hbar, X = x - x_p(t_b)
     f_int = integrate_coefficient(s.f, t_a, t_b)
     chirp = big_c / (2.0 * hbar * big_a)
     alpha, beta, gamma = gauge_coefficients(s, at_b.mass, xp_b, t_b)
-    _times_grid_phase(out, chirp + alpha, beta - 2.0 * chirp * xp_b.x + ramp,
-                      phi + chirp * xp_b.x * xp_b.x + gamma + f_int / hbar - ramp * grid.x_min,
-                      grid.x_min, grid.dx)
+    out = _read_interpolant(spectrum, grid, xp_a.x + (grid.x_min - xp_b.x) / big_a,
+                            grid.dx / big_a, n, abs(big_a) ** -0.5, -0.5 * hbar * big_b / big_a,
+                            (chirp + alpha, beta - 2.0 * chirp * xp_b.x,
+                             phi + chirp * xp_b.x * xp_b.x + gamma + f_int / hbar))
     return WavePacket(grid, out, t_b)
 
 

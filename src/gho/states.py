@@ -19,7 +19,9 @@ The same states arise from unit-oscillator eigenstates phi_n through the
 displacement map U_F (shift by x_p plus momentum boost) and the squeezing map
 U_S (dilation by rho/sqrt(|Omega|) plus quadratic phase): energy phase x U_F
 x U_S phi_n = psi_n. Both maps are provided as grid operations on arbitrary
-packets, apart from the closed form above.
+packets, apart from the closed form above: each is one read of the packet's
+trigonometric interpolant on a moved lattice (packets._read_interpolant),
+the lattice shifted by x_p for U_F and scaled for U_S.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import fft, ifft
+from scipy.fft import fft
 
 from .classical import (ClassicalBasis, ParticularSolution, _check_time, _snapshots,
                         gauge_coefficients, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
-from .packets import (GridSpec, WavePacket, _support, _times_grid_phase, _times_spectral_phase,
-                      _trapezoid_inner, derivative, evaluate_trig_interpolant)
+from .packets import (GridSpec, WavePacket, _read_interpolant, _support, _times_grid_phase,
+                      _trapezoid_inner, derivative)
 
 __all__ = [
     "hermite_functions",
@@ -107,12 +109,12 @@ def sho_eigenstate(n: int, grid: GridSpec, hbar: float = 1.0) -> WavePacket:
     """Normalized n-th eigenstate of p^2/2 + x^2/2 sampled on the grid."""
     if hbar <= 0:
         raise ValidationError("hbar must be positive")
+    z = _hermite_points(n, grid.points / math.sqrt(hbar))  # checks n first
     wavelength = math.pi * math.sqrt(hbar) / math.sqrt(2.0 * n + 1.0)
     if grid.dx > wavelength / 8.0:
         raise GridTooNarrow(
             f"grid spacing {grid.dx:.3g} cannot resolve mode n={n} "
             f"(needs <= {wavelength / 8.0:.3g})")
-    z = grid.points / math.sqrt(hbar)
     samples = hbar ** -0.25 * _hermite_row(n, z)
     packet = WavePacket(grid, samples.astype(np.complex128), t=0.0)
     packet.require_dark_edges(1e-8, f"sho_eigenstate(n={n})")
@@ -206,9 +208,9 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     """Displacement map: translate by x_p(t), boost by M x_p', phase by xi.
 
     (U_F psi)(x) = exp(i xi / hbar) exp(i M x_p' x / hbar) psi(x - x_p);
-    part=None stands for x_p = 0. The shift is the ramp exp(-i k x_p) on the
-    spectrum and the phase one grid phase, both linear in the grid index and
-    multiplied in place.
+    part=None stands for x_p = 0. The packet's interpolant is read at
+    x - x_p, a lattice at the grid's own spacing, so one inverse FFT after
+    the ramp exp(-i k x_p) on the spectrum, with the phase folded in.
     """
     _check_time(s, t, "t")
     ps = particular_or_zero(s, part).at(t)
@@ -218,12 +220,8 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     first, last = _support(np.abs(packet.samples), 1e-8)
     if x[first] + xp < grid.x_min or x[last] + xp > grid.x_max:
         raise GridTooNarrow(f"translation by {xp:.3g} pushes support off the grid")
-    # exact band-limited translation: the ramp exp(-i k x_p) on the spectrum
-    shifted = fft(packet.samples)
-    shifted = ifft(_times_spectral_phase(shifted, 0.0, -xp, grid.dx), overwrite_x=True)
-    outside = (x - xp < grid.x_min) | (x - xp > grid.x_max)
-    shifted[outside] = 0.0
-    _times_grid_phase(shifted, 0.0, ps.momentum / s.hbar, ps.xi / s.hbar, grid.x_min, grid.dx)
+    shifted = _read_interpolant(fft(packet.samples), grid, grid.x_min - xp, grid.dx,
+                                grid.n_points, phase=(0.0, ps.momentum / s.hbar, ps.xi / s.hbar))
     return WavePacket(grid, shifted, t=t)
 
 
@@ -233,18 +231,18 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
 
     (U_S psi)(x) = exp(i M rho' x^2 / (2 hbar rho)) (|Omega|/rho^2)^{1/4}
                    psi(sqrt(|Omega|/rho^2) x);
-    the chirp is one grid phase, multiplied in place.
+    one read of the packet's interpolant on the dilated lattice, with the
+    amplitude and the chirp folded in.
     """
     _check_time(s, t, "t")
     bs = basis.at(t)
     scale = math.sqrt(abs(basis.omega)) / bs.rho
     packet.require_dark_edges(1e-8, "apply_U_S")
     grid = packet.grid
-    rescaled = evaluate_trig_interpolant(packet, scale * grid.points)
     chirp = bs.mass * bs.rho_dot / (2.0 * s.hbar * bs.rho)
-    rescaled *= np.sqrt(scale)
-    _times_grid_phase(rescaled, chirp, 0.0, 0.0, grid.x_min, grid.dx)
-    result = WavePacket(packet.grid, rescaled, t=t)
+    rescaled = _read_interpolant(fft(packet.samples), grid, scale * grid.x_min, scale * grid.dx,
+                                 grid.n_points, math.sqrt(scale), phase=(chirp, 0.0, 0.0))
+    result = WavePacket(grid, rescaled, t=t)
     result.require_dark_edges(1e-8, "apply_U_S output")
     return result
 

@@ -8,7 +8,7 @@ import gho
 from gho import (EvolverConfig, GridSpec, KernelQuery, ParseError, ValidationError,
                  evolve_tdse, kernel_delta_check, load_scenario, mode_sum_kernel,
                  path_integral_oracle, propagate, schrodinger_residual, sho_eigenstate)
-from gho.packets import upsample_periodic
+from gho.packets import evaluate_trig_interpolant, upsample_periodic
 
 SHO = gho.scenario_from_dict({"interval": [0.0, 12.0]})
 BASIS = gho.solve_homogeneous_basis(SHO)
@@ -31,8 +31,14 @@ QUERY = KernelQuery(0.0, 1.0, 0.3, -0.4)
      "epsilon must be positive"),
     (lambda: upsample_periodic(GROUND, 255), ValidationError,
      "upsample target must be >= current grid size"),
+    (lambda: evaluate_trig_interpolant(GROUND, [0.0, np.nan, 1.0]), ValidationError,
+     "interpolation points must be finite"),
+    (lambda: evaluate_trig_interpolant(GROUND, [0.0, np.inf]), ValidationError,
+     "interpolation points must be finite"),
+    (lambda: sho_eigenstate(-1, GRID), ValidationError, "hermite order must be in [0, 200]"),
 ], ids=["scenario-not-a-mapping", "interval-not-a-pair", "vanishing-field", "no-slices",
-        "zero-hbar", "negative-n-max", "zero-epsilon", "upsample-below-n"])
+        "zero-hbar", "negative-n-max", "zero-epsilon", "upsample-below-n", "nan-point",
+        "infinite-point", "negative-hermite-order"])
 def test_bad_input_raises_its_error(call, error, message):
     with pytest.raises(error) as info:
         call()

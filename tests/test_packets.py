@@ -68,6 +68,26 @@ def test_trig_interpolant_rejects_uneven_points(grid):
         evaluate_trig_interpolant(packet, np.zeros((2, 2)))
 
 
+def test_trig_interpolant_keeps_the_nodes_and_reads_0_past_the_ends(grid, monkeypatch):
+    # bright ends: a read at the nodes keeps both; a lattice at the grid's own
+    # spacing is one inverse FFT, any other one chirp-z, and on either path
+    # each point past an end reads exactly 0
+    rng = np.random.default_rng(7)
+    packet = WavePacket(grid, rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points))
+    sums = []
+    monkeypatch.setattr(gho.packets, "czt", lambda *args: sums.append(args) or czt(*args))
+    at_nodes = evaluate_trig_interpolant(packet, grid.points)
+    assert sums == [] and np.max(np.abs(at_nodes - packet.samples)) <= 1e-13
+    for points, chirp_z in ((grid.points + 0.5, False), (grid.points - 0.5, False),
+                            (1.3 * grid.points, True)):
+        sums.clear()
+        got = evaluate_trig_interpolant(packet, points)
+        assert len(sums) == int(chirp_z)
+        past = (points < grid.x_min) | (points > grid.x_max)
+        assert past.any() and not np.any(got[past])
+        assert np.max(np.abs(got - _dense_interpolant(packet, points))) <= 1e-11
+
+
 @pytest.mark.parametrize("n", [1001, 1024])
 def test_trapezoid_inner_is_the_trapezoid_rule(n):
     rng = np.random.default_rng(n)

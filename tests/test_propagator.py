@@ -12,7 +12,8 @@ import gho
 from gho import (CausticEncountered, KernelQuery, ValidationError, caustic_times,
                  green_function, inner_product, kernel, kernel_delta_check,
                  l2_distance, mean_x, packet_norm, propagate, sho_eigenstate, var_x)
-from gho.packets import WavePacket, _read_spectrum, evaluate_trig_interpolant, upsample_periodic
+from gho.packets import (WavePacket, _read_interpolant, czt, evaluate_trig_interpolant,
+                         upsample_periodic)
 from gho.propagator import (CAUSTIC_RTOL, _hop_matrix, _lct_apply, _morse_count,
                             _quadrature_size, kernel_coefficients)
 
@@ -450,10 +451,11 @@ def test_propagate_short_hop(name, grid):
 
 def test_resampled_hop_reads_one_spectrum(grid, monkeypatch, caplog):
     # a short hop and a focal landing, A != 1 on both: one forward FFT of the
-    # gauge-reduced packet, whose Fresnel-multiplied spectrum the one chirp-z
-    # of _read_spectrum reads at the dilated points; no inverse FFT
+    # gauge-reduced packet, whose Fresnel-multiplied spectrum one read of
+    # _read_interpolant reads at the dilated points by one chirp-z; no
+    # inverse FFT
     real = gho.packets._scipy_fft()
-    transforms, interpolants, reads = [], [], []
+    transforms, interpolants, reads, sums = [], [], [], []
 
     def counted(name):
         def call(*args, **kwargs):
@@ -463,22 +465,24 @@ def test_resampled_hop_reads_one_spectrum(grid, monkeypatch, caplog):
 
     def read(*args):
         reads.append(args)
-        return _read_spectrum(*args)
+        return _read_interpolant(*args)
 
     monkeypatch.setattr(gho.propagator, "_scipy_fft", lambda: SimpleNamespace(
         fft=counted("fft"), ifft=counted("ifft"), next_fast_len=real.next_fast_len))
     monkeypatch.setattr(gho.packets, "evaluate_trig_interpolant",
                         lambda *args: interpolants.append(args))
-    monkeypatch.setattr(gho.propagator, "_read_spectrum", read)
+    monkeypatch.setattr(gho.propagator, "_read_interpolant", read)
+    monkeypatch.setattr(gho.packets, "czt", lambda *args: sums.append(args) or czt(*args))
     _, basis, _ = _solved("coupled", (0.5, 0.3))
     for t_a, t_b in ((1.0, 1.001), (0.7, caustic_times(basis, 0.7).times[0])):
         transforms.clear()
         reads.clear()
+        sums.clear()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
             error = _hop_error("coupled", 2, t_a, t_b, grid, (0.5, 0.3))
         assert caplog.records[-1].getMessage().endswith("dilation resampled")
-        assert transforms == ["fft"] and len(reads) == 1 and interpolants == []
+        assert transforms == ["fft"] and len(reads) == len(sums) == 1 and interpolants == []
         assert error < 1e-9
 
 
@@ -670,7 +674,7 @@ def test_free_particle_hop_resamples_nothing(free, monkeypatch, caplog):
 
     def spy(*args):
         calls.append(args)
-        return _read_spectrum(*args)
+        return czt(*args)
 
     for ics, xp, t_a in ((None, None, 0.4), (None, (0.5, 0.1), 0.4),
                          (((0.8, 0.3), (0.4, 1.1)), None, 0.3)):
@@ -682,7 +686,7 @@ def test_free_particle_hop_resamples_nothing(free, monkeypatch, caplog):
                               free, basis, part, t_a + big_t)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="gho.propagator"), monkeypatch.context() as m:
-            m.setattr(gho.propagator, "_read_spectrum", spy)
+            m.setattr(gho.packets, "czt", spy)
             moved = propagate(packet, free, basis, part, t_a + big_t)
         assert calls == []
         ((form, _, _, _, _),) = _propagate_records(caplog)
@@ -695,6 +699,22 @@ def test_free_particle_hop_resamples_nothing(free, monkeypatch, caplog):
         exact = (np.pi ** -0.25 * width ** -0.5 * np.exp(
             -(x - x0 - p * big_t) ** 2 / (2.0 * width) + 1j * p * x - 0.5j * p * p * big_t))
         assert np.max(np.abs(moved.samples - exact)) <= 1e-13
+
+
+def test_unit_hop_reads_0_on_the_side_the_packet_left(caplog):
+    # x_p moves from -1 to 0: the factored form reads the packet at x - 1, so
+    # every sample with x - 1 < x_min, 52 of them, is exactly 0
+    s = gho.scenario_from_dict({"interval": [0.0, 1.0], "frequency": 0.0})
+    basis, part = gho.solve_homogeneous_basis(s), gho.solve_particular(s, (-1.0, 10.0))
+    grid = gho.GridSpec(-10.0, 10.0, 1024)
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        moved = propagate(gho.eigenmode_packet(s, basis, part, 0, 0.0, grid), s, basis, part,
+                          0.1)
+    ((form, test, _, _, _),) = _propagate_records(caplog)
+    assert form == "factored" and test.endswith(" fits")
+    left = moved.samples[grid.points < -9.0]
+    assert len(left) == 52 and not np.any(left)
+    assert l2_distance(moved, gho.eigenmode_packet(s, basis, part, 0, 0.1, grid)) <= 1e-13
 
 
 # (scenario, basis initial data, x_p initial data); hbar != 1 and Omega = -1

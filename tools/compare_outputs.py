@@ -2,10 +2,12 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 91 command lines in each tree: the six commands with their default
+Runs 98 command lines in each tree: the six commands with their default
 options, `verify --xp 1.0,0.0`, `verify --xp 1.0,0.5` (a moving x_p, which a
-free-particle hop reads as a shift), `kernel-scan --times 4.0,0.5` (a
-backward kernel), and the four packet commands (modes, coherent, evolve,
+free-particle hop reads as a shift), `verify --basis custom:0,1.4,0.7,0
+--xp 1.0,0.0` (Omega = -0.98 and rho(t0) = 0.7, so U_S dilates on every
+scenario), `kernel-scan --times 4.0,0.5` (a backward kernel), and the four
+packet commands (modes, coherent, evolve,
 invariant) with the default grid given as `--grid=-10,10,2048`, which they
 run as given rather than fit to the modes. Each runs on the four bundled
 scenarios, on the coupled scenario of tests/conftest.py (a, b and f nonzero,
@@ -58,6 +60,7 @@ SHO_HBAR2 = {"hbar": 2.0, "interval": [0.0, 12.0]}
 PACKET_COMMANDS = ("evolve", "modes", "invariant", "coherent")
 COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS),
             ("verify", "--xp", "1.0,0.0"), ("verify", "--xp", "1.0,0.5"),
+            ("verify", "--basis", "custom:0,1.4,0.7,0", "--xp", "1.0,0.0"),
             ("kernel-scan", "--times", "4.0,0.5"),
             *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS))
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
