@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -318,11 +319,15 @@ def _verify_checks(ctx):
     def residual_modes():
         t_val = s.t0 + 0.4 * span
         wide = _fit_grid(s, basis, grid, [t_val])
+
+        @functools.cache
+        def modes(t, g):  # the four modes at each time the residual reads
+            return states.eigenmode_packets(s, basis, part, 3, t, g)
+
         worst = 0.0
         for n in range(4):
             def field(t, x, n=n):
-                g = GridSpec(x[0], x[-1], len(x))
-                return states.eigenmode_packet(s, basis, part, n, t, g).samples
+                return modes(t, GridSpec(x[0], x[-1], len(x)))[n].samples
 
             worst = max(worst, oracle.schrodinger_residual(field, s, t_val, wide))
         return worst
@@ -330,8 +335,7 @@ def _verify_checks(ctx):
     def mode_orthonormality():
         t_val = s.t0 + 0.3 * span
         wide = _fit_grid(s, basis, grid, [t_val])
-        packets = [states.eigenmode_packet(s, basis, part, n, t_val, wide)
-                   for n in range(8)]
+        packets = states.eigenmode_packets(s, basis, part, 7, t_val, wide)
         gram = np.array([[inner_product(pm, pn) for pn in packets] for pm in packets])
         return float(np.max(np.abs(gram - np.eye(8))))
 
@@ -368,22 +372,21 @@ def _verify_checks(ctx):
         t_val = s.t0 + 0.2 * span
         wide = _fit_grid(s, basis, grid, [t_val])
         worst = 0.0
-        for n in range(3):
-            packet = states.eigenmode_packet(s, basis, part, n, t_val, wide)
+        for n, packet in enumerate(states.eigenmode_packets(s, basis, part, 2, t_val, wide)):
             val = states.invariant_expectation(packet, basis, part, s)
             worst = max(worst, abs(val - hbar * (n + 0.5)))
         return worst
 
     @functools.cache
     def mode_zero_evolution():
-        """The n = 0 mode at t0 on the evolver's grid, evolved by evolve_tdse
-        through the drift check's four legs and, when it is not one of them,
-        evolver_vs_kernel's stop t0 + min(1, 0.8 span): both checks read this
-        one evolution. Returns the start packet, the leg times, the kernel
-        stop and the evolved packet at each stop. The evolver's grid has the
-        extent of _fit_grid's over the five drift times and a sixth of its
-        points: its dx^6 spatial error is then about the fine step's time
-        error, not far under."""
+        """The n = 0 mode at t0 on the evolver's grid, evolved by one
+        evolve_tdse_stops call through the drift check's four legs and, when
+        it is not one of them, evolver_vs_kernel's stop t0 + min(1, 0.8 span):
+        both checks read this one evolution. Returns the start packet, the
+        leg times, the kernel stop and the evolved packet at each stop. The
+        evolver's grid has the extent of _fit_grid's over the five drift
+        times and a sixth of its points: its dx^6 spatial error is then about
+        the fine step's time error, not far under."""
         horizon = s.t0 + min(2.0, 0.8 * span)
         legs = [float(t) for t in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4)]
         stop = s.t0 + min(1.0, 0.8 * span)
@@ -405,10 +408,8 @@ def _verify_checks(ctx):
         coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
         cfg = oracle.EvolverConfig(dt=1.8e-2 / spread ** 2.25)
-        evolved, state = {}, packet
-        for t_end in sorted({*legs, stop}):
-            state = oracle.evolve_tdse(s, state, t_end, cfg)
-            evolved[t_end] = state
+        stops = sorted({*legs, stop})
+        evolved = dict(zip(stops, oracle.evolve_tdse_stops(s, packet, stops, cfg)))
         return packet, legs, stop, evolved
 
     def invariant_drift_tdse():
@@ -519,12 +520,10 @@ def run_evolve(args) -> int:
     s = ctx.scenario
     times = _parse_times(args.times) if args.times else _interior_times(s, (0.0, 0.5, 1.0))
     cfg = oracle.EvolverConfig(dt=args.dt)
-    # evolve_tdse reads the edges only on entry: fit over the whole span crossed
+    # the evolver reads the edges only when a leg starts: fit over the whole span crossed
     grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))
-    evolved = [states.build_generalized_coherent_state(s, ctx.basis, ctx.part, 0,
-                                                       times[0], grid)]
-    for t_end in times[1:]:
-        evolved.append(oracle.evolve_tdse(s, evolved[-1], t_end, cfg))
+    start = states.build_generalized_coherent_state(s, ctx.basis, ctx.part, 0, times[0], grid)
+    evolved = [start, *oracle.evolve_tdse_stops(s, start, times[1:], cfg)]
     # written once every stop has evolved, so a rejected stop writes no file
     for k, state in enumerate(evolved):
         _write_packet_csv(ctx.outfile(f"packet_{k:04d}.csv"), state, s)
@@ -555,13 +554,12 @@ def run_invariant(args) -> int:
         np.linspace(s.t0, s.t0 + min(5.0, s.t1 - s.t0), 11))
     cfg = oracle.EvolverConfig(dt=args.dt)
     grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))  # as in run_evolve
-    state = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], grid)
-    rows = []
-    for k, t in enumerate(times):
-        if k:  # evolved leg by leg from the first time
-            state = oracle.evolve_tdse(s, state, t, cfg)
-        rows.append((t, *states.invariant_expectation(state, ctx.basis, ctx.part, s,
-                                                      with_diagnostic=True)))
+    start = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], grid)
+    # each state is read before the leg from it runs
+    rows = [(t, *states.invariant_expectation(state, ctx.basis, ctx.part, s,
+                                              with_diagnostic=True))
+            for t, state in zip(times, itertools.chain(
+                [start], oracle.evolve_tdse_stops(s, start, times[1:], cfg)))]
     _write_table_csv(ctx.outfile("invariant.csv"), ("t", "invariant", "imag_diagnostic"),
                      rows)
     return 0

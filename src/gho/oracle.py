@@ -13,8 +13,13 @@ With A = 1 + i dt H(t_mid) / (2 hbar) the step A psi' = (2 - A) psi is taken
 as psi' = 2 A^-1 psi - psi: one banded solve and no matrix-vector product,
 computed in place on two buffers that swap roles each step. A is factored
 (LAPACK zgbtrf, three sub- and three superdiagonals) only when the midpoint
-coefficients differ from the previous step's, so a constant scenario, or each
-plateau of a piecewise one, is factored once per run. The midpoint rule is
+coefficients differ from the previous step's. Each run keeps A and its
+factors from leg to leg of an evolution through several stops
+(evolve_tdse_stops), so a run factors again only when A changes: a
+constant scenario once over every leg, and each plateau of a piecewise one
+once. A's off-diagonal rows (the kinetic, drift and mixed terms) are built
+only when M, a, b or dt change; a step where only the potential moves
+rewrites the diagonal alone before it factors. The midpoint rule is
 symmetric, so its time error is even in dt: each evolution is three runs, at
 dt, 2 dt and 4 dt, combined by Romberg extrapolation into a sixth-order result
 (the combination is not exactly unitary; each run is). The evolver sees
@@ -54,6 +59,7 @@ __all__ = [
     "MAX_STEPS",
     "EvolverConfig",
     "evolve_tdse",
+    "evolve_tdse_stops",
     "schrodinger_residual",
     "schrodinger_residual_map",
     "path_integral_oracle",
@@ -95,65 +101,91 @@ def solve_banded(factors, rhs):
     return out
 
 
-def _factor_step(band, row, i_half, hbar, x, pairs, dx):
-    """zgbtrf factors of A = 1 + i_half H for one row of _hamiltonian_scalars,
-    built and factored in band, a Fortran-ordered complex (3 _BAND + 1) x N
-    array that the factors then occupy; pairs[k] holds x_j + x_(j+k)."""
-    m, a_c, b_c, v2, v1, v0 = row
-    kin = -0.5 * hbar ** 2 / (m * dx * dx)
-    # -a (xp + px) -> i hbar a (D X + X D); -(b/M) p -> i hbar (b/M) D
-    drift = 1j * hbar * b_c / (m * dx)
-    mixed = 1j * hbar * a_c / dx
-    # LAPACK band storage: A[i, j] sits in row 2 _BAND + i - j, column j; the
-    # top _BAND rows are zgbtrf's room for the pivoting fill-in
-    band[:] = 0.0
-    band[2 * _BAND] = 1.0 + i_half * (kin * _D2[0] + v0 + (v2 * x + v1) * x)
-    for k in range(1, _BAND + 1):
-        h = kin * _D2[k] + _D1[k] * (drift + mixed * pairs[k])  # H[j, j + k]
-        band[2 * _BAND - k, k:] = i_half * h
-        band[2 * _BAND + k, :-k] = i_half * np.conj(h)
-    if not np.all(np.isfinite(band)):
-        raise LinearSolveFailure("non-finite step matrix")
-    lu, ipiv, info = zgbtrf(band, _BAND, _BAND, overwrite_ab=1)
-    if info != 0:
-        raise LinearSolveFailure(f"singular step matrix (zgbtrf info {info})")
-    return lu, ipiv
+# the columns of a step's coefficient row (M, a, b, v2, v1, v0, dt) that
+# reach the step matrix's off-diagonal rows; v2, v1 and v0 reach its diagonal
+# alone
+_OFF_DIAGONAL = [0, 1, 2, 6]
 
 
-def _crank_nicolson(s: Scenario, packet: WavePacket, edges, counts, x, pairs):
-    """Crank-Nicolson steps of the packet across the pieces [edges[i],
-    edges[i + 1]], counts[i] equal steps each: the final samples, the total
-    step count, the number of factorizations and the norm drift, which must
-    stay within 1e-10 per step. x and pairs are the grid arrays of
-    _factor_step; one band buffer serves every factorization of the run."""
-    piece_dts = np.diff(edges) / counts
-    dts = np.repeat(piece_dts, counts)
-    mids = np.concatenate([lo + (np.arange(n) + 0.5) * dt
-                           for lo, n, dt in zip(edges[:-1], counts, piece_dts)])
-    table = np.column_stack(_hamiltonian_scalars(s, mids) + (dts,))
-    n_steps = dts.size
-    fresh = np.ones(n_steps, dtype=bool)
-    fresh[1:] = np.any(table[1:] != table[:-1], axis=1)
-    psi = np.array(packet.samples, dtype=np.complex128)
-    work = np.empty_like(psi)
-    band = np.empty((3 * _BAND + 1, x.size), dtype=np.complex128, order="F")
-    norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
-    for k in range(n_steps):
-        if fresh[k]:
-            factors = _factor_step(band, table[k, :-1], 0.5j * dts[k] / s.hbar, s.hbar, x,
-                                   pairs, packet.grid.dx)
-        # A^-1 (2 psi) is 2 A^-1 psi to the bit: scaling by 2 is exact
-        np.multiply(psi, 2.0, out=work)
-        y = solve_banded(factors, work)
-        np.subtract(y, psi, out=y)
-        psi, work = y, psi
-        # one BLAS pass: |psi|^2 is finite unless a sample is not
-        if not math.isfinite(np.vdot(psi, psi).real):
-            raise LinearSolveFailure(f"non-finite state after step {k + 1}")
-    drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2))) / norm0 - 1.0)
-    if drift > 1e-10 * n_steps:
-        raise LinearSolveFailure(f"norm drifted by {drift:.2e} over {n_steps} steps")
-    return psi, n_steps, int(np.count_nonzero(fresh)), drift
+class _Run:
+    """One Crank-Nicolson run of an evolution on one grid, kept from leg to
+    leg: the band of its step matrix A = 1 + i dt H / (2 hbar), A's zgbtrf
+    factors and the coefficient row (M, a, b, v2, v1, v0, dt) they were made
+    for. M, a, b and dt set A's off-diagonal rows (the kinetic, drift and
+    mixed terms), which a template holds; it is built and checked for
+    finiteness only when one of them moves. A step where only v2, v1 or v0
+    move copies the template, writes and checks the diagonal and factors."""
+
+    def __init__(self, hbar: float, grid: GridSpec):
+        self.hbar, self.dx, self.x = hbar, grid.dx, grid.points
+        # pairs[k] holds x_j + x_(j+k)
+        self.pairs = {k: self.x[:-k] + self.x[k:] for k in range(1, _BAND + 1)}
+        # LAPACK band storage: A[i, j] sits in row 2 _BAND + i - j, column j;
+        # the top _BAND rows are zgbtrf's room for the pivoting fill-in
+        self.template = np.zeros((3 * _BAND + 1, grid.n_points), dtype=np.complex128,
+                                 order="F")
+        self.band = np.empty_like(self.template, order="F")
+        self.row = np.full(7, math.nan)  # equal to no row: the first step factors
+        self.kin = math.nan
+        self.factors = None
+
+    def _write_off_diagonal(self, m, a_c, b_c, i_half):
+        self.kin = -0.5 * self.hbar ** 2 / (m * self.dx * self.dx)
+        # -a (xp + px) -> i hbar a (D X + X D); -(b/M) p -> i hbar (b/M) D
+        drift = 1j * self.hbar * b_c / (m * self.dx)
+        mixed = 1j * self.hbar * a_c / self.dx
+        for k in range(1, _BAND + 1):
+            h = self.kin * _D2[k] + _D1[k] * (drift + mixed * self.pairs[k])  # H[j, j + k]
+            self.template[2 * _BAND - k, k:] = i_half * h
+            self.template[2 * _BAND + k, :-k] = i_half * np.conj(h)
+        if not np.all(np.isfinite(self.template)):
+            raise LinearSolveFailure("non-finite step matrix")
+
+    def _factor(self, row, off_diagonal_moved):
+        m, a_c, b_c, v2, v1, v0, dt = row
+        i_half = 0.5j * dt / self.hbar
+        if off_diagonal_moved:
+            self._write_off_diagonal(m, a_c, b_c, i_half)
+        x = self.x
+        diagonal = 1.0 + i_half * (self.kin * _D2[0] + v0 + (v2 * x + v1) * x)
+        if not np.all(np.isfinite(diagonal)):
+            raise LinearSolveFailure("non-finite step matrix")
+        np.copyto(self.band, self.template)
+        self.band[2 * _BAND] = diagonal
+        lu, ipiv, info = zgbtrf(self.band, _BAND, _BAND, overwrite_ab=1)
+        if info != 0:
+            raise LinearSolveFailure(f"singular step matrix (zgbtrf info {info})")
+        self.factors = lu, ipiv
+
+    def leg(self, samples, table):
+        """Steps the samples once per row of table, each the (M, a, b, v2, v1,
+        v0, dt) of a step at its midpoint: the final samples, the step count,
+        the number of factorizations and the norm drift, which must stay
+        within 1e-10 per step. A is factored again only at a row that
+        differs from the one before it, the previous leg's last row included."""
+        moved = table != np.vstack([self.row, table[:-1]])
+        fresh = np.any(moved, axis=1)
+        off_diagonal = np.any(moved[:, _OFF_DIAGONAL], axis=1)
+        n_steps = len(table)
+        psi = np.array(samples, dtype=np.complex128)
+        work = np.empty_like(psi)
+        norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
+        for k in range(n_steps):
+            if fresh[k]:
+                self._factor(table[k], off_diagonal[k])
+            # A^-1 (2 psi) is 2 A^-1 psi to the bit: scaling by 2 is exact
+            np.multiply(psi, 2.0, out=work)
+            y = solve_banded(self.factors, work)
+            np.subtract(y, psi, out=y)
+            psi, work = y, psi
+            # one BLAS pass: |psi|^2 is finite unless a sample is not
+            if not math.isfinite(np.vdot(psi, psi).real):
+                raise LinearSolveFailure(f"non-finite state after step {k + 1}")
+        self.row = table[-1].copy()
+        drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2))) / norm0 - 1.0)
+        if drift > 1e-10 * n_steps:
+            raise LinearSolveFailure(f"norm drifted by {drift:.2e} over {n_steps} steps")
+        return psi, n_steps, int(np.count_nonzero(fresh)), drift
 
 
 def _smooth_pieces(s: Scenario, t_a: float, t_b: float):
@@ -169,7 +201,8 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
                 cfg: EvolverConfig) -> WavePacket:
     """Sixth-order evolution of a packet to t_end: three Crank-Nicolson runs,
     at a fine step dt of about cfg.dt, at 2 dt and at 4 dt, extrapolated as
-    (64 psi_dt - 20 psi_2dt + psi_4dt) / 45.
+    (64 psi_dt - 20 psi_2dt + psi_4dt) / 45; evolve_tdse_stops with the one
+    stop t_end.
 
     The interval is first cut at every breakpoint inside it where a piecewise
     coefficient jumps, so that no step of any run straddles a jump (the
@@ -188,6 +221,30 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     three runs may take at most MAX_STEPS steps together (ValidationError
     otherwise, nan included).
     """
+    return next(evolve_tdse_stops(s, packet, [t_end], cfg))
+
+
+def evolve_tdse_stops(s: Scenario, packet: WavePacket, stops, cfg: EvolverConfig):
+    """Yield the packet evolved to each of the stops in turn: the state at a
+    stop is evolve_tdse's from the state at the stop before it (the packet,
+    for the first), to the bit, and each leg is checked and logged as
+    evolve_tdse's call. A leg runs only when its state is asked for, so a
+    stop that fails raises after the states before it are yielded.
+
+    Each of the three runs keeps its step matrix from leg to leg, so a leg
+    whose first step has the coefficients of the previous leg's last step
+    (a constant scenario, or a plateau across the stop) factors nothing, and
+    its DEBUG record reports 0 factorizations for that run.
+    """
+    runs = [_Run(s.hbar, packet.grid) for _ in range(3)]  # fine, middle, coarse
+    for t_end in stops:
+        packet = _evolve_leg(s, packet, t_end, cfg, runs)
+        yield packet
+
+
+def _evolve_leg(s: Scenario, packet: WavePacket, t_end, cfg: EvolverConfig, runs):
+    """The packet evolved to t_end on the three runs, checked and logged as
+    evolve_tdse describes."""
     _check_time(s, packet.t, "packet.t")
     _check_time(s, t_end, "t_end")
     packet.require_dark_edges(1e-8, "evolve_tdse")
@@ -200,11 +257,20 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
     if total > MAX_STEPS:
         raise ValidationError(f"dt={cfg.dt:g} from t={packet.t:g} to t_end={t_end:g} takes "
                               f"{total:.3g} steps, more than MAX_STEPS = {MAX_STEPS}")
-    x = packet.grid.points
-    pairs = {k: x[:-k] + x[k:] for k in range(1, _BAND + 1)}
-    runs = [_crank_nicolson(s, packet, edges, scale * coarse_counts.astype(int), x, pairs)
-            for scale in (4, 2, 1)]
-    fine, middle, coarse = (run[0] for run in runs)
+    # every run's steps: each piece's step and midpoints, the three runs'
+    # coefficients from one call
+    dts, mids = [], []
+    for scale in (4, 2, 1):
+        counts = scale * coarse_counts.astype(int)
+        piece_dts = np.diff(edges) / counts
+        dts.append(np.repeat(piece_dts, counts))
+        mids.extend(lo + (np.arange(n) + 0.5) * dt
+                    for lo, n, dt in zip(edges[:-1], counts, piece_dts))
+    table = np.column_stack(_hamiltonian_scalars(s, np.concatenate(mids))
+                            + (np.concatenate(dts),))
+    tables = np.split(table, np.cumsum([d.size for d in dts[:-1]]))
+    results = [run.leg(packet.samples, rows) for run, rows in zip(runs, tables)]
+    fine, middle, coarse = (result[0] for result in results)
     # R_dt - R_2dt = (4 psi_dt - 5 psi_2dt + psi_4dt) / 3
     estimate = float(np.linalg.norm(4.0 * fine - 5.0 * middle + coarse)
                      / (45.0 * np.linalg.norm(packet.samples)))
@@ -213,7 +279,7 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
                "middle run %d steps, %d factorizations, norm drift %.3e; "
                "coarse run %d steps, %d factorizations, norm drift %.3e; "
                "Romberg error estimate %.3e", packet.grid.n_points, packet.grid.dx,
-               *(value for run in runs for value in run[1:]), estimate)
+               *(value for result in results for value in result[1:]), estimate)
     return WavePacket(packet.grid, (64.0 * fine - 20.0 * middle + coarse) / 45.0, t=t_end)
 
 

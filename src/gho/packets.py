@@ -410,8 +410,9 @@ def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
     Exact at grid nodes, spectrally accurate between them for edge-decayed
     packets. Points outside [x_min, x_max] return 0 (the interpolant itself is
     periodic, which is meaningless for a dark-edged packet). The sum over the
-    packet's Fourier modes is _read_interpolant; points that are not finite
-    or not evenly spaced raise ValidationError.
+    packet's Fourier modes is _read_interpolant; points that are not finite,
+    whose step is not finite or that are not evenly spaced raise
+    ValidationError.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or len(points) == 0:
@@ -419,7 +420,10 @@ def evaluate_trig_interpolant(p: WavePacket, points) -> np.ndarray:
     if not np.isfinite(points).all():
         raise ValidationError("interpolation points must be finite")
     m = len(points)
-    step = (points[-1] - points[0]) / (m - 1) if m > 1 else 0.0
+    # as Python floats: a span past the largest double reads inf, unwarned
+    step = (float(points[-1]) - float(points[0])) / (m - 1) if m > 1 else 0.0
+    if not math.isfinite(step):
+        raise ValidationError("interpolation points' step must be finite")
     lattice = np.arange(m, dtype=float)
     lattice *= step
     lattice += points[0]

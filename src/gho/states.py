@@ -43,6 +43,7 @@ __all__ = [
     "sho_eigenstate",
     "eigenmode",
     "eigenmode_packet",
+    "eigenmode_packets",
     "mode_sum_kernel",
     "apply_U_F",
     "apply_U_S",
@@ -172,8 +173,22 @@ def eigenmode_packet(s: Scenario, basis: ClassicalBasis, part, n: int, t: float,
     """psi_n(t, .) sampled on a grid; the envelope's phase is one grid phase,
     multiplied in place."""
     z, amplitude, phase, turn = _modes_1d(s, basis, part, n, t, grid.points)
-    samples = _hermite_row(n, z).astype(np.complex128)
-    samples *= amplitude * turn[n]
+    return _mode_packet(_hermite_row(n, z), amplitude * turn[n], phase, grid, t)
+
+
+def eigenmode_packets(s: Scenario, basis: ClassicalBasis, part, n_max: int, t: float,
+                      grid: GridSpec) -> list[WavePacket]:
+    """psi_0..psi_{n_max}(t, .) sampled on a grid, from one _modes_1d and one
+    Hermite recursion: each equal to eigenmode_packet's to the bit."""
+    z, amplitude, phase, turn = _modes_1d(s, basis, part, n_max, t, grid.points)
+    return [_mode_packet(row, amplitude * turn[n], phase, grid, t)
+            for n, row in enumerate(_hermite_rows(n_max, _hermite_points(n_max, z)))]
+
+
+def _mode_packet(row, scale, phase, grid, t):
+    """The packet of row * scale times the envelope's grid phase."""
+    samples = row.astype(np.complex128)
+    samples *= scale
     _times_grid_phase(samples, *phase, grid.x_min, grid.dx)
     return WavePacket(grid, samples, t=t)
 

@@ -812,16 +812,18 @@ def test_verify_strongly_squeezed_bases_pass(ics, capsys):
 
 @pytest.mark.parametrize("basis", ["default", "custom:-0.5414,0.4926,0.9182,-0.5404"])
 def test_verify_evolves_on_a_sixth_of_grid_for_points(basis, monkeypatch):
-    # every packet the evolver gets, and so the propagate call, keeps the
+    # the packet the evolver gets, and so the propagate call, keeps the
     # extent of _fit_grid over the drift check's five times (0, 0.5, ..., 2 on
-    # sho) and has a sixth of its points
-    grids = []
+    # sho) and has a sixth of its points; one call evolves it through the
+    # four stops
+    grids, calls = [], []
 
-    def recorded(s, packet, t_end, cfg):
+    def recorded(s, packet, stops, cfg):
         grids.append(packet.grid)
-        return packet.with_samples(packet.samples, t=t_end)
+        calls.append(list(stops))
+        return (packet.with_samples(packet.samples, t=t_end) for t_end in stops)
 
-    monkeypatch.setattr(cli.oracle, "evolve_tdse", recorded)
+    monkeypatch.setattr(cli.oracle, "evolve_tdse_stops", recorded)
     args = cli.build_parser().parse_args(
         ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--basis", basis])
     ctx = cli._Context(args)
@@ -838,8 +840,8 @@ def test_verify_evolves_on_a_sixth_of_grid_for_points(basis, monkeypatch):
         max(1.0, float(np.max(bs.rho)) / root),
         max(1.0, float(np.max(np.hypot(bs.u_dot, bs.v_dot))) / root)))
     n = int(math.ceil(2048 * widen * refine / 256.0)) * 256
-    assert len(grids) == 4 and len(set(grids)) == 1
-    (evolved,) = set(grids)
+    assert [len(stops) for stops in calls] == [4]
+    (evolved,) = grids
     assert (evolved.x_min, evolved.x_max) == pytest.approx((-10.0 * widen, 10.0 * widen),
                                                            rel=1e-12)
     assert evolved.n_points == n // 6
@@ -853,18 +855,19 @@ def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
     # <I> takes the evolver's own sixth-order stencil, so each of the five
     # states is read on the grid it was evolved on: _fit_grid's extent with
     # a sixth of its points
-    evolved, read = [], []
-    evolve, expectation = cli.oracle.evolve_tdse, cli.states.invariant_expectation
+    evolved, stops_asked, read = [], [], []
+    evolve, expectation = cli.oracle.evolve_tdse_stops, cli.states.invariant_expectation
 
-    def spy_evolve(s, packet, t_end, cfg):
+    def spy_evolve(s, packet, stops, cfg):
         evolved.append(packet.grid)
-        return evolve(s, packet, t_end, cfg)
+        stops_asked.append(list(stops))
+        return evolve(s, packet, stops, cfg)
 
     def spy_expectation(packet, *args):
         read.append(packet.grid)
         return expectation(packet, *args)
 
-    monkeypatch.setattr(cli.oracle, "evolve_tdse", spy_evolve)
+    monkeypatch.setattr(cli.oracle, "evolve_tdse_stops", spy_evolve)
     monkeypatch.setattr(cli.states, "invariant_expectation", spy_expectation)
     args = cli.build_parser().parse_args(
         ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--xp", "1.0,0.0"])
@@ -872,8 +875,8 @@ def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
     checks = {name: check for name, _, check in cli._verify_checks(ctx)}
     assert checks["invariant_drift_tdse"]() <= 1e-5
     wide = cli._fit_grid(ctx.scenario, ctx.basis, ctx.grid, np.linspace(0.0, 2.0, 5))
-    assert len(evolved) == 4
-    assert set(evolved) == {GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)}
+    assert [len(stops) for stops in stops_asked] == [4]
+    assert evolved == [GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)]
     assert read == [GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)] * 5
 
 

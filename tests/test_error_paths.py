@@ -35,10 +35,12 @@ QUERY = KernelQuery(0.0, 1.0, 0.3, -0.4)
      "interpolation points must be finite"),
     (lambda: evaluate_trig_interpolant(GROUND, [0.0, np.inf]), ValidationError,
      "interpolation points must be finite"),
+    (lambda: evaluate_trig_interpolant(GROUND, [-1e308, 1e308]), ValidationError,
+     "interpolation points' step must be finite"),
     (lambda: sho_eigenstate(-1, GRID), ValidationError, "hermite order must be in [0, 200]"),
 ], ids=["scenario-not-a-mapping", "interval-not-a-pair", "vanishing-field", "no-slices",
         "zero-hbar", "negative-n-max", "zero-epsilon", "upsample-below-n", "nan-point",
-        "infinite-point", "negative-hermite-order"])
+        "infinite-point", "overflowing-step", "negative-hermite-order"])
 def test_bad_input_raises_its_error(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -146,11 +146,11 @@ def test_evolver_is_sixth_order_in_space():
 def test_residual_applies_the_evolvers_discrete_hamiltonian(monkeypatch):
     # the residual's H, its summands applied to each unit vector, is the
     # evolver's step matrix (A - 1) / (i dt / 2 hbar), read off the band
-    # _factor_step hands to LAPACK, and both are Hermitian (conftest's
+    # a run's _factor hands to LAPACK, and both are Hermitian (conftest's
     # coupled scenario: a, b, f, M and hbar all away from 0 and 1)
     s = gho.scenario_from_dict(CONFTEST_COUPLED)
     grid = GridSpec(-10.0, 10.0, 32)
-    x, n, t, width = grid.points, grid.n_points, 0.7, gho.oracle._BAND
+    n, t, width = grid.n_points, 0.7, gho.oracle._BAND
     bands = []
     factor = gho.oracle.zgbtrf
 
@@ -160,10 +160,8 @@ def test_residual_applies_the_evolvers_discrete_hamiltonian(monkeypatch):
 
     monkeypatch.setattr(gho.oracle, "zgbtrf", spy)
     i_half = 0.5j * 1e-2 / s.hbar
-    pairs = {k: x[:-k] + x[k:] for k in range(1, width + 1)}
-    gho.oracle._factor_step(np.empty((3 * width + 1, n), dtype=np.complex128, order="F"),
-                            gho.oracle._hamiltonian_scalars(s, t), i_half, s.hbar, x, pairs,
-                            grid.dx)
+    gho.oracle._Run(s.hbar, grid)._factor(
+        np.array([*gho.oracle._hamiltonian_scalars(s, t), 1e-2]), True)
     (band,) = bands
     step = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
@@ -196,10 +194,83 @@ def test_evolver_factors_once_per_plateau(spec, count, grid, caplog):
     assert _factorizations(caplog) == [count] * 3
 
 
+STOPS = [0.5, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("spec", [
+    {"interval": [0.0, 12.0]},
+    {"frequency": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 2.0, "offset": 1.0},
+     "interval": [0.0, 12.0]},
+    {"frequency": {"kind": "piecewise", "breakpoints": [0.7], "values": [1.0, 1.3]},
+     "interval": [0.0, 2.0]},
+], ids=["sho-factors-reused", "parametric-factors-every-step", "piecewise-jump-inside-a-leg"])
+def test_evolver_stops_equal_chained_calls_to_the_bit(spec):
+    s = gho.scenario_from_dict(spec)
+    start, cfg = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341)), EvolverConfig(dt=1.8e-2)
+    chained, state = [], start
+    for t_end in STOPS:
+        state = evolve_tdse(s, state, t_end, cfg)
+        chained.append(state)
+    through = list(gho.oracle.evolve_tdse_stops(s, start, STOPS, cfg))
+    assert [p.t for p in through] == STOPS
+    assert all(np.array_equal(a.samples, b.samples) for a, b in zip(through, chained))
+
+
+def _leg_factorizations(caplog):
+    """Each leg's factorization counts of the fine, middle and coarse run."""
+    return [[int(n) for n in re.findall(r"(\d+) factorizations", r.getMessage())]
+            for r in caplog.records if r.name == "gho.oracle"]
+
+
+def test_evolver_stops_factor_a_constant_scenario_once_per_run(sho, caplog):
+    start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341))
+    with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
+        list(gho.oracle.evolve_tdse_stops(sho, start, STOPS, EvolverConfig(dt=1.8e-2)))
+    assert _leg_factorizations(caplog) == [[1, 1, 1]] + [[0, 0, 0]] * 3
+
+
+def test_evolver_rewrites_only_the_diagonal_when_only_the_potential_moves(
+        parametric, caplog, monkeypatch):
+    # parametric's frequency moves at every step, its M, a, b and dt never:
+    # every step factors, and each run builds its off-diagonal rows once
+    built = []
+    write = gho.oracle._Run._write_off_diagonal
+
+    def spy(run, *args):
+        built.append(run)
+        return write(run, *args)
+
+    monkeypatch.setattr(gho.oracle._Run, "_write_off_diagonal", spy)
+    start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341))
+    with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
+        list(gho.oracle.evolve_tdse_stops(parametric, start, STOPS, EvolverConfig(dt=1.8e-2)))
+    assert _leg_factorizations(caplog) == [[28, 14, 7]] * 4
+    assert len(built) == len(set(built)) == 3
+
+
 def test_evolver_non_finite_step_matrix_raises(grid):
     # a = 1e150 loads (c = 4 a^2 = 4e300 is finite) but with hbar = 1e-10 the
     # step matrix 1 + i dt H / (2 hbar) overflows
     s = gho.scenario_from_dict({"a": 1e150, "hbar": 1e-10})
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(LinearSolveFailure, match="non-finite step matrix"):
+        evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
+
+
+@pytest.mark.parametrize("spec, a_c", [
+    ({"frequency": 1e150, "hbar": 1e-10}, None),  # v2 x^2 dt / hbar: the diagonal alone
+    ({}, 1e306),  # the mixed term's a (x_j + x_k) / dx: the off-diagonal rows alone
+], ids=["diagonal", "off-diagonal"])
+def test_evolver_non_finite_part_of_the_step_matrix_raises(spec, a_c, grid, monkeypatch):
+    s = gho.scenario_from_dict(spec)
+    if a_c is not None:  # a set past the scenario, so v2 stays sho's 1/2
+        scalars = gho.oracle._hamiltonian_scalars
+
+        def with_a(s, t):
+            m, _, *rest = scalars(s, t)
+            return (m, np.full_like(m, a_c), *rest)
+
+        monkeypatch.setattr(gho.oracle, "_hamiltonian_scalars", with_a)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(LinearSolveFailure, match="non-finite step matrix"):
         evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))

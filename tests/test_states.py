@@ -135,6 +135,20 @@ def test_eigenmode_orthonormality_three_times(sho, sho_basis, sho_part_cos, grid
             assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 
 
+def test_mode_set_is_each_modes_packet_to_the_bit(sho, parametric, parametric_basis,
+                                                  parametric_part, sho_basis_squeezed,
+                                                  sho_part_cos, grid):
+    # one _modes_1d and one Hermite recursion give every mode up to n_max
+    for s, basis, part in [(sho, sho_basis_squeezed, sho_part_cos),
+                           (parametric, parametric_basis, parametric_part)]:
+        modes = gho.states.eigenmode_packets(s, basis, part, 7, 1.1, grid)
+        assert len(modes) == 8
+        for n, packet in enumerate(modes):
+            alone = eigenmode_packet(s, basis, part, n, 1.1, grid)
+            assert (packet.grid, packet.t) == (alone.grid, alone.t)
+            assert np.array_equal(packet.samples, alone.samples)
+
+
 def test_mode_sum_single_term(sho, sho_basis, sho_part_zero):
     q = KernelQuery(0.3, 1.1, 0.25, -0.4)
     total = mode_sum_kernel(sho, sho_basis, sho_part_zero, 0, q)
