@@ -6,8 +6,9 @@ total-derivative couplings a(t), b(t) and the pure time term f(t), together
 with hbar and the working time interval, in one spatial dimension.
 
 Coefficients are restricted to a closed set of analytic kinds so that exact
-first derivatives are always available (they enter the Hamiltonian
-coefficients and the accumulated-phase integrals).
+first derivatives are always available (they enter the accumulated-phase
+integrals and the Hamiltonian's coefficients, which `hamiltonian_coefficients`
+alone defines: the load check, the evolver and the residual all read it).
 
 A kind is one frozen dataclass and nothing else: its JSON name as the class
 variable `kind`, its parameters as its fields (a field with a default may be
@@ -23,7 +24,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union, get_args
+from typing import ClassVar, NamedTuple, Union, get_args
 
 import numpy as np
 
@@ -262,12 +263,15 @@ def _coefficient_from_dict(name, spec) -> CoefficientFn:
         raise ParseError(f"coefficient '{name}': {exc}") from exc
 
 
-@dataclass(frozen=True)
-class HamiltonianCoeffs:
-    """c(t) = w^2 + 4a^2 - 2 da/dt - 2 (dM/dt / M) a   and   d(t) = 2ab - db/dt - F."""
+class HamiltonianCoeffs(NamedTuple):
+    """H's coefficients at a time (floats) or times (arrays); see hamiltonian_coefficients."""
 
-    c: float
-    d: float
+    mass: float
+    a: float
+    b: float
+    v2: float
+    v1: float
+    v0: float
 
 
 def _jumps(fn: CoefficientFn, t0: float, t1: float) -> list:
@@ -313,13 +317,13 @@ class Scenario:
     def _reject_non_finite(self, times):
         """A coefficient, or M w^2, that overflows on the interval leaves the
         classical solve nothing finite to integrate; a Hamiltonian coefficient
-        c or d that overflows leaves the evolver nothing finite to step."""
+        v2, v1 or v0 that overflows leaves the evolver nothing finite to step."""
         with np.errstate(over="ignore", invalid="ignore"):
             values = {name: getattr(self, name).eval(times)[0] for name in _COEFF_DEFAULTS}
             values["M w^2"] = values["mass"] * values["frequency"] ** 2
             if np.all(values["mass"] > 0):  # else check_mass_positive says why
-                ham = hamiltonian_coefficients(self, times)
-                values["Hamiltonian c"], values["Hamiltonian d"] = ham.c, ham.d
+                *_, v2, v1, v0 = hamiltonian_coefficients(self, times)
+                values.update({"Hamiltonian v2": v2, "Hamiltonian v1": v1, "Hamiltonian v0": v0})
         for name, value in values.items():
             if not np.all(np.isfinite(value)):
                 raise ValidationError(
@@ -352,20 +356,23 @@ class Scenario:
 
 
 def hamiltonian_coefficients(s: Scenario, t) -> HamiltonianCoeffs:
-    """Coefficients of the x^2 and x terms of the Hamiltonian at time t.
-
-    c = w^2 + 4a^2 - 2 da/dt - 2 (dM/dt / M) a,  d = 2ab - db/dt - F.
-    """
-    w, _ = s.frequency.eval(t)
+    """The one definition of the Hamiltonian, at time(s) t:
+    H = p^2 / (2M) - a (xp + px) - (b / M) p + v2 x^2 + v1 x + v0, with
+    v2 = M (w^2 + 4a^2 - 2 da/dt - 2 (dM/dt / M) a) / 2, v1 = 2ab - db/dt - F
+    and v0 = b^2 / (2M) - f. Each of the scenario's six coefficients (M, w, F,
+    a, b, f) is evaluated once, for all of t's times."""
     m, m_dot = s.mass.eval(t)
+    w, _ = s.frequency.eval(t)
+    force, _ = s.force.eval(t)
     a, a_dot = s.a.eval(t)
     b, b_dot = s.b.eval(t)
-    force, _ = s.force.eval(t)
-    c = w * w + 4.0 * a * a - 2.0 * a_dot - 2.0 * (m_dot / m) * a
-    d = 2.0 * a * b - b_dot - force
+    f, _ = s.f.eval(t)
+    v2 = 0.5 * m * (w * w + 4.0 * a * a - 2.0 * a_dot - 2.0 * (m_dot / m) * a)
+    v1 = 2.0 * a * b - b_dot - force
+    v0 = b * b / (2.0 * m) - f
     if np.ndim(np.asarray(t)) == 0:
-        return HamiltonianCoeffs(float(c), float(d))
-    return HamiltonianCoeffs(c, d)
+        return HamiltonianCoeffs(*map(float, (m, a, b, v2, v1, v0)))
+    return HamiltonianCoeffs(m, a, b, v2, v1, v0)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -8,7 +8,8 @@ derivatives take the 7-point sixth-order stencils of gho.packets (samples
 zero beyond the ends), and the mixed term is discretized antisymmetrically,
 (x_j + x_k) D_jk, so the matrix stays exactly Hermitian and each Cayley step
 preserves the discrete norm to solver roundoff. The Schrodinger residual
-applies the same discrete H, with the same stencils, to a sampled field.
+applies the same discrete H, with the same stencils, to a sampled field; both
+take H's coefficients from coefficients.hamiltonian_coefficients.
 With A = 1 + i dt H(t_mid) / (2 hbar) the step A psi' = (2 - A) psi is taken
 as psi' = 2 A^-1 psi - psi: one banded solve and no matrix-vector product,
 computed in place on two buffers that swap roles each step. A is factored
@@ -43,7 +44,8 @@ from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
 from .packets import _D1, _D2, GridSpec, WavePacket, derivative, second_derivative
-from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
+from .propagator import (MAX_QUADRATURE_POINTS, KernelQuery, _lct_apply, kernel,
+                         kernel_coefficients)
 
 _log = logging.getLogger(__name__)
 
@@ -74,21 +76,6 @@ class EvolverConfig:
     def __post_init__(self):
         if not (0 < self.dt < math.inf):
             raise ValidationError(f"dt must be positive and finite, not {self.dt}")
-
-
-def _hamiltonian_scalars(s: Scenario, t):
-    """M, a, b and the potential's coefficients v2, v1, v0 of H at time(s) t.
-
-    H = p^2 / (2M) - a (xp + px) - (b / M) p + v2 x^2 + v1 x + v0, with
-    v2 = M c / 2, v1 = d and v0 = b^2 / (2M) - f; t may be an array of times,
-    and each coefficient is evaluated once for all of them.
-    """
-    m, _ = s.mass.eval(t)
-    a_c, _ = s.a.eval(t)
-    b_c, _ = s.b.eval(t)
-    f_c, _ = s.f.eval(t)
-    hc = hamiltonian_coefficients(s, t)
-    return m, a_c, b_c, 0.5 * m * hc.c, hc.d, b_c * b_c / (2.0 * m) - f_c
 
 
 def solve_banded(factors, rhs):
@@ -266,8 +253,8 @@ def _evolve_leg(s: Scenario, packet: WavePacket, t_end, cfg: EvolverConfig, runs
         dts.append(np.repeat(piece_dts, counts))
         mids.extend(lo + (np.arange(n) + 0.5) * dt
                     for lo, n, dt in zip(edges[:-1], counts, piece_dts))
-    table = np.column_stack(_hamiltonian_scalars(s, np.concatenate(mids))
-                            + (np.concatenate(dts),))
+    table = np.column_stack((*hamiltonian_coefficients(s, np.concatenate(mids)),
+                             np.concatenate(dts)))
     tables = np.split(table, np.cumsum([d.size for d in dts[:-1]]))
     results = [run.leg(packet.samples, rows) for run, rows in zip(runs, tables)]
     fine, middle, coarse = (result[0] for result in results)
@@ -291,7 +278,7 @@ def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
     x = grid.points
     dx = grid.dx
     hbar = s.hbar
-    m, a_c, b_c, v2, v1, v0 = _hamiltonian_scalars(s, t)
+    m, a_c, b_c, v2, v1, v0 = hamiltonian_coefficients(s, t)
     psi = np.asarray(samples, dtype=np.complex128)
     d1 = derivative(psi, dx)
     d2 = second_derivative(psi, dx)
@@ -383,7 +370,7 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     rate = 2.0 * abs(a_tot) * r_zero + abs(b_tot + 2.0 * a_tot * y_star)
     dy = math.pi / (2.0 * max(rate, 1.0))
     n = int(math.ceil(2.0 * r_zero / dy)) + 1
-    if n > 2 ** 20:
+    if n > MAX_QUADRATURE_POINTS:
         raise GridTooNarrow(f"the composition's window asks for {n} points, more than 2^20")
     ys = np.linspace(y_star - r_zero, y_star + r_zero, n)
     vals = co1.value(x_a, ys) * co2.value(ys, x_c)

@@ -290,23 +290,23 @@ def test_parametric_roundtrip_keeps_coefficients():
 
 def test_hamiltonian_coeffs_sho(sho):
     hc = hamiltonian_coefficients(sho, 1.234)
-    assert hc.c == 1.0
-    assert hc.d == 0.0
+    assert hc.v2 == 0.5  # M c / 2 with c = w^2 = 1
+    assert hc.v1 == 0.0
 
 
 def test_hamiltonian_coeffs_constant_a():
     s = scenario_from_dict({"a": 0.5, "interval": [0.0, 1.0]})
     hc = hamiltonian_coefficients(s, 0.3)
-    # c = w^2 + 4 a^2 - 2 da/dt - 2 (dM/M) a = 1 + 1 - 0 - 0
-    assert hc.c == pytest.approx(2.0, rel=1e-14)
-    assert hc.d == pytest.approx(0.0, abs=1e-14)
+    # v2 = M c / 2, c = w^2 + 4 a^2 - 2 da/dt - 2 (dM/M) a = 1 + 1 - 0 - 0
+    assert hc.v2 == pytest.approx(1.0, rel=1e-14)
+    assert hc.v1 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_hamiltonian_coeffs_linear_b():
     s = scenario_from_dict({"b": {"kind": "polynomial", "coefficients": [0.0, 1.0]},
                             "interval": [0.0, 1.0]})
     hc = hamiltonian_coefficients(s, 0.6)
-    assert hc.d == pytest.approx(-1.0, rel=1e-14)
+    assert hc.v1 == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_hamiltonian_coeffs_match_finite_differences():
@@ -336,8 +336,8 @@ def test_hamiltonian_coeffs_match_finite_differences():
                  - 2 * ((m_p - m_m) / (2 * h) / m_v) * a_v)
         d_ref = 2 * a_v * b_v - (b_p - b_m) / (2 * h) - f_v
         hc = hamiltonian_coefficients(s, t)
-        assert hc.c == pytest.approx(c_ref, rel=1e-8)
-        assert hc.d == pytest.approx(d_ref, rel=1e-8, abs=1e-8)
+        assert hc.v2 == pytest.approx(0.5 * m_v * c_ref, rel=1e-8)
+        assert hc.v1 == pytest.approx(d_ref, rel=1e-8, abs=1e-8)
 
 
 def test_hamiltonian_coeffs_reduce_without_couplings(parametric):
@@ -345,8 +345,8 @@ def test_hamiltonian_coeffs_reduce_without_couplings(parametric):
     for t in ts:
         w, _ = parametric.frequency.eval(t)
         hc = hamiltonian_coefficients(parametric, t)
-        assert hc.c == w * w
-        assert hc.d == 0.0
+        assert hc.v2 == 0.5 * (w * w)  # M = 1
+        assert hc.v1 == 0.0
 
 
 def test_dimension_and_hbar_validation():
@@ -396,11 +396,11 @@ def test_scalar_fields_take_only_json_numbers(spec):
 
 
 def test_hamiltonian_coeffs_driven(driven):
-    # a = b = 0 reduces the linear coefficient to d = -F exactly
+    # a = b = 0 reduces the linear coefficient to v1 = -F exactly
     for t in (0.0, 1.3, 5.0):
         hc = hamiltonian_coefficients(driven, t)
-        assert hc.c == 1.0
-        assert hc.d == -1.0
+        assert hc.v2 == 0.5
+        assert hc.v1 == -1.0
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -408,7 +408,11 @@ def test_hamiltonian_coeffs_driven(driven):
     ({"force": {"kind": "exponential", "amplitude": 1.0, "rate": 1000.0}}, "'force'"),
     ({"mass": {"kind": "polynomial", "coefficients": [1.0, 1e308, 1e308]}}, "'mass'"),
     # every coefficient is finite, but 4 a^2 in the x^2 coefficient of H is not
-    ({"a": 1e154}, "'Hamiltonian c'"),
+    ({"a": 1e154}, "'Hamiltonian v2'"),
+    # b^2 in v0 = b^2 / 2M - f is not
+    ({"b": 1e155}, "'Hamiltonian v0'"),
+    # M w^2 = 1e300 is finite, v2 = M (w^2 + 4 a^2) / 2 = 2e308 is not
+    ({"mass": 1e300, "a": 1e4}, "'Hamiltonian v2'"),
 ])
 def test_non_finite_coefficient_rejected(spec, name):
     # an overflowing coefficient would leave the classical solve crawling
@@ -431,6 +435,9 @@ NON_FINITE_OR_EMPTY = [
      "piecewise-constant breakpoints must be finite and strictly increasing"),
     ('{"force": {"kind": "piecewise", "breakpoints": [1e400], "values": [0, 1]}}',
      "piecewise-constant breakpoints must be finite and strictly increasing"),
+    ('{"b": 1e155, "interval": [0, 2]}', "'Hamiltonian v0' is not finite on [0.0, 2.0]"),
+    ('{"mass": 1e300, "a": 1e4, "interval": [0, 2]}',
+     "'Hamiltonian v2' is not finite on [0.0, 2.0]"),
 ]
 
 

@@ -115,14 +115,14 @@ def test_evolver_vs_propagate_fails_on_a_wrong_coupling(column, factor, grid,
     # the evolver with the mixed a (xp + px) term's sign flipped, or with the
     # -(b/M) p drift dropped (b^2 / 2M stays in the potential), lands about 0.2
     # away from propagate on the coupled scenario
-    scalars = gho.oracle._hamiltonian_scalars
+    coefficients = gho.oracle.hamiltonian_coefficients
 
     def mutated(s, t):
-        row = list(scalars(s, t))
+        row = list(coefficients(s, t))
         row[column] = factor * row[column]
         return tuple(row)
 
-    monkeypatch.setattr(gho.oracle, "_hamiltonian_scalars", mutated)
+    monkeypatch.setattr(gho.oracle, "hamiltonian_coefficients", mutated)
     assert _evolver_error(COUPLED, grid, 1e-2) > 1e-4
 
 
@@ -161,7 +161,7 @@ def test_residual_applies_the_evolvers_discrete_hamiltonian(monkeypatch):
     monkeypatch.setattr(gho.oracle, "zgbtrf", spy)
     i_half = 0.5j * 1e-2 / s.hbar
     gho.oracle._Run(s.hbar, grid)._factor(
-        np.array([*gho.oracle._hamiltonian_scalars(s, t), 1e-2]), True)
+        np.array([*gho.hamiltonian_coefficients(s, t), 1e-2]), True)
     (band,) = bands
     step = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
@@ -264,13 +264,13 @@ def test_evolver_non_finite_step_matrix_raises(grid):
 def test_evolver_non_finite_part_of_the_step_matrix_raises(spec, a_c, grid, monkeypatch):
     s = gho.scenario_from_dict(spec)
     if a_c is not None:  # a set past the scenario, so v2 stays sho's 1/2
-        scalars = gho.oracle._hamiltonian_scalars
+        coefficients = gho.oracle.hamiltonian_coefficients
 
         def with_a(s, t):
-            m, _, *rest = scalars(s, t)
+            m, _, *rest = coefficients(s, t)
             return (m, np.full_like(m, a_c), *rest)
 
-        monkeypatch.setattr(gho.oracle, "_hamiltonian_scalars", with_a)
+        monkeypatch.setattr(gho.oracle, "hamiltonian_coefficients", with_a)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(LinearSolveFailure, match="non-finite step matrix"):
         evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import gho
-from gho import (CausticEncountered, KernelQuery, ValidationError, caustic_times,
-                 green_function, inner_product, kernel, kernel_delta_check,
+from gho import (CausticEncountered, GridTooNarrow, KernelQuery, ValidationError,
+                 caustic_times, green_function, inner_product, kernel, kernel_delta_check,
                  l2_distance, mean_x, packet_norm, propagate, sho_eigenstate, var_x)
 from gho.packets import (WavePacket, _read_interpolant, czt, evaluate_trig_interpolant,
                          upsample_periodic)
@@ -892,6 +892,24 @@ def test_scalar_query_exceptions(sho, sho_basis, scalar):
                     except CausticEncountered:
                         continue
                     assert math.isfinite(abs(value))
+
+
+def test_chirp_z_quadrature_past_the_cap_raises_before_it_allocates():
+    # b / hbar is the kernel's phase rate in x: past the Nyquist band the
+    # trapezoid sum would take about 3.2 b points, several GB at b = 1e8 and
+    # more than a C size at b = 1e154 (v0 = b^2 / 2M = 5e307 still loads);
+    # the hop raises before any RuntimeWarning, which pytest makes an error
+    grid = gho.GridSpec(-10.0, 10.0, 341)
+    for b, count in ((1e8, "3.19e+08"), (1e154, "3.19e+154")):
+        s = gho.scenario_from_dict({"b": b, "interval": [0.0, 2.0]})
+        basis, part = gho.solve_homogeneous_basis(s), gho.solve_particular(s)
+        co = kernel_coefficients(s, basis, part, 0.0, 1.0)
+        message = rf"the chirp-z quadrature asks for {re.escape(count)} points, more than 2\^20"
+        with pytest.raises(GridTooNarrow, match=message):
+            _quadrature_size(co, grid)
+    packet = gho.eigenmode_packet(s, basis, part, 0, 0.0, grid)
+    with pytest.raises(GridTooNarrow, match=message):
+        propagate(packet, s, basis, part, 1.0)
 
 
 @pytest.mark.parametrize("name, t_a, t_b, n_points, size", [

@@ -2,7 +2,7 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 98 command lines in each tree: the six commands with their default
+Runs 112 command lines in each tree: the six commands with their default
 options, `verify --xp 1.0,0.0`, `verify --xp 1.0,0.5` (a moving x_p, which a
 free-particle hop reads as a shift), `verify --basis custom:0,1.4,0.7,0
 --xp 1.0,0.0` (Omega = -0.98 and rho(t0) = 0.7, so U_S dilates on every
@@ -12,12 +12,14 @@ invariant) with the default grid given as `--grid=-10,10,2048`, which they
 run as given rather than fit to the modes. Each runs on the four bundled
 scenarios, on the coupled scenario of tests/conftest.py (a, b and f nonzero,
 M = 1.3, hbar = 0.7), the one that reaches the gauge phase, on an
-all-kinds scenario that loads each of the five coefficient kinds, and on sho
+all-kinds scenario that loads each of the five coefficient kinds, on sho
 at hbar = 2, where verify's path-integral grid grows and the modes' momentum
-spread falls below 1. The revision is exported with `git archive` into a
+spread falls below 1, and on a scenario whose mass, frequency, force and f
+each jump, so that the evolver's coefficient table crosses a jump of every
+coefficient that may jump (a and b may not). The revision is exported with `git archive` into a
 temporary directory. Both trees read the working tree's scenario files, and
-the coupled, all-kinds and hbar = 2 ones are written into the temporary
-directory. Each run is `python -m gho` with that tree's `src` on
+the coupled, all-kinds, hbar = 2 and jumps ones are written into the
+temporary directory. Each run is `python -m gho` with that tree's `src` on
 PYTHONPATH, in a fresh temporary directory.
 
 Prints every exit code, stdout, stderr or output file that differs. When two
@@ -44,7 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ("sho", "free_particle", "parametric", "driven_sho", "coupled", "all_kinds",
-             "sho_hbar2")
+             "sho_hbar2", "jumps")
 # tests/conftest.py's COUPLED: no bundled scenario sets a, b or f
 COUPLED = {"hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0],
            "a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0, "phase": 0.5},
@@ -57,6 +59,12 @@ ALL_KINDS = {"hbar": 0.8, "interval": [0, 6],
              "a": {"kind": "sinusoidal", "amplitude": 0.05, "omega": 1.0},
              "b": 0.1, "f": 0.2}
 SHO_HBAR2 = {"hbar": 2.0, "interval": [0.0, 12.0]}
+# H jumps at a breakpoint of each of M, w, F and f; a = 0, so M may jump
+JUMPS = {"hbar": 0.9, "interval": [0, 8],
+         "mass": {"kind": "piecewise", "breakpoints": [5], "values": [1, 1.2]},
+         "frequency": {"kind": "piecewise", "breakpoints": [2.5, 6], "values": [1, 1.3, 0.8]},
+         "force": {"kind": "piecewise", "breakpoints": [1.5], "values": [0, 0.4]},
+         "f": {"kind": "piecewise", "breakpoints": [3.5], "values": [0.1, -0.2]}}
 PACKET_COMMANDS = ("evolve", "modes", "invariant", "coherent")
 COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS),
             ("verify", "--xp", "1.0,0.0"), ("verify", "--xp", "1.0,0.5"),
@@ -150,7 +158,7 @@ def main(argv=None) -> int:
         parent = export(args.rev, Path(tmp) / "parent")
         paths = {name: ROOT / "scenarios" / f"{name}.json" for name in SCENARIOS}
         for name, data in (("coupled", COUPLED), ("all_kinds", ALL_KINDS),
-                           ("sho_hbar2", SHO_HBAR2)):
+                           ("sho_hbar2", SHO_HBAR2), ("jumps", JUMPS)):
             paths[name] = Path(tmp) / f"{name}.json"
             paths[name].write_text(json.dumps(data))
         for command in COMMANDS:
