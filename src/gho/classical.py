@@ -216,6 +216,14 @@ class _DenseOutput:
     roundings, so a scalar t and the same t inside an array give the same
     bits; a scalar t runs it on Python floats, which saves numpy's per-call
     overhead.
+
+    _rows holds one row per step for the scalar path: step k's horner[k] as
+    Python floats, filled on the first scalar read that lands in step k
+    (the same floats horner[k].tolist() gives on every read) and reused by
+    every later one. It grows only with the steps scalar reads touch, to at
+    most about five times those steps' share of horner. A row is written
+    whole, and two threads that fill one row write equal lists, so reads stay
+    thread-safe.
     """
 
     def __init__(self, edges, horner):
@@ -224,15 +232,19 @@ class _DenseOutput:
         self._scale = 2.0 / np.diff(edges)
         self._starts = edges[:-1].tolist()
         self._scale_list = self._scale.tolist()
+        self._rows = [None] * len(self._starts)
 
     def __call__(self, t):
         if isinstance(t, (int, float)):
             k = max(bisect.bisect_right(self._starts, t) - 1, 0)
+            row = self._rows[k]
+            if row is None:
+                row = self._rows[k] = self._horner[k].tolist()
             rise = float((t - self._starts[k]) * self._scale_list[k])
             sigma = rise - 1.0
             return [start + rise * ((((((q6 * sigma + q5) * sigma + q4) * sigma + q3)
                                        * sigma + q2) * sigma + q1) * sigma + q0)
-                    for q6, q5, q4, q3, q2, q1, q0, start in self._horner[k].tolist()]
+                    for q6, q5, q4, q3, q2, q1, q0, start in row]
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, len(self._scale) - 1)
         rise = ((t - self._edges[k]) * self._scale[k])[..., None]
@@ -377,7 +389,8 @@ class ClassicalBasis:
     (u, M u') = u0 (c, M c') + M u0' (s, M s'), and likewise for v, with
     _state0 = (u0, M u0', v0, M v0') and _fundamental the dense output of
     (c, M c', s, M s'). Immutable; evaluation at a time point is pure and
-    thread-safe.
+    thread-safe: the only state it writes is _fundamental's per-step rows,
+    each written whole, and two threads that fill one row write equal lists.
     """
 
     scenario: Scenario

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -32,6 +31,8 @@ _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the mode
 # subnormal samples of the packet's dark tails. They run only up to
 # round(r) = 3
 _EVOLVER_MAX_SPREAD = 3
+# evolver_vs_kernel's tolerance, which `invariant` also asks of its start mode
+_EVOLVER_TOL = 1e-4
 # _scaled_grid takes at most this many times its base grid's points. The
 # modes ask 498 on sho with custom:1,0,0,1e-3 (verify peaks at 188 MB and
 # takes 1.7 s), the kernel slice 80-109 at hbar = 0.01, and a near-degenerate
@@ -456,7 +457,7 @@ def _verify_checks(ctx):
     yield "squeezed_variance", 1e-6, squeezed_variance
     yield "invariant_eigenmode", 1e-6, invariant_eigenmode
     yield "invariant_drift_tdse", 1e-5, invariant_drift_tdse
-    yield "evolver_vs_kernel", 1e-4, evolver_vs_kernel
+    yield "evolver_vs_kernel", _EVOLVER_TOL, evolver_vs_kernel
     yield "path_integral", 1e-5, path_integral
     yield "delta_limit", 1e-2, delta_limit
 
@@ -508,6 +509,14 @@ def run_kernel_scan(args) -> int:
                 if np.isfinite(co.prefactor) else "constant phase")
         raise ValidationError(f"kernel from t_a={t_a} to t_b={t_b} overflows: "
                               f"its {what} is not finite")
+    # from 2^52 rad on a double keeps no digit of the phase after the point
+    reach = float(np.max(np.abs(positions)))
+    term = max(max(abs(co.q_aa), abs(co.q_bb), abs(co.q_ab)) * reach * reach,
+               max(abs(co.l_a), abs(co.l_b)) * reach)
+    if term >= 2.0 ** 52:
+        raise ValidationError(f"kernel from t_a={t_a} to t_b={t_b} keeps no digit of its "
+                              f"phase: a term of its exponent at |x| up to {reach:g} is "
+                              f"{term:.3g} rad, at least 2^52")
     rows = zip(np.full_like(x_a, t_a), x_a, np.full_like(x_a, t_b), x_b, vals.real,
                vals.imag, np.abs(vals), np.arctan2(vals.imag, vals.real))
     _write_table_csv(ctx.outfile("kernel_scan.csv"),
@@ -555,11 +564,17 @@ def run_invariant(args) -> int:
     cfg = oracle.EvolverConfig(dt=args.dt)
     grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))  # as in run_evolve
     start = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], grid)
+    first = states.invariant_expectation(start, ctx.basis, ctx.part, s, with_diagnostic=True)
+    # the start is the exact mode n = 0, so its <I> misses hbar/2 by the
+    # stencils' error alone, which no later step undoes
+    error = abs(first[0] - 0.5 * s.hbar) / (0.5 * s.hbar)
+    if not error <= _EVOLVER_TOL:
+        raise GridTooNarrow(f"<I> of the start mode misses hbar/2 by {error:.2e} of it "
+                            f"(limit {_EVOLVER_TOL:.0e}) on {grid.n_points} points")
     # each state is read before the leg from it runs
-    rows = [(t, *states.invariant_expectation(state, ctx.basis, ctx.part, s,
-                                              with_diagnostic=True))
-            for t, state in zip(times, itertools.chain(
-                [start], oracle.evolve_tdse_stops(s, start, times[1:], cfg)))]
+    rows = [(times[0], *first)] + [
+        (t, *states.invariant_expectation(state, ctx.basis, ctx.part, s, with_diagnostic=True))
+        for t, state in zip(times[1:], oracle.evolve_tdse_stops(s, start, times[1:], cfg))]
     _write_table_csv(ctx.outfile("invariant.csv"), ("t", "invariant", "imag_diagnostic"),
                      rows)
     return 0

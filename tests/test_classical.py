@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import gho
 from gho import (DegenerateBasis, classical_invariant, scenario_from_dict,
                  solve_homogeneous_basis, solve_particular)
 from gho.classical import particular_or_zero, trajectory_columns, trajectory_table
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_sho_default_basis_is_cos_sin(sho, sho_basis):
@@ -341,14 +345,51 @@ def test_snapshots_at_a_scalar_time_hold_floats(parametric, parametric_basis,
                 assert value == pytest.approx(float(getattr(on_array, field.name)), rel=1e-15)
 
 
-def test_dense_output_gives_a_scalar_time_the_bits_of_the_array(parametric, parametric_basis,
-                                                                parametric_part):
-    # both paths run Horner's rule with the same roundings, also beyond the ends
-    times = np.concatenate([[-0.5, 0.0, 12.0, 12.5], np.linspace(0.0, 12.0, 97) + 0.01])
-    for dense in (parametric_basis._fundamental, parametric_part._dense):
-        on_array = dense(times)
-        for k, t in enumerate(times.tolist()):
-            assert np.array_equal(dense(t), on_array[:, k])
+# the bundled scenarios, the benchmark's omega = 5 oscillator (512 steps) and
+# a frequency with one jump
+DENSE_TABLES = [*(json.loads((SCENARIOS / f"{name}.json").read_text())
+                  for name in ("sho", "free_particle", "parametric", "driven_sho")),
+                {"hbar": 0.5, "interval": [0, 12], "frequency": 5},
+                {"interval": [0, 10],
+                 "frequency": {"kind": "piecewise", "breakpoints": [4.0], "values": [1.0, 1.6]}}]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_dense_output_gives_a_scalar_time_the_bits_of_the_array():
+    # both paths run Horner's rule with the same roundings, also beyond the
+    # ends; each time is read twice, so a step's row serves its first scalar
+    # read and the later ones
+    for spec in DENSE_TABLES:
+        s = scenario_from_dict(spec)  # a fresh solve, no row filled yet
+        basis, part = solve_homogeneous_basis(s), solve_particular(s)
+        edges = basis._fundamental._edges
+        starts, ends = edges[:-1], edges[1:]
+        times = np.concatenate([[edges[0] - 0.5, edges[-1], edges[-1] + 0.5], starts,
+                                0.5 * (starts + ends), np.nextafter(ends, starts)])
+        for dense in (basis._fundamental, part._dense):
+            assert dense._rows == [None] * len(starts)
+            on_array = dense(times)
+            for _ in range(2):
+                for k, t in enumerate(times.tolist()):
+                    assert _bits(dense(t)) == _bits(on_array[:, k]), (spec, t)
+
+
+def test_scalar_reads_inside_one_step_store_that_steps_row_alone():
+    dense = solve_homogeneous_basis(scenario_from_dict(DENSE_TABLES[2]))._fundamental
+    edges = dense._edges
+    k = len(edges) // 2
+    dense(np.linspace(edges[0], edges[-1], 50))  # the array path stores no row
+    assert dense._rows == [None] * (len(edges) - 1)
+    dense(float(edges[k]))
+    row = dense._rows[k]
+    assert row == dense._horner[k].tolist()
+    for t in (0.5 * (edges[k] + edges[k + 1]), np.nextafter(edges[k + 1], edges[k])):
+        dense(float(t))
+        assert dense._rows[k] is row
+    assert [j for j, stored in enumerate(dense._rows) if stored is not None] == [k]
 
 
 def test_classical_invariant_takes_canonical_momentum():

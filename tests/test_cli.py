@@ -169,6 +169,17 @@ def test_invariant_default_times(sho_file, tmp_path):
     assert len((out_dir / "invariant.csv").read_text().splitlines()) == 12
 
 
+def test_invariant_on_a_grid_too_coarse_for_the_stencils_exits_one(sho_file, tmp_path, capsys):
+    # on 48 points the start mode's <I> reads 0.499762, 4.75e-4 of hbar/2 off
+    # before any step; the run wrote that and exited 0
+    out_dir = tmp_path / "inv"
+    assert main(["invariant", "--scenario", str(sho_file), "--out", str(out_dir),
+                 "--grid=-10,10,48", "--times", "0,1,2"]) == 1
+    assert capsys.readouterr().err == ("error: <I> of the start mode misses hbar/2 by 4.75e-04 "
+                                       "of it (limit 1e-04) on 48 points\n")
+    assert not any(out_dir.iterdir())
+
+
 def test_evolve_writes_packets_and_trajectory(sho_file, tmp_path):
     out_dir = tmp_path / "ev"
     assert main(["evolve", "--scenario", str(sho_file), "--out", str(out_dir),
@@ -598,22 +609,36 @@ def test_verify_overflowing_coefficient_exits_two_in_time(tmp_path):
     assert "not finite" in done.stderr
 
 
-@pytest.mark.parametrize("option, message", [
-    ("--grid=-1e200,1e200,32", "its phase at |x| up to 1e+200 is not finite"),
-    ("--xp=1e154,0", "its constant phase is not finite"),
-], ids=["grid-squares-overflow", "xp-squares-overflow"])
-def test_kernel_scan_rejects_a_kernel_that_overflows(option, message, tmp_path):
+@pytest.mark.parametrize("spec, option, message", [
+    (None, "--grid=-1e200,1e200,32",
+     "to t_b=6.0 overflows: its phase at |x| up to 1e+200 is not finite"),
+    (None, "--xp=1e154,0", "to t_b=6.0 overflows: its constant phase is not finite"),
+    ({"b": 1e154, "interval": [0, 2]}, "--times=0,1",
+     "to t_b=1.0 keeps no digit of its phase: a term of its exponent at |x| up to 10 "
+     "is 1e+155 rad, at least 2^52"),
+    (None, "--grid=-1e10,1e10,32",
+     "to t_b=6.0 keeps no digit of its phase: a term of its exponent at |x| up to 1e+10 "
+     "is 3.58e+20 rad, at least 2^52"),
+], ids=["grid-squares-overflow", "xp-squares-overflow", "gauge-phase-past-2^52",
+        "grid-squares-past-2^52"])
+def test_kernel_scan_rejects_a_kernel_that_overflows(spec, option, message, tmp_path):
     # finite inputs whose squares overflow the kernel's phase: the table was
-    # all nan, with exit 0 and numpy's overflow warnings on stderr
+    # all nan, with exit 0 and numpy's overflow warnings on stderr; and finite
+    # phases from 2^52 rad on, where a double keeps no digit after the point:
+    # the table was noise, with exit 0
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    scenario = SCENARIOS / "sho.json"
+    if spec is not None:
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(spec))
     out = tmp_path / "out"
     done = subprocess.run([sys.executable, "-m", "gho", "kernel-scan", option, "--scenario",
-                           str(SCENARIOS / "sho.json"), "--out", str(out)],
+                           str(scenario), "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == f"error: kernel from t_a=0.0 to t_b=6.0 overflows: {message}\n"
+    assert done.stderr == f"error: kernel from t_a=0.0 {message}\n"
     assert not any(out.iterdir())
 
 

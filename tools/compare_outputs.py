@@ -2,14 +2,16 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 112 command lines in each tree: the six commands with their default
+Runs 120 command lines in each tree: the six commands with their default
 options, `verify --xp 1.0,0.0`, `verify --xp 1.0,0.5` (a moving x_p, which a
 free-particle hop reads as a shift), `verify --basis custom:0,1.4,0.7,0
 --xp 1.0,0.0` (Omega = -0.98 and rho(t0) = 0.7, so U_S dilates on every
-scenario), `kernel-scan --times 4.0,0.5` (a backward kernel), and the four
+scenario), `kernel-scan --times 4.0,0.5` (a backward kernel), the four
 packet commands (modes, coherent, evolve,
 invariant) with the default grid given as `--grid=-10,10,2048`, which they
-run as given rather than fit to the modes. Each runs on the four bundled
+run as given rather than fit to the modes, and `kernel-values`, a
+`python -c` snippet (KERNEL_VALUES) that prints the repr of seeded scalar
+gho.kernel values, the path no command reads. Each runs on the four bundled
 scenarios, on the coupled scenario of tests/conftest.py (a, b and f nonzero,
 M = 1.3, hbar = 0.7), the one that reaches the gauge phase, on an
 all-kinds scenario that loads each of the five coefficient kinds, on sho
@@ -66,11 +68,34 @@ JUMPS = {"hbar": 0.9, "interval": [0, 8],
          "force": {"kind": "piecewise", "breakpoints": [1.5], "values": [0, 0.4]},
          "f": {"kind": "piecewise", "breakpoints": [3.5], "values": [0.1, -0.2]}}
 PACKET_COMMANDS = ("evolve", "modes", "invariant", "coherent")
+# scalar gho.kernel values, which no command reads (kernel-scan evaluates
+# arrays): 100 seeded time pairs and the first focal time after t0, each in
+# both directions, over the benchmark's three bases (default, Omega = -1 and a
+# rotated non-orthogonal pair); the name of the exception where one is raised
+KERNEL_VALUES = """
+import random, sys
+import gho
+s = gho.load_scenario(open(sys.argv[1]).read())
+part = gho.solve_particular(s)
+bases = [gho.solve_homogeneous_basis(s, ics)
+         for ics in (None, ((0.0, 1.0), (1.0, 0.0)), ((0.8, 0.3), (0.4, 1.1)))]
+draw = random.Random(4242)
+pairs = [(draw.uniform(s.t0, s.t1), draw.uniform(s.t0, s.t1)) for _ in range(100)]
+pairs += [(s.t0, t) for t in gho.caustic_times(bases[0], s.t0).times[:1]]
+for t_a, t_b in pairs:
+    x_a, x_b = draw.uniform(-2.0, 2.0), draw.uniform(-2.0, 2.0)
+    for basis in bases:
+        for q in (gho.KernelQuery(t_a, t_b, x_a, x_b), gho.KernelQuery(t_b, t_a, x_b, x_a)):
+            try:
+                print(repr(gho.kernel(s, basis, part, q)))
+            except gho.GhoError as exc:
+                print(type(exc).__name__)
+"""
 COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS),
             ("verify", "--xp", "1.0,0.0"), ("verify", "--xp", "1.0,0.5"),
             ("verify", "--basis", "custom:0,1.4,0.7,0", "--xp", "1.0,0.0"),
             ("kernel-scan", "--times", "4.0,0.5"),
-            *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS))
+            *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS), ("kernel-values",))
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
 
 
@@ -83,13 +108,19 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
+def interpreter_args(command, scenario: Path) -> list:
+    """The Python arguments of one command line: gho's, or KERNEL_VALUES's."""
+    if command == ("kernel-values",):
+        return ["-c", KERNEL_VALUES, str(scenario)]
+    return ["-m", "gho", *command, "--scenario", str(scenario), "--out", "out"]
+
+
 def run(tree: Path, command, scenario: Path, workdir: Path) -> dict:
     """Exit code, stdout, stderr and every written file of one command line."""
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "gho", *command, "--scenario", str(scenario), "--out", "out"],
-        cwd=workdir, env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, *interpreter_args(command, scenario)],
+                          cwd=workdir, env=env, capture_output=True, text=True)
     out = workdir / "out"
     files = {str(p.relative_to(out)): p.read_text() for p in sorted(out.rglob("*"))
              if p.is_file()} if out.exists() else {}
