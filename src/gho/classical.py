@@ -52,9 +52,7 @@ one evaluation of the joint dense output that a solved particular solution
 keeps of the fundamental pair and itself (its `at` reads the last three
 components): the two share the solve's step edges, and each component keeps
 its own polynomial, so the snapshots have the bits of the two separate
-calls. The snapshots and the kernel's coefficient records are built by
-`_record`, in one step rather than by a dataclass `__init__` that sets each
-field on its own. `particular_or_zero` is the one place that turns
+calls. `particular_or_zero` is the one place that turns
 `part=None` into the zero particular solution, which solves the driven
 equation only when the force is the default constant 0.
 """
@@ -65,6 +63,7 @@ import bisect
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -283,8 +282,7 @@ def _joined(first: _DenseOutput, edges, values, slopes) -> _DenseOutput:
         [first._horner, _horner_table(edges, values, slopes)], axis=1))
 
 
-@dataclass(frozen=True)
-class _Collocation:
+class _Collocation(NamedTuple):
     """One scenario's collocation solve over [t0, t1].
 
     path (N + 1, 2, 3) holds the affine maps from t0 to every step edge: the
@@ -338,19 +336,7 @@ def _collocation_solve(s: Scenario) -> _Collocation:
                         fundamental=_DenseOutput(edges, _horner_table(edges, *flat).copy()))
 
 
-def _record(cls, **values):
-    """An instance of the frozen dataclass cls holding values, one per field,
-    made in one step instead of by the generated __init__, which sets each
-    field through object.__setattr__. fields, replace, ==, hash, repr and the
-    FrozenInstanceError on assignment treat it as an __init__-built one. Only
-    for classes without __post_init__ checks, which this skips."""
-    record = object.__new__(cls)
-    record.__dict__.update(values)
-    return record
-
-
-@dataclass(frozen=True)
-class BasisSnapshot:
+class BasisSnapshot(NamedTuple):
     """Per-time data of a ClassicalBasis: Python floats at a scalar time (an
     int or a float, np.float64 included), numpy scalars at a 0-d array time,
     arrays at an array of times."""
@@ -366,8 +352,7 @@ class BasisSnapshot:
     mass: object
 
 
-@dataclass(frozen=True)
-class ParticularSnapshot:
+class ParticularSnapshot(NamedTuple):
     """Per-time data of a ParticularSolution: x_p, M x_p' and xi, of the
     types a BasisSnapshot has at the same time."""
 
@@ -475,9 +460,8 @@ class ClassicalBasis:
         if vanishes:
             raise ZeroRho(f"u and v vanish together at t={t}")
         theta = self._theta(t, u, v)
-        return _record(BasisSnapshot, u=u, u_dot=u_dot, v=v, v_dot=v_dot, rho=r,
-                       rho_dot=(u * u_dot + v * v_dot) / r, tau=self._theta0 - theta,
-                       theta=theta, mass=m)
+        return BasisSnapshot(u, u_dot, v, v_dot, r, (u * u_dot + v * v_dot) / r,
+                             self._theta0 - theta, theta, m)
 
     def _theta(self, t, u, v):
         """theta at time(s) t from u, v there: the lift table entry that opens
@@ -527,8 +511,7 @@ class ParticularSolution:
 
     def at(self, t) -> ParticularSnapshot:
         """x_p, M x_p' and xi at time(s) t from one dense evaluation."""
-        x, momentum, xi = self._dense(t)[-3:]
-        return _record(ParticularSnapshot, x=x, momentum=momentum, xi=xi)
+        return ParticularSnapshot(*self._dense(t)[-3:])
 
 
 def _snapshots(basis: ClassicalBasis, part, t):
@@ -541,7 +524,7 @@ def _snapshots(basis: ClassicalBasis, part, t):
     if part._fundamental is basis._fundamental:
         c, pc, sn, ps, x, momentum, xi = part._dense(t)
         return (basis._snapshot(t, (c, pc, sn, ps), scalar),
-                _record(ParticularSnapshot, x=x, momentum=momentum, xi=xi))
+                ParticularSnapshot(x, momentum, xi))
     return basis._snapshot(t, basis._fundamental(t), scalar), part.at(t)
 
 

@@ -38,6 +38,9 @@ _EVOLVER_TOL = 1e-4
 # takes 1.7 s), the kernel slice 80-109 at hbar = 0.01, and a near-degenerate
 # basis (custom:1,0,0,1e-300) 1e300, which no allocation survives
 _FIT_MAX_FACTOR = 1024
+# the most points a grid may have, given by --grid or scaled: the largest fit
+# of the default grid
+_MAX_GRID_POINTS = _BASE_GRID.n_points * _FIT_MAX_FACTOR
 
 
 def _fmt(x) -> str:
@@ -47,9 +50,12 @@ def _fmt(x) -> str:
 def _parse_grid(text: str) -> GridSpec:
     try:
         x_min, x_max, n = text.split(",")
-        return GridSpec(float(x_min), float(x_max), int(n))
+        grid = GridSpec(float(x_min), float(x_max), int(n))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad --grid '{text}': expected xmin,xmax,n") from exc
+    if grid.n_points > _MAX_GRID_POINTS:
+        raise ParseError(f"--grid has {grid.n_points} points, more than {_MAX_GRID_POINTS}")
+    return grid
 
 
 def _parse_times(text: str):
@@ -60,6 +66,11 @@ def _parse_times(text: str):
     if not values:
         raise ParseError("--times must contain at least one value")
     return values
+
+
+def _times(args, default):
+    """--times, or default when the option is not given."""
+    return default if args.times is None else _parse_times(args.times)
 
 
 def _parse_modes(text: str):
@@ -133,7 +144,8 @@ def _scaled_grid(base: GridSpec, widen, refine, what: str) -> GridSpec:
     """base over widen times its extent on widen x refine times its points,
     rounded up to a multiple of 256. A factor below 1 or within one spacing
     of 1 (solver noise) reads 1, and base itself comes back when both do;
-    GridTooNarrow, opening with what asked, past _FIT_MAX_FACTOR."""
+    GridTooNarrow, opening with what asked, past _FIT_MAX_FACTOR or
+    _MAX_GRID_POINTS."""
     widen, refine = (f if (f - 1.0) * base.n_points >= 1.0 else 1.0 for f in (widen, refine))
     if widen == refine == 1.0:
         return base
@@ -141,6 +153,8 @@ def _scaled_grid(base: GridSpec, widen, refine, what: str) -> GridSpec:
         raise GridTooNarrow(f"{what} {widen * refine:.3g} times the grid's points, "
                             f"past {_FIT_MAX_FACTOR}")
     n = int(math.ceil(base.n_points * widen * refine / 256.0)) * 256
+    if n > _MAX_GRID_POINTS:
+        raise GridTooNarrow(f"{what} {n} grid points, past {_MAX_GRID_POINTS}")
     return GridSpec(base.x_min * widen, base.x_max * widen, n)
 
 
@@ -493,8 +507,7 @@ def run_verify(args) -> int:
 def run_kernel_scan(args) -> int:
     ctx = _Context(args)
     s = ctx.scenario
-    times = _parse_times(args.times) if args.times else list(
-        _interior_times(s, (0.0, 0.5)))
+    times = _times(args, _interior_times(s, (0.0, 0.5)))
     if len(times) < 2:
         raise ParseError("kernel-scan needs two --times values")
     t_a, t_b = times[0], times[1]
@@ -527,7 +540,7 @@ def run_kernel_scan(args) -> int:
 def run_evolve(args) -> int:
     ctx = _Context(args)
     s = ctx.scenario
-    times = _parse_times(args.times) if args.times else _interior_times(s, (0.0, 0.5, 1.0))
+    times = _times(args, _interior_times(s, (0.0, 0.5, 1.0)))
     cfg = oracle.EvolverConfig(dt=args.dt)
     # the evolver reads the edges only when a leg starts: fit over the whole span crossed
     grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))
@@ -546,7 +559,7 @@ def run_modes(args) -> int:
     ctx = _Context(args)
     s = ctx.scenario
     modes = _parse_modes(args.modes)
-    times = _parse_times(args.times) if args.times else [s.t0]
+    times = _times(args, [s.t0])
     grid = ctx.packet_grid(times)
     packets = {(n, k): states.build_generalized_coherent_state(s, ctx.basis, ctx.part, n, t, grid)
                for n in modes for k, t in enumerate(times)}
@@ -559,8 +572,7 @@ def run_modes(args) -> int:
 def run_invariant(args) -> int:
     ctx = _Context(args)
     s = ctx.scenario
-    times = _parse_times(args.times) if args.times else list(
-        np.linspace(s.t0, s.t0 + min(5.0, s.t1 - s.t0), 11))
+    times = _times(args, list(np.linspace(s.t0, s.t0 + min(5.0, s.t1 - s.t0), 11)))
     cfg = oracle.EvolverConfig(dt=args.dt)
     grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))  # as in run_evolve
     start = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], grid)
@@ -587,8 +599,7 @@ def run_coherent(args) -> int:
     (n,) = modes
     ctx = _Context(args)
     s = ctx.scenario
-    times = _parse_times(args.times) if args.times else _interior_times(
-        s, (0.0, 0.25, 0.5, 0.75, 1.0))
+    times = _times(args, _interior_times(s, (0.0, 0.25, 0.5, 0.75, 1.0)))
     grid = ctx.packet_grid(times)
     packets = [states.build_generalized_coherent_state(s, ctx.basis, ctx.part, n, t, grid)
                for t in times]

@@ -317,13 +317,17 @@ class Scenario:
     def _reject_non_finite(self, times):
         """A coefficient, or M w^2, that overflows on the interval leaves the
         classical solve nothing finite to integrate; a Hamiltonian coefficient
-        v2, v1 or v0 that overflows leaves the evolver nothing finite to step."""
+        v2, v1 or v0, or the kinetic hbar^2 / (2M), that overflows leaves the
+        evolver nothing finite to step. hbar * hbar, not hbar ** 2, which
+        raises OverflowError on a float past about 1.34e154."""
         with np.errstate(over="ignore", invalid="ignore"):
             values = {name: getattr(self, name).eval(times)[0] for name in _COEFF_DEFAULTS}
             values["M w^2"] = values["mass"] * values["frequency"] ** 2
             if np.all(values["mass"] > 0):  # else check_mass_positive says why
                 *_, v2, v1, v0 = hamiltonian_coefficients(self, times)
-                values.update({"Hamiltonian v2": v2, "Hamiltonian v1": v1, "Hamiltonian v0": v0})
+                values.update({"Hamiltonian v2": v2, "Hamiltonian v1": v1, "Hamiltonian v0": v0,
+                               "kinetic hbar^2 / (2M)": self.hbar * self.hbar
+                               / (2.0 * values["mass"])})
         for name, value in values.items():
             if not np.all(np.isfinite(value)):
                 raise ValidationError(

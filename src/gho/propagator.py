@@ -58,12 +58,12 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, fields
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .classical import ClassicalBasis, _check_time, _record, _snapshots, gauge_coefficients
+from .classical import ClassicalBasis, _check_time, _snapshots, gauge_coefficients
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, GridTooNarrow, ValidationError
 from .packets import (WavePacket, _ends, _read_interpolant, _scipy_fft, _support,
@@ -99,8 +99,7 @@ _FLOATS = SimpleNamespace(abs=abs, maximum=max, floor=math.floor, exp=cmath.exp,
                           copysign=math.copysign, where=lambda cond, yes, no: yes if cond else no)
 
 
-@dataclass(frozen=True, init=False)
-class KernelQuery:
+class KernelQuery(NamedTuple):
     """Endpoint data (t_a, r_a) -> (t_b, r_b); the positions are scalars."""
 
     t_a: float
@@ -108,13 +107,8 @@ class KernelQuery:
     r_a: object
     r_b: object
 
-    def __init__(self, t_a, t_b, r_a, r_b):
-        # one dict update in place of the generated per-field object.__setattr__
-        self.__dict__.update(t_a=t_a, t_b=t_b, r_a=r_a, r_b=r_b)
 
-
-@dataclass(frozen=True)
-class CausticReport:
+class CausticReport(NamedTuple):
     """Focal times after t_a, where tau has turned by a multiple of pi since
     t_a; morse_index counts those before a given time."""
 
@@ -127,8 +121,7 @@ class CausticReport:
         return int(np.searchsorted(np.asarray(self.times), t_b, side="left"))
 
 
-@dataclass(frozen=True)
-class KernelCoefficients:
+class KernelCoefficients(NamedTuple):
     """Gaussian-exponent data of K between two fixed times.
 
     value = prefactor * exp(i (q_bb x_b^2 + q_ab x_a x_b + q_aa x_a^2
@@ -154,8 +147,7 @@ class KernelCoefficients:
 
     def pair(self, k) -> KernelCoefficients:
         """The scalar coefficients of pair k of an array of time pairs."""
-        return _record(KernelCoefficients,
-                       **{f.name: getattr(self, f.name)[k] for f in fields(self)})
+        return KernelCoefficients._make(v[k] for v in self)
 
     def value(self, x_a, x_b):
         """K at positions x_a, x_b: a complex by Python's complex exp when
@@ -306,9 +298,7 @@ def _coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficients:
     branch = sigma * -(0.25 * math.pi + 0.5 * math.pi * morse)
     prefactor = modulus * ops.exp(1j * (branch + const))
 
-    return _record(KernelCoefficients, t_a=t_a, t_b=t_b, prefactor=prefactor,
-                   q_aa=q_aa, q_bb=q_bb, q_ab=q_ab, l_a=l_a, l_b=l_b,
-                   denominator=d, caustic=caustic)
+    return KernelCoefficients(t_a, t_b, prefactor, q_aa, q_bb, q_ab, l_a, l_b, d, caustic)
 
 
 def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> KernelCoefficients:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 import re
@@ -339,10 +338,10 @@ def test_snapshots_at_a_scalar_time_hold_floats(parametric, parametric_basis,
         for snapshot, on_array in ((parametric_basis.at(t), parametric_basis.at(np.array(t))),
                                    (parametric_part.at(t), parametric_part.at(np.array(t))),
                                    (zero.at(t), zero.at(np.array(t)))):
-            for field in dataclasses.fields(snapshot):
-                value = getattr(snapshot, field.name)
-                assert type(value) is float, field.name
-                assert value == pytest.approx(float(getattr(on_array, field.name)), rel=1e-15)
+            for name in snapshot._fields:
+                value = getattr(snapshot, name)
+                assert type(value) is float, name
+                assert value == pytest.approx(float(getattr(on_array, name)), rel=1e-15)
 
 
 # the bundled scenarios, the benchmark's omega = 5 oscillator (512 steps) and
@@ -430,7 +429,7 @@ def test_wronskian_drift_raises_integration_failure(monkeypatch):
             c, pc, sn, ps = fundamental(t)
             return (1.0 + 1e-9) * c, pc, sn, ps
 
-        return dataclasses.replace(sol, fundamental=off)
+        return sol._replace(fundamental=off)
 
     monkeypatch.setattr(gho.classical, "_collocation_solve", perturbed)
     with pytest.raises(gho.IntegrationFailure, match="Wronskian drifted by 1.00e-09"):

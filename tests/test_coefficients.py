@@ -438,6 +438,7 @@ NON_FINITE_OR_EMPTY = [
     ('{"b": 1e155, "interval": [0, 2]}', "'Hamiltonian v0' is not finite on [0.0, 2.0]"),
     ('{"mass": 1e300, "a": 1e4, "interval": [0, 2]}',
      "'Hamiltonian v2' is not finite on [0.0, 2.0]"),
+    ('{"hbar": 1e300}', "'kinetic hbar^2 / (2M)' is not finite on [0.0, 1.0]"),
 ]
 
 

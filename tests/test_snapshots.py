@@ -1,6 +1,5 @@
 """One dense-output evaluation per solution and time, and the part=None rule."""
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -111,9 +110,9 @@ def test_joint_snapshots_are_the_separate_ones_to_the_bit(driven_sho):
             joint = gho.classical._snapshots(b, given, t)
             for got, alone in zip(joint, (b.at(t), p.at(t))):
                 assert type(got) is type(alone)
-                for f in dataclasses.fields(alone):
-                    assert np.array_equal(getattr(got, f.name), getattr(alone, f.name))
-                    assert type(getattr(got, f.name)) is type(getattr(alone, f.name))
+                for name in alone._fields:
+                    assert np.array_equal(getattr(got, name), getattr(alone, name))
+                    assert type(getattr(got, name)) is type(getattr(alone, name))
     assert zero._fundamental is None
 
 
@@ -125,26 +124,48 @@ def _records(s, basis, part):
     return bs, ps, fwd, bwd, pairs.pair(0), pairs.pair(1)
 
 
+RECORD_FIELDS = {
+    gho.classical.BasisSnapshot: ("u", "u_dot", "v", "v_dot", "rho", "rho_dot", "tau",
+                                  "theta", "mass"),
+    gho.classical.ParticularSnapshot: ("x", "momentum", "xi"),
+    gho.propagator.KernelCoefficients: ("t_a", "t_b", "prefactor", "q_aa", "q_bb", "q_ab",
+                                        "l_a", "l_b", "denominator", "caustic"),
+    KernelQuery: ("t_a", "t_b", "r_a", "r_b"),
+    gho.CausticReport: ("t_a", "t_end", "times"),
+    gho.classical._Collocation: ("edges", "path", "forms", "thirds", "at_nodes", "tried",
+                                 "fundamental"),
+}
+
+
 def test_records_built_in_one_step_behave_as_dataclasses(driven_sho):
+    # the records are NamedTuples; each keeps what its frozen dataclass gave
+    # (equality, repr, hash, _replace for replace, no assignment) and adds
+    # the tuple protocol
     s, basis, part = driven_sho
-    for record in _records(s, basis, part):
+    bs, ps, fwd, bwd, first, second = _records(s, basis, part)
+    scalar = [bs, ps, fwd, bwd, first, second, QUERY, gho.caustic_times(basis, 0.4)]
+    records = [*scalar, gho.classical._collocation(s)]
+    assert {type(record) for record in records} == set(RECORD_FIELDS)
+    for record in records:
         cls = type(record)
-        names = [f.name for f in dataclasses.fields(cls)]
-        built = cls(**{name: getattr(record, name) for name in names})
-        assert vars(record).keys() == set(names)
-        assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
-        assert dataclasses.fields(record) == dataclasses.fields(built)
-        changed = dataclasses.replace(record, **{names[0]: 2.5})
-        assert type(changed) is cls and getattr(changed, names[0]) == 2.5
-        assert changed == dataclasses.replace(built, **{names[0]: 2.5})
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        names = cls._fields
+        assert names == RECORD_FIELDS[cls]
+        assert cls(*record) == cls(**record._asdict()) == record == tuple(record)
+        changed = record._replace(**{names[0]: 2.5})
+        assert type(changed) is cls and changed[0] == 2.5 and changed[1:] == record[1:]
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, record))
+        assert repr(record) == f"{cls.__name__}({shown})"
+        with pytest.raises(AttributeError):
             setattr(record, names[0], 0.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(record, "extra", 1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             delattr(record, names[0])
-    fwd, bwd, first, second = _records(s, basis, part)[2:]
+    for record in scalar:
+        assert hash(record) == hash(type(record)(*record))
     assert (first, second) == (fwd, bwd)
+    assert first.value(0.3, -0.4) == fwd.value(0.3, -0.4)
+    assert gho.propagator.KernelCoefficients(*fwd[:-1]).caustic is False
 
 
 def test_kernel_query_keeps_its_dataclass_behaviour():
@@ -152,10 +173,10 @@ def test_kernel_query_keeps_its_dataclass_behaviour():
     assert q == KernelQuery(t_a=0.2, t_b=1.4, r_a=0.3, r_b=-0.4)
     assert hash(q) == hash(KernelQuery(0.2, 1.4, 0.3, -0.4))
     assert repr(q) == "KernelQuery(t_a=0.2, t_b=1.4, r_a=0.3, r_b=-0.4)"
-    assert [f.name for f in dataclasses.fields(q)] == ["t_a", "t_b", "r_a", "r_b"]
-    assert dataclasses.replace(q, t_b=2.0) == KernelQuery(0.2, 2.0, 0.3, -0.4)
-    assert dataclasses.astuple(q) == (0.2, 1.4, 0.3, -0.4)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert list(q._fields) == ["t_a", "t_b", "r_a", "r_b"]
+    assert q._replace(t_b=2.0) == KernelQuery(0.2, 2.0, 0.3, -0.4)
+    assert tuple(q) == (0.2, 1.4, 0.3, -0.4)
+    with pytest.raises(AttributeError):
         q.t_a = 0.0
     with pytest.raises(TypeError):
         KernelQuery(0.2, 1.4, 0.3)
