@@ -382,15 +382,14 @@ class ClassicalBasis:
     omega: float
     _fundamental: object = field(repr=False)
     _state0: tuple = field(repr=False)
-    _nodes: object = field(repr=False)
     _lift: tuple = field(init=False, repr=False)
     _theta0: float = field(init=False, repr=False)
     _drift: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        # one dense evaluation at the nodes gives both the Wronskian drift and
-        # the lift table's first samples
-        nodes = np.asarray(self._nodes, dtype=float)
+        # one dense evaluation at the solve's step edges gives both the
+        # Wronskian drift and the lift table's first samples
+        nodes = self.nodes
         u, pu, v, pv = self._state(nodes)
         object.__setattr__(self, "_drift",
                            float(np.max(_wronskian_drift(u, pu, v, pv, self.omega))))
@@ -401,7 +400,8 @@ class ClassicalBasis:
 
     @property
     def nodes(self):
-        return self._nodes
+        """The step edges of the scenario's collocation solve."""
+        return _collocation(self.scenario).edges
 
     def _state(self, t):
         """(u, M u', v, M v') at time(s) t from one dense evaluation."""
@@ -621,7 +621,7 @@ def solve_homogeneous_basis(s: Scenario, ics=None) -> ClassicalBasis:
 
     sol = _collocation(s)
     basis = ClassicalBasis(scenario=s, omega=omega, _fundamental=sol.fundamental,
-                           _state0=(u0, pu0, v0, pv0), _nodes=sol.edges)
+                           _state0=(u0, pu0, v0, pv0))
     drift = basis._drift
     _log.debug("solve_homogeneous_basis: %d steps, %d steps tried, Wronskian drift %.3e",
                len(sol.edges) - 1, sol.tried, drift)

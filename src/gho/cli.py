@@ -19,7 +19,8 @@ import numpy as np
 from . import classical, oracle, propagator, states
 from .coefficients import Constant, Scenario, load_scenario, serialize_scenario
 from .errors import CausticEncountered, GhoError, GridTooNarrow, ParseError, ValidationError
-from .packets import GridSpec, WavePacket, inner_product, l2_distance, mean_x, packet_norm, var_x
+from .packets import (MAX_POINTS, GridSpec, WavePacket, inner_product, l2_distance, mean_x,
+                      packet_norm, var_x)
 
 _SEED = 20240801
 _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the modes
@@ -33,14 +34,6 @@ _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the mode
 _EVOLVER_MAX_SPREAD = 3
 # evolver_vs_kernel's tolerance, which `invariant` also asks of its start mode
 _EVOLVER_TOL = 1e-4
-# _scaled_grid takes at most this many times its base grid's points. The
-# modes ask 498 on sho with custom:1,0,0,1e-3 (verify peaks at 188 MB and
-# takes 1.7 s), the kernel slice 80-109 at hbar = 0.01, and a near-degenerate
-# basis (custom:1,0,0,1e-300) 1e300, which no allocation survives
-_FIT_MAX_FACTOR = 1024
-# the most points a grid may have, given by --grid or scaled: the largest fit
-# of the default grid
-_MAX_GRID_POINTS = _BASE_GRID.n_points * _FIT_MAX_FACTOR
 
 
 def _fmt(x) -> str:
@@ -53,8 +46,8 @@ def _parse_grid(text: str) -> GridSpec:
         grid = GridSpec(float(x_min), float(x_max), int(n))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad --grid '{text}': expected xmin,xmax,n") from exc
-    if grid.n_points > _MAX_GRID_POINTS:
-        raise ParseError(f"--grid has {grid.n_points} points, more than {_MAX_GRID_POINTS}")
+    if grid.n_points > MAX_POINTS:
+        raise ParseError(f"--grid has {grid.n_points} points, more than MAX_POINTS = {MAX_POINTS}")
     return grid
 
 
@@ -144,18 +137,15 @@ def _scaled_grid(base: GridSpec, widen, refine, what: str) -> GridSpec:
     """base over widen times its extent on widen x refine times its points,
     rounded up to a multiple of 256. A factor below 1 or within one spacing
     of 1 (solver noise) reads 1, and base itself comes back when both do;
-    GridTooNarrow, opening with what asked, past _FIT_MAX_FACTOR or
-    _MAX_GRID_POINTS."""
+    GridTooNarrow, opening with what asked, past MAX_POINTS (a multiple of
+    256, so the rounding never crosses it)."""
     widen, refine = (f if (f - 1.0) * base.n_points >= 1.0 else 1.0 for f in (widen, refine))
     if widen == refine == 1.0:
         return base
-    if not widen * refine <= _FIT_MAX_FACTOR:
-        raise GridTooNarrow(f"{what} {widen * refine:.3g} times the grid's points, "
-                            f"past {_FIT_MAX_FACTOR}")
-    n = int(math.ceil(base.n_points * widen * refine / 256.0)) * 256
-    if n > _MAX_GRID_POINTS:
-        raise GridTooNarrow(f"{what} {n} grid points, past {_MAX_GRID_POINTS}")
-    return GridSpec(base.x_min * widen, base.x_max * widen, n)
+    n = base.n_points * widen * refine
+    if not n <= MAX_POINTS:  # nan included
+        raise GridTooNarrow(f"{what} {n:.3g} points, more than MAX_POINTS = {MAX_POINTS}")
+    return GridSpec(base.x_min * widen, base.x_max * widen, int(math.ceil(n / 256.0)) * 256)
 
 
 def _fit_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
@@ -394,21 +384,14 @@ def _verify_checks(ctx):
 
     @functools.cache
     def mode_zero_evolution():
-        """The n = 0 mode at t0 on the evolver's grid, evolved by one
-        evolve_tdse_stops call through the drift check's four legs and, when
-        it is not one of them, evolver_vs_kernel's stop t0 + min(1, 0.8 span):
-        both checks read this one evolution. Returns the start packet, the
-        leg times, the kernel stop and the evolved packet at each stop. The
-        evolver's grid has the extent of _fit_grid's over the five drift
-        times and a sixth of its points: its dx^6 spatial error is then about
-        the fine step's time error, not far under."""
-        horizon = s.t0 + min(2.0, 0.8 * span)
-        legs = [float(t) for t in np.linspace(s.t0 + 0.25 * (horizon - s.t0), horizon, 4)]
-        stop = s.t0 + min(1.0, 0.8 * span)
-        nearest = min(legs, key=lambda t: abs(t - stop))
-        if abs(nearest - stop) <= 1e-12 * span:  # the same leg up to rounding
-            stop = nearest
-        times = np.linspace(s.t0, horizon, 5)
+        """The n = 0 mode at t0 on the evolver's grid, and that mode evolved
+        by one evolve_tdse_stops call to each of its four legs, the last four
+        of the five times t0 + k (horizon - t0) / 4 with horizon
+        t0 + min(2, 0.8 span): both evolver checks read this one evolution.
+        The evolver's grid has the extent of _fit_grid's over the five times
+        and a sixth of its points: its dx^6 spatial error is then about the
+        fine step's time error, not far under."""
+        times = np.linspace(s.t0, s.t0 + min(2.0, 0.8 * span), 5)
         # the mode's phase rates grow with its momentum spread as well, and
         # the evolver's time error with them: fine steps of
         # 1.8e-2 / round(spread)^2.25 (spread^2 reads 8.4e-6 at spread 3)
@@ -423,22 +406,22 @@ def _verify_checks(ctx):
         coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
         cfg = oracle.EvolverConfig(dt=1.8e-2 / spread ** 2.25)
-        stops = sorted({*legs, stop})
-        evolved = dict(zip(stops, oracle.evolve_tdse_stops(s, packet, stops, cfg)))
-        return packet, legs, stop, evolved
+        legs = [float(t) for t in times[1:]]
+        return packet, list(oracle.evolve_tdse_stops(s, packet, legs, cfg))
 
     def invariant_drift_tdse():
         # <I> takes the evolver's own first-derivative stencil, so each state
         # is read on the grid it was evolved on
-        packet, legs, _, evolved = mode_zero_evolution()
+        packet, evolved = mode_zero_evolution()
         values = np.asarray([states.invariant_expectation(p, basis, part, s)
-                             for p in (packet, *(evolved[t] for t in legs))])
+                             for p in (packet, *evolved)])
         return float((values.max() - values.min()) / abs(values.mean()))
 
     def evolver_vs_kernel():
-        packet, _, stop, evolved = mode_zero_evolution()
-        direct = propagator.propagate(packet, s, basis, part, stop)
-        return l2_distance(evolved[stop], direct)
+        # the leg nearest t0 + min(1, 0.8 span): the second on spans from 2.5
+        packet, evolved = mode_zero_evolution()
+        near = min(evolved, key=lambda p: abs(p.t - (s.t0 + min(1.0, 0.8 * span))))
+        return l2_distance(near, propagator.propagate(packet, s, basis, part, near.t))
 
     def path_integral():
         t_end = s.t0 + min(1.0, 0.5 * span)

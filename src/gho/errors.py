@@ -13,8 +13,9 @@ class ValidationError(GhoError):
     """Scenario parsed but violates an invariant (M <= 0, t0 >= t1, ...)."""
 
 
-class DegenerateBasis(GhoError):
-    """Homogeneous initial conditions are linearly dependent (Wronskian 0)."""
+class DegenerateBasis(ValidationError):
+    """Homogeneous initial conditions are linearly dependent (Wronskian 0): an
+    input error, as the cli's exit status 2 reports it."""
 
 
 class IntegrationFailure(GhoError):

@@ -43,9 +43,8 @@ from .classical import ClassicalBasis, _check_time, particular_or_zero
 from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
-from .packets import _D1, _D2, GridSpec, WavePacket, derivative, second_derivative
-from .propagator import (MAX_QUADRATURE_POINTS, KernelQuery, _lct_apply, kernel,
-                         kernel_coefficients)
+from .packets import _D1, _D2, MAX_POINTS, GridSpec, WavePacket, derivative, second_derivative
+from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
 
 _log = logging.getLogger(__name__)
 
@@ -356,7 +355,7 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     tolerances. Kernel values come from the propagator module itself; only the
     integration is independent. A composite (t_a, t_c) inside the kernel's
     caustic band raises CausticEncountered, and a chirp so slow that the
-    window asks for more than 2^20 points raises GridTooNarrow.
+    window asks for more than packets.MAX_POINTS points raises GridTooNarrow.
     """
     kernel_coefficients(s, basis, part, t_a, t_c)  # raises where a_tot = 0, on a focal composite
     co1 = kernel_coefficients(s, basis, part, t_a, t_b)
@@ -370,8 +369,9 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     rate = 2.0 * abs(a_tot) * r_zero + abs(b_tot + 2.0 * a_tot * y_star)
     dy = math.pi / (2.0 * max(rate, 1.0))
     n = int(math.ceil(2.0 * r_zero / dy)) + 1
-    if n > MAX_QUADRATURE_POINTS:
-        raise GridTooNarrow(f"the composition's window asks for {n} points, more than 2^20")
+    if n > MAX_POINTS:
+        raise GridTooNarrow(f"the composition's window asks for {n} points, "
+                            f"more than MAX_POINTS = {MAX_POINTS}")
     ys = np.linspace(y_star - r_zero, y_star + r_zero, n)
     vals = co1.value(x_a, ys) * co2.value(ys, x_c)
     vals = vals * _smooth_window(ys, y_star, r_flat, r_zero)

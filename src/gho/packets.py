@@ -60,6 +60,15 @@ __all__ = [
     "upsample_periodic",
 ]
 
+# the most points of any grid or grid sum gho makes: an explicit --grid, a
+# grid the cli scales to the modes or a kernel slice, propagate's chirp-z sum
+# and compose_kernels' window. A complex array of 2^21 points takes 32 MB.
+# The modes ask 498 times the default grid's 2048 points on sho with
+# custom:1,0,0,1e-3 (verify peaks at 188 MB and takes 1.7 s), the kernel
+# slice 80-109 times at hbar = 0.01, and a near-degenerate basis
+# (custom:1,0,0,1e-300) 1e300 times, which no allocation survives
+MAX_POINTS = 2 ** 21
+
 
 @dataclass(frozen=True)
 class GridSpec:

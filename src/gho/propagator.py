@@ -66,7 +66,7 @@ import numpy as np
 from .classical import ClassicalBasis, _check_time, _snapshots, gauge_coefficients
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, GridTooNarrow, ValidationError
-from .packets import (WavePacket, _ends, _read_interpolant, _scipy_fft, _support,
+from .packets import (MAX_POINTS, WavePacket, _ends, _read_interpolant, _scipy_fft, _support,
                       _times_grid_phase, czt, l2_distance, upsample_periodic)
 
 _log = logging.getLogger(__name__)
@@ -90,7 +90,6 @@ _UNIT_DILATION = 4.0 * np.finfo(float).eps
 # a sample or an FFT mode of a packet belongs to its phase-space box when
 # its modulus is above this fraction of the largest one (see propagate)
 PACKET_BOX_RTOL = 1e-13
-MAX_QUADRATURE_POINTS = 2 ** 20  # of propagate's chirp-z sum and compose_kernels' window
 _EQUAL_TIMES = "equal-time kernel is a delta function; probe it via kernel_delta_check"
 # numpy's elementwise functions that the kernel formulas use, under the same
 # names for Python floats: a scalar query runs the one copy of the formulas
@@ -386,15 +385,16 @@ def _quadrature_size(co: KernelCoefficients, grid):
     adds the spectrum at the nonzero multiples of 2 pi/dy to the integral,
     and these all miss it once 2 pi/dy > pi/dx + R. Where the chirp-z form
     is taken, R is about pi/dx or less, so M is N on most hops. An M past
-    N and MAX_QUADRATURE_POINTS raises GridTooNarrow.
+    N and packets.MAX_POINTS raises GridTooNarrow.
     """
     y_max = max(abs(grid.x_min), abs(grid.x_max))  # also the largest |x|
     kernel_rate = (2.0 * abs(co.q_aa) + abs(co.q_ab)) * y_max + abs(co.l_a)
     packet_rate = math.pi / grid.dx
     period = grid.n_points * grid.dx
     needed = period * (packet_rate + kernel_rate) / (2.0 * math.pi)
-    if not needed <= max(grid.n_points, MAX_QUADRATURE_POINTS):  # nan included
-        raise GridTooNarrow(f"the chirp-z quadrature asks for {needed:.3g} points, more than 2^20")
+    if not needed <= max(grid.n_points, MAX_POINTS):  # nan included
+        raise GridTooNarrow(f"the chirp-z quadrature asks for {needed:.3g} points, "
+                            f"more than MAX_POINTS = {MAX_POINTS}")
     return max(math.ceil(needed), grid.n_points)
 
 

@@ -265,8 +265,10 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
 def build_generalized_coherent_state(s: Scenario, basis: ClassicalBasis, part,
                                      n: int, t: float, grid: GridSpec) -> WavePacket:
     """Mode n of the full system as the unitary transform of a unit-SHO
-    eigenstate phi_n: energy phase x U_F x U_S phi_n = psi_n, evaluated in
-    closed form on the grid (no interpolation error).
+    eigenstate phi_n: energy phase x U_F x U_S phi_n = psi_n. It applies no
+    transform: it returns eigenmode_packet's samples of psi_n, which are
+    that product written out, and raises GridTooNarrow unless the packet's
+    edges are dark to 1e-8 of its peak.
 
     U_S stretches phi_n by rho/sqrt(|Omega|) with the chirp
     M rho' x^2 / (2 hbar rho), U_F shifts it by x_p and boosts it by M x_p'

@@ -321,8 +321,7 @@ def test_zero_rho_detected(sho, sho_basis):
             return np.zeros((4,) + np.shape(t))
 
     broken = gho.ClassicalBasis(scenario=sho, omega=1.0,
-                                _fundamental=CorruptDense(), _state0=(1.0, 0.0, 0.0, 1.0),
-                                _nodes=np.array([0.0, 12.0]))
+                                _fundamental=CorruptDense(), _state0=(1.0, 0.0, 0.0, 1.0))
     with pytest.raises(gho.ZeroRho):
         broken.at(1.0)
     with pytest.raises(gho.ZeroRho):

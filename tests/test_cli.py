@@ -7,13 +7,14 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gho import GridSpec, classical, cli, load_scenario, oracle, propagator
+from gho import GridSpec, classical, cli, load_scenario, oracle, packets, propagator
 from gho.cli import main
-from gho.errors import GridTooNarrow
+from gho.errors import GridTooNarrow, ParseError
 
 from test_coefficients import ALL_KINDS, NON_FINITE_OR_EMPTY
 from test_oracle import COUPLED
@@ -373,15 +374,22 @@ def test_every_command_rejects_non_finite_or_empty_fields_after_load(command, tm
     (["kernel-scan", "--basis", "custom:1e200,0,0,1e200"],
      "basis initial data ((1e+200, 0.0), (0.0, 1e+200)) give Omega = inf, not finite"),
     (["modes", "--grid=-10,10,1000000000000"],
-     "--grid has 1000000000000 points, more than 2097152"),
-    (["verify", "--grid=-10,10,2097153"], "--grid has 2097153 points, more than 2097152"),
+     "--grid has 1000000000000 points, more than MAX_POINTS = 2097152"),
+    (["verify", "--grid=-10,10,2097153"],
+     "--grid has 2097153 points, more than MAX_POINTS = 2097152"),
+    (["kernel-scan", "--basis", "custom:1,0,0,0"],
+     "initial conditions are linearly dependent (Wronskian = 0)"),
+    (["verify", "--basis", "custom:1,0,1,0"],
+     "initial conditions are linearly dependent (Wronskian = 0)"),
 ], ids=["xp-nan-x", "xp-nan-xdot", "xp-overflows", "verify-xp-inf", "grid-inf-end",
         "grid-span-overflows", "basis-nan", "basis-inf", "basis-omega-overflows",
-        "grid-too-many-points", "verify-grid-too-many-points"])
+        "grid-too-many-points", "verify-grid-too-many-points", "basis-dependent",
+        "verify-basis-dependent"])
 def test_non_finite_options_rejected_before_any_file(options, message, tmp_path, capsys):
     # each once wrote an all-nan table with exit 0, ended in a traceback or
     # called a basis with an infinite Wronskian linearly dependent; a grid of
-    # 1e12 points ended in a MemoryError traceback
+    # 1e12 points ended in a MemoryError traceback, and a linearly dependent
+    # basis exited 1, the status of a failed check
     out = tmp_path / "out"
     code = main([*options, "--scenario", str(SCENARIOS / "sho.json"), "--out", str(out)])
     captured = capsys.readouterr()
@@ -499,8 +507,9 @@ def test_verify_caps_the_kernel_slice_refinement(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ("error: packet is zero at every point of GridSpec("
                                        "x_min=-10.0, x_max=10.0, n_points=2048)\n")
     # at hbar = 0.25 the modes' fits ask 2 times the grid's points and the
-    # slice 3.21: under a cap of 3 only the slice skips, and the run passes
-    monkeypatch.setattr(cli, "_FIT_MAX_FACTOR", 3)
+    # slice 3.21: under a cap of 3 times them only the slice skips, and the
+    # run passes
+    monkeypatch.setattr(cli, "MAX_POINTS", 3 * 2048)
     path = tmp_path / "sho_quarter.json"
     path.write_text(json.dumps({"hbar": 0.25, "interval": [0.0, 12.0]}))
     assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "capped")]) == 0
@@ -510,14 +519,15 @@ def test_verify_caps_the_kernel_slice_refinement(tmp_path, capsys, monkeypatch):
         "CHECK schrodinger_residual_kernel value=nan tol=0.0001 SKIP(GridTooNarrow)"]
     ctx = cli._Context(cli.build_parser().parse_args(["verify", "--scenario", str(path)]))
     checks = {name: check for name, _, check in cli._verify_checks(ctx)}
-    with pytest.raises(GridTooNarrow, match=r"^the kernel slice's wavenumbers ask for 3\.21 "
-                       r"times the grid's points, past 3$"):
+    with pytest.raises(GridTooNarrow, match=r"^the kernel slice's wavenumbers ask for "
+                       r"6\.58e\+03 points, more than MAX_POINTS = 6144$"):
         checks["schrodinger_residual_kernel"]()
 
 
 def test_verify_resolves_the_kernel_slice_at_small_hbar(tmp_path, capsys):
     # at hbar = 0.01 the slice asks about 100 times the base grid's points,
-    # under the one cap of 1024: it once skipped past a cap of its own of 64.
+    # under MAX_POINTS, 1024 times them: it once skipped past a cap of its
+    # own of 64.
     # The run exits 1 on checks that do not hold at this hbar yet
     path = tmp_path / "sho_small.json"
     path.write_text(json.dumps({"hbar": 0.01, "interval": [0.0, 12.0]}))
@@ -584,19 +594,57 @@ def test_fitted_grids_are_capped(tmp_path, capsys):
     for command in ("modes", "coherent", "evolve", "invariant"):
         out = tmp_path / command
         assert main([command, *argv, "--out", str(out)]) == 1
-        assert re.fullmatch(r"error: the modes ask for \S+ times the grid's points, "
-                            r"past 1024\n", capsys.readouterr().err)
+        assert re.fullmatch(r"error: the modes ask for \S+ points, more than "
+                            r"MAX_POINTS = 2097152\n", capsys.readouterr().err)
         assert not any(out.iterdir())
 
 
 def test_scaled_grids_are_capped_at_the_largest_fit():
     # an explicit grid of 4096 points, fitted 600 times, asked for 2.46e6
-    # points, more than the default grid's largest fit of 1024 times 2048
+    # points, more than MAX_POINTS, the default grid's largest fit of 1024
+    # times 2048
     base = GridSpec(-10.0, 10.0, 4096)
-    with pytest.raises(GridTooNarrow, match=r"^the modes ask for 2457600 grid points, "
-                       r"past 2097152$"):
+    with pytest.raises(GridTooNarrow, match=r"^the modes ask for 2\.46e\+06 points, "
+                       r"more than MAX_POINTS = 2097152$"):
         cli._scaled_grid(base, 1.0, 600.0, "the modes ask for")
     assert cli._scaled_grid(cli._BASE_GRID, 1.0, 1024.0, "").n_points == 2097152
+
+
+def test_every_grid_and_grid_sum_is_capped_by_max_points(sho, sho_basis, sho_part_cos,
+                                                         monkeypatch):
+    # one cap bounds an explicit --grid, a scaled grid, propagate's chirp-z
+    # sum and compose_kernels' window: each takes MAX_POINTS points and
+    # refuses more, naming the cap, before it allocates anything
+    cap = packets.MAX_POINTS
+    assert cap == 2 ** 21
+    assert cli.MAX_POINTS is propagator.MAX_POINTS is oracle.MAX_POINTS is cap
+    tail = rf"points, more than MAX_POINTS = {cap}$"
+    assert cli._parse_grid(f"-10,10,{cap}").n_points == cap
+    with pytest.raises(ParseError, match=rf"^--grid has {cap + 1} {tail}"):
+        cli._parse_grid(f"-10,10,{cap + 1}")
+    for widen, refine, count in ((1.0, 1024.0 + 1e-9, r"2\.1e\+06"), (math.inf, 1.0, "inf")):
+        with pytest.raises(GridTooNarrow, match=rf"^the modes ask for {count} {tail}"):
+            cli._scaled_grid(cli._BASE_GRID, widen, refine, "the modes ask for")
+    # a kernel phase rate l_a whose trapezoid sum on this grid asks cap -/+ 0.5
+    grid = GridSpec(-10.0, 10.0, 341)
+    period = grid.n_points * grid.dx
+
+    def rate(points):
+        return SimpleNamespace(q_aa=0.0, q_ab=0.0,
+                               l_a=2.0 * math.pi * points / period - math.pi / grid.dx)
+
+    assert propagator._quadrature_size(rate(cap - 0.5), grid) == cap
+    with pytest.raises(GridTooNarrow, match=rf"^the chirp-z quadrature asks for 2\.1e\+06 "
+                       rf"{tail}"):
+        propagator._quadrature_size(rate(cap + 0.5), grid)
+    # sho's first composition triple with x_p = cos t takes 4,609 points
+    times = 12.0 * np.array([0.05, 0.25, 0.45])
+    monkeypatch.setattr(oracle, "MAX_POINTS", 4608)
+    with pytest.raises(GridTooNarrow, match=r"^the composition's window asks for 4609 points, "
+                       r"more than MAX_POINTS = 4608$"):
+        oracle.compose_kernels(sho, sho_basis, sho_part_cos, *times, 0.3, -0.4)
+    monkeypatch.setattr(oracle, "MAX_POINTS", 4609)
+    oracle.compose_kernels(sho, sho_basis, sho_part_cos, *times, 0.3, -0.4)
 
 
 def test_bundled_scenario_hashes_are_pinned():
@@ -923,6 +971,48 @@ def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
     assert [len(stops) for stops in stops_asked] == [4]
     assert evolved == [GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)]
     assert read == [GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)] * 5
+
+
+def test_verify_evolves_through_its_four_legs_only(tmp_path, monkeypatch):
+    # on a span of 2.2 the legs end at t0 + 0.8 span = 1.76, and
+    # evolver_vs_kernel reads the one nearest t0 + 1: the evolution once
+    # took 1.0 as a fifth stop of its own
+    calls, hops = [], []
+    evolve, propagate = cli.oracle.evolve_tdse_stops, cli.propagator.propagate
+
+    def spy_evolve(s, packet, stops, cfg):
+        calls.append(list(stops))
+        return evolve(s, packet, stops, cfg)
+
+    def spy_propagate(packet, s, basis, part, t):
+        hops.append(t)
+        return propagate(packet, s, basis, part, t)
+
+    monkeypatch.setattr(cli.oracle, "evolve_tdse_stops", spy_evolve)
+    monkeypatch.setattr(cli.propagator, "propagate", spy_propagate)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"interval": [0, 2.2]}))
+    ctx = cli._Context(cli.build_parser().parse_args(["verify", "--scenario", str(path)]))
+    checks = {name: check for name, _, check in cli._verify_checks(ctx)}
+    assert checks["invariant_drift_tdse"]() <= 1e-5
+    assert checks["evolver_vs_kernel"]() <= cli._EVOLVER_TOL
+    (stops,) = calls
+    assert stops == pytest.approx([0.44, 0.88, 1.32, 1.76], rel=1e-15)
+    assert hops == [stops[1]]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="verify's fine evolver step reads the modes' momentum spread, "
+                   "not how fast a(t) turns")
+def test_verify_passes_with_a_fast_turning_a(tmp_path, capsys):
+    # a = sin 3t over [0, 1]: propagate takes the n = 0 mode to within 6e-14
+    # of the exact one, but the evolver's error falls about as dt^6, and at
+    # verify's step evolver_vs_kernel reads 3.7e-4 (7.5e-3 with --xp, where
+    # invariant_drift_tdse reads 8.2e-4)
+    path = tmp_path / "fast_a.json"
+    path.write_text(json.dumps({"a": {"kind": "sinusoidal", "amplitude": 1.0, "omega": 3.0}}))
+    codes = [main(["verify", "--scenario", str(path), *xp]) for xp in ([], ["--xp", "1.0,0.0"])]
+    assert codes == [0, 0]
 
 
 def test_verify_evolver_cross_check_fails_on_a_wrong_coupling(tmp_path, monkeypatch,

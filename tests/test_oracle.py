@@ -461,7 +461,7 @@ def test_compose_kernels_bounds_its_window(sho, sho_basis, sho_part_cos, monkeyp
     assert sizes == [4609]
     t_a, t_b, t_c = 7.853981634053023 * np.array([0.05, 0.25, 0.45])
     with pytest.raises(gho.GridTooNarrow, match=r"^the composition's window asks for "
-                       r"1\d{7} points, more than 2\^20$"):
+                       r"1\d{7} points, more than MAX_POINTS = 2097152$"):
         compose_kernels(sho, sho_basis, None, t_a, t_b, t_c, 0.3, -0.4)
     assert sizes == [4609]
 

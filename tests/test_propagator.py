@@ -904,7 +904,8 @@ def test_chirp_z_quadrature_past_the_cap_raises_before_it_allocates():
         s = gho.scenario_from_dict({"b": b, "interval": [0.0, 2.0]})
         basis, part = gho.solve_homogeneous_basis(s), gho.solve_particular(s)
         co = kernel_coefficients(s, basis, part, 0.0, 1.0)
-        message = rf"the chirp-z quadrature asks for {re.escape(count)} points, more than 2\^20"
+        message = (rf"the chirp-z quadrature asks for {re.escape(count)} points, "
+                   r"more than MAX_POINTS = 2097152")
         with pytest.raises(GridTooNarrow, match=message):
             _quadrature_size(co, grid)
     packet = gho.eigenmode_packet(s, basis, part, 0, 0.0, grid)
