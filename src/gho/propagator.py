@@ -21,30 +21,34 @@ Backward-time values take the same formulas, which give K*(b, a) = K(a, b).
 
 Wave-packet propagation makes one hop with the metaplectic operator of the
 hop's symplectic matrix [[A, B], [C, .]] (see _hop_matrix; D above is Omega B):
-stripped of the mode set's gauge phase, the linear canonical transform. When
-hbar |B| pi / dx <= |A| N dx it is applied in the factored form, regular at
-B = 0 (short hops, focal times), from one FFT of the gauge-reduced packet:
-chirp(C/A) . dilation(A) . Fresnel(B/A), the same operator as chirp(C/A) .
-Fresnel(A B) . dilation(A), is one read (packets._read_interpolant) of the
-interpolant of the Fresnel-multiplied spectrum at
-x_p(t_a) + (x - x_p(t_b)) / A, with the chirp and the gauge phase as its
-output phase. A unit dilation, |A - 1| <= 4 eps (every free-particle hop),
-is taken as A = 1: the read is then the shift by x_p(t_b) - x_p(t_a) at the
-grid's own spacing, one inverse FFT, as for states.apply_U_F; any other A
-reads by one chirp-z. Past the Nyquist band it is the trapezoidal kernel sum
-by chirp multiplications and a chirp-z transform, regular at A = 0, on as
-many points as the trapezoid rule's aliasing bound asks (see
-_quadrature_size): the packet's own grid on most hops, its trigonometric
-interpolant read at that many points on the rest.
+stripped of the mode set's gauge phase, the linear canonical transform. The
+factored form, regular at B = 0 (short hops, focal times), starts from one
+FFT of the gauge-reduced packet: chirp(C/A) . dilation(A) . Fresnel(B/A),
+the same operator as chirp(C/A) . Fresnel(A B) . dilation(A), is one read
+(packets._read_interpolant) of the interpolant of the Fresnel-multiplied
+spectrum at x_p(t_a) + (x - x_p(t_b)) / A, 0 off the grid, with the chirp
+and the gauge phase as its output phase. A unit dilation, |A - 1| <= 4 eps
+(every free-particle hop), is taken as A = 1: the read is then the shift by
+x_p(t_b) - x_p(t_a) at the grid's own spacing, one inverse FFT, as for
+states.apply_U_F; any other A reads by one chirp-z. The chirp-z form is the
+trapezoidal kernel sum by chirp multiplications and a chirp-z transform,
+regular at A = 0, on as many points as the trapezoid rule's aliasing bound
+asks (see _quadrature_size): the packet's own grid on most hops, its
+trigonometric interpolant read at that many points on the rest.
 
-That Nyquist-band test assumes content up to pi/dx. A unit-dilation hop is
-one FFT multiply on a periodic grid, exact unless the packet wraps around,
-so there the packet decides, inside the band or past it: the factored form
-goes on when the packet's phase-space box (_moved_box), read off its samples
-and the FFT of the gauge-reduced packet (the Fresnel step's first
-transform), stays inside [x_min, x_max] once moved by the shift and by
-hbar B k (A is 1); else the hop takes the chirp-z form. The DEBUG line of
-each hop names the test that chose its form.
+One test admits the factored form, whatever A is. Its Fresnel multiply on
+the periodic grid moves each mode k by hbar (B/A) k, and is exact unless it
+wraps the packet around the period; the read after it puts 0 off the grid,
+so a moving x_p wraps nothing. The hop is factored when the packet's
+phase-space box (_moved_box), the samples and the modes of that FFT above
+PACKET_BOX_RTOL of their peak, sheared by hbar (B/A) k, lies inside the
+FFT's period cell [x_min - dx/2, x_max + dx/2]; else it takes the chirp-z
+form. A hop with A != 1 past the Nyquist band, hbar |B| pi / dx > |A| N dx,
+where the grid's top mode shears by more than the period N dx, takes the
+chirp-z form without that FFT. This is a shortcut, not a second test: with
+A != 1 either form costs a chirp-z, and on such hops the box often leaves
+the cell, so there the FFT and the box cost more than they save. The DEBUG
+line of each hop names the test that chose its form.
 
 Every phase either form puts on a grid (the gauge phase, the kernel's
 chirps, the Fresnel transfer on each half of the FFT order) is a quadratic
@@ -398,10 +402,11 @@ def _quadrature_size(co: KernelCoefficients, grid):
     return max(math.ceil(needed), grid.n_points)
 
 
-def _moved_box(samples, spectrum, shear, shift, grid):
-    """x-extent [lo, hi] of the packet's phase-space box moved by shift + shear k:
-    the box spans the samples and the signed FFT modes above PACKET_BOX_RTOL
-    of their peak (spectrum in FFT order)."""
+def _moved_box(samples, spectrum, shear, grid):
+    """x-extent [lo, hi] of the packet's phase-space box sheared by shear k,
+    where the Fresnel multiply of the factored form carries each mode k: the
+    box spans the samples and the signed FFT modes above PACKET_BOX_RTOL of
+    their peak (spectrum in FFT order)."""
     n = grid.n_points
     support = _support(np.abs(samples), PACKET_BOX_RTOL)
     modes = np.abs(spectrum)
@@ -413,8 +418,8 @@ def _moved_box(samples, spectrum, shear, shift, grid):
     j_hi = _ends(nonneg)[1] if nonneg.any() else _ends(neg)[1] - n // 2
     k_lo, k_hi = (j * 2.0 * math.pi / (n * grid.dx) for j in (j_lo, j_hi))
     moves = (shear * k_lo, shear * k_hi)
-    return (grid.x_min + shift + support[0] * grid.dx + min(moves),
-            grid.x_min + shift + support[1] * grid.dx + max(moves))
+    return (grid.x_min + support[0] * grid.dx + min(moves),
+            grid.x_min + support[1] * grid.dx + max(moves))
 
 
 def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
@@ -438,20 +443,22 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     resample = abs(big_a - 1.0) > _UNIT_DILATION
     if not resample:
         big_a = 1.0
-    nyquist = hbar * abs(big_b) * math.pi / grid.dx <= abs(big_a) * n * grid.dx
-    test, spectrum = "Nyquist band" if nyquist else "past the Nyquist band", None
-    if nyquist or not resample:
+    # past the Nyquist band a hop with A != 1 takes the chirp-z form without
+    # the FFT: a shortcut, not a second test (see the module docstring)
+    test, spectrum = "past the Nyquist band", None
+    if not resample or hbar * abs(big_b) * math.pi / grid.dx <= abs(big_a) * n * grid.dx:
         alpha, beta, gamma = gauge_coefficients(s, at_a.mass, xp_a, t_a)
         reduced = _times_grid_phase(np.array(packet.samples), -alpha, -beta, -gamma,
                                     grid.x_min, grid.dx)
         spectrum = sfft.fft(reduced, overwrite_x=True)
-        if not resample:
-            # |reduced| is |packet|: the box reads the support off the samples
-            lo, hi = _moved_box(packet.samples, spectrum, hbar * big_b, xp_b.x - xp_a.x, grid)
-            fits = grid.x_min <= lo and hi <= grid.x_max
-            test = f"packet box [{lo:.6g}, {hi:.6g}] {'fits' if fits else 'leaves the grid'}"
-            if not fits:
-                spectrum = None
+        # |reduced| is |packet|: the box reads the support off the samples;
+        # the Fresnel multiply wraps nothing while the box it shears stays
+        # inside the FFT's period cell
+        lo, hi = _moved_box(packet.samples, spectrum, hbar * big_b / big_a, grid)
+        fits = grid.x_min - 0.5 * grid.dx <= lo and hi <= grid.x_max + 0.5 * grid.dx
+        test = f"packet box [{lo:.6g}, {hi:.6g}] {'fits' if fits else 'leaves the grid'}"
+        if not fits:
+            spectrum = None
     if spectrum is None:
         x = grid.points
         co = kernel_coefficients(s, basis, part, t_a, t_b)

@@ -162,8 +162,12 @@ def eigenmode(s: Scenario, basis: ClassicalBasis, part, n: int, t: float, x: flo
 
     The branch of (u - iv)^{n + 1/2} is tracked continuously from t0 via the
     unwrapped basis angle, and the time integral of f starts at t0 (a global
-    phase convention, matching xi(t0) = tau(t0) = 0).
+    phase convention, matching xi(t0) = tau(t0) = 0). x is a scalar
+    (ValidationError for an array); eigenmode_packet samples a grid.
     """
+    if np.ndim(x) != 0:
+        raise ValidationError("eigenmode takes a scalar position; "
+                              "eigenmode_packet samples a grid")
     z, amplitude, phase, turn = _modes_1d(s, basis, part, n, t, x)
     return complex(_hermite_row(n, z)[0] * _envelope(amplitude, phase, x) * turn[n])
 
@@ -196,9 +200,11 @@ def _mode_packet(row, scale, phase, grid, t):
 def mode_sum_kernel(s: Scenario, basis: ClassicalBasis, part, n_max: int,
                     q) -> complex:
     """Truncated mode-sum form of the kernel: sum over n <= n_max of
-    psi_n(b) psi_n*(a), at scalar positions."""
+    psi_n(b) psi_n*(a), at scalar positions (ValidationError for arrays)."""
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
+    if np.ndim(q.r_a) != 0 or np.ndim(q.r_b) != 0:
+        raise ValidationError("mode_sum_kernel takes scalar positions")
     z_a, amplitude_a, phase_a, turn_a = _modes_1d(s, basis, part, n_max, q.t_a, q.r_a)
     z_b, amplitude_b, phase_b, turn_b = _modes_1d(s, basis, part, n_max, q.t_b, q.r_b)
     envelope_a = _envelope(amplitude_a, phase_a, q.r_a)

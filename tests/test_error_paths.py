@@ -6,7 +6,7 @@ import pytest
 
 import gho
 from gho import (EvolverConfig, GridSpec, KernelQuery, ParseError, ValidationError,
-                 evolve_tdse, kernel_delta_check, load_scenario, mode_sum_kernel,
+                 eigenmode, evolve_tdse, kernel_delta_check, load_scenario, mode_sum_kernel,
                  path_integral_oracle, propagate, schrodinger_residual, sho_eigenstate)
 from gho.packets import evaluate_trig_interpolant, upsample_periodic
 
@@ -38,9 +38,14 @@ QUERY = KernelQuery(0.0, 1.0, 0.3, -0.4)
     (lambda: evaluate_trig_interpolant(GROUND, [-1e308, 1e308]), ValidationError,
      "interpolation points' step must be finite"),
     (lambda: sho_eigenstate(-1, GRID), ValidationError, "hermite order must be in [0, 200]"),
+    (lambda: eigenmode(SHO, BASIS, None, 0, 0.5, np.array([0.1, 0.2])), ValidationError,
+     "eigenmode takes a scalar position; eigenmode_packet samples a grid"),
+    (lambda: mode_sum_kernel(SHO, BASIS, None, 3, KernelQuery(0.0, 1.0, 0.3, np.array([0.1]))),
+     ValidationError, "mode_sum_kernel takes scalar positions"),
 ], ids=["scenario-not-a-mapping", "interval-not-a-pair", "vanishing-field", "no-slices",
         "zero-hbar", "negative-n-max", "zero-epsilon", "upsample-below-n", "nan-point",
-        "infinite-point", "overflowing-step", "negative-hermite-order"])
+        "infinite-point", "overflowing-step", "negative-hermite-order", "array-mode-position",
+        "array-mode-sum-position"])
 def test_bad_input_raises_its_error(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -529,23 +529,26 @@ def test_propagate_logs_form_and_hop_matrix(sho, sho_basis, free, free_basis, gr
     with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
         propagate(packet, sho, sho_basis, None, 1e-3)
         propagate(packet, sho, sho_basis, None, 1.0)
-        # free hops with B = 2 > N dx^2 / (hbar pi): the Nyquist test fails
-        # on both grids, and the packet's box decides
+        # free hops (A = 1) with B = 2 > N dx^2 / (hbar pi), past the Nyquist
+        # band on both grids: the packet's box decides all the same
         propagate(sho_eigenstate(0, wide), free, free_basis, None, 2.0)
         propagate(sho_eigenstate(0, narrow).with_samples(
             sho_eigenstate(0, narrow).samples * np.exp(4j * narrow.points)),
             free, free_basis, None, 2.0)
     (short, long, fits, leaves) = _propagate_records(caplog)
-    assert short[:2] == ("factored", "Nyquist band") and short[4] is None
+    box = r"packet box \[(\S+), (\S+)\] "
+    assert short[0] == "factored" and short[4] is None
     assert short[2:4] == pytest.approx((np.cos(1e-3), np.sin(1e-3)), rel=1e-6)
-    # A != 1 and the Nyquist test fails: chirp-z, under the failed test's label
+    lo, hi = map(float, re.fullmatch(box + "fits", short[1]).groups())
+    # the ground state's support above 1e-13 of its peak (|x| < 7.7) widens
+    # by its band (|k| < 7.7) times hbar B / A = 1e-3
+    assert lo == pytest.approx(-hi) and 7.7 < hi < 7.8
+    # A != 1 past the Nyquist band: chirp-z by the shortcut, under its label
     assert long[:2] == ("chirp-z", "past the Nyquist band") and long[4] >= grid.n_points
     assert long[2:4] == pytest.approx((np.cos(1.0), np.sin(1.0)), rel=1e-6)
-    box = r"packet box \[(\S+), (\S+)\] "
     assert fits[0] == "factored" and fits[2:4] == (1.0, 2.0)
     lo, hi = map(float, re.fullmatch(box + "fits", fits[1]).groups())
-    # the ground state's support above 1e-13 of its peak (|x| < 7.7) widens
-    # by its band (|k| < 7.7) times hbar B = 2
+    # the same box widens by the band times hbar B = 2
     assert wide.x_min < lo < -20.0 and 20.0 < hi < wide.x_max and lo == pytest.approx(-hi)
     assert leaves[0] == "chirp-z" and leaves[4] == narrow.n_points
     lo, hi = map(float, re.fullmatch(box + "leaves the grid", leaves[1]).groups())
@@ -616,9 +619,10 @@ def test_free_hop_at_large_b_takes_the_factored_form(t_a, t_b, ics, xp, monkeypa
 
 def test_free_hop_whose_box_leaves_the_grid_takes_chirp_z(monkeypatch, caplog):
     # the boosted mode moves by 2.4 and spreads by a factor of 4.2 on a grid
-    # that is not widened; or, on the grid widened for the hop, x_p moves by
-    # 18, while the same hop with x_p = 0 fits it (see the test above): the
-    # Fresnel FFT pair would wrap the packet around
+    # that is not widened; or, on the grid widened for the hop, it starts at
+    # x_p(t_a) = 1.2 rather than 0, and its box sheared by hbar B k leaves
+    # past x_max, while the same hop with x_p = 0 fits (see the test above):
+    # the Fresnel FFT multiply would wrap the packet around
     for t_a, t_b, boost, xp in ((0.3, 4.3, 0.6, (0.0, 0.0)), (0.3, 4.8, 0.1, (0.0, 4.0))):
         s, basis, part = _free_half_hbar(None, xp)
         grid = gho.GridSpec(-10.0, 10.0, 2048) if xp == (0.0, 0.0) else _widened_grid(
@@ -645,8 +649,8 @@ def test_free_hop_whose_box_leaves_the_grid_takes_chirp_z(monkeypatch, caplog):
 
 
 # x_p moves by v t_b (12, 7.2 and 7.5) across [-10, 10]: the packet, or its
-# tails, leave past x_max, and the Fresnel FFT pair would bring them back in
-# past x_min, though the hop is inside the Nyquist band
+# tails, leave past x_max, where the factored form reads 0. Only the Fresnel
+# multiply could wrap them around, and the box it shears stays on the grid
 @pytest.mark.parametrize("v, n, t_b", [(120.0, 1024, 0.1), (60.0, 512, 0.12),
                                        (150.0, 2048, 0.05)])
 def test_unit_hop_inside_the_nyquist_band_reads_the_box(v, n, t_b, caplog):
@@ -658,9 +662,49 @@ def test_unit_hop_inside_the_nyquist_band_reads_the_box(v, n, t_b, caplog):
         moved = propagate(packet, s, basis, part, t_b)
     ((form, test, big_a, big_b, _),) = _propagate_records(caplog)
     assert big_a == 1.0 and s.hbar * abs(big_b) * np.pi / grid.dx <= n * grid.dx
-    assert form == "chirp-z" and test.endswith(" leaves the grid")
+    assert form == "factored" and test.endswith(" fits")
     exact = gho.eigenmode_packet(s, basis, part, 0, t_b, grid)
     assert gho.l2_distance(moved, exact) <= 1e-9
+
+
+# the box of mode 0 at t = 0 on (-10, 10, 2048), dark at both ends, sheared
+# by hbar (B/A) k, not moved by x_p: with x_p from (9, -100) and a basis
+# narrow at t0, A = 0.999 inside the Nyquist band; with x_p from
+# (7.5, -25.862) on the free particle, A = 1 and the box x_p moves back
+# onto the grid crosses x_max before the move. The Fresnel multiply wraps
+# either one: the factored form would land 5e-2 and 2e-2 off
+@pytest.mark.parametrize("spec, ics, xp, t_b", [
+    ({"interval": [0.0, 5.0]}, ((0.1, 0.0), (0.0, 10.0)), (9.0, -100.0), 0.05),
+    ({"frequency": 0.0, "interval": [0.0, 5.0]}, ((0.29, 0.0), (0.0, 1.0 / 0.29)),
+     (7.5, -25.862), 0.29)], ids=["sho-dilated", "free-unit"])
+def test_hop_whose_sheared_box_leaves_the_period_takes_chirp_z(spec, ics, xp, t_b, caplog):
+    s = gho.scenario_from_dict(spec)
+    basis, part = gho.solve_homogeneous_basis(s, ics), gho.solve_particular(s, xp)
+    grid = gho.GridSpec(-10.0, 10.0, 2048)
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        moved = propagate(gho.eigenmode_packet(s, basis, part, 0, 0.0, grid), s, basis, part, t_b)
+    ((form, test, _, _, _),) = _propagate_records(caplog)
+    assert form == "chirp-z" and test.endswith(" leaves the grid")
+    assert l2_distance(moved, gho.eigenmode_packet(s, basis, part, 0, t_b, grid)) <= 1e-9
+
+
+@pytest.mark.parametrize("big_t", [1e-6, 1e-3])
+def test_short_free_hop_of_faint_tails_is_factored(big_t, caplog):
+    # edges 1.4e-13 of the peak: the box fits the period cell, half a
+    # spacing past each end, though not [x_min, x_max]; the chirp-z sum
+    # would ask for 6.4e7 points at 1e-6, and for 64,512 at 1e-3
+    s = gho.scenario_from_dict({"frequency": 0.0, "interval": [0.0, 1.0]})
+    grid = gho.GridSpec(-10.0, 10.0, 1024)
+    x = grid.points
+    packet = WavePacket(grid, np.exp(-x ** 2 / (2.0 * 1.3 ** 2)), 0.5)
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        moved = propagate(packet, s, gho.solve_homogeneous_basis(s), None, 0.5 + big_t)
+    ((form, test, _, _, _),) = _propagate_records(caplog)
+    assert form == "factored" and test.endswith(" fits")
+    assert abs(packet_norm(moved) - packet_norm(packet)) <= 1e-14
+    width = 1.3 ** 2 + 1j * big_t
+    exact = (1.3 ** 2 / width) ** 0.5 * np.exp(-x ** 2 / (2.0 * width))
+    assert np.max(np.abs(moved.samples - exact)) <= 1e-13
 
 
 def test_free_particle_hop_resamples_nothing(free, monkeypatch, caplog):

@@ -2,16 +2,18 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 120 command lines in each tree: the six commands with their default
+Runs 128 command lines in each tree: the six commands with their default
 options, `verify --xp 1.0,0.0`, `verify --xp 1.0,0.5` (a moving x_p, which a
 free-particle hop reads as a shift), `verify --basis custom:0,1.4,0.7,0
 --xp 1.0,0.0` (Omega = -0.98 and rho(t0) = 0.7, so U_S dilates on every
 scenario), `kernel-scan --times 4.0,0.5` (a backward kernel), the four
 packet commands (modes, coherent, evolve,
 invariant) with the default grid given as `--grid=-10,10,2048`, which they
-run as given rather than fit to the modes, and `kernel-values`, a
-`python -c` snippet (KERNEL_VALUES) that prints the repr of seeded scalar
-gho.kernel values, the path no command reads. Each runs on the four bundled
+run as given rather than fit to the modes, and two `python -c` snippets:
+`kernel-values` (KERNEL_VALUES) prints the repr of seeded scalar gho.kernel
+values, the path no command reads, and `hop-values` (HOP_VALUES) the reprs
+of every sample of seeded gho.propagate hops, which verify reaches only
+twice. Each runs on the four bundled
 scenarios, on the coupled scenario of tests/conftest.py (a, b and f nonzero,
 M = 1.3, hbar = 0.7), the one that reaches the gauge phase, on an
 all-kinds scenario that loads each of the five coefficient kinds, on sho
@@ -91,11 +93,42 @@ for t_a, t_b in pairs:
             except gho.GhoError as exc:
                 print(type(exc).__name__)
 """
+# seeded gho.propagate hops of a mode from one t_a in the interval's first
+# half: a short hop, a medium one and a landing on the first focal time
+# after t_a (where there is one), with the default basis and x_p, and a
+# medium hop whose x_p starts from (1, 0.5), a moving x_p (a shift on the
+# free particle), on (-10, 10, 512) widened by the modes' width
+# rho sqrt(hbar) at the widest end; the reprs of each sample's real and
+# imaginary parts, or the name of the exception raised
+HOP_VALUES = """
+import math, random, sys
+import gho
+s = gho.load_scenario(open(sys.argv[1]).read())
+basis = gho.solve_homogeneous_basis(s)
+still, moving = gho.solve_particular(s), gho.solve_particular(s, (1.0, 0.5))
+draw = random.Random(4242)
+t_a = draw.uniform(s.t0, 0.5 * (s.t0 + s.t1))
+hops = [(still, t_a + draw.uniform(0.02, 0.1)), (still, t_a + draw.uniform(0.2, 1.0))]
+hops += [(still, t) for t in gho.caustic_times(basis, t_a).times[:1]]
+hops.append((moving, t_a + draw.uniform(0.2, 1.0)))
+rho = max(float(basis.at(t).rho) for t in (t_a, *(t_b for _, t_b in hops)))
+widen = max(1.0, rho * math.sqrt(s.hbar) - 1e-6)
+grid = gho.GridSpec(-10.0 * widen, 10.0 * widen, 64 * math.ceil(8.0 * widen))
+for part, t_b in hops:
+    packet = gho.eigenmode_packet(s, basis, part, draw.randrange(4), t_a, grid)
+    try:
+        for value in gho.propagate(packet, s, basis, part, t_b).samples.tolist():
+            print(repr(value.real), repr(value.imag))
+    except gho.GhoError as exc:
+        print(type(exc).__name__)
+"""
+SNIPPETS = {"kernel-values": KERNEL_VALUES, "hop-values": HOP_VALUES}
 COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS),
             ("verify", "--xp", "1.0,0.0"), ("verify", "--xp", "1.0,0.5"),
             ("verify", "--basis", "custom:0,1.4,0.7,0", "--xp", "1.0,0.0"),
             ("kernel-scan", "--times", "4.0,0.5"),
-            *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS), ("kernel-values",))
+            *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS), ("kernel-values",),
+            ("hop-values",))
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
 
 
@@ -109,9 +142,9 @@ def export(rev: str, into: Path) -> Path:
 
 
 def interpreter_args(command, scenario: Path) -> list:
-    """The Python arguments of one command line: gho's, or KERNEL_VALUES's."""
-    if command == ("kernel-values",):
-        return ["-c", KERNEL_VALUES, str(scenario)]
+    """The Python arguments of one command line: gho's, or a snippet's."""
+    if command[0] in SNIPPETS:
+        return ["-c", SNIPPETS[command[0]], str(scenario)]
     return ["-m", "gho", *command, "--scenario", str(scenario), "--out", "out"]
 
 
