@@ -1,7 +1,7 @@
 """Propagating packets: exact kernel quadrature against a grid evolver.
 
 The same ground-state Gaussian is pushed forward two independent ways: by
-integrating it against the exact kernel, and by Crank-Nicolson stepping of
+integrating it against the exact kernel, and by Strang split-step evolution of
 the Schrodinger equation. They agree to the evolver's discretization error.
 A full oscillator period brings the packet back to itself (up to the e^{-i pi}
 ground-state phase), and on a free particle the variance grows as (1+t^2)/2.

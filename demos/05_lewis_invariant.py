@@ -47,7 +47,7 @@ for n in range(4):
     val = gho.invariant_expectation(state, basis, part, par)
     print(f"  n = {n}: <I> = {val:.10f}")
 
-print("\nquantum: <I> along an independent Crank-Nicolson evolution:")
+print("\nquantum: <I> along an independent split-step evolution:")
 state = gho.eigenmode_packet(par, basis, part, 0, 0.0, grid)
 cfg = gho.EvolverConfig(dt=1e-2)
 print(f"{'t':>5} {'<I>(t)':>18}")

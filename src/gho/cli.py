@@ -24,14 +24,15 @@ from .packets import (MAX_POINTS, GridSpec, WavePacket, inner_product, l2_distan
 
 _SEED = 20240801
 _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the modes
-# verify's evolver checks take a sixth of _fit_grid's points, spaced as 1 / r
-# in the modes' momentum spread r, and a fine step of 1.8e-2 / round(r)^2.25,
-# so they cost about r^3.25: sho at spread 3 (custom:0.14,0,0,1.5, 3,669
-# points) evolves in 0.5-0.7 s on a 2-core machine; spread 4.5
-# (custom:0.1,0,0,2) would take 3.9-4.1 s, where the solves slow down on the
-# subnormal samples of the packet's dark tails. They run only up to
-# round(r) = 3
-_EVOLVER_MAX_SPREAD = 3
+# verify's evolver checks take a sixth of _fit_grid's points, about r^2 times
+# the base grid's in the modes' momentum spread r, and the fine step 1.8e-2,
+# whose time error grows with r. On sho with squeezed bases, on a 2-core
+# machine, evolver_vs_kernel reads 3.1e-10 at spread 3.3 (custom:0.14,0,0,1.5,
+# 0.09 s for both checks), 1.9e-9 at 4.5 (custom:0.1,0,0,2, 0.15 s), 4.4e-7
+# at 11.2 (custom:0.04,0,0,5, 0.6-1.1 s) and 2.2e-4, over its tolerance, at
+# 31.6 (custom:0.01,0,0,10, 4.4 s). They run up to round(r) = 10 (sho at
+# hbar = 0.01)
+_EVOLVER_MAX_SPREAD = 10
 # evolver_vs_kernel's tolerance, which `invariant` also asks of its start mode
 _EVOLVER_TOL = 1e-4
 
@@ -389,12 +390,12 @@ def _verify_checks(ctx):
         of the five times t0 + k (horizon - t0) / 4 with horizon
         t0 + min(2, 0.8 span): both evolver checks read this one evolution.
         The evolver's grid has the extent of _fit_grid's over the five times
-        and a sixth of its points: its dx^6 spatial error is then about the
-        fine step's time error, not far under."""
+        and a sixth of its points, which still hold the mode's band: the
+        evolver's spatial error is spectral."""
         times = np.linspace(s.t0, s.t0 + min(2.0, 0.8 * span), 5)
-        # the mode's phase rates grow with its momentum spread as well, and
-        # the evolver's time error with them: fine steps of
-        # 1.8e-2 / round(spread)^2.25 (spread^2 reads 8.4e-6 at spread 3)
+        # the mode's phase rates grow with its momentum spread, and the
+        # evolver's time error at its one fine step with them: see
+        # _EVOLVER_MAX_SPREAD
         widen, refine = _mode_scales(s, basis, times)
         spread = round(max(1.0, refine))
         if spread > _EVOLVER_MAX_SPREAD:
@@ -405,13 +406,12 @@ def _verify_checks(ctx):
             raise GridTooNarrow(f"the evolver's sixth of {wide.n_points} points is under 16")
         coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
-        cfg = oracle.EvolverConfig(dt=1.8e-2 / spread ** 2.25)
+        cfg = oracle.EvolverConfig(dt=1.8e-2)
         legs = [float(t) for t in times[1:]]
         return packet, list(oracle.evolve_tdse_stops(s, packet, legs, cfg))
 
     def invariant_drift_tdse():
-        # <I> takes the evolver's own first-derivative stencil, so each state
-        # is read on the grid it was evolved on
+        # each state is read on the grid it was evolved on
         packet, evolved = mode_zero_evolution()
         values = np.asarray([states.invariant_expectation(p, basis, part, s)
                              for p in (packet, *evolved)])
@@ -525,7 +525,7 @@ def run_evolve(args) -> int:
     s = ctx.scenario
     times = _times(args, _interior_times(s, (0.0, 0.5, 1.0)))
     cfg = oracle.EvolverConfig(dt=args.dt)
-    # the evolver reads the edges only when a leg starts: fit over the whole span crossed
+    # the evolver reads the edges only at the ends of its legs: fit over the whole span crossed
     grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))
     start = states.build_generalized_coherent_state(s, ctx.basis, ctx.part, 0, times[0], grid)
     evolved = [start, *oracle.evolve_tdse_stops(s, start, times[1:], cfg)]

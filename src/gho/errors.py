@@ -39,4 +39,4 @@ class GridMismatch(GhoError):
 
 
 class LinearSolveFailure(GhoError):
-    """The banded linear solve inside the grid evolver produced non-finite data."""
+    """The grid evolver met or produced non-finite data, or its norm drifted."""

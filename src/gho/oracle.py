@@ -1,33 +1,27 @@
 """Independent numerical references used to validate the analytic modules.
 
-Nothing here shares mutable state with the code it checks. The evolver is an
-implicit-midpoint (Crank-Nicolson) scheme on a heptadiagonal Hermitian
-discretization of the Hamiltonian, chosen over split-step because the mixed
-a(t) (xp + px) coupling does not factor into kinetic/potential pieces. The
-derivatives take the 7-point sixth-order stencils of gho.packets (samples
-zero beyond the ends), and the mixed term is discretized antisymmetrically,
-(x_j + x_k) D_jk, so the matrix stays exactly Hermitian and each Cayley step
-preserves the discrete norm to solver roundoff. The Schrodinger residual
-applies the same discrete H, with the same stencils, to a sampled field; both
-take H's coefficients from coefficients.hamiltonian_coefficients.
-With A = 1 + i dt H(t_mid) / (2 hbar) the step A psi' = (2 - A) psi is taken
-as psi' = 2 A^-1 psi - psi: one banded solve and no matrix-vector product,
-computed in place on two buffers that swap roles each step. A is factored
-(LAPACK zgbtrf, three sub- and three superdiagonals) only when the midpoint
-coefficients differ from the previous step's. Each run keeps A and its
-factors from leg to leg of an evolution through several stops
-(evolve_tdse_stops), so a run factors again only when A changes: a
-constant scenario once over every leg, and each plateau of a piecewise one
-once. A's off-diagonal rows (the kinetic, drift and mixed terms) are built
-only when M, a, b or dt change; a step where only the potential moves
-rewrites the diagonal alone before it factors. The midpoint rule is
-symmetric, so its time error is even in dt: each evolution is three runs, at
-dt, 2 dt and 4 dt, combined by Romberg extrapolation into a sixth-order result
-(the combination is not exactly unitary; each run is). The evolver sees
-coefficients only at step midpoints, so it cannot apply the delta a jump puts
-into da/dt, db/dt or (dM/dt / M) a; `Scenario` rejects such jumps at load
-time. Every run steps to and from every other jump, so each step sees smooth
-coefficients and the Romberg combination keeps its order.
+Nothing here shares mutable state with the code it checks. The evolver takes
+Strang split steps (Feit, Fleck & Steiger 1982; Strang 1968) in H's own
+coupling gauge, which takes the mixed a (xp + px) and drift (b / M) p terms
+out of H: with chi = a M x^2 + b x and psi = exp(i chi / hbar) phi,
+
+    i hbar dphi/dt = [p^2 / (2M) + W] phi,
+    W = (v2 - 2 a^2 M + d(aM)/dt) x^2 + (v1 - 2 a b + db/dt) x + v0 - b^2 / (2M),
+
+with M, a, b, v2, v1 and v0 from coefficients.hamiltonian_coefficients and
+the derivatives from each coefficient kind's eval. A step of length dt at
+the midpoint coefficients multiplies the samples by exp(-i W dt / (2 hbar)),
+their FFT spectrum by exp(-i hbar k^2 dt / (2M)) and the samples by
+exp(-i W dt / (2 hbar)) again: every factor has modulus one, so each run is
+unitary to rounding, and the kinetic step is exact on the grid's band (the
+grid taken as one period, which the packet's dark edges make harmless).
+Strang's step is symmetric, so its time error is even in dt: each evolution
+is three runs, at dt, 2 dt and 4 dt, combined by Romberg extrapolation into
+a sixth-order result (the combination is not exactly unitary; each run is).
+`Scenario` rejects jumps in a, b and (dM/dt / M) a, whose deltas no midpoint
+step could apply, so W holds none and chi is continuous. The Schrodinger
+residual applies H on the 7-point sixth-order stencils of gho.packets to a
+sampled field, which need not be periodic (a kernel slice is not).
 """
 
 from __future__ import annotations
@@ -37,23 +31,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .classical import ClassicalBasis, _check_time, particular_or_zero
 from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
-from .packets import _D1, _D2, MAX_POINTS, GridSpec, WavePacket, derivative, second_derivative
+from .packets import (MAX_POINTS, GridSpec, WavePacket, _scipy_fft, derivative,
+                      second_derivative)
 from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
 
 _log = logging.getLogger(__name__)
 
-_BAND = len(_D1) - 1  # sub- and superdiagonals of the step matrix
-# Crank-Nicolson steps of one evolve_tdse call over its three runs. The fine
-# run's table of midpoint coefficients peaks at about 0.15 kB a step, and on
-# a 2-core machine a step takes 27 us on 341 points of sho and 0.38 ms on
-# 2,048 points of parametric (one factorization a step): at the cap, about
-# 85 MB and half a minute to six minutes
+# Strang steps of one evolve_tdse call over its three runs. Its table of
+# midpoint coefficients peaks at about 0.15 kB a step, and on a 2-core
+# machine a step takes 21 us on 341 points of sho and 90 us on 2,048 of
+# parametric: at the cap, about 155 MB and 20 s to 90 s
 MAX_STEPS = 1_000_000
 
 __all__ = [
@@ -78,100 +70,87 @@ class EvolverConfig:
 
 
 def solve_banded(factors, rhs):
-    """A^-1 rhs from the zgbtrf factors (lu, ipiv) of a banded A,
+    """A^-1 rhs from the zgbtrf factors (lu, ipiv) of a heptadiagonal A,
     written over rhs when it is a contiguous complex array (use the result)."""
+    # no gho code calls it: perfbench's tracer still wraps it by name
+    from scipy.linalg.lapack import zgbtrs
+
     lu, ipiv = factors
-    out, info = zgbtrs(lu, _BAND, _BAND, rhs, ipiv, overwrite_b=1)
+    out, info = zgbtrs(lu, 3, 3, rhs, ipiv, overwrite_b=1)
     if info != 0:
         raise LinearSolveFailure(f"banded solve failed (zgbtrs info {info})")
     return out
 
 
-# the columns of a step's coefficient row (M, a, b, v2, v1, v0, dt) that
-# reach the step matrix's off-diagonal rows; v2, v1 and v0 reach its diagonal
-# alone
-_OFF_DIAGONAL = [0, 1, 2, 6]
+def _cis(phase, what: str) -> np.ndarray:
+    """exp(i phase) for one of the evolver's factors; LinearSolveFailure
+    where a phase is not finite."""
+    if not np.all(np.isfinite(phase)):
+        raise LinearSolveFailure(f"non-finite {what} factor")
+    return np.exp(1j * phase)
 
 
-class _Run:
-    """One Crank-Nicolson run of an evolution on one grid, kept from leg to
-    leg: the band of its step matrix A = 1 + i dt H / (2 hbar), A's zgbtrf
-    factors and the coefficient row (M, a, b, v2, v1, v0, dt) they were made
-    for. M, a, b and dt set A's off-diagonal rows (the kinetic, drift and
-    mixed terms), which a template holds; it is built and checked for
-    finiteness only when one of them moves. A step where only v2, v1 or v0
-    move copies the template, writes and checks the diagonal and factors."""
+class _StrangRun:
+    """One Strang run of an evolution on one grid, kept from leg to leg: the
+    row (M, w2, w1, w0, dt) of its last step and the factors made for it,
+    the potential's half step exp(-i W dt / (2 hbar)) with
+    W = w2 x^2 + w1 x + w0, its square and the kinetic step
+    exp(-i hbar k^2 dt / (2M)) at the FFT's angular frequencies k. Where two
+    steps of a leg share a row, the closing half step of the first and the
+    opening one of the second are one product, the square; every leg ends
+    with its own half step."""
 
     def __init__(self, hbar: float, grid: GridSpec):
-        self.hbar, self.dx, self.x = hbar, grid.dx, grid.points
-        # pairs[k] holds x_j + x_(j+k)
-        self.pairs = {k: self.x[:-k] + self.x[k:] for k in range(1, _BAND + 1)}
-        # LAPACK band storage: A[i, j] sits in row 2 _BAND + i - j, column j;
-        # the top _BAND rows are zgbtrf's room for the pivoting fill-in
-        self.template = np.zeros((3 * _BAND + 1, grid.n_points), dtype=np.complex128,
-                                 order="F")
-        self.band = np.empty_like(self.template, order="F")
-        self.row = np.full(7, math.nan)  # equal to no row: the first step factors
-        self.kin = math.nan
-        self.factors = None
-
-    def _write_off_diagonal(self, m, a_c, b_c, i_half):
-        self.kin = -0.5 * self.hbar ** 2 / (m * self.dx * self.dx)
-        # -a (xp + px) -> i hbar a (D X + X D); -(b/M) p -> i hbar (b/M) D
-        drift = 1j * self.hbar * b_c / (m * self.dx)
-        mixed = 1j * self.hbar * a_c / self.dx
-        for k in range(1, _BAND + 1):
-            h = self.kin * _D2[k] + _D1[k] * (drift + mixed * self.pairs[k])  # H[j, j + k]
-            self.template[2 * _BAND - k, k:] = i_half * h
-            self.template[2 * _BAND + k, :-k] = i_half * np.conj(h)
-        if not np.all(np.isfinite(self.template)):
-            raise LinearSolveFailure("non-finite step matrix")
-
-    def _factor(self, row, off_diagonal_moved):
-        m, a_c, b_c, v2, v1, v0, dt = row
-        i_half = 0.5j * dt / self.hbar
-        if off_diagonal_moved:
-            self._write_off_diagonal(m, a_c, b_c, i_half)
-        x = self.x
-        diagonal = 1.0 + i_half * (self.kin * _D2[0] + v0 + (v2 * x + v1) * x)
-        if not np.all(np.isfinite(diagonal)):
-            raise LinearSolveFailure("non-finite step matrix")
-        np.copyto(self.band, self.template)
-        self.band[2 * _BAND] = diagonal
-        lu, ipiv, info = zgbtrf(self.band, _BAND, _BAND, overwrite_ab=1)
-        if info != 0:
-            raise LinearSolveFailure(f"singular step matrix (zgbtrf info {info})")
-        self.factors = lu, ipiv
+        self.hbar, self.x = hbar, grid.points
+        k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
+        self.k2 = k * k
+        self.row = np.full(5, math.nan)  # equal to no row: the first step makes both
+        self.half = self.whole = self.kinetic = None
 
     def leg(self, samples, table):
-        """Steps the samples once per row of table, each the (M, a, b, v2, v1,
-        v0, dt) of a step at its midpoint: the final samples, the step count,
-        the number of factorizations and the norm drift, which must stay
-        within 1e-10 per step. A is factored again only at a row that
-        differs from the one before it, the previous leg's last row included."""
+        """Steps the samples once per row of table, each the (M, w2, w1, w0,
+        dt) of a step at its midpoint: the final samples, the step count, the
+        number of potential and of kinetic factors made, and the norm drift,
+        which must stay within 1e-10 per step. A factor is made again only
+        at a row where a coefficient it reads differs from the row before
+        it, the previous leg's last row included."""
         moved = table != np.vstack([self.row, table[:-1]])
-        fresh = np.any(moved, axis=1)
-        off_diagonal = np.any(moved[:, _OFF_DIAGONAL], axis=1)
+        potential = np.any(moved[:, 1:], axis=1).tolist()
+        kinetic = (moved[:, 0] | moved[:, 4]).tolist()
+        fft = _scipy_fft()
         n_steps = len(table)
         psi = np.array(samples, dtype=np.complex128)
-        work = np.empty_like(psi)
         norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
+        x = self.x
         for k in range(n_steps):
-            if fresh[k]:
-                self._factor(table[k], off_diagonal[k])
-            # A^-1 (2 psi) is 2 A^-1 psi to the bit: scaling by 2 is exact
-            np.multiply(psi, 2.0, out=work)
-            y = solve_banded(self.factors, work)
-            np.subtract(y, psi, out=y)
-            psi, work = y, psi
-            # one BLAS pass: |psi|^2 is finite unless a sample is not
-            if not math.isfinite(np.vdot(psi, psi).real):
+            if potential[k] or kinetic[k]:
+                m, w2, w1, w0, dt = table[k].tolist()
+            if potential[k]:
+                self.half = _cis(((w2 * x + w1) * x + w0) * (-0.5 * dt / self.hbar),
+                                 "potential")
+                self.whole = None
+            if potential[k] or k == 0:  # else the last step's closing product holds it
+                psi *= self.half
+            if kinetic[k]:
+                self.kinetic = _cis(self.k2 * (-0.5 * self.hbar * dt / m), "kinetic")
+            spectrum = fft.fft(psi, overwrite_x=True)
+            spectrum *= self.kinetic
+            psi = fft.ifft(spectrum, overwrite_x=True)
+            if k + 1 < n_steps and not potential[k + 1]:
+                if self.whole is None:
+                    self.whole = self.half * self.half
+                psi *= self.whole
+            else:
+                psi *= self.half
+            # the sum is finite unless a sample is not; numpy's pairwise sum,
+            # not a BLAS dot, whose threads wake slowly between transforms
+            if not np.isfinite(psi.sum()):
                 raise LinearSolveFailure(f"non-finite state after step {k + 1}")
         self.row = table[-1].copy()
         drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2))) / norm0 - 1.0)
         if drift > 1e-10 * n_steps:
             raise LinearSolveFailure(f"norm drifted by {drift:.2e} over {n_steps} steps")
-        return psi, n_steps, int(np.count_nonzero(fresh)), drift
+        return psi, n_steps, sum(potential), sum(kinetic), drift
 
 
 def _smooth_pieces(s: Scenario, t_a: float, t_b: float):
@@ -185,22 +164,22 @@ def _smooth_pieces(s: Scenario, t_a: float, t_b: float):
 
 def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
                 cfg: EvolverConfig) -> WavePacket:
-    """Sixth-order evolution of a packet to t_end: three Crank-Nicolson runs,
-    at a fine step dt of about cfg.dt, at 2 dt and at 4 dt, extrapolated as
-    (64 psi_dt - 20 psi_2dt + psi_4dt) / 45; evolve_tdse_stops with the one
-    stop t_end.
+    """Sixth-order evolution of a packet to t_end: three Strang runs, at a
+    fine step dt of about cfg.dt, at 2 dt and at 4 dt, extrapolated as
+    (64 psi_dt - 20 psi_2dt + psi_4dt) / 45 (see the module docstring);
+    evolve_tdse_stops with the one stop t_end.
 
     The interval is first cut at every breakpoint inside it where a piecewise
-    coefficient jumps, so that no step of any run straddles a jump (the
-    midpoint rule is only first order across one). On each smooth piece the
-    coarse run takes round(|piece| / (4 cfg.dt)) steps, at least one, and the
-    middle and fine runs twice and four times as many, so all three divide
-    the piece evenly and runs are deterministic. Each run samples the
-    coefficients at step midpoints; each step is psi' = 2 A^-1 psi - psi with
-    A = 1 + i dt H / (2 hbar) on the 7-point stencils, and A is factored again
-    only when the midpoint coefficients change. Logs, at DEBUG level on the
-    "gho.oracle" logger, the grid's point count and spacing, each run's step
-    count, factorizations and norm drift, and the Romberg error estimate
+    coefficient jumps, so that no step of any run straddles a jump (a step
+    across one is only first order). On each smooth piece the coarse run
+    takes round(|piece| / (4 cfg.dt)) steps, at least one, and the middle and
+    fine runs twice and four times as many, so all three divide the piece
+    evenly and runs are deterministic. chi is taken at the packet's time and
+    at t_end. The packet must be dark at both edges when the leg starts and
+    when it ends (GridTooNarrow otherwise): the FFT would wrap a bright edge
+    round. Logs, at DEBUG level on the "gho.oracle" logger, the grid's
+    point count and spacing, each run's step count, potential and kinetic
+    factors made and norm drift, and the Romberg error estimate
     |R_dt - R_2dt| / (15 |psi|) of the fourth-order extrapolations
     R_h = (4 psi_h - psi_2h) / 3, which the sixth-order result improves on.
     The packet's time and t_end must lie in the working interval, and the
@@ -217,12 +196,12 @@ def evolve_tdse_stops(s: Scenario, packet: WavePacket, stops, cfg: EvolverConfig
     evolve_tdse's call. A leg runs only when its state is asked for, so a
     stop that fails raises after the states before it are yielded.
 
-    Each of the three runs keeps its step matrix from leg to leg, so a leg
-    whose first step has the coefficients of the previous leg's last step
-    (a constant scenario, or a plateau across the stop) factors nothing, and
-    its DEBUG record reports 0 factorizations for that run.
+    Each of the three runs keeps its factors from leg to leg, so a leg whose
+    first step has the coefficients of the previous leg's last step (a
+    constant scenario, or a plateau across the stop) makes none, and its
+    DEBUG record reports 0 potential and 0 kinetic factors for that run.
     """
-    runs = [_Run(s.hbar, packet.grid) for _ in range(3)]  # fine, middle, coarse
+    runs = [_StrangRun(s.hbar, packet.grid) for _ in range(3)]  # fine, middle, coarse
     for t_end in stops:
         packet = _evolve_leg(s, packet, t_end, cfg, runs)
         yield packet
@@ -243,8 +222,8 @@ def _evolve_leg(s: Scenario, packet: WavePacket, t_end, cfg: EvolverConfig, runs
     if total > MAX_STEPS:
         raise ValidationError(f"dt={cfg.dt:g} from t={packet.t:g} to t_end={t_end:g} takes "
                               f"{total:.3g} steps, more than MAX_STEPS = {MAX_STEPS}")
-    # every run's steps: each piece's step and midpoints, the three runs'
-    # coefficients from one call
+    # every run's steps: each piece's step and midpoints; the three runs'
+    # coefficients, and chi's at the leg's two ends, from one call
     dts, mids = [], []
     for scale in (4, 2, 1):
         counts = scale * coarse_counts.astype(int)
@@ -252,28 +231,44 @@ def _evolve_leg(s: Scenario, packet: WavePacket, t_end, cfg: EvolverConfig, runs
         dts.append(np.repeat(piece_dts, counts))
         mids.extend(lo + (np.arange(n) + 0.5) * dt
                     for lo, n, dt in zip(edges[:-1], counts, piece_dts))
-    table = np.column_stack((*hamiltonian_coefficients(s, np.concatenate(mids)),
-                             np.concatenate(dts)))
+    times = np.concatenate([*mids, [packet.t, t_end]])
+    m, a_c, b_c, v2, v1, v0 = hamiltonian_coefficients(s, times)
+    # chi / hbar at the leg's two ends, the last two times: into the gauge
+    # frame and out of it
+    x = packet.grid.points
+    start, end = ((a_c[k] * m[k] * x + b_c[k]) * x / s.hbar for k in (-2, -1))
+    mids, m, a_c, b_c = times[:-2], m[:-2], a_c[:-2], b_c[:-2]
+    m_dot, a_dot, b_dot = (coefficient.eval(mids)[1] for coefficient in (s.mass, s.a, s.b))
+    table = np.empty((mids.size, 5))  # a step's M, w2, w1, w0 and dt
+    table[:, 0] = m
+    table[:, 1] = v2[:-2] - 2.0 * a_c * a_c * m + a_dot * m + a_c * m_dot
+    table[:, 2] = v1[:-2] - 2.0 * a_c * b_c + b_dot
+    table[:, 3] = v0[:-2] - b_c * b_c / (2.0 * m)
+    table[:, 4] = np.concatenate(dts)
     tables = np.split(table, np.cumsum([d.size for d in dts[:-1]]))
-    results = [run.leg(packet.samples, rows) for run, rows in zip(runs, tables)]
+    phi = packet.samples * _cis(-start, "gauge")
+    results = [run.leg(phi, rows) for run, rows in zip(runs, tables)]
     fine, middle, coarse = (result[0] for result in results)
     # R_dt - R_2dt = (4 psi_dt - 5 psi_2dt + psi_4dt) / 3
     estimate = float(np.linalg.norm(4.0 * fine - 5.0 * middle + coarse)
                      / (45.0 * np.linalg.norm(packet.samples)))
     _log.debug("evolve_tdse: grid %d points, dx %.6g; "
-               "fine run %d steps, %d factorizations, norm drift %.3e; "
-               "middle run %d steps, %d factorizations, norm drift %.3e; "
-               "coarse run %d steps, %d factorizations, norm drift %.3e; "
+               "fine run %d steps, %d potential and %d kinetic factors, norm drift %.3e; "
+               "middle run %d steps, %d potential and %d kinetic factors, norm drift %.3e; "
+               "coarse run %d steps, %d potential and %d kinetic factors, norm drift %.3e; "
                "Romberg error estimate %.3e", packet.grid.n_points, packet.grid.dx,
                *(value for result in results for value in result[1:]), estimate)
-    return WavePacket(packet.grid, (64.0 * fine - 20.0 * middle + coarse) / 45.0, t=t_end)
+    out = WavePacket(packet.grid, (64.0 * fine - 20.0 * middle + coarse) / 45.0
+                     * _cis(end, "gauge"), t=t_end)
+    out.require_dark_edges(1e-8, f"evolve_tdse's state at t={t_end:g}")
+    return out
 
 
 def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
     """The summands of H(t) samples: kinetic, mixed a(xp + px), drift b p,
-    potential. With the stencils of packets.derivative and second_derivative
-    and the mixed term as i hbar a (X D + D X), which is the step matrix's
-    (x_j + x_k) D_jk, their sum is the evolver's discrete H times samples."""
+    potential, with the stencils of packets.derivative and second_derivative
+    and the mixed term as i hbar a (X D + D X): their sum is a Hermitian
+    discrete H times samples."""
     x = grid.points
     dx = grid.dx
     hbar = s.hbar
@@ -314,8 +309,8 @@ def schrodinger_residual(field, s: Scenario, t: float, grid: GridSpec) -> float:
     """Normalized residual of (-i hbar d/dt + H) applied to a field.
 
     `field(t, x_array)` must be evaluable in a neighborhood of t. The time
-    derivative uses centered differences with step 1e-5 min(1, hbar), H is the
-    evolver's discrete H on the 7-point sixth-order stencils, and the max-norm
+    derivative uses centered differences with step 1e-5 min(1, hbar), H is
+    discretized on the 7-point sixth-order stencils, and the max-norm
     over interior nodes is divided by the largest single term of the operator
     applied to the field.
     """

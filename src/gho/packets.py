@@ -21,8 +21,8 @@ lattice, 0 at the points off the grid, and one grid phase into which the
 chirp-z's end ramp folds. Derivatives
 are the 7-point sixth-order central stencils with the samples taken as zero
 beyond the ends (which are required to be numerically dark anyway): the
-weights _D1 and _D2 are defined here once, and gho.oracle's evolver builds
-its step matrix from the same ones.
+weights _D1 and _D2 are defined here once, and gho.oracle's Schrodinger
+residual and gho.states' invariant apply the same ones.
 
 The packet functions here and in gho.propagator and gho.states compute in
 place on arrays they own and never write to their inputs. Where a test pins

@@ -302,7 +302,7 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
               / (2 |Omega| ||psi||^2),
 
     real and non-negative by construction. P psi takes one pass of
-    packets.derivative, the evolver's 7-point sixth-order stencil, and each
+    packets.derivative, the 7-point sixth-order stencil, and each
     norm is the trapezoidal integral.
 
     The sum of squares rests on P being Hermitian: the zero-padded stencil

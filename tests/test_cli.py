@@ -848,9 +848,11 @@ def test_verify_evolves_the_ground_mode_once(caplog, capsys):
     grids = [re.search(r"grid (\d+) points, dx (\S+);", m).groups() for m in records]
     assert all(int(n) == 341 and float(dx) == pytest.approx(20.0 / 340, rel=1e-5)
                for n, dx in grids)
-    # |R_dt - R_2dt| / (15 |psi|) per leg, measured 8.0e-11
+    # |R_dt - R_2dt| / (15 |psi|) per leg, the fourth-order pair's error:
+    # measured 3.2e-9, about 400 times the sixth-order result's 8e-12 from
+    # propagate
     estimates = [float(re.search(r"Romberg error estimate (\S+)", m)[1]) for m in records]
-    assert len(estimates) == 4 and all(0.0 < e < 1e-9 for e in estimates)
+    assert len(estimates) == 4 and all(0.0 < e < 1e-8 for e in estimates)
 
 
 @pytest.mark.parametrize("scenario", ["sho", "free_particle"])
@@ -892,10 +894,12 @@ def test_composition_triple_takes_one_coefficient_call(tmp_path, monkeypatch):
     assert triple == tuple(f * 2.5 * np.pi for f in (0.1, 0.2, 0.3))
 
 
-@pytest.mark.parametrize("ics", ["0.14,0,0,1.5", "-0.5414,0.4926,0.9182,-0.5404"])
+@pytest.mark.parametrize("ics", ["0.14,0,0,1.5", "-0.5414,0.4926,0.9182,-0.5404",
+                                 "0.1,0,0,2"])
 def test_verify_strongly_squeezed_bases_pass(ics, capsys):
-    # modes about 3.3 times narrower in momentum than the base grid expects:
-    # verify refines its grids and the evolver's step by the momentum spread
+    # modes about 3.3 (and, on custom:0.1,0,0,2, 4.5) times narrower in
+    # momentum than the base grid expects: verify refines its grids by the
+    # momentum spread
     code = main(["verify", "--scenario", str(SCENARIOS / "sho.json"),
                  "--basis", f"custom:{ics}"])
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
@@ -945,9 +949,8 @@ def test_verify_evolves_on_a_sixth_of_grid_for_points(basis, monkeypatch):
 
 
 def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
-    # <I> takes the evolver's own sixth-order stencil, so each of the five
-    # states is read on the grid it was evolved on: _fit_grid's extent with
-    # a sixth of its points
+    # each of the five states is read on the grid it was evolved on:
+    # _fit_grid's extent with a sixth of its points
     evolved, stops_asked, read = [], [], []
     evolve, expectation = cli.oracle.evolve_tdse_stops, cli.states.invariant_expectation
 
@@ -1001,14 +1004,11 @@ def test_verify_evolves_through_its_four_legs_only(tmp_path, monkeypatch):
     assert hops == [stops[1]]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="verify's fine evolver step reads the modes' momentum spread, "
-                   "not how fast a(t) turns")
 def test_verify_passes_with_a_fast_turning_a(tmp_path, capsys):
     # a = sin 3t over [0, 1]: propagate takes the n = 0 mode to within 6e-14
-    # of the exact one, but the evolver's error falls about as dt^6, and at
-    # verify's step evolver_vs_kernel reads 3.7e-4 (7.5e-3 with --xp, where
-    # invariant_drift_tdse reads 8.2e-4)
+    # of the exact one. The evolver's gauge takes a out of H exactly, and at
+    # verify's step evolver_vs_kernel reads 3.3e-12 (4.1e-12 with --xp, where
+    # invariant_drift_tdse reads 4.1e-6, the stencils' error in <I>)
     path = tmp_path / "fast_a.json"
     path.write_text(json.dumps({"a": {"kind": "sinusoidal", "amplitude": 1.0, "omega": 3.0}}))
     codes = [main(["verify", "--scenario", str(path), *xp]) for xp in ([], ["--xp", "1.0,0.0"])]
@@ -1080,11 +1080,27 @@ def test_kernel_closed_form_is_mehlers_kernel(spec, tmp_path):
 
 
 def test_verify_skips_evolver_checks_beyond_the_resolved_spread():
-    # momentum spread 4.5: the evolver checks would run for about half a
-    # minute, so they skip before evolving
+    # momentum spread 11.2: past the spread cap of 10 the evolver checks
+    # skip before evolving (here they would read 4.4e-7 in about a second)
     args = cli.build_parser().parse_args(
-        ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--basis", "custom:0.1,0,0,2"])
+        ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--basis", "custom:0.04,0,0,5"])
     checks = {name: check for name, _, check in cli._verify_checks(cli._Context(args))}
     for name in ("invariant_drift_tdse", "evolver_vs_kernel"):
-        with pytest.raises(GridTooNarrow, match="momentum spread rounds to 4"):
+        with pytest.raises(GridTooNarrow, match="momentum spread rounds to 11"):
             checks[name]()
+
+
+@pytest.mark.parametrize("scenario", ["sho", "parametric"])
+def test_verify_evolver_checks_pass_at_small_hbar(scenario, tmp_path):
+    # hbar = 0.05 spreads the modes' momentum to 4.5 times the base grid's:
+    # measured 6.0e-12 and 8.1e-12 (evolver_vs_kernel), 4.2e-16 and 1.6e-9
+    # (invariant_drift_tdse). driven_sho's drift reads 2.1e-5 there, over
+    # its 1e-5, while its evolved state is 7.5e-11 from propagate's
+    path = tmp_path / f"{scenario}.json"
+    path.write_text(json.dumps({**json.loads((SCENARIOS / f"{scenario}.json").read_text()),
+                                "hbar": 0.05}))
+    ctx = cli._Context(cli.build_parser().parse_args(["verify", "--scenario", str(path)]))
+    checks = {name: (tol, check) for name, tol, check in cli._verify_checks(ctx)}
+    for name in ("invariant_drift_tdse", "evolver_vs_kernel"):
+        tol, check = checks[name]
+        assert check() <= tol

@@ -1,5 +1,6 @@
 import logging
 import re
+import types
 
 import numpy as np
 import pytest
@@ -62,8 +63,8 @@ def test_norm_drift_over_thousand_steps(parametric, grid):
 
 def test_evolver_vs_kernel_propagation(sho, sho_basis, parametric,
                                        parametric_basis, grid):
-    # measured 3.5e-13 (sho) and 2.6e-11 (parametric); the bound, set with 8x
-    # margin over the fourth-order pair's 4.1e-10 and 3.7e-9, is kept
+    # measured 4.4e-13 (sho) and 5.0e-13 (parametric); the bound, set with 8x
+    # margin over a fourth-order evolver's 4.1e-10 and 3.7e-9, is kept
     for s, basis in ((sho, sho_basis), (parametric, parametric_basis)):
         packet = sho_eigenstate(0, grid)
         evolved = evolve_tdse(s, packet, 1.0, EvolverConfig(dt=1e-2))
@@ -95,14 +96,14 @@ def _evolver_error(spec, grid, dt):
     return l2_distance(evolved, propagate(packet, s, basis, part, 1.0))
 
 
-# measured 2.0e-10 (coupled), 7.9e-8 (step) and 5.6e-8 (step_mid_coarse_step);
-# the bounds, set with about 8x margin over the fourth-order pair's 1.3e-8,
+# measured 4.7e-13 (coupled), 2.7e-12 (step) and 2.2e-12 (step_mid_coarse_step);
+# the bounds, set with about 8x margin over a fourth-order evolver's 1.3e-8,
 # 6.4e-7 and 5.9e-7, are kept
 @pytest.mark.parametrize("spec, bound", [(COUPLED, 1e-7), (FREQUENCY_STEP, 5e-6),
                                          (FREQUENCY_STEP_MID, 5e-6)],
                          ids=["coupled", "step", "step_mid_coarse_step"])
 def test_evolver_vs_propagate(spec, bound, grid):
-    # the step cases fail if the step matrix is not factored again after the
+    # the step cases fail if the potential factor is not made again after the
     # frequency changes; the mid-step case reads 3.2e-3 if a coarse step
     # straddles the jump instead of ending on it
     assert _evolver_error(spec, grid, 1e-2) < bound
@@ -112,9 +113,10 @@ def test_evolver_vs_propagate(spec, bound, grid):
                          ids=["a_sign_flipped", "b_drift_dropped"])
 def test_evolver_vs_propagate_fails_on_a_wrong_coupling(column, factor, grid,
                                                         monkeypatch):
-    # the evolver with the mixed a (xp + px) term's sign flipped, or with the
-    # -(b/M) p drift dropped (b^2 / 2M stays in the potential), lands about 0.2
-    # away from propagate on the coupled scenario
+    # the evolver with a's sign flipped in H, or with b dropped from H (b^2 / 2M
+    # stays in v0): the gauge chi = a M x^2 + b x and the potential W read
+    # them, and it lands 0.20 or 0.23 away from propagate on the coupled
+    # scenario
     coefficients = gho.oracle.hamiltonian_coefficients
 
     def mutated(s, t):
@@ -127,71 +129,59 @@ def test_evolver_vs_propagate_fails_on_a_wrong_coupling(column, factor, grid,
 
 
 def test_evolver_is_sixth_order_in_time(grid):
-    # each halving of dt cuts the error about 64x (measured 44.2, 56.8, 61.7,
-    # from 1.9e-6 down to 1.2e-11, over the grid's floor of about 7e-13); a
-    # fourth-order error would cut it 16x
-    errors = [_evolver_error(COUPLED, grid, dt) for dt in (0.05, 0.025, 0.0125, 0.00625)]
+    # each halving of dt cuts the error about 64x (measured 81, 260 and 65,
+    # from 1.0e-4 down to 7.7e-11); a fourth-order error would cut it 16x.
+    # Finer steps meet the grid's rounding floor: 1.1e-12 at dt = 0.0125 and
+    # 4.6e-13 at 0.00625
+    errors = [_evolver_error(COUPLED, grid, dt) for dt in (0.2, 0.1, 0.05, 0.025)]
     assert all(coarse > 40.0 * fine for coarse, fine in zip(errors, errors[1:]))
 
 
-def test_evolver_is_sixth_order_in_space():
+def test_evolver_is_spectral_in_space():
     # dx = 20 / 64, 20 / 128, 20 / 256, 20 / 512 at a step whose time error
-    # is far below the spatial one: each halving of dx cuts the error about
-    # 64x (measured 58.4, 62.5, 63.1); fourth-order stencils would cut it 16x
+    # is far below the spatial one: the kinetic step is exact on the FFT's
+    # band, so the coarsest grid, 0.31 apart for a packet about 1 wide,
+    # already reads the rounding floor (measured 7.4e-14, 4.9e-14, 1.2e-13
+    # and 2.8e-13; bound with 10x margin). 7-point sixth-order stencils read
+    # 7.2e-5 at 65 points
     errors = [_evolver_error(COUPLED, GridSpec(-10.0, 10.0, n), 1.25e-3)
               for n in (65, 129, 257, 513)]
-    assert all(coarse > 40.0 * fine for coarse, fine in zip(errors, errors[1:]))
+    assert max(errors) < 3e-12
 
 
-def test_residual_applies_the_evolvers_discrete_hamiltonian(monkeypatch):
-    # the residual's H, its summands applied to each unit vector, is the
-    # evolver's step matrix (A - 1) / (i dt / 2 hbar), read off the band
-    # a run's _factor hands to LAPACK, and both are Hermitian (conftest's
-    # coupled scenario: a, b, f, M and hbar all away from 0 and 1)
+def test_residual_hamiltonian_is_hermitian():
+    # the residual's H, its summands applied to each unit vector, is
+    # Hermitian: the stencils are symmetric and antisymmetric, and the mixed
+    # term is i hbar a (X D + D X) (conftest's coupled scenario: a, b, f, M
+    # and hbar all away from 0 and 1)
     s = gho.scenario_from_dict(CONFTEST_COUPLED)
     grid = GridSpec(-10.0, 10.0, 32)
-    n, t, width = grid.n_points, 0.7, gho.oracle._BAND
-    bands = []
-    factor = gho.oracle.zgbtrf
-
-    def spy(band, *args, **kwargs):
-        bands.append(band.copy())
-        return factor(band, *args, **kwargs)
-
-    monkeypatch.setattr(gho.oracle, "zgbtrf", spy)
-    i_half = 0.5j * 1e-2 / s.hbar
-    gho.oracle._Run(s.hbar, grid)._factor(
-        np.array([*gho.hamiltonian_coefficients(s, t), 1e-2]), True)
-    (band,) = bands
-    step = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(max(0, i - width), min(n, i + width + 1)):
-            step[i, j] = band[2 * width + i - j, j]
-    step_h = (step - np.eye(n)) / i_half
-    residual_h = np.column_stack([sum(gho.oracle._hamiltonian_terms(s, t, grid, unit))
-                                  for unit in np.eye(n)])
-    scale = np.max(np.abs(step_h))
-    assert np.max(np.abs(residual_h - step_h)) <= 1e-13 * scale
+    residual_h = np.column_stack([sum(gho.oracle._hamiltonian_terms(s, 0.7, grid, unit))
+                                  for unit in np.eye(grid.n_points)])
+    scale = np.max(np.abs(residual_h))
     assert np.max(np.abs(residual_h - residual_h.conj().T)) <= 1e-13 * scale
 
 
-def _factorizations(caplog):
-    """The factorization counts of the fine, the middle and the coarse run of
-    one call."""
-    (record,) = [r for r in caplog.records if r.name == "gho.oracle"]
-    return [int(n) for n in re.findall(r"(\d+) factorizations", record.getMessage())]
+def _factors(caplog):
+    """Each leg's (potential, kinetic) counts of factors made by the fine,
+    the middle and the coarse run."""
+    return [[tuple(map(int, pair)) for pair in
+             re.findall(r"(\d+) potential and (\d+) kinetic factors", r.getMessage())]
+            for r in caplog.records if r.name == "gho.oracle"]
 
 
 @pytest.mark.parametrize("spec, count", [
     ({"interval": [0.0, 2.0]}, 1),
-    ({"frequency": {"kind": "piecewise", "breakpoints": [0.3, 0.6, 1.5],
+    # three plateaus on [0, 1], of 0.25, 0.25 and 0.5: 6, 6 and 12 coarse
+    # steps, all of one length, so M and dt never move
+    ({"frequency": {"kind": "piecewise", "breakpoints": [0.25, 0.5, 1.5],
                     "values": [1.0, 1.4, 0.8, 1.2]}, "interval": [0.0, 2.0]}, 3),
 ])
 def test_evolver_factors_once_per_plateau(spec, count, grid, caplog):
     s = gho.scenario_from_dict(spec)
     with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
         evolve_tdse(s, sho_eigenstate(0, grid), 1.0, EvolverConfig(dt=1e-2))
-    assert _factorizations(caplog) == [count] * 3
+    assert _factors(caplog) == [[(count, 1)] * 3]
 
 
 STOPS = [0.5, 1.0, 1.5, 2.0]
@@ -216,70 +206,63 @@ def test_evolver_stops_equal_chained_calls_to_the_bit(spec):
     assert all(np.array_equal(a.samples, b.samples) for a, b in zip(through, chained))
 
 
-def _leg_factorizations(caplog):
-    """Each leg's factorization counts of the fine, middle and coarse run."""
-    return [[int(n) for n in re.findall(r"(\d+) factorizations", r.getMessage())]
-            for r in caplog.records if r.name == "gho.oracle"]
-
-
 def test_evolver_stops_factor_a_constant_scenario_once_per_run(sho, caplog):
     start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341))
     with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
         list(gho.oracle.evolve_tdse_stops(sho, start, STOPS, EvolverConfig(dt=1.8e-2)))
-    assert _leg_factorizations(caplog) == [[1, 1, 1]] + [[0, 0, 0]] * 3
+    assert _factors(caplog) == [[(1, 1)] * 3] + [[(0, 0)] * 3] * 3
 
 
 def test_evolver_rewrites_only_the_diagonal_when_only_the_potential_moves(
-        parametric, caplog, monkeypatch):
-    # parametric's frequency moves at every step, its M, a, b and dt never:
-    # every step factors, and each run builds its off-diagonal rows once
-    built = []
-    write = gho.oracle._Run._write_off_diagonal
-
-    def spy(run, *args):
-        built.append(run)
-        return write(run, *args)
-
-    monkeypatch.setattr(gho.oracle._Run, "_write_off_diagonal", spy)
+        parametric, caplog):
+    # a Strang step is the matrix P K P: P = exp(-i W dt / (2 hbar)) on the
+    # diagonal, K = F^-1 exp(-i hbar k^2 dt / (2M)) F off it. parametric's
+    # frequency moves at every step, its M and dt never: every step makes P
+    # again, and each run makes K once over all four legs
     start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341))
     with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
         list(gho.oracle.evolve_tdse_stops(parametric, start, STOPS, EvolverConfig(dt=1.8e-2)))
-    assert _leg_factorizations(caplog) == [[28, 14, 7]] * 4
-    assert len(built) == len(set(built)) == 3
+    assert _factors(caplog) == ([[(28, 1), (14, 1), (7, 1)]]
+                                + [[(28, 0), (14, 0), (7, 0)]] * 3)
 
 
 def test_evolver_non_finite_step_matrix_raises(grid):
-    # a = 1e150 loads (c = 4 a^2 = 4e300 is finite) but with hbar = 1e-10 the
-    # step matrix 1 + i dt H / (2 hbar) overflows
-    s = gho.scenario_from_dict({"a": 1e150, "hbar": 1e-10})
+    # a = 1e150 loads (c = 4 a^2 = 4e300 is finite) but with hbar = 1e-160 the
+    # gauge phase a M x^2 / hbar that takes the packet into the step matrix's
+    # frame overflows
+    s = gho.scenario_from_dict({"a": 1e150, "hbar": 1e-160})
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(LinearSolveFailure, match="non-finite step matrix"):
+            pytest.raises(LinearSolveFailure, match="non-finite gauge factor"):
         evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
 
 
-@pytest.mark.parametrize("spec, a_c", [
-    ({"frequency": 1e150, "hbar": 1e-10}, None),  # v2 x^2 dt / hbar: the diagonal alone
-    ({}, 1e306),  # the mixed term's a (x_j + x_k) / dx: the off-diagonal rows alone
+@pytest.mark.parametrize("spec, mass, factor", [
+    ({"frequency": 1e150, "hbar": 1e-10}, None, "potential"),  # W x^2 dt / hbar: P alone
+    ({}, 1e-307, "kinetic"),  # hbar k^2 dt / M: K alone
 ], ids=["diagonal", "off-diagonal"])
-def test_evolver_non_finite_part_of_the_step_matrix_raises(spec, a_c, grid, monkeypatch):
+def test_evolver_non_finite_part_of_the_step_matrix_raises(spec, mass, factor, grid,
+                                                           monkeypatch):
+    # the step matrix P K P of the test above
     s = gho.scenario_from_dict(spec)
-    if a_c is not None:  # a set past the scenario, so v2 stays sho's 1/2
+    if mass is not None:  # M set past the scenario, so v2 stays sho's 1/2
         coefficients = gho.oracle.hamiltonian_coefficients
 
-        def with_a(s, t):
-            m, _, *rest = coefficients(s, t)
-            return (m, np.full_like(m, a_c), *rest)
+        def with_mass(s, t):
+            m, *rest = coefficients(s, t)
+            return (np.full_like(m, mass), *rest)
 
-        monkeypatch.setattr(gho.oracle, "hamiltonian_coefficients", with_a)
+        monkeypatch.setattr(gho.oracle, "hamiltonian_coefficients", with_mass)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(LinearSolveFailure, match="non-finite step matrix"):
+            pytest.raises(LinearSolveFailure, match=f"non-finite {factor} factor"):
         evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
 
 
 def test_evolver_non_finite_state_raises(sho, grid, monkeypatch):
-    # a banded solve that returns nan past a finite step matrix is caught
-    # after the step that produced it
-    monkeypatch.setattr(gho.oracle, "solve_banded", lambda factors, rhs: rhs * np.nan)
+    # a transform that returns nan past finite factors is caught after the
+    # step that produced it
+    fft = gho.packets._scipy_fft()
+    broken = types.SimpleNamespace(fft=fft.fft, ifft=lambda spectrum, **_: spectrum * np.nan)
+    monkeypatch.setattr(gho.oracle, "_scipy_fft", lambda: broken)
     with pytest.raises(LinearSolveFailure, match="non-finite state after step 1"):
         evolve_tdse(sho, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
 
