@@ -19,8 +19,8 @@ import numpy as np
 from . import classical, oracle, propagator, states
 from .coefficients import Constant, Scenario, load_scenario, serialize_scenario
 from .errors import CausticEncountered, GhoError, GridTooNarrow, ParseError, ValidationError
-from .packets import (MAX_POINTS, GridSpec, WavePacket, inner_product, l2_distance, mean_x,
-                      packet_norm, var_x)
+from .packets import (MAX_POINTS, GridSpec, WavePacket, _scipy_fft, inner_product, l2_distance,
+                      mean_x, packet_norm, var_x)
 
 _SEED = 20240801
 _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the modes
@@ -136,17 +136,18 @@ def _mode_scales(s: Scenario, basis, times):
 
 def _scaled_grid(base: GridSpec, widen, refine, what: str) -> GridSpec:
     """base over widen times its extent on widen x refine times its points,
-    rounded up to a multiple of 256. A factor below 1 or within one spacing
-    of 1 (solver noise) reads 1, and base itself comes back when both do;
-    GridTooNarrow, opening with what asked, past MAX_POINTS (a multiple of
-    256, so the rounding never crosses it)."""
+    rounded up to a multiple of 256 and then by next_fast_len. A factor below
+    1 or within one spacing of 1 (solver noise) reads 1, and base itself
+    comes back when both do; GridTooNarrow, opening with what asked, past
+    MAX_POINTS (a power of 2, so neither rounding crosses it)."""
     widen, refine = (f if (f - 1.0) * base.n_points >= 1.0 else 1.0 for f in (widen, refine))
     if widen == refine == 1.0:
         return base
     n = base.n_points * widen * refine
     if not n <= MAX_POINTS:  # nan included
         raise GridTooNarrow(f"{what} {n:.3g} points, more than MAX_POINTS = {MAX_POINTS}")
-    return GridSpec(base.x_min * widen, base.x_max * widen, int(math.ceil(n / 256.0)) * 256)
+    return GridSpec(base.x_min * widen, base.x_max * widen,
+                    _scipy_fft().next_fast_len(int(math.ceil(n / 256.0)) * 256))
 
 
 def _fit_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
@@ -305,7 +306,7 @@ def _verify_checks(ctx):
 
     def residual_kernel_slice():
         # keep the slice time away from t_a: short-time kernels oscillate
-        # faster than the stencil resolves
+        # faster than the grid resolves
         t_a = s.t0 + 0.02 * span
         t_val = t_a + min(0.7, 0.6 * span)
 
@@ -313,13 +314,14 @@ def _verify_checks(ctx):
             co = propagator.kernel_coefficients(s, basis, part, t_a, t)
             return co.value(0.3, x)
 
-        # the stencils' error grows as (k dx)^6 with the slice's largest
-        # wavenumber k, which grows as 1 / hbar and with the chirp: past
-        # k dx = 0.15 the slice takes more points over the same extent
+        # the slice's largest wavenumber k grows as 1 / hbar and with the
+        # chirp. From a 256-point grid the windowed slice read 8.0e-5 at
+        # k dx = 1, 9.7e-7 at 0.5 and at 0.25 the time difference's 1.1e-7,
+        # as from 2048: past k dx = 0.25 it takes more points, same extent
         co = propagator.kernel_coefficients(s, basis, part, t_a, t_val)
         k_dx = (2.0 * abs(co.q_bb) * max(abs(grid.x_min), abs(grid.x_max))
                 + 0.3 * abs(co.q_ab) + abs(co.l_b)) * grid.dx
-        fine = _scaled_grid(grid, 1.0, k_dx / 0.15, "the kernel slice's wavenumbers ask for")
+        fine = _scaled_grid(grid, 1.0, k_dx / 0.25, "the kernel slice's wavenumbers ask for")
         return oracle.schrodinger_residual(field, s, t_val, fine)
 
     def residual_modes():
@@ -390,8 +392,8 @@ def _verify_checks(ctx):
         of the five times t0 + k (horizon - t0) / 4 with horizon
         t0 + min(2, 0.8 span): both evolver checks read this one evolution.
         The evolver's grid has the extent of _fit_grid's over the five times
-        and a sixth of its points, which still hold the mode's band: the
-        evolver's spatial error is spectral."""
+        and a sixth of its points, rounded up by next_fast_len, which still
+        hold the mode's band: the evolver's spatial error is spectral."""
         times = np.linspace(s.t0, s.t0 + min(2.0, 0.8 * span), 5)
         # the mode's phase rates grow with its momentum spread, and the
         # evolver's time error at its one fine step with them: see
@@ -404,7 +406,7 @@ def _verify_checks(ctx):
         wide = _scaled_grid(grid, widen, refine, "the modes ask for")
         if wide.n_points // 6 < 16:  # GridSpec's least
             raise GridTooNarrow(f"the evolver's sixth of {wide.n_points} points is under 16")
-        coarse = GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)
+        coarse = GridSpec(wide.x_min, wide.x_max, _scipy_fft().next_fast_len(wide.n_points // 6))
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
         cfg = oracle.EvolverConfig(dt=1.8e-2)
         legs = [float(t) for t in times[1:]]
@@ -561,7 +563,7 @@ def run_invariant(args) -> int:
     start = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], grid)
     first = states.invariant_expectation(start, ctx.basis, ctx.part, s, with_diagnostic=True)
     # the start is the exact mode n = 0, so its <I> misses hbar/2 by the
-    # stencils' error alone, which no later step undoes
+    # grid's error alone, which no later step undoes
     error = abs(first[0] - 0.5 * s.hbar) / (0.5 * s.hbar)
     if not error <= _EVOLVER_TOL:
         raise GridTooNarrow(f"<I> of the start mode misses hbar/2 by {error:.2e} of it "

@@ -20,8 +20,9 @@ is three runs, at dt, 2 dt and 4 dt, combined by Romberg extrapolation into
 a sixth-order result (the combination is not exactly unitary; each run is).
 `Scenario` rejects jumps in a, b and (dM/dt / M) a, whose deltas no midpoint
 step could apply, so W holds none and chi is continuous. The Schrodinger
-residual applies H on the 7-point sixth-order stencils of gho.packets to a
-sampled field, which need not be periodic (a kernel slice is not).
+residual applies H by gho.packets' spectral derivatives to a sampled field
+that need not be periodic (a kernel slice is not), smoothly windowed to 0
+before the grid's ends, and reads it where the window is 1.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from .classical import ClassicalBasis, _check_time, particular_or_zero
 from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
                      ValidationError)
-from .packets import (MAX_POINTS, GridSpec, WavePacket, _scipy_fft, derivative,
-                      second_derivative)
+from .packets import MAX_POINTS, GridSpec, WavePacket, _derivatives, _scipy_fft, derivative
 from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
 
 _log = logging.getLogger(__name__)
@@ -266,16 +266,15 @@ def _evolve_leg(s: Scenario, packet: WavePacket, t_end, cfg: EvolverConfig, runs
 
 def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
     """The summands of H(t) samples: kinetic, mixed a(xp + px), drift b p,
-    potential, with the stencils of packets.derivative and second_derivative
-    and the mixed term as i hbar a (X D + D X): their sum is a Hermitian
-    discrete H times samples."""
+    potential, with gho.packets' spectral D and D^2 (one transform) and the
+    mixed term as i hbar a (X D + D X): their sum is a Hermitian discrete H
+    times samples."""
     x = grid.points
     dx = grid.dx
     hbar = s.hbar
     m, a_c, b_c, v2, v1, v0 = hamiltonian_coefficients(s, t)
     psi = np.asarray(samples, dtype=np.complex128)
-    d1 = derivative(psi, dx)
-    d2 = second_derivative(psi, dx)
+    d1, d2 = _derivatives(psi, dx, 1, 2)
     return (-hbar ** 2 / (2.0 * m) * d2,
             1j * hbar * a_c * (x * d1 + derivative(x * psi, dx)),
             1j * hbar * (b_c / m) * d1,
@@ -283,26 +282,32 @@ def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
 
 
 def schrodinger_residual_map(field, s: Scenario, t: float, grid: GridSpec):
-    """Pointwise |(-i hbar d/dt + H) field| over interior nodes, normalized.
+    """Pointwise |(-i hbar d/dt + H) field| where the window is 1, normalized.
 
-    The scale is the largest single term of (-i hbar d/dt + H) field on the
-    interior, which stays finite when H field itself vanishes (a zero-energy
-    mode). Returns (x_interior, residual) arrays, suitable for CSV export; the
-    scalar check below takes the max of this map.
+    The field and its time difference are multiplied by _smooth_window
+    centred on the grid, 1 over 0.8 of its half-span and 0 from 0.97, so the
+    spectral derivatives see a smooth field, 0 at both ends. The scale is
+    the largest single term of (-i hbar d/dt + H) field where the window is
+    1, which stays finite when H field itself vanishes (a zero-energy mode).
+    Returns (x, residual) arrays there, suitable for CSV export; the scalar
+    check below takes the max of this map.
     """
     x = grid.points
-    psi = np.asarray(field(t, x), dtype=np.complex128)
+    half_span = 0.5 * (grid.x_max - grid.x_min)
+    window = _smooth_window(x, 0.5 * (grid.x_max + grid.x_min), 0.8 * half_span,
+                            0.97 * half_span)
+    psi = window * np.asarray(field(t, x), dtype=np.complex128)
     # the centred difference's step in t: the field's phase turns as E t / hbar,
     # so its truncation error at a fixed step would grow as 1 / hbar^2
     dt = 1e-5 * min(1.0, s.hbar)
-    dpsi_dt = (np.asarray(field(t + dt, x)) - np.asarray(field(t - dt, x))) / (2.0 * dt)
+    dpsi_dt = (np.asarray(field(t + dt, x)) - np.asarray(field(t - dt, x))) * (window / (2.0 * dt))
     terms = (-1j * s.hbar * dpsi_dt,) + _hamiltonian_terms(s, t, grid, psi)
     res = sum(terms)
-    interior = slice(4, -4)
-    scale = max(float(np.max(np.abs(term[interior]))) for term in terms)
+    flat = window == 1.0
+    scale = max(float(np.max(np.abs(term[flat]))) for term in terms)
     if scale == 0.0:
         raise ValidationError("the field vanishes on the interior; cannot normalize")
-    return x[interior], np.abs(res[interior]) / scale
+    return x[flat], np.abs(res[flat]) / scale
 
 
 def schrodinger_residual(field, s: Scenario, t: float, grid: GridSpec) -> float:
@@ -310,33 +315,23 @@ def schrodinger_residual(field, s: Scenario, t: float, grid: GridSpec) -> float:
 
     `field(t, x_array)` must be evaluable in a neighborhood of t. The time
     derivative uses centered differences with step 1e-5 min(1, hbar), H is
-    discretized on the 7-point sixth-order stencils, and the max-norm
-    over interior nodes is divided by the largest single term of the operator
-    applied to the field.
+    applied by spectral derivatives to the windowed field, and the max-norm
+    where the window is flat is divided by the largest single term of the
+    operator applied to the field (schrodinger_residual_map).
     """
     _, res = schrodinger_residual_map(field, s, t, grid)
     return float(np.max(res))
 
 
 def _smooth_window(points, center, r_flat, r_zero):
-    """C-infinity taper: 1 inside |u| <= r_flat, 0 outside |u| >= r_zero."""
+    """C-infinity taper: 1 inside |u| <= r_flat, 0 outside |u| >= r_zero,
+    and e(s) / (e(s) + e(1 - s)) between, e(s) = exp(-1/s) and
+    s = (r_zero - |u|) / (r_zero - r_flat) clipped to [0, 1]."""
     u = np.abs(np.asarray(points, dtype=float) - center)
-    w = np.zeros_like(u)
-    w[u <= r_flat] = 1.0
-    ramp = (u > r_flat) & (u < r_zero)
-    if np.any(ramp):
-        sigma = (r_zero - u[ramp]) / (r_zero - r_flat)
-
-        def bump(v):
-            out = np.zeros_like(v)
-            pos = v > 0
-            out[pos] = np.exp(-1.0 / v[pos])
-            return out
-
-        up = bump(sigma)
-        down = bump(1.0 - sigma)
-        w[ramp] = up / (up + down)
-    return w
+    sigma = np.clip((r_zero - u) / (r_zero - r_flat), 0.0, 1.0)
+    with np.errstate(divide="ignore"):  # exp(-1/0) = 0 at either end
+        up, down = np.exp(-1.0 / sigma), np.exp(-1.0 / (1.0 - sigma))
+    return up / (up + down)
 
 
 def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,

@@ -19,10 +19,11 @@ start ramp (after a Fresnel phase, if any) on the FFT spectrum, one inverse
 FFT for n points at the grid's own spacing and one chirp-z for any other
 lattice, 0 at the points off the grid, and one grid phase into which the
 chirp-z's end ramp folds. Derivatives
-are the 7-point sixth-order central stencils with the samples taken as zero
-beyond the ends (which are required to be numerically dark anyway): the
-weights _D1 and _D2 are defined here once, and gho.oracle's Schrodinger
-residual and gho.states' invariant apply the same ones.
+are spectral, _derivatives: the FFT of the samples times (i k)^p,
+transformed back, the grid taken as one period. They are exact on the
+grid's band for a field that is dark at both ends or smoothly windowed to
+zero there; gho.oracle's Schrodinger residual and gho.states' invariant
+differentiate with them.
 
 The packet functions here and in gho.propagator and gho.states compute in
 place on arrays they own and never write to their inputs. Where a test pins
@@ -190,43 +191,6 @@ def var_x(p: WavePacket) -> float:
     return _moment(p, (p.grid.points - mean_x(p)) ** 2)
 
 
-# 7-point sixth-order central weights at offsets 0, 1, 2, 3 (Fornberg 1988),
-# in units of 1/dx^2 and 1/dx: d^2 weighs offset -k as +k and d as minus +k,
-# so under the plain dot product d^2 is symmetric and d antisymmetric
-_D2 = (-490.0 / 180.0, 270.0 / 180.0, -27.0 / 180.0, 2.0 / 180.0)
-_D1 = (0.0, 45.0 / 60.0, -9.0 / 60.0, 1.0 / 60.0)
-
-
-def _central_stencil(samples, weights, sign: float, scale: float) -> np.ndarray:
-    """sum_k c_k f[j + k] / scale over |k| < len(weights) at every j, with
-    c_k = weights[k] and c_-k = sign weights[k], the samples taken as zero
-    beyond the ends. np.correlate sums it, on the real and the imaginary
-    part in turn, so the one full-size complex array made is the result."""
-    f = np.asarray(samples)
-    taps = np.array([sign * w for w in weights[:0:-1]] + list(weights)) / scale
-    if len(f) < len(taps):  # np.correlate would return len(taps) values
-        raise ValidationError(f"a stencil of {len(taps)} points needs as many samples, "
-                              f"not {len(f)}")
-    if not np.iscomplexobj(f):
-        return np.correlate(f, taps, "same")
-    out = np.empty(len(f), dtype=np.complex128)
-    out.real = np.correlate(f.real, taps, "same")
-    out.imag = np.correlate(f.imag, taps, "same")
-    return out
-
-
-def derivative(samples: np.ndarray, dx: float) -> np.ndarray:
-    """d/dx by the 7-point sixth-order central stencil, the samples taken as
-    zero beyond the ends."""
-    return _central_stencil(samples, _D1, -1.0, dx)
-
-
-def second_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
-    """d2/dx2 by the 7-point sixth-order central stencil, the samples taken
-    as zero beyond the ends."""
-    return _central_stencil(samples, _D2, 1.0, dx * dx)
-
-
 @functools.cache
 def _scipy_fft():
     """scipy.fft, imported at first use. The kernel layer imports this module
@@ -234,6 +198,40 @@ def _scipy_fft():
     from scipy import fft
 
     return fft
+
+
+def _derivatives(samples, dx: float, *orders) -> list:
+    """d^p/dx^p of the samples for each p of orders from one FFT, its
+    spectrum times (i k)^p transformed back, the last order's in the
+    spectrum's own buffer. The Nyquist mode of an even count is dropped, so
+    a real array gives a real one; under the plain dot product an odd order
+    is anti-Hermitian and an even one Hermitian."""
+    sfft = _scipy_fft()
+    f = np.asarray(samples)
+    n = len(f)
+    spectrum = sfft.fft(f)
+    k = np.fft.fftfreq(n, dx / (2.0 * math.pi))
+    if n % 2 == 0:
+        k[n // 2] = 0.0  # the Nyquist mode
+    out = []
+    for i, p in enumerate(orders):
+        d = spectrum if i == len(orders) - 1 else spectrum.copy()
+        for _ in range(p):
+            d *= k
+        d = sfft.ifft(d, overwrite_x=True)
+        d *= 1j ** p
+        out.append(d if np.iscomplexobj(f) else d.real.copy())
+    return out
+
+
+def derivative(samples: np.ndarray, dx: float) -> np.ndarray:
+    """d/dx of the samples, spectrally (_derivatives)."""
+    return _derivatives(samples, dx, 1)[0]
+
+
+def second_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
+    """d2/dx2 of the samples, spectrally (_derivatives)."""
+    return _derivatives(samples, dx, 2)[0]
 
 
 def _phase_factors(a: float, b: float, c: float, n: int):

@@ -301,14 +301,21 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
         <I> = [ (Omega^2/rho^2) ||X psi||^2 + ||(M rho' X - rho P) psi||^2 ]
               / (2 |Omega| ||psi||^2),
 
-    real and non-negative by construction. P psi takes one pass of
-    packets.derivative, the 7-point sixth-order stencil, and each
-    norm is the trapezoidal integral.
+    real and non-negative by construction. With P psi written out,
 
-    The sum of squares rests on P being Hermitian: the zero-padded stencil
-    is antisymmetric, so P is Hermitian under the plain sum and, under the
+        (M rho' X - rho P) psi = i hbar rho psi' + (M rho' + 2 M a rho) X psi
+                                 + rho (2 M a x_p + b + M x_p') psi,
+
+    which takes one pass of packets.derivative, the spectral derivative:
+    exact on the grid's band for the packet, which must be dark to 1e-8 at
+    both ends (GridTooNarrow otherwise). Each norm is the trapezoidal
+    integral.
+
+    The sum of squares rests on P being Hermitian: the spectral derivative
+    is anti-Hermitian, so P is Hermitian under the plain sum and, under the
     trapezoid, up to the dark end samples. with_diagnostic=True returns the
-    pair (<I>, Im<psi, P psi> / (||psi|| ||P psi||)); the second value measures
+    pair (<I>, Im<psi, P psi> / (||psi|| ||P psi||)), P psi read back as
+    (M rho' X psi - (M rho' X - rho P) psi) / rho; the second value measures
     how far P is from Hermitian on this packet and is near rounding on a
     resolved, dark-edged one.
     """
@@ -317,36 +324,31 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     t = packet.t
     bs, ps = _snapshots(basis, part, t)
     omega = abs(basis.omega)
-    m = bs.mass
+    m, rho = bs.mass, bs.rho
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
-    dx = packet.grid.dx
-    psi = packet.samples
-    # P psi = -i hbar psi' - (2 M a x + b + M x_p') psi; the grid points are
-    # made after the stencil, whose padded copy and pair are then gone
-    p_psi = derivative(psi, dx)
-    np.multiply(-1j * s.hbar, p_psi, out=p_psi)
-    x = packet.grid.points
-    shift = 2.0 * m * a_c * x
-    shift += b_c
-    shift += ps.momentum
-    work = np.empty_like(psi)
-    np.copyto(work, shift)
-    work *= psi
-    p_psi -= work
+    grid, psi = packet.grid, packet.samples
+    dx = grid.dx
+    # the derivative first, whose transform is then gone; X psi's buffer
+    # then takes the two other terms of the mixed one in turn
+    mixed = derivative(psi, dx)
+    mixed *= 1j * s.hbar * rho
+    x_psi = np.empty_like(psi)
+    np.copyto(x_psi, np.linspace(grid.x_min - ps.x, grid.x_max - ps.x, grid.n_points))
+    x_psi *= psi
     norm_sq = _trapezoid_inner(psi, psi, dx).real
-    if with_diagnostic:
-        skew = _trapezoid_inner(psi, p_psi, dx).imag / math.sqrt(
-            norm_sq * _trapezoid_inner(p_psi, p_psi, dx).real)
-    x -= ps.x
-    np.copyto(work, x)
-    x_psi = np.multiply(work, psi, out=work)
     spread = _trapezoid_inner(x_psi, x_psi, dx).real
-    # (M rho' X - rho P) psi, over the buffers of X psi and P psi
-    mixed = np.multiply(m * bs.rho_dot, x_psi, out=x_psi)
-    mixed -= np.multiply(bs.rho, p_psi, out=p_psi)
-    value = float((omega ** 2 / bs.rho ** 2 * spread + _trapezoid_inner(mixed, mixed, dx).real)
-                  / (2.0 * omega * norm_sq))
     if with_diagnostic:
-        return value, float(skew)
-    return value
+        p_psi = x_psi * (m * bs.rho_dot)
+    x_psi *= m * bs.rho_dot + 2.0 * m * a_c * rho
+    mixed += x_psi
+    mixed += np.multiply(psi, rho * (2.0 * m * a_c * ps.x + b_c + ps.momentum), out=x_psi)
+    value = float((omega ** 2 / rho ** 2 * spread + _trapezoid_inner(mixed, mixed, dx).real)
+                  / (2.0 * omega * norm_sq))
+    if not with_diagnostic:
+        return value
+    p_psi -= mixed
+    p_psi /= rho
+    skew = _trapezoid_inner(psi, p_psi, dx).imag / math.sqrt(
+        norm_sq * _trapezoid_inner(p_psi, p_psi, dx).real)
+    return value, float(skew)

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from gho import GridSpec, classical, cli, load_scenario, oracle, packets, propagator
 from gho.cli import main
@@ -169,15 +170,20 @@ def test_invariant_default_times(sho_file, tmp_path):
     assert len((out_dir / "invariant.csv").read_text().splitlines()) == 12
 
 
-def test_invariant_on_a_grid_too_coarse_for_the_stencils_exits_one(sho_file, tmp_path, capsys):
-    # on 48 points the start mode's <I> reads 0.499762, 4.75e-4 of hbar/2 off
-    # before any step; the run wrote that and exited 0
+def test_invariant_on_a_grid_too_coarse_for_the_start_mode_exits_one(sho_file, tmp_path,
+                                                                      capsys):
+    # on 20 points, dx = 1.05, the grid's band misses part of the start
+    # mode's and its <I> reads 8.58e-4 of hbar/2 off before any step; the
+    # run once wrote that and exited 0. 48 points resolve the mode for the
+    # spectral derivative (the 7-point stencils missed by 4.75e-4 there)
     out_dir = tmp_path / "inv"
     assert main(["invariant", "--scenario", str(sho_file), "--out", str(out_dir),
-                 "--grid=-10,10,48", "--times", "0,1,2"]) == 1
-    assert capsys.readouterr().err == ("error: <I> of the start mode misses hbar/2 by 4.75e-04 "
-                                       "of it (limit 1e-04) on 48 points\n")
+                 "--grid=-10,10,20", "--times", "0,1,2"]) == 1
+    assert capsys.readouterr().err == ("error: <I> of the start mode misses hbar/2 by 8.58e-04 "
+                                       "of it (limit 1e-04) on 20 points\n")
     assert not any(out_dir.iterdir())
+    assert main(["invariant", "--scenario", str(sho_file), "--out", str(out_dir),
+                 "--grid=-10,10,48", "--times", "0,1,2"]) == 0
 
 
 def test_evolve_writes_packets_and_trajectory(sho_file, tmp_path):
@@ -465,8 +471,10 @@ def test_fit_grid_widens_and_refines_only_where_the_modes_ask():
                            np.linspace(0.0, 5.0, 201))
     assert (fitted.x_min, fitted.x_max) == pytest.approx(
         (-10.0 * math.sqrt(26.0), 10.0 * math.sqrt(26.0)), rel=1e-12)
-    assert fitted.n_points % 256 == 0
-    assert fitted.n_points == math.ceil(2048 * math.sqrt(26.0) / 256) * 256 == 10496
+    # 2048 sqrt(26) rounded up to a multiple of 256, 10496 = 2^8 41, and
+    # then to the FFT-friendly 10500 = 2^2 3 5^3 7
+    assert math.ceil(2048 * math.sqrt(26.0) / 256) * 256 == 10496
+    assert fitted.n_points == next_fast_len(10496) == 10500
 
 
 @pytest.mark.parametrize("command", ["invariant", "coherent", "modes"])
@@ -506,12 +514,12 @@ def test_verify_caps_the_kernel_slice_refinement(tmp_path, capsys, monkeypatch):
     # the grid is read off an array, and its ends print as plain floats
     assert capsys.readouterr().err == ("error: packet is zero at every point of GridSpec("
                                        "x_min=-10.0, x_max=10.0, n_points=2048)\n")
-    # at hbar = 0.25 the modes' fits ask 2 times the grid's points and the
-    # slice 3.21: under a cap of 3 times them only the slice skips, and the
-    # run passes
-    monkeypatch.setattr(cli, "MAX_POINTS", 3 * 2048)
-    path = tmp_path / "sho_quarter.json"
-    path.write_text(json.dumps({"hbar": 0.25, "interval": [0.0, 12.0]}))
+    # at hbar = 0.1 the modes' fits ask sqrt(10) = 3.16 times the grid's
+    # points and the slice 4.82: under a cap of 4 times them only the slice
+    # skips, and the run passes
+    monkeypatch.setattr(cli, "MAX_POINTS", 4 * 2048)
+    path = tmp_path / "sho_tenth.json"
+    path.write_text(json.dumps({"hbar": 0.1, "interval": [0.0, 12.0]}))
     assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "capped")]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
     assert len(lines) == 18
@@ -520,14 +528,14 @@ def test_verify_caps_the_kernel_slice_refinement(tmp_path, capsys, monkeypatch):
     ctx = cli._Context(cli.build_parser().parse_args(["verify", "--scenario", str(path)]))
     checks = {name: check for name, _, check in cli._verify_checks(ctx)}
     with pytest.raises(GridTooNarrow, match=r"^the kernel slice's wavenumbers ask for "
-                       r"6\.58e\+03 points, more than MAX_POINTS = 6144$"):
+                       r"9\.88e\+03 points, more than MAX_POINTS = 8192$"):
         checks["schrodinger_residual_kernel"]()
 
 
 def test_verify_resolves_the_kernel_slice_at_small_hbar(tmp_path, capsys):
-    # at hbar = 0.01 the slice asks about 100 times the base grid's points,
-    # under MAX_POINTS, 1024 times them: it once skipped past a cap of its
-    # own of 64.
+    # at hbar = 0.01 the slice asks about 48 times the base grid's points,
+    # under MAX_POINTS, 1024 times them (80 with the 7-point stencils; the
+    # check once skipped past a cap of its own of 64).
     # The run exits 1 on checks that do not hold at this hbar yet
     path = tmp_path / "sho_small.json"
     path.write_text(json.dumps({"hbar": 0.01, "interval": [0.0, 12.0]}))
@@ -551,9 +559,10 @@ def test_verify_skips_a_composition_just_past_a_focal_time(tmp_path, capsys):
 def test_verify_on_a_grid_too_coarse_for_the_evolver_skips_its_two_checks(capsys):
     # the evolver takes a sixth of the grid's points: 15 of 95, under a
     # GridSpec's 16. The run once exited 2 on that grid, which the user did
-    # not give, and reported no check
+    # not give, and reported no check. Every other check passes: on the
+    # 7-point stencils invariant_eigenmode FAILed here at 1.7e-4
     assert main(["verify", "--scenario", str(SCENARIOS / "sho.json"),
-                 "--grid=-10,10,95"]) == 1
+                 "--grid=-10,10,95"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     lines = [ln for ln in captured.out.splitlines() if ln.startswith("CHECK ")]
@@ -844,9 +853,10 @@ def test_verify_evolves_the_ground_mode_once(caplog, capsys):
     steps = [re.search(r"fine run (\d+) steps.*middle run (\d+) steps.*coarse run (\d+) steps",
                        m) for m in records]
     assert [sum(int(m[k]) for m in steps) for k in (1, 2, 3)] == [112, 56, 28]
-    # on a sixth of the 2048-point base grid's points: dx = 20 / 340
+    # on a sixth of the 2048-point base grid's points, 341, rounded up to
+    # the FFT-friendly 343 = 7^3: dx = 20 / 342
     grids = [re.search(r"grid (\d+) points, dx (\S+);", m).groups() for m in records]
-    assert all(int(n) == 341 and float(dx) == pytest.approx(20.0 / 340, rel=1e-5)
+    assert all(int(n) == 343 and float(dx) == pytest.approx(20.0 / 342, rel=1e-5)
                for n, dx in grids)
     # |R_dt - R_2dt| / (15 |psi|) per leg, the fourth-order pair's error:
     # measured 3.2e-9, about 400 times the sixth-order result's 8e-12 from
@@ -911,8 +921,8 @@ def test_verify_strongly_squeezed_bases_pass(ics, capsys):
 def test_verify_evolves_on_a_sixth_of_grid_for_points(basis, monkeypatch):
     # the packet the evolver gets, and so the propagate call, keeps the
     # extent of _fit_grid over the drift check's five times (0, 0.5, ..., 2 on
-    # sho) and has a sixth of its points; one call evolves it through the
-    # four stops
+    # sho) and has a sixth of its points, rounded up to an FFT-friendly
+    # count; one call evolves it through the four stops
     grids, calls = [], []
 
     def recorded(s, packet, stops, cfg):
@@ -930,27 +940,30 @@ def test_verify_evolves_on_a_sixth_of_grid_for_points(basis, monkeypatch):
     # _fit_grid: the base grid (-10, 10, 2048) widened by the largest mode
     # width rho / sqrt|Omega| and with N refined by the largest momentum
     # spread M |(u', v')| / sqrt|Omega| (hbar = M = 1), rounded up to a
-    # multiple of 256; factors within one spacing of 1 read 1
+    # multiple of 256 and then to next_fast_len; factors within one spacing
+    # of 1 read 1
     bs = ctx.basis.at(np.linspace(0.0, 2.0, 5))
     root = math.sqrt(abs(ctx.basis.omega))
     widen, refine = (f if (f - 1.0) * 2048 >= 1.0 else 1.0 for f in (
         max(1.0, float(np.max(bs.rho)) / root),
         max(1.0, float(np.max(np.hypot(bs.u_dot, bs.v_dot))) / root)))
-    n = int(math.ceil(2048 * widen * refine / 256.0)) * 256
+    n = next_fast_len(int(math.ceil(2048 * widen * refine / 256.0)) * 256)
     assert [len(stops) for stops in calls] == [4]
     (evolved,) = grids
     assert (evolved.x_min, evolved.x_max) == pytest.approx((-10.0 * widen, 10.0 * widen),
                                                            rel=1e-12)
-    assert evolved.n_points == n // 6
-    if basis == "default":
-        assert evolved == GridSpec(-10.0, 10.0, 341)
-    else:  # squeezed: widened and refined
+    assert evolved.n_points == next_fast_len(n // 6)
+    if basis == "default":  # 341 points, rounded up to 7^3
+        assert evolved == GridSpec(-10.0, 10.0, 343)
+    else:  # squeezed: widened and refined to 18432 = 2^11 3^2 points, a sixth 3072
         assert widen > 1.0 and refine > 1.0
+        assert (n, evolved.n_points) == (18432, 3072)
 
 
 def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
     # each of the five states is read on the grid it was evolved on:
-    # _fit_grid's extent with a sixth of its points
+    # _fit_grid's extent with a sixth of its points, rounded up to an
+    # FFT-friendly count (341 to 343 = 7^3)
     evolved, stops_asked, read = [], [], []
     evolve, expectation = cli.oracle.evolve_tdse_stops, cli.states.invariant_expectation
 
@@ -972,8 +985,9 @@ def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
     assert checks["invariant_drift_tdse"]() <= 1e-5
     wide = cli._fit_grid(ctx.scenario, ctx.basis, ctx.grid, np.linspace(0.0, 2.0, 5))
     assert [len(stops) for stops in stops_asked] == [4]
-    assert evolved == [GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)]
-    assert read == [GridSpec(wide.x_min, wide.x_max, wide.n_points // 6)] * 5
+    assert evolved == [GridSpec(wide.x_min, wide.x_max, 343)]
+    assert read == [GridSpec(wide.x_min, wide.x_max, 343)] * 5
+    assert wide.n_points // 6 == 341
 
 
 def test_verify_evolves_through_its_four_legs_only(tmp_path, monkeypatch):
@@ -1007,8 +1021,9 @@ def test_verify_evolves_through_its_four_legs_only(tmp_path, monkeypatch):
 def test_verify_passes_with_a_fast_turning_a(tmp_path, capsys):
     # a = sin 3t over [0, 1]: propagate takes the n = 0 mode to within 6e-14
     # of the exact one. The evolver's gauge takes a out of H exactly, and at
-    # verify's step evolver_vs_kernel reads 3.3e-12 (4.1e-12 with --xp, where
-    # invariant_drift_tdse reads 4.1e-6, the stencils' error in <I>)
+    # verify's step evolver_vs_kernel reads 3.3e-12 (4.2e-12 with --xp, where
+    # invariant_drift_tdse reads 2.2e-16; on the 7-point stencils it read
+    # 4.1e-6, their error in <I>)
     path = tmp_path / "fast_a.json"
     path.write_text(json.dumps({"a": {"kind": "sinusoidal", "amplitude": 1.0, "omega": 3.0}}))
     codes = [main(["verify", "--scenario", str(path), *xp]) for xp in ([], ["--xp", "1.0,0.0"])]
@@ -1090,12 +1105,13 @@ def test_verify_skips_evolver_checks_beyond_the_resolved_spread():
             checks[name]()
 
 
-@pytest.mark.parametrize("scenario", ["sho", "parametric"])
+@pytest.mark.parametrize("scenario", ["sho", "parametric", "driven_sho"])
 def test_verify_evolver_checks_pass_at_small_hbar(scenario, tmp_path):
     # hbar = 0.05 spreads the modes' momentum to 4.5 times the base grid's:
-    # measured 6.0e-12 and 8.1e-12 (evolver_vs_kernel), 4.2e-16 and 1.6e-9
-    # (invariant_drift_tdse). driven_sho's drift reads 2.1e-5 there, over
-    # its 1e-5, while its evolved state is 7.5e-11 from propagate's
+    # measured 6.0e-12, 8.1e-12 and 7.5e-11 (evolver_vs_kernel), 4.2e-16,
+    # 1.6e-9 and 1.8e-15 (invariant_drift_tdse). On the 7-point stencils
+    # driven_sho's drift read 2.1e-5, over its 1e-5, the stencils' error in
+    # <I> on the evolver's grid
     path = tmp_path / f"{scenario}.json"
     path.write_text(json.dumps({**json.loads((SCENARIOS / f"{scenario}.json").read_text()),
                                 "hbar": 0.05}))
@@ -1104,3 +1120,17 @@ def test_verify_evolver_checks_pass_at_small_hbar(scenario, tmp_path):
     for name in ("invariant_drift_tdse", "evolver_vs_kernel"):
         tol, check = checks[name]
         assert check() <= tol
+
+
+@pytest.mark.parametrize("scenario", ["parametric", "driven_sho"])
+def test_verify_passes_on_a_coarse_explicit_grid(scenario, capsys):
+    # on 256 points, dx = 0.078, and the evolver's 42: the spectral
+    # derivatives hold the modes' band, where the 7-point stencils read
+    # invariant_drift_tdse 1.5e-5 (parametric) and 9.1e-3 (driven_sho), and
+    # driven_sho's invariant_eigenmode 2.6e-6, each a FAIL
+    assert main(["verify", "--scenario", str(SCENARIOS / f"{scenario}.json"),
+                 "--grid=-10,10,256"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
+    assert len(lines) == 18
+    assert [ln for ln in lines if not ln.endswith(" PASS")] == [
+        "CHECK kernel_closed_form value=nan tol=1e-10 SKIP(not applicable)"]

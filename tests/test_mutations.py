@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gho import classical, propagator, states
+from gho import classical, oracle, packets, propagator, states
 from gho.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -49,6 +49,18 @@ def _shift_gauge_beta(monkeypatch, shift):
         monkeypatch.setattr(module, "gauge_coefficients", mutated)
 
 
+def _scale_wavenumbers(monkeypatch, factor):
+    """The spectral derivatives' wavenumbers scaled by factor: their spacing
+    dx divided by it, in every module that imports _derivatives by name."""
+    derivatives = packets._derivatives
+
+    def mutated(samples, dx, *orders):
+        return derivatives(samples, dx / factor, *orders)
+
+    for module in (packets, oracle):
+        monkeypatch.setattr(module, "_derivatives", mutated)
+
+
 # K(b, a) and K(a, b) come from the one formula with the endpoints exchanged,
 # so an error in l_a alone breaks K(b, a) = conj K(a, b). l_a is 0 on sho,
 # free_particle and parametric without x_p or b, so the row shows on
@@ -61,9 +73,19 @@ ROWS = {
         "sho": {"kernel_conjugation", "kernel_closed_form", "kernel_composition",
                 "schrodinger_residual_kernel", "evolver_vs_kernel", "path_integral"},
     }),
+    # the kernel slice's residual reads the shift at 1.2e-4 (sho) and 1.1e-4
+    # (driven_sho), against 1e-4, where the window is flat
     "gauge-beta-shifted-1e-3": (lambda mp: _shift_gauge_beta(mp, 1e-3), {
-        "sho": {"kernel_closed_form", "schrodinger_residual_modes", "evolver_vs_kernel"},
-        "driven_sho": {"schrodinger_residual_modes", "evolver_vs_kernel"},
+        "sho": {"kernel_closed_form", "schrodinger_residual_kernel",
+                "schrodinger_residual_modes", "evolver_vs_kernel"},
+        "driven_sho": {"schrodinger_residual_kernel", "schrodinger_residual_modes",
+                       "evolver_vs_kernel"},
+    }),
+    # the residual and <I> differentiate spectrally; the evolver's kinetic
+    # step and propagate's Fresnel phase keep their own wavenumbers
+    "spectral-wavenumbers-scaled-1e-3": (lambda mp: _scale_wavenumbers(mp, 1.0 + 1e-3), {
+        "sho": {"invariant_eigenmode", "schrodinger_residual_kernel",
+                "schrodinger_residual_modes"},
     }),
 }
 

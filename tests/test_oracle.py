@@ -151,9 +151,9 @@ def test_evolver_is_spectral_in_space():
 
 def test_residual_hamiltonian_is_hermitian():
     # the residual's H, its summands applied to each unit vector, is
-    # Hermitian: the stencils are symmetric and antisymmetric, and the mixed
-    # term is i hbar a (X D + D X) (conftest's coupled scenario: a, b, f, M
-    # and hbar all away from 0 and 1)
+    # Hermitian: the spectral D^2 is Hermitian and D anti-Hermitian, and
+    # the mixed term is i hbar a (X D + D X) (conftest's coupled scenario:
+    # a, b, f, M and hbar all away from 0 and 1)
     s = gho.scenario_from_dict(CONFTEST_COUPLED)
     grid = GridSpec(-10.0, 10.0, 32)
     residual_h = np.column_stack([sum(gho.oracle._hamiltonian_terms(s, 0.7, grid, unit))
@@ -369,7 +369,7 @@ def test_residual_detects_exact_and_corrupted(sho, sho_basis, sho_part_zero, gri
 
 def test_residual_of_zero_energy_mode(driven, driven_basis, grid):
     # x_p = 1 sits at the force's equilibrium, so mode 0 has energy
-    # hbar/2 - F^2/(2 M omega^2) = 0 and H psi vanishes up to stencil error
+    # hbar/2 - F^2/(2 M omega^2) = 0 and H psi vanishes up to the grid's error
     part = gho.solve_particular(driven, (1.0, 0.0))
 
     def exact(t, x):
@@ -463,6 +463,10 @@ def test_residual_map_exportable(sho, sho_basis, sho_part_zero, grid):
 
     xs, res = schrodinger_residual_map(exact, sho, 0.9, grid)
     assert xs.shape == res.shape
-    assert len(xs) == grid.n_points - 8
+    # the map covers where the window is 1: flat to 0.8 of the half-span,
+    # and its ramp rounds to 1 up to |x| = 8.036
+    window = gho.oracle._smooth_window(grid.points, 0.0, 8.0, 9.7)
+    assert np.array_equal(xs, grid.points[window == 1.0])
+    assert len(xs) == 1646 and np.max(np.abs(xs)) < 8.04
     assert np.all(res >= 0)
     assert np.max(res) < 1e-4

@@ -11,7 +11,7 @@ from gho import (GridSpec, KernelQuery, ValidationError, WavePacket, apply_U_F,
                  eigenmode_packet, hermite_functions, inner_product, invariant_expectation,
                  l2_distance, mean_x, mode_sum_kernel, packet_norm, propagate,
                  sho_eigenstate, var_x)
-from gho.packets import derivative, second_derivative
+from gho.packets import second_derivative
 
 from conftest import COUPLED, transformed_eigenstate
 from test_propagator import _propagate_records
@@ -337,25 +337,6 @@ def test_branch_continuity_no_phase_jumps(sho, sho_basis, sho_part_zero):
     dphi[dphi < -np.pi] += 2 * np.pi
     # smooth -i(n+1/2)t phase: steps of about -(1/2) dt, never a pi/2 jump
     assert np.max(np.abs(dphi + 0.5 * np.diff(ts))) < 1e-6
-
-
-def test_derivative_stencils_accuracy():
-    grid = GridSpec(-4.0, 4.0, 512)
-    x = grid.points
-    f = np.exp(-x ** 2) * np.sin(3 * x)
-    d1_ref = np.exp(-x ** 2) * (3 * np.cos(3 * x) - 2 * x * np.sin(3 * x))
-    d1 = derivative(f, grid.dx)
-    assert np.max(np.abs(d1 - d1_ref)) < 1e-5
-    d2 = second_derivative(f, grid.dx)
-    d2_ref = np.exp(-x ** 2) * ((4 * x ** 2 - 2 - 9) * np.sin(3 * x)
-                                - 12 * x * np.cos(3 * x))
-    assert np.max(np.abs(d2[2:-2] - d2_ref[2:-2])) < 1e-4
-    # f is about 1e-7 at the ends and the stencils take the samples past
-    # them as zero, so they are sixth order from 3 points in: measured
-    # 2.8e-9 and 3.7e-9 there
-    interior = slice(3, -3)
-    assert np.max(np.abs(d1[interior] - d1_ref[interior])) < 1e-8
-    assert np.max(np.abs(d2[interior] - d2_ref[interior])) < 1e-8
 
 
 def test_grid_and_packet_validation():

@@ -2,11 +2,13 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 128 command lines in each tree: the six commands with their default
+Runs 136 command lines in each tree: the six commands with their default
 options, `verify --xp 1.0,0.0`, `verify --xp 1.0,0.5` (a moving x_p, which a
 free-particle hop reads as a shift), `verify --basis custom:0,1.4,0.7,0
 --xp 1.0,0.0` (Omega = -0.98 and rho(t0) = 0.7, so U_S dilates on every
-scenario), `kernel-scan --times 4.0,0.5` (a backward kernel), the four
+scenario), `verify --grid=-10,10,256` (a coarse base grid: every grid
+verify fits, the evolver's included, scales from it), `kernel-scan --times
+4.0,0.5` (a backward kernel), the four
 packet commands (modes, coherent, evolve,
 invariant) with the default grid given as `--grid=-10,10,2048`, which they
 run as given rather than fit to the modes, and two `python -c` snippets:
@@ -126,7 +128,7 @@ SNIPPETS = {"kernel-values": KERNEL_VALUES, "hop-values": HOP_VALUES}
 COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS),
             ("verify", "--xp", "1.0,0.0"), ("verify", "--xp", "1.0,0.5"),
             ("verify", "--basis", "custom:0,1.4,0.7,0", "--xp", "1.0,0.0"),
-            ("kernel-scan", "--times", "4.0,0.5"),
+            ("verify", "--grid=-10,10,256"), ("kernel-scan", "--times", "4.0,0.5"),
             *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS), ("kernel-values",),
             ("hop-values",))
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
