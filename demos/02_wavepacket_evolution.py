@@ -18,7 +18,7 @@ sho = gho.scenario_from_dict({"interval": [0.0, 12.0]})
 basis = gho.solve_homogeneous_basis(sho)
 
 exact = gho.propagate(packet, sho, basis, None, 1.0)
-stepped = gho.evolve_tdse(sho, packet, 1.0, gho.EvolverConfig(dt=1e-2))
+stepped = gho.evolve_tdse(sho, packet, 1.0)
 print(f"oscillator, T=1: |kernel - evolver|_L2 = "
       f"{gho.l2_distance(exact, stepped):.2e}")
 

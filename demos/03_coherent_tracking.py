@@ -33,9 +33,8 @@ print("\ndriven oscillator (F = 1), starting in the bare ground state;")
 print("the grid evolver's <x>(t) lands on the classical x_p (Ehrenfest):")
 print(f"{'t':>5} {'<x> evolved':>14} {'x_p(t)':>14}")
 state = gho.sho_eigenstate(0, grid)
-cfg = gho.EvolverConfig(dt=1e-2)
 for t in (1.0, 2.0, 3.0):
-    state = gho.evolve_tdse(driven, state, t, cfg)
+    state = gho.evolve_tdse(driven, state, t)
     print(f"{t:5.2f} {gho.mean_x(state):14.9f} {dpart.at(t).x:14.9f}")
 
 print("\nthe kernel does not care which particular solution is used:")

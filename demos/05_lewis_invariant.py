@@ -49,9 +49,8 @@ for n in range(4):
 
 print("\nquantum: <I> along an independent split-step evolution:")
 state = gho.eigenmode_packet(par, basis, part, 0, 0.0, grid)
-cfg = gho.EvolverConfig(dt=1e-2)
 print(f"{'t':>5} {'<I>(t)':>18}")
 print(f"{0.0:5.2f} {gho.invariant_expectation(state, basis, part, par):18.12f}")
 for t in (1.0, 2.5, 5.0):
-    state = gho.evolve_tdse(par, state, t, cfg)
+    state = gho.evolve_tdse(par, state, t)
     print(f"{t:5.2f} {gho.invariant_expectation(state, basis, part, par):18.12f}")

@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 
 # submodule -> the names it lends the package on first access (PEP 562)
 _LAZY = {
-    "oracle": ("EvolverConfig", "compose_kernels", "evolve_tdse", "path_integral_oracle",
-               "schrodinger_residual", "schrodinger_residual_map"),
+    "oracle": ("compose_kernels", "evolve_tdse", "path_integral_oracle", "schrodinger_residual",
+               "schrodinger_residual_map"),
     "states": ("apply_U_F", "apply_U_S", "build_generalized_coherent_state", "eigenmode",
                "eigenmode_packet", "hermite_functions", "invariant_expectation",
                "mode_sum_kernel", "sho_eigenstate"),

@@ -24,15 +24,6 @@ from .packets import (MAX_POINTS, GridSpec, WavePacket, _scipy_fft, inner_produc
 
 _SEED = 20240801
 _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the modes
-# verify's evolver checks take a sixth of _fit_grid's points, about r^2 times
-# the base grid's in the modes' momentum spread r, and the fine step 1.8e-2,
-# whose time error grows with r. On sho with squeezed bases, on a 2-core
-# machine, evolver_vs_kernel reads 3.1e-10 at spread 3.3 (custom:0.14,0,0,1.5,
-# 0.09 s for both checks), 1.9e-9 at 4.5 (custom:0.1,0,0,2, 0.15 s), 4.4e-7
-# at 11.2 (custom:0.04,0,0,5, 0.6-1.1 s) and 2.2e-4, over its tolerance, at
-# 31.6 (custom:0.01,0,0,10, 4.4 s). They run up to round(r) = 10 (sho at
-# hbar = 0.01)
-_EVOLVER_MAX_SPREAD = 10
 # evolver_vs_kernel's tolerance, which `invariant` also asks of its start mode
 _EVOLVER_TOL = 1e-4
 
@@ -123,15 +114,15 @@ def _write_table_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _mode_scales(s: Scenario, basis, times):
-    """(widen, refine) of the modes at the times: the mode width
-    rho sqrt(hbar/|Omega|) and the momentum spread M |(u', v')| / sqrt(hbar |Omega|),
-    each the largest over the times and relative to the oscillator's own
-    modes at hbar = 1."""
+def _fit_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
+    """base widened by the mode width rho sqrt(hbar/|Omega|) and refined by
+    the momentum spread M |(u', v')| / sqrt(hbar |Omega|), each the largest
+    over the times and relative to the oscillator's own modes at hbar = 1."""
     bs = basis.at(np.asarray(times, dtype=float))
     omega = abs(basis.omega)
-    return (float(np.max(bs.rho)) * math.sqrt(s.hbar / omega),
-            float(np.max(bs.mass * np.hypot(bs.u_dot, bs.v_dot))) / math.sqrt(s.hbar * omega))
+    widen = float(np.max(bs.rho)) * math.sqrt(s.hbar / omega)
+    refine = float(np.max(bs.mass * np.hypot(bs.u_dot, bs.v_dot))) / math.sqrt(s.hbar * omega)
+    return _scaled_grid(base, widen, refine, "the modes ask for")
 
 
 def _scaled_grid(base: GridSpec, widen, refine, what: str) -> GridSpec:
@@ -148,11 +139,6 @@ def _scaled_grid(base: GridSpec, widen, refine, what: str) -> GridSpec:
         raise GridTooNarrow(f"{what} {n:.3g} points, more than MAX_POINTS = {MAX_POINTS}")
     return GridSpec(base.x_min * widen, base.x_max * widen,
                     _scipy_fft().next_fast_len(int(math.ceil(n / 256.0)) * 256))
-
-
-def _fit_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
-    """base scaled by the modes' width and momentum spread at the times."""
-    return _scaled_grid(base, *_mode_scales(s, basis, times), "the modes ask for")
 
 
 class _Context:
@@ -179,6 +165,12 @@ class _Context:
             return self.grid
         s = self.scenario
         return _fit_grid(s, self.basis, self.grid, np.clip(times, s.t0, s.t1))
+
+    def evolver_grid(self, times) -> GridSpec:
+        """packet_grid over the whole span the times cross, clipped first (an
+        infinite end gives linspace no step): the evolver reads edges only at stops."""
+        s = self.scenario
+        return self.packet_grid(np.linspace(*np.clip([min(times), max(times)], s.t0, s.t1), 201))
 
 
 def _interior_times(s: Scenario, fractions):
@@ -317,11 +309,17 @@ def _verify_checks(ctx):
         # the slice's largest wavenumber k grows as 1 / hbar and with the
         # chirp. From a 256-point grid the windowed slice read 8.0e-5 at
         # k dx = 1, 9.7e-7 at 0.5 and at 0.25 the time difference's 1.1e-7,
-        # as from 2048: past k dx = 0.25 it takes more points, same extent
+        # as from 2048: past k dx = 0.25 it takes more points, same extent.
+        # The residual's window ramps over 0.17 of the half-span, and the
+        # slice needs 100 points there, whatever k: on sho at hbar = 2 it read
+        # 3.1e-6 at 43 points per ramp, 4.6e-7 at 54, 3.2e-8 at 87 and 2.9e-8
+        # from 109
         co = propagator.kernel_coefficients(s, basis, part, t_a, t_val)
         k_dx = (2.0 * abs(co.q_bb) * max(abs(grid.x_min), abs(grid.x_max))
                 + 0.3 * abs(co.q_ab) + abs(co.l_b)) * grid.dx
-        fine = _scaled_grid(grid, 1.0, k_dx / 0.25, "the kernel slice's wavenumbers ask for")
+        ramp = 0.085 * (grid.n_points - 1)
+        fine = _scaled_grid(grid, 1.0, max(k_dx / 0.25, 100.0 / ramp),
+                            "the kernel slice's wavenumbers ask for")
         return oracle.schrodinger_residual(field, s, t_val, fine)
 
     def residual_modes():
@@ -395,22 +393,13 @@ def _verify_checks(ctx):
         and a sixth of its points, rounded up by next_fast_len, which still
         hold the mode's band: the evolver's spatial error is spectral."""
         times = np.linspace(s.t0, s.t0 + min(2.0, 0.8 * span), 5)
-        # the mode's phase rates grow with its momentum spread, and the
-        # evolver's time error at its one fine step with them: see
-        # _EVOLVER_MAX_SPREAD
-        widen, refine = _mode_scales(s, basis, times)
-        spread = round(max(1.0, refine))
-        if spread > _EVOLVER_MAX_SPREAD:
-            raise GridTooNarrow(f"momentum spread rounds to {spread}, beyond the "
-                                f"evolver's resolved {_EVOLVER_MAX_SPREAD}")
-        wide = _scaled_grid(grid, widen, refine, "the modes ask for")
+        wide = _fit_grid(s, basis, grid, times)
         if wide.n_points // 6 < 16:  # GridSpec's least
             raise GridTooNarrow(f"the evolver's sixth of {wide.n_points} points is under 16")
         coarse = GridSpec(wide.x_min, wide.x_max, _scipy_fft().next_fast_len(wide.n_points // 6))
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
-        cfg = oracle.EvolverConfig(dt=1.8e-2)
         legs = [float(t) for t in times[1:]]
-        return packet, list(oracle.evolve_tdse_stops(s, packet, legs, cfg))
+        return packet, list(oracle.evolve_tdse_stops(s, packet, legs))
 
     def invariant_drift_tdse():
         # each state is read on the grid it was evolved on
@@ -526,11 +515,9 @@ def run_evolve(args) -> int:
     ctx = _Context(args)
     s = ctx.scenario
     times = _times(args, _interior_times(s, (0.0, 0.5, 1.0)))
-    cfg = oracle.EvolverConfig(dt=args.dt)
-    # the evolver reads the edges only at the ends of its legs: fit over the whole span crossed
-    grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))
+    grid = ctx.evolver_grid(times)
     start = states.build_generalized_coherent_state(s, ctx.basis, ctx.part, 0, times[0], grid)
-    evolved = [start, *oracle.evolve_tdse_stops(s, start, times[1:], cfg)]
+    evolved = [start, *oracle.evolve_tdse_stops(s, start, times[1:])]
     # written once every stop has evolved, so a rejected stop writes no file
     for k, state in enumerate(evolved):
         _write_packet_csv(ctx.outfile(f"packet_{k:04d}.csv"), state, s)
@@ -558,8 +545,7 @@ def run_invariant(args) -> int:
     ctx = _Context(args)
     s = ctx.scenario
     times = _times(args, list(np.linspace(s.t0, s.t0 + min(5.0, s.t1 - s.t0), 11)))
-    cfg = oracle.EvolverConfig(dt=args.dt)
-    grid = ctx.packet_grid(np.linspace(min(times), max(times), 201))  # as in run_evolve
+    grid = ctx.evolver_grid(times)
     start = states.eigenmode_packet(s, ctx.basis, ctx.part, 0, times[0], grid)
     first = states.invariant_expectation(start, ctx.basis, ctx.part, s, with_diagnostic=True)
     # the start is the exact mode n = 0, so its <I> misses hbar/2 by the
@@ -571,7 +557,7 @@ def run_invariant(args) -> int:
     # each state is read before the leg from it runs
     rows = [(times[0], *first)] + [
         (t, *states.invariant_expectation(state, ctx.basis, ctx.part, s, with_diagnostic=True))
-        for t, state in zip(times[1:], oracle.evolve_tdse_stops(s, start, times[1:], cfg))]
+        for t, state in zip(times[1:], oracle.evolve_tdse_stops(s, start, times[1:]))]
     _write_table_csv(ctx.outfile("invariant.csv"), ("t", "invariant", "imag_diagnostic"),
                      rows)
     return 0
@@ -631,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="particular-solution initial data x0,xdot0")
         if name != "verify":
             p.add_argument("--times", default=None, help="comma-separated times")
-        if name in ("evolve", "invariant"):
-            p.add_argument("--dt", type=float, default=1.4e-2,
-                           help="evolver's fine time step (paired with twice and four "
-                           "times it)")
         if name == "modes":
             p.add_argument("--modes", default="0..3", help="mode range n0..n1")
         if name == "coherent":

@@ -18,6 +18,9 @@ grid taken as one period, which the packet's dark edges make harmless).
 Strang's step is symmetric, so its time error is even in dt: each evolution
 is three runs, at dt, 2 dt and 4 dt, combined by Romberg extrapolation into
 a sixth-order result (the combination is not exactly unitary; each run is).
+The step is the evolver's own: each leg tries dt = START_DT and halves it
+until the Romberg error estimate meets ERROR_TARGET (Hairer, Norsett &
+Wanner 1993, II.4), so no caller chooses it.
 `Scenario` rejects jumps in a, b and (dM/dt / M) a, whose deltas no midpoint
 step could apply, so W holds none and chi is continuous. The Schrodinger
 residual applies H by gho.packets' spectral derivatives to a sampled field
@@ -27,30 +30,36 @@ before the grid's ends, and reads it where the window is 1.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import ClassicalBasis, _check_time, particular_or_zero
 from .coefficients import Scenario, _jumps, hamiltonian_coefficients
-from .errors import (CausticEncountered, GridTooNarrow, LinearSolveFailure,
-                     ValidationError)
+from .errors import CausticEncountered, GridTooNarrow, LinearSolveFailure, ValidationError
 from .packets import MAX_POINTS, GridSpec, WavePacket, _derivatives, _scipy_fft, derivative
 from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
 
 _log = logging.getLogger(__name__)
 
-# Strang steps of one evolve_tdse call over its three runs. Its table of
-# midpoint coefficients peaks at about 0.15 kB a step, and on a 2-core
-# machine a step takes 21 us on 341 points of sho and 90 us on 2,048 of
-# parametric: at the cap, about 155 MB and 20 s to 90 s
+# Strang steps of one leg over its three runs and all its tries. A try's
+# table of midpoint coefficients peaks at about 0.15 kB a step, and on a
+# 2-core machine a step takes 21 us on 341 points of sho and 90 us on 2,048
+# of parametric: at the cap, about 155 MB and 20 s to 90 s
 MAX_STEPS = 1_000_000
+# the fine step a leg tries first, and the Romberg error estimate it must
+# meet, else it halves the step and tries again: 1e-2 of invariant_drift_tdse's
+# 1e-5, the tightest tolerance that reads the evolver. At the start step the
+# bundled scenarios' legs read 2e-16 to 8e-9, so none tries twice
+START_DT = 1.8e-2
+ERROR_TARGET = 1e-7
 
 __all__ = [
     "MAX_STEPS",
-    "EvolverConfig",
+    "START_DT",
+    "ERROR_TARGET",
     "evolve_tdse",
     "evolve_tdse_stops",
     "schrodinger_residual",
@@ -58,15 +67,6 @@ __all__ = [
     "path_integral_oracle",
     "compose_kernels",
 ]
-
-
-@dataclass(frozen=True)
-class EvolverConfig:
-    dt: float
-
-    def __post_init__(self):
-        if not (0 < self.dt < math.inf):
-            raise ValidationError(f"dt must be positive and finite, not {self.dt}")
 
 
 def solve_banded(factors, rhs):
@@ -162,40 +162,43 @@ def _smooth_pieces(s: Scenario, t_a: float, t_b: float):
     return np.array([t_a, *jumps, t_b], dtype=float)
 
 
-def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float,
-                cfg: EvolverConfig) -> WavePacket:
+def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float) -> WavePacket:
     """Sixth-order evolution of a packet to t_end: three Strang runs, at a
-    fine step dt of about cfg.dt, at 2 dt and at 4 dt, extrapolated as
+    fine step dt, at 2 dt and at 4 dt, extrapolated as
     (64 psi_dt - 20 psi_2dt + psi_4dt) / 45 (see the module docstring);
     evolve_tdse_stops with the one stop t_end.
 
     The interval is first cut at every breakpoint inside it where a piecewise
     coefficient jumps, so that no step of any run straddles a jump (a step
     across one is only first order). On each smooth piece the coarse run
-    takes round(|piece| / (4 cfg.dt)) steps, at least one, and the middle and
-    fine runs twice and four times as many, so all three divide the piece
-    evenly and runs are deterministic. chi is taken at the packet's time and
+    first takes round(|piece| / (4 START_DT)) steps, at least one, and the
+    middle and fine runs twice and four times as many, so all three divide
+    the piece evenly and runs are deterministic. While the Romberg error
+    estimate |R_dt - R_2dt| / (15 |psi|) of the fourth-order extrapolations
+    R_h = (4 psi_h - psi_2h) / 3, which the sixth-order result improves on,
+    is above ERROR_TARGET, every piece's step counts double and the three
+    runs start again from the packet. chi is taken at the packet's time and
     at t_end. The packet must be dark at both edges when the leg starts and
     when it ends (GridTooNarrow otherwise): the FFT would wrap a bright edge
-    round. Logs, at DEBUG level on the "gho.oracle" logger, the grid's
-    point count and spacing, each run's step count, potential and kinetic
-    factors made and norm drift, and the Romberg error estimate
-    |R_dt - R_2dt| / (15 |psi|) of the fourth-order extrapolations
-    R_h = (4 psi_h - psi_2h) / 3, which the sixth-order result improves on.
-    The packet's time and t_end must lie in the working interval, and the
-    three runs may take at most MAX_STEPS steps together (ValidationError
-    otherwise, nan included).
+    round. Logs, at DEBUG level on the "gho.oracle" logger, the grid's point
+    count and spacing, the number of tries, and the last try's step count,
+    potential and kinetic factors made and norm drift of each run, and its
+    error estimate. The packet's time and t_end must lie in the working
+    interval (ValidationError otherwise, nan included), and the runs of every
+    try may take at most MAX_STEPS steps together (GridTooNarrow otherwise,
+    raised before the try's steps are allocated).
     """
-    return next(evolve_tdse_stops(s, packet, [t_end], cfg))
+    return next(evolve_tdse_stops(s, packet, [t_end]))
 
 
-def evolve_tdse_stops(s: Scenario, packet: WavePacket, stops, cfg: EvolverConfig):
+def evolve_tdse_stops(s: Scenario, packet: WavePacket, stops):
     """Yield the packet evolved to each of the stops in turn: the state at a
     stop is evolve_tdse's from the state at the stop before it (the packet,
     for the first), to the bit, and each leg is checked and logged as
     evolve_tdse's call. A leg runs only when its state is asked for, so a
     stop that fails raises after the states before it are yielded.
 
+    Every leg first tries START_DT, however fine the leg before it ended.
     Each of the three runs keeps its factors from leg to leg, so a leg whose
     first step has the coefficients of the previous leg's last step (a
     constant scenario, or a plateau across the stop) makes none, and its
@@ -203,11 +206,39 @@ def evolve_tdse_stops(s: Scenario, packet: WavePacket, stops, cfg: EvolverConfig
     """
     runs = [_StrangRun(s.hbar, packet.grid) for _ in range(3)]  # fine, middle, coarse
     for t_end in stops:
-        packet = _evolve_leg(s, packet, t_end, cfg, runs)
+        packet = _evolve_leg(s, packet, t_end, runs)
         yield packet
 
 
-def _evolve_leg(s: Scenario, packet: WavePacket, t_end, cfg: EvolverConfig, runs):
+def _step_tables(s: Scenario, packet: WavePacket, t_end, edges, coarse_counts):
+    """chi / hbar on the grid at the packet's time and at t_end, and the
+    fine, middle and coarse runs' tables of (M, w2, w1, w0, dt), one row a
+    step at its midpoint, for coarse_counts steps on the pieces between
+    edges: every coefficient from one call."""
+    dts, mids = [], []
+    for scale in (4, 2, 1):
+        counts = scale * coarse_counts
+        piece_dts = np.diff(edges) / counts
+        dts.append(np.repeat(piece_dts, counts))
+        mids.extend(lo + (np.arange(n) + 0.5) * dt
+                    for lo, n, dt in zip(edges[:-1], counts, piece_dts))
+    times = np.concatenate([*mids, [packet.t, t_end]])
+    m, a_c, b_c, v2, v1, v0 = hamiltonian_coefficients(s, times)
+    # the last two times are the leg's ends: into the gauge frame and out of it
+    x = packet.grid.points
+    start, end = ((a_c[k] * m[k] * x + b_c[k]) * x / s.hbar for k in (-2, -1))
+    mids, m, a_c, b_c = times[:-2], m[:-2], a_c[:-2], b_c[:-2]
+    m_dot, a_dot, b_dot = (coefficient.eval(mids)[1] for coefficient in (s.mass, s.a, s.b))
+    table = np.empty((mids.size, 5))
+    table[:, 0] = m
+    table[:, 1] = v2[:-2] - 2.0 * a_c * a_c * m + a_dot * m + a_c * m_dot
+    table[:, 2] = v1[:-2] - 2.0 * a_c * b_c + b_dot
+    table[:, 3] = v0[:-2] - b_c * b_c / (2.0 * m)
+    table[:, 4] = np.concatenate(dts)
+    return start, end, np.split(table, np.cumsum([d.size for d in dts[:-1]]))
+
+
+def _evolve_leg(s: Scenario, packet: WavePacket, t_end, runs):
     """The packet evolved to t_end on the three runs, checked and logged as
     evolve_tdse describes."""
     _check_time(s, packet.t, "packet.t")
@@ -216,47 +247,30 @@ def _evolve_leg(s: Scenario, packet: WavePacket, t_end, cfg: EvolverConfig, runs
     if t_end == packet.t:
         return packet.with_samples(packet.samples)
     edges = _smooth_pieces(s, packet.t, t_end)
-    with np.errstate(over="ignore"):  # checked as floats: a tiny dt's count is inf
-        coarse_counts = np.maximum(1.0, np.round(np.abs(np.diff(edges)) / (4.0 * cfg.dt)))
-    total = 7.0 * float(np.sum(coarse_counts))
-    if total > MAX_STEPS:
-        raise ValidationError(f"dt={cfg.dt:g} from t={packet.t:g} to t_end={t_end:g} takes "
-                              f"{total:.3g} steps, more than MAX_STEPS = {MAX_STEPS}")
-    # every run's steps: each piece's step and midpoints; the three runs'
-    # coefficients, and chi's at the leg's two ends, from one call
-    dts, mids = [], []
-    for scale in (4, 2, 1):
-        counts = scale * coarse_counts.astype(int)
-        piece_dts = np.diff(edges) / counts
-        dts.append(np.repeat(piece_dts, counts))
-        mids.extend(lo + (np.arange(n) + 0.5) * dt
-                    for lo, n, dt in zip(edges[:-1], counts, piece_dts))
-    times = np.concatenate([*mids, [packet.t, t_end]])
-    m, a_c, b_c, v2, v1, v0 = hamiltonian_coefficients(s, times)
-    # chi / hbar at the leg's two ends, the last two times: into the gauge
-    # frame and out of it
-    x = packet.grid.points
-    start, end = ((a_c[k] * m[k] * x + b_c[k]) * x / s.hbar for k in (-2, -1))
-    mids, m, a_c, b_c = times[:-2], m[:-2], a_c[:-2], b_c[:-2]
-    m_dot, a_dot, b_dot = (coefficient.eval(mids)[1] for coefficient in (s.mass, s.a, s.b))
-    table = np.empty((mids.size, 5))  # a step's M, w2, w1, w0 and dt
-    table[:, 0] = m
-    table[:, 1] = v2[:-2] - 2.0 * a_c * a_c * m + a_dot * m + a_c * m_dot
-    table[:, 2] = v1[:-2] - 2.0 * a_c * b_c + b_dot
-    table[:, 3] = v0[:-2] - b_c * b_c / (2.0 * m)
-    table[:, 4] = np.concatenate(dts)
-    tables = np.split(table, np.cumsum([d.size for d in dts[:-1]]))
-    phi = packet.samples * _cis(-start, "gauge")
-    results = [run.leg(phi, rows) for run, rows in zip(runs, tables)]
-    fine, middle, coarse = (result[0] for result in results)
-    # R_dt - R_2dt = (4 psi_dt - 5 psi_2dt + psi_4dt) / 3
-    estimate = float(np.linalg.norm(4.0 * fine - 5.0 * middle + coarse)
-                     / (45.0 * np.linalg.norm(packet.samples)))
-    _log.debug("evolve_tdse: grid %d points, dx %.6g; "
+    with np.errstate(over="ignore"):  # counted as floats: a long piece's passes int64
+        coarse_counts = np.maximum(1.0, np.round(np.abs(np.diff(edges)) / (4.0 * START_DT)))
+    spent = 0.0
+    for tries in itertools.count(1):
+        spent += 7.0 * float(np.sum(coarse_counts))
+        if spent > MAX_STEPS:
+            raise GridTooNarrow(f"evolve_tdse from t={packet.t:g} to t_end={t_end:g} reaches "
+                                f"{spent:.3g} steps at try {tries}, more than "
+                                f"MAX_STEPS = {MAX_STEPS}")
+        start, end, tables = _step_tables(s, packet, t_end, edges, coarse_counts.astype(int))
+        phi = packet.samples * _cis(-start, "gauge")
+        results = [run.leg(phi, rows) for run, rows in zip(runs, tables)]
+        fine, middle, coarse = (result[0] for result in results)
+        # R_dt - R_2dt = (4 psi_dt - 5 psi_2dt + psi_4dt) / 3
+        estimate = float(np.linalg.norm(4.0 * fine - 5.0 * middle + coarse)
+                         / (45.0 * np.linalg.norm(packet.samples)))
+        if not estimate > ERROR_TARGET:
+            break
+        coarse_counts = 2.0 * coarse_counts
+    _log.debug("evolve_tdse: grid %d points, dx %.6g; try %d: "
                "fine run %d steps, %d potential and %d kinetic factors, norm drift %.3e; "
                "middle run %d steps, %d potential and %d kinetic factors, norm drift %.3e; "
                "coarse run %d steps, %d potential and %d kinetic factors, norm drift %.3e; "
-               "Romberg error estimate %.3e", packet.grid.n_points, packet.grid.dx,
+               "Romberg error estimate %.3e", packet.grid.n_points, packet.grid.dx, tries,
                *(value for result in results for value in result[1:]), estimate)
     out = WavePacket(packet.grid, (64.0 * fine - 20.0 * middle + coarse) / 45.0
                      * _cis(end, "gauge"), t=t_end)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gho
-from gho import (CausticEncountered, EvolverConfig, GridSpec, KernelQuery,
+from gho import (CausticEncountered, GridSpec, KernelQuery,
                  WavePacket, build_generalized_coherent_state, eigenmode_packet,
                  evolve_tdse, inner_product, invariant_expectation, kernel,
                  kernel_delta_check, l2_distance, mean_x, packet_norm,
@@ -211,12 +211,11 @@ def test_criterion_7_invariant(sho, sho_basis, sho_basis_squeezed, sho_part_zero
 
     packet = eigenmode_packet(parametric, parametric_basis, parametric_part, 0,
                               0.0, grid)
-    cfg = EvolverConfig(dt=1e-2)
     values = [invariant_expectation(packet, parametric_basis, parametric_part,
                                     parametric)]
     state = packet
     for t_end in np.linspace(0.5, 5.0, 10):
-        state = evolve_tdse(parametric, state, float(t_end), cfg)
+        state = evolve_tdse(parametric, state, float(t_end))
         values.append(invariant_expectation(state, parametric_basis,
                                             parametric_part, parametric))
     values = np.asarray(values)
@@ -245,7 +244,7 @@ def test_criterion_8_oracle_cross_validation(sho, sho_basis, parametric,
     worst_evolver = 0.0
     for s, basis in ((sho, sho_basis), (parametric, parametric_basis)):
         packet = sho_eigenstate(0, grid)
-        evolved = evolve_tdse(s, packet, 1.0, EvolverConfig(dt=1e-3))
+        evolved = evolve_tdse(s, packet, 1.0)
         direct = propagate(packet, s, basis, None, 1.0)
         worst_evolver = max(worst_evolver, l2_distance(evolved, direct))
     assert worst_evolver < 1e-4

@@ -166,7 +166,7 @@ def test_invariant_default_times(sho_file, tmp_path):
     # numpy-bool comparison
     out_dir = tmp_path / "inv"
     assert main(["invariant", "--scenario", str(sho_file), "--out", str(out_dir),
-                 "--grid=-10,10,256", "--dt", "0.05"]) == 0
+                 "--grid=-10,10,256"]) == 0
     assert len((out_dir / "invariant.csv").read_text().splitlines()) == 12
 
 
@@ -204,9 +204,9 @@ def test_bad_flags_exit_two(sho_file):
 
 
 # the options past --scenario, --out, --grid, --basis and --xp that each
-# command reads, and a valid value of each; no command reads --tol
-READS = {"verify": set(), "kernel-scan": {"--times"}, "evolve": {"--times", "--dt"},
-         "modes": {"--times", "--modes"}, "invariant": {"--times", "--dt"},
+# command reads, and a valid value of each; no command reads --tol or --dt
+READS = {"verify": set(), "kernel-scan": {"--times"}, "evolve": {"--times"},
+         "modes": {"--times", "--modes"}, "invariant": {"--times"},
          "coherent": {"--times", "--modes"}}
 VALUES = {"--times": "0.0,0.5", "--dt": "1e-3", "--modes": "0", "--tol": "path_integral=1"}
 
@@ -285,13 +285,15 @@ def test_kernel_scan_exit_codes(sho_file, tmp_path):
                  "--times", f"0.0,{np.pi!r}"]) == 1
 
 
+# an infinite evolve or invariant stop once also printed numpy's warning
+# from the fitted grid's linspace ahead of the error line
 @pytest.mark.parametrize("argv", [
     ["kernel-scan", "--times", "nan,1"],
     ["kernel-scan", "--times", "1,nan"],
     ["kernel-scan", "--times", "1,inf"],
-    ["evolve", "--dt", "nan"],
-    ["evolve", "--dt", "inf"],
-    ["invariant", "--dt", "nan"],
+    ["evolve", "--times", "0,nan"],
+    ["evolve", "--times", "0,inf"],
+    ["invariant", "--times", "0,nan"],
     ["modes", "--times", "40", "--modes", "0"],
     ["modes", "--times", "nan", "--modes", "0"],
     ["coherent", "--times", "40"],
@@ -302,7 +304,8 @@ def test_kernel_scan_exit_codes(sho_file, tmp_path):
 def test_non_finite_or_outside_times_and_steps_exit_two(sho_file, tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main([*argv, "--scenario", str(sho_file), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not any(out.iterdir())  # rejected before any file is written
 
 
@@ -532,6 +535,28 @@ def test_verify_caps_the_kernel_slice_refinement(tmp_path, capsys, monkeypatch):
         checks["schrodinger_residual_kernel"]()
 
 
+@pytest.mark.parametrize("n", [256, 512])
+def test_verify_resolves_the_kernel_slices_window_ramp(n, tmp_path, monkeypatch):
+    # sho at hbar = 2 from --grid=-10,10,256 or 512: the slice's wavenumbers
+    # ask 512 points, over which the residual's window ramps in 43, and the
+    # check read 3.1e-6, 100 times its 2.9e-8 from 2048. With 100 points per
+    # ramp it takes 1280 and reads 2.9e-8
+    path = tmp_path / "sho_hbar2.json"
+    path.write_text(json.dumps({"hbar": 2.0, "interval": [0.0, 12.0]}))
+    grids, residual = [], oracle.schrodinger_residual
+
+    def spy(field, s, t, grid):
+        grids.append(grid.n_points)
+        return residual(field, s, t, grid)
+
+    monkeypatch.setattr(oracle, "schrodinger_residual", spy)
+    ctx = cli._Context(cli.build_parser().parse_args(
+        ["verify", "--scenario", str(path), f"--grid=-10,10,{n}"]))
+    checks = {name: check for name, _, check in cli._verify_checks(ctx)}
+    assert checks["schrodinger_residual_kernel"]() <= 1e-7
+    assert grids == [1280]
+
+
 def test_verify_resolves_the_kernel_slice_at_small_hbar(tmp_path, capsys):
     # at hbar = 0.01 the slice asks about 48 times the base grid's points,
     # under MAX_POINTS, 1024 times them (80 with the 7-point stencils; the
@@ -573,14 +598,19 @@ def test_verify_on_a_grid_too_coarse_for_the_evolver_skips_its_two_checks(capsys
 
 
 @pytest.mark.parametrize("command", ["evolve", "invariant"])
-def test_evolver_step_count_is_capped_before_any_allocation(command, tmp_path, capsys):
-    # a step of 1e-300 asked for about 1e299 steps: the step table's size
-    # overflowed and the run ended in a ValueError traceback
+def test_evolver_step_count_is_capped_before_any_allocation(command, tmp_path, capsys,
+                                                            monkeypatch):
+    # a leg past the step budget is a resolution cap, as a grid past
+    # MAX_POINTS is: one line, exit 1 and no file. (A --dt of 1e-300 once
+    # asked for about 1e299 steps, and the step table's size overflowed into
+    # a ValueError traceback.) The leg from 0 to 0.1 takes 7 steps at its
+    # first try
+    monkeypatch.setattr(oracle, "MAX_STEPS", 6)
     out = tmp_path / "out"
-    assert main([command, "--scenario", str(SCENARIOS / "sho.json"), "--dt", "1e-300",
-                 "--times", "0,0.1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: dt=1e-300 from t=0 to t_end=0.1 takes "
-                                       "1.75e+299 steps, more than MAX_STEPS = 1000000\n")
+    assert main([command, "--scenario", str(SCENARIOS / "sho.json"),
+                 "--times", "0,0.1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: evolve_tdse from t=0 to t_end=0.1 reaches 7 "
+                                       "steps at try 1, more than MAX_STEPS = 6\n")
     assert not any(out.iterdir())
 
 
@@ -860,9 +890,10 @@ def test_verify_evolves_the_ground_mode_once(caplog, capsys):
                for n, dx in grids)
     # |R_dt - R_2dt| / (15 |psi|) per leg, the fourth-order pair's error:
     # measured 3.2e-9, about 400 times the sixth-order result's 8e-12 from
-    # propagate
+    # propagate, and under the target of 1e-7 at each leg's first try
     estimates = [float(re.search(r"Romberg error estimate (\S+)", m)[1]) for m in records]
     assert len(estimates) == 4 and all(0.0 < e < 1e-8 for e in estimates)
+    assert [re.search(r"try (\d+):", m)[1] for m in records] == ["1"] * 4
 
 
 @pytest.mark.parametrize("scenario", ["sho", "free_particle"])
@@ -925,7 +956,7 @@ def test_verify_evolves_on_a_sixth_of_grid_for_points(basis, monkeypatch):
     # count; one call evolves it through the four stops
     grids, calls = [], []
 
-    def recorded(s, packet, stops, cfg):
+    def recorded(s, packet, stops):
         grids.append(packet.grid)
         calls.append(list(stops))
         return (packet.with_samples(packet.samples, t=t_end) for t_end in stops)
@@ -967,10 +998,10 @@ def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
     evolved, stops_asked, read = [], [], []
     evolve, expectation = cli.oracle.evolve_tdse_stops, cli.states.invariant_expectation
 
-    def spy_evolve(s, packet, stops, cfg):
+    def spy_evolve(s, packet, stops):
         evolved.append(packet.grid)
         stops_asked.append(list(stops))
-        return evolve(s, packet, stops, cfg)
+        return evolve(s, packet, stops)
 
     def spy_expectation(packet, *args):
         read.append(packet.grid)
@@ -997,9 +1028,9 @@ def test_verify_evolves_through_its_four_legs_only(tmp_path, monkeypatch):
     calls, hops = [], []
     evolve, propagate = cli.oracle.evolve_tdse_stops, cli.propagator.propagate
 
-    def spy_evolve(s, packet, stops, cfg):
+    def spy_evolve(s, packet, stops):
         calls.append(list(stops))
-        return evolve(s, packet, stops, cfg)
+        return evolve(s, packet, stops)
 
     def spy_propagate(packet, s, basis, part, t):
         hops.append(t)
@@ -1094,15 +1125,32 @@ def test_kernel_closed_form_is_mehlers_kernel(spec, tmp_path):
     assert check() <= tol
 
 
-def test_verify_skips_evolver_checks_beyond_the_resolved_spread():
-    # momentum spread 11.2: past the spread cap of 10 the evolver checks
-    # skip before evolving (here they would read 4.4e-7 in about a second)
+def test_verify_evolver_checks_pass_at_momentum_spread_eleven():
+    # momentum spread 11.2, on 42,592 evolver points: at one fixed fine step
+    # of 1.8e-2 evolver_vs_kernel read 4.4e-7, and past a spread cap of 10
+    # both checks skipped. Each leg halves its step two or three times to
+    # meet the error target: measured 1.9e-15 and 5.5e-10
     args = cli.build_parser().parse_args(
         ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--basis", "custom:0.04,0,0,5"])
-    checks = {name: check for name, _, check in cli._verify_checks(cli._Context(args))}
+    checks = {name: (tol, check) for name, tol, check in cli._verify_checks(cli._Context(args))}
     for name in ("invariant_drift_tdse", "evolver_vs_kernel"):
-        with pytest.raises(GridTooNarrow, match="momentum spread rounds to 11"):
-            checks[name]()
+        tol, check = checks[name]
+        assert check() <= tol
+
+
+def test_verify_halves_the_step_where_the_estimate_asks(caplog):
+    # momentum spread 4.5: the first leg's estimate reads 2.9e-7 at the start
+    # step, over the target of 1e-7, and 1.8e-8 at half of it; the other
+    # three legs read 4e-8 to 7e-8 at their first try. At the fixed start
+    # step evolver_vs_kernel read 1.9e-9, and now 1.3e-10
+    args = cli.build_parser().parse_args(
+        ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--basis", "custom:0.1,0,0,2"])
+    checks = {name: check for name, _, check in cli._verify_checks(cli._Context(args))}
+    with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
+        value = checks["evolver_vs_kernel"]()
+    records = [r.getMessage() for r in caplog.records if r.name == "gho.oracle"]
+    assert [re.search(r"try (\d+):", m)[1] for m in records] == ["2", "1", "1", "1"]
+    assert value < 1e-9
 
 
 @pytest.mark.parametrize("scenario", ["sho", "parametric", "driven_sho"])

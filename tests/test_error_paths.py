@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gho
-from gho import (EvolverConfig, GridSpec, KernelQuery, ParseError, ValidationError,
+from gho import (GridSpec, KernelQuery, ParseError, ValidationError,
                  eigenmode, evolve_tdse, kernel_delta_check, load_scenario, mode_sum_kernel,
                  path_integral_oracle, propagate, schrodinger_residual, sho_eigenstate)
 from gho.packets import evaluate_trig_interpolant, upsample_periodic
@@ -53,7 +53,7 @@ def test_bad_input_raises_its_error(call, error, message):
 
 
 @pytest.mark.parametrize("hop", [
-    lambda packet: evolve_tdse(SHO, packet, packet.t, EvolverConfig(dt=1e-2)),
+    lambda packet: evolve_tdse(SHO, packet, packet.t),
     lambda packet: propagate(packet, SHO, BASIS, None, packet.t)], ids=["evolve", "propagate"])
 def test_an_equal_time_hop_copies_the_packet(hop):
     start = GROUND.with_samples(GROUND.samples, t=0.5)

@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 import types
 
@@ -6,8 +7,7 @@ import numpy as np
 import pytest
 
 import gho
-from gho import (EvolverConfig, GridSpec, KernelQuery, LinearSolveFailure,
-                 ValidationError, WavePacket,
+from gho import (GridSpec, KernelQuery, LinearSolveFailure, ValidationError, WavePacket,
                  evolve_tdse, inner_product, kernel, l2_distance, mean_x,
                  packet_norm, path_integral_oracle, propagate,
                  schrodinger_residual, sho_eigenstate, var_x)
@@ -17,12 +17,6 @@ from conftest import COUPLED as CONFTEST_COUPLED
 from conftest import free_kernel
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
-def test_evolver_step_must_be_positive_and_finite(dt):
-    with pytest.raises(ValidationError, match="dt must be positive and finite"):
-        EvolverConfig(dt=dt)
-
-
 @pytest.mark.parametrize("start, t_end, name", [
     (0.0, 14.0, "t_end=14.0"), (0.0, -1.0, "t_end=-1.0"), (0.0, float("nan"), "t_end=nan"),
     (13.0, 1.0, "packet.t=13.0"), (float("nan"), 1.0, "packet.t=nan")])
@@ -30,12 +24,12 @@ def test_evolver_rejects_times_outside_the_interval(sho, grid, start, t_end, nam
     # past t1 the evolver would read coefficients the scenario never checked
     packet = WavePacket(grid, sho_eigenstate(0, grid).samples, t=start)
     with pytest.raises(ValidationError, match=rf"{name} outside working interval \[0.0, 12.0\]"):
-        evolve_tdse(sho, packet, t_end, EvolverConfig(dt=1e-2))
+        evolve_tdse(sho, packet, t_end)
 
 
 def test_stationary_state_under_evolution(sho, grid):
     packet = sho_eigenstate(0, grid)
-    out = evolve_tdse(sho, packet, 1.0, EvolverConfig(dt=1e-3))
+    out = evolve_tdse(sho, packet, 1.0)
     overlap = inner_product(out, packet)
     assert abs(overlap) > 1 - 1e-8
     # global phase exp(-i t / 2); the overlap conjugates the evolved state
@@ -44,30 +38,32 @@ def test_stationary_state_under_evolution(sho, grid):
 
 def test_free_gaussian_spreading(free, grid):
     packet = sho_eigenstate(0, grid)
-    out = evolve_tdse(free, packet, 1.0, EvolverConfig(dt=1e-3))
+    out = evolve_tdse(free, packet, 1.0)
     assert var_x(out) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_ehrenfest_driven_sho(driven, driven_part, grid):
     packet = sho_eigenstate(0, grid)
-    out = evolve_tdse(driven, packet, 2.0, EvolverConfig(dt=1e-3))
+    out = evolve_tdse(driven, packet, 2.0)
     assert mean_x(out) == pytest.approx(float(driven_part.at(2.0).x), abs=1e-4)
     assert float(driven_part.at(2.0).x) == pytest.approx(1 - np.cos(2.0), abs=1e-10)
 
 
 def test_norm_drift_over_thousand_steps(parametric, grid):
     packet = sho_eigenstate(0, grid)
-    out = evolve_tdse(parametric, packet, 1.0, EvolverConfig(dt=1e-3))
+    out = evolve_tdse(parametric, packet, 1.0)
     assert abs(packet_norm(out) - packet_norm(packet)) < 1e-8
 
 
 def test_evolver_vs_kernel_propagation(sho, sho_basis, parametric,
                                        parametric_basis, grid):
-    # measured 4.4e-13 (sho) and 5.0e-13 (parametric); the bound, set with 8x
-    # margin over a fourth-order evolver's 4.1e-10 and 3.7e-9, is kept
+    # measured 6.9e-12 (sho) and 9.0e-12 (parametric) at the start step,
+    # whose estimates read 6.1e-9 and 7.4e-9 (4.4e-13 and 5.0e-13 at a fine
+    # step of 1e-2); the bound, set with 8x margin over a fourth-order
+    # evolver's 4.1e-10 and 3.7e-9, is kept
     for s, basis in ((sho, sho_basis), (parametric, parametric_basis)):
         packet = sho_eigenstate(0, grid)
-        evolved = evolve_tdse(s, packet, 1.0, EvolverConfig(dt=1e-2))
+        evolved = evolve_tdse(s, packet, 1.0)
         direct = propagate(packet, s, basis, None, 1.0)
         assert l2_distance(evolved, direct) < 3e-8
 
@@ -79,34 +75,44 @@ COUPLED = {"a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0},
 FREQUENCY_STEP = {"frequency": {"kind": "piecewise", "breakpoints": [0.5],
                                 "values": [1.0, 1.6]},
                   "interval": [0.0, 2.0]}
-# the same jump at 0.55, inside the coarse run's step from 0.52 to 0.56
+# the same jump at 0.55, inside the coarse run's step from 0.5 to 0.57
 FREQUENCY_STEP_MID = {"frequency": {"kind": "piecewise", "breakpoints": [0.55],
                                     "values": [1.0, 1.6]},
                       "interval": [0.0, 2.0]}
 
 
-def _evolver_error(spec, grid, dt):
+def _evolver_error(spec, grid):
     """L2 distance at t = 1 between the evolved and the propagated n = 0
     oscillator state of the scenario spec."""
     s = gho.scenario_from_dict(spec)
     basis = gho.solve_homogeneous_basis(s)
     part = gho.solve_particular(s)
     packet = sho_eigenstate(0, grid)
-    evolved = evolve_tdse(s, packet, 1.0, EvolverConfig(dt=dt))
+    evolved = evolve_tdse(s, packet, 1.0)
     return l2_distance(evolved, propagate(packet, s, basis, part, 1.0))
 
 
-# measured 4.7e-13 (coupled), 2.7e-12 (step) and 2.2e-12 (step_mid_coarse_step);
-# the bounds, set with about 8x margin over a fourth-order evolver's 1.3e-8,
-# 6.4e-7 and 5.9e-7, are kept
+def _fixed_step(monkeypatch, dt):
+    """Pins the evolver's fine step to dt: its start step, with no error
+    target that would halve it."""
+    monkeypatch.setattr(gho.oracle, "START_DT", dt)
+    monkeypatch.setattr(gho.oracle, "ERROR_TARGET", math.inf)
+
+
+# measured 1.0e-11 (coupled), 6.8e-11 (step) and 8.2e-11 (step_mid_coarse_step)
+# at the start step, whose estimates read 8.1e-9, 2.7e-8 and 3.0e-8 (4.7e-13,
+# 2.7e-12 and 2.2e-12 at a fine step of 1e-2); the bounds, set with about 8x
+# margin over a fourth-order evolver's 1.3e-8, 6.4e-7 and 5.9e-7, are kept
 @pytest.mark.parametrize("spec, bound", [(COUPLED, 1e-7), (FREQUENCY_STEP, 5e-6),
                                          (FREQUENCY_STEP_MID, 5e-6)],
                          ids=["coupled", "step", "step_mid_coarse_step"])
 def test_evolver_vs_propagate(spec, bound, grid):
     # the step cases fail if the potential factor is not made again after the
-    # frequency changes; the mid-step case reads 3.2e-3 if a coarse step
-    # straddles the jump instead of ending on it
-    assert _evolver_error(spec, grid, 1e-2) < bound
+    # frequency changes. If a coarse step straddles the jump instead of ending
+    # on it, the mid-step case is first order: at a fine step of 1e-2 it read
+    # 3.2e-3, and with its step halved until the estimate meets the target
+    # the leg passes MAX_STEPS at its 14th try and raises GridTooNarrow
+    assert _evolver_error(spec, grid) < bound
 
 
 @pytest.mark.parametrize("column, factor", [(1, -1.0), (2, 0.0)],
@@ -125,27 +131,30 @@ def test_evolver_vs_propagate_fails_on_a_wrong_coupling(column, factor, grid,
         return tuple(row)
 
     monkeypatch.setattr(gho.oracle, "hamiltonian_coefficients", mutated)
-    assert _evolver_error(COUPLED, grid, 1e-2) > 1e-4
+    assert _evolver_error(COUPLED, grid) > 1e-4
 
 
-def test_evolver_is_sixth_order_in_time(grid):
+def test_evolver_is_sixth_order_in_time(grid, monkeypatch):
     # each halving of dt cuts the error about 64x (measured 81, 260 and 65,
     # from 1.0e-4 down to 7.7e-11); a fourth-order error would cut it 16x.
     # Finer steps meet the grid's rounding floor: 1.1e-12 at dt = 0.0125 and
     # 4.6e-13 at 0.00625
-    errors = [_evolver_error(COUPLED, grid, dt) for dt in (0.2, 0.1, 0.05, 0.025)]
+    errors = []
+    for dt in (0.2, 0.1, 0.05, 0.025):
+        _fixed_step(monkeypatch, dt)
+        errors.append(_evolver_error(COUPLED, grid))
     assert all(coarse > 40.0 * fine for coarse, fine in zip(errors, errors[1:]))
 
 
-def test_evolver_is_spectral_in_space():
+def test_evolver_is_spectral_in_space(monkeypatch):
     # dx = 20 / 64, 20 / 128, 20 / 256, 20 / 512 at a step whose time error
     # is far below the spatial one: the kinetic step is exact on the FFT's
     # band, so the coarsest grid, 0.31 apart for a packet about 1 wide,
     # already reads the rounding floor (measured 7.4e-14, 4.9e-14, 1.2e-13
     # and 2.8e-13; bound with 10x margin). 7-point sixth-order stencils read
     # 7.2e-5 at 65 points
-    errors = [_evolver_error(COUPLED, GridSpec(-10.0, 10.0, n), 1.25e-3)
-              for n in (65, 129, 257, 513)]
+    _fixed_step(monkeypatch, 1.25e-3)
+    errors = [_evolver_error(COUPLED, GridSpec(-10.0, 10.0, n)) for n in (65, 129, 257, 513)]
     assert max(errors) < 3e-12
 
 
@@ -177,10 +186,11 @@ def _factors(caplog):
     ({"frequency": {"kind": "piecewise", "breakpoints": [0.25, 0.5, 1.5],
                     "values": [1.0, 1.4, 0.8, 1.2]}, "interval": [0.0, 2.0]}, 3),
 ])
-def test_evolver_factors_once_per_plateau(spec, count, grid, caplog):
+def test_evolver_factors_once_per_plateau(spec, count, grid, caplog, monkeypatch):
+    _fixed_step(monkeypatch, 1e-2)
     s = gho.scenario_from_dict(spec)
     with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
-        evolve_tdse(s, sho_eigenstate(0, grid), 1.0, EvolverConfig(dt=1e-2))
+        evolve_tdse(s, sho_eigenstate(0, grid), 1.0)
     assert _factors(caplog) == [[(count, 1)] * 3]
 
 
@@ -194,14 +204,20 @@ STOPS = [0.5, 1.0, 1.5, 2.0]
     {"frequency": {"kind": "piecewise", "breakpoints": [0.7], "values": [1.0, 1.3]},
      "interval": [0.0, 2.0]},
 ], ids=["sho-factors-reused", "parametric-factors-every-step", "piecewise-jump-inside-a-leg"])
-def test_evolver_stops_equal_chained_calls_to_the_bit(spec):
+def test_evolver_stops_equal_chained_calls_to_the_bit(spec, caplog, monkeypatch):
+    # at a target of 1e-9 every leg halves its start step once (its first
+    # try's estimate reads 2.5e-9 to 1.5e-8), and still starts from it
+    monkeypatch.setattr(gho.oracle, "START_DT", 1.8e-2)
+    monkeypatch.setattr(gho.oracle, "ERROR_TARGET", 1e-9)
     s = gho.scenario_from_dict(spec)
-    start, cfg = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341)), EvolverConfig(dt=1.8e-2)
+    start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341))
     chained, state = [], start
-    for t_end in STOPS:
-        state = evolve_tdse(s, state, t_end, cfg)
-        chained.append(state)
-    through = list(gho.oracle.evolve_tdse_stops(s, start, STOPS, cfg))
+    with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
+        for t_end in STOPS:
+            state = evolve_tdse(s, state, t_end)
+            chained.append(state)
+    assert [re.search(r"try (\d+):", r.getMessage())[1] for r in caplog.records] == ["2"] * 4
+    through = list(gho.oracle.evolve_tdse_stops(s, start, STOPS))
     assert [p.t for p in through] == STOPS
     assert all(np.array_equal(a.samples, b.samples) for a, b in zip(through, chained))
 
@@ -209,7 +225,7 @@ def test_evolver_stops_equal_chained_calls_to_the_bit(spec):
 def test_evolver_stops_factor_a_constant_scenario_once_per_run(sho, caplog):
     start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341))
     with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
-        list(gho.oracle.evolve_tdse_stops(sho, start, STOPS, EvolverConfig(dt=1.8e-2)))
+        list(gho.oracle.evolve_tdse_stops(sho, start, STOPS))
     assert _factors(caplog) == [[(1, 1)] * 3] + [[(0, 0)] * 3] * 3
 
 
@@ -221,7 +237,7 @@ def test_evolver_rewrites_only_the_diagonal_when_only_the_potential_moves(
     # again, and each run makes K once over all four legs
     start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341))
     with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
-        list(gho.oracle.evolve_tdse_stops(parametric, start, STOPS, EvolverConfig(dt=1.8e-2)))
+        list(gho.oracle.evolve_tdse_stops(parametric, start, STOPS))
     assert _factors(caplog) == ([[(28, 1), (14, 1), (7, 1)]]
                                 + [[(28, 0), (14, 0), (7, 0)]] * 3)
 
@@ -233,7 +249,7 @@ def test_evolver_non_finite_step_matrix_raises(grid):
     s = gho.scenario_from_dict({"a": 1e150, "hbar": 1e-160})
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(LinearSolveFailure, match="non-finite gauge factor"):
-        evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
+        evolve_tdse(s, sho_eigenstate(0, grid), 0.1)
 
 
 @pytest.mark.parametrize("spec, mass, factor", [
@@ -254,7 +270,7 @@ def test_evolver_non_finite_part_of_the_step_matrix_raises(spec, mass, factor, g
         monkeypatch.setattr(gho.oracle, "hamiltonian_coefficients", with_mass)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(LinearSolveFailure, match=f"non-finite {factor} factor"):
-        evolve_tdse(s, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
+        evolve_tdse(s, sho_eigenstate(0, grid), 0.1)
 
 
 def test_evolver_non_finite_state_raises(sho, grid, monkeypatch):
@@ -264,14 +280,14 @@ def test_evolver_non_finite_state_raises(sho, grid, monkeypatch):
     broken = types.SimpleNamespace(fft=fft.fft, ifft=lambda spectrum, **_: spectrum * np.nan)
     monkeypatch.setattr(gho.oracle, "_scipy_fft", lambda: broken)
     with pytest.raises(LinearSolveFailure, match="non-finite state after step 1"):
-        evolve_tdse(sho, sho_eigenstate(0, grid), 0.1, EvolverConfig(dt=1e-2))
+        evolve_tdse(sho, sho_eigenstate(0, grid), 0.1)
 
 
 def test_evolver_respects_mixed_coupling_norm():
     s = gho.scenario_from_dict({"a": 0.2, "b": 0.3, "interval": [0.0, 2.0]})
     grid = GridSpec(-10.0, 10.0, 1024)
     packet = sho_eigenstate(0, grid)
-    out = evolve_tdse(s, packet, 1.5, EvolverConfig(dt=1e-3))
+    out = evolve_tdse(s, packet, 1.5)
     assert abs(packet_norm(out) - 1.0) < 1e-8
 
 
@@ -447,11 +463,6 @@ def test_compose_kernels_bounds_its_window(sho, sho_basis, sho_part_cos, monkeyp
                        r"1\d{7} points, more than MAX_POINTS = 2097152$"):
         compose_kernels(sho, sho_basis, None, t_a, t_b, t_c, 0.3, -0.4)
     assert sizes == [4609]
-
-
-def test_evolver_config_validation(grid):
-    with pytest.raises(ValidationError):
-        EvolverConfig(dt=-0.1)
 
 
 def test_residual_map_exportable(sho, sho_basis, sho_part_zero, grid):

@@ -134,7 +134,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # became lazy; `from gho import *` and dir(gho) must still list each one
 PUBLIC_NAMES = [
     "CausticEncountered", "CausticReport", "ClassicalBasis", "CoefficientFn", "Constant",
-    "DegenerateBasis", "EvolverConfig", "Exponential", "GhoError", "GridMismatch",
+    "DegenerateBasis", "Exponential", "GhoError", "GridMismatch",
     "GridSpec", "GridTooNarrow", "HamiltonianCoeffs", "IntegrationFailure", "KernelQuery",
     "LinearSolveFailure", "ParseError", "ParticularSolution", "PiecewiseConstant",
     "Polynomial", "Scenario", "Sinusoidal", "ValidationError", "WavePacket", "ZeroRho",

@@ -397,7 +397,7 @@ def test_coupled_scenario_consistency():
     basis = gho.solve_homogeneous_basis(s)
     part = gho.solve_particular(s)
     grid = GridSpec(-10.0, 10.0, 2048)
-    from gho.oracle import EvolverConfig, evolve_tdse, schrodinger_residual
+    from gho.oracle import evolve_tdse, schrodinger_residual
 
     def mode_field(t, x):
         g = GridSpec(x[0], x[-1], len(x))
@@ -413,7 +413,7 @@ def test_coupled_scenario_consistency():
     assert schrodinger_residual(kernel_field, s, 0.8, grid) < 1e-4
 
     start = eigenmode_packet(s, basis, part, 0, 0.0, grid)
-    evolved = evolve_tdse(s, start, 1.0, EvolverConfig(dt=1e-3))
+    evolved = evolve_tdse(s, start, 1.0)
     direct = propagate(start, s, basis, part, 1.0)
     assert l2_distance(evolved, direct) < 1e-4
 
