@@ -125,6 +125,21 @@ def _fit_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
     return _scaled_grid(base, widen, refine, "the modes ask for")
 
 
+def _evolver_grid(s: Scenario, basis, base: GridSpec, times) -> GridSpec:
+    """The grid every evolution runs on: base fitted to the modes over 201
+    times across the span the times cross (the evolver reads a packet's
+    edges only at its stops), clipped to the interval first (an infinite end
+    gives linspace no step), with a sixth of the fit's points rounded up by
+    next_fast_len. The evolver's spatial error is spectral, so the sixth
+    still holds the modes' band. GridTooNarrow under a GridSpec's least 16
+    points."""
+    span = np.clip([min(times), max(times)], s.t0, s.t1)
+    wide = _fit_grid(s, basis, base, np.linspace(*span, 201))
+    if wide.n_points // 6 < 16:
+        raise GridTooNarrow(f"the evolver's sixth of {wide.n_points} points is under 16")
+    return GridSpec(wide.x_min, wide.x_max, _scipy_fft().next_fast_len(wide.n_points // 6))
+
+
 def _scaled_grid(base: GridSpec, widen, refine, what: str) -> GridSpec:
     """base over widen times its extent on widen x refine times its points,
     rounded up to a multiple of 256 and then by next_fast_len. A factor below
@@ -167,10 +182,10 @@ class _Context:
         return _fit_grid(s, self.basis, self.grid, np.clip(times, s.t0, s.t1))
 
     def evolver_grid(self, times) -> GridSpec:
-        """packet_grid over the whole span the times cross, clipped first (an
-        infinite end gives linspace no step): the evolver reads edges only at stops."""
-        s = self.scenario
-        return self.packet_grid(np.linspace(*np.clip([min(times), max(times)], s.t0, s.t1), 201))
+        """--grid as given, or else _evolver_grid of the default grid."""
+        if not self.fitted:
+            return self.grid
+        return _evolver_grid(self.scenario, self.basis, self.grid, times)
 
 
 def _interior_times(s: Scenario, fractions):
@@ -213,7 +228,7 @@ def _verify_checks(ctx):
 
     def basis_residual():
         ts = rng.uniform(s.t0 + 0.01 * span, s.t1 - 0.01 * span, 200)
-        h = 1e-6 * max(1.0, span)
+        h = 1e-6 * span
         ahead, behind, now = basis.at(ts + h), basis.at(ts - h), basis.at(ts)
         dmu = (ahead.mass * ahead.u_dot - behind.mass * behind.u_dot) / (2 * h)
         w, _ = s.frequency.eval(ts)
@@ -223,7 +238,7 @@ def _verify_checks(ctx):
 
     def xi_consistency():
         ts = rng.uniform(s.t0 + 0.01 * span, s.t1 - 0.01 * span, 100)
-        h = 1e-5 * max(1.0, span)
+        h = 1e-5 * span
         fd = (part.at(ts + h).xi - part.at(ts - h).xi) / (2 * h)
         m, _ = s.mass.eval(ts)
         w, _ = s.frequency.eval(ts)
@@ -388,16 +403,11 @@ def _verify_checks(ctx):
         """The n = 0 mode at t0 on the evolver's grid, and that mode evolved
         by one evolve_tdse_stops call to each of its four legs, the last four
         of the five times t0 + k (horizon - t0) / 4 with horizon
-        t0 + min(2, 0.8 span): both evolver checks read this one evolution.
-        The evolver's grid has the extent of _fit_grid's over the five times
-        and a sixth of its points, rounded up by next_fast_len, which still
-        hold the mode's band: the evolver's spatial error is spectral."""
+        t0 + min(2, 0.8 span), on _evolver_grid over them: both evolver
+        checks read this one evolution."""
         times = np.linspace(s.t0, s.t0 + min(2.0, 0.8 * span), 5)
-        wide = _fit_grid(s, basis, grid, times)
-        if wide.n_points // 6 < 16:  # GridSpec's least
-            raise GridTooNarrow(f"the evolver's sixth of {wide.n_points} points is under 16")
-        coarse = GridSpec(wide.x_min, wide.x_max, _scipy_fft().next_fast_len(wide.n_points // 6))
-        packet = states.eigenmode_packet(s, basis, part, 0, s.t0, coarse)
+        packet = states.eigenmode_packet(s, basis, part, 0, s.t0,
+                                         _evolver_grid(s, basis, grid, times))
         legs = [float(t) for t in times[1:]]
         return packet, list(oracle.evolve_tdse_stops(s, packet, legs))
 
@@ -428,7 +438,9 @@ def _verify_checks(ctx):
     def delta_limit():
         wide = _fit_grid(s, basis, grid, [s.t0])
         packet = states.eigenmode_packet(s, basis, part, 0, s.t0, wide)
-        return propagator.kernel_delta_check(s, basis, part, s.t0, 1e-3, packet)
+        # epsilon stays inside a short interval
+        return propagator.kernel_delta_check(s, basis, part, s.t0, min(1e-3, 0.5 * span),
+                                             packet)
 
     yield "wronskian_constancy", 1e-6, wronskian_constancy
     yield "basis_residual", 1e-6, basis_residual
@@ -609,8 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--out", default=None, help="output directory for CSV files")
         p.add_argument("--grid", default=None, help="xmin,xmax,n (default -10,10,2048, "
-                       "fitted to the modes by verify and the packet commands; verify "
-                       "fits an explicit grid too)")
+                       "fitted to the modes by verify and the packet commands, and with a "
+                       "sixth of the fit's points where they evolve; verify fits an "
+                       "explicit grid too)")
         p.add_argument("--basis", default="default",
                        help="default|custom:u0,udot0,v0,vdot0")
         p.add_argument("--xp", default="0.0,0.0",

@@ -20,7 +20,10 @@ is three runs, at dt, 2 dt and 4 dt, combined by Romberg extrapolation into
 a sixth-order result (the combination is not exactly unitary; each run is).
 The step is the evolver's own: each leg tries dt = START_DT and halves it
 until the Romberg error estimate meets ERROR_TARGET (Hairer, Norsett &
-Wanner 1993, II.4), so no caller chooses it.
+Wanner 1993, II.4), so no caller chooses it. Each run of a leg makes its own
+factors, and nothing is kept from one leg to the next. The spatial error is
+spectral, so the grid need only hold the packet's band: gho.cli evolves on
+a sixth of the points it fits to the modes.
 `Scenario` rejects jumps in a, b and (dM/dt / M) a, whose deltas no midpoint
 step could apply, so W holds none and chi is continuous. The Schrodinger
 residual applies H by gho.packets' spectral derivatives to a sampled field
@@ -90,67 +93,54 @@ def _cis(phase, what: str) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-class _StrangRun:
-    """One Strang run of an evolution on one grid, kept from leg to leg: the
-    row (M, w2, w1, w0, dt) of its last step and the factors made for it,
-    the potential's half step exp(-i W dt / (2 hbar)) with
-    W = w2 x^2 + w1 x + w0, its square and the kinetic step
-    exp(-i hbar k^2 dt / (2M)) at the FFT's angular frequencies k. Where two
-    steps of a leg share a row, the closing half step of the first and the
-    opening one of the second are one product, the square; every leg ends
-    with its own half step."""
-
-    def __init__(self, hbar: float, grid: GridSpec):
-        self.hbar, self.x = hbar, grid.points
-        k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
-        self.k2 = k * k
-        self.row = np.full(5, math.nan)  # equal to no row: the first step makes both
-        self.half = self.whole = self.kinetic = None
-
-    def leg(self, samples, table):
-        """Steps the samples once per row of table, each the (M, w2, w1, w0,
-        dt) of a step at its midpoint: the final samples, the step count, the
-        number of potential and of kinetic factors made, and the norm drift,
-        which must stay within 1e-10 per step. A factor is made again only
-        at a row where a coefficient it reads differs from the row before
-        it, the previous leg's last row included."""
-        moved = table != np.vstack([self.row, table[:-1]])
-        potential = np.any(moved[:, 1:], axis=1).tolist()
-        kinetic = (moved[:, 0] | moved[:, 4]).tolist()
-        fft = _scipy_fft()
-        n_steps = len(table)
-        psi = np.array(samples, dtype=np.complex128)
-        norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
-        x = self.x
-        for k in range(n_steps):
-            if potential[k] or kinetic[k]:
-                m, w2, w1, w0, dt = table[k].tolist()
-            if potential[k]:
-                self.half = _cis(((w2 * x + w1) * x + w0) * (-0.5 * dt / self.hbar),
-                                 "potential")
-                self.whole = None
-            if potential[k] or k == 0:  # else the last step's closing product holds it
-                psi *= self.half
-            if kinetic[k]:
-                self.kinetic = _cis(self.k2 * (-0.5 * self.hbar * dt / m), "kinetic")
-            spectrum = fft.fft(psi, overwrite_x=True)
-            spectrum *= self.kinetic
-            psi = fft.ifft(spectrum, overwrite_x=True)
-            if k + 1 < n_steps and not potential[k + 1]:
-                if self.whole is None:
-                    self.whole = self.half * self.half
-                psi *= self.whole
-            else:
-                psi *= self.half
-            # the sum is finite unless a sample is not; numpy's pairwise sum,
-            # not a BLAS dot, whose threads wake slowly between transforms
-            if not np.isfinite(psi.sum()):
-                raise LinearSolveFailure(f"non-finite state after step {k + 1}")
-        self.row = table[-1].copy()
-        drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2))) / norm0 - 1.0)
-        if drift > 1e-10 * n_steps:
-            raise LinearSolveFailure(f"norm drifted by {drift:.2e} over {n_steps} steps")
-        return psi, n_steps, sum(potential), sum(kinetic), drift
+def _strang_run(hbar: float, grid: GridSpec, samples, table):
+    """One Strang run of a leg: the samples stepped once per row of table,
+    each the (M, w2, w1, w0, dt) of a step at its midpoint. Returns the final
+    samples, the step count, the number of potential and of kinetic factors
+    made, and the norm drift, which must stay within 1e-10 per step. The
+    potential's half step exp(-i W dt / (2 hbar)), W = w2 x^2 + w1 x + w0, is
+    made again only at a row whose W or dt differ from the row before it,
+    and the kinetic step exp(-i hbar k^2 dt / (2M)) at the FFT's angular
+    frequencies k only where M or dt do. Where two steps share a row, the
+    closing half step of the first and the opening one of the second are one
+    product, the square; the run ends with its own half step."""
+    x = grid.points
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
+    k2 = k * k
+    moved = np.ones(table.shape, dtype=bool)  # the first row makes both factors
+    moved[1:] = table[1:] != table[:-1]
+    potential = np.any(moved[:, 1:], axis=1).tolist()
+    kinetic = (moved[:, 0] | moved[:, 4]).tolist()
+    fft = _scipy_fft()
+    n_steps = len(table)
+    psi = np.array(samples, dtype=np.complex128)
+    norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
+    for step in range(n_steps):
+        if potential[step] or kinetic[step]:
+            m, w2, w1, w0, dt = table[step].tolist()
+        if potential[step]:  # else the last step's closing product holds it
+            half = _cis(((w2 * x + w1) * x + w0) * (-0.5 * dt / hbar), "potential")
+            whole = None
+            psi *= half
+        if kinetic[step]:
+            kinetic_step = _cis(k2 * (-0.5 * hbar * dt / m), "kinetic")
+        spectrum = fft.fft(psi, overwrite_x=True)
+        spectrum *= kinetic_step
+        psi = fft.ifft(spectrum, overwrite_x=True)
+        if step + 1 < n_steps and not potential[step + 1]:
+            if whole is None:
+                whole = half * half
+            psi *= whole
+        else:
+            psi *= half
+        # the sum is finite unless a sample is not; numpy's pairwise sum,
+        # not a BLAS dot, whose threads wake slowly between transforms
+        if not np.isfinite(psi.sum()):
+            raise LinearSolveFailure(f"non-finite state after step {step + 1}")
+    drift = abs(math.sqrt(float(np.sum(np.abs(psi) ** 2))) / norm0 - 1.0)
+    if drift > 1e-10 * n_steps:
+        raise LinearSolveFailure(f"norm drifted by {drift:.2e} over {n_steps} steps")
+    return psi, n_steps, sum(potential), sum(kinetic), drift
 
 
 def _smooth_pieces(s: Scenario, t_a: float, t_b: float):
@@ -198,15 +188,11 @@ def evolve_tdse_stops(s: Scenario, packet: WavePacket, stops):
     evolve_tdse's call. A leg runs only when its state is asked for, so a
     stop that fails raises after the states before it are yielded.
 
-    Every leg first tries START_DT, however fine the leg before it ended.
-    Each of the three runs keeps its factors from leg to leg, so a leg whose
-    first step has the coefficients of the previous leg's last step (a
-    constant scenario, or a plateau across the stop) makes none, and its
-    DEBUG record reports 0 potential and 0 kinetic factors for that run.
+    Every leg first tries START_DT, however fine the leg before it ended,
+    and makes its own factors.
     """
-    runs = [_StrangRun(s.hbar, packet.grid) for _ in range(3)]  # fine, middle, coarse
     for t_end in stops:
-        packet = _evolve_leg(s, packet, t_end, runs)
+        packet = _evolve_leg(s, packet, t_end)
         yield packet
 
 
@@ -238,9 +224,9 @@ def _step_tables(s: Scenario, packet: WavePacket, t_end, edges, coarse_counts):
     return start, end, np.split(table, np.cumsum([d.size for d in dts[:-1]]))
 
 
-def _evolve_leg(s: Scenario, packet: WavePacket, t_end, runs):
-    """The packet evolved to t_end on the three runs, checked and logged as
-    evolve_tdse describes."""
+def _evolve_leg(s: Scenario, packet: WavePacket, t_end):
+    """The packet evolved to t_end, checked and logged as evolve_tdse
+    describes."""
     _check_time(s, packet.t, "packet.t")
     _check_time(s, t_end, "t_end")
     packet.require_dark_edges(1e-8, "evolve_tdse")
@@ -258,7 +244,7 @@ def _evolve_leg(s: Scenario, packet: WavePacket, t_end, runs):
                                 f"MAX_STEPS = {MAX_STEPS}")
         start, end, tables = _step_tables(s, packet, t_end, edges, coarse_counts.astype(int))
         phi = packet.samples * _cis(-start, "gauge")
-        results = [run.leg(phi, rows) for run, rows in zip(runs, tables)]
+        results = [_strang_run(s.hbar, packet.grid, phi, rows) for rows in tables]
         fine, middle, coarse = (result[0] for result in results)
         # R_dt - R_2dt = (4 psi_dt - 5 psi_2dt + psi_4dt) / 3
         estimate = float(np.linalg.norm(4.0 * fine - 5.0 * middle + coarse)
@@ -312,8 +298,9 @@ def schrodinger_residual_map(field, s: Scenario, t: float, grid: GridSpec):
                             0.97 * half_span)
     psi = window * np.asarray(field(t, x), dtype=np.complex128)
     # the centred difference's step in t: the field's phase turns as E t / hbar,
-    # so its truncation error at a fixed step would grow as 1 / hbar^2
-    dt = 1e-5 * min(1.0, s.hbar)
+    # so its truncation error at a fixed step would grow as 1 / hbar^2; and
+    # t +- dt stays inside a short interval
+    dt = 1e-5 * min(1.0, s.hbar, s.t1 - s.t0)
     dpsi_dt = (np.asarray(field(t + dt, x)) - np.asarray(field(t - dt, x))) * (window / (2.0 * dt))
     terms = (-1j * s.hbar * dpsi_dt,) + _hamiltonian_terms(s, t, grid, psi)
     res = sum(terms)
@@ -328,7 +315,7 @@ def schrodinger_residual(field, s: Scenario, t: float, grid: GridSpec) -> float:
     """Normalized residual of (-i hbar d/dt + H) applied to a field.
 
     `field(t, x_array)` must be evaluable in a neighborhood of t. The time
-    derivative uses centered differences with step 1e-5 min(1, hbar), H is
+    derivative uses centered differences with step 1e-5 min(1, hbar, span), H is
     applied by spectral derivatives to the windowed field, and the max-norm
     where the window is flat is divided by the largest single term of the
     operator applied to the field (schrodinger_residual_map).

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from gho import GridSpec, classical, cli, load_scenario, oracle, packets, propagator
+from gho import (GridSpec, WavePacket, classical, cli, l2_distance, load_scenario, oracle,
+                 packets, propagator)
 from gho.cli import main
 from gho.errors import GridTooNarrow, ParseError
 
@@ -462,6 +463,37 @@ def test_packet_commands_pass_with_default_options(scenario, command, tmp_path, 
     assert any(out.iterdir())
 
 
+def _read_packet(path: Path) -> WavePacket:
+    """A packet CSV as _write_packet_csv wrote it: reprs, so to the bit."""
+    t_line, grid_line, _, _, *rows = path.read_text().splitlines()
+    x_min, x_max, n = grid_line.removeprefix("# grid=").split(",")
+    samples = [complex(float(re_), float(im)) for _, re_, im, _ in
+               (row.split(",") for row in rows)]
+    return WavePacket(GridSpec(float(x_min), float(x_max), int(n)), np.array(samples),
+                      t=float(t_line.removeprefix("# t=")))
+
+
+@pytest.mark.parametrize("scenario, xp", [("parametric", "0.0,0.0"), ("parametric", "1.0,0.0"),
+                                          ("coupled", "0.0,0.0")])
+def test_evolve_stops_match_propagate_with_default_options(scenario, xp, tmp_path):
+    # every stop of evolve's file lies within 2e-9 of propagate from its start
+    # packet: measured 3.3e-11 and 1.7e-10 on parametric, 5.7e-11 and 6.3e-11
+    # with x_p = (1, 0), and 4.5e-11 and 1.2e-10 on the coupled scenario
+    path = SCENARIOS / f"{scenario}.json"
+    if scenario == "coupled":
+        path = tmp_path / "coupled.json"
+        path.write_text(COUPLED_TEXT)
+    argv = ["evolve", "--scenario", str(path), "--xp", xp]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    ctx = cli._Context(cli.build_parser().parse_args(argv))
+    start, *stops = (_read_packet(p) for p in sorted(out.glob("packet_*.csv")))
+    assert len(stops) == 2
+    for stop in stops:
+        exact = propagator.propagate(start, ctx.scenario, ctx.basis, ctx.part, stop.t)
+        assert l2_distance(stop, exact) <= 2e-9
+
+
 def test_fit_grid_widens_and_refines_only_where_the_modes_ask():
     base = GridSpec(-10.0, 10.0, 2048)
     sho = load_scenario((SCENARIOS / "sho.json").read_text())
@@ -484,12 +516,15 @@ def test_fit_grid_widens_and_refines_only_where_the_modes_ask():
 def test_a_packet_wholly_off_the_grid_exits_two(command, tmp_path, capsys):
     # x_p(t) = 60 cos t keeps sho's packets far off (-10, 10), so their
     # samples underflow to zero: invariant once ended in a ZeroDivisionError,
-    # coherent wrote nan moments and modes an all-zero packet, each with exit 0
+    # coherent wrote nan moments and modes an all-zero packet, each with exit 0.
+    # invariant builds its packet on the evolver's grid, a sixth of 2048
+    # points rounded up to 343
     out = tmp_path / "out"
     assert main([command, "--scenario", str(SCENARIOS / "sho.json"), "--xp", "60,0",
                  "--out", str(out)]) == 2
+    n = 343 if command == "invariant" else 2048
     assert capsys.readouterr().err == ("error: packet is zero at every point of "
-                                       "GridSpec(x_min=-10.0, x_max=10.0, n_points=2048)\n")
+                                       f"GridSpec(x_min=-10.0, x_max=10.0, n_points={n})\n")
     assert not any(out.iterdir())
 
 
@@ -949,58 +984,74 @@ def test_verify_strongly_squeezed_bases_pass(ics, capsys):
 
 
 @pytest.mark.parametrize("basis", ["default", "custom:-0.5414,0.4926,0.9182,-0.5404"])
-def test_verify_evolves_on_a_sixth_of_grid_for_points(basis, monkeypatch):
-    # the packet the evolver gets, and so the propagate call, keeps the
-    # extent of _fit_grid over the drift check's five times (0, 0.5, ..., 2 on
-    # sho) and has a sixth of its points, rounded up to an FFT-friendly
-    # count; one call evolves it through the four stops
-    grids, calls = [], []
-
-    def recorded(s, packet, stops):
-        grids.append(packet.grid)
-        calls.append(list(stops))
-        return (packet.with_samples(packet.samples, t=t_end) for t_end in stops)
-
-    monkeypatch.setattr(cli.oracle, "evolve_tdse_stops", recorded)
+def test_evolver_grid_keeps_a_sixth_of_the_fitted_points(basis):
+    # the extent of _fit_grid over 201 times across the span of the times
+    # (0 to 2 here: only the first and the last time count) and a sixth of
+    # its points, rounded up to an FFT-friendly count
     args = cli.build_parser().parse_args(
         ["verify", "--scenario", str(SCENARIOS / "sho.json"), "--basis", basis])
     ctx = cli._Context(args)
-    checks = {name: check for name, _, check in cli._verify_checks(ctx)}
-    checks["invariant_drift_tdse"]()
-    checks["evolver_vs_kernel"]()
+    s, base = ctx.scenario, ctx.grid
+    evolved = cli._evolver_grid(s, ctx.basis, base, [0.0, 1.5, 2.0])
     # _fit_grid: the base grid (-10, 10, 2048) widened by the largest mode
     # width rho / sqrt|Omega| and with N refined by the largest momentum
     # spread M |(u', v')| / sqrt|Omega| (hbar = M = 1), rounded up to a
     # multiple of 256 and then to next_fast_len; factors within one spacing
     # of 1 read 1
-    bs = ctx.basis.at(np.linspace(0.0, 2.0, 5))
+    bs = ctx.basis.at(np.linspace(0.0, 2.0, 201))
     root = math.sqrt(abs(ctx.basis.omega))
     widen, refine = (f if (f - 1.0) * 2048 >= 1.0 else 1.0 for f in (
         max(1.0, float(np.max(bs.rho)) / root),
         max(1.0, float(np.max(np.hypot(bs.u_dot, bs.v_dot))) / root)))
     n = next_fast_len(int(math.ceil(2048 * widen * refine / 256.0)) * 256)
-    assert [len(stops) for stops in calls] == [4]
-    (evolved,) = grids
     assert (evolved.x_min, evolved.x_max) == pytest.approx((-10.0 * widen, 10.0 * widen),
                                                            rel=1e-12)
     assert evolved.n_points == next_fast_len(n // 6)
     if basis == "default":  # 341 points, rounded up to 7^3
         assert evolved == GridSpec(-10.0, 10.0, 343)
+        # the default mode keeps a base grid of 95 points, a sixth of which
+        # is under a GridSpec's 16
+        with pytest.raises(GridTooNarrow,
+                           match="^the evolver's sixth of 95 points is under 16$"):
+            cli._evolver_grid(s, ctx.basis, GridSpec(-10.0, 10.0, 95), [0.0, 2.0])
     else:  # squeezed: widened and refined to 18432 = 2^11 3^2 points, a sixth 3072
         assert widen > 1.0 and refine > 1.0
         assert (n, evolved.n_points) == (18432, 3072)
 
 
+@pytest.mark.parametrize("command", ["verify", "evolve", "invariant"])
+def test_every_evolution_runs_on_the_evolver_grid(command, tmp_path, monkeypatch):
+    # verify's drift check, evolve and invariant each hand the evolver a
+    # packet on _evolver_grid over the span of their stops: free_particle's
+    # mode widens fivefold by t = 5, so each span asks its own grid
+    path = str(SCENARIOS / "free_particle.json")
+    grids, stops_asked = [], []
+
+    def recorded(s, packet, stops):
+        grids.append(packet.grid)
+        stops_asked.append([packet.t, *stops])
+        return (packet.with_samples(packet.samples, t=t_end) for t_end in stops)
+
+    monkeypatch.setattr(cli.oracle, "evolve_tdse_stops", recorded)
+    if command == "verify":
+        ctx = cli._Context(cli.build_parser().parse_args(["verify", "--scenario", path]))
+        {name: check for name, _, check in cli._verify_checks(ctx)}["invariant_drift_tdse"]()
+    else:
+        assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+        ctx = cli._Context(cli.build_parser().parse_args([command, "--scenario", path]))
+    (times,) = stops_asked
+    assert grids == [cli._evolver_grid(ctx.scenario, ctx.basis, cli._BASE_GRID, times)]
+    assert grids[0].n_points == {"verify": 768, "evolve": 1750, "invariant": 1750}[command]
+
+
 def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
-    # each of the five states is read on the grid it was evolved on:
-    # _fit_grid's extent with a sixth of its points, rounded up to an
-    # FFT-friendly count (341 to 343 = 7^3)
-    evolved, stops_asked, read = [], [], []
+    # each of the five states is read on the grid it was evolved on,
+    # _evolver_grid over the drift check's five times
+    evolved, read = [], []
     evolve, expectation = cli.oracle.evolve_tdse_stops, cli.states.invariant_expectation
 
     def spy_evolve(s, packet, stops):
         evolved.append(packet.grid)
-        stops_asked.append(list(stops))
         return evolve(s, packet, stops)
 
     def spy_expectation(packet, *args):
@@ -1014,11 +1065,9 @@ def test_verify_reads_the_drift_on_the_evolvers_grid(monkeypatch):
     ctx = cli._Context(args)
     checks = {name: check for name, _, check in cli._verify_checks(ctx)}
     assert checks["invariant_drift_tdse"]() <= 1e-5
-    wide = cli._fit_grid(ctx.scenario, ctx.basis, ctx.grid, np.linspace(0.0, 2.0, 5))
-    assert [len(stops) for stops in stops_asked] == [4]
-    assert evolved == [GridSpec(wide.x_min, wide.x_max, 343)]
-    assert read == [GridSpec(wide.x_min, wide.x_max, 343)] * 5
-    assert wide.n_points // 6 == 341
+    grid = cli._evolver_grid(ctx.scenario, ctx.basis, ctx.grid, [0.0, 2.0])
+    assert evolved == [grid]
+    assert read == [grid] * 5
 
 
 def test_verify_evolves_through_its_four_legs_only(tmp_path, monkeypatch):
@@ -1110,6 +1159,20 @@ def test_verify_sho_on_a_short_interval_passes(tmp_path, capsys):
     code = main(["verify", "--scenario", str(path)])
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("CHECK ")]
     assert code == 0 and len(lines) == 18 and all(ln.endswith(" PASS") for ln in lines)
+
+
+@pytest.mark.parametrize("interval", [[0.0, 5e-4], [0.0, 1e-9]], ids=["5e-4", "1e-9"])
+def test_verify_runs_every_check_on_a_very_short_interval(interval, tmp_path, capsys):
+    # delta_limit's epsilon of 1e-3 once left [0, 5e-4], and xi_consistency's
+    # difference step of 1e-5 left [0, 1e-9]: verify exited 2 on an interval
+    # it had loaded. Every step in t now scales with the span. Some checks
+    # still FAIL here, for want of resolution
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"interval": interval}))
+    assert main(["verify", "--scenario", str(path)]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len([ln for ln in captured.out.splitlines() if ln.startswith("CHECK ")]) == 18
 
 
 @pytest.mark.parametrize("spec", [{"mass": 2.0, "frequency": 3.0},

@@ -55,3 +55,14 @@ def test_moved_values_in_stdout_and_files_are_reported_not_grave():
         "verify sho: stdout differs in numbers only, largest absolute difference 5.64e-08",
         "verify sho: file invariant.csv differs in numbers only, largest absolute "
         "difference 0.25"]
+
+
+def test_a_packet_csv_on_a_new_grid_names_both_grids():
+    # every sample moves with the grid, so the grid is the difference to show
+    packet = "# t=0.0\n# grid=-10.0,10.0,{}\n# scenario_sha256=0\nx,re,im,modulus2\n"
+    old = _run(files={"packet_0000.csv": packet.format(2048)})
+    new = _run(files={"packet_0000.csv": packet.format(343)})
+    lines, grave = compare_outputs.compare("evolve sho", old, new)
+    assert not grave
+    assert lines == ["evolve sho: file packet_0000.csv moves from grid -10.0,10.0,2048 "
+                     "to -10.0,10.0,343"]

@@ -223,29 +223,30 @@ def test_evolver_stops_equal_chained_calls_to_the_bit(spec, caplog, monkeypatch)
 
 
 def test_evolver_stops_factor_a_constant_scenario_once_per_run(sho, caplog):
+    # each leg makes its own factors: no run keeps them from the leg before
     start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341))
     with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
         list(gho.oracle.evolve_tdse_stops(sho, start, STOPS))
-    assert _factors(caplog) == [[(1, 1)] * 3] + [[(0, 0)] * 3] * 3
+    assert _factors(caplog) == [[(1, 1)] * 3] * 4
 
 
-def test_evolver_rewrites_only_the_diagonal_when_only_the_potential_moves(
+def test_evolver_remakes_only_the_potential_factor_when_only_the_potential_moves(
         parametric, caplog):
-    # a Strang step is the matrix P K P: P = exp(-i W dt / (2 hbar)) on the
-    # diagonal, K = F^-1 exp(-i hbar k^2 dt / (2M)) F off it. parametric's
-    # frequency moves at every step, its M and dt never: every step makes P
-    # again, and each run makes K once over all four legs
+    # a Strang step is P K P: the potential factor P = exp(-i W dt / (2 hbar))
+    # on the samples, the kinetic factor exp(-i hbar k^2 dt / (2M)) on their
+    # spectrum. parametric's frequency moves at every step, its M and dt
+    # never: every step makes P again, and each run of a leg makes the
+    # kinetic factor once
     start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 341))
     with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
         list(gho.oracle.evolve_tdse_stops(parametric, start, STOPS))
-    assert _factors(caplog) == ([[(28, 1), (14, 1), (7, 1)]]
-                                + [[(28, 0), (14, 0), (7, 0)]] * 3)
+    assert _factors(caplog) == [[(28, 1), (14, 1), (7, 1)]] * 4
 
 
-def test_evolver_non_finite_step_matrix_raises(grid):
+def test_evolver_non_finite_gauge_factor_raises(grid):
     # a = 1e150 loads (c = 4 a^2 = 4e300 is finite) but with hbar = 1e-160 the
-    # gauge phase a M x^2 / hbar that takes the packet into the step matrix's
-    # frame overflows
+    # gauge phase a M x^2 / hbar that takes the packet into the coupling
+    # gauge overflows
     s = gho.scenario_from_dict({"a": 1e150, "hbar": 1e-160})
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(LinearSolveFailure, match="non-finite gauge factor"):
@@ -253,12 +254,11 @@ def test_evolver_non_finite_step_matrix_raises(grid):
 
 
 @pytest.mark.parametrize("spec, mass, factor", [
-    ({"frequency": 1e150, "hbar": 1e-10}, None, "potential"),  # W x^2 dt / hbar: P alone
-    ({}, 1e-307, "kinetic"),  # hbar k^2 dt / M: K alone
-], ids=["diagonal", "off-diagonal"])
-def test_evolver_non_finite_part_of_the_step_matrix_raises(spec, mass, factor, grid,
-                                                           monkeypatch):
-    # the step matrix P K P of the test above
+    ({"frequency": 1e150, "hbar": 1e-10}, None, "potential"),  # W x^2 dt / hbar alone
+    ({}, 1e-307, "kinetic"),  # hbar k^2 dt / M alone
+], ids=["potential", "kinetic"])
+def test_evolver_non_finite_strang_factor_raises(spec, mass, factor, grid, monkeypatch):
+    # one of the two factors of a Strang step P K P overflows
     s = gho.scenario_from_dict(spec)
     if mass is not None:  # M set past the scenario, so v2 stays sho's 1/2
         coefficients = gho.oracle.hamiltonian_coefficients

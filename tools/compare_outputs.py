@@ -29,8 +29,9 @@ temporary directory. Each run is `python -m gho` with that tree's `src` on
 PYTHONPATH, in a fresh temporary directory.
 
 Prints every exit code, stdout, stderr or output file that differs. When two
-texts differ only in their numbers, it prints the largest absolute
-difference between them. Exits 1 when an exit code, the text of a stderr
+packet CSVs differ in their `# grid=` line, it prints the old and the new
+grid; when two texts differ only in their numbers, it prints the largest
+absolute difference between them. Exits 1 when an exit code, the text of a stderr
 (more than its numbers) or the status of a verify CHECK line differs, and 0
 otherwise: a numerical change may move the amplitude an error message
 quotes, but not the message.
@@ -131,6 +132,8 @@ COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS
             ("verify", "--grid=-10,10,256"), ("kernel-scan", "--times", "4.0,0.5"),
             *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS), ("kernel-values",),
             ("hop-values",))
+# a packet CSV's grid line, written by gho.cli's _write_packet_csv
+GRID = re.compile(r"^# grid=(.*)$", re.MULTILINE)
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf))")
 
 
@@ -179,6 +182,9 @@ def number_difference(old: str, new: str):
 
 
 def describe(what: str, old: str, new: str) -> str:
+    old_grid, new_grid = GRID.search(old), GRID.search(new)
+    if old_grid and new_grid and old_grid[1] != new_grid[1]:
+        return f"{what} moves from grid {old_grid[1]} to {new_grid[1]}"
     largest = number_difference(old, new)
     if largest is None:
         return f"{what} differs in text"
