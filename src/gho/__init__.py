@@ -7,8 +7,9 @@ solutions and cross-checked against independent grid oracles.
 
 `import gho` loads numpy and no scipy module: the kernel layer needs none.
 The names of gho.states and gho.oracle are resolved on first access, which
-imports scipy.fft or scipy's LAPACK with the submodule, and the transforms in
-gho.packets and gho.propagator import scipy.fft at their first call.
+imports the submodule. gho.states imports scipy.fft with it, and gho.oracle
+no scipy module; the transforms in gho.packets and gho.propagator import
+scipy.fft at their first call.
 """
 
 import importlib

@@ -1,34 +1,36 @@
 """Independent numerical references used to validate the analytic modules.
 
-Nothing here shares mutable state with the code it checks. The evolver takes
-Strang split steps (Feit, Fleck & Steiger 1982; Strang 1968) in H's own
-coupling gauge, which takes the mixed a (xp + px) and drift (b / M) p terms
-out of H: with chi = a M x^2 + b x and psi = exp(i chi / hbar) phi,
+Nothing here shares mutable state with the code it checks. The evolver and
+the Schrodinger residual read H in its own coupling gauge, which takes the
+mixed a (xp + px) and drift (b / M) p terms out of H: with
+chi = a M x^2 + b x and psi = exp(i chi / hbar) phi,
 
     i hbar dphi/dt = [p^2 / (2M) + W] phi,
     W = (v2 - 2 a^2 M + d(aM)/dt) x^2 + (v1 - 2 a b + db/dt) x + v0 - b^2 / (2M),
 
 with M, a, b, v2, v1 and v0 from coefficients.hamiltonian_coefficients and
-the derivatives from each coefficient kind's eval. A step of length dt at
-the midpoint coefficients multiplies the samples by exp(-i W dt / (2 hbar)),
-their FFT spectrum by exp(-i hbar k^2 dt / (2M)) and the samples by
-exp(-i W dt / (2 hbar)) again: every factor has modulus one, so each run is
-unitary to rounding, and the kinetic step is exact on the grid's band (the
-grid taken as one period, which the packet's dark edges make harmless).
-Strang's step is symmetric, so its time error is even in dt: each evolution
-is three runs, at dt, 2 dt and 4 dt, combined by Romberg extrapolation into
-a sixth-order result (the combination is not exactly unitary; each run is).
-The step is the evolver's own: each leg tries dt = START_DT and halves it
-until the Romberg error estimate meets ERROR_TARGET (Hairer, Norsett &
-Wanner 1993, II.4), so no caller chooses it. Each run of a leg makes its own
-factors, and nothing is kept from one leg to the next. The spatial error is
-spectral, so the grid need only hold the packet's band: gho.cli evolves on
-a sixth of the points it fits to the modes.
+the derivatives from each coefficient kind's eval, all in _gauge_frame. The
+evolver takes Strang split steps (Feit, Fleck & Steiger 1982; Strang 1968).
+A step of length dt at the midpoint coefficients multiplies the samples by
+exp(-i W dt / (2 hbar)), their FFT spectrum by exp(-i hbar k^2 dt / (2M))
+and the samples by exp(-i W dt / (2 hbar)) again: every factor has modulus
+one, so each run is unitary to rounding, and the kinetic step is exact on
+the grid's band (the grid taken as one period, which the packet's dark edges
+make harmless). Strang's step is symmetric, so its time error is even in
+dt: each evolution combines runs at dt, 2 dt and 4 dt by Romberg
+extrapolation into a sixth-order result (the combination is not exactly
+unitary; each run is). The step is the evolver's own: each leg tries
+dt = START_DT and halves it, one new run a time, until the Romberg error
+estimate meets ERROR_TARGET (Hairer, Norsett & Wanner 1993, II.4). Each run
+makes its own factors, and nothing is kept from one leg to the next. The
+spatial error is spectral, so the grid need only hold the packet's band:
+gho.cli evolves on a sixth of the points it fits to the modes.
 `Scenario` rejects jumps in a, b and (dM/dt / M) a, whose deltas no midpoint
-step could apply, so W holds none and chi is continuous. The Schrodinger
-residual applies H by gho.packets' spectral derivatives to a sampled field
-that need not be periodic (a kernel slice is not), smoothly windowed to 0
-before the grid's ends, and reads it where the window is 1.
+step could apply, so W holds none and chi is continuous. The residual takes
+a sampled field that need not be periodic (a kernel slice is not) into the
+gauge frame, windows it smoothly to 0 before the grid's ends, applies
+p^2 / (2M) + W by gho.packets' spectral second derivative, and reads it
+where the window is 1.
 """
 
 from __future__ import annotations
@@ -42,15 +44,16 @@ import numpy as np
 from .classical import ClassicalBasis, _check_time, particular_or_zero
 from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import CausticEncountered, GridTooNarrow, LinearSolveFailure, ValidationError
-from .packets import MAX_POINTS, GridSpec, WavePacket, _derivatives, _scipy_fft, derivative
+from .packets import (MAX_POINTS, GridSpec, WavePacket, _scipy_fft, _times_grid_phase,
+                      second_derivative)
 from .propagator import KernelQuery, _lct_apply, kernel, kernel_coefficients
 
 _log = logging.getLogger(__name__)
 
-# Strang steps of one leg over its three runs and all its tries. A try's
-# table of midpoint coefficients peaks at about 0.15 kB a step, and on a
-# 2-core machine a step takes 21 us on 341 points of sho and 90 us on 2,048
-# of parametric: at the cap, about 155 MB and 20 s to 90 s
+# Strang steps of one leg over all its runs, each counted once. Building a
+# run's table peaks at about 0.12 kB a step, a leg's last run holds about
+# half its steps, and on a 2-core machine a step takes 21 us on 341 points
+# of sho and 90 us on 2,048 of parametric: at the cap, 60 MB and 20-90 s
 MAX_STEPS = 1_000_000
 # the fine step a leg tries first, and the Romberg error estimate it must
 # meet, else it halves the step and tries again: 1e-2 of invariant_drift_tdse's
@@ -160,23 +163,24 @@ def evolve_tdse(s: Scenario, packet: WavePacket, t_end: float) -> WavePacket:
 
     The interval is first cut at every breakpoint inside it where a piecewise
     coefficient jumps, so that no step of any run straddles a jump (a step
-    across one is only first order). On each smooth piece the coarse run
-    first takes round(|piece| / (4 START_DT)) steps, at least one, and the
-    middle and fine runs twice and four times as many, so all three divide
-    the piece evenly and runs are deterministic. While the Romberg error
-    estimate |R_dt - R_2dt| / (15 |psi|) of the fourth-order extrapolations
-    R_h = (4 psi_h - psi_2h) / 3, which the sixth-order result improves on,
-    is above ERROR_TARGET, every piece's step counts double and the three
-    runs start again from the packet. chi is taken at the packet's time and
-    at t_end. The packet must be dark at both edges when the leg starts and
-    when it ends (GridTooNarrow otherwise): the FFT would wrap a bright edge
-    round. Logs, at DEBUG level on the "gho.oracle" logger, the grid's point
-    count and spacing, the number of tries, and the last try's step count,
-    potential and kinetic factors made and norm drift of each run, and its
-    error estimate. The packet's time and t_end must lie in the working
-    interval (ValidationError otherwise, nan included), and the runs of every
-    try may take at most MAX_STEPS steps together (GridTooNarrow otherwise,
-    raised before the try's steps are allocated).
+    across one is only first order). On each smooth piece the runs take
+    c, 2c, 4c, 8c, ... steps, c = round(|piece| / (4 START_DT)) and at least
+    one, so every run divides the piece evenly and is deterministic. Each
+    try reads the last three runs, the coarse, middle and fine ones. While
+    the Romberg error estimate |R_dt - R_2dt| / (15 |psi|) of the
+    fourth-order extrapolations R_h = (4 psi_h - psi_2h) / 3, which the
+    sixth-order result improves on, is above ERROR_TARGET, the leg tries
+    again with one more run from the packet: a leg of k tries makes k + 2
+    runs. chi is taken once, at the packet's time and at t_end. The packet
+    must be dark at both edges when the leg starts and when it ends
+    (GridTooNarrow otherwise): the FFT would wrap a bright edge round. Logs,
+    at DEBUG level on the "gho.oracle" logger, the grid's point count and
+    spacing, the number of tries, and the last try's step count, potential
+    and kinetic factors made and norm drift of each run, and its error
+    estimate. The packet's time and t_end must lie in the working interval
+    (ValidationError otherwise, nan included), and the leg's runs may take
+    at most MAX_STEPS steps together (GridTooNarrow otherwise, raised before
+    the run that would pass it is allocated).
     """
     return next(evolve_tdse_stops(s, packet, [t_end]))
 
@@ -196,32 +200,23 @@ def evolve_tdse_stops(s: Scenario, packet: WavePacket, stops):
         yield packet
 
 
-def _step_tables(s: Scenario, packet: WavePacket, t_end, edges, coarse_counts):
-    """chi / hbar on the grid at the packet's time and at t_end, and the
-    fine, middle and coarse runs' tables of (M, w2, w1, w0, dt), one row a
-    step at its midpoint, for coarse_counts steps on the pieces between
-    edges: every coefficient from one call."""
-    dts, mids = [], []
-    for scale in (4, 2, 1):
-        counts = scale * coarse_counts
-        piece_dts = np.diff(edges) / counts
-        dts.append(np.repeat(piece_dts, counts))
-        mids.extend(lo + (np.arange(n) + 0.5) * dt
-                    for lo, n, dt in zip(edges[:-1], counts, piece_dts))
-    times = np.concatenate([*mids, [packet.t, t_end]])
-    m, a_c, b_c, v2, v1, v0 = hamiltonian_coefficients(s, times)
-    # the last two times are the leg's ends: into the gauge frame and out of it
-    x = packet.grid.points
-    start, end = ((a_c[k] * m[k] * x + b_c[k]) * x / s.hbar for k in (-2, -1))
-    mids, m, a_c, b_c = times[:-2], m[:-2], a_c[:-2], b_c[:-2]
-    m_dot, a_dot, b_dot = (coefficient.eval(mids)[1] for coefficient in (s.mass, s.a, s.b))
-    table = np.empty((mids.size, 5))
-    table[:, 0] = m
-    table[:, 1] = v2[:-2] - 2.0 * a_c * a_c * m + a_dot * m + a_c * m_dot
-    table[:, 2] = v1[:-2] - 2.0 * a_c * b_c + b_dot
-    table[:, 3] = v0[:-2] - b_c * b_c / (2.0 * m)
-    table[:, 4] = np.concatenate(dts)
-    return start, end, np.split(table, np.cumsum([d.size for d in dts[:-1]]))
+def _gauge_frame(s: Scenario, t):
+    """H in its coupling gauge at time(s) t, (M, w2, w1, w0, chi2, chi1):
+    W = w2 x^2 + w1 x + w0 and chi = chi2 x^2 + chi1 x (module docstring)."""
+    m, a_c, b_c, v2, v1, v0 = hamiltonian_coefficients(s, t)
+    m_dot, a_dot, b_dot = (coefficient.eval(t)[1] for coefficient in (s.mass, s.a, s.b))
+    return (m, v2 - 2.0 * a_c * a_c * m + a_dot * m + a_c * m_dot,
+            v1 - 2.0 * a_c * b_c + b_dot, v0 - b_c * b_c / (2.0 * m), a_c * m, b_c)
+
+
+def _step_table(s: Scenario, edges, counts):
+    """One run's table of (M, w2, w1, w0, dt), one row a step at its
+    midpoint, for counts steps on the pieces between edges."""
+    piece_dts = np.diff(edges) / counts
+    mids = np.concatenate([lo + (np.arange(n) + 0.5) * dt
+                           for lo, n, dt in zip(edges[:-1], counts, piece_dts)])
+    m, w2, w1, w0, _, _ = _gauge_frame(s, mids)
+    return np.column_stack([m, w2, w1, w0, np.repeat(piece_dts, counts)])
 
 
 def _evolve_leg(s: Scenario, packet: WavePacket, t_end):
@@ -234,75 +229,74 @@ def _evolve_leg(s: Scenario, packet: WavePacket, t_end):
         return packet.with_samples(packet.samples)
     edges = _smooth_pieces(s, packet.t, t_end)
     with np.errstate(over="ignore"):  # counted as floats: a long piece's passes int64
-        coarse_counts = np.maximum(1.0, np.round(np.abs(np.diff(edges)) / (4.0 * START_DT)))
-    spent = 0.0
+        counts = np.maximum(1.0, np.round(np.abs(np.diff(edges)) / (4.0 * START_DT)))
+    # chi / hbar at the packet's time and at t_end: into the gauge frame and out
+    x = packet.grid.points
+    _, _, _, _, chi2, chi1 = _gauge_frame(s, np.array([packet.t, t_end]))
+    start, end = ((chi2[k] * x + chi1[k]) * x / s.hbar for k in (0, 1))
+    phi = packet.samples * _cis(-start, "gauge")
+    runs, spent = [], 0.0  # the last three runs, coarse to fine
     for tries in itertools.count(1):
-        spent += 7.0 * float(np.sum(coarse_counts))
-        if spent > MAX_STEPS:
-            raise GridTooNarrow(f"evolve_tdse from t={packet.t:g} to t_end={t_end:g} reaches "
-                                f"{spent:.3g} steps at try {tries}, more than "
-                                f"MAX_STEPS = {MAX_STEPS}")
-        start, end, tables = _step_tables(s, packet, t_end, edges, coarse_counts.astype(int))
-        phi = packet.samples * _cis(-start, "gauge")
-        results = [_strang_run(s.hbar, packet.grid, phi, rows) for rows in tables]
-        fine, middle, coarse = (result[0] for result in results)
+        while len(runs) < 3:
+            spent += float(np.sum(counts))
+            if spent > MAX_STEPS:
+                raise GridTooNarrow(f"evolve_tdse from t={packet.t:g} to t_end={t_end:g} "
+                                    f"reaches {spent:.3g} steps at try {tries}, more than "
+                                    f"MAX_STEPS = {MAX_STEPS}")
+            table = _step_table(s, edges, counts.astype(int))
+            runs.append(_strang_run(s.hbar, packet.grid, phi, table))
+            counts = 2.0 * counts
+        coarse, middle, fine = (run[0] for run in runs)
         # R_dt - R_2dt = (4 psi_dt - 5 psi_2dt + psi_4dt) / 3
         estimate = float(np.linalg.norm(4.0 * fine - 5.0 * middle + coarse)
                          / (45.0 * np.linalg.norm(packet.samples)))
         if not estimate > ERROR_TARGET:
             break
-        coarse_counts = 2.0 * coarse_counts
+        del runs[0]
     _log.debug("evolve_tdse: grid %d points, dx %.6g; try %d: "
                "fine run %d steps, %d potential and %d kinetic factors, norm drift %.3e; "
                "middle run %d steps, %d potential and %d kinetic factors, norm drift %.3e; "
                "coarse run %d steps, %d potential and %d kinetic factors, norm drift %.3e; "
                "Romberg error estimate %.3e", packet.grid.n_points, packet.grid.dx, tries,
-               *(value for result in results for value in result[1:]), estimate)
+               *(value for run in runs[::-1] for value in run[1:]), estimate)
     out = WavePacket(packet.grid, (64.0 * fine - 20.0 * middle + coarse) / 45.0
                      * _cis(end, "gauge"), t=t_end)
     out.require_dark_edges(1e-8, f"evolve_tdse's state at t={t_end:g}")
     return out
 
 
-def _hamiltonian_terms(s: Scenario, t: float, grid: GridSpec, samples):
-    """The summands of H(t) samples: kinetic, mixed a(xp + px), drift b p,
-    potential, with gho.packets' spectral D and D^2 (one transform) and the
-    mixed term as i hbar a (X D + D X): their sum is a Hermitian discrete H
-    times samples."""
-    x = grid.points
-    dx = grid.dx
-    hbar = s.hbar
-    m, a_c, b_c, v2, v1, v0 = hamiltonian_coefficients(s, t)
-    psi = np.asarray(samples, dtype=np.complex128)
-    d1, d2 = _derivatives(psi, dx, 1, 2)
-    return (-hbar ** 2 / (2.0 * m) * d2,
-            1j * hbar * a_c * (x * d1 + derivative(x * psi, dx)),
-            1j * hbar * (b_c / m) * d1,
-            (v2 * x * x + v1 * x + v0) * psi)
-
-
 def schrodinger_residual_map(field, s: Scenario, t: float, grid: GridSpec):
     """Pointwise |(-i hbar d/dt + H) field| where the window is 1, normalized.
 
-    The field and its time difference are multiplied by _smooth_window
+    The field at t and t +- dt, times exp(-i chi / hbar), is phi in the
+    evolver's gauge frame, where |(-i hbar d/dt + p^2 / (2M) + W) phi| is the
+    residual; phi and its time difference are multiplied by _smooth_window
     centred on the grid, 1 over 0.8 of its half-span and 0 from 0.97, so the
-    spectral derivatives see a smooth field, 0 at both ends. The scale is
-    the largest single term of (-i hbar d/dt + H) field where the window is
-    1, which stays finite when H field itself vanishes (a zero-energy mode).
-    Returns (x, residual) arrays there, suitable for CSV export; the scalar
-    check below takes the max of this map.
+    spectral derivative sees a smooth field, 0 at both ends. The scale is the
+    largest single term of that operator where the window is 1, which stays
+    finite for a zero-energy mode. Returns (x, residual) arrays there,
+    suitable for CSV export; the scalar check below takes their max.
     """
     x = grid.points
     half_span = 0.5 * (grid.x_max - grid.x_min)
     window = _smooth_window(x, 0.5 * (grid.x_max + grid.x_min), 0.8 * half_span,
                             0.97 * half_span)
-    psi = window * np.asarray(field(t, x), dtype=np.complex128)
     # the centred difference's step in t: the field's phase turns as E t / hbar,
     # so its truncation error at a fixed step would grow as 1 / hbar^2; and
     # t +- dt stays inside a short interval
     dt = 1e-5 * min(1.0, s.hbar, s.t1 - s.t0)
-    dpsi_dt = (np.asarray(field(t + dt, x)) - np.asarray(field(t - dt, x))) * (window / (2.0 * dt))
-    terms = (-1j * s.hbar * dpsi_dt,) + _hamiltonian_terms(s, t, grid, psi)
+
+    def gauge_field(t_k):  # exp(-i chi / hbar) field at t_k
+        *_, chi2, chi1 = _gauge_frame(s, t_k)
+        return _times_grid_phase(np.array(field(t_k, x), dtype=np.complex128),
+                                 -chi2 / s.hbar, -chi1 / s.hbar, 0.0, grid.x_min, grid.dx)
+
+    m, w2, w1, w0, _, _ = _gauge_frame(s, t)
+    phi = window * gauge_field(t)
+    dphi_dt = (gauge_field(t + dt) - gauge_field(t - dt)) * (window / (2.0 * dt))
+    terms = (-1j * s.hbar * dphi_dt,
+             -s.hbar ** 2 / (2.0 * m) * second_derivative(phi, grid.dx),
+             (w2 * x * x + w1 * x + w0) * phi)
     res = sum(terms)
     flat = window == 1.0
     scale = max(float(np.max(np.abs(term[flat]))) for term in terms)
@@ -316,7 +310,7 @@ def schrodinger_residual(field, s: Scenario, t: float, grid: GridSpec) -> float:
 
     `field(t, x_array)` must be evaluable in a neighborhood of t. The time
     derivative uses centered differences with step 1e-5 min(1, hbar, span), H is
-    applied by spectral derivatives to the windowed field, and the max-norm
+    applied in the gauge frame to the windowed field, and the max-norm
     where the window is flat is divided by the largest single term of the
     operator applied to the field (schrodinger_residual_map).
     """

@@ -19,11 +19,11 @@ start ramp (after a Fresnel phase, if any) on the FFT spectrum, one inverse
 FFT for n points at the grid's own spacing and one chirp-z for any other
 lattice, 0 at the points off the grid, and one grid phase into which the
 chirp-z's end ramp folds. Derivatives
-are spectral, _derivatives: the FFT of the samples times (i k)^p,
-transformed back, the grid taken as one period. They are exact on the
-grid's band for a field that is dark at both ends or smoothly windowed to
-zero there; gho.oracle's Schrodinger residual and gho.states' invariant
-differentiate with them.
+are spectral, _derivatives: the FFT of the samples times (i k)^p for one
+order p, transformed back, the grid taken as one period. They are exact on
+the grid's band for a field that is dark at both ends or smoothly windowed
+to zero there; gho.oracle's Schrodinger residual takes the second
+derivative and gho.states' invariant the first.
 
 The packet functions here and in gho.propagator and gho.states compute in
 place on arrays they own and never write to their inputs. Where a test pins
@@ -200,38 +200,34 @@ def _scipy_fft():
     return fft
 
 
-def _derivatives(samples, dx: float, *orders) -> list:
-    """d^p/dx^p of the samples for each p of orders from one FFT, its
-    spectrum times (i k)^p transformed back, the last order's in the
-    spectrum's own buffer. The Nyquist mode of an even count is dropped, so
-    a real array gives a real one; under the plain dot product an odd order
-    is anti-Hermitian and an even one Hermitian."""
+def _derivatives(samples, dx: float, order: int):
+    """d^order/dx^order of the samples: their FFT spectrum times
+    (i k)^order, transformed back in the spectrum's own buffer. The Nyquist
+    mode of an even count is dropped, so a real array gives a real one;
+    under the plain dot product an odd order is anti-Hermitian and an even
+    one Hermitian."""
     sfft = _scipy_fft()
     f = np.asarray(samples)
     n = len(f)
-    spectrum = sfft.fft(f)
+    d = sfft.fft(f)
     k = np.fft.fftfreq(n, dx / (2.0 * math.pi))
     if n % 2 == 0:
         k[n // 2] = 0.0  # the Nyquist mode
-    out = []
-    for i, p in enumerate(orders):
-        d = spectrum if i == len(orders) - 1 else spectrum.copy()
-        for _ in range(p):
-            d *= k
-        d = sfft.ifft(d, overwrite_x=True)
-        d *= 1j ** p
-        out.append(d if np.iscomplexobj(f) else d.real.copy())
-    return out
+    for _ in range(order):
+        d *= k
+    d = sfft.ifft(d, overwrite_x=True)
+    d *= 1j ** order
+    return d if np.iscomplexobj(f) else d.real.copy()
 
 
 def derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     """d/dx of the samples, spectrally (_derivatives)."""
-    return _derivatives(samples, dx, 1)[0]
+    return _derivatives(samples, dx, 1)
 
 
 def second_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     """d2/dx2 of the samples, spectrally (_derivatives)."""
-    return _derivatives(samples, dx, 2)[0]
+    return _derivatives(samples, dx, 2)
 
 
 def _phase_factors(a: float, b: float, c: float, n: int):

@@ -7,6 +7,7 @@ print FAIL. A mutation that no check catches is pinned `xfail(strict=True)`
 with its reason, so that the check which closes the gap flips the test.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -15,12 +16,16 @@ import pytest
 from gho import classical, oracle, packets, propagator, states
 from gho.cli import main
 
+from conftest import COUPLED
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _failed_checks(capsys, scenario, *options):
-    """verify's exit code on a bundled scenario and the checks that FAIL."""
-    code = main(["verify", "--scenario", str(SCENARIOS / f"{scenario}.json"), *options])
+    """verify's exit code on a scenario, a bundled one by name or a file by
+    path, and the checks that FAIL."""
+    path = scenario if isinstance(scenario, Path) else SCENARIOS / f"{scenario}.json"
+    code = main(["verify", "--scenario", str(path), *options])
     lines = capsys.readouterr().out.splitlines()
     return code, {ln.split()[1] for ln in lines if ln.endswith(" FAIL")}
 
@@ -51,15 +56,31 @@ def _shift_gauge_beta(monkeypatch, shift):
 
 def _scale_wavenumbers(monkeypatch, factor):
     """The spectral derivatives' wavenumbers scaled by factor: their spacing
-    dx divided by it, in every module that imports _derivatives by name."""
+    dx divided by it."""
     derivatives = packets._derivatives
 
-    def mutated(samples, dx, *orders):
-        return derivatives(samples, dx / factor, *orders)
+    def mutated(samples, dx, order):
+        return derivatives(samples, dx / factor, order)
 
-    for module in (packets, oracle):
-        monkeypatch.setattr(module, "_derivatives", mutated)
+    monkeypatch.setattr(packets, "_derivatives", mutated)
 
+
+def _drop_gauge_rate(monkeypatch):
+    """W's x^2 coefficient without d(aM)/dt = a'M + aM', in the gauge frame
+    that the evolver and the Schrodinger residual both read."""
+    frame = oracle._gauge_frame
+
+    def mutated(s, t):
+        m, w2, w1, w0, chi2, chi1 = frame(s, t)
+        (a_c, a_dot), (_, m_dot) = s.a.eval(t), s.mass.eval(t)
+        return m, w2 - (a_dot * m + a_c * m_dot), w1, w0, chi2, chi1
+
+    monkeypatch.setattr(oracle, "_gauge_frame", mutated)
+
+
+# a row's runs: a bundled scenario's name, or a tuple of a scenario's name
+# and verify's options, where the name may be one of these, written out first
+WRITTEN = {"coupled": COUPLED}
 
 # K(b, a) and K(a, b) come from the one formula with the endpoints exchanged,
 # so an error in l_a alone breaks K(b, a) = conj K(a, b). l_a is 0 on sho,
@@ -87,15 +108,26 @@ ROWS = {
         "sho": {"invariant_eigenmode", "schrodinger_residual_kernel",
                 "schrodinger_residual_modes"},
     }),
+    # a = 0 on every bundled scenario; a wrong W fails in both oracles
+    "d(aM)/dt-dropped-from-W": (_drop_gauge_rate, {
+        ("coupled", "--xp", "0.4,-0.2"): {"schrodinger_residual_kernel",
+                                          "schrodinger_residual_modes",
+                                          "invariant_drift_tdse", "evolver_vs_kernel"},
+    }),
 }
 
 
 @pytest.mark.parametrize("row", sorted(ROWS))
-def test_mutation_fails_exactly_its_checks(row, monkeypatch, capsys):
+def test_mutation_fails_exactly_its_checks(row, monkeypatch, capsys, tmp_path):
     mutate, expected = ROWS[row]
     mutate(monkeypatch)
-    for scenario, checks in expected.items():
-        assert _failed_checks(capsys, scenario) == (1, checks), scenario
+    for run, checks in expected.items():
+        scenario, *options = (run,) if isinstance(run, str) else run
+        if scenario in WRITTEN:
+            path = tmp_path / f"{scenario}.json"
+            path.write_text(json.dumps(WRITTEN[scenario]))
+            scenario = path
+        assert _failed_checks(capsys, scenario, *options) == (1, checks), run
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

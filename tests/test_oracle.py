@@ -158,19 +158,6 @@ def test_evolver_is_spectral_in_space(monkeypatch):
     assert max(errors) < 3e-12
 
 
-def test_residual_hamiltonian_is_hermitian():
-    # the residual's H, its summands applied to each unit vector, is
-    # Hermitian: the spectral D^2 is Hermitian and D anti-Hermitian, and
-    # the mixed term is i hbar a (X D + D X) (conftest's coupled scenario:
-    # a, b, f, M and hbar all away from 0 and 1)
-    s = gho.scenario_from_dict(CONFTEST_COUPLED)
-    grid = GridSpec(-10.0, 10.0, 32)
-    residual_h = np.column_stack([sum(gho.oracle._hamiltonian_terms(s, 0.7, grid, unit))
-                                  for unit in np.eye(grid.n_points)])
-    scale = np.max(np.abs(residual_h))
-    assert np.max(np.abs(residual_h - residual_h.conj().T)) <= 1e-13 * scale
-
-
 def _factors(caplog):
     """Each leg's (potential, kinetic) counts of factors made by the fine,
     the middle and the coarse run."""
@@ -192,6 +179,31 @@ def test_evolver_factors_once_per_plateau(spec, count, grid, caplog, monkeypatch
     with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
         evolve_tdse(s, sho_eigenstate(0, grid), 1.0)
     assert _factors(caplog) == [[(count, 1)] * 3]
+
+
+def test_evolver_retry_makes_one_new_run(caplog, monkeypatch):
+    # a leg of 0.5 at a start step of 0.125 reads an estimate of 8.3e-6, and
+    # 4.9e-7 at half that step: at a target between, it tries twice. Its runs
+    # take 1, 2, 4 and then 8 coarse steps, the second try reading the last
+    # three, to the bit a one-try leg at the half step
+    s = gho.scenario_from_dict({"interval": [0.0, 2.0]})
+    start = sho_eigenstate(0, GridSpec(-10.0, 10.0, 256))
+    run, steps = gho.oracle._strang_run, []
+
+    def counted(hbar, grid, samples, table):
+        steps.append(len(table))
+        return run(hbar, grid, samples, table)
+
+    monkeypatch.setattr(gho.oracle, "_strang_run", counted)
+    monkeypatch.setattr(gho.oracle, "START_DT", 0.125)
+    monkeypatch.setattr(gho.oracle, "ERROR_TARGET", 2e-6)
+    with caplog.at_level(logging.DEBUG, logger="gho.oracle"):
+        retried = evolve_tdse(s, start, 0.5)
+    assert re.search(r"try (\d+):", caplog.records[-1].getMessage())[1] == "2"
+    assert steps == [1, 2, 4, 8]
+    monkeypatch.setattr(gho.oracle, "START_DT", 0.0625)
+    assert np.array_equal(evolve_tdse(s, start, 0.5).samples, retried.samples)
+    assert steps[4:] == [2, 4, 8]
 
 
 STOPS = [0.5, 1.0, 1.5, 2.0]
@@ -371,16 +383,22 @@ def test_path_integral_off_grid_path_rejected(free, free_basis):
         path_integral_oracle(free, q, 4, grid, basis=free_basis)
 
 
-def test_residual_detects_exact_and_corrupted(sho, sho_basis, sho_part_zero, grid):
-    def exact(t, x):
-        g = GridSpec(x[0], x[-1], len(x))
-        return gho.eigenmode_packet(sho, sho_basis, sho_part_zero, 0, t, g).samples
+def test_residual_detects_exact_and_corrupted(sho, grid):
+    # sho, and the coupled scenario (a, b, f, M and hbar all away from 0 and
+    # 1), where the gauge factor the residual reads H through is not 1: its
+    # exact mode read 6.6e-10
+    for s in (sho, gho.scenario_from_dict(CONFTEST_COUPLED)):
+        basis, part = gho.solve_homogeneous_basis(s), gho.solve_particular(s)
 
-    def corrupted(t, x):
-        return exact(t, x) * (1 + 0.1 * x)
+        def exact(t, x):
+            g = GridSpec(x[0], x[-1], len(x))
+            return gho.eigenmode_packet(s, basis, part, 0, t, g).samples
 
-    assert schrodinger_residual(exact, sho, 0.9, grid) < 1e-4
-    assert schrodinger_residual(corrupted, sho, 0.9, grid) > 1e-2
+        def corrupted(t, x):
+            return exact(t, x) * (1 + 0.1 * x)
+
+        assert schrodinger_residual(exact, s, 0.9, grid) < 1e-4
+        assert schrodinger_residual(corrupted, s, 0.9, grid) > 1e-2
 
 
 def test_residual_of_zero_energy_mode(driven, driven_basis, grid):

@@ -2,13 +2,15 @@
 
     python tools/compare_outputs.py PARENT_REV
 
-Runs 136 command lines in each tree: the six commands with their default
+Runs 144 command lines in each tree: the six commands with their default
 options, `verify --xp 1.0,0.0`, `verify --xp 1.0,0.5` (a moving x_p, which a
 free-particle hop reads as a shift), `verify --basis custom:0,1.4,0.7,0
 --xp 1.0,0.0` (Omega = -0.98 and rho(t0) = 0.7, so U_S dilates on every
 scenario), `verify --grid=-10,10,256` (a coarse base grid: every grid
 verify fits, the evolver's included, scales from it), `kernel-scan --times
-4.0,0.5` (a backward kernel), the four
+4.0,0.5` (a backward kernel), `invariant --basis custom:0.1,0,0,2` (a
+momentum spread of 4.5 on sho, at which an evolver leg halves its step and
+tries again on every scenario but free_particle), the four
 packet commands (modes, coherent, evolve,
 invariant) with the default grid given as `--grid=-10,10,2048`, which they
 run as given rather than fit to the modes, and two `python -c` snippets:
@@ -130,6 +132,7 @@ COMMANDS = (("verify",), ("kernel-scan",), *((name,) for name in PACKET_COMMANDS
             ("verify", "--xp", "1.0,0.0"), ("verify", "--xp", "1.0,0.5"),
             ("verify", "--basis", "custom:0,1.4,0.7,0", "--xp", "1.0,0.0"),
             ("verify", "--grid=-10,10,256"), ("kernel-scan", "--times", "4.0,0.5"),
+            ("invariant", "--basis", "custom:0.1,0,0,2"),
             *((name, "--grid=-10,10,2048") for name in PACKET_COMMANDS), ("kernel-values",),
             ("hop-values",))
 # a packet CSV's grid line, written by gho.cli's _write_packet_csv
