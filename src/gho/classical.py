@@ -47,14 +47,16 @@ or an array t: `ClassicalBasis.at` gives u, u', v, v', rho, rho', tau, the
 continuously lifted angle theta = theta(t0) - tau of u - i v, and M;
 `ParticularSolution.at` gives x_p, M x_p' and xi. Whatever needs both (the
 kernel, the hop, the modes, both invariants, the trajectory table) reads
-them through `_snapshots(basis, part, t)`, for a scalar or an array t, from
-one evaluation of the joint dense output that a solved particular solution
+them through `_snapshots(s, basis, part, t)`, for a scalar or an array t,
+from one evaluation of the joint dense output that a particular solution
 keeps of the fundamental pair and itself (its `at` reads the last three
 components): the two share the solve's step edges, and each component keeps
 its own polynomial, so the snapshots have the bits of the two separate
-calls. `particular_or_zero` is the one place that turns
-`part=None` into the zero particular solution, which solves the driven
-equation only when the force is the default constant 0.
+calls. `particular_or_zero` is the one check that a solution solves the
+scenario it is passed with (`_snapshots`, `apply_U_F` and `apply_U_S` call
+it), and the one place that turns `part=None` into the zero particular
+solution, `solve_particular(s)`, which solves the driven equation only when
+the force is the default constant 0.
 """
 
 from __future__ import annotations
@@ -499,33 +501,29 @@ class ParticularSolution:
     """Driven solution x_p with its accumulated phase integral xi.
 
     State components: (x_p, M x_p', xi), with xi(t0) = 0, the last three
-    components of _dense. When _fundamental is the dense output of the
-    fundamental pair it was solved with, _dense holds that pair's four
-    components before them, on the same step edges; otherwise (x_p = 0)
-    _fundamental is None and _dense holds the three alone.
+    components of _dense, after the four of the fundamental pair it was
+    solved with, (c, M c', s, M s'), on the same step edges.
     """
 
     scenario: Scenario
     _dense: object = field(repr=False)
-    _fundamental: object = field(default=None, repr=False)
 
     def at(self, t) -> ParticularSnapshot:
         """x_p, M x_p' and xi at time(s) t from one dense evaluation."""
         return ParticularSnapshot(*self._dense(t)[-3:])
 
 
-def _snapshots(basis: ClassicalBasis, part, t):
-    """(basis.at(t), part.at(t)), part=None standing for x_p = 0: the same
-    bits from one dense evaluation of both when part was solved with the
-    fundamental pair that basis is an image of (same scenario object), and
-    from one each otherwise."""
-    part = particular_or_zero(basis.scenario, part)
-    scalar = isinstance(t, (int, float))
-    if part._fundamental is basis._fundamental:
-        c, pc, sn, ps, x, momentum, xi = part._dense(t)
-        return (basis._snapshot(t, (c, pc, sn, ps), scalar),
-                ParticularSnapshot(x, momentum, xi))
-    return basis._snapshot(t, basis._fundamental(t), scalar), part.at(t)
+def _snapshots(s: Scenario, basis: ClassicalBasis, part, t):
+    """(basis.at(t), part.at(t)) for solutions of s, checked by
+    particular_or_zero unless both are solutions of s itself, part=None
+    standing for x_p = 0, from one dense evaluation of part: the fundamental
+    pair it keeps has the bits of basis's own, since a scenario and an equal
+    one solve to the same bits."""
+    if basis.scenario is not s or part is None or part.scenario is not s:
+        basis, part = particular_or_zero(s, basis), particular_or_zero(s, part)
+    c, pc, sn, ps, x, momentum, xi = part._dense(t)
+    return (basis._snapshot(t, (c, pc, sn, ps), isinstance(t, (int, float))),
+            ParticularSnapshot(x, momentum, xi))
 
 
 def gauge_coefficients(s: Scenario, mass, ps: ParticularSnapshot, t):
@@ -559,22 +557,28 @@ def _check_time(s: Scenario, t, name, scalar=None):
         raise ValidationError(f"{name}={bad} outside working interval [{s.t0}, {s.t1}]")
 
 
-def _zero_dense(t):
-    return [0.0, 0.0, 0.0] if isinstance(t, (int, float)) else np.zeros((3,) + np.shape(t))
+def particular_or_zero(s: Scenario, part):
+    """part, a solution of s, or for part=None the zero particular solution.
 
-
-def particular_or_zero(s: Scenario, part) -> ParticularSolution:
-    """part itself, or for part=None the zero particular solution x_p = 0.
-
-    x_p = 0 solves the driven equation only without a force, so None is
-    accepted only when the force is the default constant 0.
+    Raises ValidationError unless part.scenario is s or equal to it; a basis
+    passed as part is checked alike. x_p = 0 solves the driven equation only
+    without a force, so None is accepted only when the force is the default
+    constant 0; it is solve_particular(s), whose x_p, M x_p' and xi are then
+    +0.0, solved once per scenario object and kept beside its collocation
+    solve.
     """
-    if part is not None:
-        return part
-    if not (isinstance(s.force, Constant) and s.force.value == 0.0):
+    if part is None:
+        if not (isinstance(s.force, Constant) and s.force.value == 0.0):
+            raise ValidationError(
+                "part=None means x_p = 0, which needs force 0; pass solve_particular(s)")
+        cached = vars(s)
+        if "_zero_particular" not in cached:
+            cached["_zero_particular"] = solve_particular(s)
+        return cached["_zero_particular"]
+    if part.scenario is not s and part.scenario != s:
         raise ValidationError(
-            "part=None means x_p = 0, which needs force 0; pass solve_particular(s)")
-    return ParticularSolution(scenario=s, _dense=_zero_dense)
+            f"the {type(part).__name__} was solved for another scenario than the one passed")
+    return part
 
 
 def default_basis_ics(s: Scenario):
@@ -662,7 +666,7 @@ def solve_particular(s: Scenario, ics=(0.0, 0.0)) -> ParticularSolution:
     slopes = np.stack([inv_m * p, force - k * x, 0.5 * (k * x * x - inv_m * p * p)], axis=-1)
     _log.debug("solve_particular: %d steps, %d steps tried", n, sol.tried)
     dense = _joined(sol.fundamental, sol.edges, values, slopes)
-    return ParticularSolution(scenario=s, _dense=dense, _fundamental=sol.fundamental)
+    return ParticularSolution(scenario=s, _dense=dense)
 
 
 def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> float:
@@ -677,7 +681,7 @@ def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> fl
     interval (nan included) raise ValidationError.
     """
     _check_time(s, t, "t")
-    bs, ps = _snapshots(basis, part, t)
+    bs, ps = _snapshots(s, basis, part, t)
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
     dx = x - ps.x
@@ -697,6 +701,6 @@ def trajectory_table(basis: ClassicalBasis, part, times) -> np.ndarray:
     Times outside the working interval (nan included) raise ValidationError."""
     times = np.asarray(times, dtype=float)
     _check_time(basis.scenario, times, "times")
-    bs, ps = _snapshots(basis, part, times)
+    bs, ps = _snapshots(basis.scenario, basis, part, times)
     return np.column_stack([times, bs.u, bs.u_dot, bs.v, bs.v_dot, ps.x,
                             ps.momentum / bs.mass, ps.xi, bs.rho, bs.rho_dot, bs.tau])

@@ -22,6 +22,9 @@ from .errors import CausticEncountered, GhoError, GridTooNarrow, ParseError, Val
 from .packets import (MAX_POINTS, GridSpec, WavePacket, _scipy_fft, inner_product, l2_distance,
                       mean_x, packet_norm, var_x)
 
+# scipy.fft (about 190 ms to import) loads with the CLI, not inside the first
+# command that transforms, in a process that runs several commands
+_scipy_fft()
 _SEED = 20240801
 _BASE_GRID = GridSpec(-10.0, 10.0, 2048)  # --grid's default, fitted to the modes
 # evolver_vs_kernel's tolerance, which `invariant` also asks of its start mode

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .classical import ClassicalBasis, _check_time, particular_or_zero
+from .classical import ClassicalBasis, _check_time, _snapshots
 from .coefficients import Scenario, _jumps, hamiltonian_coefficients
 from .errors import CausticEncountered, GridTooNarrow, LinearSolveFailure, ValidationError
 from .packets import (MAX_POINTS, GridSpec, WavePacket, _scipy_fft, _times_grid_phase,
@@ -363,15 +363,16 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
     return complex(np.trapezoid(vals, dx=ys[1] - ys[0]))
 
 
-def _classical_path(basis, part, t_a, x_a, t_b, x_b, times):
+def _classical_path(s, basis, part, t_a, x_a, t_b, x_b, times):
     """Classical trajectory through the two endpoints, evaluated at times."""
-    at_a, at_b, at_t = basis.at(t_a), basis.at(t_b), basis.at(times)
-    y_a = x_a - part.at(t_a).x
-    y_b = x_b - part.at(t_b).x
+    (at_a, xp_a), (at_b, xp_b), (at_t, xp_t) = (_snapshots(s, basis, part, t)
+                                                for t in (t_a, t_b, times))
+    y_a = x_a - xp_a.x
+    y_b = x_b - xp_b.x
     det = at_a.u * at_b.v - at_a.v * at_b.u
     alpha = (y_a * at_b.v - y_b * at_a.v) / det
     beta = (y_b * at_a.u - y_a * at_b.u) / det
-    return alpha * at_t.u + beta * at_t.v + part.at(times).x
+    return alpha * at_t.u + beta * at_t.v + xp_t.x
 
 
 def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
@@ -388,7 +389,6 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
     """
     if n_slices < 1:
         raise ValidationError("n_slices must be >= 1")
-    part = particular_or_zero(s, part)
     if n_slices == 1:
         return kernel(s, basis, part, q)
     x_a, x_b = float(q.r_a), float(q.r_b)
@@ -400,7 +400,7 @@ def path_integral_oracle(s: Scenario, q: KernelQuery, n_slices: int,
     r_flat = 0.55 * half_span
     r_zero = 0.90 * half_span
     sigma = math.sqrt(s.hbar * abs(q.t_b - q.t_a))
-    for x_cl in _classical_path(basis, part, q.t_a, x_a, q.t_b, x_b, times[1:-1]):
+    for x_cl in _classical_path(s, basis, part, q.t_a, x_a, q.t_b, x_b, times[1:-1]):
         if abs(x_cl - center) + 3.0 * sigma > r_flat:
             raise GridTooNarrow(
                 f"classical path at {x_cl:.3g} leaves the window's flat region")

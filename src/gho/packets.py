@@ -115,10 +115,11 @@ class WavePacket:
         if samples.shape != (self.grid.n_points,):
             raise ValidationError(
                 f"samples shape {samples.shape} != grid size ({self.grid.n_points},)")
-        # one BLAS pass: the squared norm is finite and positive unless a
-        # sample is not finite, all are zero, or the squares over/underflow
-        if not 0.0 < np.vdot(samples, samples).real < math.inf:
-            view = samples.view(np.float64)
+        # one numpy pass, not a BLAS dot, whose OpenBLAS threads can take
+        # milliseconds to wake: the sum of squares is finite and positive
+        # unless a sample is not finite, all are zero, or squares over/underflow
+        view = samples.view(np.float64)
+        if not 0.0 < np.einsum("i,i->", view, view) < math.inf:
             if not np.isfinite(view).all():
                 raise ValidationError("packet samples must be finite")
             if not view.any():
@@ -193,8 +194,9 @@ def var_x(p: WavePacket) -> float:
 
 @functools.cache
 def _scipy_fft():
-    """scipy.fft, imported at first use. The kernel layer imports this module
-    but transforms nothing, so `import gho` loads no scipy module."""
+    """scipy.fft, imported at first use: gho's one route to it. The kernel
+    layer imports this module but transforms nothing, so `import gho` loads
+    no scipy module."""
     from scipy import fft
 
     return fft

@@ -261,8 +261,8 @@ def _coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficients:
     ops = _FLOATS if scalar else np
     hbar = s.hbar
     # one dense evaluation of the basis and x_p together per endpoint (array)
-    at_a, xp_a = _snapshots(basis, part, t_a)
-    at_b, xp_b = _snapshots(basis, part, t_b)
+    at_a, xp_a = _snapshots(s, basis, part, t_a)
+    at_b, xp_b = _snapshots(s, basis, part, t_b)
     omega = basis.omega
     sigma = ops.copysign(1.0, t_b - t_a)
 
@@ -313,18 +313,18 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
     coefficients and the denominator are floats and the prefactor a complex.
     0-d arrays take numpy's path and give numpy scalars. Arrays are
     evaluated in one pass: one dense evaluation of the basis and x_p
-    together per endpoint array (one of each when x_p comes from another
-    solve; see classical._snapshots), the Morse count and the caustic band
-    applied pair by pair, and the fields come back as arrays over the pairs
-    (an overflow gives inf or nan, as on floats, and no numpy warning). A
-    scalar pair inside the caustic band (|D| <= CAUSTIC_RTOL times the basis
-    scale) raises CausticEncountered; in an array such pairs are marked in
-    `caustic` and their prefactor and exponent coefficients are nan. Equal
-    times raise ValidationError either way.
-    Logs the number of pairs, the largest Morse index and the smallest
+    together per endpoint array (see classical._snapshots), the Morse count
+    and the caustic band applied pair by pair, and the fields come back as
+    arrays over the pairs (an overflow gives inf or nan, as on floats, and
+    no numpy warning). A scalar pair inside the caustic band (|D| <=
+    CAUSTIC_RTOL times the basis scale) raises CausticEncountered; in an
+    array such pairs are marked in `caustic` and their prefactor and
+    exponent coefficients are nan. Equal times raise ValidationError either
+    way. Logs the number of pairs, the largest Morse index and the smallest
     |D|/scale in units of CAUSTIC_RTOL at DEBUG level on "gho.propagator".
 
-    part=None stands for x_p = 0 (see classical.particular_or_zero).
+    part=None stands for x_p = 0, and basis and part must solve s (see
+    classical.particular_or_zero).
     """
     scalar = isinstance(t_a, (int, float)) and isinstance(t_b, (int, float))
     _check_time(s, t_a, "t_a", scalar)
@@ -433,8 +433,8 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     t_a, grid, hbar = packet.t, packet.grid, s.hbar
     _check_time(s, t_a, "t_a")
     _check_time(s, t_b, "t_b")
-    at_a, xp_a = _snapshots(basis, part, t_a)
-    at_b, xp_b = _snapshots(basis, part, t_b)
+    at_a, xp_a = _snapshots(s, basis, part, t_a)
+    at_b, xp_b = _snapshots(s, basis, part, t_b)
     big_a, big_b, big_c, _ = _hop_matrix(basis.omega, at_a, at_b)
     sfft = _scipy_fft()
     n = grid.n_points

@@ -29,14 +29,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import fft
 
 from .classical import (ClassicalBasis, ParticularSolution, _check_time, _snapshots,
                         gauge_coefficients, particular_or_zero)
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
-from .packets import (GridSpec, WavePacket, _read_interpolant, _support, _times_grid_phase,
-                      _trapezoid_inner, derivative)
+from .packets import (GridSpec, WavePacket, _read_interpolant, _scipy_fft, _support,
+                      _times_grid_phase, _trapezoid_inner, derivative)
 
 __all__ = [
     "hermite_functions",
@@ -135,7 +134,7 @@ def _modes_1d(s, basis, part, n_max, t, x):
     t outside the working interval.
     """
     _check_time(s, t, "t")
-    bs, ps = _snapshots(basis, part, t)
+    bs, ps = _snapshots(s, basis, part, t)
     hbar = s.hbar
     omega = abs(basis.omega)
     alpha, beta, gamma = gauge_coefficients(s, bs.mass, ps, t)
@@ -241,8 +240,9 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     first, last = _support(np.abs(packet.samples), 1e-8)
     if x[first] + xp < grid.x_min or x[last] + xp > grid.x_max:
         raise GridTooNarrow(f"translation by {xp:.3g} pushes support off the grid")
-    shifted = _read_interpolant(fft(packet.samples), grid, grid.x_min - xp, grid.dx,
-                                grid.n_points, phase=(0.0, ps.momentum / s.hbar, ps.xi / s.hbar))
+    shifted = _read_interpolant(_scipy_fft().fft(packet.samples), grid, grid.x_min - xp,
+                                grid.dx, grid.n_points,
+                                phase=(0.0, ps.momentum / s.hbar, ps.xi / s.hbar))
     return WavePacket(grid, shifted, t=t)
 
 
@@ -256,13 +256,14 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
     amplitude and the chirp folded in.
     """
     _check_time(s, t, "t")
-    bs = basis.at(t)
+    bs = particular_or_zero(s, basis).at(t)
     scale = math.sqrt(abs(basis.omega)) / bs.rho
     packet.require_dark_edges(1e-8, "apply_U_S")
     grid = packet.grid
     chirp = bs.mass * bs.rho_dot / (2.0 * s.hbar * bs.rho)
-    rescaled = _read_interpolant(fft(packet.samples), grid, scale * grid.x_min, scale * grid.dx,
-                                 grid.n_points, math.sqrt(scale), phase=(chirp, 0.0, 0.0))
+    rescaled = _read_interpolant(_scipy_fft().fft(packet.samples), grid, scale * grid.x_min,
+                                 scale * grid.dx, grid.n_points, math.sqrt(scale),
+                                 phase=(chirp, 0.0, 0.0))
     result = WavePacket(grid, rescaled, t=t)
     result.require_dark_edges(1e-8, "apply_U_S output")
     return result
@@ -322,7 +323,7 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     _check_time(s, packet.t, "packet.t")
     packet.require_dark_edges(1e-8, "invariant_expectation")
     t = packet.t
-    bs, ps = _snapshots(basis, part, t)
+    bs, ps = _snapshots(s, basis, part, t)
     omega = abs(basis.omega)
     m, rho = bs.mass, bs.rho
     a_c, _ = s.a.eval(t)

@@ -1,20 +1,29 @@
-"""Input checks of the library's functions that no other test reaches, and
-the equal-time copies of the evolver and of propagate."""
+"""Input checks of the library's functions that no other test reaches, the
+check that a basis and a particular solution solve the scenario passed with
+them, and the equal-time copies of the evolver and of propagate."""
 
 import numpy as np
 import pytest
 
 import gho
-from gho import (GridSpec, KernelQuery, ParseError, ValidationError,
-                 eigenmode, evolve_tdse, kernel_delta_check, load_scenario, mode_sum_kernel,
-                 path_integral_oracle, propagate, schrodinger_residual, sho_eigenstate)
+from gho import (GridSpec, KernelQuery, ParseError, ValidationError, apply_U_F, apply_U_S,
+                 build_generalized_coherent_state, classical_invariant, compose_kernels,
+                 eigenmode, eigenmode_packet, evolve_tdse, green_function,
+                 invariant_expectation, kernel, kernel_coefficients, kernel_delta_check,
+                 load_scenario, mode_sum_kernel, path_integral_oracle, propagate,
+                 schrodinger_residual, sho_eigenstate, trajectory_table)
 from gho.packets import evaluate_trig_interpolant, upsample_periodic
+from gho.states import eigenmode_packets
 
 SHO = gho.scenario_from_dict({"interval": [0.0, 12.0]})
 BASIS = gho.solve_homogeneous_basis(SHO)
 GRID = GridSpec(-10.0, 10.0, 256)
 GROUND = sho_eigenstate(0, GRID)
 QUERY = KernelQuery(0.0, 1.0, 0.3, -0.4)
+PART = gho.solve_particular(SHO)
+# another oscillator: the solutions of SHO are not its solutions
+OTHER = gho.scenario_from_dict({"hbar": 2.0, "frequency": 1.5, "interval": [0.0, 12.0]})
+OTHER_PART = gho.solve_particular(OTHER)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -61,3 +70,39 @@ def test_an_equal_time_hop_copies_the_packet(hop):
     assert copy is not start
     assert (copy.grid, copy.t) == (start.grid, start.t)
     assert np.array_equal(copy.samples, start.samples)
+
+
+BASIS_OF_ANOTHER = "the ClassicalBasis was solved for another scenario than the one passed"
+PART_OF_ANOTHER = "the ParticularSolution was solved for another scenario than the one passed"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kernel(OTHER, BASIS, PART, QUERY), BASIS_OF_ANOTHER),
+    (lambda: kernel(SHO, BASIS, OTHER_PART, QUERY), PART_OF_ANOTHER),
+    (lambda: kernel_coefficients(OTHER, BASIS, PART, 0.0, 1.0), BASIS_OF_ANOTHER),
+    (lambda: green_function(OTHER, BASIS, PART, QUERY), BASIS_OF_ANOTHER),
+    (lambda: propagate(GROUND, OTHER, BASIS, PART, 1.0), BASIS_OF_ANOTHER),
+    (lambda: kernel_delta_check(OTHER, BASIS, PART, 0.5, 0.01, GROUND), BASIS_OF_ANOTHER),
+    (lambda: eigenmode(OTHER, BASIS, PART, 0, 0.5, 0.1), BASIS_OF_ANOTHER),
+    (lambda: eigenmode_packet(OTHER, BASIS, PART, 0, 0.5, GRID), BASIS_OF_ANOTHER),
+    (lambda: eigenmode_packets(OTHER, BASIS, PART, 2, 0.5, GRID), BASIS_OF_ANOTHER),
+    (lambda: build_generalized_coherent_state(OTHER, BASIS, PART, 0, 0.5, GRID),
+     BASIS_OF_ANOTHER),
+    (lambda: mode_sum_kernel(OTHER, BASIS, PART, 3, QUERY), BASIS_OF_ANOTHER),
+    (lambda: apply_U_F(GROUND, PART, OTHER, 0.5), PART_OF_ANOTHER),
+    (lambda: apply_U_S(GROUND, BASIS, OTHER, 0.5), BASIS_OF_ANOTHER),
+    (lambda: invariant_expectation(GROUND, BASIS, PART, OTHER), BASIS_OF_ANOTHER),
+    (lambda: classical_invariant(BASIS, PART, OTHER, 0.3, 0.1, 0.5), BASIS_OF_ANOTHER),
+    (lambda: trajectory_table(BASIS, OTHER_PART, [0.5, 1.0]), PART_OF_ANOTHER),
+    (lambda: compose_kernels(OTHER, BASIS, PART, 0.0, 0.5, 1.0, 0.3, -0.4), BASIS_OF_ANOTHER),
+    (lambda: path_integral_oracle(OTHER, QUERY, 4, GRID, BASIS, PART), BASIS_OF_ANOTHER),
+], ids=["kernel", "kernel-part", "kernel_coefficients", "green_function", "propagate",
+        "kernel_delta_check", "eigenmode", "eigenmode_packet", "eigenmode_packets",
+        "build_generalized_coherent_state", "mode_sum_kernel", "apply_U_F", "apply_U_S",
+        "invariant_expectation", "classical_invariant", "trajectory_table", "compose_kernels",
+        "path_integral_oracle"])
+def test_solutions_of_another_scenario_raise(call, message):
+    # each of these returned a number for neither oscillator
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -79,12 +79,12 @@ def test_dense_evaluations_per_operation(monkeypatch, parametric, parametric_bas
     # u, v and x_p share the step edges: one evaluation of all three per endpoint
     kernel_calls = evaluations(lambda: gho.kernel(s, basis, part, QUERY))
     assert kernel_calls == [1, 1]
-    # x_p solved on an equal scenario loaded again has a solve of its own:
-    # one evaluation of each
+    # x_p solved on an equal scenario loaded again has a solve of its own,
+    # whose fundamental pair gives the basis's bits: still one evaluation
     again = gho.scenario_from_dict(gho.scenario_to_dict(s))
     assert again == s
     other = gho.solve_particular(again, (1.0, 0.0))
-    assert evaluations(lambda: gho.kernel(s, basis, other, QUERY)) == [1, 1, 1, 1]
+    assert evaluations(lambda: gho.kernel(s, basis, other, QUERY)) == [1, 1]
     assert evaluations(lambda: gho.eigenmode_packet(s, basis, part, 1, 1.1, grid)) == [1]
     assert evaluations(lambda: gho.build_generalized_coherent_state(
         s, basis, part, 1, 1.1, grid)) == [1]
@@ -100,20 +100,28 @@ def test_joint_snapshots_are_the_separate_ones_to_the_bit(driven_sho):
     sho_basis = gho.solve_homogeneous_basis(sho)
     zero = gho.classical.particular_or_zero(sho, None)
     times = np.linspace(s.t0, s.t1, 37)
-    # part shares basis's solve; other, solved on an equal scenario loaded
-    # again, has its own
-    assert part._fundamental is basis._fundamental
-    assert other._fundamental is not basis._fundamental
-    # part=None on a force-free scenario reads the zero solution
+    # part=None is the zero-start solution, solved once per scenario object
+    # on the basis's step edges; other, solved on an equal scenario loaded
+    # again, has its own solve
+    assert zero is gho.classical.particular_or_zero(sho, None)
+    assert zero._dense._edges is sho_basis._fundamental._edges
+    assert other._dense._edges is not basis._fundamental._edges
     for b, p, given in ((basis, part, part), (basis, other, other), (sho_basis, zero, None)):
         for t in [*times.tolist(), times, np.array(1.3)]:
-            joint = gho.classical._snapshots(b, given, t)
+            joint = gho.classical._snapshots(b.scenario, b, given, t)
             for got, alone in zip(joint, (b.at(t), p.at(t))):
                 assert type(got) is type(alone)
                 for name in alone._fields:
                     assert np.array_equal(getattr(got, name), getattr(alone, name))
                     assert type(getattr(got, name)) is type(getattr(alone, name))
-    assert zero._fundamental is None
+    # under zero force the zero-start solution's x_p, M x_p' and xi are +0.0
+    for name in ("sho", "parametric", "free_particle"):
+        force_free = gho.load_scenario((ROOT / "scenarios" / f"{name}.json").read_text())
+        zero = gho.classical.particular_or_zero(force_free, None)
+        times = np.linspace(force_free.t0, force_free.t1, 1001)
+        for values in (zero.at(times), *(zero.at(t) for t in times.tolist())):
+            for value in values:
+                assert np.all(value == 0.0) and not np.any(np.signbit(value))
 
 
 def _records(s, basis, part):
