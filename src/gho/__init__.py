@@ -13,9 +13,8 @@ from .classical import (ClassicalBasis, ParticularSolution, classical_invariant,
                         solve_homogeneous_basis, solve_particular, trajectory_table)
 from .coefficients import (CoefficientFn, Constant, Exponential, HamiltonianCoeffs,
                            PiecewiseConstant, Polynomial, Scenario, Sinusoidal,
-                           eval_coefficient, hamiltonian_coefficients,
-                           integrate_coefficient, load_scenario, scenario_from_dict,
-                           scenario_to_dict, serialize_scenario)
+                           hamiltonian_coefficients, integrate_coefficient, load_scenario,
+                           scenario_from_dict, scenario_to_dict, serialize_scenario)
 from .errors import (CausticEncountered, DegenerateBasis, GhoError, GridMismatch,
                      GridTooNarrow, IntegrationFailure, LinearSolveFailure,
                      ParseError, ValidationError, ZeroRho)
@@ -39,9 +38,8 @@ __all__ = [
     "solve_particular", "trajectory_table",
     # coefficients
     "CoefficientFn", "Constant", "Exponential", "HamiltonianCoeffs", "PiecewiseConstant",
-    "Polynomial", "Scenario", "Sinusoidal", "eval_coefficient", "hamiltonian_coefficients",
-    "integrate_coefficient", "load_scenario", "scenario_from_dict", "scenario_to_dict",
-    "serialize_scenario",
+    "Polynomial", "Scenario", "Sinusoidal", "hamiltonian_coefficients", "integrate_coefficient",
+    "load_scenario", "scenario_from_dict", "scenario_to_dict", "serialize_scenario",
     # errors
     "CausticEncountered", "DegenerateBasis", "GhoError", "GridMismatch", "GridTooNarrow",
     "IntegrationFailure", "LinearSolveFailure", "ParseError", "ValidationError", "ZeroRho",

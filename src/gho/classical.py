@@ -46,15 +46,22 @@ of the solution's per-time data from one dense-output evaluation, for a scalar
 or an array t: `ClassicalBasis.at` gives u, u', v, v', rho, rho', tau, the
 continuously lifted angle theta = theta(t0) - tau of u - i v, and M;
 `ParticularSolution.at` gives x_p, M x_p' and xi. Whatever needs both (the
-kernel, the hop, the modes, both invariants, the trajectory table) reads
-them through `_snapshots(s, basis, part, t)`, for a scalar or an array t,
-from one evaluation of the joint dense output that a particular solution
-keeps of the fundamental pair and itself (its `at` reads the last three
-components): the two share the solve's step edges, and each component keeps
-its own polynomial, so the snapshots have the bits of the two separate
-calls. `particular_or_zero` is the one check that a solution solves the
-scenario it is passed with (`_snapshots`, `apply_U_F` and `apply_U_S` call
-it), and the one place that turns `part=None` into the zero particular
+kernel, the hop, the modes, both invariants, the trajectory table, the path
+integral's classical path) reads them through `_snapshots(s, basis, part,
+t, name)`, for a scalar or an array t, from one evaluation of the joint
+dense output that a particular solution keeps of the fundamental pair and
+itself (its `at` reads the last three components): the two share the
+solve's step edges, and each component keeps its own polynomial, so the
+snapshots have the bits of the two separate calls.
+
+`_snapshots` is also the one gate before every answer. `at` does not check
+and extrapolates past the ends, so the gate raises ValidationError naming
+`name`: first unless the time(s) lie in the working interval (`_check_time`:
+to 1e-9 of its length, nan outside), then unless both solutions solve s
+(`particular_or_zero`). `_read(s, solution, t, name)`, its one-solution
+sibling, gates `apply_U_F`, `apply_U_S` and `caustic_times`; the evolver,
+which reads no solution, calls `_check_time` itself. `particular_or_zero` is
+also the one place that turns `part=None` into the zero particular
 solution, `solve_particular(s)`, which solves the driven equation only when
 the force is the default constant 0.
 """
@@ -513,17 +520,27 @@ class ParticularSolution:
         return ParticularSnapshot(*self._dense(t)[-3:])
 
 
-def _snapshots(s: Scenario, basis: ClassicalBasis, part, t):
-    """(basis.at(t), part.at(t)) for solutions of s, checked by
-    particular_or_zero unless both are solutions of s itself, part=None
-    standing for x_p = 0, from one dense evaluation of part: the fundamental
-    pair it keeps has the bits of basis's own, since a scenario and an equal
-    one solve to the same bits."""
+def _snapshots(s: Scenario, basis: ClassicalBasis, part, t, name):
+    """(basis.at(t), part.at(t)) for solutions of s, part=None standing for
+    x_p = 0, after the gate: ValidationError naming name unless time(s) t
+    lie in the working interval, and then unless both solve s (checked by
+    particular_or_zero unless both are solutions of s itself). One dense
+    evaluation of part: the fundamental pair it keeps has the bits of
+    basis's own, since a scenario and an equal one solve to the same bits."""
+    scalar = isinstance(t, (int, float))
+    _check_time(s, t, name, scalar)
     if basis.scenario is not s or part is None or part.scenario is not s:
         basis, part = particular_or_zero(s, basis), particular_or_zero(s, part)
     c, pc, sn, ps, x, momentum, xi = part._dense(t)
-    return (basis._snapshot(t, (c, pc, sn, ps), isinstance(t, (int, float))),
-            ParticularSnapshot(x, momentum, xi))
+    return basis._snapshot(t, (c, pc, sn, ps), scalar), ParticularSnapshot(x, momentum, xi)
+
+
+def _read(s: Scenario, solution, t, name):
+    """solution.at(t) for one solution of s (a basis, or a particular
+    solution with None for x_p = 0) after _snapshots' gate: the time(s)
+    first, then the solution."""
+    _check_time(s, t, name)
+    return particular_or_zero(s, solution).at(t)
 
 
 def gauge_coefficients(s: Scenario, mass, ps: ParticularSnapshot, t):
@@ -680,8 +697,7 @@ def classical_invariant(basis: ClassicalBasis, part, s: Scenario, x, p, t) -> fl
     is non-negative for either sign of Omega. Times outside the working
     interval (nan included) raise ValidationError.
     """
-    _check_time(s, t, "t")
-    bs, ps = _snapshots(s, basis, part, t)
+    bs, ps = _snapshots(s, basis, part, t, "t")
     a_c, _ = s.a.eval(t)
     b_c, _ = s.b.eval(t)
     dx = x - ps.x
@@ -700,7 +716,6 @@ def trajectory_table(basis: ClassicalBasis, part, times) -> np.ndarray:
     """Dense trajectory export: one row per time, columns trajectory_columns.
     Times outside the working interval (nan included) raise ValidationError."""
     times = np.asarray(times, dtype=float)
-    _check_time(basis.scenario, times, "times")
-    bs, ps = _snapshots(basis.scenario, basis, part, times)
+    bs, ps = _snapshots(basis.scenario, basis, part, times, "times")
     return np.column_stack([times, bs.u, bs.u_dot, bs.v, bs.v_dot, ps.x,
                             ps.momentum / bs.mass, ps.xi, bs.rho, bs.rho_dot, bs.tau])

@@ -39,7 +39,6 @@ __all__ = [
     "CoefficientFn",
     "HamiltonianCoeffs",
     "Scenario",
-    "eval_coefficient",
     "integrate_coefficient",
     "hamiltonian_coefficients",
     "load_scenario",
@@ -190,18 +189,6 @@ class Exponential:
 
 CoefficientFn = Union[Constant, Polynomial, Sinusoidal, PiecewiseConstant, Exponential]
 _KINDS = {cls.kind: cls for cls in get_args(CoefficientFn)}
-
-
-def eval_coefficient(fn: CoefficientFn, t):
-    """Return (value, first derivative) of a coefficient at time(s) t.
-
-    Both are exact analytic expressions of the declared kind; t may be a
-    scalar or an array.
-    """
-    value, deriv = fn.eval(t)
-    if np.ndim(np.asarray(t)) == 0:
-        return float(value), float(deriv)
-    return value, deriv
 
 
 def integrate_coefficient(fn: CoefficientFn, t_lo, t_hi):

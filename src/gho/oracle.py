@@ -365,8 +365,9 @@ def compose_kernels(s: Scenario, basis: ClassicalBasis, part, t_a: float,
 
 def _classical_path(s, basis, part, t_a, x_a, t_b, x_b, times):
     """Classical trajectory through the two endpoints, evaluated at times."""
-    (at_a, xp_a), (at_b, xp_b), (at_t, xp_t) = (_snapshots(s, basis, part, t)
-                                                for t in (t_a, t_b, times))
+    (at_a, xp_a), (at_b, xp_b), (at_t, xp_t) = (
+        _snapshots(s, basis, part, t, name)
+        for t, name in ((t_a, "t_a"), (t_b, "t_b"), (times, "times")))
     y_a = x_a - xp_a.x
     y_b = x_b - xp_b.x
     det = at_a.u * at_b.v - at_a.v * at_b.u

@@ -4,21 +4,23 @@ One primitive does each job on a uniform grid. Integrals of conj(f) g (inner
 products, norms, distances, moments, the invariant) are the trapezoid rule as
 one BLAS dot product, _trapezoid_inner, spectrally accurate for the
 dark-edged packets every operation requires. Oscillatory sums are chirp-z
-transforms, czt. Every phase put on a grid is a quadratic in the grid index,
-so every full-grid complex exponential is quadratic_phase, which builds
-exp(i (a k^2 + b k + c)) from about 4 sqrt(n) exponentials, laid out as a
-Hankel table, and 2n complex products. Where an array carries the phase (the
-gauge phase, a chirp, a spectral ramp), _times_quadratic_phase multiplies
-the same three factors into it in place, 3n products and no full-size
-temporary; _times_grid_phase and _times_spectral_phase take the phase's
-coefficients in x and in the angular frequencies of an FFT. Every move of a
+transforms, czt. Every phase put on a grid outside the evolver is a
+quadratic in the grid index, so each such full-grid complex exponential is
+quadratic_phase, which builds exp(i (a k^2 + b k + c)) from about 4 sqrt(n)
+exponentials, laid out as a Hankel table, and 2n complex products. Where an
+array carries the phase (the gauge phase, a chirp, a spectral ramp),
+_times_quadratic_phase multiplies the same three factors into it in place,
+3n products and no full-size temporary; _times_grid_phase and
+_times_spectral_phase take the phase's coefficients in x and in the angular
+frequencies of an FFT. Every move of a
 packet on its grid (states.apply_U_F's shift, states.apply_U_S's dilation,
 the factored form of propagate, evaluate_trig_interpolant) is one read of
 its trigonometric interpolant on a moved lattice, _read_interpolant: the
 start ramp (after a Fresnel phase, if any) on the FFT spectrum, one inverse
 FFT for n points at the grid's own spacing and one chirp-z for any other
 lattice, 0 at the points off the grid, and one grid phase into which the
-chirp-z's end ramp folds. Derivatives
+chirp-z's end ramp folds. The evolver (gho.oracle) makes its own factors
+with np.exp, so that it stays independent of the code it checks. Derivatives
 are spectral, _derivatives: the FFT of the samples times (i k)^p for one
 order p, transformed back, the grid taken as one period. They are exact on
 the grid's band for a field that is dark at both ends or smoothly windowed
@@ -26,7 +28,8 @@ to zero there; gho.oracle's Schrodinger residual takes the second
 derivative and gho.states' invariant the first.
 
 The packet functions here and in gho.propagator and gho.states compute in
-place on arrays they own and never write to their inputs. Where a test pins
+place on arrays they own and never write to their inputs (a WavePacket
+keeps a contiguous complex128 array it is given, read-only). Where a test pins
 a result to the bit (the Hermite rows, the invariant's sums), each in-place
 step keeps the operand order of the plain expression it replaces: numpy's
 complex product, fused on some CPUs, is not commutative to the bit. A real
@@ -102,8 +105,11 @@ class GridSpec:
 class WavePacket:
     """Complex samples of a one-dimensional wavefunction on a uniform grid.
 
-    Immutable: the sample array is made read-only on construction and every
-    transformation returns a new packet.
+    Immutable: every transformation returns a new packet. A contiguous
+    complex128 array is kept as the samples and made read-only, so its
+    caller can no longer write to it; any other input (another dtype, a
+    strided view, a list) is copied, and the caller's array stays as it was.
+    Copying every array would cost a large grid page faults on each packet.
     """
 
     grid: GridSpec

@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import ClassicalBasis, _check_time, _snapshots, gauge_coefficients
+from .classical import ClassicalBasis, _read, _snapshots, gauge_coefficients
 from .coefficients import Scenario, integrate_coefficient
 from .errors import CausticEncountered, GridTooNarrow, ValidationError
 from .packets import (MAX_POINTS, WavePacket, _ends, _read_interpolant, _scipy_fft, _support,
@@ -179,15 +179,10 @@ def caustic_times(basis: ClassicalBasis, t_a: float, t_end=None) -> CausticRepor
     at t_end.
     """
     s = basis.scenario
-    _check_time(s, t_a, "t_a")
-    if t_end is None:
-        t_end = s.t1
-    else:
-        _check_time(s, t_end, "t_end")
+    t_end = s.t1 if t_end is None else t_end
+    at_a, at_end = _read(s, basis, t_a, "t_a"), _read(s, basis, t_end, "t_end")
     times = []
     if t_end > t_a:
-        at_a = basis.at(t_a)
-        at_end = basis.at(t_end)
         ops = _FLOATS if isinstance(t_a, (int, float)) and isinstance(t_end, (int, float)) else np
         count = int(_morse_count(at_a, at_end, _hop_matrix(basis.omega, at_a, at_end)[1], ops))
         end_turns = math.copysign(1.0, basis.omega) * float(at_end.tau - at_a.tau) / math.pi
@@ -251,7 +246,8 @@ def _hop_matrix(omega, at_a, at_b):
 
 def _coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficients:
     """Coefficients for t_a != t_b in either order, scalars or arrays of
-    pairs; a scalar pair in the caustic band raises, an array marks it.
+    pairs; equal times raise ValidationError once both ends pass the gate,
+    and a scalar pair in the caustic band raises, an array marks it.
     scalar says whether both times are ints or floats. K is exp(i G(t_b))
     times the reduced kernel in x - x_p times exp(-i G(t_a)) (G from
     gauge_coefficients) times exp(i int f / hbar) over [t_a, t_b]. Exchanged
@@ -261,8 +257,10 @@ def _coefficients(s, basis, part, t_a, t_b, scalar) -> KernelCoefficients:
     ops = _FLOATS if scalar else np
     hbar = s.hbar
     # one dense evaluation of the basis and x_p together per endpoint (array)
-    at_a, xp_a = _snapshots(s, basis, part, t_a)
-    at_b, xp_b = _snapshots(s, basis, part, t_b)
+    at_a, xp_a = _snapshots(s, basis, part, t_a, "t_a")
+    at_b, xp_b = _snapshots(s, basis, part, t_b, "t_b")
+    if ops.any(t_a == t_b):
+        raise ValidationError(_EQUAL_TIMES)
     omega = basis.omega
     sigma = ops.copysign(1.0, t_b - t_a)
 
@@ -323,21 +321,15 @@ def kernel_coefficients(s: Scenario, basis: ClassicalBasis, part, t_a, t_b) -> K
     way. Logs the number of pairs, the largest Morse index and the smallest
     |D|/scale in units of CAUSTIC_RTOL at DEBUG level on "gho.propagator".
 
-    part=None stands for x_p = 0, and basis and part must solve s (see
-    classical.particular_or_zero).
+    part=None stands for x_p = 0. Each end passes classical._snapshots'
+    gate: ValidationError unless its times lie in the working interval and
+    then unless basis and part solve s.
     """
-    scalar = isinstance(t_a, (int, float)) and isinstance(t_b, (int, float))
-    _check_time(s, t_a, "t_a", scalar)
-    _check_time(s, t_b, "t_b", scalar)
-    if scalar:
-        if t_b == t_a:
-            raise ValidationError(_EQUAL_TIMES)
+    if isinstance(t_a, (int, float)) and isinstance(t_b, (int, float)):
         return _coefficients(s, basis, part, t_a, t_b, True)
     t_a, t_b = np.broadcast_arrays(np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float))
     if t_a.ndim > 1:
         raise ValidationError("time pairs must be scalars or 1-D arrays")
-    if np.any(t_a == t_b):
-        raise ValidationError(_EQUAL_TIMES)
     with np.errstate(over="ignore", invalid="ignore"):
         return _coefficients(s, basis, part, t_a, t_b, False)
 
@@ -355,8 +347,13 @@ def kernel(s: Scenario, basis: ClassicalBasis, part, q: KernelQuery) -> complex:
 
 
 def green_function(s: Scenario, basis: ClassicalBasis, part, q: KernelQuery) -> complex:
-    """Retarded Green function: K(b, a) for t_b > t_a, exactly 0 for t_b < t_a."""
-    return 0j if q.t_b < q.t_a else kernel(s, basis, part, q)
+    """Retarded Green function: K(b, a) for t_b > t_a, exactly 0 for t_b < t_a
+    once both ends pass the gate that kernel's pass (classical._snapshots)."""
+    if q.t_b < q.t_a:
+        _snapshots(s, basis, part, q.t_a, "t_a")
+        _snapshots(s, basis, part, q.t_b, "t_b")
+        return 0j
+    return kernel(s, basis, part, q)
 
 
 def _lct_apply(co: KernelCoefficients, ys, g, dy, out_points):
@@ -427,14 +424,12 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
     """Propagate a packet to t_b in one hop, in the factored or the chirp-z
     form (see the module docstring); part=None stands for x_p = 0.
     """
-    if t_b == packet.t:
-        return packet.with_samples(packet.samples)
-    packet.require_dark_edges(1e-10, "propagate")
     t_a, grid, hbar = packet.t, packet.grid, s.hbar
-    _check_time(s, t_a, "t_a")
-    _check_time(s, t_b, "t_b")
-    at_a, xp_a = _snapshots(s, basis, part, t_a)
-    at_b, xp_b = _snapshots(s, basis, part, t_b)
+    at_a, xp_a = _snapshots(s, basis, part, t_a, "t_a")
+    at_b, xp_b = _snapshots(s, basis, part, t_b, "t_b")
+    packet.require_dark_edges(1e-10, "propagate")
+    if t_b == t_a:
+        return packet.with_samples(packet.samples)
     big_a, big_b, big_c, _ = _hop_matrix(basis.omega, at_a, at_b)
     sfft = _scipy_fft()
     n = grid.n_points
@@ -476,9 +471,10 @@ def propagate(packet: WavePacket, s: Scenario, basis: ClassicalBasis, part,
                "dilation resampled" if resample else "dilation is the identity")
     # the metaplectic phase: -pi/4 - m pi/2 from the kernel (conjugated going
     # backward) less the -pi/4 sgn(A B) the Fresnel factor carries; it is
-    # continuous across B = 0, where m steps and sgn(A) = (-1)^m
+    # continuous across B = 0, where m steps and sgn(A) = (-1)^m. m is the
+    # kernel's own count, pinned by the forward hop's B = sigma B
     sigma = math.copysign(1.0, t_b - t_a)
-    morse = _morse_count(at_a, at_b, big_b, _FLOATS)
+    morse = _morse_count(at_a, at_b, sigma * big_b, _FLOATS)
     phi = sigma * (-0.25 * math.pi - 0.5 * math.pi * morse
                    + 0.25 * math.pi * math.copysign(1.0, big_a) * (-1) ** morse)
     # dilation(A) . Fresnel(B/A), which is Fresnel(A B) . dilation(A): the

@@ -30,8 +30,7 @@ import math
 
 import numpy as np
 
-from .classical import (ClassicalBasis, ParticularSolution, _check_time, _snapshots,
-                        gauge_coefficients, particular_or_zero)
+from .classical import ClassicalBasis, ParticularSolution, _read, _snapshots, gauge_coefficients
 from .coefficients import Scenario, integrate_coefficient
 from .errors import GridTooNarrow, ValidationError
 from .packets import (GridSpec, WavePacket, _read_interpolant, _scipy_fft, _support,
@@ -133,8 +132,7 @@ def _modes_1d(s, basis, part, n_max, t, x):
     a mode sum, one row when only psi_k is wanted. Raises ValidationError for
     t outside the working interval.
     """
-    _check_time(s, t, "t")
-    bs, ps = _snapshots(s, basis, part, t)
+    bs, ps = _snapshots(s, basis, part, t, "t")
     hbar = s.hbar
     omega = abs(basis.omega)
     alpha, beta, gamma = gauge_coefficients(s, bs.mass, ps, t)
@@ -232,8 +230,7 @@ def apply_U_F(packet: WavePacket, part: ParticularSolution, s: Scenario,
     x - x_p, a lattice at the grid's own spacing, so one inverse FFT after
     the ramp exp(-i k x_p) on the spectrum, with the phase folded in.
     """
-    _check_time(s, t, "t")
-    ps = particular_or_zero(s, part).at(t)
+    ps = _read(s, part, t, "t")
     xp = ps.x
     grid = packet.grid
     x = grid.points
@@ -255,8 +252,7 @@ def apply_U_S(packet: WavePacket, basis: ClassicalBasis, s: Scenario,
     one read of the packet's interpolant on the dilated lattice, with the
     amplitude and the chirp folded in.
     """
-    _check_time(s, t, "t")
-    bs = particular_or_zero(s, basis).at(t)
+    bs = _read(s, basis, t, "t")
     scale = math.sqrt(abs(basis.omega)) / bs.rho
     packet.require_dark_edges(1e-8, "apply_U_S")
     grid = packet.grid
@@ -320,10 +316,9 @@ def invariant_expectation(packet: WavePacket, basis: ClassicalBasis, part,
     how far P is from Hermitian on this packet and is near rounding on a
     resolved, dark-edged one.
     """
-    _check_time(s, packet.t, "packet.t")
-    packet.require_dark_edges(1e-8, "invariant_expectation")
     t = packet.t
-    bs, ps = _snapshots(s, basis, part, t)
+    bs, ps = _snapshots(s, basis, part, t, "packet.t")
+    packet.require_dark_edges(1e-8, "invariant_expectation")
     omega = abs(basis.omega)
     m, rho = bs.mass, bs.rho
     a_c, _ = s.a.eval(t)

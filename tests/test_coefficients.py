@@ -9,41 +9,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gho import (CoefficientFn, Constant, Exponential, ParseError, PiecewiseConstant,
-                 Polynomial, Sinusoidal, ValidationError, eval_coefficient,
-                 hamiltonian_coefficients, integrate_coefficient, load_scenario,
-                 scenario_from_dict, scenario_to_dict, serialize_scenario)
+                 Polynomial, Sinusoidal, ValidationError, hamiltonian_coefficients,
+                 integrate_coefficient, load_scenario, scenario_from_dict, scenario_to_dict,
+                 serialize_scenario)
 
 
 def test_constant_eval():
-    assert eval_coefficient(Constant(1.0), 3.7) == (1.0, 0.0)
+    assert Constant(1.0).eval(3.7) == (1.0, 0.0)
 
 
 def test_sinusoidal_eval_at_zero():
     fn = Sinusoidal(amplitude=1.0, omega=2.0, phase=0.0, offset=0.0)
-    value, deriv = eval_coefficient(fn, 0.0)
+    value, deriv = fn.eval(0.0)
     assert value == pytest.approx(1.0, abs=1e-15)
     assert deriv == pytest.approx(0.0, abs=1e-15)
 
 
 def test_polynomial_eval():
-    value, deriv = eval_coefficient(Polynomial((2.0, 3.0)), 2.0)
+    value, deriv = Polynomial((2.0, 3.0)).eval(2.0)
     assert value == 8.0
     assert deriv == 3.0
 
 
 def test_exponential_eval():
-    value, deriv = eval_coefficient(Exponential(2.0, -0.5), 1.0)
+    value, deriv = Exponential(2.0, -0.5).eval(1.0)
     assert value == pytest.approx(2.0 * np.exp(-0.5))
     assert deriv == pytest.approx(-0.5 * value)
 
 
 def test_piecewise_right_limit_at_breakpoint():
     fn = PiecewiseConstant(breakpoints=(1.0, 2.0), values=(5.0, 7.0, -1.0))
-    assert eval_coefficient(fn, 0.5)[0] == 5.0
-    assert eval_coefficient(fn, 1.0)[0] == 7.0  # right limit exactly on a breakpoint
-    assert eval_coefficient(fn, 1.5)[0] == 7.0
-    assert eval_coefficient(fn, 2.0)[0] == -1.0
-    assert eval_coefficient(fn, 3.0) == (-1.0, 0.0)
+    assert fn.eval(0.5)[0] == 5.0
+    assert fn.eval(1.0)[0] == 7.0  # right limit exactly on a breakpoint
+    assert fn.eval(1.5)[0] == 7.0
+    assert fn.eval(2.0)[0] == -1.0
+    assert fn.eval(3.0) == (-1.0, 0.0)
 
 
 def test_piecewise_validation():
@@ -64,10 +64,10 @@ def test_derivative_matches_central_differences(fn):
     times = rng.uniform(-5.0, 5.0, 100)
     for t in times:
         h = 1e-5 * (abs(t) + 1.0)
-        value_p, _ = eval_coefficient(fn, t + h)
-        value_m, _ = eval_coefficient(fn, t - h)
+        value_p, _ = fn.eval(t + h)
+        value_m, _ = fn.eval(t - h)
         fd = (value_p - value_m) / (2 * h)
-        _, deriv = eval_coefficient(fn, t)
+        _, deriv = fn.eval(t)
         scale = max(abs(deriv), abs(fd), 1e-9)
         assert abs(deriv - fd) / scale < 1e-6
 

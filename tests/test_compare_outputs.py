@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import COUPLED
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
 compare_outputs = importlib.util.module_from_spec(_SPEC)
@@ -13,6 +15,10 @@ _SPEC.loader.exec_module(compare_outputs)
 
 ERROR = "error: GridTooNarrow: evolve_tdse: edge amplitude {} of peak (limit 1e-08)\n"
 CHECK = "CHECK invariant_drift_tdse value={} tol=1e-05 {}\n"
+
+
+def test_the_coupled_scenario_is_the_tests_own():
+    assert compare_outputs.COUPLED == COUPLED
 
 
 def _run(stdout="", stderr="", code=0, files=None):

@@ -24,6 +24,9 @@ PART = gho.solve_particular(SHO)
 # another oscillator: the solutions of SHO are not its solutions
 OTHER = gho.scenario_from_dict({"hbar": 2.0, "frequency": 1.5, "interval": [0.0, 12.0]})
 OTHER_PART = gho.solve_particular(OTHER)
+# oscillators on short intervals, where a time a few units on is outside
+SHO_1 = gho.scenario_from_dict({"interval": [0.0, 1.0]})
+SHO_2 = gho.scenario_from_dict({"interval": [0.0, 2.0]})
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -81,7 +84,10 @@ PART_OF_ANOTHER = "the ParticularSolution was solved for another scenario than t
     (lambda: kernel(SHO, BASIS, OTHER_PART, QUERY), PART_OF_ANOTHER),
     (lambda: kernel_coefficients(OTHER, BASIS, PART, 0.0, 1.0), BASIS_OF_ANOTHER),
     (lambda: green_function(OTHER, BASIS, PART, QUERY), BASIS_OF_ANOTHER),
+    (lambda: green_function(OTHER, BASIS, PART, KernelQuery(1.0, 0.0, 0.3, -0.4)),
+     BASIS_OF_ANOTHER),
     (lambda: propagate(GROUND, OTHER, BASIS, PART, 1.0), BASIS_OF_ANOTHER),
+    (lambda: propagate(GROUND, OTHER, BASIS, PART, GROUND.t), BASIS_OF_ANOTHER),
     (lambda: kernel_delta_check(OTHER, BASIS, PART, 0.5, 0.01, GROUND), BASIS_OF_ANOTHER),
     (lambda: eigenmode(OTHER, BASIS, PART, 0, 0.5, 0.1), BASIS_OF_ANOTHER),
     (lambda: eigenmode_packet(OTHER, BASIS, PART, 0, 0.5, GRID), BASIS_OF_ANOTHER),
@@ -96,13 +102,39 @@ PART_OF_ANOTHER = "the ParticularSolution was solved for another scenario than t
     (lambda: trajectory_table(BASIS, OTHER_PART, [0.5, 1.0]), PART_OF_ANOTHER),
     (lambda: compose_kernels(OTHER, BASIS, PART, 0.0, 0.5, 1.0, 0.3, -0.4), BASIS_OF_ANOTHER),
     (lambda: path_integral_oracle(OTHER, QUERY, 4, GRID, BASIS, PART), BASIS_OF_ANOTHER),
-], ids=["kernel", "kernel-part", "kernel_coefficients", "green_function", "propagate",
-        "kernel_delta_check", "eigenmode", "eigenmode_packet", "eigenmode_packets",
+], ids=["kernel", "kernel-part", "kernel_coefficients", "green_function",
+        "green_function-backward", "propagate", "propagate-equal-times", "kernel_delta_check", "eigenmode", "eigenmode_packet", "eigenmode_packets",
         "build_generalized_coherent_state", "mode_sum_kernel", "apply_U_F", "apply_U_S",
         "invariant_expectation", "classical_invariant", "trajectory_table", "compose_kernels",
         "path_integral_oracle"])
 def test_solutions_of_another_scenario_raise(call, message):
     # each of these returned a number for neither oscillator
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: green_function(SHO_1, gho.solve_homogeneous_basis(SHO_1), None,
+                            KernelQuery(5.0, -3.0, 0.3, -0.4)),
+     "t_a=5.0 outside working interval [0.0, 1.0]"),
+    (lambda: propagate(GROUND.with_samples(GROUND.samples, t=50.0), SHO, BASIS, None, 50.0),
+     "t_a=50.0 outside working interval [0.0, 12.0]"),
+    (lambda: kernel_coefficients(SHO, BASIS, None, 50.0, 50.0),
+     "t_a=50.0 outside working interval [0.0, 12.0]"),
+    (lambda: path_integral_oracle(SHO_2, KernelQuery(0.0, 50.0, 0.3, -0.4), 4, GRID,
+                                  gho.solve_homogeneous_basis(SHO_2)),
+     "t_b=50.0 outside working interval [0.0, 2.0]"),
+    (lambda: path_integral_oracle(SHO_2, KernelQuery(0.0, np.nan, 0.3, -0.4), 4, GRID,
+                                  gho.solve_homogeneous_basis(SHO_2)),
+     "t_b=nan outside working interval [0.0, 2.0]"),
+], ids=["green_function-backward", "propagate-equal-times", "kernel_coefficients-equal-times",
+        "path_integral_oracle", "path_integral_oracle-nan"])
+def test_times_outside_the_interval_raise_before_any_answer(call, message):
+    # the retarded Green function answered 0j, the equal-time copy a packet
+    # at t = 50, and the path integral extrapolated the classical path to
+    # GridTooNarrow, or named t_a for a nan t_b; a time outside comes before
+    # the equal-time rejection
     with pytest.raises(ValidationError) as info:
         call()
     assert str(info.value) == message

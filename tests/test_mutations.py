@@ -132,7 +132,7 @@ def test_mutation_fails_exactly_its_checks(row, monkeypatch, capsys, tmp_path):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="no verify check propagates a packet across a focal time "
-                          "(ROADMAP item 9)")
+                          "(ROADMAP item 2)")
 def test_morse_count_zero_in_the_factored_hop_is_caught(monkeypatch, capsys):
     # the Morse count of propagate's factored form only; the kernel
     # coefficients (and the chirp-z form, which reads them) keep theirs

@@ -140,7 +140,7 @@ PUBLIC_NAMES = [
     "Polynomial", "Scenario", "Sinusoidal", "ValidationError", "WavePacket", "ZeroRho",
     "apply_U_F", "apply_U_S", "build_generalized_coherent_state", "caustic_times",
     "classical", "classical_invariant", "coefficients", "compose_kernels", "eigenmode",
-    "eigenmode_packet", "errors", "eval_coefficient", "evolve_tdse", "green_function",
+    "eigenmode_packet", "errors", "evolve_tdse", "green_function",
     "hamiltonian_coefficients", "hermite_functions", "inner_product",
     "integrate_coefficient", "invariant_expectation", "kernel", "kernel_coefficients",
     "kernel_delta_check", "l2_distance", "load_scenario", "mean_x", "mode_sum_kernel",
@@ -521,6 +521,23 @@ def test_packets_are_checked_without_a_blas_dot(monkeypatch):
         WavePacket(grid, samples)
     with pytest.raises(ValidationError, match="packet is zero at every point"):
         WavePacket(grid, np.zeros(4096))
+
+
+def test_a_packet_keeps_a_contiguous_complex_array_and_copies_any_other():
+    # kept and frozen: copying every array would cost page faults on large grids
+    grid = GridSpec(-5.0, 5.0, 64)
+    real = np.exp(-grid.points ** 2)
+    kept = real.astype(np.complex128)
+    assert WavePacket(grid, kept).samples is kept
+    assert not kept.flags.writeable
+    wide = np.repeat(real, 2).astype(np.complex128)
+    for given in (real, real.astype(np.complex64), wide[::2], real.tolist()):
+        packet = WavePacket(grid, given)
+        assert packet.samples is not given and not np.shares_memory(packet.samples, wide)
+        assert np.array_equal(packet.samples, np.asarray(given, dtype=np.complex128))
+        assert not packet.samples.flags.writeable
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable
 
 
 def test_support_is_the_first_and_last_index_above_the_threshold():

@@ -2,6 +2,7 @@ import functools
 import logging
 import math
 import re
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -288,6 +289,27 @@ def test_kernel_positions_dimension_checked(sho, sho_basis):
 def test_time_outside_interval_rejected(sho, sho_basis):
     with pytest.raises(ValidationError):
         kernel(sho, sho_basis, None, KernelQuery(0.0, 20.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("t_a, count", [(2.5, 0), (4.5, 1), (7.5, 2)])
+def test_both_forms_read_one_morse_count_on_a_backward_factored_hop(
+        sho, sho_basis, monkeypatch, caplog, t_a, count):
+    # _morse_count takes the forward hop's B; given the backward hop's own,
+    # the factored form counted 1, 0 and 1 (its phase came out the same)
+    counts = {}
+
+    def spy(*args):
+        caller = sys._getframe(1).f_code.co_name
+        counts[caller] = _morse_count(*args)
+        return counts[caller]
+
+    monkeypatch.setattr(gho.propagator, "_morse_count", spy)
+    packet = gho.eigenmode_packet(sho, sho_basis, None, 0, t_a, gho.GridSpec(-30.0, 30.0, 300))
+    with caplog.at_level(logging.DEBUG, logger="gho.propagator"):
+        propagate(packet, sho, sho_basis, None, 0.5)
+    assert "factored form" in caplog.records[-1].getMessage()
+    kernel_coefficients(sho, sho_basis, None, t_a, 0.5)
+    assert counts == {"propagate": count, "_coefficients": count}
 
 
 def test_array_pairs_with_a_nan_time_rejected(sho, sho_basis):

@@ -108,7 +108,7 @@ def test_joint_snapshots_are_the_separate_ones_to_the_bit(driven_sho):
     assert other._dense._edges is not basis._fundamental._edges
     for b, p, given in ((basis, part, part), (basis, other, other), (sho_basis, zero, None)):
         for t in [*times.tolist(), times, np.array(1.3)]:
-            joint = gho.classical._snapshots(b.scenario, b, given, t)
+            joint = gho.classical._snapshots(b.scenario, b, given, t, "t")
             for got, alone in zip(joint, (b.at(t), p.at(t))):
                 assert type(got) is type(alone)
                 for name in alone._fields:

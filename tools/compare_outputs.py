@@ -16,8 +16,8 @@ invariant) with the default grid given as `--grid=-10,10,2048`, which they
 run as given rather than fit to the modes, and two `python -c` snippets:
 `kernel-values` (KERNEL_VALUES) prints the repr of seeded scalar gho.kernel
 values, the path no command reads, and `hop-values` (HOP_VALUES) the reprs
-of every sample of seeded gho.propagate hops, which verify reaches only
-twice. Each runs on the four bundled
+of every sample of seeded gho.propagate hops, forward and backward, which
+verify reaches only twice. Each runs on the four bundled
 scenarios, on the coupled scenario of tests/conftest.py (a, b and f nonzero,
 M = 1.3, hbar = 0.7), the one that reaches the gauge phase, on an
 all-kinds scenario that loads each of the five coefficient kinds, on sho
@@ -56,7 +56,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ("sho", "free_particle", "parametric", "driven_sho", "coupled", "all_kinds",
              "sho_hbar2", "jumps")
-# tests/conftest.py's COUPLED: no bundled scenario sets a, b or f
+# tests/conftest.py's COUPLED (tests/test_compare_outputs.py checks the copy):
+# no bundled scenario sets a, b or f
 COUPLED = {"hbar": 0.7, "mass": 1.3, "b": 0.3, "f": 0.2, "interval": [0.0, 12.0],
            "a": {"kind": "sinusoidal", "amplitude": 0.1, "omega": 1.0, "phase": 0.5},
            "force": {"kind": "sinusoidal", "amplitude": 0.5, "omega": 1.3}}
@@ -100,11 +101,12 @@ for t_a, t_b in pairs:
 """
 # seeded gho.propagate hops of a mode from one t_a in the interval's first
 # half: a short hop, a medium one and a landing on the first focal time
-# after t_a (where there is one), with the default basis and x_p, and a
-# medium hop whose x_p starts from (1, 0.5), a moving x_p (a shift on the
-# free particle), on (-10, 10, 512) widened by the modes' width
-# rho sqrt(hbar) at the widest end; the reprs of each sample's real and
-# imaginary parts, or the name of the exception raised
+# after t_a (where there is one), with the default basis and x_p, a medium
+# hop whose x_p starts from (1, 0.5), a moving x_p (a shift on the free
+# particle), and the first medium hop reversed, back to t_a, on
+# (-10, 10, 512) widened by the modes' width rho sqrt(hbar) at the widest
+# end; the reprs of each sample's real and imaginary parts, or the name of
+# the exception raised
 HOP_VALUES = """
 import math, random, sys
 import gho
@@ -113,14 +115,15 @@ basis = gho.solve_homogeneous_basis(s)
 still, moving = gho.solve_particular(s), gho.solve_particular(s, (1.0, 0.5))
 draw = random.Random(4242)
 t_a = draw.uniform(s.t0, 0.5 * (s.t0 + s.t1))
-hops = [(still, t_a + draw.uniform(0.02, 0.1)), (still, t_a + draw.uniform(0.2, 1.0))]
-hops += [(still, t) for t in gho.caustic_times(basis, t_a).times[:1]]
-hops.append((moving, t_a + draw.uniform(0.2, 1.0)))
-rho = max(float(basis.at(t).rho) for t in (t_a, *(t_b for _, t_b in hops)))
+short, medium = t_a + draw.uniform(0.02, 0.1), t_a + draw.uniform(0.2, 1.0)
+hops = [(still, t_a, short), (still, t_a, medium)]
+hops += [(still, t_a, t) for t in gho.caustic_times(basis, t_a).times[:1]]
+hops += [(moving, t_a, t_a + draw.uniform(0.2, 1.0)), (still, medium, t_a)]
+rho = max(float(basis.at(t).rho) for t in (t_a, *(t_b for _, _, t_b in hops)))
 widen = max(1.0, rho * math.sqrt(s.hbar) - 1e-6)
 grid = gho.GridSpec(-10.0 * widen, 10.0 * widen, 64 * math.ceil(8.0 * widen))
-for part, t_b in hops:
-    packet = gho.eigenmode_packet(s, basis, part, draw.randrange(4), t_a, grid)
+for part, t_from, t_b in hops:
+    packet = gho.eigenmode_packet(s, basis, part, draw.randrange(4), t_from, grid)
     try:
         for value in gho.propagate(packet, s, basis, part, t_b).samples.tolist():
             print(repr(value.real), repr(value.imag))
